@@ -22,7 +22,7 @@ import sys
 from . import generators as gen
 from . import harness as hs
 from .decomposition import nilpotent2_canonical, normal_pure_split, root_decompose
-from .errors import OpclassError, UnknownTheorem
+from .errors import OpclassError
 from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
 from .matio import atomic_write_text, detect_format, load_matrix, save_matrix
 from .membership import (
@@ -69,14 +69,10 @@ def _error_doc(exc: Exception) -> dict:
 def cmd_classify(args) -> int:
     tol = _tolerances(args)
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        matrix = load_matrix(args.file, args.format)
-        verdicts = classify_all(
-            matrix, k_list=tuple(args.k), p_list=tuple(args.p), tol=tol, seed=seed
-        )
-    except OpclassError as exc:
-        _emit(_error_doc(exc), None)
-        return EXIT_ERROR
+    matrix = load_matrix(args.file, args.format)
+    verdicts = classify_all(
+        matrix, k_list=tuple(args.k), p_list=tuple(args.p), tol=tol, seed=seed
+    )
     rows = []
     for cls, verdict in verdicts.items():
         row = {"class": cls.name, "params": cls.params}
@@ -99,19 +95,15 @@ def cmd_classify(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        matrix = load_matrix(args.file, args.format)
-        if args.mode == "normal-pure":
-            decomp = normal_pure_split(matrix, tol)
-        elif args.mode == "root":
-            if args.n is None or args.k is None:
-                raise OpclassError("root mode requires --n and --k")
-            decomp = root_decompose(matrix, args.n, args.k, tol, seed=seed)
-        else:
-            decomp = nilpotent2_canonical(matrix, tol)
-    except OpclassError as exc:
-        _emit(_error_doc(exc), None)
-        return EXIT_ERROR
+    matrix = load_matrix(args.file, args.format)
+    if args.mode == "normal-pure":
+        decomp = normal_pure_split(matrix, tol)
+    elif args.mode == "root":
+        if args.n is None or args.k is None:
+            raise OpclassError("root mode requires --n and --k")
+        decomp = root_decompose(matrix, args.n, args.k, tol, seed=seed)
+    else:
+        decomp = nilpotent2_canonical(matrix, tol)
     doc = {
         "command": "decompose",
         "mode": args.mode,
@@ -192,21 +184,17 @@ def _certify(kind: str, matrix, params: dict, seed: int, tol: TolerancePolicy) -
 
 def cmd_generate(args) -> int:
     tol = _tolerances(args)
-    try:
-        spec = _build_spec(args)
-        matrix = gen.build(spec)
-        fmt = detect_format(args.output, args.format)
-        save_matrix(args.output, matrix, fmt)
-        sidecar = {
-            "spec": spec.to_json_dict(),
-            "format": fmt,
-            "tolerances": tol.to_json_dict(),
-            "certification": _certify(spec.kind, matrix, spec.params, spec.seed, tol),
-        }
-        atomic_write_text(f"{args.output}.sidecar.json", json.dumps(sidecar, indent=2) + "\n")
-    except (OpclassError, ValueError) as exc:
-        _emit(_error_doc(exc), None)
-        return EXIT_ERROR
+    spec = _build_spec(args)
+    matrix = gen.build(spec)
+    fmt = detect_format(args.output, args.format)
+    save_matrix(args.output, matrix, fmt)
+    sidecar = {
+        "spec": spec.to_json_dict(),
+        "format": fmt,
+        "tolerances": tol.to_json_dict(),
+        "certification": _certify(spec.kind, matrix, spec.params, spec.seed, tol),
+    }
+    atomic_write_text(f"{args.output}.sidecar.json", json.dumps(sidecar, indent=2) + "\n")
     _emit({"command": "generate", "output": str(args.output),
            "sidecar": f"{args.output}.sidecar.json"}, None)
     return EXIT_OK
@@ -223,11 +211,7 @@ def cmd_verify(args) -> int:
         seed=seed,
         tolerances=tol,
     )
-    try:
-        reports = hs.run_suite(cfg)
-    except UnknownTheorem as exc:
-        _emit(_error_doc(exc), None)
-        return EXIT_ERROR
+    reports = hs.run_suite(cfg)
     doc = hs.suite_report_json_dict(cfg, reports)
     if args.output:
         atomic_write_text(args.output, json.dumps(doc, indent=2) + "\n")
@@ -322,7 +306,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OpclassError as exc:
+    except (OpclassError, OSError, ValueError) as exc:
+        # Bad input (an unreadable file, an out-of-range parameter) ends in
+        # the JSON error document, never in a traceback.
         _emit(_error_doc(exc), None)
         return EXIT_ERROR
 

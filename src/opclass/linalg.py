@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, EmptySubspace, NotHermitian, NotPSD
 
@@ -216,7 +217,12 @@ class Subspace:
             return Subspace(n, np.eye(n, dtype=np.complex128))
         if r == n:
             return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
-        u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
+        try:
+            u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
+        except np.linalg.LinAlgError:
+            # gesdd can fail to converge even on an orthonormal basis;
+            # LAPACK's QR-iteration SVD, gesvd, converges on the same input.
+            u, _, _ = scipy.linalg.svd(self.basis, full_matrices=True, lapack_driver="gesvd")
         return Subspace(n, u[:, r:])
 
     def contains(self, other: "Subspace", tol: float) -> bool:

@@ -9,7 +9,9 @@ relatives) are decided by two independent routes:
 * a pencil oracle that sweeps the least eigenvalue of a parameterized
   Hermitian pencil over a logarithmic grid with golden-section refinement,
 * a sphere oracle that minimizes the exact defining defect over the unit
-  sphere by projected gradient descent with numerically estimated gradients.
+  sphere by projected gradient descent. Every defect is a difference of
+  products of column norms ||M x||, so its gradient is analytic: one
+  stacked product for the norms and one with the stacked adjoint.
 
 For the quadratic pencil A - 2*z*B + z^2*C with A, B, C PSD, positivity for
 every z > 0 is equivalent to the per-vector inequality
@@ -32,6 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidPencil, OracleDisagreement
+from .generators import make_rng
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
@@ -488,14 +491,6 @@ def pencil_check(
 # ---------------------------------------------------------------------------
 
 
-def _rng_stream(seed: int, *lane: int) -> np.random.Generator:
-    """Counter-based Philox stream; lanes derive independent substreams."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=tuple(int(x) for x in lane)
-    )
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _batched(defect, dim: int):
     """Adapt a unit-vector defect map to column-batched evaluation."""
     probe = np.zeros((dim, 2), dtype=np.complex128)
@@ -524,14 +519,21 @@ def sphere_check(
     scale: float = 1.0,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     max_iter: int = 300,
+    gradient=None,
 ) -> MembershipVerdict:
     """Minimize a continuous defect over the unit sphere of C^dim.
 
-    Projected gradient descent with central-difference gradients runs from
-    ``restarts`` seeded random starts (stream ``seed + index``) plus every
-    standard basis vector and any supplied warm starts (columns). Restarts
-    are reduced by minimum, so the result does not depend on evaluation
-    order.
+    Projected gradient descent runs from ``restarts`` seeded random starts
+    (stream ``seed + index``) plus every standard basis vector and any
+    supplied warm starts (columns). Restarts are reduced by minimum, so the
+    result does not depend on evaluation order.
+
+    ``gradient``, when given, maps a (dim, n) batch of unit columns to the
+    Euclidean gradient of ``defect`` at each column, shape (dim, n), in the
+    d/dRe + i d/dIm convention; each step projects it onto the tangent space
+    of the sphere, g - Re(x^H g) x. Without it, the same projected gradient
+    is estimated by central differences along every real and imaginary
+    coordinate, 4 * dim extra defect evaluations per start and step.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -543,7 +545,7 @@ def sphere_check(
         starts.append(ws / np.linalg.norm(ws, axis=0, keepdims=True))
     rand = np.empty((dim, restarts), dtype=np.complex128)
     for i in range(restarts):
-        g = _rng_stream(seed, i)
+        g = make_rng(seed, i)
         z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
         rand[:, i] = z / np.linalg.norm(z)
     starts.append(rand)
@@ -560,19 +562,24 @@ def sphere_check(
     best_vec = x[:, best_idx].copy()
 
     for _ in range(max_iter):
-        # Central differences along every real and imaginary coordinate of
-        # every start, evaluated in one batch and renormalized to the sphere.
-        pert = np.empty((dim, n_pts, 4, dim), dtype=np.complex128)
-        base = x[:, :, None]
-        pert[:, :, 0, :] = base + h * eye[:, None, :]
-        pert[:, :, 1, :] = base - h * eye[:, None, :]
-        pert[:, :, 2, :] = base + 1j * h * eye[:, None, :]
-        pert[:, :, 3, :] = base - 1j * h * eye[:, None, :]
-        flat = pert.reshape(dim, n_pts * 4 * dim)
-        flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
-        vals = f(flat).reshape(n_pts, 4, dim)
-        grad = ((vals[:, 0, :] - vals[:, 1, :]) + 1j * (vals[:, 2, :] - vals[:, 3, :])).T
-        grad /= 2.0 * h
+        if gradient is not None:
+            grad = gradient(x)
+            grad = grad - np.sum(x.conj() * grad, axis=0).real * x
+        else:
+            # Central differences along every real and imaginary coordinate
+            # of every start, evaluated in one batch and renormalized to the
+            # sphere.
+            pert = np.empty((dim, n_pts, 4, dim), dtype=np.complex128)
+            base = x[:, :, None]
+            pert[:, :, 0, :] = base + h * eye[:, None, :]
+            pert[:, :, 1, :] = base - h * eye[:, None, :]
+            pert[:, :, 2, :] = base + 1j * h * eye[:, None, :]
+            pert[:, :, 3, :] = base - 1j * h * eye[:, None, :]
+            flat = pert.reshape(dim, n_pts * 4 * dim)
+            flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
+            vals = f(flat).reshape(n_pts, 4, dim)
+            grad = ((vals[:, 0, :] - vals[:, 1, :]) + 1j * (vals[:, 2, :] - vals[:, 3, :])).T
+            grad /= 2.0 * h
 
         trial = x - alpha[None, :] * grad
         norms = np.linalg.norm(trial, axis=0)
@@ -716,54 +723,67 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
 # ---------------------------------------------------------------------------
 
 
-def _column_norms(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(m @ x, axis=0)
+class _NormProductDefect:
+    """Column-batched defect prod_i ||P_i x||^a_i - prod_j ||N_j x||^b_j.
+
+    The matrices are stacked once, so a batch of values costs one product
+    and ``gradient`` one more with the stacked adjoint. The Euclidean
+    gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0 gets
+    coefficient 0, the symmetric value central differences give at that
+    kink.
+    """
+
+    def __init__(self, pos, neg):
+        terms = tuple(pos) + tuple(neg)
+        self._n_pos = len(pos)
+        self._exps = np.array([e for _, e in terms], dtype=float)[:, None]
+        self._stack = np.vstack([m for m, _ in terms])
+        self._adjoint = self._stack.conj().T
+
+    def _eval(self, cols: np.ndarray):
+        y = (self._stack @ cols).reshape(len(self._exps), -1, cols.shape[1])
+        sq = (y.conj() * y).real.sum(axis=1)
+        powers = np.sqrt(sq) ** self._exps
+        n = self._n_pos
+        return y, sq, powers[:n].prod(axis=0), powers[n:].prod(axis=0)
+
+    def __call__(self, x):
+        cols = np.asarray(x, dtype=np.complex128)
+        single = cols.ndim == 1
+        _, _, pos, neg = self._eval(cols[:, None] if single else cols)
+        vals = pos - neg
+        return float(vals[0]) if single else vals
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean gradient (d/dRe + i d/dIm) of every column of x."""
+        cols = np.asarray(x, dtype=np.complex128)
+        y, sq, pos, neg = self._eval(cols)
+        # Term i contributes +-a_i * (its side's product) / ||M_i x||^2 * M_i* M_i x.
+        side = np.empty_like(sq)
+        side[: self._n_pos] = pos
+        side[self._n_pos :] = -neg
+        live = sq > 0
+        coef = np.where(live, self._exps * side / np.where(live, sq, 1.0), 0.0)
+        return self._adjoint @ (coef[:, None, :] * y).reshape(-1, cols.shape[1])
 
 
-def _as_columns(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim == 1:
-        return x[:, None], True
-    return x, False
-
-
-def _quasi_defect_fn(m: np.ndarray, k: int):
+def _quasi_defect_fn(m: np.ndarray, k: int) -> _NormProductDefect:
     pk = matrix_power(m, k)
     pk1 = m @ pk
     pk2 = m @ pk1
-
-    def f(x):
-        cols, single = _as_columns(x)
-        vals = (
-            _column_norms(pk2, cols) * _column_norms(pk, cols)
-            - _column_norms(pk1, cols) ** 2
-        )
-        return float(vals[0]) if single else vals
-
-    return f
+    return _NormProductDefect(pos=((pk2, 1), (pk, 1)), neg=((pk1, 2),))
 
 
-def _k_paranormal_defect_fn(m: np.ndarray, k: int):
+def _k_paranormal_defect_fn(m: np.ndarray, k: int) -> _NormProductDefect:
     pk1 = matrix_power(m, k + 1)
-
-    def f(x):
-        cols, single = _as_columns(x)
-        vals = _column_norms(pk1, cols) - _column_norms(m, cols) ** (k + 1)
-        return float(vals[0]) if single else vals
-
-    return f
+    return _NormProductDefect(pos=((pk1, 1),), neg=((m, k + 1),))
 
 
-def _absolute_k_paranormal_defect_fn(m: np.ndarray, k: int, tol: TolerancePolicy):
+def _absolute_k_paranormal_defect_fn(
+    m: np.ndarray, k: int, tol: TolerancePolicy
+) -> _NormProductDefect:
     mod_k = psd_power(m.conj().T @ m, k / 2.0, tol)
-    lead = mod_k @ m
-
-    def f(x):
-        cols, single = _as_columns(x)
-        vals = _column_norms(lead, cols) - _column_norms(m, cols) ** (k + 1)
-        return float(vals[0]) if single else vals
-
-    return f
+    return _NormProductDefect(pos=((mod_k @ m, 1),), neg=((m, k + 1),))
 
 
 def _warm_starts(m: np.ndarray) -> np.ndarray:
@@ -904,6 +924,7 @@ def _dual_verdict(
         warm_starts=_warm_starts(m),
         scale=sphere_scale,
         tol=tol,
+        gradient=defect_fn.gradient,
     )
     pv = pencil_check(pencil, tol)
     return _reconcile(

@@ -74,6 +74,18 @@ def test_classify_nonsquare_is_parse_error(capsys, tmp_path):
     assert doc["error"]["type"] == "ParseError"
 
 
+def test_classify_missing_file_is_error_document(capsys, tmp_path):
+    code, doc = _run(capsys, ["classify", str(tmp_path / "missing.json")])
+    assert code == 1
+    assert doc["error"]["type"] == "FileNotFoundError"
+
+
+def test_classify_out_of_range_p_is_error_document(capsys, identity_file):
+    code, doc = _run(capsys, ["classify", identity_file, "--p", "2"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_decompose_normal_pure(capsys, tmp_path, j2):
     path = tmp_path / "mix.json"
     save_matrix(path, scipy.linalg.block_diag([[5.0]], j2).astype(complex))

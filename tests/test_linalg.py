@@ -168,6 +168,22 @@ def test_subspace_intersect_dimension_mismatch():
         subspace_intersect(Subspace.full(2), Subspace.full(3))
 
 
+def test_subspace_complement_survives_gesdd_failure(monkeypatch):
+    # numpy's gesdd SVD can fail to converge on an orthonormal basis; the
+    # complement must then come from LAPACK's gesvd.
+    rng = np.random.default_rng(30)
+    basis = np.linalg.qr(ginibre(6, rng))[0][:, :2]
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    comp = Subspace(6, basis).complement()
+    assert comp.dim == 4
+    np.testing.assert_allclose(comp.basis.conj().T @ comp.basis, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(basis.conj().T @ comp.basis, 0.0, atol=1e-12)
+
+
 def test_preimage_examples(j2):
     e = np.eye(3, dtype=complex)
     v = Subspace(3, e[:, :2])

@@ -248,6 +248,46 @@ def test_sphere_check_requires_restart():
         sphere_check(lambda x: 0.0, 2, 0)
 
 
+def _defect_families(t, k):
+    from opclass.membership import (
+        _absolute_k_paranormal_defect_fn,
+        _k_paranormal_defect_fn,
+        _quasi_defect_fn,
+    )
+
+    fns = [_quasi_defect_fn(t, k)]
+    if k >= 1:
+        fns += [_k_paranormal_defect_fn(t, k), _absolute_k_paranormal_defect_fn(t, k, TOL)]
+    return fns
+
+
+def test_defect_gradient_matches_central_differences():
+    # Euclidean gradient in the d/dRe + i d/dIm convention, checked column by
+    # column against central differences of the unnormalized defect. The
+    # plain Jordan block puts some T^j e_i exactly at 0, where the norm has a
+    # symmetric kink and both the formula and the differences give 0.
+    rng = np.random.default_rng(22)
+    h = 1e-6
+    for dim in range(3, 9):
+        x = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+        x = np.concatenate([x / np.linalg.norm(x, axis=0), np.eye(dim)], axis=1)
+        for t in (ginibre(dim, rng), np.eye(dim, k=1, dtype=complex)):
+            for k in range(4):
+                for fn in _defect_families(t, k):
+                    grad = fn.gradient(x)
+                    assert grad.shape == x.shape
+                    assert np.all(np.isfinite(grad))
+                    ref = np.empty_like(x)
+                    for j in range(dim):
+                        e = np.zeros((dim, 1))
+                        e[j] = h
+                        ref[j] = (fn(x + e) - fn(x - e)) / (2 * h) + 1j * (
+                            fn(x + 1j * e) - fn(x - 1j * e)
+                        ) / (2 * h)
+                    err = np.linalg.norm(grad - ref) / max(1.0, np.linalg.norm(ref))
+                    assert err < 1e-6, (dim, k, err)
+
+
 # ---------------------------------------------------------------------------
 # Dual-oracle predicates
 # ---------------------------------------------------------------------------
@@ -340,39 +380,29 @@ def test_nonmember_witness_certifies(j2):
 
 
 def test_oracle_agreement_small():
+    # The sphere runs both with the analytic gradient and with central
+    # differences; the two must agree, and each with the pencil.
     rng = np.random.default_rng(17)
-    from opclass.membership import (
-        _absolute_k_paranormal_defect_fn,
-        _k_paranormal_defect_fn,
-        _quasi_defect_fn,
-        _scale,
-        _warm_starts,
-        absolute_k_paranormal_pencil,
-    )
+    from opclass.membership import _scale, _warm_starts, absolute_k_paranormal_pencil
 
     for i in range(15):
         t = ginibre(4, rng)
         norm_t = operator_norm(t)
         for k in (0, 1, 2):
-            fams = [
-                (quasi_paranormal_pencil(t, k), _quasi_defect_fn(t, k), _scale(norm_t, 2 * k + 2)),
-            ]
+            pencils = [quasi_paranormal_pencil(t, k)]
+            scales = [_scale(norm_t, 2 * k + 2)]
             if k >= 1:
-                fams.append(
-                    (k_paranormal_pencil(t, k), _k_paranormal_defect_fn(t, k), _scale(norm_t, k + 1))
-                )
-                fams.append(
-                    (
-                        absolute_k_paranormal_pencil(t, k),
-                        _absolute_k_paranormal_defect_fn(t, k, TOL),
-                        _scale(norm_t, k + 1),
-                    )
-                )
-            for pencil, fn, scale in fams:
+                pencils += [k_paranormal_pencil(t, k), absolute_k_paranormal_pencil(t, k)]
+                scales += [_scale(norm_t, k + 1)] * 2
+            for pencil, fn, scale in zip(pencils, _defect_families(t, k), scales):
                 pv = pencil_check(pencil)
-                sv = sphere_check(fn, 4, 8, seed=i, warm_starts=_warm_starts(t), scale=scale)
-                if pv.is_definite and sv.is_definite:
-                    assert pv.status is sv.status
+                kw = dict(seed=i, warm_starts=_warm_starts(t), scale=scale)
+                sv = sphere_check(fn, 4, 8, gradient=fn.gradient, **kw)
+                fv = sphere_check(fn, 4, 8, **kw)
+                assert sv.status is fv.status, (i, k, pencil.label)
+                for v in (sv, fv):
+                    if pv.is_definite and v.is_definite:
+                        assert pv.status is v.status, (i, k, pencil.label)
 
 
 def test_reconcile_raises_on_decisive_disagreement():
