@@ -10,7 +10,6 @@ runs every implication as a randomized property suite.
 
 from .errors import (
     DecompositionError,
-    DimensionError,
     DimensionMismatch,
     EmptySubspace,
     HypothesisViolated,

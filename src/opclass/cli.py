@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run theorem property suites")
     p.add_argument("theorem_id",
-                   help="one of %s, search-q2, or 'all'" % ", ".join(hs.THEOREM_IDS))
+                   help="one of %s, or 'all'" % ", ".join(hs.SUITES))
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--max-dim", dest="max_dim", type=int, default=8)
     p.add_argument("-o", "--output", default=None)

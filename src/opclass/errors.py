@@ -11,10 +11,6 @@ class DimensionMismatch(OpclassError):
     """Operands have incompatible or invalid dimensions."""
 
 
-# Alias used by the CLI surface.
-DimensionError = DimensionMismatch
-
-
 class NotHermitian(OpclassError):
     """A matrix required to be Hermitian fails the equality tolerance."""
 

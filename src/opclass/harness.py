@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +30,6 @@ from .decomposition import (
     BlockLabel,
     nilpotent2_canonical,
     root_decompose,
-    rr_check,
 )
 from .errors import NonCoprime, UnknownTheorem
 from .linalg import (
@@ -57,6 +56,7 @@ __all__ = [
     "FailureRecord",
     "TheoremReport",
     "SuiteConfig",
+    "SUITES",
     "THEOREM_IDS",
     "verify_stampfli",
     "verify_quasinormal_root",
@@ -122,66 +122,60 @@ class TheoremReport:
         }
 
 
-class _Tally:
-    """Per-suite accumulator with deterministic per-trial seeds."""
+def _drive(theorem_id: str, trials: int, seed: int, tol: TolerancePolicy,
+           inject_failure: bool, body, *, notes: dict | None = None) -> TheoremReport:
+    """Run ``body(trial, trial_seed, rng)`` once per trial and tally it.
 
-    def __init__(self, theorem_id: str, seed: int, tol: TolerancePolicy,
-                 inject_failure: bool = False):
-        self.theorem_id = theorem_id
-        self.base_seed = int(seed)
-        self.tol = tol
-        self.inject = inject_failure
-        self.passes = 0
-        self.skips = 0
-        self.trials = 0
-        self.failures: list[FailureRecord] = []
-        self.skip_reasons: dict[str, int] = {}
-        self.notes: dict = {}
-        self._t0 = time.perf_counter()
-
-    def trial_seed(self, trial: int) -> int:
-        raw = f"{self.base_seed}:{self.theorem_id}:{trial}".encode()
-        return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "big")
-
-    def record(self, trial: int, ok: bool, instance_ref: str,
-               residuals: dict[str, float]) -> None:
-        self.trials += 1
-        if self.inject and trial == 0:
+    ``rng`` is the untouched ``make_rng(trial_seed, 0)`` stream. The body
+    returns a skip reason (the name of the failed hypothesis) or
+    ``(ok, instance_ref, residuals)``. With ``inject_failure`` the verdict
+    of trial 0 is flipped when that trial is recorded.
+    """
+    t0 = time.perf_counter()
+    report = TheoremReport(theorem_id, trials=0, passes=0, skips=0, failures=[],
+                           skip_reasons={}, tolerances=tol.to_json_dict(),
+                           wall_time_ms=0.0, notes={} if notes is None else notes)
+    for trial in range(trials):
+        raw = f"{int(seed)}:{theorem_id}:{trial}".encode()
+        ts = int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "big")
+        outcome = body(trial, ts, gen.make_rng(ts, 0))
+        report.trials += 1
+        if isinstance(outcome, str):
+            report.skips += 1
+            report.skip_reasons[outcome] = report.skip_reasons.get(outcome, 0) + 1
+            continue
+        ok, ref, residuals = outcome
+        if inject_failure and trial == 0:
             ok = not ok
         if ok:
-            self.passes += 1
+            report.passes += 1
         else:
-            self.failures.append(
-                FailureRecord(
-                    seed=self.trial_seed(trial),
-                    trial=trial,
-                    instance_ref=instance_ref,
-                    residuals=residuals,
-                )
-            )
+            report.failures.append(FailureRecord(ts, trial, ref, residuals))
+    report.wall_time_ms = (time.perf_counter() - t0) * 1e3
+    return report
 
-    def skip(self, trial: int, reason: str) -> None:
-        self.trials += 1
-        self.skips += 1
-        self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
 
-    def report(self) -> TheoremReport:
-        return TheoremReport(
-            theorem_id=self.theorem_id,
-            trials=self.trials,
-            passes=self.passes,
-            skips=self.skips,
-            failures=self.failures,
-            skip_reasons=self.skip_reasons,
-            tolerances=self.tol.to_json_dict(),
-            wall_time_ms=(time.perf_counter() - self._t0) * 1e3,
-            notes=self.notes,
-        )
+def _normal_given(t: np.ndarray, ref: str, tol: TolerancePolicy, *hypotheses):
+    """Trial outcome of "the hypotheses imply T normal".
+
+    ``hypotheses`` are ``(name, holds)`` pairs, ``holds`` a thunk; they are
+    evaluated in order and the first that fails names the skip.
+    """
+    for name, holds in hypotheses:
+        if not holds():
+            return name
+    verdict = is_normal(t, tol)
+    return verdict.status is Status.MEMBER, ref, {"normality": -verdict.defect}
 
 
 def _dim_for(rng: np.random.Generator, max_dim: int, lo: int = 2) -> int:
     hi = max(lo, int(max_dim))
     return int(rng.integers(lo, hi + 1))
+
+
+def _random(kind: str, d: int, ts: int) -> tuple[np.ndarray, str]:
+    """A ``gen.random_<kind>`` instance and its reference string."""
+    return getattr(gen, f"random_{kind}")(d, ts), f"{kind}(dim={d}, seed={ts})"
 
 
 def _power_is_normal(t: np.ndarray, n: int, tol: TolerancePolicy) -> bool:
@@ -202,28 +196,20 @@ def verify_stampfli(
     hypothesis set is populated by constructed normal instances; random
     probes exercise the skip accounting.
     """
-    tally = _Tally("stampfli", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         n = int(rng.integers(2, 5))
         if rng.uniform() < 0.35:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+            t, ref = _random("ginibre", d, ts)
         else:
-            t = gen.random_normal(d, ts)
-            ref = f"normal(dim={d}, seed={ts})"
-        if is_hyponormal(t, tol).status is not Status.MEMBER:
-            tally.skip(trial, "hyponormal")
-            continue
-        if not _power_is_normal(t, n, tol):
-            tally.skip(trial, "power-normal")
-            continue
-        verdict = is_normal(t, tol)
-        tally.record(trial, verdict.status is Status.MEMBER, ref,
-                     {"normality": -verdict.defect})
-    return tally.report()
+            t, ref = _random("normal", d, ts)
+        return _normal_given(
+            t, ref, tol,
+            ("hyponormal", lambda: is_hyponormal(t, tol).is_member),
+            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+        )
+    return _drive("stampfli", trials, seed, tol, inject_failure, body)
 
 
 def verify_quasinormal_root(
@@ -239,15 +225,12 @@ def verify_quasinormal_root(
     lemma: quasinormal with ker(T*) inside ker(T) is normal."""
     if n < 1:
         raise ValueError("n must be positive")
-    tally = _Tally("quasinormal-root", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         pick = rng.uniform()
         if pick < 0.4:
-            t = gen.random_normal(d, ts)
-            ref = f"normal(dim={d}, seed={ts})"
+            t, ref = _random("normal", d, ts)
         elif pick < 0.7:
             # Normal with a nontrivial kernel so the lemma bites.
             eig = gen.make_rng(ts, 1).standard_normal(d) + 1j * gen.make_rng(
@@ -257,9 +240,8 @@ def verify_quasinormal_root(
             eig[:n_zero] = 0.0
             t = gen.random_normal(d, ts, eigenvalues=eig)
             ref = f"normal-with-kernel(dim={d}, zeros={n_zero}, seed={ts})"
-        elif pick < 0.9 or d < 2:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+        elif pick < 0.9:
+            t, ref = _random("ginibre", d, ts)
         else:
             t = gen.jordan_nilpotent(d, 2, ts)
             ref = f"jordan(dim={d}, index=2, seed={ts})"
@@ -269,23 +251,16 @@ def verify_quasinormal_root(
         ker_adj = kernel(t.conj().T, tol, rank_floor=scale)
         inclusion = ker_t.contains(ker_adj, tol.tol_recon * 10)
         quasi = is_quasinormal(t, tol).status is Status.MEMBER
-
-        failed = []
-        if not inclusion:
-            failed.append("kernel-inclusion")
-        if not quasi:
-            failed.append("quasinormal")
-        root_applies = quasi and _power_is_normal(t, n, tol)
-        lemma_applies = quasi and inclusion
-        if not (root_applies or lemma_applies):
-            if root_applies is False and quasi and not inclusion:
-                failed.append("power-normal")
-            tally.skip(trial, ",".join(failed) or "power-normal")
-            continue
-        verdict = is_normal(t, tol)
-        tally.record(trial, verdict.status is Status.MEMBER, ref,
-                     {"normality": -verdict.defect})
-    return tally.report()
+        power_normal = quasi and _power_is_normal(t, n, tol)
+        # Quasinormal T is normal if T^n is normal (the root theorem) or if
+        # ker(T*) lies in ker(T) (the lemma); the skip names what failed.
+        return _normal_given(
+            t, ref, tol,
+            ("kernel-inclusion,quasinormal", lambda: quasi or inclusion),
+            ("quasinormal", lambda: quasi),
+            ("kernel-inclusion,power-normal", lambda: inclusion or power_normal),
+        )
+    return _drive("quasinormal-root", trials, seed, tol, inject_failure, body)
 
 
 def verify_ando(
@@ -301,11 +276,10 @@ def verify_ando(
     counterexample confirms the implication stops at paranormality."""
     if n < 1:
         raise ValueError("n must be positive")
-    tally = _Tally("ando", seed, tol, inject_failure)
-    confirmed = 0
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+    even_n = n if n % 2 == 0 else n + 1
+    notes = {"counterexamples_confirmed": 0}
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         pick = trial % 4
         if pick == 3:
@@ -313,7 +287,6 @@ def verify_ando(
             t = gen.normaloid_counterexample(half, 2, ts)
             ref = f"counterexample(dim_m={half}, dim_n=2, seed={ts})"
             para = is_k_quasi_paranormal(t, 0, tol, seed=ts)
-            even_n = n if n % 2 == 0 else n + 1
             ok = (
                 para.status is Status.NON_MEMBER
                 and _power_is_normal(t, even_n, tol)
@@ -321,27 +294,18 @@ def verify_ando(
                 and is_normaloid(t, tol).status is Status.MEMBER
             )
             if ok:
-                confirmed += 1
-            tally.record(trial, ok, ref, {"paranormal_defect": para.defect})
-            continue
+                notes["counterexamples_confirmed"] += 1
+            return ok, ref, {"paranormal_defect": para.defect}
         if pick == 2:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+            t, ref = _random("ginibre", d, ts)
         else:
-            t = gen.random_normal(d, ts)
-            ref = f"normal(dim={d}, seed={ts})"
-        para = is_k_quasi_paranormal(t, 0, tol, seed=ts)
-        if para.status is not Status.MEMBER:
-            tally.skip(trial, "paranormal")
-            continue
-        if not _power_is_normal(t, n, tol):
-            tally.skip(trial, "power-normal")
-            continue
-        verdict = is_normal(t, tol)
-        tally.record(trial, verdict.status is Status.MEMBER, ref,
-                     {"normality": -verdict.defect})
-    tally.notes["counterexamples_confirmed"] = confirmed
-    return tally.report()
+            t, ref = _random("normal", d, ts)
+        return _normal_given(
+            t, ref, tol,
+            ("paranormal", lambda: is_k_quasi_paranormal(t, 0, tol, seed=ts).is_member),
+            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+        )
+    return _drive("ando", trials, seed, tol, inject_failure, body, notes=notes)
 
 
 def verify_k_paranormal_root(
@@ -365,10 +329,8 @@ def verify_k_paranormal_root(
         raise ValueError("k must be a positive integer")
     if n < 1:
         raise ValueError("n must be positive")
-    tally = _Tally("k-paranormal-root", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         pick = trial % 5
         if pick in (0, 1):
@@ -383,8 +345,7 @@ def verify_k_paranormal_root(
                 else is_absolute_k_paranormal(t, k, tol, seed=ts)
             )
             if member.status is not Status.MEMBER:
-                tally.record(trial, False, ref, {"membership_defect": member.defect})
-                continue
+                return False, ref, {"membership_defect": member.defect}
             normal = is_normal(t, tol)
             ident = frobenius_norm(
                 t.conj().T - abs(lam) ** (2.0 / n) / lam * matrix_power(t, n - 1)
@@ -392,9 +353,7 @@ def verify_k_paranormal_root(
             ok = normal.status is Status.MEMBER and ident <= tol.tol_eq * max(
                 1.0, operator_norm(t) ** max(1, n - 1)
             ) * 100
-            tally.record(trial, ok, ref,
-                         {"normality": -normal.defect, "adjoint_identity": ident})
-            continue
+            return ok, ref, {"normality": -normal.defect, "adjoint_identity": ident}
         if pick == 2:
             t = np.zeros((d, d), dtype=np.complex128)
             ref = f"zero(dim={d})"
@@ -402,36 +361,22 @@ def verify_k_paranormal_root(
                 is_k_paranormal(t, k, tol, seed=ts).status is Status.MEMBER
                 and is_normal(t, tol).status is Status.MEMBER
             )
-            tally.record(trial, ok, ref, {})
-            continue
-        if pick == 3 and d >= 2:
+            return ok, ref, {}
+        if pick == 3:
             index = min(max(2, n), d)
             t = gen.jordan_nilpotent(d, index, ts)
             ref = f"jordan(dim={d}, index={index}, seed={ts})"
             if index > n:
-                tally.skip(trial, "power-normal")
-                continue
+                return "power-normal"
             member = is_k_paranormal(t, k, tol, seed=ts)
-            tally.record(
-                trial,
-                member.status is Status.NON_MEMBER,
-                ref,
-                {"membership_defect": member.defect},
-            )
-            continue
-        t = gen.random_normal(d, ts)
-        ref = f"normal(dim={d}, seed={ts})"
-        member = is_k_paranormal(t, k, tol, seed=ts)
-        if member.status is not Status.MEMBER:
-            tally.skip(trial, "k-paranormal")
-            continue
-        if not _power_is_normal(t, n, tol):
-            tally.skip(trial, "power-normal")
-            continue
-        verdict = is_normal(t, tol)
-        tally.record(trial, verdict.status is Status.MEMBER, ref,
-                     {"normality": -verdict.defect})
-    return tally.report()
+            return member.status is Status.NON_MEMBER, ref, {"membership_defect": member.defect}
+        t, ref = _random("normal", d, ts)
+        return _normal_given(
+            t, ref, tol,
+            ("k-paranormal", lambda: is_k_paranormal(t, k, tol, seed=ts).is_member),
+            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+        )
+    return _drive("k-paranormal-root", trials, seed, tol, inject_failure, body)
 
 
 def verify_k_quasi_decomposition(
@@ -449,18 +394,14 @@ def verify_k_quasi_decomposition(
     summand is put into its [[0, C], [0, 0]] canonical form."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    tally = _Tally("k-quasi-decomposition", seed, tol, inject_failure)
     gate = 1e-8
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
-        total = max(2, int(dims))
+    total = max(2, int(dims))
+    # Nil index must divide out in T^n, so build at min(k, n-1).
+    k_build = min(k, max(1, n - 1))
+
+    def body(trial, ts, rng):
         d_norm = int(rng.integers(0, total))
         d_nil = int(rng.integers(0 if d_norm else 1, total - d_norm + 1))
-        if d_norm + d_nil == 0:
-            d_norm = 1
-        # Nil index must divide out in T^n, so build at min(k, n-1).
-        k_build = min(k, max(1, n - 1))
         t = gen.k_quasi_member(d_norm, d_nil, k_build, ts)
         if rng.uniform() < 0.5:
             u = gen.random_unitary(t.shape[0], ts ^ 0x5A5A5A5A)
@@ -469,8 +410,7 @@ def verify_k_quasi_decomposition(
         try:
             decomp = root_decompose(t, n, k, tol, seed=ts)
         except Exception as exc:
-            tally.record(trial, False, f"{ref} [{type(exc).__name__}: {exc}]", {})
-            continue
+            return False, f"{ref} [{type(exc).__name__}: {exc}]", {}
         res = {
             "reassembly": decomp.residuals["reassembly"],
             "normality": decomp.residuals["normality"],
@@ -487,8 +427,8 @@ def verify_k_quasi_decomposition(
                     res["canonical_basis"] < gate
                     and res["canonical_c_min"] > 0.0
                 )
-        tally.record(trial, ok, ref, res)
-    return tally.report()
+        return ok, ref, res
+    return _drive("k-quasi-decomposition", trials, seed, tol, inject_failure, body)
 
 
 def verify_coprime(
@@ -507,10 +447,8 @@ def verify_coprime(
         raise NonCoprime("m and n must both be at least 2")
     if math.gcd(m, n) != 1:
         raise NonCoprime(f"gcd({m}, {n}) != 1")
-    tally = _Tally("coprime", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         pick = trial % 3
         if pick == 0:
@@ -523,23 +461,16 @@ def verify_coprime(
             t = gen.random_normal(d, ts, eigenvalues=eig)
             ref = f"normal-invertible(dim={d}, seed={ts})"
         else:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+            t, ref = _random("ginibre", d, ts)
         svals = np.linalg.svd(t, compute_uv=False)
-        if svals[-1] <= tol.tol_rank * max(1.0, float(svals[0])):
-            tally.skip(trial, "invertible")
-            continue
-        power = matrix_power(t, m)
-        if is_k_paranormal(power, 1, tol, seed=ts).status is not Status.MEMBER:
-            tally.skip(trial, "power-k-paranormal")
-            continue
-        if not _power_is_normal(t, n, tol):
-            tally.skip(trial, "power-normal")
-            continue
-        verdict = is_normal(t, tol)
-        tally.record(trial, verdict.status is Status.MEMBER, ref,
-                     {"normality": -verdict.defect})
-    return tally.report()
+        return _normal_given(
+            t, ref, tol,
+            ("invertible", lambda: svals[-1] > tol.tol_rank * max(1.0, float(svals[0]))),
+            ("power-k-paranormal",
+             lambda: is_k_paranormal(matrix_power(t, m), 1, tol, seed=ts).is_member),
+            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+        )
+    return _drive("coprime", trials, seed, tol, inject_failure, body)
 
 
 def verify_embry(
@@ -555,33 +486,27 @@ def verify_embry(
     (T*)^k T^k = (T*T)^k for k up to kmax."""
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
-    tally = _Tally("embry", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         pick = trial % 4
         if pick == 0:
-            t = gen.random_normal(d, ts)
-            ref = f"normal(dim={d}, seed={ts})"
+            t, ref = _random("normal", d, ts)
         elif pick == 1:
-            t = gen.random_unitary(d, ts)
-            ref = f"unitary(dim={d}, seed={ts})"
-        elif pick == 2 and d >= 2:
+            t, ref = _random("unitary", d, ts)
+        elif pick == 2:
             t = gen.jordan_nilpotent(d, int(rng.integers(2, d + 1)), ts)
             ref = f"jordan(dim={d}, seed={ts})"
         else:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+            t, ref = _random("ginibre", d, ts)
         lhs = is_quasinormal(t, tol)
         rhs = quasinormal_embry(t, kmax, tol)
-        tally.record(
-            trial,
+        return (
             lhs.status is rhs.status,
             ref,
             {"quasinormal_defect": lhs.defect, "embry_defect": rhs.defect},
         )
-    return tally.report()
+    return _drive("embry", trials, seed, tol, inject_failure, body)
 
 
 def verify_fuglede_putnam(
@@ -598,10 +523,8 @@ def verify_fuglede_putnam(
     its eigenvalue multiplicities (repetitions are forced in most trials);
     non-commuting random pairs exercise the skip path.
     """
-    tally = _Tally("fuglede-putnam", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         if trial % 5 == 4:
             n_mat = gen.random_normal(d, ts)
@@ -612,7 +535,7 @@ def verify_fuglede_putnam(
             rest = d
             while rest > 0:
                 s = int(rng.integers(1, rest + 1))
-                if not sizes and d >= 2:
+                if not sizes:
                     s = max(s, 2)  # force a repeated eigenvalue
                 s = min(s, rest)
                 sizes.append(s)
@@ -632,13 +555,11 @@ def verify_fuglede_putnam(
         scale = max(1.0, operator_norm(t) * operator_norm(n_mat))
         forward = frobenius_norm(t @ n_mat - n_mat @ t)
         if forward > tol.tol_eq * scale:
-            tally.skip(trial, "commutes-with-N")
-            continue
+            return "commutes-with-N"
         adj = n_mat.conj().T
         resid = frobenius_norm(t @ adj - adj @ t)
-        tally.record(trial, resid <= tol.tol_eq * scale, ref,
-                     {"adjoint_commutation": resid})
-    return tally.report()
+        return resid <= tol.tol_eq * scale, ref, {"adjoint_commutation": resid}
+    return _drive("fuglede-putnam", trials, seed, tol, inject_failure, body)
 
 
 def verify_normaloid_criterion(
@@ -654,41 +575,32 @@ def verify_normaloid_criterion(
     n in [k, k+4] (nondegenerately, ||T^n|| > 0) must be normaloid."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    tally = _Tally("normaloid-criterion", seed, tol, inject_failure)
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim, lo=3)
         pick = trial % 3
         if pick == 0:
+            # d >= 3, so both summands are nonempty and the nil part has
+            # dimension and index at least 2.
             d_nil = int(rng.integers(2, d))
             d_norm = d - d_nil
-            if d_norm == 0:
-                d_norm, d_nil = 1, d - 1
             eig = gen.make_rng(ts, 1).uniform(0.5, 1.0, d_norm) * np.exp(
                 2j * np.pi * gen.make_rng(ts, 2).uniform(0.0, 1.0, d_norm)
             )
             m_blk = gen.random_normal(d_norm, ts, eigenvalues=eig)
-            if d_nil >= 2:
-                index = int(rng.integers(2, min(k + 1, d_nil) + 1)) if min(
-                    k + 1, d_nil
-                ) >= 2 else 1
-                nil = gen.jordan_nilpotent(d_nil, index, ts ^ 0xABCD)
-                nil *= operator_norm(m_blk) / 2.0 / operator_norm(nil)
-            else:
-                nil = np.zeros((d_nil, d_nil), dtype=np.complex128)
+            index = int(rng.integers(2, min(k + 1, d_nil) + 1))
+            nil = gen.jordan_nilpotent(d_nil, index, ts ^ 0xABCD)
+            nil *= operator_norm(m_blk) / 2.0 / operator_norm(nil)
             t = scipy.linalg.block_diag(m_blk, nil).astype(np.complex128)
             ref = f"normal+nil(dim={d}, seed={ts})"
-        elif pick == 1 and d >= 2:
+        elif pick == 1:
             t = gen.jordan_nilpotent(d, min(k + 1, d), ts)
             ref = f"jordan(dim={d}, seed={ts})"
         else:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+            t, ref = _random("ginibre", d, ts)
         member = is_k_quasi_paranormal(t, k, tol, seed=ts)
         if member.status is not Status.MEMBER:
-            tally.skip(trial, "k-quasi-paranormal")
-            continue
+            return "k-quasi-paranormal"
         norm_t = operator_norm(t)
         identity_at = None
         for n_probe in range(k, k + 5):
@@ -701,16 +613,14 @@ def verify_normaloid_criterion(
                 identity_at = n_probe
                 break
         if identity_at is None:
-            tally.skip(trial, "norm-identity")
-            continue
+            return "norm-identity"
         verdict = is_normaloid(t, tol)
-        tally.record(
-            trial,
+        return (
             verdict.status is Status.MEMBER,
             ref,
             {"normaloid_defect": verdict.defect, "identity_n": float(identity_at)},
         )
-    return tally.report()
+    return _drive("normaloid-criterion", trials, seed, tol, inject_failure, body)
 
 
 def search_q2(
@@ -726,48 +636,47 @@ def search_q2(
     itself quasinormal. No such matrix exists in finite dimension (the
     finite-dimensional collapse forces T^n normal, hence T normal), so the
     output reports candidates without asserting anything."""
-    tally = _Tally("search-q2", seed, tol, inject_failure)
-    candidates = 0
-    for trial in range(trials):
-        ts = tally.trial_seed(trial)
-        rng = gen.make_rng(ts, 0)
+    notes = {"candidates": 0}
+
+    def body(trial, ts, rng):
         d = _dim_for(rng, dim)
         pick = trial % 3
         if pick == 0:
-            t = gen.random_ginibre(d, ts)
-            ref = f"ginibre(dim={d}, seed={ts})"
+            t, ref = _random("ginibre", d, ts)
         elif pick == 1:
-            t = gen.random_normal(d, ts)
-            ref = f"normal(dim={d}, seed={ts})"
+            t, ref = _random("normal", d, ts)
         else:
             t = gen.rr_instance(max(1, d // 2), max(1, d // 4), ts)
             ref = f"rr(seed={ts})"
         para = is_k_quasi_paranormal(t, 0, tol, seed=ts)
         if para.status is not Status.MEMBER:
-            tally.skip(trial, "paranormal")
-            continue
+            return "paranormal"
         if is_quasinormal(matrix_power(t, n), tol).status is not Status.MEMBER:
-            tally.skip(trial, "power-quasinormal")
-            continue
+            return "power-quasinormal"
         if is_quasinormal(t, tol).status is Status.NON_MEMBER:
-            candidates += 1
-            tally.notes.setdefault("candidate_refs", []).append(ref)
-        tally.record(trial, True, ref, {})
-    tally.notes["candidates"] = candidates
-    return tally.report()
+            notes["candidates"] += 1
+            notes.setdefault("candidate_refs", []).append(ref)
+        return True, ref, {}
+    return _drive("search-q2", trials, seed, tol, inject_failure, body, notes=notes)
 
 
-THEOREM_IDS = (
-    "stampfli",
-    "quasinormal-root",
-    "ando",
-    "k-paranormal-root",
-    "k-quasi-decomposition",
-    "coprime",
-    "embry",
-    "fuglede-putnam",
-    "normaloid-criterion",
-)
+# The registry of suites, in report order: id -> (suite, cap on max_dim,
+# the parameters passed after dim). search-q2 asserts nothing, so it runs
+# by id but is not a theorem of THEOREM_IDS or "verify all".
+SUITES = {
+    "stampfli": (verify_stampfli, math.inf, {}),
+    "quasinormal-root": (verify_quasinormal_root, math.inf, {"n": 3}),
+    "ando": (verify_ando, math.inf, {"n": 2}),
+    "k-paranormal-root": (verify_k_paranormal_root, 6, {"n": 3, "k": 2}),
+    "k-quasi-decomposition": (verify_k_quasi_decomposition, math.inf, {"n": 2, "k": 1}),
+    "coprime": (verify_coprime, 6, {"m": 2, "n": 3}),
+    "embry": (verify_embry, 6, {"kmax": 3}),
+    "fuglede-putnam": (verify_fuglede_putnam, 6, {}),
+    "normaloid-criterion": (verify_normaloid_criterion, 6, {"k": 1}),
+    "search-q2": (search_q2, 6, {}),
+}
+
+THEOREM_IDS = tuple(sid for sid in SUITES if sid != "search-q2")
 
 
 @dataclass(frozen=True)
@@ -781,6 +690,12 @@ class SuiteConfig:
     inject_failure: bool = False
     tolerances: TolerancePolicy = DEFAULT_TOLERANCES
 
+    def __post_init__(self) -> None:
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        if self.max_dim < 2:
+            raise ValueError(f"max_dim must be at least 2, got {self.max_dim}")
+
     def to_json_dict(self) -> dict:
         return {
             "suites": list(self.suites),
@@ -791,44 +706,19 @@ class SuiteConfig:
         }
 
 
-def _dispatch(theorem_id: str, cfg: SuiteConfig) -> TheoremReport:
-    common = dict(tol=cfg.tolerances, inject_failure=cfg.inject_failure)
-    if theorem_id == "stampfli":
-        return verify_stampfli(cfg.trials, cfg.max_dim, cfg.seed, **common)
-    if theorem_id == "quasinormal-root":
-        return verify_quasinormal_root(cfg.trials, cfg.max_dim, 3, cfg.seed, **common)
-    if theorem_id == "ando":
-        return verify_ando(cfg.trials, cfg.max_dim, 2, cfg.seed, **common)
-    if theorem_id == "k-paranormal-root":
-        return verify_k_paranormal_root(
-            cfg.trials, min(cfg.max_dim, 6), 3, 2, cfg.seed, **common
-        )
-    if theorem_id == "k-quasi-decomposition":
-        return verify_k_quasi_decomposition(
-            cfg.trials, cfg.max_dim, 2, 1, cfg.seed, **common
-        )
-    if theorem_id == "coprime":
-        return verify_coprime(cfg.trials, min(cfg.max_dim, 6), 2, 3, cfg.seed, **common)
-    if theorem_id == "embry":
-        return verify_embry(cfg.trials, min(cfg.max_dim, 6), 3, cfg.seed, **common)
-    if theorem_id == "fuglede-putnam":
-        return verify_fuglede_putnam(cfg.trials, min(cfg.max_dim, 6), cfg.seed, **common)
-    if theorem_id == "normaloid-criterion":
-        return verify_normaloid_criterion(
-            cfg.trials, min(cfg.max_dim, 6), 1, cfg.seed, **common
-        )
-    if theorem_id == "search-q2":
-        return search_q2(cfg.trials, min(cfg.max_dim, 6), cfg.seed, **common)
-    raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
-
-
 def run_suite(config: SuiteConfig) -> list[TheoremReport]:
     """Run the configured suites in order; empty suite lists give empty
     reports. Results are deterministic for a fixed seed."""
     for sid in config.suites:
-        if sid not in THEOREM_IDS and sid != "search-q2":
+        if sid not in SUITES:
             raise UnknownTheorem(f"unknown theorem id {sid!r}")
-    return [_dispatch(sid, config) for sid in config.suites]
+    reports = []
+    for sid in config.suites:
+        suite, dim_cap, params = SUITES[sid]
+        reports.append(suite(config.trials, min(config.max_dim, dim_cap), seed=config.seed,
+                             tol=config.tolerances, inject_failure=config.inject_failure,
+                             **params))
+    return reports
 
 
 def suite_report_json_dict(config: SuiteConfig, reports: list[TheoremReport]) -> dict:

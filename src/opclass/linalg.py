@@ -60,8 +60,9 @@ class TolerancePolicy:
 
     def __post_init__(self) -> None:
         for name in ("tol_psd", "tol_eq", "tol_rank", "tol_recon", "tol_decision"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -340,7 +340,7 @@ def _pencil_domain(norm_t: float) -> tuple[float, float]:
     return 1e-6 * s, 4.0 * s
 
 
-def quasi_paranormal_pencil(t, k: int, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PencilSpec:
+def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
     """Quadratic pencil A - 2z B + z^2 C whose global positivity on z > 0 is
     k-quasi-paranormality (k = 0 gives paranormality)."""
     m = as_operator(t)
@@ -363,7 +363,7 @@ def quasi_paranormal_pencil(t, k: int, tol: TolerancePolicy = DEFAULT_TOLERANCES
     )
 
 
-def k_paranormal_pencil(t, k: int, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> PencilSpec:
+def k_paranormal_pencil(t, k: int) -> PencilSpec:
     """Pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1) I."""
     m = as_operator(t)
     if k < 1:
@@ -383,9 +383,7 @@ def k_paranormal_pencil(t, k: int, tol: TolerancePolicy = DEFAULT_TOLERANCES) ->
     )
 
 
-def absolute_k_paranormal_pencil(
-    t, k: int, tol: TolerancePolicy = DEFAULT_TOLERANCES
-) -> PencilSpec:
+def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
     """Pencil T*(T*T)^k T - (k+1) lam^k T*T + k lam^(k+1) I."""
     m = as_operator(t)
     if k < 1:
@@ -415,10 +413,9 @@ def _golden_refine(pencil: PencilSpec, lo: float, hi: float, width: float):
         return float(np.linalg.eigvalsh(pencil.evaluate(np.array([lam])))[0, 0])
 
     best_lam, best_val = lo, f(lo)
-    for lam in (hi,):
-        val = f(lam)
-        if val < best_val:
-            best_lam, best_val = lam, val
+    val = f(hi)
+    if val < best_val:
+        best_lam, best_val = hi, val
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -808,99 +805,42 @@ def _reconcile(
     through that inequality. Decisively opposite oracles raise
     OracleDisagreement instead of picking a side.
     """
+    if (
+        sphere.is_definite
+        and pencil.is_definite
+        and sphere.status is not pencil.status
+        and abs(sphere.defect / sphere_scale) > 10.0 * tol.tol_decision
+        and abs(pencil.defect / pencil_scale) > 10.0 * tol.tol_decision
+    ):
+        raise OracleDisagreement(
+            f"{label}: sphere says {sphere.status.value} (defect {sphere.defect:.3e}) "
+            f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
+        )
     threshold = tol.tol_decision * sphere_scale
-
-    def nonmember_from(witness_vec: np.ndarray, lam: float | None, oracle: str):
-        vec = witness_vec / np.linalg.norm(witness_vec)
-        exact = float(defect_fn(vec))
-        if exact > -threshold:
-            return None
-        return MembershipVerdict(
-            status=Status.NON_MEMBER,
-            defect=exact,
-            oracle=oracle,
-            witness=Witness(vector=vec, pencil_lambda=lam),
-            threshold=threshold,
-            seed=seed,
-        )
-
-    s_stat, p_stat = sphere.status, pencil.status
-    if s_stat is p_stat:
-        if s_stat is Status.NON_MEMBER:
-            cands = []
-            v = nonmember_from(sphere.witness.vector, None, "sphere")
-            if v is not None:
-                cands.append(v)
-            v = nonmember_from(
-                pencil.witness.vector, pencil.witness.pencil_lambda, "pencil"
-            )
-            if v is not None:
-                cands.append(v)
-            if cands:
-                return min(cands, key=lambda v: v.defect)
-            return MembershipVerdict(
-                status=Status.INCONCLUSIVE,
-                defect=sphere.defect,
-                oracle="sphere",
-                witness=sphere.witness,
-                threshold=threshold,
-                seed=seed,
-            )
-        return MembershipVerdict(
-            status=s_stat,
-            defect=sphere.defect,
-            oracle="sphere",
-            witness=sphere.witness,
-            threshold=threshold,
-            seed=seed,
-        )
-
-    definite_s = sphere.is_definite
-    definite_p = pencil.is_definite
-    if definite_s and definite_p:
-        s_norm = sphere.defect / sphere_scale
-        p_norm = pencil.defect / pencil_scale
-        if (
-            abs(s_norm) > 10.0 * tol.tol_decision
-            and abs(p_norm) > 10.0 * tol.tol_decision
-        ):
-            raise OracleDisagreement(
-                f"{label}: sphere says {s_stat.value} (defect {sphere.defect:.3e}) "
-                f"but pencil says {p_stat.value} (defect {pencil.defect:.3e})"
-            )
-        nm = sphere if s_stat is Status.NON_MEMBER else pencil
-        lam = nm.witness.pencil_lambda if nm.oracle == "pencil" else None
-        v = nonmember_from(nm.witness.vector, lam, nm.oracle)
-        if v is not None:
-            return v
-        return MembershipVerdict(
-            status=Status.INCONCLUSIVE,
-            defect=sphere.defect,
-            oracle="sphere",
-            witness=sphere.witness,
-            threshold=threshold,
-            seed=seed,
-        )
-
-    definite = sphere if definite_s else pencil
-    if definite.status is Status.NON_MEMBER:
-        lam = definite.witness.pencil_lambda if definite.oracle == "pencil" else None
-        v = nonmember_from(definite.witness.vector, lam, definite.oracle)
-        if v is not None:
-            return v
-        return MembershipVerdict(
-            status=Status.INCONCLUSIVE,
-            defect=sphere.defect,
-            oracle="sphere",
-            witness=sphere.witness,
-            threshold=threshold,
-            seed=seed,
-        )
+    certified = []
+    for claim in (sphere, pencil):
+        if claim.status is Status.NON_MEMBER:
+            vec = claim.witness.vector / np.linalg.norm(claim.witness.vector)
+            exact = float(defect_fn(vec))
+            if exact <= -threshold:
+                witness = Witness(vector=vec, pencil_lambda=claim.witness.pencil_lambda)
+                certified.append((exact, claim.oracle, witness))
+    if certified:
+        # The deepest certified witness; min keeps the sphere's on a tie.
+        status = Status.NON_MEMBER
+        defect, oracle, witness = min(certified, key=lambda c: c[0])
+    else:
+        # A NonMember claim whose witness failed re-validation leaves the
+        # verdict Inconclusive, even when the other oracle says Member.
+        claims = {sphere.status, pencil.status}
+        member = Status.MEMBER in claims and Status.NON_MEMBER not in claims
+        status = Status.MEMBER if member else Status.INCONCLUSIVE
+        defect, oracle, witness = sphere.defect, "sphere", sphere.witness
     return MembershipVerdict(
-        status=definite.status,
-        defect=sphere.defect,
-        oracle="sphere",
-        witness=sphere.witness,
+        status=status,
+        defect=defect,
+        oracle=oracle,
+        witness=witness,
         threshold=threshold,
         seed=seed,
     )
@@ -948,7 +888,7 @@ def is_k_quasi_paranormal(
     if _zero_operator(m):
         return _member_zero()
     defect_fn = _quasi_defect_fn(m, k)
-    pencil = quasi_paranormal_pencil(m, k, tol)
+    pencil = quasi_paranormal_pencil(m, k)
     scale = _scale(operator_norm(m), 2 * k + 2)
     return _dual_verdict(
         m, defect_fn, pencil, scale, tol, seed, restarts,
@@ -972,7 +912,7 @@ def is_k_paranormal(
     if _zero_operator(m):
         return _member_zero()
     defect_fn = _k_paranormal_defect_fn(m, k)
-    pencil = k_paranormal_pencil(m, k, tol)
+    pencil = k_paranormal_pencil(m, k)
     scale = _scale(operator_norm(m), k + 1)
     return _dual_verdict(
         m, defect_fn, pencil, scale, tol, seed, restarts, f"k-paranormal[k={k}]"
@@ -994,7 +934,7 @@ def is_absolute_k_paranormal(
     if _zero_operator(m):
         return _member_zero()
     defect_fn = _absolute_k_paranormal_defect_fn(m, k, tol)
-    pencil = absolute_k_paranormal_pencil(m, k, tol)
+    pencil = absolute_k_paranormal_pencil(m, k)
     scale = _scale(operator_norm(m), k + 1)
     return _dual_verdict(
         m, defect_fn, pencil, scale, tol, seed, restarts,
@@ -1021,7 +961,7 @@ def classify_all(
 ) -> dict[OperatorClass, MembershipVerdict]:
     """Run every class predicate; keys follow the inclusion-chain order."""
     m = as_operator(t)
-    ks = tuple(int(k) for k in k_list)
+    ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
     out: dict[OperatorClass, MembershipVerdict] = {}
     out[OperatorClass.normal()] = is_normal(m, tol)
@@ -1034,20 +974,17 @@ def classify_all(
         m, 0, tol, seed=seed, restarts=restarts
     )
     for k in ks:
-        if k >= 1:
-            out[OperatorClass.k_paranormal(k)] = is_k_paranormal(
-                m, k, tol, seed=seed, restarts=restarts
-            )
+        out[OperatorClass.k_paranormal(k)] = is_k_paranormal(
+            m, k, tol, seed=seed, restarts=restarts
+        )
     for k in ks:
-        if k >= 1:
-            out[OperatorClass.absolute_k_paranormal(k)] = is_absolute_k_paranormal(
-                m, k, tol, seed=seed, restarts=restarts
-            )
+        out[OperatorClass.absolute_k_paranormal(k)] = is_absolute_k_paranormal(
+            m, k, tol, seed=seed, restarts=restarts
+        )
     for k in ks:
-        if k >= 1:
-            out[OperatorClass.k_quasi_paranormal(k)] = is_k_quasi_paranormal(
-                m, k, tol, seed=seed, restarts=restarts
-            )
+        out[OperatorClass.k_quasi_paranormal(k)] = is_k_quasi_paranormal(
+            m, k, tol, seed=seed, restarts=restarts
+        )
     out[OperatorClass.normaloid()] = is_normaloid(m, tol)
     return out
 

@@ -86,6 +86,27 @@ def test_classify_out_of_range_p_is_error_document(capsys, identity_file):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_classify_non_finite_tol_is_error_document(capsys, identity_file, tol):
+    code, doc = _run(capsys, ["classify", identity_file, f"--tol={tol}"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
+def test_verify_non_finite_tol_is_error_document(capsys):
+    code, doc = _run(capsys, ["verify", "embry", "--trials", "2", "--tol", "nan"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--max-dim", "-4"),
+                                         ("--max-dim", "1")])
+def test_verify_out_of_range_sizes_are_error_documents(capsys, flag, value):
+    code, doc = _run(capsys, ["verify", "ando", "--trials", "2", flag, value])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_decompose_normal_pure(capsys, tmp_path, j2):
     path = tmp_path / "mix.json"
     save_matrix(path, scipy.linalg.block_diag([[5.0]], j2).astype(complex))

@@ -441,6 +441,60 @@ def test_reconcile_prefers_certified_witness():
     assert v.defect == pytest.approx(-5e-8)
 
 
+_M, _NM, _I = Status.MEMBER, Status.NON_MEMBER, Status.INCONCLUSIVE
+# Oracle defects per status: the Member one sits inside 10 * tol_decision,
+# so a Member/NonMember pair is a near-disagreement, never a raise.
+_SPHERE_DEFECT = {_M: 1e-11, _NM: -2e-8, _I: -5e-9}
+_PENCIL_DEFECT = {_M: 1e-11, _NM: -2e-8, _I: 0.0}
+
+
+@pytest.mark.parametrize(
+    "s_stat, p_stat, s_exact, p_exact, status, oracle, defect",
+    [
+        # All nine status pairs, every NonMember witness certified.
+        (_M, _M, -3e-8, -5e-8, _M, "sphere", 1e-11),
+        (_M, _NM, -3e-8, -5e-8, _NM, "pencil", -5e-8),
+        (_M, _I, -3e-8, -5e-8, _M, "sphere", 1e-11),
+        (_NM, _M, -3e-8, -5e-8, _NM, "sphere", -3e-8),
+        (_NM, _NM, -3e-8, -5e-8, _NM, "pencil", -5e-8),
+        (_NM, _I, -3e-8, -5e-8, _NM, "sphere", -3e-8),
+        (_I, _M, -3e-8, -5e-8, _M, "sphere", -5e-9),
+        (_I, _NM, -3e-8, -5e-8, _NM, "pencil", -5e-8),
+        (_I, _I, -3e-8, -5e-8, _I, "sphere", -5e-9),
+        # A NonMember claim whose witness fails re-validation leaves the
+        # sphere's Inconclusive, even beside a Member.
+        (_M, _NM, -3e-8, 0.0, _I, "sphere", 1e-11),
+        (_NM, _M, 0.0, -5e-8, _I, "sphere", -2e-8),
+        (_NM, _NM, 0.0, 0.0, _I, "sphere", -2e-8),
+        (_NM, _I, 0.0, -5e-8, _I, "sphere", -2e-8),
+        (_I, _NM, -3e-8, 0.0, _I, "sphere", -5e-9),
+        (_NM, _NM, 0.0, -5e-8, _NM, "pencil", -5e-8),
+        (_NM, _NM, -3e-8, 0.0, _NM, "sphere", -3e-8),
+        # Equal certified defects: the sphere, listed first, keeps the label.
+        (_NM, _NM, -4e-8, -4e-8, _NM, "sphere", -4e-8),
+    ],
+)
+def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, defect):
+    e0, e1 = np.eye(2, dtype=np.complex128)
+    sphere = MembershipVerdict(
+        status=s_stat, defect=_SPHERE_DEFECT[s_stat], oracle="sphere",
+        witness=Witness(vector=e0), threshold=1e-8,
+    )
+    pencil = MembershipVerdict(
+        status=p_stat, defect=_PENCIL_DEFECT[p_stat], oracle="pencil",
+        witness=Witness(vector=e1, pencil_lambda=0.5), threshold=1e-8,
+    )
+
+    def exact(x):
+        # The sphere's witness is e0, the pencil's e1.
+        return s_exact if abs(x[0]) > 0.5 else p_exact
+
+    v = _reconcile(sphere, pencil, exact, 1.0, 1.0, TOL, seed=3, label="synthetic")
+    assert (v.status, v.oracle, v.defect) == (status, oracle, defect)
+    assert v.seed == 3 and v.threshold == TOL.tol_decision
+    assert v.witness.pencil_lambda == (0.5 if oracle == "pencil" else None)
+
+
 # ---------------------------------------------------------------------------
 # classify_all and chains
 # ---------------------------------------------------------------------------
