@@ -147,7 +147,6 @@ def _build_spec(args) -> gen.GenSpec:
 def _certify(kind: str, matrix, params: dict, seed: int, tol: TolerancePolicy) -> dict:
     """Self-certification verdicts recorded in the generator sidecar."""
     from .decomposition import rr_check
-    from .linalg import matrix_power
     from .membership import is_quasinormal
 
     cert: dict = {}

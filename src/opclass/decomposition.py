@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -133,7 +133,6 @@ def _assemble(
     parts: list[tuple[Subspace, BlockLabel]],
     extra_residuals: dict[str, float],
     tol: TolerancePolicy,
-    rr_form: RRForm | None = None,
 ) -> Decomposition:
     """Build and validate a Decomposition from labeled subspaces."""
     bases = [sub.basis for sub, _ in parts if sub.dim > 0]
@@ -162,7 +161,6 @@ def _assemble(
         labels=labels,
         residuals=residuals,
         source_hash=matrix_hash(t),
-        rr_form=rr_form,
     )
 
 

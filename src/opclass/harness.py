@@ -122,15 +122,20 @@ class TheoremReport:
         }
 
 
-def _drive(theorem_id: str, trials: int, seed: int, tol: TolerancePolicy,
+def _drive(theorem_id: str, trials: int, dim: int, seed: int, tol: TolerancePolicy,
            inject_failure: bool, body, *, notes: dict | None = None) -> TheoremReport:
     """Run ``body(trial, trial_seed, rng)`` once per trial and tally it.
 
     ``rng`` is the untouched ``make_rng(trial_seed, 0)`` stream. The body
     returns a skip reason (the name of the failed hypothesis) or
     ``(ok, instance_ref, residuals)``. With ``inject_failure`` the verdict
-    of trial 0 is flipped when that trial is recorded.
+    of trial 0 is flipped when that trial is recorded. ``trials`` and the
+    suite's dimension bound ``dim`` are checked here for every suite.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2, got {dim}")
     t0 = time.perf_counter()
     report = TheoremReport(theorem_id, trials=0, passes=0, skips=0, failures=[],
                            skip_reasons={}, tolerances=tol.to_json_dict(),
@@ -209,7 +214,7 @@ def verify_stampfli(
             ("hyponormal", lambda: is_hyponormal(t, tol).is_member),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
         )
-    return _drive("stampfli", trials, seed, tol, inject_failure, body)
+    return _drive("stampfli", trials, dim, seed, tol, inject_failure, body)
 
 
 def verify_quasinormal_root(
@@ -260,7 +265,7 @@ def verify_quasinormal_root(
             ("quasinormal", lambda: quasi),
             ("kernel-inclusion,power-normal", lambda: inclusion or power_normal),
         )
-    return _drive("quasinormal-root", trials, seed, tol, inject_failure, body)
+    return _drive("quasinormal-root", trials, dim, seed, tol, inject_failure, body)
 
 
 def verify_ando(
@@ -305,7 +310,7 @@ def verify_ando(
             ("paranormal", lambda: is_k_quasi_paranormal(t, 0, tol, seed=ts).is_member),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
         )
-    return _drive("ando", trials, seed, tol, inject_failure, body, notes=notes)
+    return _drive("ando", trials, dim, seed, tol, inject_failure, body, notes=notes)
 
 
 def verify_k_paranormal_root(
@@ -376,7 +381,7 @@ def verify_k_paranormal_root(
             ("k-paranormal", lambda: is_k_paranormal(t, k, tol, seed=ts).is_member),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
         )
-    return _drive("k-paranormal-root", trials, seed, tol, inject_failure, body)
+    return _drive("k-paranormal-root", trials, dim, seed, tol, inject_failure, body)
 
 
 def verify_k_quasi_decomposition(
@@ -395,7 +400,7 @@ def verify_k_quasi_decomposition(
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     gate = 1e-8
-    total = max(2, int(dims))
+    total = int(dims)
     # Nil index must divide out in T^n, so build at min(k, n-1).
     k_build = min(k, max(1, n - 1))
 
@@ -428,7 +433,7 @@ def verify_k_quasi_decomposition(
                     and res["canonical_c_min"] > 0.0
                 )
         return ok, ref, res
-    return _drive("k-quasi-decomposition", trials, seed, tol, inject_failure, body)
+    return _drive("k-quasi-decomposition", trials, dims, seed, tol, inject_failure, body)
 
 
 def verify_coprime(
@@ -470,7 +475,7 @@ def verify_coprime(
              lambda: is_k_paranormal(matrix_power(t, m), 1, tol, seed=ts).is_member),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
         )
-    return _drive("coprime", trials, seed, tol, inject_failure, body)
+    return _drive("coprime", trials, dim, seed, tol, inject_failure, body)
 
 
 def verify_embry(
@@ -506,7 +511,7 @@ def verify_embry(
             ref,
             {"quasinormal_defect": lhs.defect, "embry_defect": rhs.defect},
         )
-    return _drive("embry", trials, seed, tol, inject_failure, body)
+    return _drive("embry", trials, dim, seed, tol, inject_failure, body)
 
 
 def verify_fuglede_putnam(
@@ -559,7 +564,7 @@ def verify_fuglede_putnam(
         adj = n_mat.conj().T
         resid = frobenius_norm(t @ adj - adj @ t)
         return resid <= tol.tol_eq * scale, ref, {"adjoint_commutation": resid}
-    return _drive("fuglede-putnam", trials, seed, tol, inject_failure, body)
+    return _drive("fuglede-putnam", trials, dim, seed, tol, inject_failure, body)
 
 
 def verify_normaloid_criterion(
@@ -620,7 +625,7 @@ def verify_normaloid_criterion(
             ref,
             {"normaloid_defect": verdict.defect, "identity_n": float(identity_at)},
         )
-    return _drive("normaloid-criterion", trials, seed, tol, inject_failure, body)
+    return _drive("normaloid-criterion", trials, dim, seed, tol, inject_failure, body)
 
 
 def search_q2(
@@ -657,7 +662,7 @@ def search_q2(
             notes["candidates"] += 1
             notes.setdefault("candidate_refs", []).append(ref)
         return True, ref, {}
-    return _drive("search-q2", trials, seed, tol, inject_failure, body, notes=notes)
+    return _drive("search-q2", trials, dim, seed, tol, inject_failure, body, notes=notes)
 
 
 # The registry of suites, in report order: id -> (suite, cap on max_dim,

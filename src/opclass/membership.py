@@ -28,7 +28,7 @@ eigensolver noise floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -335,9 +335,15 @@ class PencilSpec:
         return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _pencil_domain(norm_t: float) -> tuple[float, float]:
+def _pencil(m: np.ndarray, terms, degree: int, label: str) -> PencilSpec:
+    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale
+    max(1, ||T||)^degree."""
+    norm_t = operator_norm(m)
     s = max(1.0, norm_t**2)
-    return 1e-6 * s, 4.0 * s
+    return PencilSpec(
+        terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s,
+        scale=_scale(norm_t, degree), label=label,
+    )
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -352,15 +358,18 @@ def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
     a = pk2.conj().T @ pk2
     b = pk1.conj().T @ pk1
     c = pk.conj().T @ pk
-    norm_t = operator_norm(m)
-    lo, hi = _pencil_domain(norm_t)
-    return PencilSpec(
-        terms=((0.0, a), (1.0, -2.0 * b), (2.0, c)),
-        lambda_lo=lo,
-        lambda_max=hi,
-        scale=_scale(norm_t, 2 * k + 4),
-        label=f"quasi-paranormal[k={k}]",
-    )
+    terms = ((0.0, a), (1.0, -2.0 * b), (2.0, c))
+    return _pencil(m, terms, 2 * k + 4, f"quasi-paranormal[k={k}]")
+
+
+def _weighted_pencil(m: np.ndarray, k: int, d: np.ndarray, label: str) -> PencilSpec:
+    """Pencil D - (k+1) lam^k T*T + k lam^(k+1) I. At a unit vector x its
+    least value over lam is <Dx,x> - ||Tx||^(2k+2), so D = T*^(k+1) T^(k+1)
+    decides k-paranormality and D = T*(T*T)^k T absolute-k-paranormality."""
+    gram = m.conj().T @ m
+    eye = np.eye(m.shape[0], dtype=np.complex128)
+    terms = ((0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye))
+    return _pencil(m, terms, 2 * k + 2, label)
 
 
 def k_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -369,18 +378,7 @@ def k_paranormal_pencil(t, k: int) -> PencilSpec:
     if k < 1:
         raise ValueError("k must be a positive integer")
     pk1 = matrix_power(m, k + 1)
-    d = pk1.conj().T @ pk1
-    e = m.conj().T @ m
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    norm_t = operator_norm(m)
-    lo, hi = _pencil_domain(norm_t)
-    return PencilSpec(
-        terms=((0.0, d), (float(k), -(k + 1.0) * e), (float(k + 1), float(k) * eye)),
-        lambda_lo=lo,
-        lambda_max=hi,
-        scale=_scale(norm_t, 2 * k + 2),
-        label=f"k-paranormal[k={k}]",
-    )
+    return _weighted_pencil(m, k, pk1.conj().T @ pk1, f"k-paranormal[k={k}]")
 
 
 def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -390,16 +388,7 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
         raise ValueError("k must be a positive integer")
     gram = m.conj().T @ m
     d = m.conj().T @ matrix_power(gram, k) @ m
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    norm_t = operator_norm(m)
-    lo, hi = _pencil_domain(norm_t)
-    return PencilSpec(
-        terms=((0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye)),
-        lambda_lo=lo,
-        lambda_max=hi,
-        scale=_scale(norm_t, 2 * k + 2),
-        label=f"absolute-k-paranormal[k={k}]",
-    )
+    return _weighted_pencil(m, k, d, f"absolute-k-paranormal[k={k}]")
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -506,6 +495,24 @@ def _batched(defect, dim: int):
     return loop
 
 
+def _central_gradient(f, dim: int):
+    """Gradient of the batched defect ``f`` by central differences along every
+    real and imaginary coordinate of every column, renormalized to the
+    sphere: one batch of 4 * dim evaluations per column."""
+    h = 5e-6
+    eye = np.eye(dim)
+    steps = h * np.concatenate([eye, -eye, 1j * eye, -1j * eye], axis=1)
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        flat = (x[:, :, None] + steps[:, None, :]).reshape(dim, -1)
+        flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
+        vals = f(flat).reshape(x.shape[1], 4, dim)
+        grad = ((vals[:, 0, :] - vals[:, 1, :]) + 1j * (vals[:, 2, :] - vals[:, 3, :])).T
+        return grad / (2.0 * h)
+
+    return gradient
+
+
 def sphere_check(
     defect,
     dim: int,
@@ -535,6 +542,8 @@ def sphere_check(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     f = _batched(defect, dim)
+    if gradient is None:
+        gradient = _central_gradient(f, dim)
 
     starts = [np.eye(dim, dtype=np.complex128)]
     if warm_starts is not None and warm_starts.size:
@@ -551,33 +560,14 @@ def sphere_check(
 
     fx = f(x)
     alpha = np.full(n_pts, 0.25)
-    h = 5e-6
-    eye = np.eye(dim)
 
     best_idx = int(np.argmin(fx))
     best_val = float(fx[best_idx])
     best_vec = x[:, best_idx].copy()
 
     for _ in range(max_iter):
-        if gradient is not None:
-            grad = gradient(x)
-            grad = grad - np.sum(x.conj() * grad, axis=0).real * x
-        else:
-            # Central differences along every real and imaginary coordinate
-            # of every start, evaluated in one batch and renormalized to the
-            # sphere.
-            pert = np.empty((dim, n_pts, 4, dim), dtype=np.complex128)
-            base = x[:, :, None]
-            pert[:, :, 0, :] = base + h * eye[:, None, :]
-            pert[:, :, 1, :] = base - h * eye[:, None, :]
-            pert[:, :, 2, :] = base + 1j * h * eye[:, None, :]
-            pert[:, :, 3, :] = base - 1j * h * eye[:, None, :]
-            flat = pert.reshape(dim, n_pts * 4 * dim)
-            flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
-            vals = f(flat).reshape(n_pts, 4, dim)
-            grad = ((vals[:, 0, :] - vals[:, 1, :]) + 1j * (vals[:, 2, :] - vals[:, 3, :])).T
-            grad /= 2.0 * h
-
+        grad = gradient(x)
+        grad = grad - np.sum(x.conj() * grad, axis=0).real * x
         trial = x - alpha[None, :] * grad
         norms = np.linalg.norm(trial, axis=0)
         norms[norms == 0] = 1.0
@@ -764,14 +754,14 @@ class _NormProductDefect:
         return self._adjoint @ (coef[:, None, :] * y).reshape(-1, cols.shape[1])
 
 
-def _quasi_defect_fn(m: np.ndarray, k: int) -> _NormProductDefect:
+def _quasi_defect_fn(m: np.ndarray, k: int, tol: TolerancePolicy) -> _NormProductDefect:
     pk = matrix_power(m, k)
     pk1 = m @ pk
     pk2 = m @ pk1
     return _NormProductDefect(pos=((pk2, 1), (pk, 1)), neg=((pk1, 2),))
 
 
-def _k_paranormal_defect_fn(m: np.ndarray, k: int) -> _NormProductDefect:
+def _k_paranormal_defect_fn(m: np.ndarray, k: int, tol: TolerancePolicy) -> _NormProductDefect:
     pk1 = matrix_power(m, k + 1)
     return _NormProductDefect(pos=((pk1, 1),), neg=((m, k + 1),))
 
@@ -846,30 +836,46 @@ def _reconcile(
     )
 
 
+# The classes both oracles decide, by OperatorClass name: the least k, the
+# builder (m, k, tol) of the sphere defect, the name of the public pencil
+# constructor (m, k), looked up at call time so that a rebinding of the name
+# reaches the predicates, and the degree in k of the sphere defect's scale.
+_DUAL = {
+    "KQuasiParanormal": (0, _quasi_defect_fn, "quasi_paranormal_pencil", lambda k: 2 * k + 2),
+    "KParanormal": (1, _k_paranormal_defect_fn, "k_paranormal_pencil", lambda k: k + 1),
+    "AbsoluteKParanormal": (
+        1, _absolute_k_paranormal_defect_fn, "absolute_k_paranormal_pencil", lambda k: k + 1
+    ),
+}
+
+
 def _dual_verdict(
-    m: np.ndarray,
-    defect_fn,
-    pencil: PencilSpec,
-    sphere_scale: float,
-    tol: TolerancePolicy,
-    seed: int,
-    restarts: int,
-    label: str,
+    name: str, t, k: int, tol: TolerancePolicy, seed: int, restarts: int
 ) -> MembershipVerdict:
+    """Decide the class ``name`` of ``_DUAL`` at ``k`` by both oracles."""
+    least_k, build_defect, pencil_name, degree = _DUAL[name]
+    m = as_operator(t)
+    if k < least_k:
+        raise ValueError(
+            "k must be nonnegative" if least_k == 0 else "k must be a positive integer"
+        )
+    if _zero_operator(m):
+        return _member_zero()
+    defect_fn = build_defect(m, k, tol)
+    pencil = globals()[pencil_name](m, k)
+    scale = _scale(operator_norm(m), degree(k))
     sphere = sphere_check(
         defect_fn,
         m.shape[0],
         restarts,
         seed=seed,
         warm_starts=_warm_starts(m),
-        scale=sphere_scale,
+        scale=scale,
         tol=tol,
         gradient=defect_fn.gradient,
     )
     pv = pencil_check(pencil, tol)
-    return _reconcile(
-        sphere, pv, defect_fn, sphere_scale, pencil.scale, tol, seed, label
-    )
+    return _reconcile(sphere, pv, defect_fn, scale, pencil.scale, tol, seed, pencil.label)
 
 
 def is_k_quasi_paranormal(
@@ -882,18 +888,7 @@ def is_k_quasi_paranormal(
 ) -> MembershipVerdict:
     """||T^(k+1) x||^2 <= ||T^(k+2) x|| ||T^k x|| for all x; k = 0 is
     paranormality. Decided by both oracles."""
-    m = as_operator(t)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if _zero_operator(m):
-        return _member_zero()
-    defect_fn = _quasi_defect_fn(m, k)
-    pencil = quasi_paranormal_pencil(m, k)
-    scale = _scale(operator_norm(m), 2 * k + 2)
-    return _dual_verdict(
-        m, defect_fn, pencil, scale, tol, seed, restarts,
-        f"k-quasi-paranormal[k={k}]",
-    )
+    return _dual_verdict("KQuasiParanormal", t, k, tol, seed, restarts)
 
 
 def is_k_paranormal(
@@ -906,17 +901,7 @@ def is_k_paranormal(
 ) -> MembershipVerdict:
     """||T x||^(k+1) <= ||T^(k+1) x|| on unit vectors, via the closed-form
     inner minimization of the pencil over its parameter."""
-    m = as_operator(t)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if _zero_operator(m):
-        return _member_zero()
-    defect_fn = _k_paranormal_defect_fn(m, k)
-    pencil = k_paranormal_pencil(m, k)
-    scale = _scale(operator_norm(m), k + 1)
-    return _dual_verdict(
-        m, defect_fn, pencil, scale, tol, seed, restarts, f"k-paranormal[k={k}]"
-    )
+    return _dual_verdict("KParanormal", t, k, tol, seed, restarts)
 
 
 def is_absolute_k_paranormal(
@@ -928,18 +913,7 @@ def is_absolute_k_paranormal(
     restarts: int = 8,
 ) -> MembershipVerdict:
     """|| |T|^k T x || >= ||T x||^(k+1) on unit vectors, |T| = (T*T)^(1/2)."""
-    m = as_operator(t)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if _zero_operator(m):
-        return _member_zero()
-    defect_fn = _absolute_k_paranormal_defect_fn(m, k, tol)
-    pencil = absolute_k_paranormal_pencil(m, k)
-    scale = _scale(operator_norm(m), k + 1)
-    return _dual_verdict(
-        m, defect_fn, pencil, scale, tol, seed, restarts,
-        f"absolute-k-paranormal[k={k}]",
-    )
+    return _dual_verdict("AbsoluteKParanormal", t, k, tol, seed, restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -973,18 +947,13 @@ def classify_all(
     out[OperatorClass.paranormal()] = is_k_quasi_paranormal(
         m, 0, tol, seed=seed, restarts=restarts
     )
-    for k in ks:
-        out[OperatorClass.k_paranormal(k)] = is_k_paranormal(
-            m, k, tol, seed=seed, restarts=restarts
-        )
-    for k in ks:
-        out[OperatorClass.absolute_k_paranormal(k)] = is_absolute_k_paranormal(
-            m, k, tol, seed=seed, restarts=restarts
-        )
-    for k in ks:
-        out[OperatorClass.k_quasi_paranormal(k)] = is_k_quasi_paranormal(
-            m, k, tol, seed=seed, restarts=restarts
-        )
+    for factory, predicate in (
+        (OperatorClass.k_paranormal, is_k_paranormal),
+        (OperatorClass.absolute_k_paranormal, is_absolute_k_paranormal),
+        (OperatorClass.k_quasi_paranormal, is_k_quasi_paranormal),
+    ):
+        for k in ks:
+            out[factory(k)] = predicate(m, k, tol, seed=seed, restarts=restarts)
     out[OperatorClass.normaloid()] = is_normaloid(m, tol)
     return out
 

@@ -28,3 +28,23 @@ def random_normal_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     u = haar(dim, rng)
     eig = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return (u * eig) @ u.conj().T
+
+
+def dual_families(t: np.ndarray, k: int) -> list:
+    """(class name, sphere defect, pencil, sphere scale) for every class of
+    the membership registry that takes this k, built as its predicate builds
+    them."""
+    import opclass.membership as membership
+    from opclass.linalg import DEFAULT_TOLERANCES, operator_norm
+
+    norm_t = operator_norm(t)
+    return [
+        (
+            name,
+            build_defect(t, k, DEFAULT_TOLERANCES),
+            getattr(membership, pencil_name)(t, k),
+            membership._scale(norm_t, degree(k)),
+        )
+        for name, (least_k, build_defect, pencil_name, degree) in membership._DUAL.items()
+        if k >= least_k
+    ]

@@ -34,26 +34,20 @@ from opclass.harness import (
     verify_k_paranormal_root,
     verify_k_quasi_decomposition,
 )
-from opclass.linalg import DEFAULT_TOLERANCES as TOL
-from opclass.linalg import frobenius_norm, matrix_power, operator_norm
+from opclass.linalg import frobenius_norm, matrix_power
 from opclass.membership import (
     Status,
-    _absolute_k_paranormal_defect_fn,
-    _k_paranormal_defect_fn,
-    _quasi_defect_fn,
-    _scale,
     _warm_starts,
-    absolute_k_paranormal_pencil,
     chain_violations,
     classify_all,
     is_k_quasi_paranormal,
     is_normal,
     is_normaloid,
-    k_paranormal_pencil,
     pencil_check,
-    quasi_paranormal_pencil,
     sphere_check,
 )
+
+from conftest import dual_families
 
 RESIDUAL_GATE = 1e-8
 
@@ -105,31 +99,8 @@ def test_criterion_3_oracle_equivalence():
         inconclusive = {"analytic": 0, "central": 0}
         for i in range(200):
             t = random_ginibre(5, seed=i)
-            norm_t = operator_norm(t)
             for k in (0, 1, 2):
-                families = [
-                    (
-                        quasi_paranormal_pencil(t, k),
-                        _quasi_defect_fn(t, k),
-                        _scale(norm_t, 2 * k + 2),
-                    )
-                ]
-                if k >= 1:
-                    families.append(
-                        (
-                            k_paranormal_pencil(t, k),
-                            _k_paranormal_defect_fn(t, k),
-                            _scale(norm_t, k + 1),
-                        )
-                    )
-                    families.append(
-                        (
-                            absolute_k_paranormal_pencil(t, k),
-                            _absolute_k_paranormal_defect_fn(t, k, TOL),
-                            _scale(norm_t, k + 1),
-                        )
-                    )
-                for pencil, defect_fn, scale in families:
+                for name, defect_fn, pencil, scale in dual_families(t, k):
                     pv = pencil_check(pencil)
                     checks += 1
                     for path, grad in (("analytic", defect_fn.gradient), ("central", None)):
@@ -138,7 +109,7 @@ def test_criterion_3_oracle_equivalence():
                             scale=scale, gradient=grad,
                         )
                         if pv.is_definite and sv.is_definite:
-                            assert pv.status is sv.status, (i, k, pencil.label, path)
+                            assert pv.status is sv.status, (i, k, name, path)
                         else:
                             inconclusive[path] += 1
         assert checks >= 200 * 5

@@ -5,6 +5,7 @@ import pytest
 
 from opclass.errors import NonCoprime, UnknownTheorem
 from opclass.harness import (
+    SUITES,
     THEOREM_IDS,
     SuiteConfig,
     canonical_report_json,
@@ -100,6 +101,18 @@ def test_search_q2_is_informational():
     rep = search_q2(12, 5, seed=10)
     assert rep.ok
     assert rep.notes["candidates"] == 0
+
+
+@pytest.mark.parametrize("sid", list(SUITES))
+@pytest.mark.parametrize("trials, dim", [(-3, 6), (2, 1), (2, -4)])
+def test_suites_reject_out_of_range_sizes(sid, trials, dim):
+    # The public suites take the sizes SuiteConfig takes; trials=0 at the
+    # least dimension stays an empty report.
+    suite, _, params = SUITES[sid]
+    with pytest.raises(ValueError):
+        suite(trials, dim, seed=0, **params)
+    rep = suite(0, 2, seed=0, **params)
+    assert rep.trials == 0 and rep.ok
 
 
 def test_run_suite_all_and_empty():

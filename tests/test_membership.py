@@ -10,7 +10,10 @@ from opclass.membership import (
     PencilSpec,
     Status,
     Witness,
+    _DUAL,
+    _central_gradient,
     _reconcile,
+    _warm_starts,
     chain_violations,
     classify_all,
     is_absolute_k_paranormal,
@@ -22,7 +25,6 @@ from opclass.membership import (
     is_normaloid,
     is_p_hyponormal,
     is_quasinormal,
-    k_paranormal_pencil,
     pencil_check,
     quasi_paranormal_pencil,
     quasinormal_embry,
@@ -36,7 +38,7 @@ from opclass.generators import (
     random_unitary,
 )
 
-from conftest import ginibre, haar, random_normal_matrix
+from conftest import dual_families, ginibre, haar, random_normal_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +250,6 @@ def test_sphere_check_requires_restart():
         sphere_check(lambda x: 0.0, 2, 0)
 
 
-def _defect_families(t, k):
-    from opclass.membership import (
-        _absolute_k_paranormal_defect_fn,
-        _k_paranormal_defect_fn,
-        _quasi_defect_fn,
-    )
-
-    fns = [_quasi_defect_fn(t, k)]
-    if k >= 1:
-        fns += [_k_paranormal_defect_fn(t, k), _absolute_k_paranormal_defect_fn(t, k, TOL)]
-    return fns
-
-
 def test_defect_gradient_matches_central_differences():
     # Euclidean gradient in the d/dRe + i d/dIm convention, checked column by
     # column against central differences of the unnormalized defect. The
@@ -273,7 +262,7 @@ def test_defect_gradient_matches_central_differences():
         x = np.concatenate([x / np.linalg.norm(x, axis=0), np.eye(dim)], axis=1)
         for t in (ginibre(dim, rng), np.eye(dim, k=1, dtype=complex)):
             for k in range(4):
-                for fn in _defect_families(t, k):
+                for _, fn, _, _ in dual_families(t, k):
                     grad = fn.gradient(x)
                     assert grad.shape == x.shape
                     assert np.all(np.isfinite(grad))
@@ -286,6 +275,23 @@ def test_defect_gradient_matches_central_differences():
                         ) / (2 * h)
                     err = np.linalg.norm(grad - ref) / max(1.0, np.linalg.norm(ref))
                     assert err < 1e-6, (dim, k, err)
+
+
+def test_central_gradient_matches_projected_analytic_gradient():
+    # The sphere's own central-difference provider, against the analytic
+    # gradient projected onto the tangent space: g - Re(x^H g) x.
+    rng = np.random.default_rng(23)
+    for dim in range(3, 9):
+        x = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        x /= np.linalg.norm(x, axis=0)
+        t = ginibre(dim, rng)
+        for k in range(4):
+            for name, fn, _, _ in dual_families(t, k):
+                g = fn.gradient(x)
+                ref = g - np.sum(x.conj() * g, axis=0).real * x
+                got = _central_gradient(fn, dim)(x)
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert err < 1e-6, (dim, k, name, err)
 
 
 # ---------------------------------------------------------------------------
@@ -383,26 +389,18 @@ def test_oracle_agreement_small():
     # The sphere runs both with the analytic gradient and with central
     # differences; the two must agree, and each with the pencil.
     rng = np.random.default_rng(17)
-    from opclass.membership import _scale, _warm_starts, absolute_k_paranormal_pencil
-
     for i in range(15):
         t = ginibre(4, rng)
-        norm_t = operator_norm(t)
         for k in (0, 1, 2):
-            pencils = [quasi_paranormal_pencil(t, k)]
-            scales = [_scale(norm_t, 2 * k + 2)]
-            if k >= 1:
-                pencils += [k_paranormal_pencil(t, k), absolute_k_paranormal_pencil(t, k)]
-                scales += [_scale(norm_t, k + 1)] * 2
-            for pencil, fn, scale in zip(pencils, _defect_families(t, k), scales):
+            for name, fn, pencil, scale in dual_families(t, k):
                 pv = pencil_check(pencil)
                 kw = dict(seed=i, warm_starts=_warm_starts(t), scale=scale)
                 sv = sphere_check(fn, 4, 8, gradient=fn.gradient, **kw)
                 fv = sphere_check(fn, 4, 8, **kw)
-                assert sv.status is fv.status, (i, k, pencil.label)
+                assert sv.status is fv.status, (i, k, name)
                 for v in (sv, fv):
                     if pv.is_definite and v.is_definite:
-                        assert pv.status is v.status, (i, k, pencil.label)
+                        assert pv.status is v.status, (i, k, name)
 
 
 def test_reconcile_raises_on_decisive_disagreement():
@@ -493,6 +491,33 @@ def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, de
     assert (v.status, v.oracle, v.defect) == (status, oracle, defect)
     assert v.seed == 3 and v.threshold == TOL.tol_decision
     assert v.witness.pencil_lambda == (0.5 if oracle == "pencil" else None)
+
+
+_PREDICATES = {
+    "KQuasiParanormal": is_k_quasi_paranormal,
+    "KParanormal": is_k_paranormal,
+    "AbsoluteKParanormal": is_absolute_k_paranormal,
+}
+
+
+@pytest.mark.parametrize("dim", [9, 12, 16])
+@pytest.mark.parametrize("kind", ["normal", "jordan2"])
+def test_dual_statuses_beyond_dim_8(kind, dim):
+    # Normal matrices are in every class; an index-2 nilpotent is
+    # k-quasi-paranormal for k >= 1 (T^(k+1) = 0) and in no other class,
+    # since T^2 = 0 kills ||T^(k+1) x|| and || |T|^k T x || while T x != 0.
+    assert set(_PREDICATES) == set(_DUAL)
+    if kind == "normal":
+        t = random_normal(dim, seed=dim)
+    else:
+        t = jordan_nilpotent(dim, 2, seed=dim)
+    u = random_unitary(dim, seed=1000 + dim)
+    for mat in (t, u @ t @ u.conj().T):
+        for name, (least_k, *_) in _DUAL.items():
+            for k in range(least_k, 3):
+                member = kind == "normal" or (name == "KQuasiParanormal" and k >= 1)
+                v = _PREDICATES[name](mat, k, seed=dim)
+                assert v.status is (Status.MEMBER if member else Status.NON_MEMBER), (name, k)
 
 
 # ---------------------------------------------------------------------------
