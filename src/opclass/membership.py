@@ -394,35 +394,31 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refine(pencil: PencilSpec, lo: float, hi: float, width: float):
-    """Golden-section search of lam -> lam_min(P(lam)) on [lo, hi]; returns
-    the best (lam, value) among all evaluations."""
-
-    def f(lam: float) -> float:
-        return float(np.linalg.eigvalsh(pencil.evaluate(np.array([lam])))[0, 0])
-
-    best_lam, best_val = lo, f(lo)
-    val = f(hi)
-    if val < best_val:
-        best_lam, best_val = hi, val
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width:
+def _golden_section(a: float, b: float, width: float):
+    """Golden-section search of lam -> lam_min(P(lam)) inside [a, b], as a
+    coroutine: it yields the lambdas it needs, is sent their values, and
+    returns the best (lam, value) among them. It stops without asking for
+    the point it would probe past ``width``."""
+    best_lam, best_val = a, np.inf
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = yield [c, d]
+    while True:
         if fc < best_val:
             best_lam, best_val = c, fc
         if fd < best_val:
             best_lam, best_val = d, fd
         if fc < fd:
             b, d, fd = d, c, fc
+            if b - a <= width:
+                return best_lam, best_val
             c = b - _GOLDEN * (b - a)
-            fc = f(c)
+            [fc] = yield [c]
         else:
             a, c, fc = c, d, fd
+            if b - a <= width:
+                return best_lam, best_val
             d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return best_lam, best_val
+            [fd] = yield [d]
 
 
 def pencil_check(
@@ -437,10 +433,14 @@ def pencil_check(
 
     Sweeps a logarithmic grid, then refines around every local grid minimum
     (up to ``max_refine``, deepest first) by golden-section search to width
-    1e-6 * lambda_max. The witness is the minimizing lambda and eigenvector.
+    1e-6 * lambda_max, all searches in lockstep: each round evaluates what
+    every running search asks for in one stacked eigensolve. The witness is
+    the minimizing lambda and eigenvector.
     """
     if not isinstance(pencil, PencilSpec):
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
+    if n_grid < 1 or max_refine < 0:
+        raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
     lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
     mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
 
@@ -451,12 +451,26 @@ def pencil_check(
     best_lam = float(lams[int(np.argmin(mins))])
     best_val = float(np.min(mins))
     width = 1e-6 * pencil.lambda_max
+    # The bracket ends are grid points, so neither can beat best_val; a
+    # search only has to track the points it probes inside.
+    searches = []
     for idx in order:
-        lo = lams[max(int(idx) - 1, 0)]
-        hi = lams[min(int(idx) + 1, n_grid - 1)]
-        if hi - lo <= width:
-            continue
-        lam, val = _golden_refine(pencil, float(lo), float(hi), width)
+        a, b = float(lams[max(int(idx) - 1, 0)]), float(lams[min(int(idx) + 1, n_grid - 1)])
+        if b - a > width:
+            searches.append(_golden_section(a, b, width))
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    found = [None] * len(searches)
+    while asks:
+        flat = np.array([lam for ask in asks.values() for lam in ask])
+        vals = iter(np.linalg.eigvalsh(pencil.evaluate(flat))[:, 0].tolist())
+        for i, ask in list(asks.items()):
+            try:
+                asks[i] = searches[i].send([next(vals) for _ in ask])
+            except StopIteration as done:
+                found[i] = done.value
+                del asks[i]
+    # Deepest first, and only a strictly smaller value replaces the best.
+    for lam, val in found:
         if val < best_val:
             best_lam, best_val = lam, val
 
@@ -496,21 +510,21 @@ def _batched(defect, dim: int):
 
 
 def _central_gradient(f, dim: int):
-    """Gradient of the batched defect ``f`` by central differences along every
-    real and imaginary coordinate of every column, renormalized to the
-    sphere: one batch of 4 * dim evaluations per column."""
+    """Values of the batched defect ``f`` and its gradient by central
+    differences along every real and imaginary coordinate of every column,
+    renormalized to the sphere: 4 * dim more evaluations per column."""
     h = 5e-6
     eye = np.eye(dim)
     steps = h * np.concatenate([eye, -eye, 1j * eye, -1j * eye], axis=1)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
+    def value_and_gradient(x: np.ndarray):
         flat = (x[:, :, None] + steps[:, None, :]).reshape(dim, -1)
         flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
         vals = f(flat).reshape(x.shape[1], 4, dim)
         grad = ((vals[:, 0, :] - vals[:, 1, :]) + 1j * (vals[:, 2, :] - vals[:, 3, :])).T
-        return grad / (2.0 * h)
+        return f(x), grad / (2.0 * h)
 
-    return gradient
+    return value_and_gradient
 
 
 def sphere_check(
@@ -523,32 +537,38 @@ def sphere_check(
     scale: float = 1.0,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     max_iter: int = 300,
-    gradient=None,
+    value_and_gradient=None,
 ) -> MembershipVerdict:
     """Minimize a continuous defect over the unit sphere of C^dim.
 
     Projected gradient descent runs from ``restarts`` seeded random starts
     (stream ``seed + index``) plus every standard basis vector and any
-    supplied warm starts (columns). Restarts are reduced by minimum, so the
-    result does not depend on evaluation order.
+    supplied warm starts (finite nonzero columns of a (dim, n) array).
+    Restarts are reduced by minimum, so the result does not depend on
+    evaluation order.
 
-    ``gradient``, when given, maps a (dim, n) batch of unit columns to the
-    Euclidean gradient of ``defect`` at each column, shape (dim, n), in the
-    d/dRe + i d/dIm convention; each step projects it onto the tangent space
-    of the sphere, g - Re(x^H g) x. Without it, the same projected gradient
-    is estimated by central differences along every real and imaginary
-    coordinate, 4 * dim extra defect evaluations per start and step.
+    ``value_and_gradient``, when given, maps a (dim, n) batch of unit columns
+    to the values of ``defect``, shape (n,), and its Euclidean gradient,
+    shape (dim, n), in the d/dRe + i d/dIm convention. Each step calls it
+    once, at the trial point, and projects the gradient onto the tangent
+    space of the sphere, g - Re(x^H g) x. Without it, the gradient is
+    estimated by central differences, 4 * dim defect evaluations per column.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    f = _batched(defect, dim)
-    if gradient is None:
-        gradient = _central_gradient(f, dim)
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if value_and_gradient is None:
+        value_and_gradient = _central_gradient(_batched(defect, dim), dim)
 
     starts = [np.eye(dim, dtype=np.complex128)]
-    if warm_starts is not None and warm_starts.size:
+    if warm_starts is not None and np.size(warm_starts):
         ws = np.asarray(warm_starts, dtype=np.complex128)
-        starts.append(ws / np.linalg.norm(ws, axis=0, keepdims=True))
+        shaped = ws.ndim == 2 and ws.shape[0] == dim and np.isfinite(ws).all()
+        norms = np.linalg.norm(ws, axis=0, keepdims=True) if shaped else np.nan
+        if not np.all(np.isfinite(norms) & (norms > 0)):
+            raise ValueError(f"warm_starts must be a ({dim}, n) array of finite nonzero columns")
+        starts.append(ws / norms)
     rand = np.empty((dim, restarts), dtype=np.complex128)
     for i in range(restarts):
         g = make_rng(seed, i)
@@ -558,7 +578,7 @@ def sphere_check(
     x = np.concatenate(starts, axis=1)
     n_pts = x.shape[1]
 
-    fx = f(x)
+    fx, grad = value_and_gradient(x)
     alpha = np.full(n_pts, 0.25)
 
     best_idx = int(np.argmin(fx))
@@ -566,23 +586,22 @@ def sphere_check(
     best_vec = x[:, best_idx].copy()
 
     for _ in range(max_iter):
-        grad = gradient(x)
-        grad = grad - np.sum(x.conj() * grad, axis=0).real * x
-        trial = x - alpha[None, :] * grad
-        norms = np.linalg.norm(trial, axis=0)
-        norms[norms == 0] = 1.0
-        trial /= norms
-        ft = f(trial)
+        trial = x - alpha[None, :] * (grad - np.add.reduce(x.conj() * grad, axis=0).real * x)
+        # x is a unit vector and the step is tangent to the sphere, so no norm is 0.
+        trial /= np.sqrt(np.add.reduce((trial.conj() * trial).real, axis=0))
+        ft, gt = value_and_gradient(trial)
 
+        # A rejected column keeps its point, value and gradient.
         improved = ft < fx
-        x = np.where(improved[None, :], trial, x)
-        fx = np.where(improved, ft, fx)
+        if improved.any():
+            x = np.where(improved[None, :], trial, x)
+            fx = np.where(improved, ft, fx)
+            grad = np.where(improved[None, :], gt, grad)
+            idx = int(fx.argmin())
+            if fx[idx] < best_val:
+                best_val = float(fx[idx])
+                best_vec = x[:, idx].copy()
         alpha = np.where(improved, np.minimum(alpha * 1.25, 1.0), alpha * 0.5)
-
-        idx = int(np.argmin(fx))
-        if fx[idx] < best_val:
-            best_val = float(fx[idx])
-            best_vec = x[:, idx].copy()
         if float(alpha.max()) < 1e-9:
             break
 
@@ -713,26 +732,28 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
 class _NormProductDefect:
     """Column-batched defect prod_i ||P_i x||^a_i - prod_j ||N_j x||^b_j.
 
-    The matrices are stacked once, so a batch of values costs one product
-    and ``gradient`` one more with the stacked adjoint. The Euclidean
-    gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0 gets
-    coefficient 0, the symmetric value central differences give at that
-    kink.
+    The matrices are stacked once, so a batch of values costs one product,
+    and ``value_and_gradient`` adds one with the stacked adjoint. The
+    Euclidean gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0
+    gets coefficient 0, the symmetric value central differences give at
+    that kink.
     """
 
     def __init__(self, pos, neg):
         terms = tuple(pos) + tuple(neg)
         self._n_pos = len(pos)
         self._exps = np.array([e for _, e in terms], dtype=float)[:, None]
+        self._is_pos = np.arange(len(terms))[:, None] < len(pos)
+        self._signed_exps = np.where(self._is_pos, self._exps, -self._exps)
         self._stack = np.vstack([m for m, _ in terms])
         self._adjoint = self._stack.conj().T
 
     def _eval(self, cols: np.ndarray):
         y = (self._stack @ cols).reshape(len(self._exps), -1, cols.shape[1])
-        sq = (y.conj() * y).real.sum(axis=1)
+        sq = np.add.reduce((y.conj() * y).real, axis=1)
         powers = np.sqrt(sq) ** self._exps
         n = self._n_pos
-        return y, sq, powers[:n].prod(axis=0), powers[n:].prod(axis=0)
+        return y, sq, np.multiply.reduce(powers[:n]), np.multiply.reduce(powers[n:])
 
     def __call__(self, x):
         cols = np.asarray(x, dtype=np.complex128)
@@ -741,17 +762,15 @@ class _NormProductDefect:
         vals = pos - neg
         return float(vals[0]) if single else vals
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean gradient (d/dRe + i d/dIm) of every column of x."""
+    def value_and_gradient(self, x: np.ndarray):
+        """Values and Euclidean gradients (d/dRe + i d/dIm) of every column
+        of x, from one stacked product."""
         cols = np.asarray(x, dtype=np.complex128)
         y, sq, pos, neg = self._eval(cols)
         # Term i contributes +-a_i * (its side's product) / ||M_i x||^2 * M_i* M_i x.
-        side = np.empty_like(sq)
-        side[: self._n_pos] = pos
-        side[self._n_pos :] = -neg
-        live = sq > 0
-        coef = np.where(live, self._exps * side / np.where(live, sq, 1.0), 0.0)
-        return self._adjoint @ (coef[:, None, :] * y).reshape(-1, cols.shape[1])
+        side = np.where(self._is_pos, pos, neg)
+        coef = np.divide(self._signed_exps * side, sq, out=np.zeros(sq.shape), where=sq > 0)
+        return pos - neg, self._adjoint @ (coef[:, None, :] * y).reshape(-1, cols.shape[1])
 
 
 def _quasi_defect_fn(m: np.ndarray, k: int, tol: TolerancePolicy) -> _NormProductDefect:
@@ -872,7 +891,7 @@ def _dual_verdict(
         warm_starts=_warm_starts(m),
         scale=scale,
         tol=tol,
-        gradient=defect_fn.gradient,
+        value_and_gradient=defect_fn.value_and_gradient,
     )
     pv = pencil_check(pencil, tol)
     return _reconcile(sphere, pv, defect_fn, scale, pencil.scale, tol, seed, pencil.label)

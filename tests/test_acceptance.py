@@ -103,10 +103,12 @@ def test_criterion_3_oracle_equivalence():
                 for name, defect_fn, pencil, scale in dual_families(t, k):
                     pv = pencil_check(pencil)
                     checks += 1
-                    for path, grad in (("analytic", defect_fn.gradient), ("central", None)):
+                    for path, provider in (
+                        ("analytic", defect_fn.value_and_gradient), ("central", None)
+                    ):
                         sv = sphere_check(
                             defect_fn, 5, 8, seed=i, warm_starts=_warm_starts(t),
-                            scale=scale, gradient=grad,
+                            scale=scale, value_and_gradient=provider,
                         )
                         if pv.is_definite and sv.is_definite:
                             assert pv.status is sv.status, (i, k, name, path)

@@ -1,8 +1,9 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every
+module-level private name is used somewhere in the package.
 
-No linter ships with the toolchain, so this check uses the stdlib ``ast``
-module alone. ``__init__.py`` is exempt: its imports are the public
-re-exports.
+No linter ships with the toolchain, so these checks use the stdlib ``ast``
+module alone. ``__init__.py`` is exempt from the import check: its imports
+are the public re-exports.
 """
 
 import ast
@@ -64,3 +65,64 @@ def test_unused_imports_finds_module_and_local_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``"module line N: name"`` for every module-level private function,
+    class or constant that no top-level statement of any module refers to,
+    other than the statement that defines it."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    refs = [_referenced(stmt) for _, stmt in stmts]
+    dead = []
+    for i, (module, stmt) in enumerate(stmts):
+        for name in _defined(stmt):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in r for j, r in enumerate(refs) if j != i):
+                dead.append(f"{module} line {stmt.lineno}: {name}")
+    return dead
+
+
+def test_unreferenced_private_names_finds_dead_definitions():
+    sources = {
+        "a.py": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "_CONST = 3\n"
+            "_UNUSED: int = 4\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _used() + _CONST\n"
+        ),
+        "b.py": "from .a import _Imported\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py line 3: _recursive", "a.py line 6: _UNUSED"
+    ]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from opclass.membership import (
     _central_gradient,
     _reconcile,
     _warm_starts,
+    absolute_k_paranormal_pencil,
     chain_violations,
     classify_all,
     is_absolute_k_paranormal,
@@ -25,6 +29,7 @@ from opclass.membership import (
     is_normaloid,
     is_p_hyponormal,
     is_quasinormal,
+    k_paranormal_pencil,
     pencil_check,
     quasi_paranormal_pencil,
     quasinormal_embry,
@@ -32,10 +37,13 @@ from opclass.membership import (
 )
 from opclass.generators import (
     jordan_nilpotent,
+    k_quasi_member,
     normaloid_counterexample,
     random_ginibre,
     random_normal,
     random_unitary,
+    root_of_scalar_instance,
+    rr_instance,
 )
 
 from conftest import dual_families, ginibre, haar, random_normal_matrix
@@ -192,6 +200,93 @@ def test_pencil_spec_validation(j2):
         pencil_check("not a pencil")
 
 
+@pytest.mark.parametrize("kw", [{"n_grid": 0}, {"n_grid": -3}, {"max_refine": -1}])
+def test_pencil_check_rejects_bad_sizes(j2, kw):
+    with pytest.raises(ValueError, match="need n_grid >= 1 and max_refine >= 0"):
+        pencil_check(quasi_paranormal_pencil(j2, 0), **kw)
+
+
+def _sequential_pencil_minimum(pencil, n_grid, max_refine):
+    """((least value, its lambda), number of searches) as pencil_check
+    found them with one golden-section search after another, one lambda
+    per eigensolve."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def f(lam):
+        return float(np.linalg.eigvalsh(pencil.evaluate(np.array([lam])))[0, 0])
+
+    def refine(lo, hi, width):
+        best_lam, best_val = lo, f(lo)
+        val = f(hi)
+        if val < best_val:
+            best_lam, best_val = hi, val
+        a, b = lo, hi
+        c = b - golden * (b - a)
+        d = a + golden * (b - a)
+        fc, fd = f(c), f(d)
+        while b - a > width:
+            if fc < best_val:
+                best_lam, best_val = c, fc
+            if fd < best_val:
+                best_lam, best_val = d, fd
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = f(d)
+        return best_lam, best_val
+
+    lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
+    mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
+    padded = np.concatenate([[np.inf], mins, [np.inf]])
+    local = np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
+    order = local[np.argsort(mins[local])][:max_refine]
+    best_lam = float(lams[int(np.argmin(mins))])
+    best_val = float(np.min(mins))
+    width = 1e-6 * pencil.lambda_max
+    searches = 0
+    for idx in order:
+        lo = lams[max(int(idx) - 1, 0)]
+        hi = lams[min(int(idx) + 1, n_grid - 1)]
+        if hi - lo <= width:
+            continue
+        searches += 1
+        lam, val = refine(float(lo), float(hi), width)
+        if val < best_val:
+            best_lam, best_val = lam, val
+    return (best_val, best_lam), searches
+
+
+def test_lockstep_refinement_equals_sequential_search():
+    # Pencils whose sweep refines several local minima at once, from all
+    # three constructors; the lockstep searches must find the sequential
+    # searches' (defect, lambda) bit for bit, at several grid sizes and caps.
+    pencils = []
+    for i in range(60):
+        t = random_ginibre(3 + i % 4, seed=i)
+        for ctor, k in (
+            (quasi_paranormal_pencil, i % 3),
+            (k_paranormal_pencil, 1 + i % 3),
+            (absolute_k_paranormal_pencil, 1 + i % 3),
+        ):
+            pencil = ctor(t, k)
+            if _sequential_pencil_minimum(pencil, 257, 8)[1] >= 2:
+                pencils.append(pencil)
+    assert len(pencils) >= 30
+    assert {p.label.split("[")[0] for p in pencils} == {
+        "quasi-paranormal", "k-paranormal", "absolute-k-paranormal"
+    }
+    for pencil in pencils:
+        for n_grid, max_refine in ((257, 8), (257, 1), (65, 8), (2, 8)):
+            v = pencil_check(pencil, n_grid=n_grid, max_refine=max_refine)
+            got = (v.defect, v.witness.pencil_lambda)
+            want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
+            assert got == want, (pencil.label, n_grid, max_refine)
+
+
 # ---------------------------------------------------------------------------
 # Sphere oracle
 # ---------------------------------------------------------------------------
@@ -250,6 +345,33 @@ def test_sphere_check_requires_restart():
         sphere_check(lambda x: 0.0, 2, 0)
 
 
+def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
+    fn = _DUAL["KQuasiParanormal"][1](j2, 0, TOL)
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        sphere_check(fn, 0, 4)
+    for ws in (
+        np.zeros((2, 1), dtype=complex),  # a zero column
+        np.array([[1.0, np.nan], [0.0, 1.0]]),  # a non-finite column
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.ones((3, 1)),  # wrong row count
+        np.ones(2),  # not (dim, n)
+    ):
+        with pytest.raises(ValueError, match="warm_starts"):
+            sphere_check(fn, 2, 4, seed=1, warm_starts=ws)
+
+
+def test_value_and_gradient_value_is_the_defect():
+    rng = np.random.default_rng(24)
+    for dim in range(3, 9):
+        x = rng.standard_normal((dim, 6)) + 1j * rng.standard_normal((dim, 6))
+        x = np.concatenate([x / np.linalg.norm(x, axis=0), np.eye(dim)], axis=1)
+        for t in (ginibre(dim, rng), np.eye(dim, k=1, dtype=complex)):
+            for k in range(4):
+                for name, fn, _, _ in dual_families(t, k):
+                    vals, _ = fn.value_and_gradient(x)
+                    np.testing.assert_array_equal(vals, fn(x), err_msg=f"{name} k={k}")
+
+
 def test_defect_gradient_matches_central_differences():
     # Euclidean gradient in the d/dRe + i d/dIm convention, checked column by
     # column against central differences of the unnormalized defect. The
@@ -263,7 +385,7 @@ def test_defect_gradient_matches_central_differences():
         for t in (ginibre(dim, rng), np.eye(dim, k=1, dtype=complex)):
             for k in range(4):
                 for _, fn, _, _ in dual_families(t, k):
-                    grad = fn.gradient(x)
+                    grad = fn.value_and_gradient(x)[1]
                     assert grad.shape == x.shape
                     assert np.all(np.isfinite(grad))
                     ref = np.empty_like(x)
@@ -287,9 +409,9 @@ def test_central_gradient_matches_projected_analytic_gradient():
         t = ginibre(dim, rng)
         for k in range(4):
             for name, fn, _, _ in dual_families(t, k):
-                g = fn.gradient(x)
+                g = fn.value_and_gradient(x)[1]
                 ref = g - np.sum(x.conj() * g, axis=0).real * x
-                got = _central_gradient(fn, dim)(x)
+                got = _central_gradient(fn, dim)(x)[1]
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err < 1e-6, (dim, k, name, err)
 
@@ -395,7 +517,7 @@ def test_oracle_agreement_small():
             for name, fn, pencil, scale in dual_families(t, k):
                 pv = pencil_check(pencil)
                 kw = dict(seed=i, warm_starts=_warm_starts(t), scale=scale)
-                sv = sphere_check(fn, 4, 8, gradient=fn.gradient, **kw)
+                sv = sphere_check(fn, 4, 8, value_and_gradient=fn.value_and_gradient, **kw)
                 fv = sphere_check(fn, 4, 8, **kw)
                 assert sv.status is fv.status, (i, k, name)
                 for v in (sv, fv):
@@ -546,6 +668,33 @@ def test_classify_random_normal_member_everywhere():
     res = classify_all(random_normal_matrix(5, rng), seed=3)
     assert all(v.status is Status.MEMBER for v in res.values())
     assert chain_violations(res) == []
+
+
+def _pinned_pool() -> list:
+    """Ginibre matrices at dims 3-8 and one matrix of each member family
+    of the benchmark's classify-members pool."""
+    mats = [random_ginibre(dim, seed=40 + dim) for dim in range(3, 9)]
+    mats += [
+        random_normal(5, seed=1),
+        random_unitary(4, seed=2),
+        jordan_nilpotent(6, 3, seed=3),
+        normaloid_counterexample(2, 3, seed=4),
+        k_quasi_member(3, 3, 2, seed=5),
+        rr_instance(2, 2, seed=6),
+        root_of_scalar_instance(4, 3, 1.5 + 0.5j, seed=7),
+    ]
+    return mats
+
+
+def test_classify_all_output_is_pinned():
+    # Every status, defect, oracle, witness, threshold and seed, bit for bit:
+    # a change to the oracles' arithmetic order that moves any float shows.
+    doc = [
+        {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=i).items()}
+        for i, t in enumerate(_pinned_pool())
+    ]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == "f36b47a3a36dbd27a786f0c7fba1f172b8e0166985e49b3e4feaa378b33477c8"
 
 
 def test_chain_violation_detection():
