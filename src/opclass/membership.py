@@ -231,7 +231,13 @@ class OperatorClass:
 
 
 def _scale(norm_t: float, degree: float) -> float:
-    return max(1.0, norm_t) ** degree
+    try:
+        scale = max(1.0, norm_t) ** degree
+    except OverflowError:
+        scale = np.inf
+    if scale == np.inf:
+        raise ValueError(f"class scale max(1, ||T||)^{degree:g} overflows at ||T|| = {norm_t:.6g}")
+    return scale
 
 
 def _decide(defect: float, scale: float, tol: TolerancePolicy) -> tuple[Status, float]:
@@ -331,7 +337,7 @@ class PencilSpec:
         n = self.dim
         out = np.zeros((lams.size, n, n), dtype=np.complex128)
         for expo, m in self.terms:
-            out += (lams**expo)[:, None, None] * m[None, :, :]
+            out += (lams**expo)[:, None, None] * m
         return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
@@ -392,6 +398,8 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# The oracles' budgets: pencil grid size and refined minima, sphere steps.
+_N_GRID, _MAX_REFINE, _MAX_ITER = 257, 8, 300
 
 
 def _golden_section(a: float, b: float, width: float):
@@ -425,8 +433,8 @@ def pencil_check(
     pencil: PencilSpec,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
-    n_grid: int = 257,
-    max_refine: int = 8,
+    n_grid: int = _N_GRID,
+    max_refine: int = _MAX_REFINE,
 ) -> MembershipVerdict:
     """Global least-eigenvalue certificate for P(lam) >= 0 on the pencil
     domain.
@@ -441,48 +449,62 @@ def pencil_check(
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
     if n_grid < 1 or max_refine < 0:
         raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
-    lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
-    mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
+    [(lam, val)] = _pencil_minima([pencil], n_grid, max_refine)
+    return _pencil_verdict(pencil, lam, val, tol)
 
-    padded = np.concatenate([[np.inf], mins, [np.inf]])
-    local = np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
-    order = local[np.argsort(mins[local])][:max_refine]
 
-    best_lam = float(lams[int(np.argmin(mins))])
-    best_val = float(np.min(mins))
-    width = 1e-6 * pencil.lambda_max
-    # The bracket ends are grid points, so neither can beat best_val; a
-    # search only has to track the points it probes inside.
-    searches = []
-    for idx in order:
-        a, b = float(lams[max(int(idx) - 1, 0)]), float(lams[min(int(idx) + 1, n_grid - 1)])
-        if b - a > width:
-            searches.append(_golden_section(a, b, width))
-    asks = {i: next(search) for i, search in enumerate(searches)}
-    found = [None] * len(searches)
-    while asks:
-        flat = np.array([lam for ask in asks.values() for lam in ask])
-        vals = iter(np.linalg.eigvalsh(pencil.evaluate(flat))[:, 0].tolist())
-        for i, ask in list(asks.items()):
-            try:
-                asks[i] = searches[i].send([next(vals) for _ in ask])
-            except StopIteration as done:
-                found[i] = done.value
-                del asks[i]
+def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
+    """The least (lambda, lambda_min(P(lambda))) found on each of some
+    pencils of one dimension.
+
+    Each pencil sweeps its own grid, so one sweep's stack is in memory at a
+    time. The golden-section searches of all pencils then share one stacked
+    eigensolve per round; each pencil merges only its own.
+    """
+    bests, searches = [], []
+    for pencil in pencils:
+        lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
+        mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
+        padded = np.concatenate([[np.inf], mins, [np.inf]])
+        local = np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
+        bests.append((float(lams[int(np.argmin(mins))]), float(np.min(mins))))
+        width = 1e-6 * pencil.lambda_max
+        searches.append([])
+        # The bracket ends are grid points, so neither can beat the grid
+        # minimum; a search only has to track the points it probes inside.
+        for idx in local[np.argsort(mins[local])][:max_refine]:
+            a, b = float(lams[max(int(idx) - 1, 0)]), float(lams[min(int(idx) + 1, n_grid - 1)])
+            if b - a > width:
+                searches[-1].append(_golden_section(a, b, width))
+    asks = [{i: next(search) for i, search in enumerate(own)} for own in searches]
+    found = [[None] * len(own) for own in searches]
+    while any(asks):
+        live = [p for p, own in enumerate(asks) if own]
+        lams = [np.array([lam for ask in asks[p].values() for lam in ask]) for p in live]
+        stack = [pencils[p].evaluate(lams_p) for p, lams_p in zip(live, lams)]
+        stack = np.concatenate(stack) if len(stack) > 1 else stack[0]
+        vals = iter(np.linalg.eigvalsh(stack)[:, 0].tolist())
+        for p in live:
+            for i, ask in list(asks[p].items()):
+                try:
+                    asks[p][i] = searches[p][i].send([next(vals) for _ in ask])
+                except StopIteration as done:
+                    found[p][i] = done.value
+                    del asks[p][i]
     # Deepest first, and only a strictly smaller value replaces the best.
-    for lam, val in found:
-        if val < best_val:
-            best_lam, best_val = lam, val
+    for p, own in enumerate(found):
+        for lam, val in own:
+            if val < bests[p][1]:
+                bests[p] = (lam, val)
+    return bests
 
-    status, threshold = _decide(best_val, pencil.scale, tol)
-    w, v = np.linalg.eigh(pencil.evaluate(np.array([best_lam]))[0])
-    witness = Witness(vector=v[:, 0], pencil_lambda=best_lam)
+
+def _pencil_verdict(pencil: PencilSpec, lam: float, val: float, tol: TolerancePolicy):
+    status, threshold = _decide(val, pencil.scale, tol)
+    _, v = np.linalg.eigh(pencil.evaluate(np.array([lam]))[0])
     return MembershipVerdict(
-        status=status,
-        defect=best_val,
-        oracle="pencil",
-        witness=witness,
-        threshold=threshold,
+        status=status, defect=val, oracle="pencil",
+        witness=Witness(vector=v[:, 0], pencil_lambda=lam), threshold=threshold,
     )
 
 
@@ -536,7 +558,7 @@ def sphere_check(
     warm_starts: np.ndarray | None = None,
     scale: float = 1.0,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
-    max_iter: int = 300,
+    max_iter: int = _MAX_ITER,
     value_and_gradient=None,
 ) -> MembershipVerdict:
     """Minimize a continuous defect over the unit sphere of C^dim.
@@ -554,13 +576,29 @@ def sphere_check(
     space of the sphere, g - Re(x^H g) x. Without it, the gradient is
     estimated by central differences, 4 * dim defect evaluations per column.
     """
+    x = _starts(dim, restarts, seed, warm_starts)
+    if value_and_gradient is None:
+        value_and_gradient = _central_gradient(_batched(defect, dim), dim)
+
+    [(val, vec)] = _descend(value_and_gradient, x, max_iter)
+    return _sphere_verdict(val, vec, scale, tol, seed)
+
+
+def _sphere_verdict(val: float, vec: np.ndarray, scale: float, tol: TolerancePolicy, seed: int):
+    status, threshold = _decide(val, scale, tol)
+    return MembershipVerdict(
+        status=status, defect=val, oracle="sphere", witness=Witness(vector=vec),
+        threshold=threshold, seed=seed,
+    )
+
+
+def _starts(dim: int, restarts: int, seed: int, warm_starts) -> np.ndarray:
+    """The sphere's start columns, shape (dim, n): the standard basis, the
+    normalized warm starts, then ``restarts`` seeded random unit vectors."""
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    if value_and_gradient is None:
-        value_and_gradient = _central_gradient(_batched(defect, dim), dim)
-
     starts = [np.eye(dim, dtype=np.complex128)]
     if warm_starts is not None and np.size(warm_starts):
         ws = np.asarray(warm_starts, dtype=np.complex128)
@@ -575,45 +613,65 @@ def sphere_check(
         z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
         rand[:, i] = z / np.linalg.norm(z)
     starts.append(rand)
-    x = np.concatenate(starts, axis=1)
-    n_pts = x.shape[1]
+    return np.concatenate(starts, axis=1)
 
+
+def _descend(value_and_gradient, x: np.ndarray, max_iter: int, take=None) -> list:
+    """Projected gradient descent from every column of one problem, x of
+    shape (dim, n), or of a stack of problems, x of shape (problems, dim, n).
+
+    ``value_and_gradient`` maps x to values, shape x.shape[:-2] + (n,), and
+    Euclidean gradients of x's shape. Every column keeps its own step: x1.25
+    up to 1 when a trial lowers its value, x0.5 when not. A problem stops
+    once all its steps are below 1e-9 and leaves the stack; a stack needs
+    ``take``, which maps the indices of the problems left to their own
+    ``value_and_gradient``. Returns each problem's least value and its
+    column: on a tie the one reached at the earliest step, then the lowest
+    column, so the result does not depend on which problems share the stack.
+    """
     fx, grad = value_and_gradient(x)
-    alpha = np.full(n_pts, 0.25)
+    alpha = np.full(fx.shape, 0.25)
+    stamp = np.zeros(fx.shape, dtype=np.intp)  # step of each column's last improvement
+    rows = np.arange(len(x) if x.ndim == 3 else 1)
+    best: list = [None] * rows.size
 
-    best_idx = int(np.argmin(fx))
-    best_val = float(fx[best_idx])
-    best_vec = x[:, best_idx].copy()
+    def finish(done):
+        n = fx.shape[-1]
+        for r in np.flatnonzero(done):
+            f, s = fx.reshape(-1, n)[r], stamp.reshape(-1, n)[r]
+            c = int(f.argmin())
+            if not np.isnan(f[c]):  # a NaN start is never improved on
+                ties = np.flatnonzero(f == f[c])
+                c = int(ties[s[ties].argmin()])
+            best[rows[r]] = (float(f[c]), x.reshape((-1,) + x.shape[-2:])[r, :, c].copy())
 
-    for _ in range(max_iter):
-        trial = x - alpha[None, :] * (grad - np.add.reduce(x.conj() * grad, axis=0).real * x)
+    for step in range(1, max_iter + 1):
+        radial = np.add.reduce(x.conj() * grad, axis=-2, keepdims=True).real
+        trial = x - alpha[..., None, :] * (grad - radial * x)
         # x is a unit vector and the step is tangent to the sphere, so no norm is 0.
-        trial /= np.sqrt(np.add.reduce((trial.conj() * trial).real, axis=0))
+        trial /= np.sqrt(np.add.reduce((trial.conj() * trial).real, axis=-2, keepdims=True))
         ft, gt = value_and_gradient(trial)
 
         # A rejected column keeps its point, value and gradient.
         improved = ft < fx
         if improved.any():
-            x = np.where(improved[None, :], trial, x)
-            fx = np.where(improved, ft, fx)
-            grad = np.where(improved[None, :], gt, grad)
-            idx = int(fx.argmin())
-            if fx[idx] < best_val:
-                best_val = float(fx[idx])
-                best_vec = x[:, idx].copy()
-        alpha = np.where(improved, np.minimum(alpha * 1.25, 1.0), alpha * 0.5)
-        if float(alpha.max()) < 1e-9:
-            break
-
-    status, threshold = _decide(best_val, scale, tol)
-    return MembershipVerdict(
-        status=status,
-        defect=best_val,
-        oracle="sphere",
-        witness=Witness(vector=best_vec),
-        threshold=threshold,
-        seed=seed,
-    )
+            cols = improved[..., None, :]
+            x, grad = np.where(cols, trial, x), np.where(cols, gt, grad)
+            fx, stamp = np.where(improved, ft, fx), np.where(improved, step, stamp)
+        # Steps never exceed 1, so the cap only binds on the x1.25.
+        alpha = np.minimum(alpha * np.where(improved, 1.25, 0.5), 1.0)
+        done = alpha.max(-1) < 1e-9  # per problem; one bool for a single problem
+        if done.any() if done.ndim else done:
+            done = np.atleast_1d(done)
+            finish(done)
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return best
+            x, fx, grad, alpha, stamp = (a.take(keep, 0) for a in (x, fx, grad, alpha, stamp))
+            rows = rows[keep]
+            value_and_gradient = take(rows)
+    finish(np.ones(rows.size, dtype=bool))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -730,66 +788,90 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
 
 
 class _NormProductDefect:
-    """Column-batched defect prod_i ||P_i x||^a_i - prod_j ||N_j x||^b_j.
+    """Defect prod_i ||P_i x||^a_i - prod_j ||N_j x||^b_j of one or more
+    problems, built by ``of`` from each problem's (pos, neg) lists of
+    (matrix, exponent).
 
-    The matrices are stacked once, so a batch of values costs one product,
-    and ``value_and_gradient`` adds one with the stacked adjoint. The
-    Euclidean gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0
-    gets coefficient 0, the symmetric value central differences give at
-    that kink.
+    The matrices are stacked once into (problems, rows, dim), so a batch of
+    values costs one product and ``value_and_gradient`` adds one with the
+    stacked adjoint. A problem with fewer terms on a side than another is
+    padded with zero matrices of exponent 0: their factor is exactly 1 and
+    their gradient coefficient 0, so padding changes no bit. The Euclidean
+    gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0 gets
+    coefficient 0, the symmetric value central differences give at that
+    kink.
     """
 
-    def __init__(self, pos, neg):
-        terms = tuple(pos) + tuple(neg)
-        self._n_pos = len(pos)
-        self._exps = np.array([e for _, e in terms], dtype=float)[:, None]
-        self._is_pos = np.arange(len(terms))[:, None] < len(pos)
-        self._signed_exps = np.where(self._is_pos, self._exps, -self._exps)
-        self._stack = np.vstack([m for m, _ in terms])
-        self._adjoint = self._stack.conj().T
+    def __init__(self, stack: np.ndarray, exps: np.ndarray, n_pos: int):
+        # stack (problems, terms * rows, dim), exps (problems, terms, 1), positive side first.
+        self._bounds = (0, n_pos)  # each side's terms, for multiply.reduceat
+        self._side = (np.arange(exps.shape[1]) >= n_pos).astype(np.intp)  # each term's side
+        signed = np.where(self._side[:, None] == 0, exps, -exps)
+        # By the rank of the columns: (problems, dim, n), or (dim, n) for one problem.
+        self._arrays = {3: (stack, exps, signed, stack.conj().transpose(0, 2, 1))}
+        if len(stack) == 1:
+            self._arrays[2] = tuple(arr[0] for arr in self._arrays[3])
 
-    def _eval(self, cols: np.ndarray):
-        y = (self._stack @ cols).reshape(len(self._exps), -1, cols.shape[1])
-        sq = np.add.reduce((y.conj() * y).real, axis=1)
-        powers = np.sqrt(sq) ** self._exps
-        n = self._n_pos
-        return y, sq, np.multiply.reduce(powers[:n]), np.multiply.reduce(powers[n:])
+    @classmethod
+    def of(cls, *problems) -> "_NormProductDefect":
+        n_pos, n_neg = (max(len(side[i]) for side in problems) for i in (0, 1))
+        zero = (np.zeros_like(problems[0][1][0][0]), 0)
+        rows = [
+            (*pos, *[zero] * (n_pos - len(pos)), *neg, *[zero] * (n_neg - len(neg)))
+            for pos, neg in problems
+        ]
+        stack = np.array([np.vstack([m for m, _ in terms]) for terms in rows])
+        exps = np.array([[e for _, e in terms] for terms in rows], dtype=float)[:, :, None]
+        return cls(stack, exps, n_pos)
+
+    def take(self, rows) -> "_NormProductDefect":
+        """The defect of the problems at ``rows`` alone, padded as before."""
+        stack, exps = (arr.take(rows, 0) for arr in self._arrays[3][:2])
+        return _NormProductDefect(stack, exps, self._bounds[1])
+
+    def _eval(self, cols: np.ndarray, stack: np.ndarray, exps: np.ndarray):
+        y = (stack @ cols).reshape(exps.shape[:-1] + (-1, cols.shape[-1]))
+        sq = np.add.reduce((y.conj() * y).real, axis=-2)
+        powers = np.sqrt(sq) ** exps
+        # The positive and the negative side's products, shape (..., 2, n).
+        return y, sq, np.multiply.reduceat(powers, self._bounds, axis=-2)
 
     def __call__(self, x):
+        """Values of a one-problem defect at a unit vector or at the columns of x."""
         cols = np.asarray(x, dtype=np.complex128)
         single = cols.ndim == 1
-        _, _, pos, neg = self._eval(cols[:, None] if single else cols)
-        vals = pos - neg
+        cols = cols[:, None] if single else cols
+        _, _, sides = self._eval(cols, *self._arrays[cols.ndim][:2])
+        vals = sides[0] - sides[1]
         return float(vals[0]) if single else vals
 
     def value_and_gradient(self, x: np.ndarray):
-        """Values and Euclidean gradients (d/dRe + i d/dIm) of every column
-        of x, from one stacked product."""
-        cols = np.asarray(x, dtype=np.complex128)
-        y, sq, pos, neg = self._eval(cols)
+        """Values, shape (..., n), and Euclidean gradients (d/dRe + i d/dIm),
+        shape (..., dim, n), of every column of x, from one stacked product;
+        x is (problems, dim, n), or (dim, n) for a one-problem defect."""
+        stack, exps, signed_exps, adjoint = self._arrays[x.ndim]
+        y, sq, sides = self._eval(x, stack, exps)
         # Term i contributes +-a_i * (its side's product) / ||M_i x||^2 * M_i* M_i x.
-        side = np.where(self._is_pos, pos, neg)
-        coef = np.divide(self._signed_exps * side, sq, out=np.zeros(sq.shape), where=sq > 0)
-        return pos - neg, self._adjoint @ (coef[:, None, :] * y).reshape(-1, cols.shape[1])
+        side = sides[..., self._side, :]
+        coef = np.divide(signed_exps * side, sq, out=np.zeros(sq.shape), where=sq > 0)
+        grad = adjoint @ (coef[..., None, :] * y).reshape(y.shape[:-3] + (-1, y.shape[-1]))
+        return sides[..., 0, :] - sides[..., 1, :], grad
 
 
-def _quasi_defect_fn(m: np.ndarray, k: int, tol: TolerancePolicy) -> _NormProductDefect:
+def _quasi_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
     pk = matrix_power(m, k)
     pk1 = m @ pk
     pk2 = m @ pk1
-    return _NormProductDefect(pos=((pk2, 1), (pk, 1)), neg=((pk1, 2),))
+    return ((pk2, 1), (pk, 1)), ((pk1, 2),)
 
 
-def _k_paranormal_defect_fn(m: np.ndarray, k: int, tol: TolerancePolicy) -> _NormProductDefect:
-    pk1 = matrix_power(m, k + 1)
-    return _NormProductDefect(pos=((pk1, 1),), neg=((m, k + 1),))
+def _k_paranormal_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
+    return ((matrix_power(m, k + 1), 1),), ((m, k + 1),)
 
 
-def _absolute_k_paranormal_defect_fn(
-    m: np.ndarray, k: int, tol: TolerancePolicy
-) -> _NormProductDefect:
+def _absolute_k_paranormal_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
     mod_k = psd_power(m.conj().T @ m, k / 2.0, tol)
-    return _NormProductDefect(pos=((mod_k @ m, 1),), neg=((m, k + 1),))
+    return ((mod_k @ m, 1),), ((m, k + 1),)
 
 
 def _warm_starts(m: np.ndarray) -> np.ndarray:
@@ -856,45 +938,53 @@ def _reconcile(
 
 
 # The classes both oracles decide, by OperatorClass name: the least k, the
-# builder (m, k, tol) of the sphere defect, the name of the public pencil
-# constructor (m, k), looked up at call time so that a rebinding of the name
-# reaches the predicates, and the degree in k of the sphere defect's scale.
+# builder (m, k, tol) of the sphere defect's terms, the name of the public
+# pencil constructor (m, k), looked up at call time so that a rebinding of the
+# name reaches the predicates, and the degree in k of the sphere defect's scale.
 _DUAL = {
-    "KQuasiParanormal": (0, _quasi_defect_fn, "quasi_paranormal_pencil", lambda k: 2 * k + 2),
-    "KParanormal": (1, _k_paranormal_defect_fn, "k_paranormal_pencil", lambda k: k + 1),
+    "KQuasiParanormal": (0, _quasi_terms, "quasi_paranormal_pencil", lambda k: 2 * k + 2),
+    "KParanormal": (1, _k_paranormal_terms, "k_paranormal_pencil", lambda k: k + 1),
     "AbsoluteKParanormal": (
-        1, _absolute_k_paranormal_defect_fn, "absolute_k_paranormal_pencil", lambda k: k + 1
+        1, _absolute_k_paranormal_terms, "absolute_k_paranormal_pencil", lambda k: k + 1
     ),
 }
 
 
-def _dual_verdict(
-    name: str, t, k: int, tol: TolerancePolicy, seed: int, restarts: int
-) -> MembershipVerdict:
-    """Decide the class ``name`` of ``_DUAL`` at ``k`` by both oracles."""
-    least_k, build_defect, pencil_name, degree = _DUAL[name]
+def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) -> list:
+    """Decide every (class name, k) of ``problems`` on T by both oracles.
+
+    T's norm, SVD warm starts and seeded starts are computed once. One
+    descent runs over the columns of all problems, one block each, and the
+    pencils' refinements share their eigensolves. Each problem gets the
+    verdict it gets alone, so the predicates are the one-problem case.
+    """
     m = as_operator(t)
-    if k < least_k:
-        raise ValueError(
-            "k must be nonnegative" if least_k == 0 else "k must be a positive integer"
-        )
+    for name, k in problems:
+        if k < _DUAL[name][0]:
+            raise ValueError(
+                "k must be nonnegative" if _DUAL[name][0] == 0 else "k must be a positive integer"
+            )
     if _zero_operator(m):
-        return _member_zero()
-    defect_fn = build_defect(m, k, tol)
-    pencil = globals()[pencil_name](m, k)
-    scale = _scale(operator_norm(m), degree(k))
-    sphere = sphere_check(
-        defect_fn,
-        m.shape[0],
-        restarts,
-        seed=seed,
-        warm_starts=_warm_starts(m),
-        scale=scale,
-        tol=tol,
-        value_and_gradient=defect_fn.value_and_gradient,
-    )
-    pv = pencil_check(pencil, tol)
-    return _reconcile(sphere, pv, defect_fn, scale, pencil.scale, tol, seed, pencil.label)
+        return [_member_zero() for _ in problems]
+    norm_t = operator_norm(m)
+    scales = [_scale(norm_t, _DUAL[name][3](k)) for name, k in problems]
+    defect = _NormProductDefect.of(*(_DUAL[name][1](m, k, tol) for name, k in problems))
+    pencils = [globals()[_DUAL[name][2]](m, k) for name, k in problems]
+    x = _starts(m.shape[0], restarts, seed, _warm_starts(m))
+    if len(problems) > 1:
+        x = np.repeat(x[None], len(problems), axis=0)
+    spheres = _descend(defect.value_and_gradient, x, _MAX_ITER,
+                       lambda rows: defect.take(rows).value_and_gradient)
+    minima = _pencil_minima(pencils, _N_GRID, _MAX_REFINE)
+    verdicts = []
+    for p, ((val, vec), (lam, least), pencil) in enumerate(zip(spheres, minima, pencils)):
+        verdicts.append(_reconcile(
+            _sphere_verdict(val, vec, scales[p], tol, seed),
+            _pencil_verdict(pencil, lam, least, tol),
+            defect.take([p]),
+            scales[p], pencil.scale, tol, seed, pencil.label,
+        ))
+    return verdicts
 
 
 def is_k_quasi_paranormal(
@@ -907,7 +997,7 @@ def is_k_quasi_paranormal(
 ) -> MembershipVerdict:
     """||T^(k+1) x||^2 <= ||T^(k+2) x|| ||T^k x|| for all x; k = 0 is
     paranormality. Decided by both oracles."""
-    return _dual_verdict("KQuasiParanormal", t, k, tol, seed, restarts)
+    return _dual_verdicts(t, [("KQuasiParanormal", k)], tol, seed, restarts)[0]
 
 
 def is_k_paranormal(
@@ -920,7 +1010,7 @@ def is_k_paranormal(
 ) -> MembershipVerdict:
     """||T x||^(k+1) <= ||T^(k+1) x|| on unit vectors, via the closed-form
     inner minimization of the pencil over its parameter."""
-    return _dual_verdict("KParanormal", t, k, tol, seed, restarts)
+    return _dual_verdicts(t, [("KParanormal", k)], tol, seed, restarts)[0]
 
 
 def is_absolute_k_paranormal(
@@ -932,7 +1022,7 @@ def is_absolute_k_paranormal(
     restarts: int = 8,
 ) -> MembershipVerdict:
     """|| |T|^k T x || >= ||T x||^(k+1) on unit vectors, |T| = (T*T)^(1/2)."""
-    return _dual_verdict("AbsoluteKParanormal", t, k, tol, seed, restarts)
+    return _dual_verdicts(t, [("AbsoluteKParanormal", k)], tol, seed, restarts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +1044,9 @@ def classify_all(
 ) -> dict[OperatorClass, MembershipVerdict]:
     """Run every class predicate; keys follow the inclusion-chain order."""
     m = as_operator(t)
+    k_list = tuple(k_list)
+    if not all(float(k).is_integer() for k in k_list):
+        raise ValueError(f"every k must be an integer, got {list(k_list)}")
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
     out: dict[OperatorClass, MembershipVerdict] = {}
@@ -963,16 +1056,13 @@ def classify_all(
     for p in ps:
         out[OperatorClass.p_hyponormal(p)] = is_p_hyponormal(m, p, tol)
     out[OperatorClass.class_a()] = is_class_a(m, tol)
-    out[OperatorClass.paranormal()] = is_k_quasi_paranormal(
-        m, 0, tol, seed=seed, restarts=restarts
-    )
-    for factory, predicate in (
-        (OperatorClass.k_paranormal, is_k_paranormal),
-        (OperatorClass.absolute_k_paranormal, is_absolute_k_paranormal),
-        (OperatorClass.k_quasi_paranormal, is_k_quasi_paranormal),
-    ):
-        for k in ks:
-            out[factory(k)] = predicate(m, k, tol, seed=seed, restarts=restarts)
+    # Paranormality is k-quasi-paranormality at k = 0; all dual classes of
+    # the matrix are decided together.
+    problems = [("KQuasiParanormal", 0)] + [
+        (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
+    ]
+    keys = [OperatorClass.paranormal()] + [OperatorClass(name, k=k) for name, k in problems[1:]]
+    out.update(zip(keys, _dual_verdicts(m, problems, tol, seed, restarts)))
     out[OperatorClass.normaloid()] = is_normaloid(m, tol)
     return out
 

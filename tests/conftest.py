@@ -41,10 +41,10 @@ def dual_families(t: np.ndarray, k: int) -> list:
     return [
         (
             name,
-            build_defect(t, k, DEFAULT_TOLERANCES),
+            membership._NormProductDefect.of(build_terms(t, k, DEFAULT_TOLERANCES)),
             getattr(membership, pencil_name)(t, k),
             membership._scale(norm_t, degree(k)),
         )
-        for name, (least_k, build_defect, pencil_name, degree) in membership._DUAL.items()
+        for name, (least_k, build_terms, pencil_name, degree) in membership._DUAL.items()
         if k >= least_k
     ]

@@ -9,6 +9,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import opclass.cli as cli
+from opclass.generators import random_ginibre
 from opclass.matio import save_matrix
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -91,6 +92,16 @@ def test_classify_non_finite_tol_is_error_document(capsys, identity_file, tol):
     code, doc = _run(capsys, ["classify", identity_file, f"--tol={tol}"])
     assert code == 1
     assert doc["error"]["type"] == "ValueError"
+
+
+def test_classify_overflowing_scale_is_error_document(capsys, tmp_path):
+    # ||T|| = 1e40 puts the k = 3 class scales past the largest double.
+    path = tmp_path / "huge.json"
+    save_matrix(path, 1e40 * random_ginibre(3, 1))
+    code, doc = _run(capsys, ["classify", str(path)])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "overflows" in doc["error"]["message"]
 
 
 def test_verify_non_finite_tol_is_error_document(capsys):

@@ -14,7 +14,9 @@ from opclass.membership import (
     Status,
     Witness,
     _DUAL,
+    _NormProductDefect,
     _central_gradient,
+    _pencil_minima,
     _reconcile,
     _warm_starts,
     absolute_k_paranormal_pencil,
@@ -285,6 +287,17 @@ def test_lockstep_refinement_equals_sequential_search():
             got = (v.defect, v.witness.pencil_lambda)
             want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
             assert got == want, (pencil.label, n_grid, max_refine)
+    # Pools of several pencils of one dimension share each round's
+    # eigensolve, as classify_all's do; each pencil still gets its own result.
+    pools = [[p for p in pencils if p.dim == dim] for dim in range(3, 7)]
+    pools = [pool[i : i + 10] for pool in pools for i in range(0, len(pool), 10)]
+    assert sum(len(pool) > 1 for pool in pools) >= 4
+    for pool in pools:
+        for n_grid, max_refine in ((257, 8), (65, 2)):
+            got = _pencil_minima(pool, n_grid, max_refine)
+            for pencil, (lam, val) in zip(pool, got):
+                want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
+                assert (val, lam) == want, (pencil.label, n_grid, max_refine)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +359,7 @@ def test_sphere_check_requires_restart():
 
 
 def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
-    fn = _DUAL["KQuasiParanormal"][1](j2, 0, TOL)
+    fn = _NormProductDefect.of(_DUAL["KQuasiParanormal"][1](j2, 0, TOL))
     with pytest.raises(ValueError, match="dim must be at least 1"):
         sphere_check(fn, 0, 4)
     for ws in (
@@ -695,6 +708,78 @@ def test_classify_all_output_is_pinned():
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == "f36b47a3a36dbd27a786f0c7fba1f172b8e0166985e49b3e4feaa378b33477c8"
+
+
+def _family_matrix(i: int) -> np.ndarray:
+    """Matrix i of the seven member families of the benchmark's
+    classify-members pool; family and dim (3-8) cycle, so 42 consecutive
+    indices hold each pair once."""
+    dim, seed, family = 3 + i % 6, 100 + i, i % 7
+    if family == 0:
+        return random_normal(dim, seed)
+    if family == 1:
+        return random_unitary(dim, seed)
+    if family == 2:
+        return jordan_nilpotent(dim, 2 + i % (dim - 1), seed)
+    if family == 3:
+        return normaloid_counterexample(1 + i % (dim - 2), dim - 1 - i % (dim - 2), seed)
+    if family == 4:
+        return k_quasi_member(dim - 1 - i % (dim - 1), 1 + i % (dim - 1), 1 + i % 3, seed)
+    if family == 5:
+        dim_bc = 1 + i % (dim // 2)
+        return rr_instance(dim - 2 * dim_bc, dim_bc, seed)
+    return root_of_scalar_instance(dim, 2 + i % 3, 1.5 + 0.5j, seed)
+
+
+def test_classify_all_equals_one_problem_predicates(monkeypatch):
+    # classify_all decides all dual classes of a matrix in one stacked
+    # descent and one pool of refinements; each verdict must be the one its
+    # predicate gives alone, bit for bit. Problems that stop at different
+    # steps leave the stack early, so the compaction must have run.
+    compactions = []
+    take = _NormProductDefect.take
+
+    def counting_take(self, rows):
+        if len(rows) > 1:  # only a compaction keeps several problems
+            compactions.append(len(rows))
+        return take(self, rows)
+
+    monkeypatch.setattr(_NormProductDefect, "take", counting_take)
+    # Seed 79's Ginibre matrix keeps descending after its stack has shrunk:
+    # a compaction that leaves the arrays in Fortran order moves its bits.
+    mats = {i: random_ginibre(3 + i % 6, seed=60 + i) for i in (*range(6), 79)}
+    mats.update({100 + i: _family_matrix(i) for i in range(42)})
+    for seed, t in mats.items():
+        for cls, v in classify_all(t, seed=seed).items():
+            if cls.name == "Paranormal":
+                alone = is_k_quasi_paranormal(t, 0, seed=seed)
+            elif cls.name in _PREDICATES:
+                alone = _PREDICATES[cls.name](t, cls.k, seed=seed)
+            else:
+                continue
+            assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
+    assert len(compactions) >= len(mats)
+
+
+def test_overflowing_scale_is_value_error():
+    # A class scale max(1, ||T||)^degree beyond the largest double used to
+    # raise OverflowError from the float power.
+    huge = 1e40 * random_ginibre(3, 1)
+    with pytest.raises(ValueError, match="overflows"):
+        classify_all(huge)
+    with pytest.raises(ValueError, match="overflows"):
+        is_k_quasi_paranormal(huge, 3)
+    t = 2.0 * random_unitary(3, seed=1)
+    with pytest.raises(ValueError, match="overflows"):
+        classify_all(t, k_list=[600])
+
+
+def test_classify_all_rejects_non_integral_k_and_zero_restarts(j2):
+    with pytest.raises(ValueError, match="every k must be an integer"):
+        classify_all(j2, k_list=[1.7])
+    assert OperatorClass.k_paranormal(2) in classify_all(j2, k_list=[2.0])
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        classify_all(j2, restarts=0)
 
 
 def test_chain_violation_detection():
