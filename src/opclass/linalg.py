@@ -128,8 +128,12 @@ class HermitianEigen:
 
 def _require_hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """Check Hermitian-ness, then symmetrize to absorb roundoff drift."""
+    size = frobenius_norm(m)
+    # Against an infinite norm every residual would pass.
+    if not np.isfinite(size):
+        raise ValueError("Frobenius norm of the matrix overflows a double")
     resid = frobenius_norm(m - m.conj().T)
-    if resid > tol.tol_eq * max(1.0, frobenius_norm(m)):
+    if resid > tol.tol_eq * max(1.0, size):
         raise NotHermitian(f"Hermitian residual {resid:.3e} beyond tolerance")
     return (m + m.conj().T) / 2.0
 
@@ -138,7 +142,8 @@ def hermitian_eigen(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> HermitianEi
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Raises NotHermitian when the input is not Hermitian within ``tol_eq``
-    relative to its Frobenius norm.
+    relative to its Frobenius norm, and ValueError when that norm overflows
+    a double.
     """
     m = _require_hermitian(as_operator(a), tol)
     w, v = np.linalg.eigh(m)

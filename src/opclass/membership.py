@@ -11,7 +11,10 @@ relatives) are decided by two independent routes:
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
-  stacked product for the norms and one with the stacked adjoint.
+  stacked product for the norms and one with the stacked adjoint. Each
+  start takes Riemannian Barzilai-Borwein steps with monotone acceptance,
+  and the descent stops in decision units: once its least value stalls
+  within a millionth of the decision band tol_decision * scale.
 
 For the quadratic pencil A - 2*z*B + z^2*C with A, B, C PSD, positivity for
 every z > 0 is equivalent to the per-vector inequality
@@ -400,6 +403,18 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # The oracles' budgets: pencil grid size and refined minima, sphere steps.
 _N_GRID, _MAX_REFINE, _MAX_ITER = 257, 8, 300
+# The sphere's step rule: the growth of a step whose Barzilai-Borwein
+# curvature <s,y> is not positive, and the range every accepted step is
+# clamped to.
+_GROW, _ALPHA_MIN, _ALPHA_MAX = 1.25, 1e-16, 1e16
+# The sphere's stop rule, in decision units: a problem stops once its least
+# value fell by at most _STALL * tol_decision * scale over the last _WINDOW
+# steps, or once every column's next step is shorter than _MIN_STEP. A step
+# that overshoots a narrow valley can be rejected 5 or 6 times in a row, so
+# a shorter window would stop such a descent short of its minimum. The
+# stall is judged per problem on its least value over all columns: once that
+# stalls, columns still descending towards a deeper basin stop with it.
+_STALL, _WINDOW, _MIN_STEP = 1e-6, 8, 1e-9
 
 
 def _golden_section(a: float, b: float, width: float):
@@ -569,6 +584,12 @@ def sphere_check(
     Restarts are reduced by minimum, so the result does not depend on
     evaluation order.
 
+    Each column takes Barzilai-Borwein steps and moves only when its value
+    falls. The descent stops in decision units: once its least value fell
+    by at most 1e-6 * tol_decision * ``scale`` over the last 8 steps, once
+    every column's next step is shorter than 1e-9, or after ``max_iter``
+    steps.
+
     ``value_and_gradient``, when given, maps a (dim, n) batch of unit columns
     to the values of ``defect``, shape (n,), and its Euclidean gradient,
     shape (dim, n), in the d/dRe + i d/dIm convention. Each step calls it
@@ -580,7 +601,7 @@ def sphere_check(
     if value_and_gradient is None:
         value_and_gradient = _central_gradient(_batched(defect, dim), dim)
 
-    [(val, vec)] = _descend(value_and_gradient, x, max_iter)
+    [(val, vec)] = _descend(value_and_gradient, x, tol.tol_decision * scale, max_iter)
     return _sphere_verdict(val, vec, scale, tol, seed)
 
 
@@ -616,22 +637,45 @@ def _starts(dim: int, restarts: int, seed: int, warm_starts) -> np.ndarray:
     return np.concatenate(starts, axis=1)
 
 
-def _descend(value_and_gradient, x: np.ndarray, max_iter: int, take=None) -> list:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner products Re(a^H b) of the columns of a and b."""
+    return np.add.reduce((a.conj() * b).real, axis=-2)
+
+
+def _tangent(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Projection of Euclidean gradients onto the sphere's tangent space at
+    the unit columns of x: g - Re(x^H g) x."""
+    return grad - _dot(x, grad)[..., None, :] * x
+
+
+def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take=None) -> list:
     """Projected gradient descent from every column of one problem, x of
     shape (dim, n), or of a stack of problems, x of shape (problems, dim, n).
 
     ``value_and_gradient`` maps x to values, shape x.shape[:-2] + (n,), and
-    Euclidean gradients of x's shape. Every column keeps its own step: x1.25
-    up to 1 when a trial lowers its value, x0.5 when not. A problem stops
-    once all its steps are below 1e-9 and leaves the stack; a stack needs
-    ``take``, which maps the indices of the problems left to their own
-    ``value_and_gradient``. Returns each problem's least value and its
-    column: on a tie the one reached at the earliest step, then the lowest
-    column, so the result does not depend on which problems share the stack.
+    Euclidean gradients of x's shape. Every column keeps its own step and
+    moves only when its trial lowers its value. After such a step it takes
+    the Barzilai-Borwein step <s,s>/<s,y> (real inner products, s the move,
+    y the change of the tangent gradient), or grows by _GROW when
+    <s,y> <= 0, clamped to [_ALPHA_MIN, _ALPHA_MAX]; after a rejected trial
+    it halves. ``band`` holds each problem's decision threshold
+    tol_decision * scale. A problem stops once its least
+    value fell by at most _STALL * band over the last _WINDOW steps, or once
+    every column's next step, alpha * |tangent gradient|, is below
+    _MIN_STEP; it then leaves the stack. A stack needs ``take``, which maps
+    the indices of the problems left to their own ``value_and_gradient``.
+    Returns each problem's least value and its column: on a tie the one
+    reached at the earliest step, then the lowest column, so the result does
+    not depend on which problems share the stack.
     """
     fx, grad = value_and_gradient(x)
+    tangent = _tangent(x, grad)
     alpha = np.full(fx.shape, 0.25)
     stamp = np.zeros(fx.shape, dtype=np.intp)  # step of each column's last improvement
+    floor = _STALL * np.asarray(band, dtype=float)
+    # Each problem's least value _WINDOW steps ago; slot step % _WINDOW.
+    history = np.full(fx.shape[:-1] + (_WINDOW,), np.inf)
+    history[..., 0] = np.fmin.reduce(fx, axis=-1)
     rows = np.arange(len(x) if x.ndim == 3 else 1)
     best: list = [None] * rows.size
 
@@ -646,28 +690,40 @@ def _descend(value_and_gradient, x: np.ndarray, max_iter: int, take=None) -> lis
             best[rows[r]] = (float(f[c]), x.reshape((-1,) + x.shape[-2:])[r, :, c].copy())
 
     for step in range(1, max_iter + 1):
-        radial = np.add.reduce(x.conj() * grad, axis=-2, keepdims=True).real
-        trial = x - alpha[..., None, :] * (grad - radial * x)
+        trial = x - alpha[..., None, :] * tangent
         # x is a unit vector and the step is tangent to the sphere, so no norm is 0.
-        trial /= np.sqrt(np.add.reduce((trial.conj() * trial).real, axis=-2, keepdims=True))
+        trial /= np.sqrt(_dot(trial, trial))[..., None, :]
         ft, gt = value_and_gradient(trial)
+        tangent_t = _tangent(trial, gt)
 
-        # A rejected column keeps its point, value and gradient.
+        # A rejected column keeps its point, value and tangent gradient.
         improved = ft < fx
         if improved.any():
+            s, y = trial - x, tangent_t - tangent
+            sy = _dot(s, y)
+            bb = np.divide(_dot(s, s), sy, out=alpha * _GROW, where=sy > 0)
+            alpha = np.where(improved, np.clip(bb, _ALPHA_MIN, _ALPHA_MAX), alpha * 0.5)
             cols = improved[..., None, :]
-            x, grad = np.where(cols, trial, x), np.where(cols, gt, grad)
+            x, tangent = np.where(cols, trial, x), np.where(cols, tangent_t, tangent)
             fx, stamp = np.where(improved, ft, fx), np.where(improved, step, stamp)
-        # Steps never exceed 1, so the cap only binds on the x1.25.
-        alpha = np.minimum(alpha * np.where(improved, 1.25, 0.5), 1.0)
-        done = alpha.max(-1) < 1e-9  # per problem; one bool for a single problem
+        else:
+            alpha = alpha * 0.5
+
+        least, slot = np.fmin.reduce(fx, axis=-1), step % _WINDOW
+        stalled = history[..., slot] - least <= floor
+        history[..., slot] = least
+        # A NaN column cannot move, so it counts as stopped.
+        moving = alpha * np.sqrt(_dot(tangent, tangent)) >= _MIN_STEP
+        done = stalled | ~moving.any(-1)  # per problem; one bool for a single problem
         if done.any() if done.ndim else done:
             done = np.atleast_1d(done)
             finish(done)
             keep = np.flatnonzero(~done)
             if not keep.size:
                 return best
-            x, fx, grad, alpha, stamp = (a.take(keep, 0) for a in (x, fx, grad, alpha, stamp))
+            x, fx, tangent, alpha, stamp, history, floor = (
+                a.take(keep, 0) for a in (x, fx, tangent, alpha, stamp, history, floor)
+            )
             rows = rows[keep]
             value_and_gradient = take(rows)
     finish(np.ones(rows.size, dtype=bool))
@@ -973,7 +1029,8 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     x = _starts(m.shape[0], restarts, seed, _warm_starts(m))
     if len(problems) > 1:
         x = np.repeat(x[None], len(problems), axis=0)
-    spheres = _descend(defect.value_and_gradient, x, _MAX_ITER,
+    bands = tol.tol_decision * np.array(scales)
+    spheres = _descend(defect.value_and_gradient, x, bands, _MAX_ITER,
                        lambda rows: defect.take(rows).value_and_gradient)
     minima = _pencil_minima(pencils, _N_GRID, _MAX_REFINE)
     verdicts = []

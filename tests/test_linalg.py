@@ -77,6 +77,14 @@ def test_hermitian_eigen_rejects_nonhermitian(j2):
         hermitian_eigen(j2)
 
 
+def test_hermitian_eigen_rejects_overflowing_norm(j2):
+    # ||1e160 J2||_F overflows a double. Against tol * inf the Hermitian
+    # residual used to pass, and the non-Hermitian matrix got eigenvalues
+    # +-5e159.
+    with pytest.raises(ValueError, match="overflows"):
+        hermitian_eigen(1e160 * j2)
+
+
 def test_psd_defect_examples():
     assert psd_defect(np.diag([0.0, 2.0])) == pytest.approx(0.0, abs=1e-14)
     assert psd_defect(np.diag([1.0, -1.0])) == pytest.approx(-1.0)
