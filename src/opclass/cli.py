@@ -39,12 +39,12 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("OPCLASS_SEED", "0")
+def _seed(args) -> int:
+    raw = os.environ.get("OPCLASS_SEED", "0") if args.seed is None else args.seed
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"OPCLASS_SEED must be an integer, got {raw!r}") from None
 
 
 def _tolerances(args) -> TolerancePolicy:
@@ -68,7 +68,7 @@ def _error_doc(exc: Exception) -> dict:
 
 def cmd_classify(args) -> int:
     tol = _tolerances(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     matrix = load_matrix(args.file, args.format)
     verdicts = classify_all(
         matrix, k_list=tuple(args.k), p_list=tuple(args.p), tol=tol, seed=seed
@@ -94,7 +94,7 @@ def cmd_classify(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     matrix = load_matrix(args.file, args.format)
     if args.mode == "normal-pure":
         decomp = normal_pure_split(matrix, tol)
@@ -117,7 +117,7 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _build_spec(args) -> gen.GenSpec:
+def _build_spec(args, seed: int) -> gen.GenSpec:
     kind = args.kind
     params: dict = {}
     if kind in ("unitary", "normal", "ginibre"):
@@ -141,7 +141,7 @@ def _build_spec(args) -> gen.GenSpec:
         params["dim_a"] = args.dim_a
         params["dim_bc"] = args.dim_bc
         params["b_zero"] = bool(args.b_zero)
-    return gen.GenSpec(kind=kind, seed=args.seed, params=params)
+    return gen.GenSpec(kind=kind, seed=seed, params=params)
 
 
 def _certify(kind: str, matrix, params: dict, seed: int, tol: TolerancePolicy) -> dict:
@@ -183,7 +183,7 @@ def _certify(kind: str, matrix, params: dict, seed: int, tol: TolerancePolicy) -
 
 def cmd_generate(args) -> int:
     tol = _tolerances(args)
-    spec = _build_spec(args)
+    spec = _build_spec(args, _seed(args))
     matrix = gen.build(spec)
     fmt = detect_format(args.output, args.format)
     save_matrix(args.output, matrix, fmt)
@@ -201,7 +201,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     suites = hs.THEOREM_IDS if args.theorem_id == "all" else (args.theorem_id,)
     cfg = hs.SuiteConfig(
         suites=tuple(suites),
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--dim-bc", dest="dim_bc", type=int, required=True)
             sp.add_argument("--b-zero", dest="b_zero", action="store_true")
         sp.add_argument("-o", "--output", required=True)
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--format", choices=["json", "matrix-market"], default=None)
         sp.set_defaults(func=cmd_generate, kind=kind)

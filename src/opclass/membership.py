@@ -14,7 +14,9 @@ relatives) are decided by two independent routes:
   stacked product for the norms and one with the stacked adjoint. Each
   start takes Riemannian Barzilai-Borwein steps with monotone acceptance,
   and the descent stops in decision units: once its least value stalls
-  within a millionth of the decision band tol_decision * scale.
+  within a millionth of the decision band tol_decision * scale. Every
+  descent runs on a stack of problems, columns (problems, dim, n), and
+  every defect is evaluated on a batch of columns at once.
 
 For the quadratic pencil A - 2*z*B + z^2*C with A, B, C PSD, positivity for
 every z > 0 is equivalent to the per-vector inequality
@@ -315,6 +317,8 @@ class PencilSpec:
             raise InvalidPencil("pencil needs at least one term")
         if not (0 < self.lambda_lo < self.lambda_max) or not np.isfinite(self.lambda_max):
             raise InvalidPencil("pencil domain must satisfy 0 < lambda_lo < lambda_max")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise InvalidPencil(f"pencil scale must be finite and positive, got {self.scale!r}")
         dims = {m.shape for _, m in self.terms}
         if len(dims) != 1:
             raise InvalidPencil(f"pencil terms have mixed shapes {dims}")
@@ -496,8 +500,7 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
     while any(asks):
         live = [p for p, own in enumerate(asks) if own]
         lams = [np.array([lam for ask in asks[p].values() for lam in ask]) for p in live]
-        stack = [pencils[p].evaluate(lams_p) for p, lams_p in zip(live, lams)]
-        stack = np.concatenate(stack) if len(stack) > 1 else stack[0]
+        stack = np.concatenate([pencils[p].evaluate(lams_p) for p, lams_p in zip(live, lams)])
         vals = iter(np.linalg.eigvalsh(stack)[:, 0].tolist())
         for p in live:
             for i, ask in list(asks[p].items()):
@@ -526,24 +529,6 @@ def _pencil_verdict(pencil: PencilSpec, lam: float, val: float, tol: TolerancePo
 # ---------------------------------------------------------------------------
 # Sphere oracle
 # ---------------------------------------------------------------------------
-
-
-def _batched(defect, dim: int):
-    """Adapt a unit-vector defect map to column-batched evaluation."""
-    probe = np.zeros((dim, 2), dtype=np.complex128)
-    probe[0, 0] = 1.0
-    probe[min(1, dim - 1), 1] = 1.0
-    try:
-        out = np.asarray(defect(probe), dtype=float)
-        if out.shape == (2,):
-            return lambda x: np.asarray(defect(x), dtype=float)
-    except Exception:
-        pass
-
-    def loop(x: np.ndarray) -> np.ndarray:
-        return np.array([float(defect(x[:, j])) for j in range(x.shape[1])])
-
-    return loop
 
 
 def _central_gradient(f, dim: int):
@@ -578,6 +563,10 @@ def sphere_check(
 ) -> MembershipVerdict:
     """Minimize a continuous defect over the unit sphere of C^dim.
 
+    ``defect`` maps a (dim, n) batch of unit columns to an array of their
+    values, shape (n,); a ValueError names this contract if it returns
+    anything else on the start columns. ``scale`` must be finite and positive.
+
     Projected gradient descent runs from ``restarts`` seeded random starts
     (stream ``seed + index``) plus every standard basis vector and any
     supplied warm starts (finite nonzero columns of a (dim, n) array).
@@ -596,12 +585,23 @@ def sphere_check(
     once, at the trial point, and projects the gradient onto the tangent
     space of the sphere, g - Re(x^H g) x. Without it, the gradient is
     estimated by central differences, 4 * dim defect evaluations per column.
+    The descent runs as a stack of one problem, columns (1, dim, n).
     """
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     x = _starts(dim, restarts, seed, warm_starts)
+    shape = getattr(defect(x), "shape", None)
+    if shape != (x.shape[1],):
+        raise ValueError(f"defect must map a (dim, n) batch to an array of shape (n,), got {shape}")
     if value_and_gradient is None:
-        value_and_gradient = _central_gradient(_batched(defect, dim), dim)
+        value_and_gradient = _central_gradient(defect, dim)
 
-    [(val, vec)] = _descend(value_and_gradient, x, tol.tol_decision * scale, max_iter)
+    def one_problem(stack: np.ndarray):
+        vals, grad = value_and_gradient(stack[0])
+        return vals[None], grad[None]
+
+    [(val, vec)] = _descend(one_problem, x[None], [tol.tol_decision * scale], max_iter,
+                            lambda rows: one_problem)
     return _sphere_verdict(val, vec, scale, tol, seed)
 
 
@@ -648,11 +648,11 @@ def _tangent(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - _dot(x, grad)[..., None, :] * x
 
 
-def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take=None) -> list:
-    """Projected gradient descent from every column of one problem, x of
-    shape (dim, n), or of a stack of problems, x of shape (problems, dim, n).
+def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take) -> list:
+    """Projected gradient descent from every column of a stack of problems,
+    x of shape (problems, dim, n).
 
-    ``value_and_gradient`` maps x to values, shape x.shape[:-2] + (n,), and
+    ``value_and_gradient`` maps x to values, shape (problems, n), and
     Euclidean gradients of x's shape. Every column keeps its own step and
     moves only when its trial lowers its value. After such a step it takes
     the Barzilai-Borwein step <s,s>/<s,y> (real inner products, s the move,
@@ -662,8 +662,8 @@ def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take=None) 
     tol_decision * scale. A problem stops once its least
     value fell by at most _STALL * band over the last _WINDOW steps, or once
     every column's next step, alpha * |tangent gradient|, is below
-    _MIN_STEP; it then leaves the stack. A stack needs ``take``, which maps
-    the indices of the problems left to their own ``value_and_gradient``.
+    _MIN_STEP; it then leaves the stack, and ``take`` maps the indices of
+    the problems left to their own ``value_and_gradient``.
     Returns each problem's least value and its column: on a tie the one
     reached at the earliest step, then the lowest column, so the result does
     not depend on which problems share the stack.
@@ -674,20 +674,19 @@ def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take=None) 
     stamp = np.zeros(fx.shape, dtype=np.intp)  # step of each column's last improvement
     floor = _STALL * np.asarray(band, dtype=float)
     # Each problem's least value _WINDOW steps ago; slot step % _WINDOW.
-    history = np.full(fx.shape[:-1] + (_WINDOW,), np.inf)
-    history[..., 0] = np.fmin.reduce(fx, axis=-1)
-    rows = np.arange(len(x) if x.ndim == 3 else 1)
+    history = np.full((len(x), _WINDOW), np.inf)
+    history[:, 0] = np.fmin.reduce(fx, axis=-1)
+    rows = np.arange(len(x))
     best: list = [None] * rows.size
 
     def finish(done):
-        n = fx.shape[-1]
         for r in np.flatnonzero(done):
-            f, s = fx.reshape(-1, n)[r], stamp.reshape(-1, n)[r]
+            f, s = fx[r], stamp[r]
             c = int(f.argmin())
             if not np.isnan(f[c]):  # a NaN start is never improved on
                 ties = np.flatnonzero(f == f[c])
                 c = int(ties[s[ties].argmin()])
-            best[rows[r]] = (float(f[c]), x.reshape((-1,) + x.shape[-2:])[r, :, c].copy())
+            best[rows[r]] = (float(f[c]), x[r, :, c].copy())
 
     for step in range(1, max_iter + 1):
         trial = x - alpha[..., None, :] * tangent
@@ -710,13 +709,12 @@ def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take=None) 
             alpha = alpha * 0.5
 
         least, slot = np.fmin.reduce(fx, axis=-1), step % _WINDOW
-        stalled = history[..., slot] - least <= floor
-        history[..., slot] = least
+        stalled = history[:, slot] - least <= floor
+        history[:, slot] = least
         # A NaN column cannot move, so it counts as stopped.
         moving = alpha * np.sqrt(_dot(tangent, tangent)) >= _MIN_STEP
-        done = stalled | ~moving.any(-1)  # per problem; one bool for a single problem
-        if done.any() if done.ndim else done:
-            done = np.atleast_1d(done)
+        done = stalled | ~moving.any(-1)  # per problem
+        if done.any():
             finish(done)
             keep = np.flatnonzero(~done)
             if not keep.size:
@@ -862,11 +860,9 @@ class _NormProductDefect:
         # stack (problems, terms * rows, dim), exps (problems, terms, 1), positive side first.
         self._bounds = (0, n_pos)  # each side's terms, for multiply.reduceat
         self._side = (np.arange(exps.shape[1]) >= n_pos).astype(np.intp)  # each term's side
-        signed = np.where(self._side[:, None] == 0, exps, -exps)
-        # By the rank of the columns: (problems, dim, n), or (dim, n) for one problem.
-        self._arrays = {3: (stack, exps, signed, stack.conj().transpose(0, 2, 1))}
-        if len(stack) == 1:
-            self._arrays[2] = tuple(arr[0] for arr in self._arrays[3])
+        self._stack, self._exps = stack, exps
+        self._signed = np.where(self._side[:, None] == 0, exps, -exps)
+        self._adjoint = stack.conj().transpose(0, 2, 1)
 
     @classmethod
     def of(cls, *problems) -> "_NormProductDefect":
@@ -882,36 +878,36 @@ class _NormProductDefect:
 
     def take(self, rows) -> "_NormProductDefect":
         """The defect of the problems at ``rows`` alone, padded as before."""
-        stack, exps = (arr.take(rows, 0) for arr in self._arrays[3][:2])
-        return _NormProductDefect(stack, exps, self._bounds[1])
+        return _NormProductDefect(self._stack.take(rows, 0), self._exps.take(rows, 0),
+                                  self._bounds[1])
 
-    def _eval(self, cols: np.ndarray, stack: np.ndarray, exps: np.ndarray):
-        y = (stack @ cols).reshape(exps.shape[:-1] + (-1, cols.shape[-1]))
+    def _eval(self, x: np.ndarray):
+        y = (self._stack @ x).reshape(self._exps.shape[:-1] + (-1, x.shape[-1]))
         sq = np.add.reduce((y.conj() * y).real, axis=-2)
-        powers = np.sqrt(sq) ** exps
-        # The positive and the negative side's products, shape (..., 2, n).
+        powers = np.sqrt(sq) ** self._exps
+        # The positive and the negative side's products, shape (problems, 2, n).
         return y, sq, np.multiply.reduceat(powers, self._bounds, axis=-2)
 
     def __call__(self, x):
-        """Values of a one-problem defect at a unit vector or at the columns of x."""
+        """Values of a one-problem defect at a unit vector, or at the columns
+        of a (dim, n) batch, shape (n,)."""
         cols = np.asarray(x, dtype=np.complex128)
         single = cols.ndim == 1
-        cols = cols[:, None] if single else cols
-        _, _, sides = self._eval(cols, *self._arrays[cols.ndim][:2])
-        vals = sides[0] - sides[1]
-        return float(vals[0]) if single else vals
+        [(pos, neg)] = self._eval(cols[:, None] if single else cols)[2]
+        return float(pos[0] - neg[0]) if single else pos - neg
 
     def value_and_gradient(self, x: np.ndarray):
-        """Values, shape (..., n), and Euclidean gradients (d/dRe + i d/dIm),
-        shape (..., dim, n), of every column of x, from one stacked product;
-        x is (problems, dim, n), or (dim, n) for a one-problem defect."""
-        stack, exps, signed_exps, adjoint = self._arrays[x.ndim]
-        y, sq, sides = self._eval(x, stack, exps)
+        """Values and Euclidean gradients (d/dRe + i d/dIm) of every column
+        of x, (problems, dim, n), from one stacked product: values of shape
+        (problems, n), gradients of x's shape. A one-problem defect also
+        takes a (dim, n) batch, for values (n,) and gradients (dim, n)."""
+        y, sq, sides = self._eval(x)
         # Term i contributes +-a_i * (its side's product) / ||M_i x||^2 * M_i* M_i x.
-        side = sides[..., self._side, :]
-        coef = np.divide(signed_exps * side, sq, out=np.zeros(sq.shape), where=sq > 0)
-        grad = adjoint @ (coef[..., None, :] * y).reshape(y.shape[:-3] + (-1, y.shape[-1]))
-        return sides[..., 0, :] - sides[..., 1, :], grad
+        side = sides[:, self._side, :]
+        coef = np.divide(self._signed * side, sq, out=np.zeros(sq.shape), where=sq > 0)
+        grad = self._adjoint @ (coef[..., None, :] * y).reshape(len(y), -1, y.shape[-1])
+        vals = sides[:, 0, :] - sides[:, 1, :]
+        return vals.reshape(x.shape[:-2] + x.shape[-1:]), grad.reshape(x.shape)
 
 
 def _quasi_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
@@ -1026,9 +1022,7 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     scales = [_scale(norm_t, _DUAL[name][3](k)) for name, k in problems]
     defect = _NormProductDefect.of(*(_DUAL[name][1](m, k, tol) for name, k in problems))
     pencils = [globals()[_DUAL[name][2]](m, k) for name, k in problems]
-    x = _starts(m.shape[0], restarts, seed, _warm_starts(m))
-    if len(problems) > 1:
-        x = np.repeat(x[None], len(problems), axis=0)
+    x = np.repeat(_starts(m.shape[0], restarts, seed, _warm_starts(m))[None], len(problems), 0)
     bands = tol.tol_decision * np.array(scales)
     spheres = _descend(defect.value_and_gradient, x, bands, _MAX_ITER,
                        lambda rows: defect.take(rows).value_and_gradient)

@@ -261,6 +261,18 @@ def test_seed_env_default(capsys, j2_file, monkeypatch):
     assert doc["seed"] == 99
 
 
+@pytest.mark.parametrize("argv", [["verify", "stampfli", "--trials", "1"],
+                                  ["generate", "ginibre", "--dim", "3", "-o", "g.json"]])
+def test_malformed_seed_env_is_error_document(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OPCLASS_SEED", "abc")
+    code, doc = _run(capsys, argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "OPCLASS_SEED" in doc["error"]["message"]
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_matrix_file_schema(identity_file):
     doc = json.loads(Path(identity_file).read_text())
     _validator("matrix.schema.json").validate(doc)

@@ -328,14 +328,56 @@ def test_sphere_check_j2_paranormal_defect(j2):
     assert abs(v.witness.vector[1]) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_sphere_check_scalar_defect_fallback():
-    # Non-batched callables are evaluated column by column.
-    def defect(x):
-        assert x.ndim == 1
+def _j2_paranormal_defect(x):
+    # ||T^2 x|| ||x|| - ||T x||^2 for T = J2, on a (2, n) batch of columns.
+    j2 = np.array([[0, 1], [0, 0]], dtype=complex)
+    return np.linalg.norm(j2 @ j2 @ x, axis=0) * np.linalg.norm(x, axis=0) - np.linalg.norm(
+        j2 @ x, axis=0
+    ) ** 2
+
+
+def test_sphere_check_requires_batched_defect():
+    # A defect must map a (dim, n) batch to an array of shape (n,). One that
+    # returns a scalar, a list or another shape is rejected before the
+    # descent; it is no longer evaluated column by column.
+    for defect in (
+        lambda x: 0.0,
+        lambda x: [0.0] * x.shape[1],
+        lambda x: np.zeros((1, x.shape[1])),
+        lambda x: np.zeros(3),
+    ):
+        with pytest.raises(ValueError, match=r"to an array of shape \(n,\), got"):
+            sphere_check(defect, 3, 4, seed=3)
+
+
+def test_sphere_check_propagates_defect_errors():
+    # An exception raised inside a batched defect reaches the caller; a
+    # per-column fallback used to swallow it and answer NonMember -0.5.
+    def per_vector(x):
+        if x.ndim == 2:
+            raise RuntimeError("defect failed")
         return float(np.real(x[0] * np.conj(x[0]))) - 0.5
 
-    v = sphere_check(defect, 3, 4, seed=3)
-    assert v.defect == pytest.approx(-0.5, abs=1e-6)
+    with pytest.raises(RuntimeError, match="defect failed"):
+        sphere_check(per_vector, 3, 4, seed=3)
+
+    def value_and_gradient(x):
+        raise RuntimeError("gradient failed")
+
+    with pytest.raises(RuntimeError, match="gradient failed"):
+        sphere_check(_j2_paranormal_defect, 2, 4, value_and_gradient=value_and_gradient)
+
+
+@pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_scale_must_be_finite_and_positive(scale):
+    # An infinite scale made the sphere and the pencil report Member at
+    # defects -1 and -3, a NaN one Inconclusive, a nonpositive one NonMember.
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        sphere_check(_j2_paranormal_defect, 2, 4, scale=scale)
+    pencil = quasi_paranormal_pencil(np.eye(2, k=1, dtype=complex), 0)
+    with pytest.raises(InvalidPencil, match="scale must be finite and positive"):
+        PencilSpec(terms=pencil.terms, lambda_lo=pencil.lambda_lo,
+                   lambda_max=pencil.lambda_max, scale=scale)
 
 
 def test_sphere_check_deterministic():
