@@ -26,6 +26,7 @@ from .errors import (
     OracleDisagreement,
     ParseError,
     UnknownTheorem,
+    UsageError,
     ZeroOperator,
 )
 from .linalg import (

@@ -6,25 +6,26 @@ Commands:
     generate  <kind> [kind flags] --seed S -o <file> [--format F]
     verify    <theorem_id|all> [--trials N] [--max-dim D] [--seed S] -o <file>
 
-Exit codes: 0 success, 1 error, 2 inconclusive verdicts only. The
-environment variable OPCLASS_SEED supplies the default seed. Output files
-are written atomically (temporary file plus rename).
+Exit codes: 0 success, 1 error, 2 inconclusive verdicts only. Every error,
+a command line that does not parse included, is a JSON error document with
+exit code 1. The environment variable OPCLASS_SEED supplies the default
+seed. Every document is one line of JSON; output files are written
+atomically (temporary file plus rename).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from . import generators as gen
 from . import harness as hs
 from .decomposition import nilpotent2_canonical, normal_pure_split, root_decompose
-from .errors import OpclassError
+from .errors import OpclassError, UsageError
 from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
-from .matio import atomic_write_text, detect_format, load_matrix, save_matrix
+from .matio import atomic_write_text, detect_format, json_text, load_matrix, save_matrix
 from .membership import (
     Status,
     chain_violations,
@@ -55,7 +56,7 @@ def _tolerances(args) -> TolerancePolicy:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json_text(doc)
     if out:
         atomic_write_text(out, text)
     else:
@@ -193,7 +194,7 @@ def cmd_generate(args) -> int:
         "tolerances": tol.to_json_dict(),
         "certification": _certify(spec.kind, matrix, spec.params, spec.seed, tol),
     }
-    atomic_write_text(f"{args.output}.sidecar.json", json.dumps(sidecar, indent=2) + "\n")
+    _emit(sidecar, f"{args.output}.sidecar.json")
     _emit({"command": "generate", "output": str(args.output),
            "sidecar": f"{args.output}.sidecar.json"}, None)
     return EXIT_OK
@@ -213,7 +214,7 @@ def cmd_verify(args) -> int:
     reports = hs.run_suite(cfg)
     doc = hs.suite_report_json_dict(cfg, reports)
     if args.output:
-        atomic_write_text(args.output, json.dumps(doc, indent=2) + "\n")
+        _emit(doc, args.output)
     summary = {
         "command": "verify",
         "output": str(args.output) if args.output else None,
@@ -235,8 +236,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="seed (default: OPCLASS_SEED or 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ``UsageError`` instead of
+    printing usage and exiting 2, which is EXIT_INCONCLUSIVE here. Its
+    subparsers are of this class too; ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opclass",
         description="Operator-class membership, decompositions, generators, "
                     "and theorem property suites for complex matrices.",
@@ -301,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OpclassError, OSError, ValueError) as exc:
-        # Bad input (an unreadable file, an out-of-range parameter) ends in
-        # the JSON error document, never in a traceback.
+        # Bad input (a command line that does not parse, an unreadable file,
+        # an out-of-range parameter) ends in the JSON error document, never
+        # in usage text or a traceback.
         _emit(_error_doc(exc), None)
         return EXIT_ERROR
 

@@ -79,3 +79,8 @@ class ParseError(OpclassError):
 
 class InvalidSpec(OpclassError):
     """A generator specification is malformed."""
+
+
+class UsageError(OpclassError):
+    """A command line does not parse: an unknown command or option, a
+    missing argument, or a value of the wrong type."""

@@ -8,7 +8,8 @@ Two formats are supported:
   ``matrix array complex general`` (read via scipy.io, written at full
   double precision).
 
-Both parsers reject non-square data.
+Both parsers reject non-square data. Every JSON document the package
+writes, matrix files included, is one line of text from ``json_text``.
 """
 
 from __future__ import annotations
@@ -32,39 +33,42 @@ __all__ = [
     "save_matrix",
     "detect_format",
     "atomic_write_text",
+    "json_text",
 ]
 
 _MM_SUFFIXES = {".mtx", ".mm", ".mtx.gz"}
 
 
+def json_text(doc) -> str:
+    """A JSON document as one line of text plus a newline. Without
+    ``indent`` CPython encodes on its C encoder; floats keep their repr."""
+    return json.dumps(doc) + "\n"
+
+
 def matrix_to_json_dict(a) -> dict:
     m = np.asarray(a, dtype=np.complex128)
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
+    entries = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
     return {"dim": int(m.shape[0]), "entries": entries}
 
 
 def matrix_from_json_dict(doc: dict) -> np.ndarray:
     try:
         dim = int(doc["dim"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = np.array(doc["entries"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix JSON: {exc}") from exc
     if dim < 1:
         raise ParseError("matrix dimension must be at least 1")
-    if len(entries) != dim * dim:
+    if pairs.shape != (dim * dim, 2):
         raise ParseError(
-            f"expected {dim * dim} entries for a {dim}x{dim} matrix, got {len(entries)}"
+            f"expected {dim * dim} [re, im] pairs for a {dim}x{dim} matrix, "
+            f"got entries of shape {pairs.shape}"
         )
-    try:
-        flat = np.array(
-            [complex(float(re), float(im)) for re, im in entries], dtype=np.complex128
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"entries must be [re, im] pairs: {exc}") from exc
-    m = flat.reshape(dim, dim)
-    if not np.isfinite(m).all():
+    # A null inside a pair reads as NaN, so the finite check rejects it too.
+    if not np.isfinite(pairs).all():
         raise ParseError("matrix entries must be finite")
-    return m
+    # Viewing the pairs keeps a -0.0 imaginary part, which re + 1j * im loses.
+    return pairs.view(np.complex128).reshape(dim, dim)
 
 
 def detect_format(path: str | Path, fmt: str | None = None) -> str:
@@ -120,7 +124,7 @@ def save_matrix(path: str | Path, a, fmt: str | None = None) -> None:
         raise ParseError(f"refusing to write non-square matrix of shape {m.shape}")
     resolved = detect_format(path, fmt)
     if resolved == "json":
-        text = json.dumps(matrix_to_json_dict(m), indent=2) + "\n"
+        text = json_text(matrix_to_json_dict(m))
     else:
         text = _mm_text(m)
     atomic_write_text(path, text)

@@ -328,6 +328,9 @@ class PencilSpec:
             mm = np.asarray(m)
             if mm.ndim != 2 or mm.shape[0] != mm.shape[1]:
                 raise InvalidPencil("pencil coefficients must be square")
+            # The Hermitian check below is False for a NaN residual.
+            if not np.isfinite(mm).all():
+                raise InvalidPencil(f"pencil coefficient with exponent {expo} is not finite")
             resid = frobenius_norm(mm - mm.conj().T)
             if resid > DEFAULT_TOLERANCES.tol_eq * max(1.0, frobenius_norm(mm)):
                 raise InvalidPencil(

@@ -284,3 +284,53 @@ def test_verdict_schema(capsys, j2_file):
     for row in doc["verdicts"]:
         verdict = {k: v for k, v in row.items() if k not in ("class", "params")}
         validator.validate(verdict)
+
+
+@pytest.mark.parametrize("argv", [["classify", "{file}", "--k", "one"],
+                                  ["verify", "all", "--trials", "ten"],
+                                  ["frobnicate"],
+                                  []])
+def test_usage_errors_are_error_documents(capsys, identity_file, argv):
+    # argparse printed usage and exited 2, which is EXIT_INCONCLUSIVE.
+    code, doc = _run(capsys, [a.format(file=identity_file) for a in argv])
+    assert code == cli.EXIT_ERROR
+    assert doc["error"]["type"] == "UsageError"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["classify", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: opclass classify")
+
+
+def _one_line(text: str) -> dict:
+    assert text.endswith("\n") and text.count("\n") == 1
+    return json.loads(text)
+
+
+def test_every_document_is_one_line_and_valid(capsys, tmp_path, j2):
+    matrix, nil2 = tmp_path / "m.json", tmp_path / "j2.json"
+    save_matrix(matrix, scipy.linalg.block_diag([[1.0]], j2).astype(complex))
+    save_matrix(nil2, j2)
+    _validator("matrix.schema.json").validate(_one_line(matrix.read_text()))
+
+    def run(argv) -> dict:
+        cli.main(argv)
+        return _one_line(capsys.readouterr().out)
+
+    _validator("classify.schema.json").validate(run(["classify", str(matrix)]))
+    for argv in (["normal-pure", str(matrix)], ["nilpotent2", str(nil2)],
+                 ["root", str(matrix), "--n", "2", "--k", "1"]):
+        _validator("decomposition.schema.json").validate(run(["decompose", *argv]))
+    out = tmp_path / "g.json"
+    run(["generate", "counterexample", "--dim-m", "2", "--dim-n", "2", "--seed", "7",
+         "-o", str(out)])
+    _validator("matrix.schema.json").validate(_one_line(out.read_text()))
+    sidecar = _one_line((tmp_path / "g.json.sidecar.json").read_text())
+    _validator("sidecar.schema.json").validate(sidecar)
+    report = tmp_path / "rep.json"
+    summary = run(["verify", "stampfli", "--trials", "2", "--seed", "1", "-o", str(report)])
+    assert summary["command"] == "verify"
+    _validator("suite_report.schema.json").validate(_one_line(report.read_text()))
+    assert "error" in run(["classify", str(tmp_path / "missing.json")])

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,57 @@ def test_json_round_trip_is_exact(tmp_path):
 def test_json_dict_round_trip():
     a = ginibre(3, np.random.default_rng(1))
     np.testing.assert_array_equal(matrix_from_json_dict(matrix_to_json_dict(a)), a)
+
+
+def _extremes() -> np.ndarray:
+    """Signed zeros in both parts, subnormals and magnitudes 1e+-300."""
+    tiny = np.nextafter(0.0, 1.0)
+    return np.array([
+        [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)],
+        [complex(tiny, -tiny), complex(2.5e-310, -1e-320), complex(1e300, -1e-300)],
+        [complex(-1e300, 1e300), complex(1e-300, 0.1), complex(np.pi, -np.e)],
+    ])
+
+
+def test_json_save_load_is_bitwise(tmp_path):
+    a = _extremes()
+    path = tmp_path / "x.json"
+    save_matrix(path, a)
+    assert load_matrix(path).tobytes() == a.tobytes()
+
+
+def test_json_entries_equal_per_entry_floats_bitwise():
+    a = _extremes()
+    entries = matrix_to_json_dict(a)["entries"]
+    expected = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    assert all(type(x) is float for pair in entries for x in pair)
+    # Bytes, not ==, since -0.0 == 0.0.
+    flat = [x for pair in entries for x in pair]
+    assert struct.pack(f"{len(flat)}d", *flat) == struct.pack(
+        f"{len(flat)}d", *(x for pair in expected for x in pair))
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0, 0.0, 0.0]],
+    5,
+    None,
+    "abc",
+    {"re": 1.0, "im": 0.0},
+    [[1.0, 0.0], [2.0]],
+    [[None, 0.0]],
+    [["abc", 0.0]],
+    [[10**400, 0.0]],
+])
+def test_json_malformed_entries_are_parse_errors(entries):
+    with pytest.raises(ParseError):
+        matrix_from_json_dict({"dim": 1, "entries": entries})
+
+
+def test_json_indented_file_still_loads(tmp_path):
+    a = _extremes()
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(matrix_to_json_dict(a), indent=2) + "\n")
+    assert load_matrix(path).tobytes() == a.tobytes()
 
 
 def test_json_rejects_wrong_entry_count():

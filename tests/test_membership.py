@@ -202,6 +202,16 @@ def test_pencil_spec_validation(j2):
         pencil_check("not a pencil")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_pencil_spec_rejects_non_finite_coefficients(bad):
+    # The Hermitian check compares a NaN residual and is False for it: a NaN
+    # coefficient was accepted and pencil_check returned Member, an infinite
+    # one Inconclusive.
+    m = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(InvalidPencil, match="not finite"):
+        PencilSpec(terms=((0, m), (1, np.eye(2))), lambda_lo=1e-3, lambda_max=4.0, scale=1.0)
+
+
 @pytest.mark.parametrize("kw", [{"n_grid": 0}, {"n_grid": -3}, {"max_refine": -1}])
 def test_pencil_check_rejects_bad_sizes(j2, kw):
     with pytest.raises(ValueError, match="need n_grid >= 1 and max_refine >= 0"):

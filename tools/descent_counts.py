@@ -1,4 +1,5 @@
-"""Sphere-descent work per classify_all matrix and per verify-all suite.
+"""Sphere-descent and pencil work per classify_all matrix and per
+verify-all suite.
 
 Usage (from the root of a checkout):
 
@@ -6,11 +7,23 @@ Usage (from the root of a checkout):
 
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
-it still holds. This script wraps that method from outside and counts its
-calls and the columns they evaluate (problems x columns per call):
+it still holds. Every pencil sweep and every golden-section refinement
+round evaluates ``membership.PencilSpec.evaluate`` on a batch of lambdas.
+This script wraps both methods, and ``membership._pencil_minima``, from
+outside and counts:
+
+* the fused calls and the columns they evaluate (problems x columns per
+  call);
+* the ``evaluate`` calls, and the lambdas evaluated in grid sweeps and in
+  refinement rounds. Inside ``_pencil_minima`` a sweep is the call whose
+  lambdas start at the pencil's ``lambda_lo``, which no refinement point
+  reaches; the calls outside it, one per pencil verdict for its
+  eigenvector, count only as calls.
+
+The counts are printed
 
 * per ``classify_all`` matrix of the benchmark's classify-members and
-  classify-random pools;
+  classify-random pools, summed per pool;
 * per theorem suite of the benchmark's verify-all pool: ``run_suite`` at
   the default ``opclass verify all`` budget (50 trials, max-dim 8).
 
@@ -18,9 +31,9 @@ The pools are those of ``perfbench/workloads.py`` at its default seed 2026,
 sized for the ``run_seconds`` of ``BENCHMARK.json``.
 
 The public ``sphere_check`` on its central-difference path calls the
-defect, not this method, so it is not counted; no suite or pool takes that
-path. BLAS is pinned to one thread. Run it in two checkouts to compare
-their descents; the counts are deterministic.
+defect, not the fused method, so it is not counted; no suite or pool takes
+that path. BLAS is pinned to one thread. Run it in two checkouts to
+compare their work; the counts are deterministic.
 """
 
 from __future__ import annotations
@@ -44,37 +57,65 @@ import workloads as wl  # noqa: E402
 
 
 class Counter:
-    """Counts the calls of the fused step and the columns they evaluate."""
+    """Counts the fused sphere steps and the pencil evaluations."""
+
+    FIELDS = ("calls", "columns", "evaluates", "sweep_lams", "refine_lams")
 
     def __init__(self):
-        self.calls = self.columns = 0
-        self._method = mb._NormProductDefect.value_and_gradient
+        self.counts = dict.fromkeys(self.FIELDS, 0)
+        self._in_minima = False
+        self._saved = (mb._NormProductDefect.value_and_gradient,
+                       mb.PencilSpec.evaluate, mb._pencil_minima)
 
     def __enter__(self):
-        method = self._method
+        fused, evaluate, minima = self._saved
+        counts = self.counts
 
-        def counted(defect, x):
-            self.calls += 1
-            self.columns += x.size // x.shape[-2]
-            return method(defect, x)
+        def counted_fused(defect, x):
+            counts["calls"] += 1
+            counts["columns"] += x.size // x.shape[-2]
+            return fused(defect, x)
 
-        mb._NormProductDefect.value_and_gradient = counted
+        def counted_evaluate(pencil, lams):
+            counts["evaluates"] += 1
+            if self._in_minima:
+                kind = "sweep_lams" if lams[0] == pencil.lambda_lo else "refine_lams"
+                counts[kind] += lams.size
+            return evaluate(pencil, lams)
+
+        def counted_minima(*args, **kwargs):
+            self._in_minima = True
+            try:
+                return minima(*args, **kwargs)
+            finally:
+                self._in_minima = False
+
+        mb._NormProductDefect.value_and_gradient = counted_fused
+        mb.PencilSpec.evaluate = counted_evaluate
+        mb._pencil_minima = counted_minima
         return self
 
     def __exit__(self, *exc):
-        mb._NormProductDefect.value_and_gradient = self._method
+        (mb._NormProductDefect.value_and_gradient,
+         mb.PencilSpec.evaluate, mb._pencil_minima) = self._saved
 
-    def take(self) -> tuple[int, int]:
-        counts = (self.calls, self.columns)
-        self.calls = self.columns = 0
+    def take(self) -> dict:
+        counts = dict(self.counts)
+        self.counts.update(dict.fromkeys(self.FIELDS, 0))
         return counts
 
 
-def summary(per_item: list[tuple[int, int]]) -> str:
-    calls = [c for c, _ in per_item]
-    return (f"{len(per_item)} items, {sum(calls)} calls "
+def pencil_line(counts: dict) -> str:
+    return (f"{counts['evaluates']} evaluate calls, {counts['sweep_lams']} sweep lambdas, "
+            f"{counts['refine_lams']} refinement lambdas")
+
+
+def summary(per_item: list[dict]) -> str:
+    calls = [c["calls"] for c in per_item]
+    total = {key: sum(c[key] for c in per_item) for key in Counter.FIELDS}
+    return (f"{len(per_item)} items, {total['calls']} calls "
             f"(median {statistics.median(calls):g}, max {max(calls)} per item), "
-            f"{sum(n for _, n in per_item)} columns")
+            f"{total['columns']} columns; pencil: {pencil_line(total)}")
 
 
 def main() -> int:
@@ -93,9 +134,10 @@ def main() -> int:
         suites.make_pool()
         for cfg in suites.pool:
             hs.run_suite(cfg)
-            calls, columns = counter.take()
-            total += calls
-            print(f"verify-all {cfg.suites[0]}: {calls} calls, {columns} columns")
+            counts = counter.take()
+            total += counts["calls"]
+            print(f"verify-all {cfg.suites[0]}: {counts['calls']} calls, "
+                  f"{counts['columns']} columns; pencil: {pencil_line(counts)}")
     print(f"verify-all total: {total} calls")
     return 0
 
