@@ -410,6 +410,12 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # The oracles' budgets: pencil grid size and refined minima, sphere steps.
 _N_GRID, _MAX_REFINE, _MAX_ITER = 257, 8, 300
+# The pencil sweep's first pass eigensolves every _STRIDE-th grid point and
+# the last. Its cell bounds are lowered by _MARGIN * dim * eps times
+# sum_j lam^e_j ||H_j|| at the cell's right end, which covers the rounding
+# of the eigensolves they are built from many times over. A margin 256
+# times smaller eigensolves under 1% fewer points of the classify pools.
+_STRIDE, _MARGIN = 16, 65536.0
 # The sphere's step rule: the growth of a step whose Barzilai-Borwein
 # curvature <s,y> is not positive, and the range every accepted step is
 # clamped to.
@@ -461,8 +467,10 @@ def pencil_check(
     """Global least-eigenvalue certificate for P(lam) >= 0 on the pencil
     domain.
 
-    Sweeps a logarithmic grid, then refines around every local grid minimum
-    (up to ``max_refine``, deepest first) by golden-section search to width
+    Sweeps a logarithmic grid of ``n_grid`` points, eigensolving only the
+    cells that a Weyl bound cannot place above the least value of a coarse
+    first pass, then refines around every local grid minimum in them (up to
+    ``max_refine``, deepest first) by golden-section search to width
     1e-6 * lambda_max, all searches in lockstep: each round evaluates what
     every running search asks for in one stacked eigensolve. The witness is
     the minimizing lambda and eigenvector.
@@ -471,30 +479,102 @@ def pencil_check(
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
     if n_grid < 1 or max_refine < 0:
         raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
-    [(lam, val)] = _pencil_minima([pencil], n_grid, max_refine)
-    return _pencil_verdict(pencil, lam, val, tol)
+    [verdict] = _pencil_verdicts([pencil], _pencil_minima([pencil], n_grid, max_refine), tol)
+    return verdict
+
+
+def _sweep(pencil: PencilSpec, lams: np.ndarray):
+    """lam -> lam_min(P(lam)) on the grid ``lams``, eigensolved only where
+    it may lie at or below the least value of a coarse first pass.
+
+    The first pass eigensolves every _STRIDE-th point, the last point and
+    the Hermitian parts H_j of the terms in one stack. On the cell [l, r]
+    between two neighbouring first-pass points, Weyl's inequality gives for
+    every lam in it
+
+        lam_min(P(lam)) >= f(l) + sum_j (lam^e_j - l^e_j) lam_min(H_j),
+        lam_min(P(lam)) >= f(r) + sum_j (lam^e_j - r^e_j) lam_max(H_j).
+
+    Every term is monotone in lam, so on each grid step it is bounded by the
+    lesser of its values at the step's ends, and the bound holds between the
+    grid points too. A cell whose bound, less the rounding margin, lies
+    above the least first-pass value on every step holds no grid minimum and
+    no lambda a refinement could improve with, so it is skipped. The other
+    cells are eigensolved in one stack, with one point beyond each end, so
+    that the local minima found in them are those of the full grid.
+
+    Returns (values, evaluated, local): the values with +inf at the skipped
+    points, the mask of eigensolved points, and the indices of the local
+    grid minima among the points whose neighbours were eigensolved too.
+    """
+    n = lams.size
+    # Step s, from grid point s to s + 1, lies in cell s // _STRIDE.
+    coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
+    cell = np.arange(n - 1) // _STRIDE
+    left, right = coarse[cell], coarse[cell + 1]
+    coefs = np.stack([m for _, m in pencil.terms])
+    herm = (coefs + coefs.conj().transpose(0, 2, 1)) / 2.0
+    eig = np.linalg.eigvalsh(np.concatenate([pencil.evaluate(lams[coarse]), herm]))
+    mins, evaluated = np.full(n, np.inf), np.zeros(n, dtype=bool)
+    mins[coarse], evaluated[coarse] = eig[: coarse.size, 0], True
+    least_h, most_h = eig[coarse.size :, 0], eig[coarse.size :, -1]
+    powers = lams[:, None] ** np.array([expo for expo, _ in pencil.terms])
+
+    def from_end(end, extreme):
+        # A term rises with lam where its extreme is >= 0, so it is least at
+        # the left end of a step there and at the right end elsewhere.
+        least = np.where(extreme >= 0, powers[:-1], powers[1:])
+        return mins[end] + least @ extreme - (powers @ extreme)[end]
+
+    size = powers @ np.maximum(-least_h, most_h)
+    floor = np.maximum(from_end(left, least_h), from_end(right, most_h))
+    floor -= _MARGIN * pencil.dim * np.finfo(float).eps * size[right]
+    # A NaN bound leaves its cell open.
+    open_step = ~(np.minimum.reduceat(floor, coarse[:-1]) > mins[coarse].min())[cell]
+    # Step s opens points s and s + 1, and s - 1 and s + 2 beyond them;
+    # reach[i + 1] is point i.
+    reach = np.zeros(n + 2, dtype=bool)
+    for shift in range(4):
+        reach[shift : shift + n - 1] |= open_step
+    need = reach[1:-1] & ~evaluated
+    if need.any():
+        mins[need] = np.linalg.eigvalsh(pencil.evaluate(lams[need]))[:, 0]
+        evaluated |= need
+    padded = np.concatenate(([np.inf], mins, [np.inf]))
+    known = np.concatenate(([True], evaluated, [True]))
+    local = np.nonzero(
+        evaluated & known[:-2] & known[2:] & (mins <= padded[:-2]) & (mins <= padded[2:])
+    )[0]
+    return mins, evaluated, local
 
 
 def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
     """The least (lambda, lambda_min(P(lambda))) found on each of some
     pencils of one dimension.
 
-    Each pencil sweeps its own grid, so one sweep's stack is in memory at a
-    time. The golden-section searches of all pencils then share one stacked
-    eigensolve per round; each pencil merges only its own.
+    Each pencil sweeps its own grid (see ``_sweep``); pencils with one
+    domain share its ``geomspace``. The grid minimum and every refined
+    minimum are those of the full sweep, except that local minima in
+    skipped cells, which lie above the grid minimum, take none of the
+    ``max_refine`` slots. The golden-section searches of all pencils then
+    share one stacked eigensolve per round; each pencil merges only its own.
     """
-    bests, searches = [], []
+    bests, searches, grids = [], [], {}
     for pencil in pencils:
-        lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
-        mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
-        padded = np.concatenate([[np.inf], mins, [np.inf]])
-        local = np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
-        bests.append((float(lams[int(np.argmin(mins))]), float(np.min(mins))))
+        domain = (pencil.lambda_lo, pencil.lambda_max)
+        if domain not in grids:
+            grids[domain] = np.geomspace(*domain, n_grid)
+        lams = grids[domain]
+        mins, _, local = _sweep(pencil, lams)
+        best = int(np.argmin(mins))
+        bests.append((float(lams[best]), float(mins[best])))
         width = 1e-6 * pencil.lambda_max
         searches.append([])
         # The bracket ends are grid points, so neither can beat the grid
         # minimum; a search only has to track the points it probes inside.
-        for idx in local[np.argsort(mins[local])][:max_refine]:
+        # The stable sort orders equal minima by lambda, whichever cells the
+        # sweep skipped.
+        for idx in local[np.argsort(mins[local], kind="stable")][:max_refine]:
             a, b = float(lams[max(int(idx) - 1, 0)]), float(lams[min(int(idx) + 1, n_grid - 1)])
             if b - a > width:
                 searches[-1].append(_golden_section(a, b, width))
@@ -520,13 +600,19 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
     return bests
 
 
-def _pencil_verdict(pencil: PencilSpec, lam: float, val: float, tol: TolerancePolicy):
-    status, threshold = _decide(val, pencil.scale, tol)
-    _, v = np.linalg.eigh(pencil.evaluate(np.array([lam]))[0])
-    return MembershipVerdict(
-        status=status, defect=val, oracle="pencil",
-        witness=Witness(vector=v[:, 0], pencil_lambda=lam), threshold=threshold,
-    )
+def _pencil_verdicts(pencils, minima, tol: TolerancePolicy) -> list:
+    """The verdicts of some pencils of one dimension on their least
+    (lambda, value); the witness eigenvectors come from one stacked eigh."""
+    stack = np.concatenate([p.evaluate(np.array([lam])) for p, (lam, _) in zip(pencils, minima)])
+    _, vecs = np.linalg.eigh(stack)
+    verdicts = []
+    for pencil, (lam, val), v in zip(pencils, minima, vecs):
+        status, threshold = _decide(val, pencil.scale, tol)
+        verdicts.append(MembershipVerdict(
+            status=status, defect=val, oracle="pencil",
+            witness=Witness(vector=v[:, 0], pencil_lambda=lam), threshold=threshold,
+        ))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -1031,10 +1117,12 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
                        lambda rows: defect.take(rows).value_and_gradient)
     minima = _pencil_minima(pencils, _N_GRID, _MAX_REFINE)
     verdicts = []
-    for p, ((val, vec), (lam, least), pencil) in enumerate(zip(spheres, minima, pencils)):
+    for p, ((val, vec), pencil_verdict, pencil) in enumerate(
+        zip(spheres, _pencil_verdicts(pencils, minima, tol), pencils)
+    ):
         verdicts.append(_reconcile(
             _sphere_verdict(val, vec, scales[p], tol, seed),
-            _pencil_verdict(pencil, lam, least, tol),
+            pencil_verdict,
             defect.take([p]),
             scales[p], pencil.scale, tol, seed, pencil.label,
         ))

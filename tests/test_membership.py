@@ -16,8 +16,10 @@ from opclass.membership import (
     _DUAL,
     _NormProductDefect,
     _central_gradient,
+    _STRIDE,
     _pencil_minima,
     _reconcile,
+    _sweep,
     _warm_starts,
     absolute_k_paranormal_pencil,
     chain_violations,
@@ -308,6 +310,71 @@ def test_lockstep_refinement_equals_sequential_search():
             for pencil, (lam, val) in zip(pool, got):
                 want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
                 assert (val, lam) == want, (pencil.label, n_grid, max_refine)
+
+
+def _certificate_pencils() -> list:
+    """The pencils of all three constructors at k 0-3, one list per matrix:
+    Ginibre matrices of dims 3-8 at scales 1e-3, 1 and 1e3, and two matrices
+    of each of the seven member families."""
+    mats = [scale * random_ginibre(dim, seed=200 + dim)
+            for dim in range(3, 9) for scale in (1e-3, 1.0, 1e3)]
+    mats += [_family_matrix(i) for i in range(14)]
+    return [
+        [quasi_paranormal_pencil(t, k) for k in range(4)]
+        + [ctor(t, k) for ctor in (k_paranormal_pencil, absolute_k_paranormal_pencil)
+           for k in (1, 2, 3)]
+        for t in mats
+    ]
+
+
+def _full_sweep(pencil, n_grid):
+    """(values, local minima) of the sweep that eigensolves every point."""
+    lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
+    mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
+    padded = np.concatenate([[np.inf], mins, [np.inf]])
+    return mins, np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
+
+
+def test_pruned_sweep_skips_only_cells_above_the_grid_minimum():
+    # Every point the sweep skips lies strictly above the full grid's
+    # minimum, every point it eigensolves has the full sweep's value, and
+    # its local minima are exactly the full grid's local minima that lie in
+    # the cells it eigensolved, ends included.
+    pencils = [pencil for own in _certificate_pencils() for pencil in own]
+    assert len(pencils) >= 300
+    skipped = 0
+    for pencil in pencils:
+        for n_grid in (257, 65, 2):
+            full, full_local = _full_sweep(pencil, n_grid)
+            lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
+            mins, evaluated, local = _sweep(pencil, lams)
+            where = (pencil.label, n_grid)
+            assert (full[~evaluated] > full.min()).all(), where
+            assert np.array_equal(mins[evaluated], full[evaluated]), where
+            assert np.isposinf(mins[~evaluated]).all(), where
+            coarse = np.unique(np.r_[0:n_grid:_STRIDE, n_grid - 1])
+            in_open = np.zeros(n_grid, dtype=bool)
+            for lo, hi in zip(coarse[:-1], coarse[1:]):
+                if evaluated[lo : hi + 1].all():
+                    in_open[lo : hi + 1] = True
+            assert set(local) <= set(full_local), where
+            assert set(full_local[in_open[full_local]]) <= set(local), where
+            skipped += int((~evaluated).sum())
+    # The certificate has to skip something to be tested at all.
+    assert skipped > 100 * len(pencils)
+
+
+def test_pruned_sweep_minimum_equals_full_sweep():
+    # The refined minimum is the full sweep's bit for bit. Local minima in
+    # skipped cells take no refinement slot, so where the full grid has
+    # more than max_refine local minima the slots go to others, which can
+    # only find an equal or a deeper minimum.
+    for own in _certificate_pencils():
+        for pencil, (lam, val) in zip(own, _pencil_minima(own, 257, 8)):
+            want, _ = _sequential_pencil_minimum(pencil, 257, 8)
+            if (val, lam) != want:
+                assert val <= want[0], pencil.label
+                assert len(_full_sweep(pencil, 257)[1]) > 8, pencil.label
 
 
 # ---------------------------------------------------------------------------

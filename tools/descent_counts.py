@@ -7,18 +7,20 @@ Usage (from the root of a checkout):
 
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
-it still holds. Every pencil sweep and every golden-section refinement
+it still holds. Every pencil sweep pass and every golden-section refinement
 round evaluates ``membership.PencilSpec.evaluate`` on a batch of lambdas.
-This script wraps both methods, and ``membership._pencil_minima``, from
-outside and counts:
+This script wraps both methods, ``membership._sweep`` and
+``membership._pencil_minima``, from outside and counts:
 
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the ``evaluate`` calls, and the lambdas evaluated in grid sweeps and in
-  refinement rounds. Inside ``_pencil_minima`` a sweep is the call whose
-  lambdas start at the pencil's ``lambda_lo``, which no refinement point
-  reaches; the calls outside it, one per pencil verdict for its
-  eigenvector, count only as calls.
+  refinement rounds. A sweep's lambdas are those evaluated inside
+  ``_sweep``: its first call is the coarse pass, any later one the open
+  cells. Its grid size is counted too, which is what a sweep that
+  eigensolves every grid point evaluates. The other calls inside
+  ``_pencil_minima`` are refinement rounds; the calls outside it, one per
+  pencil verdict for its eigenvector, count only as calls.
 
 The counts are printed
 
@@ -59,16 +61,28 @@ import workloads as wl  # noqa: E402
 class Counter:
     """Counts the fused sphere steps and the pencil evaluations."""
 
-    FIELDS = ("calls", "columns", "evaluates", "sweep_lams", "refine_lams")
+    FIELDS = ("calls", "columns", "evaluates", "coarse_lams", "open_lams", "grid_lams",
+              "refine_lams")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
-        self._in_minima = False
+        # Where the next evaluate call inside _pencil_minima counts.
+        self._kind = None
         self._saved = (mb._NormProductDefect.value_and_gradient,
-                       mb.PencilSpec.evaluate, mb._pencil_minima)
+                       mb.PencilSpec.evaluate, mb._sweep, mb._pencil_minima)
+
+    def _inside(self, fn, kind):
+        def counted(*args, **kwargs):
+            outer, self._kind = self._kind, kind
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._kind = outer
+
+        return counted
 
     def __enter__(self):
-        fused, evaluate, minima = self._saved
+        fused, evaluate, sweep, minima = self._saved
         counts = self.counts
 
         def counted_fused(defect, x):
@@ -78,26 +92,25 @@ class Counter:
 
         def counted_evaluate(pencil, lams):
             counts["evaluates"] += 1
-            if self._in_minima:
-                kind = "sweep_lams" if lams[0] == pencil.lambda_lo else "refine_lams"
-                counts[kind] += lams.size
+            if self._kind is not None:
+                counts[self._kind] += lams.size
+                if self._kind == "coarse_lams":
+                    self._kind = "open_lams"
             return evaluate(pencil, lams)
 
-        def counted_minima(*args, **kwargs):
-            self._in_minima = True
-            try:
-                return minima(*args, **kwargs)
-            finally:
-                self._in_minima = False
+        def counted_sweep(pencil, lams):
+            counts["grid_lams"] += lams.size
+            return sweep(pencil, lams)
 
         mb._NormProductDefect.value_and_gradient = counted_fused
         mb.PencilSpec.evaluate = counted_evaluate
-        mb._pencil_minima = counted_minima
+        mb._sweep = self._inside(counted_sweep, "coarse_lams")
+        mb._pencil_minima = self._inside(minima, "refine_lams")
         return self
 
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient,
-         mb.PencilSpec.evaluate, mb._pencil_minima) = self._saved
+         mb.PencilSpec.evaluate, mb._sweep, mb._pencil_minima) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -106,8 +119,10 @@ class Counter:
 
 
 def pencil_line(counts: dict) -> str:
-    return (f"{counts['evaluates']} evaluate calls, {counts['sweep_lams']} sweep lambdas, "
-            f"{counts['refine_lams']} refinement lambdas")
+    sweep = counts["coarse_lams"] + counts["open_lams"]
+    return (f"{counts['evaluates']} evaluate calls, {sweep} sweep lambdas "
+            f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
+            f"of {counts['grid_lams']} on the grids, {counts['refine_lams']} refinement lambdas")
 
 
 def summary(per_item: list[dict]) -> str:
