@@ -7,7 +7,10 @@ number. The inequality-defined classes (paranormal and its k-indexed
 relatives) are decided by two independent routes:
 
 * a pencil oracle that sweeps the least eigenvalue of a parameterized
-  Hermitian pencil over a logarithmic grid with golden-section refinement,
+  Hermitian pencil over a logarithmic grid, refined around its deepest
+  local grid minima by Brent's parabolic and golden-section search, which
+  stops in decision units: once its parabola predicts a gain of at most a
+  thousandth of the decision band tol_decision * scale,
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -33,6 +36,7 @@ eigensolver noise floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -407,7 +411,6 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
     return _weighted_pencil(m, k, d, f"absolute-k-paranormal[k={k}]")
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # The oracles' budgets: pencil grid size and refined minima, sphere steps.
 _N_GRID, _MAX_REFINE, _MAX_ITER = 257, 8, 300
 # The pencil sweep's first pass eigensolves every _STRIDE-th grid point and
@@ -428,33 +431,69 @@ _GROW, _ALPHA_MIN, _ALPHA_MAX = 1.25, 1e-16, 1e16
 # stall is judged per problem on its least value over all columns: once that
 # stalls, columns still descending towards a deeper basin stop with it.
 _STALL, _WINDOW, _MIN_STEP = 1e-6, 8, 1e-9
+# The pencil refinement's golden-section fraction, and its stop rule in
+# decision units: a search stops once its parabola predicts a gain of at
+# most _GAIN * tol_decision * scale, a hundredth of the margin of a Member.
+_GOLDEN, _GAIN = (3.0 - math.sqrt(5.0)) / 2.0, 1e-3
 
 
-def _golden_section(a: float, b: float, width: float):
-    """Golden-section search of lam -> lam_min(P(lam)) inside [a, b], as a
-    coroutine: it yields the lambdas it needs, is sent their values, and
-    returns the best (lam, value) among them. It stops without asking for
-    the point it would probe past ``width``."""
-    best_lam, best_val = a, np.inf
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = yield [c, d]
-    while True:
-        if fc < best_val:
-            best_lam, best_val = c, fc
-        if fd < best_val:
-            best_lam, best_val = d, fd
-        if fc < fd:
-            b, d, fd = d, c, fc
-            if b - a <= width:
-                return best_lam, best_val
-            c = b - _GOLDEN * (b - a)
-            [fc] = yield [c]
+def _brent(a: float, b: float, width: float, gain: float):
+    """Brent's search for the least lam -> lam_min(P(lam)) inside (a, b)
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5),
+    as a coroutine: it yields one lambda at a time, is sent its value, and
+    returns the best (lam, value) it probed.
+
+    x, w and v are the three best probes. A step goes to the vertex of the
+    parabola through them when that lies inside the bracket and moves less
+    than half the step before last, and otherwise golden-section into the
+    larger side of the bracket around x; no step is shorter than width / 4.
+    The search stops once that bracket is at most ``width`` wide, or once the
+    parabola is convex and its vertex lies at most ``gain`` below x's value.
+    """
+    tol = width / 4.0
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = yield x
+    step = last = 0.0
+    while max(x - a, b - x) > 2.0 * tol:
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        # The parabola's curvature is q / span and its vertex lies
+        # p^2 / (q * span) below fx; span is 0 until x, w and v are distinct.
+        span = 2.0 * (x - v) * (x - w) * (w - v)
+        if span and p * p <= gain * q * span:
+            break
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        before, last = last, step
+        if abs(before) > tol and abs(p) < abs(0.5 * q * before) and q * (a - x) < p < q * (b - x):
+            step = p / q
+            if min(x + step - a, b - (x + step)) < 2.0 * tol:
+                step = tol if x <= 0.5 * (a + b) else -tol
         else:
-            a, c, fc = c, d, fd
-            if b - a <= width:
-                return best_lam, best_val
-            d = a + _GOLDEN * (b - a)
-            [fd] = yield [d]
+            last = (a if x >= 0.5 * (a + b) else b) - x
+            step = _GOLDEN * last
+        u = x + math.copysign(max(abs(step), tol), step)
+        fu = yield u
+        # A NaN best value gives way to any probe, so a finite one takes over.
+        if fu <= fx or math.isnan(fx):
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def pencil_check(
@@ -470,16 +509,18 @@ def pencil_check(
     Sweeps a logarithmic grid of ``n_grid`` points, eigensolving only the
     cells that a Weyl bound cannot place above the least value of a coarse
     first pass, then refines around every local grid minimum in them (up to
-    ``max_refine``, deepest first) by golden-section search to width
-    1e-6 * lambda_max, all searches in lockstep: each round evaluates what
-    every running search asks for in one stacked eigensolve. The witness is
-    the minimizing lambda and eigenvector.
+    ``max_refine``, deepest first) by Brent's parabolic and golden-section
+    search. A search stops at width 1e-6 * lambda_max, or once its parabola
+    predicts a gain of at most 1e-3 * tol_decision * scale, a hundredth of
+    the margin of a Member. All searches run in lockstep: each round
+    evaluates the one lambda every running search asks for in one stacked
+    eigensolve. The witness is the minimizing lambda and eigenvector.
     """
     if not isinstance(pencil, PencilSpec):
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
     if n_grid < 1 or max_refine < 0:
         raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
-    [verdict] = _pencil_verdicts([pencil], _pencil_minima([pencil], n_grid, max_refine), tol)
+    [verdict] = _pencil_verdicts([pencil], _pencil_minima([pencil], n_grid, max_refine, tol), tol)
     return verdict
 
 
@@ -548,7 +589,7 @@ def _sweep(pencil: PencilSpec, lams: np.ndarray):
     return mins, evaluated, local
 
 
-def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
+def _pencil_minima(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) -> list:
     """The least (lambda, lambda_min(P(lambda))) found on each of some
     pencils of one dimension.
 
@@ -556,8 +597,10 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
     domain share its ``geomspace``. The grid minimum and every refined
     minimum are those of the full sweep, except that local minima in
     skipped cells, which lie above the grid minimum, take none of the
-    ``max_refine`` slots. The golden-section searches of all pencils then
-    share one stacked eigensolve per round; each pencil merges only its own.
+    ``max_refine`` slots. The Brent searches of all pencils then share one
+    stacked eigensolve per round, one lambda per search; each stops in
+    decision units of its pencil's scale (see ``_brent``), and each pencil
+    merges only its own.
     """
     bests, searches, grids = [], [], {}
     for pencil in pencils:
@@ -568,7 +611,7 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
         mins, _, local = _sweep(pencil, lams)
         best = int(np.argmin(mins))
         bests.append((float(lams[best]), float(mins[best])))
-        width = 1e-6 * pencil.lambda_max
+        width, gain = 1e-6 * pencil.lambda_max, _GAIN * tol.tol_decision * pencil.scale
         searches.append([])
         # The bracket ends are grid points, so neither can beat the grid
         # minimum; a search only has to track the points it probes inside.
@@ -577,18 +620,18 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int) -> list:
         for idx in local[np.argsort(mins[local], kind="stable")][:max_refine]:
             a, b = float(lams[max(int(idx) - 1, 0)]), float(lams[min(int(idx) + 1, n_grid - 1)])
             if b - a > width:
-                searches[-1].append(_golden_section(a, b, width))
+                searches[-1].append(_brent(a, b, width, gain))
     asks = [{i: next(search) for i, search in enumerate(own)} for own in searches]
     found = [[None] * len(own) for own in searches]
     while any(asks):
         live = [p for p, own in enumerate(asks) if own]
-        lams = [np.array([lam for ask in asks[p].values() for lam in ask]) for p in live]
+        lams = [np.array(list(asks[p].values())) for p in live]
         stack = np.concatenate([pencils[p].evaluate(lams_p) for p, lams_p in zip(live, lams)])
         vals = iter(np.linalg.eigvalsh(stack)[:, 0].tolist())
         for p in live:
-            for i, ask in list(asks[p].items()):
+            for i in list(asks[p]):
                 try:
-                    asks[p][i] = searches[p][i].send([next(vals) for _ in ask])
+                    asks[p][i] = searches[p][i].send(next(vals))
                 except StopIteration as done:
                     found[p][i] = done.value
                     del asks[p][i]
@@ -1115,7 +1158,7 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     bands = tol.tol_decision * np.array(scales)
     spheres = _descend(defect.value_and_gradient, x, bands, _MAX_ITER,
                        lambda rows: defect.take(rows).value_and_gradient)
-    minima = _pencil_minima(pencils, _N_GRID, _MAX_REFINE)
+    minima = _pencil_minima(pencils, _N_GRID, _MAX_REFINE, tol)
     verdicts = []
     for p, ((val, vec), pencil_verdict, pencil) in enumerate(
         zip(spheres, _pencil_verdicts(pencils, minima, tol), pencils)

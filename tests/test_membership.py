@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from opclass.membership import (
     Witness,
     _DUAL,
     _NormProductDefect,
+    _brent,
     _central_gradient,
     _STRIDE,
     _pencil_minima,
@@ -220,38 +222,71 @@ def test_pencil_check_rejects_bad_sizes(j2, kw):
         pencil_check(quasi_paranormal_pencil(j2, 0), **kw)
 
 
+def _brent_reference(f, a, b, width, gain):
+    """(lam, value) of Brent's bounded search for the least f on
+    (a, b), one probe after another: the fminbound of Forsythe, Malcolm and
+    Moler (1977), stopped once the bracket around the best probe is at most
+    ``width`` wide, or once the parabola through the three best probes is
+    convex with its vertex at most ``gain`` below the best value. The
+    vertex comes from the parabola's divided differences."""
+    cgold = (3.0 - math.sqrt(5.0)) / 2.0
+    tol1 = width / 4.0
+    x = w = v = a + cgold * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while max(x - a, b - x) > 2.0 * tol1:
+        if len({x, w, v}) == 3:
+            # p(t) = fx + s (t - x) + c (t - x)^2 through (w, fw) and (v, fv)
+            c = ((fv - fx) / (v - x) - (fw - fx) / (w - x)) / (v - w)
+            s = (fw - fx) / (w - x) + c * (x - w)
+            if s * s <= 4.0 * c * gain:
+                break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                    d = tol1 if 0.5 * (a + b) - x >= 0 else -tol1
+                golden = False
+        if golden:
+            e = (a if x >= 0.5 * (a + b) else b) - x
+            d = cgold * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
+
 def _sequential_pencil_minimum(pencil, n_grid, max_refine):
     """((least value, its lambda), number of searches) as pencil_check
-    found them with one golden-section search after another, one lambda
-    per eigensolve."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-
+    found them with one Brent search after another, one lambda per
+    eigensolve, each stopped at width 1e-6 * lambda_max or at a predicted
+    gain of 1e-3 * tol_decision * scale."""
     def f(lam):
         return float(np.linalg.eigvalsh(pencil.evaluate(np.array([lam])))[0, 0])
-
-    def refine(lo, hi, width):
-        best_lam, best_val = lo, f(lo)
-        val = f(hi)
-        if val < best_val:
-            best_lam, best_val = hi, val
-        a, b = lo, hi
-        c = b - golden * (b - a)
-        d = a + golden * (b - a)
-        fc, fd = f(c), f(d)
-        while b - a > width:
-            if fc < best_val:
-                best_lam, best_val = c, fc
-            if fd < best_val:
-                best_lam, best_val = d, fd
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - golden * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + golden * (b - a)
-                fd = f(d)
-        return best_lam, best_val
 
     lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
     mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
@@ -261,6 +296,7 @@ def _sequential_pencil_minimum(pencil, n_grid, max_refine):
     best_lam = float(lams[int(np.argmin(mins))])
     best_val = float(np.min(mins))
     width = 1e-6 * pencil.lambda_max
+    gain = 1e-3 * TOL.tol_decision * pencil.scale
     searches = 0
     for idx in order:
         lo = lams[max(int(idx) - 1, 0)]
@@ -268,7 +304,7 @@ def _sequential_pencil_minimum(pencil, n_grid, max_refine):
         if hi - lo <= width:
             continue
         searches += 1
-        lam, val = refine(float(lo), float(hi), width)
+        lam, val = _brent_reference(f, float(lo), float(hi), width, gain)
         if val < best_val:
             best_lam, best_val = lam, val
     return (best_val, best_lam), searches
@@ -306,10 +342,79 @@ def test_lockstep_refinement_equals_sequential_search():
     assert sum(len(pool) > 1 for pool in pools) >= 4
     for pool in pools:
         for n_grid, max_refine in ((257, 8), (65, 2)):
-            got = _pencil_minima(pool, n_grid, max_refine)
+            got = _pencil_minima(pool, n_grid, max_refine, TOL)
             for pencil, (lam, val) in zip(pool, got):
                 want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
                 assert (val, lam) == want, (pencil.label, n_grid, max_refine)
+
+
+def _search(f, a, b, width, gain):
+    """(result, probes) of the _brent coroutine driven on f, probes being
+    the (lam, value) pairs it asked for, in order."""
+    search, probes = _brent(a, b, width, gain), []
+    lam = next(search)
+    while True:
+        probes.append((lam, f(lam)))
+        try:
+            lam = search.send(probes[-1][1])
+        except StopIteration as done:
+            return done.value, probes
+
+
+def _golden_evaluations(a, b, width):
+    """The evaluations golden-section search needs to shrink [a, b] to
+    ``width``: two to start, then one per round of shrinking by 0.618."""
+    return 1 + math.ceil(math.log(width / (b - a)) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+
+
+def _j2_pencil_value(lam):
+    # quasi_paranormal_pencil(J2, 0) is diag(lam^2, lam^2 - 2 lam): its
+    # least eigenvalue lam^2 - 2 lam has its minimum -1 at lam = 1.
+    j2 = np.array([[0, 1], [0, 0]], dtype=complex)
+    return float(np.linalg.eigvalsh(quasi_paranormal_pencil(j2, 0).evaluate([lam]))[0, 0])
+
+
+@pytest.mark.parametrize("f, a, b, minimizer", [
+    (lambda t: 3.0 * (t - 0.3) ** 2 - 5.0, 0.0, 1.0, 0.3),
+    (lambda t: (t - 0.7) ** 4, 0.0, 1.0, 0.7),
+    (_j2_pencil_value, 0.5, 1.7, 1.0),
+], ids=["quadratic", "quartic", "j2-pencil"])
+@pytest.mark.parametrize("width", [1e-6, 1e-3])
+def test_brent_finds_the_minimizer_in_fewer_evaluations_than_golden_section(
+    f, a, b, minimizer, width
+):
+    (lam, val), probes = _search(f, a, b, width, gain=0.0)
+    assert abs(lam - minimizer) <= width
+    assert len(probes) < _golden_evaluations(a, b, width)
+    assert all(a < u < b for u, _ in probes)
+    assert (lam, val) in probes
+    assert val == min(v for _, v in probes)
+
+
+def test_brent_stops_on_a_function_flat_within_the_gain():
+    # Golden-section search would take 30 evaluations on this bracket.
+    assert _golden_evaluations(1.0, 2.0, 1e-6) == 30
+    (_, val), probes = _search(lambda t: 0.5, 1.0, 2.0, 1e-6, gain=1e-11)
+    assert len(probes) == 3 and val == 0.5
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        (_, val), probes = _search(lambda t: 1e-13 * rng.random(), 1.0, 2.0, 1e-6, gain=1e-11)
+        assert len(probes) <= 8, seed
+        assert val == min(v for _, v in probes)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: math.nan,
+    lambda t: math.nan if t < 1.5 else (t - 1.7) ** 2,
+    lambda t: math.nan if t > 1.5 else (t - 1.2) ** 2,
+], ids=["all-nan", "nan-left", "nan-right"])
+def test_brent_stops_on_nan_values(f):
+    (lam, val), probes = _search(f, 1.0, 2.0, 1e-6, gain=1e-11)
+    assert len(probes) <= _golden_evaluations(1.0, 2.0, 1e-6) + 2
+    assert all(1.0 < u < 2.0 for u, _ in probes)
+    finite = [v for _, v in probes if not math.isnan(v)]
+    if finite:
+        assert val == min(finite)
 
 
 def _certificate_pencils() -> list:
@@ -370,7 +475,7 @@ def test_pruned_sweep_minimum_equals_full_sweep():
     # more than max_refine local minima the slots go to others, which can
     # only find an equal or a deeper minimum.
     for own in _certificate_pencils():
-        for pencil, (lam, val) in zip(own, _pencil_minima(own, 257, 8)):
+        for pencil, (lam, val) in zip(own, _pencil_minima(own, 257, 8, TOL)):
             want, _ = _sequential_pencil_minimum(pencil, 257, 8)
             if (val, lam) != want:
                 assert val <= want[0], pencil.label
@@ -891,7 +996,7 @@ def test_classify_all_output_is_pinned():
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "5f93b95b7e9f45b997bfbb3e96b2feac8ff9c8e78d4f0375da0da4cad0966127"
+    assert digest == "fb794a80c4b9bd30365eae5244acf5cfd32bea5807700019204c35ae02af9ef6"
 
 
 def _family_matrix(i: int) -> np.ndarray:

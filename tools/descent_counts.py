@@ -7,10 +7,12 @@ Usage (from the root of a checkout):
 
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
-it still holds. Every pencil sweep pass and every golden-section refinement
-round evaluates ``membership.PencilSpec.evaluate`` on a batch of lambdas.
-This script wraps both methods, ``membership._sweep`` and
-``membership._pencil_minima``, from outside and counts:
+it still holds. Every pencil sweep pass and every refinement round
+evaluates ``membership.PencilSpec.evaluate`` on a batch of lambdas; a
+round asks every running Brent search (``membership._brent``) for one
+lambda. This script wraps both methods, ``membership._sweep``,
+``membership._brent`` and ``membership._pencil_minima``, from outside and
+counts:
 
 * the fused calls and the columns they evaluate (problems x columns per
   call);
@@ -20,7 +22,10 @@ This script wraps both methods, ``membership._sweep`` and
   cells. Its grid size is counted too, which is what a sweep that
   eigensolves every grid point evaluates. The other calls inside
   ``_pencil_minima`` are refinement rounds; the calls outside it, one per
-  pencil verdict for its eigenvector, count only as calls.
+  pencil verdict for its eigenvector, count only as calls;
+* the refinement searches, and the lockstep rounds of refinement: per
+  ``_pencil_minima`` call, the most lambdas any one of its searches asked
+  for.
 
 The counts are printed
 
@@ -59,17 +64,20 @@ import workloads as wl  # noqa: E402
 
 
 class Counter:
-    """Counts the fused sphere steps and the pencil evaluations."""
+    """Counts the fused sphere steps, the pencil evaluations and the
+    refinement searches."""
 
     FIELDS = ("calls", "columns", "evaluates", "coarse_lams", "open_lams", "grid_lams",
-              "refine_lams")
+              "refine_lams", "searches", "rounds")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
         # Where the next evaluate call inside _pencil_minima counts.
         self._kind = None
+        # The most lambdas one search of the running _pencil_minima asked for.
+        self._rounds = 0
         self._saved = (mb._NormProductDefect.value_and_gradient,
-                       mb.PencilSpec.evaluate, mb._sweep, mb._pencil_minima)
+                       mb.PencilSpec.evaluate, mb._sweep, mb._brent, mb._pencil_minima)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -82,7 +90,7 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, evaluate, sweep, minima = self._saved
+        fused, evaluate, sweep, brent, minima = self._saved
         counts = self.counts
 
         def counted_fused(defect, x):
@@ -102,15 +110,35 @@ class Counter:
             counts["grid_lams"] += lams.size
             return sweep(pencil, lams)
 
+        def counted_brent(*args):
+            counts["searches"] += 1
+            search, asked, value = brent(*args), 0, None
+            while True:
+                try:
+                    lam = search.send(value)
+                except StopIteration as done:
+                    self._rounds = max(self._rounds, asked)
+                    return done.value
+                asked += 1
+                value = yield lam
+
+        def counted_minima(*args):
+            self._rounds = 0
+            try:
+                return minima(*args)
+            finally:
+                counts["rounds"] += self._rounds
+
         mb._NormProductDefect.value_and_gradient = counted_fused
         mb.PencilSpec.evaluate = counted_evaluate
         mb._sweep = self._inside(counted_sweep, "coarse_lams")
-        mb._pencil_minima = self._inside(minima, "refine_lams")
+        mb._brent = counted_brent
+        mb._pencil_minima = self._inside(counted_minima, "refine_lams")
         return self
 
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient,
-         mb.PencilSpec.evaluate, mb._sweep, mb._pencil_minima) = self._saved
+         mb.PencilSpec.evaluate, mb._sweep, mb._brent, mb._pencil_minima) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -122,7 +150,8 @@ def pencil_line(counts: dict) -> str:
     sweep = counts["coarse_lams"] + counts["open_lams"]
     return (f"{counts['evaluates']} evaluate calls, {sweep} sweep lambdas "
             f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
-            f"of {counts['grid_lams']} on the grids, {counts['refine_lams']} refinement lambdas")
+            f"of {counts['grid_lams']} on the grids, {counts['refine_lams']} refinement lambdas "
+            f"in {counts['searches']} searches over {counts['rounds']} lockstep rounds")
 
 
 def summary(per_item: list[dict]) -> str:
