@@ -22,17 +22,20 @@ import sys
 
 from . import generators as gen
 from . import harness as hs
-from .decomposition import nilpotent2_canonical, normal_pure_split, root_decompose
+from .decomposition import nilpotent2_canonical, normal_pure_split, root_decompose, rr_check
 from .errors import OpclassError, UsageError
 from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
 from .matio import atomic_write_text, detect_format, json_text, load_matrix, save_matrix
 from .membership import (
+    DEFAULT_K_LIST,
+    DEFAULT_P_LIST,
     Status,
     chain_violations,
     classify_all,
     is_k_quasi_paranormal,
     is_normal,
     is_normaloid,
+    is_quasinormal,
 )
 
 EXIT_OK = 0
@@ -118,38 +121,32 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+# add_argument keywords of a generator parameter's flag, by parameter type.
+_FLAG_OPTIONS = {"int": {"type": int, "required": True}, "flag": {"action": "store_true"}}
+
+
+def _kind_arguments(kind: str):
+    """``(flag, add_argument keywords)`` for each parameter of a generator
+    kind that has a flag; ``eigenvalues`` has none."""
+    for key, type_ in gen.GENERATORS[kind][1].items():
+        if key == "lambda":
+            yield "--lam", {"dest": key, "default": "1",
+                            "help": "complex scalar, e.g. '8' or '1+2j'"}
+        elif type_ in _FLAG_OPTIONS:
+            yield "--" + key.replace("_", "-"), {"dest": key, **_FLAG_OPTIONS[type_]}
+
+
 def _build_spec(args, seed: int) -> gen.GenSpec:
-    kind = args.kind
-    params: dict = {}
-    if kind in ("unitary", "normal", "ginibre"):
-        params["dim"] = args.dim
-    elif kind == "jordan":
-        params["dim"] = args.dim
-        params["index"] = args.index
-    elif kind == "counterexample":
-        params["dim_m"] = args.dim_m
-        params["dim_n"] = args.dim_n
-    elif kind == "scalar-root":
-        lam = complex(args.lam)
-        params["dim"] = args.dim
-        params["n"] = args.n
+    given = vars(args)
+    params = {key: given[key] for key in gen.GENERATORS[args.kind][1] if key in given}
+    if "lambda" in params:
+        lam = complex(params["lambda"])
         params["lambda"] = [lam.real, lam.imag]
-    elif kind == "k-quasi":
-        params["dim_normal"] = args.dim_normal
-        params["dim_nil"] = args.dim_nil
-        params["k"] = args.k
-    elif kind == "rr":
-        params["dim_a"] = args.dim_a
-        params["dim_bc"] = args.dim_bc
-        params["b_zero"] = bool(args.b_zero)
-    return gen.GenSpec(kind=kind, seed=seed, params=params)
+    return gen.GenSpec(kind=args.kind, seed=seed, params=params)
 
 
 def _certify(kind: str, matrix, params: dict, seed: int, tol: TolerancePolicy) -> dict:
     """Self-certification verdicts recorded in the generator sidecar."""
-    from .decomposition import rr_check
-    from .membership import is_quasinormal
-
     cert: dict = {}
     if kind in ("unitary", "normal"):
         cert["normal"] = is_normal(matrix, tol)
@@ -187,13 +184,14 @@ def cmd_generate(args) -> int:
     spec = _build_spec(args, _seed(args))
     matrix = gen.build(spec)
     fmt = detect_format(args.output, args.format)
-    save_matrix(args.output, matrix, fmt)
     sidecar = {
         "spec": spec.to_json_dict(),
         "format": fmt,
         "tolerances": tol.to_json_dict(),
         "certification": _certify(spec.kind, matrix, spec.params, spec.seed, tol),
     }
+    # Nothing is written until the matrix is built and certified.
+    save_matrix(args.output, matrix, fmt)
     _emit(sidecar, f"{args.output}.sidecar.json")
     _emit({"command": "generate", "output": str(args.output),
            "sidecar": f"{args.output}.sidecar.json"}, None)
@@ -255,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="decide class memberships of a matrix file")
     p.add_argument("file")
-    p.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--p", type=float, nargs="+", default=[0.5])
+    p.add_argument("--k", type=int, nargs="+", default=DEFAULT_K_LIST)
+    p.add_argument("--p", type=float, nargs="+", default=DEFAULT_P_LIST)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -269,39 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("generate", help="generate a structured matrix plus sidecar")
-    kinds = sub_gen = p.add_subparsers(dest="kind", required=True)
+    sub_gen = p.add_subparsers(dest="kind", required=True)
     for kind in gen.GENERATOR_KINDS:
         sp = sub_gen.add_parser(kind)
-        if kind in ("unitary", "normal", "ginibre", "jordan", "scalar-root"):
-            sp.add_argument("--dim", type=int, required=True)
-        if kind == "jordan":
-            sp.add_argument("--index", type=int, required=True)
-        if kind == "counterexample":
-            sp.add_argument("--dim-m", dest="dim_m", type=int, required=True)
-            sp.add_argument("--dim-n", dest="dim_n", type=int, required=True)
-        if kind == "scalar-root":
-            sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--lam", type=str, default="1",
-                            help="complex scalar, e.g. '8' or '1+2j'")
-        if kind == "k-quasi":
-            sp.add_argument("--dim-normal", dest="dim_normal", type=int, required=True)
-            sp.add_argument("--dim-nil", dest="dim_nil", type=int, required=True)
-            sp.add_argument("--k", type=int, required=True)
-        if kind == "rr":
-            sp.add_argument("--dim-a", dest="dim_a", type=int, required=True)
-            sp.add_argument("--dim-bc", dest="dim_bc", type=int, required=True)
-            sp.add_argument("--b-zero", dest="b_zero", action="store_true")
+        for flag, options in _kind_arguments(kind):
+            sp.add_argument(flag, **options)
         sp.add_argument("-o", "--output", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--format", choices=["json", "matrix-market"], default=None)
+        _add_common(sp)
         sp.set_defaults(func=cmd_generate, kind=kind)
 
     p = sub.add_parser("verify", help="run theorem property suites")
     p.add_argument("theorem_id",
                    help="one of %s, or 'all'" % ", ".join(hs.SUITES))
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=8)
+    p.add_argument("--trials", type=int, default=hs.SuiteConfig.trials)
+    p.add_argument("--max-dim", dest="max_dim", type=int, default=hs.SuiteConfig.max_dim)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

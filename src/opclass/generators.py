@@ -29,6 +29,7 @@ __all__ = [
     "k_quasi_member",
     "rr_instance",
     "build",
+    "GENERATORS",
     "GENERATOR_KINDS",
 ]
 
@@ -140,7 +141,10 @@ def root_of_scalar_instance(dim: int, n: int, lam: complex, seed: int) -> np.nda
     roots = np.exp(2j * np.pi * picks / n)
     v = _haar(dim, make_rng(seed, 5, 1))
     u = (v * roots) @ v.conj().T
-    root = complex(lam) ** (1.0 / n) if lam != 0 else 0.0
+    try:
+        root = complex(lam) ** (1.0 / n) if lam != 0 else 0.0
+    except OverflowError as exc:
+        raise InvalidSpec(f"the {n}-th root of {lam} overflows") from exc
     return root * u
 
 
@@ -204,16 +208,53 @@ def rr_instance(
     return rr_assemble(a, b, c)
 
 
-GENERATOR_KINDS = (
-    "unitary",
-    "normal",
-    "ginibre",
-    "jordan",
-    "counterexample",
-    "scalar-root",
-    "k-quasi",
-    "rr",
-)
+def _integer(params: dict, key: str) -> int:
+    try:
+        return int(params[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"generator needs integer parameter {key!r}") from exc
+
+
+def _from_pairs(value, key: str, ndim: int) -> np.ndarray:
+    """Complex numbers from finite [re, im] pairs: one pair (``ndim`` 1) or a
+    list of them (``ndim`` 2). Viewing the pairs keeps a -0.0 imaginary part."""
+    try:
+        pairs = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"{key} must be finite [re, im] pairs: {exc}") from exc
+    if pairs.ndim != ndim or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+        raise InvalidSpec(f"{key} must be finite [re, im] pairs, got {value!r}")
+    return pairs.view(np.complex128)[..., 0]
+
+
+# How a spec parameter of each type is read and checked.
+_READERS = {
+    "int": _integer,
+    "flag": lambda params, key: bool(params.get(key, False)),
+    "pair": lambda params, key: complex(_from_pairs(params.get(key, (1, 0)), key, 1)),
+    # None keeps the builder's random spectrum.
+    "pairs": lambda params, key: (
+        None if params.get(key) is None else _from_pairs(params[key], key, 2)
+    ),
+}
+
+# Builder keyword of a spec parameter whose name is a Python keyword.
+_ARGUMENT = {"lambda": "lam"}
+
+# Each kind's builder and the parameters its GenSpec records, in recorded
+# order, each with its type in ``_READERS``.
+GENERATORS = {
+    "unitary": (random_unitary, {"dim": "int"}),
+    "normal": (random_normal, {"dim": "int", "eigenvalues": "pairs"}),
+    "ginibre": (random_ginibre, {"dim": "int"}),
+    "jordan": (jordan_nilpotent, {"dim": "int", "index": "int"}),
+    "counterexample": (normaloid_counterexample, {"dim_m": "int", "dim_n": "int"}),
+    "scalar-root": (root_of_scalar_instance, {"dim": "int", "n": "int", "lambda": "pair"}),
+    "k-quasi": (k_quasi_member, {"dim_normal": "int", "dim_nil": "int", "k": "int"}),
+    "rr": (rr_instance, {"dim_a": "int", "dim_bc": "int", "b_zero": "flag"}),
+}
+
+GENERATOR_KINDS = tuple(GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -252,48 +293,10 @@ class GenSpec:
         return GenSpec.from_json_dict(doc)
 
 
-def _int_param(params: dict, name: str) -> int:
-    try:
-        return int(params[name])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"generator needs integer parameter {name!r}") from exc
-
-
 def build(spec: GenSpec) -> np.ndarray:
     """Materialize the matrix described by a GenSpec."""
-    p = spec.params
-    if spec.kind == "unitary":
-        return random_unitary(_int_param(p, "dim"), spec.seed)
-    if spec.kind == "normal":
-        eig = p.get("eigenvalues")
-        if eig is not None:
-            eig = [complex(re, im) for re, im in eig]
-        return random_normal(_int_param(p, "dim"), spec.seed, eig)
-    if spec.kind == "ginibre":
-        return random_ginibre(_int_param(p, "dim"), spec.seed)
-    if spec.kind == "jordan":
-        return jordan_nilpotent(_int_param(p, "dim"), _int_param(p, "index"), spec.seed)
-    if spec.kind == "counterexample":
-        return normaloid_counterexample(
-            _int_param(p, "dim_m"), _int_param(p, "dim_n"), spec.seed
-        )
-    if spec.kind == "scalar-root":
-        lam = p.get("lambda", [1.0, 0.0])
-        try:
-            lam_c = complex(float(lam[0]), float(lam[1]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise InvalidSpec("scalar-root lambda must be a [re, im] pair") from exc
-        return root_of_scalar_instance(
-            _int_param(p, "dim"), _int_param(p, "n"), lam_c, spec.seed
-        )
-    if spec.kind == "k-quasi":
-        return k_quasi_member(
-            _int_param(p, "dim_normal"), _int_param(p, "dim_nil"),
-            _int_param(p, "k"), spec.seed,
-        )
-    if spec.kind == "rr":
-        return rr_instance(
-            _int_param(p, "dim_a"), _int_param(p, "dim_bc"), spec.seed,
-            b_zero=bool(p.get("b_zero", False)),
-        )
-    raise InvalidSpec(f"unknown generator kind {spec.kind!r}")
+    builder, params = GENERATORS[spec.kind]
+    return builder(seed=spec.seed, **{
+        _ARGUMENT.get(key, key): _READERS[type_](spec.params, key)
+        for key, type_ in params.items()
+    })

@@ -27,6 +27,7 @@ import scipy.sparse
 from .errors import ParseError
 
 __all__ = [
+    "complex_pairs",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
     "load_matrix",
@@ -45,10 +46,14 @@ def json_text(doc) -> str:
     return json.dumps(doc) + "\n"
 
 
-def matrix_to_json_dict(a) -> dict:
+def complex_pairs(a) -> list:
+    """The entries of ``a``, row-major, as ``[re, im]`` pairs of Python floats."""
     m = np.asarray(a, dtype=np.complex128)
-    entries = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
-    return {"dim": int(m.shape[0]), "entries": entries}
+    return np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
+
+
+def matrix_to_json_dict(a) -> dict:
+    return {"dim": int(np.shape(a)[0]), "entries": complex_pairs(a)}
 
 
 def matrix_from_json_dict(doc: dict) -> np.ndarray:
@@ -122,6 +127,8 @@ def save_matrix(path: str | Path, a, fmt: str | None = None) -> None:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParseError(f"refusing to write non-square matrix of shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ParseError("matrix entries must be finite")
     resolved = detect_format(path, fmt)
     if resolved == "json":
         text = json_text(matrix_to_json_dict(m))

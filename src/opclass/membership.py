@@ -54,6 +54,7 @@ from .linalg import (
     psd_power,
     spectral_radius,
 )
+from .matio import complex_pairs
 
 __all__ = [
     "Status",
@@ -98,7 +99,7 @@ class Witness:
     def to_json_dict(self) -> dict:
         doc: dict = {}
         if self.vector is not None:
-            doc["vector"] = [[float(z.real), float(z.imag)] for z in self.vector]
+            doc["vector"] = complex_pairs(self.vector)
         if self.pencil_lambda is not None:
             doc["lambda"] = float(self.pencil_lambda)
         return doc
@@ -1232,6 +1233,8 @@ def classify_all(
     k_list = tuple(k_list)
     if not all(float(k).is_integer() for k in k_list):
         raise ValueError(f"every k must be an integer, got {list(k_list)}")
+    if any(k < 0 for k in k_list):
+        raise ValueError(f"every k must be nonnegative, got {list(k_list)}")
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
     out: dict[OperatorClass, MembershipVerdict] = {}

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -9,8 +10,8 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import opclass.cli as cli
-from opclass.generators import random_ginibre
-from opclass.matio import save_matrix
+from opclass.generators import GENERATORS, GenSpec, build, random_ginibre
+from opclass.matio import load_matrix, save_matrix
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -221,6 +222,61 @@ def test_generate_matrix_market_format(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert "MatrixMarket" in out.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("kind, flags, params", [
+    ("unitary", ["--dim", "3"], {"dim": 3}),
+    ("normal", ["--dim", "3"], {"dim": 3}),
+    ("ginibre", ["--dim", "3"], {"dim": 3}),
+    ("jordan", ["--index", "2", "--dim", "3"], {"dim": 3, "index": 2}),
+    ("counterexample", ["--dim-n", "2", "--dim-m", "1"], {"dim_m": 1, "dim_n": 2}),
+    ("scalar-root", ["--lam=-1+2j", "--n", "2", "--dim", "3"],
+     {"dim": 3, "n": 2, "lambda": [-1.0, 2.0]}),
+    ("scalar-root", ["--dim", "2", "--n", "3"], {"dim": 2, "n": 3, "lambda": [1.0, 0.0]}),
+    ("k-quasi", ["--k", "1", "--dim-nil", "2", "--dim-normal", "1"],
+     {"dim_normal": 1, "dim_nil": 2, "k": 1}),
+    ("rr", ["--dim-bc", "1", "--dim-a", "1"], {"dim_a": 1, "dim_bc": 1, "b_zero": False}),
+    ("rr", ["--b-zero", "--dim-a", "0", "--dim-bc", "2"],
+     {"dim_a": 0, "dim_bc": 2, "b_zero": True}),
+])
+def test_generate_records_its_flags_and_rebuilds(capsys, tmp_path, kind, flags, params):
+    out = tmp_path / "g.json"
+    code = cli.main(["generate", kind, *flags, "--seed", "5", "-o", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    spec = json.loads((tmp_path / "g.json.sidecar.json").read_text())["spec"]
+    # The flag values, whatever their order on the command line, in table order.
+    assert list(spec["params"].items()) == list(params.items())
+    assert list(spec["params"]) == [key for key in GENERATORS[kind][1] if key in params]
+    np.testing.assert_array_equal(load_matrix(out), build(GenSpec.from_json_dict(spec)))
+
+
+@pytest.mark.parametrize("lam, error", [("inf", "InvalidSpec"), ("nan", "InvalidSpec"),
+                                        ("1e308+1e308j", "ValueError"),
+                                        ("1.5e308+1.5e308j", "InvalidSpec")])
+def test_generate_failure_writes_nothing(capsys, tmp_path, lam, error):
+    # 1e308+1e308j builds, but its class scales overflow in certification;
+    # the larger value overflows the square root itself.
+    code, doc = _run(capsys, ["generate", "scalar-root", "--dim", "2", "--n", "2",
+                              "--lam", lam, "-o", str(tmp_path / "s.json")])
+    assert code == 1
+    assert doc["error"]["type"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_negative_k_is_error_document(capsys, identity_file):
+    code, doc = _run(capsys, ["classify", identity_file, "--k", "-3"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
+def test_readme_names_every_generator_kind_and_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Generator kinds:"))
+    for kind in GENERATORS:
+        assert f"`{kind}`" in paragraph
+        for flag, _ in cli._kind_arguments(kind):
+            assert re.search(rf"{flag}\b(?!-)", paragraph), (kind, flag)
 
 
 def test_verify_single_suite(capsys, tmp_path):

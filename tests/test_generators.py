@@ -163,6 +163,42 @@ def test_genspec_round_trip_and_build():
         build(GenSpec("jordan", 0, {"dim": 4}))
 
 
+@pytest.mark.parametrize("params", [
+    {"dim": 2, "eigenvalues": [[float("nan"), 0.0], [1.0, 0.0]]},
+    {"dim": 2, "eigenvalues": [[1.0, float("inf")], [1.0, 0.0]]},
+    {"dim": 2, "eigenvalues": [[1.0, 0.0, 0.0], [1.0, 0.0]]},
+    {"dim": 2, "eigenvalues": [1.0, 0.0]},
+])
+def test_build_rejects_non_finite_or_malformed_eigenvalues(params):
+    with pytest.raises(InvalidSpec, match="eigenvalues"):
+        build(GenSpec("normal", 1, params))
+
+
+@pytest.mark.parametrize("lam", [[float("inf"), 0.0], [0.0, float("nan")], [1.0], "8",
+                                 [10**400, 0]])
+def test_build_rejects_non_finite_or_malformed_lambda(lam):
+    with pytest.raises(InvalidSpec, match="lambda"):
+        build(GenSpec("scalar-root", 1, {"dim": 2, "n": 2, "lambda": lam}))
+
+
+def test_build_rejects_non_integer_params():
+    for dim in ("x", None, float("inf"), [3]):
+        with pytest.raises(InvalidSpec, match="'dim'"):
+            build(GenSpec("unitary", 1, {"dim": dim}))
+
+
+def test_scalar_root_overflow_is_invalid_spec():
+    # |lam| overflows a double although both parts are finite.
+    with pytest.raises(InvalidSpec, match="overflows"):
+        root_of_scalar_instance(2, 2, complex(1.5e308, 1.5e308), 1)
+
+
+def test_build_keeps_a_negative_zero_eigenvalue_part():
+    eig = [[1.0, -0.0], [-0.0, 1.0]]
+    m = build(GenSpec("normal", 4, {"dim": 2, "eigenvalues": eig}))
+    np.testing.assert_array_equal(m, random_normal(2, 4, [complex(1.0, -0.0), complex(-0.0, 1.0)]))
+
+
 def test_build_covers_all_kinds():
     specs = [
         GenSpec("unitary", 1, {"dim": 3}),

@@ -92,6 +92,17 @@ def test_json_rejects_nonfinite():
         matrix_from_json_dict({"dim": 1, "entries": [[float("inf"), 0.0]]})
 
 
+@pytest.mark.parametrize("name", ["m.json", "m.mtx"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_save_rejects_nonfinite(tmp_path, name, bad):
+    # The loader rejects non-finite entries, and a JSON NaN token is not
+    # standard JSON, so the writer refuses them and writes no file.
+    path = tmp_path / name
+    with pytest.raises(ParseError, match="finite"):
+        save_matrix(path, [[1.0, 0.0], [bad, 1.0]])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1066,9 +1066,20 @@ def test_overflowing_scale_is_value_error():
 def test_classify_all_rejects_non_integral_k_and_zero_restarts(j2):
     with pytest.raises(ValueError, match="every k must be an integer"):
         classify_all(j2, k_list=[1.7])
+    with pytest.raises(ValueError, match="every k must be nonnegative"):
+        classify_all(j2, k_list=[1, -3])
+    # k = 0 is paranormality, which is always reported.
+    assert len(classify_all(j2, k_list=[0])) == len(classify_all(j2, k_list=[]))
     assert OperatorClass.k_paranormal(2) in classify_all(j2, k_list=[2.0])
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         classify_all(j2, restarts=0)
+
+
+def test_witness_vector_encodes_as_per_entry_pairs():
+    v = np.array([complex(-0.0, 1e-300), complex(0.6, -0.0), complex(1 / 3, -0.8)])
+    doc = Witness(vector=v, pencil_lambda=0.25).to_json_dict()
+    reference = [[float(z.real), float(z.imag)] for z in v]
+    assert json.dumps(doc) == json.dumps({"vector": reference, "lambda": 0.25})
 
 
 def test_chain_violation_detection():
