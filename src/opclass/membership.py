@@ -10,7 +10,9 @@ relatives) are decided by two independent routes:
   Hermitian pencil over a logarithmic grid, refined around its deepest
   local grid minima by Brent's parabolic and golden-section search, which
   stops in decision units: once its parabola predicts a gain of at most a
-  thousandth of the decision band tol_decision * scale,
+  thousandth of the decision band tol_decision * scale. The pencils of
+  one matrix are stacked once and swept and refined together, each with
+  the values it gets alone,
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -36,6 +38,7 @@ eigensolver noise floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -245,7 +248,8 @@ def _scale(norm_t: float, degree: float) -> float:
         scale = max(1.0, norm_t) ** degree
     except OverflowError:
         scale = np.inf
-    if scale == np.inf:
+    # max(1, nan) is 1, so a NaN norm needs its own test.
+    if scale == np.inf or not math.isfinite(norm_t):
         raise ValueError(f"class scale max(1, ||T||)^{degree:g} overflows at ||T|| = {norm_t:.6g}")
     return scale
 
@@ -356,15 +360,30 @@ class PencilSpec:
         return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _pencil(m: np.ndarray, terms, degree: int, label: str) -> PencilSpec:
+def _pencil(norm_t: float, terms, degree: int, label: str) -> PencilSpec:
     """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale
     max(1, ||T||)^degree."""
-    norm_t = operator_norm(m)
     s = max(1.0, norm_t**2)
     return PencilSpec(
         terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s,
         scale=_scale(norm_t, degree), label=label,
     )
+
+
+# The pencil builders below take a validated matrix and its norm, which
+# _dual_verdicts computes once for all pencils of a matrix; each public
+# constructor checks its input and computes the norm itself.
+
+
+def _quasi_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
+    pk = matrix_power(m, k)
+    pk1 = m @ pk
+    pk2 = m @ pk1
+    a = pk2.conj().T @ pk2
+    b = pk1.conj().T @ pk1
+    c = pk.conj().T @ pk
+    terms = ((0.0, a), (1.0, -2.0 * b), (2.0, c))
+    return _pencil(norm_t, terms, 2 * k + 4, f"quasi-paranormal[k={k}]")
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -373,24 +392,22 @@ def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
     m = as_operator(t)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    pk = matrix_power(m, k)
-    pk1 = m @ pk
-    pk2 = m @ pk1
-    a = pk2.conj().T @ pk2
-    b = pk1.conj().T @ pk1
-    c = pk.conj().T @ pk
-    terms = ((0.0, a), (1.0, -2.0 * b), (2.0, c))
-    return _pencil(m, terms, 2 * k + 4, f"quasi-paranormal[k={k}]")
+    return _quasi_pencil(m, k, operator_norm(m))
 
 
-def _weighted_pencil(m: np.ndarray, k: int, d: np.ndarray, label: str) -> PencilSpec:
+def _weighted_pencil(m: np.ndarray, k: int, d: np.ndarray, label: str, norm_t: float) -> PencilSpec:
     """Pencil D - (k+1) lam^k T*T + k lam^(k+1) I. At a unit vector x its
     least value over lam is <Dx,x> - ||Tx||^(2k+2), so D = T*^(k+1) T^(k+1)
     decides k-paranormality and D = T*(T*T)^k T absolute-k-paranormality."""
     gram = m.conj().T @ m
     eye = np.eye(m.shape[0], dtype=np.complex128)
     terms = ((0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye))
-    return _pencil(m, terms, 2 * k + 2, label)
+    return _pencil(norm_t, terms, 2 * k + 2, label)
+
+
+def _k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
+    pk1 = matrix_power(m, k + 1)
+    return _weighted_pencil(m, k, pk1.conj().T @ pk1, f"k-paranormal[k={k}]", norm_t)
 
 
 def k_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -398,8 +415,13 @@ def k_paranormal_pencil(t, k: int) -> PencilSpec:
     m = as_operator(t)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    pk1 = matrix_power(m, k + 1)
-    return _weighted_pencil(m, k, pk1.conj().T @ pk1, f"k-paranormal[k={k}]")
+    return _k_paranormal_pencil(m, k, operator_norm(m))
+
+
+def _absolute_k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
+    gram = m.conj().T @ m
+    d = m.conj().T @ matrix_power(gram, k) @ m
+    return _weighted_pencil(m, k, d, f"absolute-k-paranormal[k={k}]", norm_t)
 
 
 def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -407,9 +429,7 @@ def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
     m = as_operator(t)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    gram = m.conj().T @ m
-    d = m.conj().T @ matrix_power(gram, k) @ m
-    return _weighted_pencil(m, k, d, f"absolute-k-paranormal[k={k}]")
+    return _absolute_k_paranormal_pencil(m, k, operator_norm(m))
 
 
 # The oracles' budgets: pencil grid size and refined minima, sphere steps.
@@ -419,7 +439,10 @@ _N_GRID, _MAX_REFINE, _MAX_ITER = 257, 8, 300
 # sum_j lam^e_j ||H_j|| at the cell's right end, which covers the rounding
 # of the eigensolves they are built from many times over. A margin 256
 # times smaller eigensolves under 1% fewer points of the classify pools.
-_STRIDE, _MARGIN = 16, 65536.0
+_STRIDE, _MARGIN, _EPS = 16, 65536.0, float(np.finfo(float).eps)
+# The pencil engine eigensolves at most _CHUNK matrices in one call, so that
+# the open cells of ten pencils need no more memory than those of one.
+_CHUNK = 128
 # The sphere's step rule: the growth of a step whose Barzilai-Borwein
 # curvature <s,y> is not positive, and the range every accepted step is
 # clamped to.
@@ -525,14 +548,83 @@ def pencil_check(
     return verdict
 
 
-def _sweep(pencil: PencilSpec, lams: np.ndarray):
-    """lam -> lam_min(P(lam)) on the grid ``lams``, eigensolved only where
-    it may lie at or below the least value of a coarse first pass.
+class _PencilStack:
+    """The terms of some pencils of one dimension and one number of terms,
+    stacked once: coefficients (pencils, terms, n, n) and exponents
+    (pencils, terms)."""
 
-    The first pass eigensolves every _STRIDE-th point, the last point and
-    the Hermitian parts H_j of the terms in one stack. On the cell [l, r]
-    between two neighbouring first-pass points, Weyl's inequality gives for
-    every lam in it
+    def __init__(self, pencils):
+        self.coefs = np.array([[m for _, m in p.terms] for p in pencils])
+        exps = [[float(expo) for expo, _ in p.terms] for p in pencils]
+        self.exps = np.array(exps)
+        # The terms whose exponent is 0 in every pencil, and the first
+        # pencil's exponents.
+        self._constant = [not any(col) for col in zip(*exps)]
+        self._first = exps[0]
+
+    @functools.cached_property
+    def _columns(self):
+        """The distinct exponents, and each term's index among them."""
+        uniq = sorted(set(self.exps.ravel().tolist()))
+        return uniq, np.searchsorted(uniq, self.exps)
+
+    def matrices(self, owner, lams: np.ndarray) -> np.ndarray:
+        """P(lams[i]) of pencil owner[i] for every i, shape (len(lams), n, n),
+        bit for bit what ``PencilSpec.evaluate`` gives: the same powers, the
+        terms added in the same order, then the Hermitian part. ``owner`` is
+        an array or a list of pencil indices."""
+        # Powers of a scalar exponent, as evaluate takes them: numpy squares
+        # at 2.0, where its power of an exponent array rounds differently.
+        if len(self.coefs) == 1:
+            # One pencil needs no gather: its coefficients broadcast over lams.
+            powers = [None if constant else lams**expo
+                      for constant, expo in zip(self._constant, self._first)]
+            coefs = self.coefs[0]
+        else:
+            uniq, column = self._columns
+            table, at = np.array([lams**expo for expo in uniq]), np.arange(lams.size)
+            powers = [table[c, at] for c in column[owner].T]
+            coefs = self.coefs[owner].swapaxes(0, 1)
+        out = np.zeros((lams.size,) + self.coefs.shape[2:], dtype=np.complex128)
+        for constant, power, m in zip(self._constant, powers, coefs):
+            # lam^0 is 1, and 1 * m differs from m only in signs of zero,
+            # which adding to the zero start erases.
+            out += m if constant else power[:, None, None] * m
+        out += out.conj().transpose(0, 2, 1)
+        out /= 2.0
+        return out
+
+    def least(self, owner, lams: np.ndarray) -> np.ndarray:
+        """lam_min(P(lams[i])) of pencil owner[i] for every i, eigensolved
+        _CHUNK matrices at a time."""
+        if lams.size <= _CHUNK:
+            return np.linalg.eigvalsh(self.matrices(owner, lams))[:, 0]
+        return np.concatenate([self.least(owner[s : s + _CHUNK], lams[s : s + _CHUNK])
+                               for s in range(0, lams.size, _CHUNK)])
+
+
+@functools.lru_cache(maxsize=16)
+def _cells(n: int):
+    """The sweep's cells on an n-point grid, as read-only index arrays: the
+    first-pass points, and for every step s, from point s to s + 1, its
+    cell s // _STRIDE and that cell's left and right first-pass points."""
+    coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
+    cell = np.arange(n - 1) // _STRIDE
+    out = (coarse, cell, coarse[cell], coarse[cell + 1])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _sweep(stack: _PencilStack, lams: np.ndarray):
+    """lam -> lam_min(P(lam)) of every pencil of ``stack`` on its grid, row
+    p of ``lams`` (pencils, n), eigensolved only where it may lie at or
+    below the least value of the pencil's coarse first pass.
+
+    The first pass eigensolves every _STRIDE-th point and the last point of
+    every pencil, and the Hermitian parts H_j of their terms, in one stack.
+    On the cell [l, r] between two neighbouring first-pass points, Weyl's
+    inequality gives for every lam in it
 
         lam_min(P(lam)) >= f(l) + sum_j (lam^e_j - l^e_j) lam_min(H_j),
         lam_min(P(lam)) >= f(r) + sum_j (lam^e_j - r^e_j) lam_max(H_j).
@@ -540,107 +632,111 @@ def _sweep(pencil: PencilSpec, lams: np.ndarray):
     Every term is monotone in lam, so on each grid step it is bounded by the
     lesser of its values at the step's ends, and the bound holds between the
     grid points too. A cell whose bound, less the rounding margin, lies
-    above the least first-pass value on every step holds no grid minimum and
-    no lambda a refinement could improve with, so it is skipped. The other
-    cells are eigensolved in one stack, with one point beyond each end, so
-    that the local minima found in them are those of the full grid.
+    above the pencil's least first-pass value on every step holds no grid
+    minimum and no lambda a refinement could improve with, so it is skipped.
+    The bounds of all pencils are computed together. The other cells are
+    eigensolved, with one point beyond each end, so that the local minima
+    found in them are those of the full grid; the open points of all
+    pencils share one eigensolve per _CHUNK matrices.
 
-    Returns (values, evaluated, local): the values with +inf at the skipped
-    points, the mask of eigensolved points, and the indices of the local
-    grid minima among the points whose neighbours were eigensolved too.
+    Returns (values, evaluated, local), each of ``lams``'s shape: the values
+    with +inf at the skipped points, the mask of eigensolved points, and the
+    mask of the local grid minima among the points whose neighbours were
+    eigensolved too. Each pencil's rows are those it gets alone.
     """
-    n = lams.size
-    # Step s, from grid point s to s + 1, lies in cell s // _STRIDE.
-    coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
-    cell = np.arange(n - 1) // _STRIDE
-    left, right = coarse[cell], coarse[cell + 1]
-    coefs = np.stack([m for _, m in pencil.terms])
-    herm = (coefs + coefs.conj().transpose(0, 2, 1)) / 2.0
-    eig = np.linalg.eigvalsh(np.concatenate([pencil.evaluate(lams[coarse]), herm]))
-    mins, evaluated = np.full(n, np.inf), np.zeros(n, dtype=bool)
-    mins[coarse], evaluated[coarse] = eig[: coarse.size, 0], True
-    least_h, most_h = eig[coarse.size :, 0], eig[coarse.size :, -1]
-    powers = lams[:, None] ** np.array([expo for expo, _ in pencil.terms])
+    count, n = lams.shape
+    coarse, cell, left, right = _cells(n)
+    coefs = stack.coefs
+    herm = (coefs + coefs.conj().transpose(0, 1, 3, 2)) / 2.0
+    first = stack.matrices(np.arange(count * coarse.size) // coarse.size,
+                           lams.take(coarse, 1).ravel())
+    eig = np.linalg.eigvalsh(np.concatenate([first, herm.reshape((-1,) + herm.shape[2:])]))
+    first_mins = eig[: first.shape[0], 0].reshape(count, -1)
+    mins, evaluated = np.full(lams.shape, np.inf), np.zeros(lams.shape, dtype=bool)
+    mins[:, coarse], evaluated[:, coarse] = first_mins, True
+    spectra = eig[first.shape[0] :].reshape(count, -1, eig.shape[-1])
+    least_h, most_h = spectra[:, :, :1], spectra[:, :, -1:]
+    powers = lams[:, :, None] ** stack.exps[:, None, :]
 
     def from_end(end, extreme):
         # A term rises with lam where its extreme is >= 0, so it is least at
         # the left end of a step there and at the right end elsewhere.
-        least = np.where(extreme >= 0, powers[:-1], powers[1:])
-        return mins[end] + least @ extreme - (powers @ extreme)[end]
+        least = np.where(extreme.transpose(0, 2, 1) >= 0, powers[:, :-1], powers[:, 1:])
+        at_end = (powers @ extreme)[..., 0].take(end, 1)
+        return mins.take(end, 1) + (least @ extreme)[..., 0] - at_end
 
-    size = powers @ np.maximum(-least_h, most_h)
+    size = (powers @ np.maximum(-least_h, most_h))[..., 0]
     floor = np.maximum(from_end(left, least_h), from_end(right, most_h))
-    floor -= _MARGIN * pencil.dim * np.finfo(float).eps * size[right]
+    floor -= _MARGIN * coefs.shape[-1] * _EPS * size.take(right, 1)
     # A NaN bound leaves its cell open.
-    open_step = ~(np.minimum.reduceat(floor, coarse[:-1]) > mins[coarse].min())[cell]
+    least_coarse = first_mins.min(axis=1, keepdims=True)
+    open_step = ~(np.minimum.reduceat(floor, coarse[:-1], axis=1) > least_coarse).take(cell, 1)
     # Step s opens points s and s + 1, and s - 1 and s + 2 beyond them;
-    # reach[i + 1] is point i.
-    reach = np.zeros(n + 2, dtype=bool)
+    # reach[:, i + 1] is point i.
+    reach = np.zeros((count, n + 2), dtype=bool)
     for shift in range(4):
-        reach[shift : shift + n - 1] |= open_step
-    need = reach[1:-1] & ~evaluated
+        reach[:, shift : shift + n - 1] |= open_step
+    need = reach[:, 1:-1] & ~evaluated
     if need.any():
-        mins[need] = np.linalg.eigvalsh(pencil.evaluate(lams[need]))[:, 0]
+        mins[need] = stack.least(need.nonzero()[0], lams[need])
         evaluated |= need
-    padded = np.concatenate(([np.inf], mins, [np.inf]))
-    known = np.concatenate(([True], evaluated, [True]))
-    local = np.nonzero(
-        evaluated & known[:-2] & known[2:] & (mins <= padded[:-2]) & (mins <= padded[2:])
-    )[0]
+    padded, known = np.full((count, n + 2), np.inf), np.ones((count, n + 2), dtype=bool)
+    padded[:, 1:-1], known[:, 1:-1] = mins, evaluated
+    local = evaluated & known[:, :-2] & known[:, 2:]
+    local &= (mins <= padded[:, :-2]) & (mins <= padded[:, 2:])
     return mins, evaluated, local
 
 
 def _pencil_minima(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) -> list:
     """The least (lambda, lambda_min(P(lambda))) found on each of some
-    pencils of one dimension.
+    pencils of one dimension and one number of terms.
 
-    Each pencil sweeps its own grid (see ``_sweep``); pencils with one
-    domain share its ``geomspace``. The grid minimum and every refined
-    minimum are those of the full sweep, except that local minima in
-    skipped cells, which lie above the grid minimum, take none of the
-    ``max_refine`` slots. The Brent searches of all pencils then share one
-    stacked eigensolve per round, one lambda per search; each stops in
-    decision units of its pencil's scale (see ``_brent``), and each pencil
-    merges only its own.
+    The pencils' terms are stacked once (``_PencilStack``) and swept
+    together, each on its own grid (see ``_sweep``); pencils with one domain
+    share its ``geomspace``. The grid minimum and every refined minimum are
+    those of the full sweep, except that local minima in skipped cells,
+    which lie above the grid minimum, take none of the ``max_refine`` slots.
+    The Brent searches of all pencils then share one stacked build and
+    eigensolve per round, one lambda per search; each stops in decision
+    units of its pencil's scale (see ``_brent``), and each pencil merges
+    only its own. Every value is the one the pencil gets alone.
     """
-    bests, searches, grids = [], [], {}
+    stack, grids = _PencilStack(pencils), {}
     for pencil in pencils:
         domain = (pencil.lambda_lo, pencil.lambda_max)
         if domain not in grids:
             grids[domain] = np.geomspace(*domain, n_grid)
-        lams = grids[domain]
-        mins, _, local = _sweep(pencil, lams)
-        best = int(np.argmin(mins))
-        bests.append((float(lams[best]), float(mins[best])))
+    lams = np.array([grids[pencil.lambda_lo, pencil.lambda_max] for pencil in pencils])
+    mins, _, local = _sweep(stack, lams)
+    bests, searches = [], []  # searches: (pencil index, Brent coroutine)
+    for p, (pencil, grid, values) in enumerate(zip(pencils, lams, mins)):
+        best = int(np.argmin(values))
+        bests.append((float(grid[best]), float(values[best])))
         width, gain = 1e-6 * pencil.lambda_max, _GAIN * tol.tol_decision * pencil.scale
-        searches.append([])
         # The bracket ends are grid points, so neither can beat the grid
         # minimum; a search only has to track the points it probes inside.
         # The stable sort orders equal minima by lambda, whichever cells the
         # sweep skipped.
-        for idx in local[np.argsort(mins[local], kind="stable")][:max_refine]:
-            a, b = float(lams[max(int(idx) - 1, 0)]), float(lams[min(int(idx) + 1, n_grid - 1)])
+        own = local[p].nonzero()[0]
+        for idx in own[np.argsort(values[own], kind="stable")][:max_refine].tolist():
+            a, b = float(grid[max(idx - 1, 0)]), float(grid[min(idx + 1, n_grid - 1)])
             if b - a > width:
-                searches[-1].append(_brent(a, b, width, gain))
-    asks = [{i: next(search) for i, search in enumerate(own)} for own in searches]
-    found = [[None] * len(own) for own in searches]
-    while any(asks):
-        live = [p for p, own in enumerate(asks) if own]
-        lams = [np.array(list(asks[p].values())) for p in live]
-        stack = np.concatenate([pencils[p].evaluate(lams_p) for p, lams_p in zip(live, lams)])
-        vals = iter(np.linalg.eigvalsh(stack)[:, 0].tolist())
-        for p in live:
-            for i in list(asks[p]):
-                try:
-                    asks[p][i] = searches[p][i].send(next(vals))
-                except StopIteration as done:
-                    found[p][i] = done.value
-                    del asks[p][i]
+                searches.append((p, _brent(a, b, width, gain)))
+    asks = {i: next(search) for i, (_, search) in enumerate(searches)}
+    found = [None] * len(searches)
+    while asks:
+        live = list(asks)
+        vals = stack.least([searches[i][0] for i in live], np.array(list(asks.values())))
+        for i, val in zip(live, vals.tolist()):
+            try:
+                asks[i] = searches[i][1].send(val)
+            except StopIteration as done:
+                found[i] = done.value
+                del asks[i]
     # Deepest first, and only a strictly smaller value replaces the best.
-    for p, own in enumerate(found):
-        for lam, val in own:
-            if val < bests[p][1]:
-                bests[p] = (lam, val)
+    for (p, _), (lam, val) in zip(searches, found):
+        if val < bests[p][1]:
+            bests[p] = (lam, val)
     return bests
 
 
@@ -869,19 +965,18 @@ def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take) -> li
 def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T = TT* within tol_eq relative to max(1, ||T||^2)."""
     m = as_operator(t)
+    # The scale goes first: it rejects a T whose products would overflow.
+    scale = _scale(operator_norm(m), 2)
     comm = m.conj().T @ m - m @ m.conj().T
-    return _equality_verdict(
-        frobenius_norm(comm), _scale(operator_norm(m), 2), tol
-    )
+    return _equality_verdict(frobenius_norm(comm), scale, tol)
 
 
 def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T commutes with T*T."""
     m = as_operator(t)
+    scale = _scale(operator_norm(m), 3)
     resid = m @ m.conj().T @ m - m.conj().T @ m @ m
-    return _equality_verdict(
-        frobenius_norm(resid), _scale(operator_norm(m), 3), tol
-    )
+    return _equality_verdict(frobenius_norm(resid), scale, tol)
 
 
 def quasinormal_embry(
@@ -913,8 +1008,9 @@ def quasinormal_embry(
 def is_hyponormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T - TT* positive semidefinite."""
     m = as_operator(t)
+    scale = _scale(operator_norm(m), 2)
     diff = m.conj().T @ m - m @ m.conj().T
-    return _psd_verdict(diff, _scale(operator_norm(m), 2), tol)
+    return _psd_verdict(diff, scale, tol)
 
 
 def is_p_hyponormal(
@@ -926,8 +1022,9 @@ def is_p_hyponormal(
     m = as_operator(t)
     if _zero_operator(m):
         return _member_zero()
+    scale = _scale(operator_norm(m), 2 * p)
     diff = psd_power(m.conj().T @ m, p, tol) - psd_power(m @ m.conj().T, p, tol)
-    return _psd_verdict(diff, _scale(operator_norm(m), 2 * p), tol)
+    return _psd_verdict(diff, scale, tol)
 
 
 def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
@@ -935,9 +1032,10 @@ def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdic
     m = as_operator(t)
     if _zero_operator(m):
         return _member_zero()
+    scale = _scale(operator_norm(m), 2)
     m2 = m @ m
     diff = psd_power(m2.conj().T @ m2, 0.5, tol) - m.conj().T @ m
-    return _psd_verdict(diff, _scale(operator_norm(m), 2), tol)
+    return _psd_verdict(diff, scale, tol)
 
 
 def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
@@ -1123,14 +1221,13 @@ def _reconcile(
 
 
 # The classes both oracles decide, by OperatorClass name: the least k, the
-# builder (m, k, tol) of the sphere defect's terms, the name of the public
-# pencil constructor (m, k), looked up at call time so that a rebinding of the
-# name reaches the predicates, and the degree in k of the sphere defect's scale.
+# builder (m, k, tol) of the sphere defect's terms, the pencil builder
+# (m, k, ||T||) and the degree in k of the sphere defect's scale.
 _DUAL = {
-    "KQuasiParanormal": (0, _quasi_terms, "quasi_paranormal_pencil", lambda k: 2 * k + 2),
-    "KParanormal": (1, _k_paranormal_terms, "k_paranormal_pencil", lambda k: k + 1),
+    "KQuasiParanormal": (0, _quasi_terms, _quasi_pencil, lambda k: 2 * k + 2),
+    "KParanormal": (1, _k_paranormal_terms, _k_paranormal_pencil, lambda k: k + 1),
     "AbsoluteKParanormal": (
-        1, _absolute_k_paranormal_terms, "absolute_k_paranormal_pencil", lambda k: k + 1
+        1, _absolute_k_paranormal_terms, _absolute_k_paranormal_pencil, lambda k: k + 1
     ),
 }
 
@@ -1138,9 +1235,10 @@ _DUAL = {
 def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) -> list:
     """Decide every (class name, k) of ``problems`` on T by both oracles.
 
-    T's norm, SVD warm starts and seeded starts are computed once. One
-    descent runs over the columns of all problems, one block each, and the
-    pencils' refinements share their eigensolves. Each problem gets the
+    T's norm, SVD warm starts and seeded starts are computed once; the
+    pencils are built on that norm. One descent runs over the columns of all
+    problems, one block each, and the pencils are swept and refined as one
+    stack (see ``_pencil_minima``). Each problem gets the
     verdict it gets alone, so the predicates are the one-problem case.
     """
     m = as_operator(t)
@@ -1154,7 +1252,7 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     norm_t = operator_norm(m)
     scales = [_scale(norm_t, _DUAL[name][3](k)) for name, k in problems]
     defect = _NormProductDefect.of(*(_DUAL[name][1](m, k, tol) for name, k in problems))
-    pencils = [globals()[_DUAL[name][2]](m, k) for name, k in problems]
+    pencils = [_DUAL[name][2](m, k, norm_t) for name, k in problems]
     x = np.repeat(_starts(m.shape[0], restarts, seed, _warm_starts(m))[None], len(problems), 0)
     bands = tol.tol_decision * np.array(scales)
     spheres = _descend(defect.value_and_gradient, x, bands, _MAX_ITER,

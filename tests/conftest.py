@@ -42,9 +42,9 @@ def dual_families(t: np.ndarray, k: int) -> list:
         (
             name,
             membership._NormProductDefect.of(build_terms(t, k, DEFAULT_TOLERANCES)),
-            getattr(membership, pencil_name)(t, k),
+            build_pencil(t, k, norm_t),
             membership._scale(norm_t, degree(k)),
         )
-        for name, (least_k, build_terms, pencil_name, degree) in membership._DUAL.items()
+        for name, (least_k, build_terms, build_pencil, degree) in membership._DUAL.items()
         if k >= least_k
     ]

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -261,6 +262,21 @@ def test_generate_failure_writes_nothing(capsys, tmp_path, lam, error):
                               "--lam", lam, "-o", str(tmp_path / "s.json")])
     assert code == 1
     assert doc["error"]["type"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", ["1e308+1e308j", "1.5e308+1.5e308j"])
+def test_generate_overflowing_class_scale_warns_nothing(capsys, tmp_path, lam):
+    # At n = 1 the matrix has entries lam: its norm is 1.41e308, or NaN where
+    # the SVD overflows, and either way the class scale is refused before
+    # certification forms any product of T that would overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = _run(capsys, ["generate", "scalar-root", "--dim", "2", "--n", "1",
+                                  "--lam", lam, "-o", str(tmp_path / "s.json")])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "overflows" in doc["error"]["message"]
     assert list(tmp_path.iterdir()) == []
 
 

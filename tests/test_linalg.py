@@ -47,6 +47,18 @@ def test_operator_norm_examples(j2):
     assert operator_norm(np.diag([2.0, -3.0])) == pytest.approx(3.0)
 
 
+def test_operator_norm_is_numpys_two_norm_bit_for_bit():
+    rng = np.random.default_rng(2070)
+    mats = [np.zeros((1, 1)), np.zeros((5, 5)), np.array([[3.0 - 4.0j]]), np.ones((4, 4))]
+    for dim in range(1, 13):
+        g = ginibre(dim, rng)
+        low_rank = g[:, :1] @ g[:1, :] + g[:, 1:2] @ g[1:2, :] if dim > 1 else 0 * g
+        mats += [g, low_rank, 1e-150 * g, 1e150 * g, g.real]
+    for m in mats:
+        want = float(np.linalg.norm(np.asarray(m, dtype=np.complex128), 2))
+        assert operator_norm(m).hex() == want.hex(), m.shape
+
+
 def test_spectral_radius_examples(j2):
     assert spectral_radius(j2) <= 1e-8
     assert spectral_radius(np.diag([2.0, -3.0])) == pytest.approx(3.0)

@@ -16,6 +16,7 @@ from opclass.membership import (
     Witness,
     _DUAL,
     _NormProductDefect,
+    _PencilStack,
     _brent,
     _central_gradient,
     _STRIDE,
@@ -424,12 +425,14 @@ def _certificate_pencils() -> list:
     mats = [scale * random_ginibre(dim, seed=200 + dim)
             for dim in range(3, 9) for scale in (1e-3, 1.0, 1e3)]
     mats += [_family_matrix(i) for i in range(14)]
-    return [
-        [quasi_paranormal_pencil(t, k) for k in range(4)]
-        + [ctor(t, k) for ctor in (k_paranormal_pencil, absolute_k_paranormal_pencil)
-           for k in (1, 2, 3)]
-        for t in mats
-    ]
+    return [_classify_pencils(t) for t in mats]
+
+
+def _classify_pencils(t) -> list:
+    """The ten pencils classify_all builds for T at its default k list."""
+    return ([quasi_paranormal_pencil(t, k) for k in range(4)]
+            + [ctor(t, k) for ctor in (k_paranormal_pencil, absolute_k_paranormal_pencil)
+               for k in (1, 2, 3)])
 
 
 def _full_sweep(pencil, n_grid):
@@ -452,7 +455,8 @@ def test_pruned_sweep_skips_only_cells_above_the_grid_minimum():
         for n_grid in (257, 65, 2):
             full, full_local = _full_sweep(pencil, n_grid)
             lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
-            mins, evaluated, local = _sweep(pencil, lams)
+            [mins], [evaluated], [local] = _sweep(_PencilStack([pencil]), lams[None])
+            local = np.flatnonzero(local)
             where = (pencil.label, n_grid)
             assert (full[~evaluated] > full.min()).all(), where
             assert np.array_equal(mins[evaluated], full[evaluated]), where
@@ -480,6 +484,40 @@ def test_pruned_sweep_minimum_equals_full_sweep():
             if (val, lam) != want:
                 assert val <= want[0], pencil.label
                 assert len(_full_sweep(pencil, 257)[1]) > 8, pencil.label
+
+
+def test_stacked_minima_equal_each_pencil_alone():
+    # classify_all sweeps and refines the ten pencils of a matrix as one
+    # stack; each must get the (lambda, value) it gets alone, bit for bit,
+    # at dims 1-8, at scales far from 1, on member families, and at every
+    # grid size, including stacks whose open cells span several chunks.
+    mats = [scale * random_ginibre(dim, seed=300 + dim)
+            for dim in range(1, 9) for scale in (1e-3, 1.0, 1e3)]
+    mats += [_family_matrix(i) for i in range(0, 42, 5)]
+    for t in mats:
+        pool = _classify_pencils(t)
+        for n_grid in (257, 65, 2):
+            alone = [_pencil_minima([pencil], n_grid, 8, TOL)[0] for pencil in pool]
+            assert _pencil_minima(pool, n_grid, 8, TOL) == alone, (t.shape, n_grid)
+
+
+def test_stacked_build_equals_evaluate_bit_for_bit():
+    # numpy squares for lams ** 2.0, and its power of an exponent array may
+    # round differently: on builds with AVX-512 power it does at indices 9,
+    # 11, 82 and 104 of this grid. The stacked build must take evaluate's
+    # powers, in one pencil and in a stack, whatever order the points come in.
+    lams = np.geomspace(2.3e-6, 9.2, 257)
+    pool = _classify_pencils(random_ginibre(5, seed=11))
+    want = np.concatenate([pencil.evaluate(lams) for pencil in pool])
+    owner = np.repeat(np.arange(len(pool)), lams.size)
+    order = np.random.default_rng(0).permutation(owner.size)
+    stack = _PencilStack(pool)
+    got = np.empty_like(want)
+    got[order] = stack.matrices(owner[order], np.tile(lams, len(pool))[order])
+    assert got.tobytes() == want.tobytes()
+    for pencil in pool:
+        alone = _PencilStack([pencil]).matrices(np.zeros(lams.size, dtype=np.intp), lams)
+        assert alone.tobytes() == pencil.evaluate(lams).tobytes(), pencil.label
 
 
 # ---------------------------------------------------------------------------

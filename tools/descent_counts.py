@@ -7,22 +7,25 @@ Usage (from the root of a checkout):
 
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
-it still holds. Every pencil sweep pass and every refinement round
-evaluates ``membership.PencilSpec.evaluate`` on a batch of lambdas; a
-round asks every running Brent search (``membership._brent``) for one
-lambda. This script wraps both methods, ``membership._sweep``,
-``membership._brent`` and ``membership._pencil_minima``, from outside and
-counts:
+it still holds. ``membership._pencil_minima`` stacks the terms of all its
+pencils once (``membership._PencilStack``); every pencil sweep pass and
+every refinement round builds the matrices of a batch of (pencil, lambda)
+points with ``_PencilStack.matrices``, and a round asks every running
+Brent search (``membership._brent``) for one lambda. The pencil verdicts
+build their matrices with ``membership.PencilSpec.evaluate``. This script
+wraps those methods, ``membership._sweep``, ``membership._brent`` and
+``membership._pencil_minima``, from outside and counts:
 
 * the fused calls and the columns they evaluate (problems x columns per
   call);
-* the ``evaluate`` calls, and the lambdas evaluated in grid sweeps and in
-  refinement rounds. A sweep's lambdas are those evaluated inside
-  ``_sweep``: its first call is the coarse pass, any later one the open
-  cells. Its grid size is counted too, which is what a sweep that
-  eigensolves every grid point evaluates. The other calls inside
-  ``_pencil_minima`` are refinement rounds; the calls outside it, one per
-  pencil verdict for its eigenvector, count only as calls;
+* the pencil builds (``matrices`` and ``evaluate`` calls), and the lambdas
+  built in grid sweeps and in refinement rounds. A sweep's lambdas are
+  those built inside ``_sweep``: its first build is the coarse pass of all
+  its pencils, any later one the open cells. Its grid size is counted too,
+  summed over its pencils, which is what sweeps that eigensolve every grid
+  point evaluate. The other builds inside ``_pencil_minima`` are
+  refinement rounds; the builds outside it, for the pencil verdicts'
+  eigenvectors, count only as builds;
 * the refinement searches, and the lockstep rounds of refinement: per
   ``_pencil_minima`` call, the most lambdas any one of its searches asked
   for.
@@ -64,19 +67,19 @@ import workloads as wl  # noqa: E402
 
 
 class Counter:
-    """Counts the fused sphere steps, the pencil evaluations and the
-    refinement searches."""
+    """Counts the fused sphere steps, the pencil builds and the refinement
+    searches."""
 
-    FIELDS = ("calls", "columns", "evaluates", "coarse_lams", "open_lams", "grid_lams",
+    FIELDS = ("calls", "columns", "builds", "coarse_lams", "open_lams", "grid_lams",
               "refine_lams", "searches", "rounds")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
-        # Where the next evaluate call inside _pencil_minima counts.
+        # Where the next build inside _pencil_minima counts.
         self._kind = None
         # The most lambdas one search of the running _pencil_minima asked for.
         self._rounds = 0
-        self._saved = (mb._NormProductDefect.value_and_gradient,
+        self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                        mb.PencilSpec.evaluate, mb._sweep, mb._brent, mb._pencil_minima)
 
     def _inside(self, fn, kind):
@@ -90,7 +93,7 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, evaluate, sweep, brent, minima = self._saved
+        fused, matrices, evaluate, sweep, brent, minima = self._saved
         counts = self.counts
 
         def counted_fused(defect, x):
@@ -98,17 +101,21 @@ class Counter:
             counts["columns"] += x.size // x.shape[-2]
             return fused(defect, x)
 
-        def counted_evaluate(pencil, lams):
-            counts["evaluates"] += 1
+        def counted_matrices(stack, owner, lams):
+            counts["builds"] += 1
             if self._kind is not None:
                 counts[self._kind] += lams.size
                 if self._kind == "coarse_lams":
                     self._kind = "open_lams"
+            return matrices(stack, owner, lams)
+
+        def counted_evaluate(pencil, lams):
+            counts["builds"] += 1
             return evaluate(pencil, lams)
 
-        def counted_sweep(pencil, lams):
+        def counted_sweep(stack, lams):
             counts["grid_lams"] += lams.size
-            return sweep(pencil, lams)
+            return sweep(stack, lams)
 
         def counted_brent(*args):
             counts["searches"] += 1
@@ -130,6 +137,7 @@ class Counter:
                 counts["rounds"] += self._rounds
 
         mb._NormProductDefect.value_and_gradient = counted_fused
+        mb._PencilStack.matrices = counted_matrices
         mb.PencilSpec.evaluate = counted_evaluate
         mb._sweep = self._inside(counted_sweep, "coarse_lams")
         mb._brent = counted_brent
@@ -137,7 +145,7 @@ class Counter:
         return self
 
     def __exit__(self, *exc):
-        (mb._NormProductDefect.value_and_gradient,
+        (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
          mb.PencilSpec.evaluate, mb._sweep, mb._brent, mb._pencil_minima) = self._saved
 
     def take(self) -> dict:
@@ -148,7 +156,7 @@ class Counter:
 
 def pencil_line(counts: dict) -> str:
     sweep = counts["coarse_lams"] + counts["open_lams"]
-    return (f"{counts['evaluates']} evaluate calls, {sweep} sweep lambdas "
+    return (f"{counts['builds']} builds, {sweep} sweep lambdas "
             f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
             f"of {counts['grid_lams']} on the grids, {counts['refine_lams']} refinement lambdas "
             f"in {counts['searches']} searches over {counts['rounds']} lockstep rounds")
