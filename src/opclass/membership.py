@@ -11,7 +11,8 @@ relatives) are decided by two independent routes:
   local grid minima by Brent's parabolic and golden-section search, which
   stops in decision units: once its parabola predicts a gain of at most a
   thousandth of the decision band tol_decision * scale. The pencils of
-  one matrix are stacked once and swept and refined together, each with
+  one matrix are stacked once and swept and refined together, and the
+  witness eigenvectors are built from the same stack, each pencil with
   the values it gets alone,
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
@@ -528,23 +529,16 @@ def pencil_check(
     max_refine: int = _MAX_REFINE,
 ) -> MembershipVerdict:
     """Global least-eigenvalue certificate for P(lam) >= 0 on the pencil
-    domain.
-
-    Sweeps a logarithmic grid of ``n_grid`` points, eigensolving only the
-    cells that a Weyl bound cannot place above the least value of a coarse
-    first pass, then refines around every local grid minimum in them (up to
-    ``max_refine``, deepest first) by Brent's parabolic and golden-section
-    search. A search stops at width 1e-6 * lambda_max, or once its parabola
-    predicts a gain of at most 1e-3 * tol_decision * scale, a hundredth of
-    the margin of a Member. All searches run in lockstep: each round
-    evaluates the one lambda every running search asks for in one stacked
-    eigensolve. The witness is the minimizing lambda and eigenvector.
+    domain: the least lambda_min(P(lam)) found on a logarithmic grid of
+    ``n_grid`` points, refined around up to ``max_refine`` of its local
+    minima, deepest first. The witness is the minimizing lambda and
+    eigenvector.
     """
     if not isinstance(pencil, PencilSpec):
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
     if n_grid < 1 or max_refine < 0:
         raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
-    [verdict] = _pencil_verdicts([pencil], _pencil_minima([pencil], n_grid, max_refine, tol), tol)
+    [verdict] = _pencil_verdicts([pencil], n_grid, max_refine, tol)
     return verdict
 
 
@@ -603,19 +597,6 @@ class _PencilStack:
                                for s in range(0, lams.size, _CHUNK)])
 
 
-@functools.lru_cache(maxsize=16)
-def _cells(n: int):
-    """The sweep's cells on an n-point grid, as read-only index arrays: the
-    first-pass points, and for every step s, from point s to s + 1, its
-    cell s // _STRIDE and that cell's left and right first-pass points."""
-    coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
-    cell = np.arange(n - 1) // _STRIDE
-    out = (coarse, cell, coarse[cell], coarse[cell + 1])
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def _sweep(stack: _PencilStack, lams: np.ndarray):
     """lam -> lam_min(P(lam)) of every pencil of ``stack`` on its grid, row
     p of ``lams`` (pencils, n), eigensolved only where it may lie at or
@@ -645,7 +626,11 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     eigensolved too. Each pencil's rows are those it gets alone.
     """
     count, n = lams.shape
-    coarse, cell, left, right = _cells(n)
+    # The first-pass points, and for every step s, from point s to s + 1,
+    # its cell s // _STRIDE and that cell's left and right first-pass points.
+    coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
+    cell = np.arange(n - 1) // _STRIDE
+    left, right = coarse[cell], coarse[cell + 1]
     coefs = stack.coefs
     herm = (coefs + coefs.conj().transpose(0, 1, 3, 2)) / 2.0
     first = stack.matrices(np.arange(count * coarse.size) // coarse.size,
@@ -687,9 +672,9 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     return mins, evaluated, local
 
 
-def _pencil_minima(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) -> list:
-    """The least (lambda, lambda_min(P(lambda))) found on each of some
-    pencils of one dimension and one number of terms.
+def _pencil_verdicts(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) -> list:
+    """The verdicts of some pencils of one dimension and one number of
+    terms, on the least (lambda, lambda_min(P(lambda))) found on each.
 
     The pencils' terms are stacked once (``_PencilStack``) and swept
     together, each on its own grid (see ``_sweep``); pencils with one domain
@@ -699,7 +684,9 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) 
     The Brent searches of all pencils then share one stacked build and
     eigensolve per round, one lambda per search; each stops in decision
     units of its pencil's scale (see ``_brent``), and each pencil merges
-    only its own. Every value is the one the pencil gets alone.
+    only its own. The witness eigenvectors come from one more build on the
+    same stack, at every pencil's least lambda, and one stacked eigh. Every
+    verdict is the one the pencil gets alone.
     """
     stack, grids = _PencilStack(pencils), {}
     for pencil in pencils:
@@ -737,16 +724,10 @@ def _pencil_minima(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) 
     for (p, _), (lam, val) in zip(searches, found):
         if val < bests[p][1]:
             bests[p] = (lam, val)
-    return bests
-
-
-def _pencil_verdicts(pencils, minima, tol: TolerancePolicy) -> list:
-    """The verdicts of some pencils of one dimension on their least
-    (lambda, value); the witness eigenvectors come from one stacked eigh."""
-    stack = np.concatenate([p.evaluate(np.array([lam])) for p, (lam, _) in zip(pencils, minima)])
-    _, vecs = np.linalg.eigh(stack)
+    best_lams = np.array([lam for lam, _ in bests])
+    _, vecs = np.linalg.eigh(stack.matrices(np.arange(len(pencils)), best_lams))
     verdicts = []
-    for pencil, (lam, val), v in zip(pencils, minima, vecs):
+    for pencil, (lam, val), v in zip(pencils, bests, vecs):
         status, threshold = _decide(val, pencil.scale, tol)
         verdicts.append(MembershipVerdict(
             status=status, defect=val, oracle="pencil",
@@ -1163,40 +1144,34 @@ def _warm_starts(m: np.ndarray) -> np.ndarray:
 
 
 def _reconcile(
-    sphere: MembershipVerdict,
-    pencil: MembershipVerdict,
-    defect_fn,
-    sphere_scale: float,
-    pencil_scale: float,
-    tol: TolerancePolicy,
-    seed: int,
-    label: str,
+    sphere: MembershipVerdict, pencil: MembershipVerdict, defect_fn, label: str
 ) -> MembershipVerdict:
     """Combine the two oracle verdicts into a single class verdict.
 
     The reported defect is always the exact defining-inequality value, and
     every NonMember verdict carries a witness that has been re-evaluated
     through that inequality. Decisively opposite oracles raise
-    OracleDisagreement instead of picking a side.
+    OracleDisagreement instead of picking a side: a definite verdict is
+    decisive when its defect exceeds ten times its own threshold. The
+    combined verdict takes the sphere's threshold and seed.
     """
     if (
         sphere.is_definite
         and pencil.is_definite
         and sphere.status is not pencil.status
-        and abs(sphere.defect / sphere_scale) > 10.0 * tol.tol_decision
-        and abs(pencil.defect / pencil_scale) > 10.0 * tol.tol_decision
+        and abs(sphere.defect) > 10.0 * sphere.threshold
+        and abs(pencil.defect) > 10.0 * pencil.threshold
     ):
         raise OracleDisagreement(
             f"{label}: sphere says {sphere.status.value} (defect {sphere.defect:.3e}) "
             f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
         )
-    threshold = tol.tol_decision * sphere_scale
     certified = []
     for claim in (sphere, pencil):
         if claim.status is Status.NON_MEMBER:
             vec = claim.witness.vector / np.linalg.norm(claim.witness.vector)
             exact = float(defect_fn(vec))
-            if exact <= -threshold:
+            if exact <= -sphere.threshold:
                 witness = Witness(vector=vec, pencil_lambda=claim.witness.pencil_lambda)
                 certified.append((exact, claim.oracle, witness))
     if certified:
@@ -1211,12 +1186,8 @@ def _reconcile(
         status = Status.MEMBER if member else Status.INCONCLUSIVE
         defect, oracle, witness = sphere.defect, "sphere", sphere.witness
     return MembershipVerdict(
-        status=status,
-        defect=defect,
-        oracle=oracle,
-        witness=witness,
-        threshold=threshold,
-        seed=seed,
+        status=status, defect=defect, oracle=oracle, witness=witness,
+        threshold=sphere.threshold, seed=sphere.seed,
     )
 
 
@@ -1238,7 +1209,7 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     T's norm, SVD warm starts and seeded starts are computed once; the
     pencils are built on that norm. One descent runs over the columns of all
     problems, one block each, and the pencils are swept and refined as one
-    stack (see ``_pencil_minima``). Each problem gets the
+    stack (see ``_pencil_verdicts``). Each problem gets the
     verdict it gets alone, so the predicates are the one-problem case.
     """
     m = as_operator(t)
@@ -1257,18 +1228,13 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     bands = tol.tol_decision * np.array(scales)
     spheres = _descend(defect.value_and_gradient, x, bands, _MAX_ITER,
                        lambda rows: defect.take(rows).value_and_gradient)
-    minima = _pencil_minima(pencils, _N_GRID, _MAX_REFINE, tol)
-    verdicts = []
-    for p, ((val, vec), pencil_verdict, pencil) in enumerate(
-        zip(spheres, _pencil_verdicts(pencils, minima, tol), pencils)
-    ):
-        verdicts.append(_reconcile(
-            _sphere_verdict(val, vec, scales[p], tol, seed),
-            pencil_verdict,
-            defect.take([p]),
-            scales[p], pencil.scale, tol, seed, pencil.label,
-        ))
-    return verdicts
+    return [
+        _reconcile(_sphere_verdict(val, vec, scale, tol, seed), verdict, defect.take([p]),
+                   pencil.label)
+        for p, ((val, vec), scale, pencil, verdict) in enumerate(
+            zip(spheres, scales, pencils, _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol))
+        )
+    ]
 
 
 def is_k_quasi_paranormal(

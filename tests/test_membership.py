@@ -20,7 +20,7 @@ from opclass.membership import (
     _brent,
     _central_gradient,
     _STRIDE,
-    _pencil_minima,
+    _pencil_verdicts,
     _reconcile,
     _sweep,
     _warm_starts,
@@ -343,10 +343,12 @@ def test_lockstep_refinement_equals_sequential_search():
     assert sum(len(pool) > 1 for pool in pools) >= 4
     for pool in pools:
         for n_grid, max_refine in ((257, 8), (65, 2)):
-            got = _pencil_minima(pool, n_grid, max_refine, TOL)
-            for pencil, (lam, val) in zip(pool, got):
+            got = _pencil_verdicts(pool, n_grid, max_refine, TOL)
+            for pencil, v in zip(pool, got):
                 want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
-                assert (val, lam) == want, (pencil.label, n_grid, max_refine)
+                assert (v.defect, v.witness.pencil_lambda) == want, (
+                    pencil.label, n_grid, max_refine
+                )
 
 
 def _search(f, a, b, width, gain):
@@ -479,7 +481,8 @@ def test_pruned_sweep_minimum_equals_full_sweep():
     # more than max_refine local minima the slots go to others, which can
     # only find an equal or a deeper minimum.
     for own in _certificate_pencils():
-        for pencil, (lam, val) in zip(own, _pencil_minima(own, 257, 8, TOL)):
+        for pencil, v in zip(own, _pencil_verdicts(own, 257, 8, TOL)):
+            val, lam = v.defect, v.witness.pencil_lambda
             want, _ = _sequential_pencil_minimum(pencil, 257, 8)
             if (val, lam) != want:
                 assert val <= want[0], pencil.label
@@ -487,18 +490,21 @@ def test_pruned_sweep_minimum_equals_full_sweep():
 
 
 def test_stacked_minima_equal_each_pencil_alone():
-    # classify_all sweeps and refines the ten pencils of a matrix as one
-    # stack; each must get the (lambda, value) it gets alone, bit for bit,
-    # at dims 1-8, at scales far from 1, on member families, and at every
-    # grid size, including stacks whose open cells span several chunks.
+    # classify_all sweeps, refines and builds the witnesses of the ten
+    # pencils of a matrix as one stack; each must get the verdict it gets
+    # alone, witness vector included, bit for bit, at dims 1-8, at scales
+    # far from 1, on member families, and at every grid size, including
+    # stacks whose open cells span several chunks.
     mats = [scale * random_ginibre(dim, seed=300 + dim)
             for dim in range(1, 9) for scale in (1e-3, 1.0, 1e3)]
     mats += [_family_matrix(i) for i in range(0, 42, 5)]
     for t in mats:
         pool = _classify_pencils(t)
         for n_grid in (257, 65, 2):
-            alone = [_pencil_minima([pencil], n_grid, 8, TOL)[0] for pencil in pool]
-            assert _pencil_minima(pool, n_grid, 8, TOL) == alone, (t.shape, n_grid)
+            alone = [_pencil_verdicts([pencil], n_grid, 8, TOL)[0].to_json_dict()
+                     for pencil in pool]
+            stacked = [v.to_json_dict() for v in _pencil_verdicts(pool, n_grid, 8, TOL)]
+            assert stacked == alone, (t.shape, n_grid)
 
 
 def test_stacked_build_equals_evaluate_bit_for_bit():
@@ -844,7 +850,7 @@ def test_oracle_agreement_small():
 def test_reconcile_raises_on_decisive_disagreement():
     member = MembershipVerdict(
         status=Status.MEMBER, defect=1.0, oracle="sphere",
-        witness=Witness(vector=np.array([1.0 + 0j])), threshold=1e-8,
+        witness=Witness(vector=np.array([1.0 + 0j])), threshold=1e-8, seed=0,
     )
     nonmember = MembershipVerdict(
         status=Status.NON_MEMBER, defect=-1.0, oracle="pencil",
@@ -852,9 +858,7 @@ def test_reconcile_raises_on_decisive_disagreement():
         threshold=1e-8,
     )
     with pytest.raises(OracleDisagreement):
-        _reconcile(
-            member, nonmember, lambda x: 1.0, 1.0, 1.0, TOL, seed=0, label="synthetic"
-        )
+        _reconcile(member, nonmember, lambda x: 1.0, label="synthetic")
 
 
 def test_reconcile_prefers_certified_witness():
@@ -862,19 +866,42 @@ def test_reconcile_prefers_certified_witness():
     # defining inequality, so the combined verdict is NonMember.
     sphere = MembershipVerdict(
         status=Status.MEMBER, defect=1e-11, oracle="sphere",
-        witness=Witness(vector=np.array([1.0 + 0j])), threshold=1e-8,
+        witness=Witness(vector=np.array([1.0 + 0j])), threshold=1e-8, seed=0,
     )
     pencil = MembershipVerdict(
         status=Status.NON_MEMBER, defect=-2e-8, oracle="pencil",
         witness=Witness(vector=np.array([1.0 + 0j]), pencil_lambda=0.5),
         threshold=1e-8,
     )
-    v = _reconcile(
-        sphere, pencil, lambda x: -5e-8, 1.0, 1.0, TOL, seed=0, label="synthetic"
-    )
+    v = _reconcile(sphere, pencil, lambda x: -5e-8, label="synthetic")
     assert v.status is Status.NON_MEMBER
     assert v.oracle == "pencil"
     assert v.defect == pytest.approx(-5e-8)
+
+
+def test_reconcile_judges_each_oracle_in_its_own_band():
+    # The pencil's scale is a higher power of ||T|| than the sphere's, so
+    # its threshold can be 1e4 times the sphere's. A pencil NonMember at 5
+    # times its own threshold is not decisive beside a decisive sphere
+    # Member; at 20 times it is, and the oracles disagree.
+    sphere = MembershipVerdict(
+        status=Status.MEMBER, defect=1.0, oracle="sphere",
+        witness=Witness(vector=np.array([1.0 + 0j])), threshold=1e-8, seed=5,
+    )
+
+    def pencil(ratio):
+        return MembershipVerdict(
+            status=Status.NON_MEMBER, defect=-ratio * 1e-4, oracle="pencil",
+            witness=Witness(vector=np.array([1.0 + 0j]), pencil_lambda=2.0),
+            threshold=1e-4,
+        )
+
+    # The pencil's witness fails re-validation, so the verdict is Inconclusive.
+    v = _reconcile(sphere, pencil(5.0), lambda x: 1.0, label="synthetic")
+    assert (v.status, v.oracle, v.defect) == (Status.INCONCLUSIVE, "sphere", 1.0)
+    assert v.threshold == 1e-8 and v.seed == 5
+    with pytest.raises(OracleDisagreement):
+        _reconcile(sphere, pencil(20.0), lambda x: 1.0, label="synthetic")
 
 
 _M, _NM, _I = Status.MEMBER, Status.NON_MEMBER, Status.INCONCLUSIVE
@@ -914,7 +941,7 @@ def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, de
     e0, e1 = np.eye(2, dtype=np.complex128)
     sphere = MembershipVerdict(
         status=s_stat, defect=_SPHERE_DEFECT[s_stat], oracle="sphere",
-        witness=Witness(vector=e0), threshold=1e-8,
+        witness=Witness(vector=e0), threshold=1e-8, seed=3,
     )
     pencil = MembershipVerdict(
         status=p_stat, defect=_PENCIL_DEFECT[p_stat], oracle="pencil",
@@ -925,7 +952,7 @@ def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, de
         # The sphere's witness is e0, the pencil's e1.
         return s_exact if abs(x[0]) > 0.5 else p_exact
 
-    v = _reconcile(sphere, pencil, exact, 1.0, 1.0, TOL, seed=3, label="synthetic")
+    v = _reconcile(sphere, pencil, exact, label="synthetic")
     assert (v.status, v.oracle, v.defect) == (status, oracle, defect)
     assert v.seed == 3 and v.threshold == TOL.tol_decision
     assert v.witness.pencil_lambda == (0.5 if oracle == "pencil" else None)
@@ -1086,6 +1113,22 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
                 continue
             assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
     assert len(compactions) >= len(mats)
+
+
+def test_verdicts_build_no_pencil_through_evaluate(monkeypatch):
+    # The pencil engine builds every matrix, the witnesses' included, from
+    # its stack; PencilSpec.evaluate is only the public reference.
+    t = random_ginibre(4, seed=9)
+    pencil = k_paranormal_pencil(t, 2)
+
+    def refuse(self, lams):
+        raise AssertionError("PencilSpec.evaluate called")
+
+    monkeypatch.setattr(PencilSpec, "evaluate", refuse)
+    assert len(classify_all(t, seed=1)) == 16
+    for name, predicate in _PREDICATES.items():
+        assert isinstance(predicate(t, 1, seed=1), MembershipVerdict), name
+    assert pencil_check(pencil).witness.pencil_lambda is not None
 
 
 def test_overflowing_scale_is_value_error():

@@ -7,28 +7,28 @@ Usage (from the root of a checkout):
 
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
-it still holds. ``membership._pencil_minima`` stacks the terms of all its
-pencils once (``membership._PencilStack``); every pencil sweep pass and
-every refinement round builds the matrices of a batch of (pencil, lambda)
-points with ``_PencilStack.matrices``, and a round asks every running
-Brent search (``membership._brent``) for one lambda. The pencil verdicts
-build their matrices with ``membership.PencilSpec.evaluate``. This script
-wraps those methods, ``membership._sweep``, ``membership._brent`` and
-``membership._pencil_minima``, from outside and counts:
+it still holds. ``membership._pencil_verdicts`` stacks the terms of all
+its pencils once (``membership._PencilStack``); every pencil sweep pass,
+every refinement round and the build of the witness eigenvectors makes
+the matrices of a batch of (pencil, lambda) points with
+``_PencilStack.matrices``, and a round asks every running Brent search
+(``membership._brent``) for one lambda. This script wraps those methods,
+``membership._sweep``, ``membership._brent`` and
+``membership._pencil_verdicts``, from outside and counts:
 
 * the fused calls and the columns they evaluate (problems x columns per
   call);
-* the pencil builds (``matrices`` and ``evaluate`` calls), and the lambdas
-  built in grid sweeps and in refinement rounds. A sweep's lambdas are
-  those built inside ``_sweep``: its first build is the coarse pass of all
-  its pencils, any later one the open cells. Its grid size is counted too,
-  summed over its pencils, which is what sweeps that eigensolve every grid
-  point evaluate. The other builds inside ``_pencil_minima`` are
-  refinement rounds; the builds outside it, for the pencil verdicts'
-  eigenvectors, count only as builds;
+* the pencil builds (``matrices`` calls), and the lambdas built in grid
+  sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
+  are those built inside ``_sweep``: its first build is the coarse pass of
+  all its pencils, any later one the open cells. Its grid size is counted
+  too, summed over its pencils, which is what sweeps that eigensolve every
+  grid point evaluate. The other builds inside ``_pencil_verdicts`` are
+  refinement rounds while a Brent search runs, and the one witness build
+  of the call, one lambda per pencil, once none does;
 * the refinement searches, and the lockstep rounds of refinement: per
-  ``_pencil_minima`` call, the most lambdas any one of its searches asked
-  for.
+  ``_pencil_verdicts`` call, the most lambdas any one of its searches
+  asked for.
 
 The counts are printed
 
@@ -71,16 +71,17 @@ class Counter:
     searches."""
 
     FIELDS = ("calls", "columns", "builds", "coarse_lams", "open_lams", "grid_lams",
-              "refine_lams", "searches", "rounds")
+              "refine_lams", "witness_lams", "searches", "rounds")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
-        # Where the next build inside _pencil_minima counts.
+        # Where the next build inside _pencil_verdicts counts.
         self._kind = None
-        # The most lambdas one search of the running _pencil_minima asked for.
-        self._rounds = 0
+        # The most lambdas one search of the running _pencil_verdicts asked
+        # for, and the searches still running.
+        self._rounds = self._live = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                       mb.PencilSpec.evaluate, mb._sweep, mb._brent, mb._pencil_minima)
+                       mb._sweep, mb._brent, mb._pencil_verdicts)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -93,7 +94,7 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, matrices, evaluate, sweep, brent, minima = self._saved
+        fused, matrices, sweep, brent, verdicts = self._saved
         counts = self.counts
 
         def counted_fused(defect, x):
@@ -103,15 +104,14 @@ class Counter:
 
         def counted_matrices(stack, owner, lams):
             counts["builds"] += 1
-            if self._kind is not None:
-                counts[self._kind] += lams.size
-                if self._kind == "coarse_lams":
+            kind = self._kind
+            if kind == "refine_lams" and not self._live:
+                kind = "witness_lams"
+            if kind is not None:
+                counts[kind] += lams.size
+                if kind == "coarse_lams":
                     self._kind = "open_lams"
             return matrices(stack, owner, lams)
-
-        def counted_evaluate(pencil, lams):
-            counts["builds"] += 1
-            return evaluate(pencil, lams)
 
         def counted_sweep(stack, lams):
             counts["grid_lams"] += lams.size
@@ -119,34 +119,35 @@ class Counter:
 
         def counted_brent(*args):
             counts["searches"] += 1
+            self._live += 1
             search, asked, value = brent(*args), 0, None
             while True:
                 try:
                     lam = search.send(value)
                 except StopIteration as done:
                     self._rounds = max(self._rounds, asked)
+                    self._live -= 1
                     return done.value
                 asked += 1
                 value = yield lam
 
-        def counted_minima(*args):
-            self._rounds = 0
+        def counted_verdicts(*args):
+            self._rounds = self._live = 0
             try:
-                return minima(*args)
+                return verdicts(*args)
             finally:
                 counts["rounds"] += self._rounds
 
         mb._NormProductDefect.value_and_gradient = counted_fused
         mb._PencilStack.matrices = counted_matrices
-        mb.PencilSpec.evaluate = counted_evaluate
         mb._sweep = self._inside(counted_sweep, "coarse_lams")
         mb._brent = counted_brent
-        mb._pencil_minima = self._inside(counted_minima, "refine_lams")
+        mb._pencil_verdicts = self._inside(counted_verdicts, "refine_lams")
         return self
 
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-         mb.PencilSpec.evaluate, mb._sweep, mb._brent, mb._pencil_minima) = self._saved
+         mb._sweep, mb._brent, mb._pencil_verdicts) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -159,7 +160,8 @@ def pencil_line(counts: dict) -> str:
     return (f"{counts['builds']} builds, {sweep} sweep lambdas "
             f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
             f"of {counts['grid_lams']} on the grids, {counts['refine_lams']} refinement lambdas "
-            f"in {counts['searches']} searches over {counts['rounds']} lockstep rounds")
+            f"in {counts['searches']} searches over {counts['rounds']} lockstep rounds, "
+            f"{counts['witness_lams']} witness lambdas")
 
 
 def summary(per_item: list[dict]) -> str:
