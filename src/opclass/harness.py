@@ -634,12 +634,11 @@ def search_q2(
     seed: int,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
-    n: int = 2,
     inject_failure: bool = False,
 ) -> TheoremReport:
-    """Informational search: paranormal T with quasinormal T^n that is not
+    """Informational search: paranormal T with quasinormal T^2 that is not
     itself quasinormal. No such matrix exists in finite dimension (the
-    finite-dimensional collapse forces T^n normal, hence T normal), so the
+    finite-dimensional collapse forces T^2 normal, hence T normal), so the
     output reports candidates without asserting anything."""
     notes = {"candidates": 0}
 
@@ -656,7 +655,7 @@ def search_q2(
         para = is_k_quasi_paranormal(t, 0, tol, seed=ts)
         if para.status is not Status.MEMBER:
             return "paranormal"
-        if is_quasinormal(matrix_power(t, n), tol).status is not Status.MEMBER:
+        if is_quasinormal(matrix_power(t, 2), tol).status is not Status.MEMBER:
             return "power-quasinormal"
         if is_quasinormal(t, tol).status is Status.NON_MEMBER:
             notes["candidates"] += 1

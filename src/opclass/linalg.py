@@ -24,6 +24,7 @@ __all__ = [
     "as_operator",
     "adjoint",
     "frobenius_norm",
+    "finite_frobenius_norm",
     "operator_norm",
     "spectral_radius",
     "hermitian_eigen",
@@ -98,6 +99,17 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def finite_frobenius_norm(a) -> float:
+    """The Frobenius norm; ValueError, and no numpy warning, when it
+    overflows a double. Its sum of squares overflows once entries reach
+    about 1e154, while the norm itself may still be finite."""
+    with np.errstate(over="ignore"):
+        size = frobenius_norm(a)
+    if not np.isfinite(size):
+        raise ValueError("Frobenius norm of the matrix overflows a double")
+    return size
+
+
 def operator_norm(a) -> float:
     """Largest singular value."""
     m = as_operator(a)
@@ -129,10 +141,8 @@ class HermitianEigen:
 
 def _require_hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """Check Hermitian-ness, then symmetrize to absorb roundoff drift."""
-    size = frobenius_norm(m)
     # Against an infinite norm every residual would pass.
-    if not np.isfinite(size):
-        raise ValueError("Frobenius norm of the matrix overflows a double")
+    size = finite_frobenius_norm(m)
     resid = frobenius_norm(m - m.conj().T)
     if resid > tol.tol_eq * max(1.0, size):
         raise NotHermitian(f"Hermitian residual {resid:.3e} beyond tolerance")

@@ -52,6 +52,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
     as_operator,
+    finite_frobenius_norm,
     frobenius_norm,
     matrix_power,
     operator_norm,
@@ -144,80 +145,37 @@ class MembershipVerdict:
         }
 
 
-_PARAM_FREE = ("Normal", "Quasinormal", "Hyponormal", "ClassA", "Paranormal", "Normaloid")
+# Every class name and the parameter its label takes: None, "p" for a p in
+# (0, 1], or the least k. KQuasiParanormal at k = 0 is Paranormal, so its
+# labels start at k = 1.
+_CLASSES = {
+    "Normal": None, "Quasinormal": None, "Hyponormal": None, "PHyponormal": "p",
+    "ClassA": None, "Paranormal": None, "KParanormal": 1, "AbsoluteKParanormal": 1,
+    "KQuasiParanormal": 1, "Normaloid": None,
+}
 
 
 @dataclass(frozen=True, order=True)
 class OperatorClass:
-    """Label of an operator class, with its k or p parameter when indexed.
-
-    KQuasiParanormal(0) is identified with Paranormal, so the factory
-    normalizes it away.
-    """
+    """Label of an operator class, with its k or p parameter when indexed:
+    ``OperatorClass(name, k=...)`` or ``OperatorClass(name, p=...)``."""
 
     name: str
     k: int | None = None
     p: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name in _PARAM_FREE:
+        if self.name not in _CLASSES:
+            raise ValueError(f"unknown operator class {self.name!r}")
+        takes = _CLASSES[self.name]
+        if takes is None:
             if self.k is not None or self.p is not None:
                 raise ValueError(f"{self.name} takes no parameter")
-        elif self.name == "PHyponormal":
-            if self.p is None or not 0 < self.p <= 1:
-                raise ValueError("PHyponormal requires p in (0, 1]")
-        elif self.name in ("KParanormal", "AbsoluteKParanormal"):
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.name} requires a positive integer k")
-        elif self.name == "KQuasiParanormal":
-            if self.k is None or self.k < 1:
-                raise ValueError(
-                    "KQuasiParanormal requires k >= 1 (k = 0 is Paranormal)"
-                )
-        else:
-            raise ValueError(f"unknown operator class {self.name!r}")
-
-    @staticmethod
-    def normal() -> "OperatorClass":
-        return OperatorClass("Normal")
-
-    @staticmethod
-    def quasinormal() -> "OperatorClass":
-        return OperatorClass("Quasinormal")
-
-    @staticmethod
-    def hyponormal() -> "OperatorClass":
-        return OperatorClass("Hyponormal")
-
-    @staticmethod
-    def p_hyponormal(p: float) -> "OperatorClass":
-        return OperatorClass("PHyponormal", p=float(p))
-
-    @staticmethod
-    def class_a() -> "OperatorClass":
-        return OperatorClass("ClassA")
-
-    @staticmethod
-    def paranormal() -> "OperatorClass":
-        return OperatorClass("Paranormal")
-
-    @staticmethod
-    def k_paranormal(k: int) -> "OperatorClass":
-        return OperatorClass("KParanormal", k=int(k))
-
-    @staticmethod
-    def absolute_k_paranormal(k: int) -> "OperatorClass":
-        return OperatorClass("AbsoluteKParanormal", k=int(k))
-
-    @staticmethod
-    def k_quasi_paranormal(k: int) -> "OperatorClass":
-        if int(k) == 0:
-            return OperatorClass.paranormal()
-        return OperatorClass("KQuasiParanormal", k=int(k))
-
-    @staticmethod
-    def normaloid() -> "OperatorClass":
-        return OperatorClass("Normaloid")
+        elif takes == "p":
+            if self.k is not None or self.p is None or not 0 < self.p <= 1:
+                raise ValueError(f"{self.name} takes p in (0, 1] and no k")
+        elif self.p is not None or self.k is None or self.k < takes:
+            raise ValueError(f"{self.name} takes an integer k >= {takes} and no p")
 
     @property
     def params(self) -> dict:
@@ -376,6 +334,13 @@ def _pencil(norm_t: float, terms, degree: int, label: str) -> PencilSpec:
 # constructor checks its input and computes the norm itself.
 
 
+def _public_pencil(name: str, t, k: int) -> PencilSpec:
+    """The pencil of class ``name`` of _DUAL on T, k checked against its least k."""
+    m = as_operator(t)
+    _check_k(name, k)
+    return _DUAL[name][2](m, k, operator_norm(m))
+
+
 def _quasi_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
     pk = matrix_power(m, k)
     pk1 = m @ pk
@@ -390,10 +355,7 @@ def _quasi_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
     """Quadratic pencil A - 2z B + z^2 C whose global positivity on z > 0 is
     k-quasi-paranormality (k = 0 gives paranormality)."""
-    m = as_operator(t)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _quasi_pencil(m, k, operator_norm(m))
+    return _public_pencil("KQuasiParanormal", t, k)
 
 
 def _weighted_pencil(m: np.ndarray, k: int, d: np.ndarray, label: str, norm_t: float) -> PencilSpec:
@@ -413,10 +375,7 @@ def _k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
 
 def k_paranormal_pencil(t, k: int) -> PencilSpec:
     """Pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1) I."""
-    m = as_operator(t)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return _k_paranormal_pencil(m, k, operator_norm(m))
+    return _public_pencil("KParanormal", t, k)
 
 
 def _absolute_k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
@@ -427,14 +386,12 @@ def _absolute_k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> Penci
 
 def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
     """Pencil T*(T*T)^k T - (k+1) lam^k T*T + k lam^(k+1) I."""
-    m = as_operator(t)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return _absolute_k_paranormal_pencil(m, k, operator_norm(m))
+    return _public_pencil("AbsoluteKParanormal", t, k)
 
 
-# The oracles' budgets: pencil grid size and refined minima, sphere steps.
-_N_GRID, _MAX_REFINE, _MAX_ITER = 257, 8, 300
+# The oracles' budgets: pencil grid size and refined minima, sphere steps
+# and the seeded random starts of the dual predicates.
+_N_GRID, _MAX_REFINE, _MAX_ITER, _RESTARTS = 257, 8, 300, 8
 # The pencil sweep's first pass eigensolves every _STRIDE-th grid point and
 # the last. Its cell bounds are lowered by _MARGIN * dim * eps times
 # sum_j lam^e_j ||H_j|| at the cell's right end, which covers the rounding
@@ -768,7 +725,6 @@ def sphere_check(
     warm_starts: np.ndarray | None = None,
     scale: float = 1.0,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
-    max_iter: int = _MAX_ITER,
     value_and_gradient=None,
 ) -> MembershipVerdict:
     """Minimize a continuous defect over the unit sphere of C^dim.
@@ -786,8 +742,7 @@ def sphere_check(
     Each column takes Barzilai-Borwein steps and moves only when its value
     falls. The descent stops in decision units: once its least value fell
     by at most 1e-6 * tol_decision * ``scale`` over the last 8 steps, once
-    every column's next step is shorter than 1e-9, or after ``max_iter``
-    steps.
+    every column's next step is shorter than 1e-9, or after 300 steps.
 
     ``value_and_gradient``, when given, maps a (dim, n) batch of unit columns
     to the values of ``defect``, shape (n,), and its Euclidean gradient,
@@ -810,7 +765,7 @@ def sphere_check(
         vals, grad = value_and_gradient(stack[0])
         return vals[None], grad[None]
 
-    [(val, vec)] = _descend(one_problem, x[None], [tol.tol_decision * scale], max_iter,
+    [(val, vec)] = _descend(one_problem, x[None], [tol.tol_decision * scale],
                             lambda rows: one_problem)
     return _sphere_verdict(val, vec, scale, tol, seed)
 
@@ -858,7 +813,7 @@ def _tangent(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - _dot(x, grad)[..., None, :] * x
 
 
-def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take) -> list:
+def _descend(value_and_gradient, x: np.ndarray, band, take) -> list:
     """Projected gradient descent from every column of a stack of problems,
     x of shape (problems, dim, n).
 
@@ -898,7 +853,7 @@ def _descend(value_and_gradient, x: np.ndarray, band, max_iter: int, take) -> li
                 c = int(ties[s[ties].argmin()])
             best[rows[r]] = (float(f[c]), x[r, :, c].copy())
 
-    for step in range(1, max_iter + 1):
+    for step in range(1, _MAX_ITER + 1):
         trial = x - alpha[..., None, :] * tangent
         # x is a unit vector and the step is tangent to the sphere, so no norm is 0.
         trial /= np.sqrt(_dot(trial, trial))[..., None, :]
@@ -949,7 +904,7 @@ def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict
     # The scale goes first: it rejects a T whose products would overflow.
     scale = _scale(operator_norm(m), 2)
     comm = m.conj().T @ m - m @ m.conj().T
-    return _equality_verdict(frobenius_norm(comm), scale, tol)
+    return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
 
 
 def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
@@ -957,7 +912,7 @@ def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVe
     m = as_operator(t)
     scale = _scale(operator_norm(m), 3)
     resid = m @ m.conj().T @ m - m.conj().T @ m @ m
-    return _equality_verdict(frobenius_norm(resid), scale, tol)
+    return _equality_verdict(finite_frobenius_norm(resid), scale, tol)
 
 
 def quasinormal_embry(
@@ -973,9 +928,9 @@ def quasinormal_embry(
     threshold = tol.tol_eq * _scale(norm_t, 4)
     gram = m.conj().T @ m
     for k in range(2, kmax + 1):
-        pk = matrix_power(m, k)
-        resid = frobenius_norm(pk.conj().T @ pk - matrix_power(gram, k))
         scale_k = _scale(norm_t, 2 * k)
+        pk = matrix_power(m, k)
+        resid = finite_frobenius_norm(pk.conj().T @ pk - matrix_power(gram, k))
         if resid > tol.tol_eq * scale_k:
             status = Status.NON_MEMBER
         if resid > worst:
@@ -1203,7 +1158,13 @@ _DUAL = {
 }
 
 
-def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) -> list:
+def _check_k(name: str, k: int) -> None:
+    least = _DUAL[name][0]
+    if k < least:
+        raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
+
+
+def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int) -> list:
     """Decide every (class name, k) of ``problems`` on T by both oracles.
 
     T's norm, SVD warm starts and seeded starts are computed once; the
@@ -1214,19 +1175,16 @@ def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int, restarts: int) 
     """
     m = as_operator(t)
     for name, k in problems:
-        if k < _DUAL[name][0]:
-            raise ValueError(
-                "k must be nonnegative" if _DUAL[name][0] == 0 else "k must be a positive integer"
-            )
+        _check_k(name, k)
     if _zero_operator(m):
         return [_member_zero() for _ in problems]
     norm_t = operator_norm(m)
     scales = [_scale(norm_t, _DUAL[name][3](k)) for name, k in problems]
     defect = _NormProductDefect.of(*(_DUAL[name][1](m, k, tol) for name, k in problems))
     pencils = [_DUAL[name][2](m, k, norm_t) for name, k in problems]
-    x = np.repeat(_starts(m.shape[0], restarts, seed, _warm_starts(m))[None], len(problems), 0)
+    x = np.repeat(_starts(m.shape[0], _RESTARTS, seed, _warm_starts(m))[None], len(problems), 0)
     bands = tol.tol_decision * np.array(scales)
-    spheres = _descend(defect.value_and_gradient, x, bands, _MAX_ITER,
+    spheres = _descend(defect.value_and_gradient, x, bands,
                        lambda rows: defect.take(rows).value_and_gradient)
     return [
         _reconcile(_sphere_verdict(val, vec, scale, tol, seed), verdict, defect.take([p]),
@@ -1243,11 +1201,10 @@ def is_k_quasi_paranormal(
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
     seed: int = 0,
-    restarts: int = 8,
 ) -> MembershipVerdict:
     """||T^(k+1) x||^2 <= ||T^(k+2) x|| ||T^k x|| for all x; k = 0 is
     paranormality. Decided by both oracles."""
-    return _dual_verdicts(t, [("KQuasiParanormal", k)], tol, seed, restarts)[0]
+    return _dual_verdicts(t, [("KQuasiParanormal", k)], tol, seed)[0]
 
 
 def is_k_paranormal(
@@ -1256,11 +1213,10 @@ def is_k_paranormal(
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
     seed: int = 0,
-    restarts: int = 8,
 ) -> MembershipVerdict:
     """||T x||^(k+1) <= ||T^(k+1) x|| on unit vectors, via the closed-form
     inner minimization of the pencil over its parameter."""
-    return _dual_verdicts(t, [("KParanormal", k)], tol, seed, restarts)[0]
+    return _dual_verdicts(t, [("KParanormal", k)], tol, seed)[0]
 
 
 def is_absolute_k_paranormal(
@@ -1269,10 +1225,9 @@ def is_absolute_k_paranormal(
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
     seed: int = 0,
-    restarts: int = 8,
 ) -> MembershipVerdict:
     """|| |T|^k T x || >= ||T x||^(k+1) on unit vectors, |T| = (T*T)^(1/2)."""
-    return _dual_verdicts(t, [("AbsoluteKParanormal", k)], tol, seed, restarts)[0]
+    return _dual_verdicts(t, [("AbsoluteKParanormal", k)], tol, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1290,7 +1245,6 @@ def classify_all(
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
     seed: int = 0,
-    restarts: int = 8,
 ) -> dict[OperatorClass, MembershipVerdict]:
     """Run every class predicate; keys follow the inclusion-chain order."""
     m = as_operator(t)
@@ -1302,28 +1256,21 @@ def classify_all(
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
     out: dict[OperatorClass, MembershipVerdict] = {}
-    out[OperatorClass.normal()] = is_normal(m, tol)
-    out[OperatorClass.quasinormal()] = is_quasinormal(m, tol)
-    out[OperatorClass.hyponormal()] = is_hyponormal(m, tol)
+    out[OperatorClass("Normal")] = is_normal(m, tol)
+    out[OperatorClass("Quasinormal")] = is_quasinormal(m, tol)
+    out[OperatorClass("Hyponormal")] = is_hyponormal(m, tol)
     for p in ps:
-        out[OperatorClass.p_hyponormal(p)] = is_p_hyponormal(m, p, tol)
-    out[OperatorClass.class_a()] = is_class_a(m, tol)
+        out[OperatorClass("PHyponormal", p=p)] = is_p_hyponormal(m, p, tol)
+    out[OperatorClass("ClassA")] = is_class_a(m, tol)
     # Paranormality is k-quasi-paranormality at k = 0; all dual classes of
     # the matrix are decided together.
     problems = [("KQuasiParanormal", 0)] + [
         (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
     ]
-    keys = [OperatorClass.paranormal()] + [OperatorClass(name, k=k) for name, k in problems[1:]]
-    out.update(zip(keys, _dual_verdicts(m, problems, tol, seed, restarts)))
-    out[OperatorClass.normaloid()] = is_normaloid(m, tol)
+    keys = [OperatorClass("Paranormal")] + [OperatorClass(name, k=k) for name, k in problems[1:]]
+    out.update(zip(keys, _dual_verdicts(m, problems, tol, seed)))
+    out[OperatorClass("Normaloid")] = is_normaloid(m, tol)
     return out
-
-
-_CHAIN_MAIN = (
-    OperatorClass.normal(),
-    OperatorClass.quasinormal(),
-    OperatorClass.hyponormal(),
-)
 
 
 def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[str]:
@@ -1346,24 +1293,24 @@ def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[s
             out.append(f"{a} is Member but {b} is NonMember")
 
     problems: list[str] = []
-    chain: list[OperatorClass] = list(_CHAIN_MAIN)
-    chain.extend(sorted(c for c in verdicts if c.name == "PHyponormal"))
-    chain.append(OperatorClass.class_a())
-    chain.append(OperatorClass.paranormal())
+    para, normaloid = OperatorClass("Paranormal"), OperatorClass("Normaloid")
+    chain = [OperatorClass(name) for name in ("Normal", "Quasinormal", "Hyponormal")]
+    chain += sorted(c for c in verdicts if c.name == "PHyponormal")
+    chain += [OperatorClass("ClassA"), para]
     present = [c for c in chain if c in verdicts]
     for a, b in zip(present, present[1:]):
         implies(a, b, problems)
-    if OperatorClass.paranormal() in verdicts and OperatorClass.normaloid() in verdicts:
-        implies(OperatorClass.paranormal(), OperatorClass.normaloid(), problems)
+    if para in verdicts and normaloid in verdicts:
+        implies(para, normaloid, problems)
 
     for name in ("KParanormal", "AbsoluteKParanormal"):
         for cls in sorted(c for c in verdicts if c.name == name):
-            implies(OperatorClass.paranormal(), cls, problems)
-            implies(cls, OperatorClass.normaloid(), problems)
+            implies(para, cls, problems)
+            implies(cls, normaloid, problems)
 
     quasi = sorted(c for c in verdicts if c.name == "KQuasiParanormal")
     for cls in quasi:
-        implies(OperatorClass.paranormal(), cls, problems)
+        implies(para, cls, problems)
     for i, a in enumerate(quasi):
         for b in quasi[i + 1 :]:
             implies(a, b, problems)

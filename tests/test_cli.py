@@ -256,8 +256,8 @@ def test_generate_records_its_flags_and_rebuilds(capsys, tmp_path, kind, flags, 
                                         ("1e308+1e308j", "ValueError"),
                                         ("1.5e308+1.5e308j", "InvalidSpec")])
 def test_generate_failure_writes_nothing(capsys, tmp_path, lam, error):
-    # 1e308+1e308j builds, but its class scales overflow in certification;
-    # the larger value overflows the square root itself.
+    # 1e308+1e308j builds, but its certification overflows; the larger value
+    # overflows the square root itself.
     code, doc = _run(capsys, ["generate", "scalar-root", "--dim", "2", "--n", "2",
                               "--lam", lam, "-o", str(tmp_path / "s.json")])
     assert code == 1
@@ -265,14 +265,22 @@ def test_generate_failure_writes_nothing(capsys, tmp_path, lam, error):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("lam", ["1e308+1e308j", "1.5e308+1.5e308j"])
-def test_generate_overflowing_class_scale_warns_nothing(capsys, tmp_path, lam):
+@pytest.mark.parametrize("n, lam", [
+    pytest.param("1", "1e308+1e308j", id="1e308+1e308j"),
+    pytest.param("1", "1.5e308+1.5e308j", id="1.5e308+1.5e308j"),
+    pytest.param("2", "1e308+1e308j", id="n2-1e308+1e308j"),
+    pytest.param("2", "1e200", id="n2-1e200"),
+])
+def test_generate_overflowing_class_scale_warns_nothing(capsys, tmp_path, n, lam):
     # At n = 1 the matrix has entries lam: its norm is 1.41e308, or NaN where
     # the SVD overflows, and either way the class scale is refused before
-    # certification forms any product of T that would overflow.
+    # certification forms any product of T that would overflow. At n = 2 the
+    # class scales are finite, but the Frobenius norm of the self-commutator
+    # overflows in its sum of squares; unchecked, the 1e200 root would be
+    # certified with a NonMember "normal" verdict of defect -Infinity.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, doc = _run(capsys, ["generate", "scalar-root", "--dim", "2", "--n", "1",
+        code, doc = _run(capsys, ["generate", "scalar-root", "--dim", "2", "--n", n,
                                   "--lam", lam, "-o", str(tmp_path / "s.json")])
     assert code == 1
     assert doc["error"]["type"] == "ValueError"

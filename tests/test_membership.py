@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -999,9 +1000,9 @@ def test_classify_j2_memberships(j2):
     res = classify_all(j2, seed=0)
     member = {cls for cls, v in res.items() if v.status is Status.MEMBER}
     assert member == {
-        OperatorClass.k_quasi_paranormal(1),
-        OperatorClass.k_quasi_paranormal(2),
-        OperatorClass.k_quasi_paranormal(3),
+        OperatorClass("KQuasiParanormal", k=1),
+        OperatorClass("KQuasiParanormal", k=2),
+        OperatorClass("KQuasiParanormal", k=3),
     }
     assert chain_violations(res) == []
 
@@ -1131,6 +1132,20 @@ def test_verdicts_build_no_pencil_through_evaluate(monkeypatch):
     assert pencil_check(pencil).witness.pencil_lambda is not None
 
 
+@pytest.mark.parametrize("predicate, t", [
+    (is_normal, 1e100 * random_unitary(3, 0)),
+    (is_quasinormal, 1e80 * random_unitary(3, 0)),
+    (lambda t: quasinormal_embry(t, 3), 1e30 * random_normal(4, 3)),
+], ids=["normal", "quasinormal", "embry"])
+def test_overflowing_residual_is_value_error(predicate, t):
+    # The class scale is finite, but the sum of squares of the residual's
+    # Frobenius norm is not; unchecked, it gives NonMember with defect -inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            predicate(t)
+
+
 def test_overflowing_scale_is_value_error():
     # A class scale max(1, ||T||)^degree beyond the largest double used to
     # raise OverflowError from the float power.
@@ -1144,16 +1159,14 @@ def test_overflowing_scale_is_value_error():
         classify_all(t, k_list=[600])
 
 
-def test_classify_all_rejects_non_integral_k_and_zero_restarts(j2):
+def test_classify_all_rejects_non_integral_and_negative_k(j2):
     with pytest.raises(ValueError, match="every k must be an integer"):
         classify_all(j2, k_list=[1.7])
     with pytest.raises(ValueError, match="every k must be nonnegative"):
         classify_all(j2, k_list=[1, -3])
     # k = 0 is paranormality, which is always reported.
     assert len(classify_all(j2, k_list=[0])) == len(classify_all(j2, k_list=[]))
-    assert OperatorClass.k_paranormal(2) in classify_all(j2, k_list=[2.0])
-    with pytest.raises(ValueError, match="restarts must be at least 1"):
-        classify_all(j2, restarts=0)
+    assert OperatorClass("KParanormal", k=2) in classify_all(j2, k_list=[2.0])
 
 
 def test_witness_vector_encodes_as_per_entry_pairs():
@@ -1165,8 +1178,8 @@ def test_witness_vector_encodes_as_per_entry_pairs():
 
 def test_chain_violation_detection():
     res = {
-        OperatorClass.paranormal(): MembershipVerdict(Status.MEMBER, 0.0, "sphere"),
-        OperatorClass.normaloid(): MembershipVerdict(Status.NON_MEMBER, -1.0, "algebraic"),
+        OperatorClass("Paranormal"): MembershipVerdict(Status.MEMBER, 0.0, "sphere"),
+        OperatorClass("Normaloid"): MembershipVerdict(Status.NON_MEMBER, -1.0, "algebraic"),
     }
     assert len(chain_violations(res)) == 1
 
@@ -1215,16 +1228,49 @@ def test_scaling_invariance_of_status():
             assert is_normaloid(c * mat).status is is_normaloid(mat).status
 
 
-def test_operator_class_normalization_and_params():
-    assert OperatorClass.k_quasi_paranormal(0) == OperatorClass.paranormal()
-    assert OperatorClass.k_paranormal(2).params == {"k": 2}
-    assert str(OperatorClass.p_hyponormal(0.5)) == "PHyponormal(p=0.5)"
-    with pytest.raises(ValueError):
-        OperatorClass("KParanormal", k=0)
-    with pytest.raises(ValueError):
-        OperatorClass("PHyponormal", p=2.0)
-    with pytest.raises(ValueError):
-        OperatorClass("Bogus")
+def test_operator_class_params_and_str():
+    assert OperatorClass("KParanormal", k=2).params == {"k": 2}
+    assert str(OperatorClass("PHyponormal", p=0.5)) == "PHyponormal(p=0.5)"
+
+
+# The parameters every class label accepts; any other parameter, k and p
+# together included, is rejected, and so is every parameter of an unknown
+# name.
+_LABEL_PARAMS = {
+    **dict.fromkeys(("Normal", "Quasinormal", "Hyponormal", "ClassA", "Paranormal",
+                     "Normaloid"), [{}]),
+    "PHyponormal": [{"p": 0.5}, {"p": 1.0}],
+    **dict.fromkeys(("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal"),
+                    [{"k": 1}, {"k": 3}]),
+    "Bogus": [],
+}
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"k": 0}, {"k": 1}, {"k": 3}, {"p": 0.0}, {"p": 0.5}, {"p": 1.0}, {"p": 1.5},
+    {"k": 1, "p": 0.5},
+], ids=lambda params: "-".join(f"{key}={value}" for key, value in params.items()) or "none")
+@pytest.mark.parametrize("name", list(_LABEL_PARAMS))
+def test_operator_class_accepts_only_its_parameter(name, params):
+    if params in _LABEL_PARAMS[name]:
+        assert OperatorClass(name, **params).params == params
+    else:
+        with pytest.raises(ValueError):
+            OperatorClass(name, **params)
+
+
+def test_classify_all_keys_are_the_labels_of_their_params():
+    keys = list(classify_all(random_ginibre(3, 1), k_list=(0, 1, 2, 3, 4),
+                             p_list=(0.25, 0.5, 1.0), seed=1))
+    assert all(OperatorClass(key.name, **key.params) == key for key in keys)
+    ks = range(1, 5)
+    assert [str(key) for key in keys] == [
+        "Normal", "Quasinormal", "Hyponormal",
+        "PHyponormal(p=0.25)", "PHyponormal(p=0.5)", "PHyponormal(p=1)", "ClassA", "Paranormal",
+        *[f"{name}(k={k})" for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal")
+          for k in ks],
+        "Normaloid",
+    ]
 
 
 def test_verdict_json_round_trip():
