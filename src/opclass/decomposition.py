@@ -1,5 +1,10 @@
 """Structural decompositions.
 
+``_assemble`` is the one path from labelled subspaces to a validated
+Decomposition: it compresses T to each subspace and raises
+DecompositionError for a basis that is not unitary or a reassembly,
+normality or nilpotency residual beyond tolerance.
+
 * normal_pure_split: the maximal reducing subspace on which the operator is
   normal, giving the unique normal-part / pure-part splitting.
 * root_decompose: for a k-quasi-paranormal operator whose n-th power is
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +31,7 @@ from .errors import (
     HypothesisViolated,
     InvalidRRForm,
     NonCommutingProjection,
+    NotHermitian,
     NotNilpotentIndex2,
     ZeroOperator,
 )
@@ -33,7 +40,9 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     as_operator,
+    compress,
     frobenius_norm,
+    hermitian_eigen,
     kernel,
     matrix_hash,
     matrix_power,
@@ -93,12 +102,15 @@ class Decomposition:
     """
 
     change_of_basis: np.ndarray
-    block_dims: tuple[int, ...]
     blocks: tuple[np.ndarray, ...]
     labels: tuple[BlockLabel, ...]
     residuals: dict[str, float]
     source_hash: str
     rr_form: RRForm | None = None
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple(b.shape[0] for b in self.blocks)
 
     def block(self, label: BlockLabel) -> np.ndarray | None:
         for blk, lab in zip(self.blocks, self.labels):
@@ -131,22 +143,29 @@ def _unitarity_residual(q: np.ndarray) -> float:
 def _assemble(
     t: np.ndarray,
     parts: list[tuple[Subspace, BlockLabel]],
-    extra_residuals: dict[str, float],
+    scale: float,
     tol: TolerancePolicy,
+    extra_residuals: dict[str, float] | None = None,
+    nil_index: int | None = None,
 ) -> Decomposition:
-    """Build and validate a Decomposition from labeled subspaces."""
-    bases = [sub.basis for sub, _ in parts if sub.dim > 0]
-    labels = tuple(lab for sub, lab in parts if sub.dim > 0)
-    q = np.concatenate(bases, axis=1)
-    blocks = tuple(
-        sub.basis.conj().T @ t @ sub.basis for sub, _ in parts if sub.dim > 0
+    """Build and validate a Decomposition from labeled subspaces, one per
+    label; ``scale`` is max(1, ||T||). Residuals: reassembly,
+    ``extra_residuals``, the NilpotentPart block's ``nil_index``-th power
+    when given, and the NormalPart block's self-commutator; an absent block
+    has residual 0."""
+    parts = [(sub, lab) for sub, lab in parts if sub.dim > 0]
+    q = np.concatenate([sub.basis for sub, _ in parts], axis=1)
+    blocks = {lab: compress(t, sub) for sub, lab in parts}
+    reassembly = frobenius_norm(q @ scipy.linalg.block_diag(*blocks.values()) @ q.conj().T - t)
+    residuals = {"reassembly": reassembly, **(extra_residuals or {})}
+    nil, nrm = blocks.get(BlockLabel.NILPOTENT), blocks.get(BlockLabel.NORMAL)
+    if nil_index is not None:
+        residuals["nilpotency"] = 0.0 if nil is None else frobenius_norm(
+            matrix_power(nil, nil_index)
+        )
+    residuals["normality"] = 0.0 if nrm is None else frobenius_norm(
+        nrm.conj().T @ nrm - nrm @ nrm.conj().T
     )
-    dims = tuple(b.shape[0] for b in blocks)
-    scale = max(1.0, operator_norm(t))
-    reassembly = frobenius_norm(
-        q @ scipy.linalg.block_diag(*blocks) @ q.conj().T - t
-    )
-    residuals = {"reassembly": reassembly, **extra_residuals}
     unit = _unitarity_residual(q)
     if unit > tol.tol_recon * max(1.0, np.sqrt(q.shape[0])):
         raise DecompositionError(f"change of basis not unitary: residual {unit:.3e}")
@@ -154,11 +173,19 @@ def _assemble(
         raise DecompositionError(
             f"reassembly residual {reassembly:.3e} beyond tolerance"
         )
+    if residuals["normality"] > tol.tol_eq * scale**2 * 10:
+        raise DecompositionError(
+            f"normal block fails normality: residual {residuals['normality']:.3e}"
+        )
+    if nil_index is not None and residuals["nilpotency"] > tol.tol_eq * scale**nil_index * 10:
+        raise DecompositionError(
+            f"nilpotent summand fails index bound {nil_index}: "
+            f"residual {residuals['nilpotency']:.3e}"
+        )
     return Decomposition(
         change_of_basis=q,
-        block_dims=dims,
-        blocks=blocks,
-        labels=labels,
+        blocks=tuple(blocks.values()),
+        labels=tuple(blocks),
         residuals=residuals,
         source_hash=matrix_hash(t),
     )
@@ -187,25 +214,10 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
             break
         v = refined
 
-    comp = v.complement()
-    parts = [(v, BlockLabel.NORMAL), (comp, BlockLabel.PURE)]
-    extra: dict[str, float] = {}
-    if v.dim > 0:
-        blk = v.basis.conj().T @ m @ v.basis
-        extra["normality"] = frobenius_norm(
-            blk.conj().T @ blk - blk @ blk.conj().T
-        )
-    else:
-        extra["normality"] = 0.0
-    decomp = _assemble(m, parts, extra, tol)
-    if v.dim > 0 and extra["normality"] > tol.tol_eq * scale**2 * 10:
-        raise DecompositionError(
-            f"normal block fails normality: residual {extra['normality']:.3e}"
-        )
-    return decomp
+    return _assemble(m, [(v, BlockLabel.NORMAL), (v.complement(), BlockLabel.PURE)], scale, tol)
 
 
-def _zero_cluster_cut(s: np.ndarray, tol: TolerancePolicy, floor: float = 0.0) -> float:
+def _zero_cluster_cut(s: np.ndarray, tol: TolerancePolicy, floor: float) -> float:
     """Singular-value cutoff separating the zero cluster.
 
     The reference scale is max(s_max, floor); the floor lets callers anchor
@@ -252,7 +264,7 @@ def root_decompose(
     nilpotent summand, when present, has index at most min(n, k+1).
     """
     m = as_operator(t)
-    if n < 1 or k < 1:
+    if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     member = is_k_quasi_paranormal(m, k, tol, seed=seed)
     if member.status is not Status.MEMBER:
@@ -274,9 +286,8 @@ def root_decompose(
     if s[0] == 0.0:
         zero = Subspace.full(dim)
     else:
-        cut = _zero_cluster_cut(s, tol, floor=norm_t**n)
+        cut = _zero_cluster_cut(s, tol, norm_t**n)
         zero = Subspace(dim, vh[s <= cut].conj().T)
-    pos = zero.complement()
 
     proj = zero.projector()
     comm = frobenius_norm(proj @ m - m @ proj)
@@ -284,34 +295,8 @@ def root_decompose(
         raise NonCommutingProjection(
             f"zero-eigenspace projection does not commute with T: {comm:.3e}"
         )
-
-    extra: dict[str, float] = {"commutation": comm}
-    nil_index = min(n, k + 1)
-    if zero.dim > 0:
-        nil_block = zero.basis.conj().T @ m @ zero.basis
-        extra["nilpotency"] = frobenius_norm(matrix_power(nil_block, nil_index))
-    else:
-        extra["nilpotency"] = 0.0
-    if pos.dim > 0:
-        nrm_block = pos.basis.conj().T @ m @ pos.basis
-        extra["normality"] = frobenius_norm(
-            nrm_block.conj().T @ nrm_block - nrm_block @ nrm_block.conj().T
-        )
-    else:
-        extra["normality"] = 0.0
-
-    parts = [(pos, BlockLabel.NORMAL), (zero, BlockLabel.NILPOTENT)]
-    decomp = _assemble(m, parts, extra, tol)
-    if extra["normality"] > tol.tol_eq * scale**2 * 10:
-        raise DecompositionError(
-            f"normal summand fails normality: residual {extra['normality']:.3e}"
-        )
-    if extra["nilpotency"] > tol.tol_eq * scale**nil_index * 10:
-        raise DecompositionError(
-            f"nilpotent summand fails index bound {nil_index}: "
-            f"residual {extra['nilpotency']:.3e}"
-        )
-    return decomp
+    parts = [(zero.complement(), BlockLabel.NORMAL), (zero, BlockLabel.NILPOTENT)]
+    return _assemble(m, parts, scale, tol, {"commutation": comm}, nil_index=min(n, k + 1))
 
 
 def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposition:
@@ -342,11 +327,8 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     # Polar factor W = X C^{-1}; C is invertible because X has full column
     # rank (rank T columns with nonzero singular values).
     w = x @ np.linalg.inv(c)
-    rest = np.concatenate([w, coker.basis], axis=1)
-    u, _, vh = np.linalg.svd(rest, full_matrices=True)
-    pad_basis = u[:, 2 * r :]
-
-    q = np.concatenate([w, coker.basis, pad_basis], axis=1)
+    u = np.linalg.svd(np.concatenate([w, coker.basis], axis=1), full_matrices=True)[0]
+    q = np.concatenate([w, coker.basis, u[:, 2 * r :]], axis=1)
     canonical = np.zeros((dim, dim), dtype=np.complex128)
     canonical[:r, r : 2 * r] = c
     basis_resid = frobenius_norm(q.conj().T @ m @ q - canonical)
@@ -364,24 +346,18 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
             f"canonical-form residual {basis_resid:.3e} beyond tolerance"
         )
 
-    nil_sub = Subspace(dim, q[:, : 2 * r])
-    pad_sub = Subspace(dim, pad_basis)
-    blocks = [np.block([[np.zeros((r, r)), c], [np.zeros((r, r)), np.zeros((r, r))]])]
-    labels = [BlockLabel.NILPOTENT]
-    dims = [2 * r]
-    if pad_sub.dim > 0:
-        blocks.append(np.zeros((pad_sub.dim, pad_sub.dim), dtype=np.complex128))
+    blocks, labels = [canonical[: 2 * r, : 2 * r]], [BlockLabel.NILPOTENT]
+    if dim > 2 * r:
+        blocks.append(canonical[2 * r :, 2 * r :])
         labels.append(BlockLabel.NORMAL)
-        dims.append(pad_sub.dim)
     rr = RRForm(
-        a=np.zeros((pad_sub.dim, pad_sub.dim), dtype=np.complex128),
+        a=np.zeros((dim - 2 * r, dim - 2 * r), dtype=np.complex128),
         b=np.zeros((r, r), dtype=np.complex128),
         c=c,
     )
     return Decomposition(
         change_of_basis=q,
-        block_dims=tuple(dims),
-        blocks=tuple(np.asarray(b, dtype=np.complex128) for b in blocks),
+        blocks=tuple(blocks),
         labels=tuple(labels),
         residuals=residuals,
         source_hash=matrix_hash(m),
@@ -389,18 +365,12 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     )
 
 
-def _validate_rr_blocks(
-    a: np.ndarray | None, b, c, tol: TolerancePolicy
-) -> RRForm:
+def _validate_rr_blocks(a, b, c, tol: TolerancePolicy) -> RRForm:
     problems: list[str] = []
-    if a is None:
-        a_mat = np.zeros((0, 0), dtype=np.complex128)
-    else:
-        a_mat = np.asarray(a, dtype=np.complex128)
-        if a_mat.size:
-            a_mat = as_operator(a_mat)
-            if is_normal(a_mat, tol).status is not Status.MEMBER:
-                problems.append("A is not normal")
+    absent = a is None or not np.size(a)
+    a_mat = np.zeros((0, 0), dtype=np.complex128) if absent else as_operator(a)
+    if not absent and is_normal(a_mat, tol).status is not Status.MEMBER:
+        problems.append("A is not normal")
     b_mat = as_operator(b)
     c_mat = as_operator(c)
     if b_mat.shape != c_mat.shape:
@@ -408,15 +378,16 @@ def _validate_rr_blocks(
     else:
         if is_normal(b_mat, tol).status is not Status.MEMBER:
             problems.append("B is not normal")
-        herm = frobenius_norm(c_mat - c_mat.conj().T)
-        if herm > tol.tol_eq * max(1.0, frobenius_norm(c_mat)):
+        try:
+            w = hermitian_eigen(c_mat, tol).eigenvalues
+        except NotHermitian:
             problems.append("C is not Hermitian")
         else:
-            svals = np.linalg.svd(c_mat, compute_uv=False)
-            w = np.linalg.eigvalsh((c_mat + c_mat.conj().T) / 2.0)
-            if w[0] < -tol.tol_psd * max(1.0, float(svals[0])):
+            # For Hermitian C the singular values are the eigenvalue moduli.
+            svals = np.abs(w)
+            if w[0] < -tol.tol_psd * max(1.0, float(svals.max())):
                 problems.append("C is not positive semidefinite")
-            if svals[-1] <= tol.tol_rank * float(svals[0]):
+            if svals.min() <= tol.tol_rank * float(svals.max()):
                 problems.append("C is not injective")
         comm = frobenius_norm(b_mat @ c_mat - c_mat @ b_mat)
         comm_scale = max(1.0, operator_norm(b_mat) * operator_norm(c_mat))
@@ -430,16 +401,17 @@ def _validate_rr_blocks(
 def rr_assemble(
     a, b, c, tol: TolerancePolicy = DEFAULT_TOLERANCES
 ) -> np.ndarray:
-    """Assemble A + [[B, C], [0, -B]] from validated blocks.
+    """Assemble A + [[B, C], [0, -B]] from validated blocks; an absent or
+    empty A leaves the corner block alone.
 
     The square of the result is normal; that guarantee is checked after
     assembly and a violation reports which invariant failed.
     """
-    form = _validate_rr_blocks(a if (a is not None and np.size(a)) else None, b, c, tol)
+    form = _validate_rr_blocks(a, b, c, tol)
     r = form.b.shape[0]
     corner = np.block([[form.b, form.c], [np.zeros((r, r)), -form.b]])
     t = scipy.linalg.block_diag(form.a, corner).astype(np.complex128)
-    check = is_normal(t @ t, tol)
+    check = rr_check(t, tol)
     if check.status is not Status.MEMBER:
         raise InvalidRRForm(
             f"assembled square is not normal (residual {-check.defect:.3e})"

@@ -43,6 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -174,7 +175,7 @@ class OperatorClass:
         elif takes == "p":
             if self.k is not None or self.p is None or not 0 < self.p <= 1:
                 raise ValueError(f"{self.name} takes p in (0, 1] and no k")
-        elif self.p is not None or self.k is None or self.k < takes:
+        elif self.p is not None or not isinstance(self.k, Integral) or self.k < takes:
             raise ValueError(f"{self.name} takes an integer k >= {takes} and no p")
 
     @property
@@ -1160,6 +1161,8 @@ _DUAL = {
 
 def _check_k(name: str, k: int) -> None:
     least = _DUAL[name][0]
+    if not isinstance(k, Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < least:
         raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
 

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from opclass.decomposition import (
     BlockLabel,
+    _assemble,
     nilpotent2_canonical,
     normal_pure_split,
     root_decompose,
@@ -11,13 +15,14 @@ from opclass.decomposition import (
     rr_check,
 )
 from opclass.errors import (
+    DecompositionError,
     HypothesisViolated,
     InvalidRRForm,
     NotNilpotentIndex2,
     ZeroOperator,
 )
 from opclass.linalg import DEFAULT_TOLERANCES as TOL
-from opclass.linalg import matrix_power, operator_norm
+from opclass.linalg import Subspace, matrix_power, operator_norm
 from opclass.membership import Status, is_normal
 
 from conftest import ginibre, haar, random_normal_matrix
@@ -147,6 +152,25 @@ def test_root_decompose_paranormal_member_has_no_nilpotent_block():
 
 
 # ---------------------------------------------------------------------------
+# _assemble
+# ---------------------------------------------------------------------------
+
+
+def test_assemble_rejects_a_non_normal_normal_part(j2):
+    with pytest.raises(DecompositionError, match="normal block fails normality"):
+        _assemble(j2, [(Subspace.full(2), BlockLabel.NORMAL)], 1.0, TOL)
+
+
+def test_assemble_rejects_a_nilpotent_part_beyond_its_index(j3):
+    parts = [(Subspace.zero(3), BlockLabel.NORMAL), (Subspace.full(3), BlockLabel.NILPOTENT)]
+    d = _assemble(j3, parts, 1.0, TOL, nil_index=3)
+    assert d.labels == (BlockLabel.NILPOTENT,)
+    assert d.residuals == {"reassembly": 0.0, "nilpotency": 0.0, "normality": 0.0}
+    with pytest.raises(DecompositionError, match="fails index bound 2"):
+        _assemble(j3, parts, 1.0, TOL, nil_index=2)
+
+
+# ---------------------------------------------------------------------------
 # nilpotent2_canonical
 # ---------------------------------------------------------------------------
 
@@ -209,6 +233,8 @@ def test_rr_assemble_examples():
     t = rr_assemble(None, [[1.0]], [[1.0]])
     np.testing.assert_allclose(t, [[1.0, 1.0], [0.0, -1.0]], atol=1e-12)
     np.testing.assert_allclose(t @ t, np.eye(2), atol=1e-12)
+    # An empty A is an absent A.
+    np.testing.assert_array_equal(rr_assemble(np.zeros((0, 0)), [[1.0]], [[1.0]]), t)
 
     b = np.diag([1.0, 2.0]).astype(complex)
     c = np.diag([3.0, 4.0]).astype(complex)
@@ -227,6 +253,10 @@ def test_rr_assemble_validation(j2):
         rr_assemble(j2, np.zeros((2, 2)), np.eye(2))
     with pytest.raises(InvalidRRForm, match="positive semidefinite"):
         rr_assemble(None, np.zeros((2, 2)), np.diag([1.0, -1.0]))
+    with pytest.raises(InvalidRRForm, match="C is not Hermitian"):
+        rr_assemble(None, np.zeros((2, 2)), np.eye(2) + j2)
+    with pytest.raises(InvalidRRForm, match=r"B and C sizes differ: \(3, 3\) vs \(2, 2\)"):
+        rr_assemble(None, np.zeros((3, 3)), np.eye(2))
 
 
 def test_rr_assembled_always_passes_rr_check():
@@ -240,3 +270,43 @@ def test_rr_assembled_always_passes_rr_check():
 def test_rr_check_examples(j2, j3):
     assert rr_check(j2).status is Status.MEMBER  # square is zero
     assert rr_check(j3).status is Status.NON_MEMBER
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit output
+# ---------------------------------------------------------------------------
+
+
+def _pinned_decompositions() -> list:
+    from opclass.generators import (
+        jordan_nilpotent,
+        k_quasi_member,
+        random_ginibre,
+        random_normal,
+        random_unitary,
+    )
+
+    u = random_unitary(5, 3)
+    mixed = u @ k_quasi_member(3, 2, 1, 4) @ u.conj().T
+    rank2 = np.zeros((5, 5), dtype=complex)
+    rank2[:2, 2:4] = random_ginibre(2, 5)
+    return [
+        normal_pure_split(random_normal(4, 1)),  # normal part only
+        normal_pure_split(mixed),
+        normal_pure_split(random_ginibre(3, 2)),  # pure part only
+        root_decompose(mixed, 2, 1, seed=1),
+        root_decompose(random_normal(4, 6) + 3.0 * np.eye(4), 2, 1),  # no nilpotent block
+        root_decompose(jordan_nilpotent(3, 2, 7), 2, 1),  # nilpotent block only
+        nilpotent2_canonical(np.array([[0, 2], [0, 0]], dtype=complex)),  # no padding
+        nilpotent2_canonical(rank2),  # zero padding
+        nilpotent2_canonical(jordan_nilpotent(4, 2, 9)),
+    ]
+
+
+def test_decompositions_are_pinned():
+    # Q, the blocks, the labels and every residual value and key, bit for
+    # bit: a change to how a decomposition is assembled that moves any
+    # float shows.
+    docs = [json.dumps(d.to_json_dict(), sort_keys=True) for d in _pinned_decompositions()]
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert digest == "ab266e7d05ff7a137d43d9cb6126b80ed90637ea581b1870b3cf733642dd8c5a"

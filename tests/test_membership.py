@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from opclass.decomposition import root_decompose
 from opclass.errors import InvalidPencil, OracleDisagreement
 from opclass.linalg import DEFAULT_TOLERANCES as TOL
 from opclass.linalg import operator_norm
@@ -1167,6 +1168,29 @@ def test_classify_all_rejects_non_integral_and_negative_k(j2):
     # k = 0 is paranormality, which is always reported.
     assert len(classify_all(j2, k_list=[0])) == len(classify_all(j2, k_list=[]))
     assert OperatorClass("KParanormal", k=2) in classify_all(j2, k_list=[2.0])
+
+
+# Every entry point that takes k; root_decompose takes n as well.
+_K_ENTRY_POINTS = {
+    **{f"label-{name}": (lambda t, k, name=name: OperatorClass(name, k=k))
+       for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal")},
+    "is_k_paranormal": is_k_paranormal,
+    "is_absolute_k_paranormal": is_absolute_k_paranormal,
+    "is_k_quasi_paranormal": is_k_quasi_paranormal,
+    "k_paranormal_pencil": k_paranormal_pencil,
+    "absolute_k_paranormal_pencil": absolute_k_paranormal_pencil,
+    "quasi_paranormal_pencil": quasi_paranormal_pencil,
+    "root_decompose-k": lambda t, k: root_decompose(t, 2, k),
+    "root_decompose-n": lambda t, k: root_decompose(t, k, 1),
+    "classify_all": lambda t, k: classify_all(t, k_list=[k]),
+}
+
+
+@pytest.mark.parametrize("entry", list(_K_ENTRY_POINTS))
+def test_non_integral_k_is_value_error(entry):
+    # Rejected up front, not by a TypeError from matrix_power further in.
+    with pytest.raises(ValueError, match="integer"):
+        _K_ENTRY_POINTS[entry](random_ginibre(3, 1), 1.5)
 
 
 def test_witness_vector_encodes_as_per_entry_pairs():
