@@ -266,7 +266,14 @@ def root_decompose(
     m = as_operator(t)
     if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    member = is_k_quasi_paranormal(m, k, tol, seed=seed)
+    return _root_split(m, n, k, is_k_quasi_paranormal(m, k, tol, seed=seed), tol)
+
+
+def _root_split(
+    m: np.ndarray, n: int, k: int, member: MembershipVerdict, tol: TolerancePolicy
+) -> Decomposition:
+    """``root_decompose`` of a validated T, given its k-quasi-paranormal
+    verdict ``member``; HypothesisViolated unless that is Member."""
     if member.status is not Status.MEMBER:
         raise HypothesisViolated(
             f"input is not {k}-quasi-paranormal: {member.status.value} "

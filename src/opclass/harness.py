@@ -17,24 +17,23 @@ the scalar-root identity, and the normaloid counterexample.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
 
 from . import generators as gen
-from .decomposition import (
-    BlockLabel,
-    nilpotent2_canonical,
-    root_decompose,
-)
+from .decomposition import BlockLabel, _root_split, nilpotent2_canonical
 from .errors import NonCoprime, UnknownTheorem
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    as_operator,
     frobenius_norm,
     kernel,
     matrix_power,
@@ -42,9 +41,7 @@ from .linalg import (
 )
 from .membership import (
     Status,
-    is_k_paranormal,
-    is_k_quasi_paranormal,
-    is_absolute_k_paranormal,
+    _dual_verdicts,
     is_hyponormal,
     is_normal,
     is_normaloid,
@@ -128,8 +125,18 @@ def _drive(theorem_id: str, trials: int, dim: int, seed: int, tol: TolerancePoli
 
     ``rng`` is the untouched ``make_rng(trial_seed, 0)`` stream. The body
     returns a skip reason (the name of the failed hypothesis) or
-    ``(ok, instance_ref, residuals)``. With ``inject_failure`` the verdict
-    of trial 0 is flipped when that trial is recorded. ``trials`` and the
+    ``(ok, instance_ref, residuals)``. A body that needs dual-oracle
+    verdicts is a generator: it yields each problem ``(T, class name, k,
+    seed)`` and is sent its verdict. The bodies run in lockstep rounds, the
+    coroutine idiom of ``membership._brent``: a round resumes every waiting
+    body in trial order and then decides all the problems they yielded, one
+    ``membership._dual_verdicts`` stack per dimension (see ``_decide``). A
+    stack that raises is decided again one problem at a time, and each
+    problem's exception is thrown into its body. Every verdict is the one
+    the predicate gives alone, so the report is that of running the trials
+    one after the other; when bodies raise, the lowest trial's exception
+    propagates, as it would there. With ``inject_failure`` the verdict of
+    trial 0 is flipped when that trial is recorded. ``trials`` and the
     suite's dimension bound ``dim`` are checked here for every suite.
     """
     if trials < 0:
@@ -140,10 +147,37 @@ def _drive(theorem_id: str, trials: int, dim: int, seed: int, tol: TolerancePoli
     report = TheoremReport(theorem_id, trials=0, passes=0, skips=0, failures=[],
                            skip_reasons={}, tolerances=tol.to_json_dict(),
                            wall_time_ms=0.0, notes={} if notes is None else notes)
+    # stop: the lowest trial whose body raised; no later trial would have run.
+    seeds, outcomes, runs, answers, stop = [], {}, {}, {}, trials
     for trial in range(trials):
         raw = f"{int(seed)}:{theorem_id}:{trial}".encode()
-        ts = int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "big")
-        outcome = body(trial, ts, gen.make_rng(ts, 0))
+        seeds.append(int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "big"))
+        try:
+            outcome = body(trial, seeds[trial], gen.make_rng(seeds[trial], 0))
+        except Exception as exc:
+            outcomes[trial], stop = exc, trial
+            break
+        if inspect.isgenerator(outcome):
+            runs[trial], answers[trial] = outcome, None
+        else:
+            outcomes[trial] = outcome
+    while answers:
+        asks = {}
+        for trial, answer in answers.items():
+            if trial > stop:
+                break
+            resume = runs[trial].throw if isinstance(answer, Exception) else runs[trial].send
+            try:
+                asks[trial] = resume(answer)
+            except StopIteration as done:
+                outcomes[trial] = done.value
+            except Exception as exc:
+                outcomes[trial], stop = exc, trial
+        answers = _decide(asks, tol)
+    if stop < trials:
+        raise outcomes[stop]
+    for trial, ts in enumerate(seeds):
+        outcome = outcomes[trial]
         report.trials += 1
         if isinstance(outcome, str):
             report.skips += 1
@@ -160,14 +194,49 @@ def _drive(theorem_id: str, trials: int, dim: int, seed: int, tol: TolerancePoli
     return report
 
 
-def _normal_given(t: np.ndarray, ref: str, tol: TolerancePolicy, *hypotheses):
-    """Trial outcome of "the hypotheses imply T normal".
+# The most problems one engine call decides. It bounds the call's memory:
+# the first pencil pass of 32 problems at dim 64 builds about 36 MB of
+# matrices. No round of "verify all" at its default budget comes near it.
+_STACK = 32
 
-    ``hypotheses`` are ``(name, holds)`` pairs, ``holds`` a thunk; they are
+
+def _decide(asks: dict, tol: TolerancePolicy) -> dict:
+    """The verdict of every asked problem, by trial: one
+    ``_dual_verdicts`` stack per dimension and _STACK problems; a stack
+    that raises is decided again one problem at a time, and a problem that
+    raises alone gets its exception."""
+    groups: dict = {}
+    for trial, problem in asks.items():
+        groups.setdefault(np.shape(problem[0]), []).append(trial)
+    stacks = [same[s : s + _STACK] for same in groups.values() for s in range(0, len(same), _STACK)]
+    answers = {}
+    for trials in stacks:
+        problems = [asks[trial] for trial in trials]
+        try:
+            answers.update(zip(trials, _dual_verdicts(problems, tol)))
+        except Exception:
+            for trial, problem in zip(trials, problems):
+                try:
+                    [answers[trial]] = _dual_verdicts([problem], tol)
+                except Exception as exc:
+                    answers[trial] = exc
+    return {trial: answers[trial] for trial in asks}
+
+
+def _normal_given(t: np.ndarray, ref: str, tol: TolerancePolicy, *hypotheses):
+    """Trial outcome of "the hypotheses imply T normal", as a generator
+    body for ``_drive``.
+
+    ``hypotheses`` are ``(name, holds)`` pairs, ``holds`` a thunk that
+    returns either whether the hypothesis holds or a dual problem ``(T,
+    class name, k, seed)``, which holds when it is decided Member. They are
     evaluated in order and the first that fails names the skip.
     """
     for name, holds in hypotheses:
-        if not holds():
+        holds = holds()
+        if isinstance(holds, tuple):
+            holds = (yield holds).is_member
+        if not holds:
             return name
     verdict = is_normal(t, tol)
     return verdict.status is Status.MEMBER, ref, {"normality": -verdict.defect}
@@ -291,7 +360,7 @@ def verify_ando(
             half = max(2, d // 2)
             t = gen.normaloid_counterexample(half, 2, ts)
             ref = f"counterexample(dim_m={half}, dim_n=2, seed={ts})"
-            para = is_k_quasi_paranormal(t, 0, tol, seed=ts)
+            para = yield (t, "KQuasiParanormal", 0, ts)
             ok = (
                 para.status is Status.NON_MEMBER
                 and _power_is_normal(t, even_n, tol)
@@ -305,11 +374,11 @@ def verify_ando(
             t, ref = _random("ginibre", d, ts)
         else:
             t, ref = _random("normal", d, ts)
-        return _normal_given(
+        return (yield from _normal_given(
             t, ref, tol,
-            ("paranormal", lambda: is_k_quasi_paranormal(t, 0, tol, seed=ts).is_member),
+            ("paranormal", lambda: (t, "KQuasiParanormal", 0, ts)),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
-        )
+        ))
     return _drive("ando", trials, dim, seed, tol, inject_failure, body, notes=notes)
 
 
@@ -344,11 +413,7 @@ def verify_k_paranormal_root(
             lam = radius * complex(math.cos(angle), math.sin(angle))
             t = gen.root_of_scalar_instance(d, n, lam, ts)
             ref = f"scalar-root(dim={d}, n={n}, lam={lam:.4f}, seed={ts})"
-            member = (
-                is_k_paranormal(t, k, tol, seed=ts)
-                if pick == 0
-                else is_absolute_k_paranormal(t, k, tol, seed=ts)
-            )
+            member = yield (t, "KParanormal" if pick == 0 else "AbsoluteKParanormal", k, ts)
             if member.status is not Status.MEMBER:
                 return False, ref, {"membership_defect": member.defect}
             normal = is_normal(t, tol)
@@ -363,7 +428,7 @@ def verify_k_paranormal_root(
             t = np.zeros((d, d), dtype=np.complex128)
             ref = f"zero(dim={d})"
             ok = (
-                is_k_paranormal(t, k, tol, seed=ts).status is Status.MEMBER
+                (yield (t, "KParanormal", k, ts)).status is Status.MEMBER
                 and is_normal(t, tol).status is Status.MEMBER
             )
             return ok, ref, {}
@@ -373,14 +438,14 @@ def verify_k_paranormal_root(
             ref = f"jordan(dim={d}, index={index}, seed={ts})"
             if index > n:
                 return "power-normal"
-            member = is_k_paranormal(t, k, tol, seed=ts)
+            member = yield (t, "KParanormal", k, ts)
             return member.status is Status.NON_MEMBER, ref, {"membership_defect": member.defect}
         t, ref = _random("normal", d, ts)
-        return _normal_given(
+        return (yield from _normal_given(
             t, ref, tol,
-            ("k-paranormal", lambda: is_k_paranormal(t, k, tol, seed=ts).is_member),
+            ("k-paranormal", lambda: (t, "KParanormal", k, ts)),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
-        )
+        ))
     return _drive("k-paranormal-root", trials, dim, seed, tol, inject_failure, body)
 
 
@@ -397,7 +462,7 @@ def verify_k_quasi_decomposition(
     """k-quasi-paranormal T with normal T^n splits into normal plus
     nilpotent of index at most min(n, k+1); for n = 2 the nonzero nilpotent
     summand is put into its [[0, C], [0, 0]] canonical form."""
-    if n < 1 or k < 1:
+    if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     gate = 1e-8
     total = int(dims)
@@ -412,8 +477,11 @@ def verify_k_quasi_decomposition(
             u = gen.random_unitary(t.shape[0], ts ^ 0x5A5A5A5A)
             t = u @ t @ u.conj().T
         ref = f"k-quasi(dim_normal={d_norm}, dim_nil={d_nil}, k={k}, seed={ts})"
+        # root_decompose, with its verdict decided by _drive; n and k are
+        # checked above.
         try:
-            decomp = root_decompose(t, n, k, tol, seed=ts)
+            m = as_operator(t)
+            decomp = _root_split(m, n, k, (yield (m, "KQuasiParanormal", k, ts)), tol)
         except Exception as exc:
             return False, f"{ref} [{type(exc).__name__}: {exc}]", {}
         res = {
@@ -471,8 +539,7 @@ def verify_coprime(
         return _normal_given(
             t, ref, tol,
             ("invertible", lambda: svals[-1] > tol.tol_rank * max(1.0, float(svals[0]))),
-            ("power-k-paranormal",
-             lambda: is_k_paranormal(matrix_power(t, m), 1, tol, seed=ts).is_member),
+            ("power-k-paranormal", lambda: (matrix_power(t, m), "KParanormal", 1, ts)),
             ("power-normal", lambda: _power_is_normal(t, n, tol)),
         )
     return _drive("coprime", trials, dim, seed, tol, inject_failure, body)
@@ -603,14 +670,15 @@ def verify_normaloid_criterion(
             ref = f"jordan(dim={d}, seed={ts})"
         else:
             t, ref = _random("ginibre", d, ts)
-        member = is_k_quasi_paranormal(t, k, tol, seed=ts)
+        member = yield (t, "KQuasiParanormal", k, ts)
         if member.status is not Status.MEMBER:
             return "k-quasi-paranormal"
         norm_t = operator_norm(t)
         identity_at = None
+        # Probe n's ||T^(n+1)|| is probe n + 1's ||T^n||.
+        lhs = operator_norm(matrix_power(t, k))
         for n_probe in range(k, k + 5):
-            lhs = operator_norm(matrix_power(t, n_probe + 1))
-            base = operator_norm(matrix_power(t, n_probe))
+            base, lhs = lhs, operator_norm(matrix_power(t, n_probe + 1))
             if base <= tol.tol_decision * max(1.0, norm_t) ** n_probe:
                 continue
             rhs = base * norm_t
@@ -640,7 +708,7 @@ def search_q2(
     itself quasinormal. No such matrix exists in finite dimension (the
     finite-dimensional collapse forces T^2 normal, hence T normal), so the
     output reports candidates without asserting anything."""
-    notes = {"candidates": 0}
+    notes, candidates = {"candidates": 0}, {}
 
     def body(trial, ts, rng):
         d = _dim_for(rng, dim)
@@ -652,16 +720,20 @@ def search_q2(
         else:
             t = gen.rr_instance(max(1, d // 2), max(1, d // 4), ts)
             ref = f"rr(seed={ts})"
-        para = is_k_quasi_paranormal(t, 0, tol, seed=ts)
+        para = yield (t, "KQuasiParanormal", 0, ts)
         if para.status is not Status.MEMBER:
             return "paranormal"
         if is_quasinormal(matrix_power(t, 2), tol).status is not Status.MEMBER:
             return "power-quasinormal"
         if is_quasinormal(t, tol).status is Status.NON_MEMBER:
-            notes["candidates"] += 1
-            notes.setdefault("candidate_refs", []).append(ref)
+            candidates[trial] = ref
         return True, ref, {}
-    return _drive("search-q2", trials, dim, seed, tol, inject_failure, body, notes=notes)
+    report = _drive("search-q2", trials, dim, seed, tol, inject_failure, body, notes=notes)
+    # Bodies finish in lockstep rounds; the candidates are listed in trial order.
+    if candidates:
+        notes["candidates"] = len(candidates)
+        notes["candidate_refs"] = [candidates[trial] for trial in sorted(candidates)]
+    return report
 
 
 # The registry of suites, in report order: id -> (suite, cap on max_dim,

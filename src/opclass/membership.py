@@ -11,9 +11,9 @@ relatives) are decided by two independent routes:
   local grid minima by Brent's parabolic and golden-section search, which
   stops in decision units: once its parabola predicts a gain of at most a
   thousandth of the decision band tol_decision * scale. The pencils of
-  one matrix are stacked once and swept and refined together, and the
-  witness eigenvectors are built from the same stack, each pencil with
-  the values it gets alone,
+  one call, of one matrix or of many, are stacked once and swept and
+  refined together, and the witness eigenvectors are built from the same
+  stack, each pencil with the values it gets alone,
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -1167,35 +1167,49 @@ def _check_k(name: str, k: int) -> None:
         raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
 
 
-def _dual_verdicts(t, problems, tol: TolerancePolicy, seed: int) -> list:
-    """Decide every (class name, k) of ``problems`` on T by both oracles.
+def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
+    """Decide every (T, class name, k, seed) of ``problems`` by both
+    oracles; all T share one dimension, else ValueError.
 
-    T's norm, SVD warm starts and seeded starts are computed once; the
-    pencils are built on that norm. One descent runs over the columns of all
-    problems, one block each, and the pencils are swept and refined as one
-    stack (see ``_pencil_verdicts``). Each problem gets the
-    verdict it gets alone, so the predicates are the one-problem case.
+    Each distinct T (by identity) is validated once and gets one norm and
+    one block of SVD warm starts, and each T and seed one block of seeded
+    starts; its pencils are built on its norm. The zero operator is a Member
+    of every class. One descent runs over the columns of all other
+    problems, one block each, and their pencils are swept and refined as one
+    stack (see ``_pencil_verdicts``). Each problem gets the verdict it gets
+    alone, bit for bit, so the predicates are the one-problem case.
     """
-    m = as_operator(t)
-    for name, k in problems:
+    mats = {}
+    for t, name, k, _ in problems:
+        if id(t) not in mats:
+            mats[id(t)] = as_operator(t)
         _check_k(name, k)
-    if _zero_operator(m):
-        return [_member_zero() for _ in problems]
-    norm_t = operator_norm(m)
-    scales = [_scale(norm_t, _DUAL[name][3](k)) for name, k in problems]
-    defect = _NormProductDefect.of(*(_DUAL[name][1](m, k, tol) for name, k in problems))
-    pencils = [_DUAL[name][2](m, k, norm_t) for name, k in problems]
-    x = np.repeat(_starts(m.shape[0], _RESTARTS, seed, _warm_starts(m))[None], len(problems), 0)
+    if len({m.shape for m in mats.values()}) > 1:
+        raise ValueError(f"a stack of dual problems needs one dimension, got "
+                         f"{sorted({m.shape[0] for m in mats.values()})}")
+    norms = {key: operator_norm(m) for key, m in mats.items() if not _zero_operator(m)}
+    live = [(p, id(t), name, k, seed)
+            for p, (t, name, k, seed) in enumerate(problems) if id(t) in norms]
+    verdicts = [_member_zero() for _ in problems]
+    if not live:
+        return verdicts
+    scales = [_scale(norms[key], _DUAL[name][3](k)) for _, key, name, k, _ in live]
+    defect = _NormProductDefect.of(
+        *(_DUAL[name][1](mats[key], k, tol) for _, key, name, k, _ in live))
+    pencils = [_DUAL[name][2](mats[key], k, norms[key]) for _, key, name, k, _ in live]
+    warm = {key: _warm_starts(mats[key]) for key in norms}
+    starts = {(key, seed): _starts(mats[key].shape[0], _RESTARTS, seed, warm[key])
+              for key, seed in dict.fromkeys((key, seed) for _, key, _, _, seed in live)}
+    x = np.array([starts[key, seed] for _, key, _, _, seed in live])
     bands = tol.tol_decision * np.array(scales)
     spheres = _descend(defect.value_and_gradient, x, bands,
                        lambda rows: defect.take(rows).value_and_gradient)
-    return [
-        _reconcile(_sphere_verdict(val, vec, scale, tol, seed), verdict, defect.take([p]),
-                   pencil.label)
-        for p, ((val, vec), scale, pencil, verdict) in enumerate(
-            zip(spheres, scales, pencils, _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol))
-        )
-    ]
+    for i, ((p, _, _, _, seed), (val, vec), scale, pencil, verdict) in enumerate(zip(
+        live, spheres, scales, pencils, _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
+    )):
+        verdicts[p] = _reconcile(_sphere_verdict(val, vec, scale, tol, seed), verdict,
+                                 defect.take([i]), pencil.label)
+    return verdicts
 
 
 def is_k_quasi_paranormal(
@@ -1207,7 +1221,7 @@ def is_k_quasi_paranormal(
 ) -> MembershipVerdict:
     """||T^(k+1) x||^2 <= ||T^(k+2) x|| ||T^k x|| for all x; k = 0 is
     paranormality. Decided by both oracles."""
-    return _dual_verdicts(t, [("KQuasiParanormal", k)], tol, seed)[0]
+    return _dual_verdicts([(t, "KQuasiParanormal", k, seed)], tol)[0]
 
 
 def is_k_paranormal(
@@ -1219,7 +1233,7 @@ def is_k_paranormal(
 ) -> MembershipVerdict:
     """||T x||^(k+1) <= ||T^(k+1) x|| on unit vectors, via the closed-form
     inner minimization of the pencil over its parameter."""
-    return _dual_verdicts(t, [("KParanormal", k)], tol, seed)[0]
+    return _dual_verdicts([(t, "KParanormal", k, seed)], tol)[0]
 
 
 def is_absolute_k_paranormal(
@@ -1230,7 +1244,7 @@ def is_absolute_k_paranormal(
     seed: int = 0,
 ) -> MembershipVerdict:
     """|| |T|^k T x || >= ||T x||^(k+1) on unit vectors, |T| = (T*T)^(1/2)."""
-    return _dual_verdicts(t, [("AbsoluteKParanormal", k)], tol, seed)[0]
+    return _dual_verdicts([(t, "AbsoluteKParanormal", k, seed)], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1271,7 +1285,7 @@ def classify_all(
         (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
     ]
     keys = [OperatorClass("Paranormal")] + [OperatorClass(name, k=k) for name, k in problems[1:]]
-    out.update(zip(keys, _dual_verdicts(m, problems, tol, seed)))
+    out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol)))
     out[OperatorClass("Normaloid")] = is_normaloid(m, tol)
     return out
 

@@ -212,3 +212,23 @@ def test_criterion_9_full_verify_all():
         # The seed-2026 report is pinned: a change to any suite's draws,
         # hypotheses or residuals shows here.
         assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_ALL_2026_SHA256
+
+
+# Canonical reports at other budgets, pinned at the commit before the
+# suites decided their dual predicates in lockstep rounds: trial order is
+# what they depend on, search-q2's candidate list included.
+REPORT_SHA256 = {
+    ("verify-all", 0): "6e7b3f5f7d43d6c10b9515ba5b8b983ab6843af9622dfea47feff74c015ddc6a",
+    ("verify-all", 7): "8a3a690522953c8d69d8b40462e7f38368e9ba3553b5623dc464ca09c76b5698",
+    ("search-q2", 2026): "73afa8ffcbcc85d6859119f78bd651b859f3202a38afa394e6a5a74a34b326b9",
+}
+
+
+@pytest.mark.parametrize("suites, seed", list(REPORT_SHA256))
+def test_reports_are_pinned_at_more_seeds(suites, seed):
+    if suites == "verify-all":
+        cfg = SuiteConfig(suites=THEOREM_IDS, trials=20, max_dim=8, seed=seed)
+    else:
+        cfg = SuiteConfig(suites=(suites,), trials=50, max_dim=8, seed=seed)
+    doc = canonical_report_json(suite_report_json_dict(cfg, run_suite(cfg)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == REPORT_SHA256[suites, seed]

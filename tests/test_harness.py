@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from opclass.errors import NonCoprime, UnknownTheorem
+import opclass.harness as hs
+from opclass.errors import NonCoprime, OracleDisagreement, UnknownTheorem
 from opclass.harness import (
     SUITES,
     THEOREM_IDS,
@@ -159,3 +161,129 @@ def test_suites_are_independent():
     b = batch[1].to_json_dict()
     a.pop("wall_time_ms"), b.pop("wall_time_ms")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Lockstep rounds against trials run one after the other
+# ---------------------------------------------------------------------------
+
+ENGINE = hs._dual_verdicts
+
+
+def _sequential(monkeypatch):
+    """Make every suite run each trial to its end before the next starts,
+    each dual problem decided alone and its exception thrown into its body:
+    the reference the lockstep rounds must reproduce."""
+    drive = hs._drive
+
+    def one_by_one(body, tol):
+        def run(trial, ts, rng):
+            steps = body(trial, ts, rng)
+            if not inspect.isgenerator(steps):
+                return steps
+            answer = None
+            while True:
+                try:
+                    if isinstance(answer, Exception):
+                        problem = steps.throw(answer)
+                    else:
+                        problem = steps.send(answer)
+                except StopIteration as done:
+                    return done.value
+                try:
+                    [answer] = hs._dual_verdicts([problem], tol)
+                except Exception as exc:
+                    answer = exc
+
+        return run
+
+    def sequential(theorem_id, trials, dim, seed, tol, inject_failure, body, **kwargs):
+        return drive(theorem_id, trials, dim, seed, tol, inject_failure,
+                     one_by_one(body, tol), **kwargs)
+
+    monkeypatch.setattr(hs, "_drive", sequential)
+
+
+def _engine(monkeypatch, targets=frozenset()):
+    """Route the harness through an engine that records the trial seeds of
+    every stack and the verdict of every problem it returns, and raises
+    OracleDisagreement for any stack that holds a problem of a target
+    trial seed."""
+    stacks, seen = [], {}
+
+    def engine(problems, tol):
+        stacks.append([seed for *_, seed in problems])
+        bad = [seed for *_, seed in problems if seed in targets]
+        if bad:
+            raise OracleDisagreement(f"injected at seed {bad[0]}")
+        verdicts = ENGINE(problems, tol)
+        for (_, name, k, seed), verdict in zip(problems, verdicts):
+            seen[seed, name, k] = verdict.to_json_dict()
+        return verdicts
+
+    monkeypatch.setattr(hs, "_dual_verdicts", engine)
+    return stacks, seen
+
+
+def _canonical(cfg, reports):
+    return canonical_report_json(suite_report_json_dict(cfg, reports))
+
+
+def test_lockstep_rounds_equal_sequential_trials(monkeypatch):
+    # Also with the problems of a dimension split over stacks of at most 2.
+    cfg = SuiteConfig(suites=tuple(SUITES), trials=12, max_dim=6, seed=5)
+    lockstep = _canonical(cfg, run_suite(cfg))
+    monkeypatch.setattr(hs, "_STACK", 2)
+    stacks, _ = _engine(monkeypatch)
+    assert _canonical(cfg, run_suite(cfg)) == lockstep
+    assert max(map(len, stacks)) == 2
+    _sequential(monkeypatch)
+    assert _canonical(cfg, run_suite(cfg)) == lockstep
+
+
+def test_stack_exception_fails_only_its_trial(monkeypatch):
+    # k-quasi-decomposition records an exception of root_decompose as a
+    # failure of its trial. One problem in the middle of a stack raises: its
+    # trial fails as it does when the trials run one after the other, and
+    # every other problem gets the verdict of the clean run.
+    cfg = SuiteConfig(suites=("k-quasi-decomposition",), trials=16, max_dim=4, seed=3)
+    stacks, clean_seen = _engine(monkeypatch)
+    clean = run_suite(cfg)
+    stack = max(stacks, key=len)
+    assert len(stack) >= 3
+    target = stack[len(stack) // 2]
+    _, seen = _engine(monkeypatch, {target})
+    (lockstep,) = run_suite(cfg)
+    lockstep_seen = dict(seen)
+    [record] = lockstep.failures
+    assert record.seed == target
+    assert record.instance_ref.endswith(f" [OracleDisagreement: injected at seed {target}]")
+    assert lockstep.passes == clean[0].passes - 1
+    assert {key[0] for key in set(clean_seen) - set(lockstep_seen)} == {target}
+    assert all(clean_seen[key] == verdict for key, verdict in lockstep_seen.items())
+    _sequential(monkeypatch)
+    assert _canonical(cfg, run_suite(cfg)) == _canonical(cfg, [lockstep])
+
+
+def test_stack_exception_propagates_from_the_first_trial(monkeypatch):
+    # ando lets an oracle exception through. With two raising problems,
+    # run_suite raises the exception of the one whose trial comes first, as
+    # it does when the trials run one after the other; the other problems
+    # get the verdicts of the clean run.
+    cfg = SuiteConfig(suites=("ando",), trials=16, max_dim=4, seed=3)
+    stacks, clean_seen = _engine(monkeypatch)
+    run_suite(cfg)
+    stack = max(stacks, key=len)
+    assert len(stack) >= 3
+    targets = {stack[len(stack) // 2], next(s for s in stacks if s is not stack)[-1]}
+    assert len(targets) == 2
+    _, seen = _engine(monkeypatch, targets)
+    with pytest.raises(OracleDisagreement) as lockstep:
+        run_suite(cfg)
+    lockstep_seen = dict(seen)
+    assert {key[0] for key in set(clean_seen) - set(lockstep_seen)} == targets
+    assert all(clean_seen[key] == verdict for key, verdict in lockstep_seen.items())
+    _sequential(monkeypatch)
+    with pytest.raises(OracleDisagreement) as sequential:
+        run_suite(cfg)
+    assert str(lockstep.value) == str(sequential.value)

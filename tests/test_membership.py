@@ -21,6 +21,7 @@ from opclass.membership import (
     _PencilStack,
     _brent,
     _central_gradient,
+    _dual_verdicts,
     _STRIDE,
     _pencil_verdicts,
     _reconcile,
@@ -1115,6 +1116,47 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
                 continue
             assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
     assert len(compactions) >= len(mats)
+
+
+def test_stacks_of_many_matrices_equal_one_problem_predicates(monkeypatch):
+    # The engine decides problems of different matrices of one dimension in
+    # one stack: a NonMember-side Ginibre matrix, a member family matrix
+    # that descends to convergence, a zero matrix, one matrix under two
+    # seeds, and the classes mixed. Each verdict must be its predicate's
+    # alone, bit for bit, and the stack must have been compacted.
+    compactions = []
+    take = _NormProductDefect.take
+
+    def counting_take(self, rows):
+        if len(rows) > 1:
+            compactions.append(len(rows))
+        return take(self, rows)
+
+    monkeypatch.setattr(_NormProductDefect, "take", counting_take)
+    for dim in range(3, 9):
+        g, member = random_ginibre(dim, seed=60 + dim), _family_matrix(dim - 3)
+        zero = np.zeros((dim, dim), dtype=complex)
+        problems = [
+            (g, "KQuasiParanormal", 0, 1), (member, "KParanormal", 1, 2),
+            (zero, "KParanormal", 2, 3), (g, "AbsoluteKParanormal", 1, 1),
+            (member, "KQuasiParanormal", 0, 2), (g, "KParanormal", 2, 5),
+            (member, "AbsoluteKParanormal", 2, 2), (zero, "KQuasiParanormal", 0, 4),
+        ]
+        if dim == 4:
+            # The matrix that keeps descending after its stack has shrunk.
+            g79 = random_ginibre(4, seed=139)
+            problems += [(g79, name, 1, 79) for name in _PREDICATES]
+        for (t, name, k, seed), v in zip(problems, _dual_verdicts(problems, TOL)):
+            alone = _PREDICATES[name](t, k, seed=seed)
+            assert v.to_json_dict() == alone.to_json_dict(), (dim, name, k, seed)
+    assert len(compactions) >= 6
+
+
+def test_stack_of_mixed_dimensions_is_value_error():
+    problems = [(random_ginibre(3, seed=1), "KParanormal", 1, 0),
+                (random_ginibre(4, seed=1), "KParanormal", 1, 0)]
+    with pytest.raises(ValueError, match="one dimension"):
+        _dual_verdicts(problems, TOL)
 
 
 def test_verdicts_build_no_pencil_through_evaluate(monkeypatch):

@@ -3,6 +3,7 @@ import os
 import sys
 from pathlib import Path
 
+from opclass import harness as hs
 from opclass import membership as mb
 from opclass.generators import random_ginibre
 
@@ -30,12 +31,19 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = value
-    originals = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                 mb._sweep, mb._brent, mb._pencil_verdicts)
+    def wrapped():
+        return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
+                mb._sweep, mb._brent, mb._pencil_verdicts, mb._dual_verdicts, hs._dual_verdicts)
+
+    originals = wrapped()
     t = random_ginibre(4, 1)
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
         mb.pencil_check(mb.k_paranormal_pencil(t, 2))
-    assert {key: value for key, value in counter.counts.items() if value <= 0} == {}
-    assert (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-            mb._sweep, mb._brent, mb._pencil_verdicts) == originals
+        assert {key: value for key, value in counter.take().items() if value <= 0} == {}
+        # A suite's engine calls go through the harness binding: one stack
+        # per round and dimension, at most one per problem.
+        hs.run_suite(hs.SuiteConfig(suites=("ando",), trials=8, max_dim=3, seed=1))
+        suite = counter.take()
+    assert 0 < suite["engine_calls"] < suite["problems"] and suite["calls"] > 0
+    assert wrapped() == originals

@@ -1,5 +1,5 @@
-"""Sphere-descent and pencil work per classify_all matrix and per
-verify-all suite.
+"""Dual-engine, sphere-descent and pencil work per classify_all matrix and
+per verify-all suite.
 
 Usage (from the root of a checkout):
 
@@ -14,8 +14,13 @@ the matrices of a batch of (pencil, lambda) points with
 ``_PencilStack.matrices``, and a round asks every running Brent search
 (``membership._brent``) for one lambda. This script wraps those methods,
 ``membership._sweep``, ``membership._brent`` and
-``membership._pencil_verdicts``, from outside and counts:
+``membership._pencil_verdicts``, from outside, and the dual engine
+``membership._dual_verdicts`` with the binding ``harness._drive`` calls it
+through, and counts:
 
+* the engine calls and the problems they decide: a ``classify_all``
+  matrix is one call, and a verify-all suite makes one per round and
+  dimension of its trials;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
@@ -67,11 +72,11 @@ import workloads as wl  # noqa: E402
 
 
 class Counter:
-    """Counts the fused sphere steps, the pencil builds and the refinement
-    searches."""
+    """Counts the engine calls, the fused sphere steps, the pencil builds
+    and the refinement searches."""
 
-    FIELDS = ("calls", "columns", "builds", "coarse_lams", "open_lams", "grid_lams",
-              "refine_lams", "witness_lams", "searches", "rounds")
+    FIELDS = ("engine_calls", "problems", "calls", "columns", "builds", "coarse_lams",
+              "open_lams", "grid_lams", "refine_lams", "witness_lams", "searches", "rounds")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -81,7 +86,8 @@ class Counter:
         # for, and the searches still running.
         self._rounds = self._live = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                       mb._sweep, mb._brent, mb._pencil_verdicts)
+                       mb._sweep, mb._brent, mb._pencil_verdicts, mb._dual_verdicts,
+                       hs._dual_verdicts)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -94,8 +100,13 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, matrices, sweep, brent, verdicts = self._saved
+        fused, matrices, sweep, brent, verdicts, engine, _ = self._saved
         counts = self.counts
+
+        def counted_engine(problems, tol):
+            counts["engine_calls"] += 1
+            counts["problems"] += len(problems)
+            return engine(problems, tol)
 
         def counted_fused(defect, x):
             counts["calls"] += 1
@@ -143,11 +154,13 @@ class Counter:
         mb._sweep = self._inside(counted_sweep, "coarse_lams")
         mb._brent = counted_brent
         mb._pencil_verdicts = self._inside(counted_verdicts, "refine_lams")
+        mb._dual_verdicts = hs._dual_verdicts = counted_engine
         return self
 
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-         mb._sweep, mb._brent, mb._pencil_verdicts) = self._saved
+         mb._sweep, mb._brent, mb._pencil_verdicts, mb._dual_verdicts,
+         hs._dual_verdicts) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -174,7 +187,7 @@ def summary(per_item: list[dict]) -> str:
 
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    total = 0
+    total = dict.fromkeys(("calls", "engine_calls", "problems"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
             pool = workload(wl.DEFAULT_SEED, seconds, ROOT)
@@ -189,10 +202,13 @@ def main() -> int:
         for cfg in suites.pool:
             hs.run_suite(cfg)
             counts = counter.take()
-            total += counts["calls"]
-            print(f"verify-all {cfg.suites[0]}: {counts['calls']} calls, "
+            for key in total:
+                total[key] += counts[key]
+            print(f"verify-all {cfg.suites[0]}: {counts['engine_calls']} engine calls "
+                  f"deciding {counts['problems']} problems, {counts['calls']} calls, "
                   f"{counts['columns']} columns; pencil: {pencil_line(counts)}")
-    print(f"verify-all total: {total} calls")
+    print(f"verify-all total: {total['engine_calls']} engine calls deciding "
+          f"{total['problems']} problems, {total['calls']} calls")
     return 0
 
 
