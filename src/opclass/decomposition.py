@@ -264,9 +264,14 @@ def root_decompose(
     nilpotent summand, when present, has index at most min(n, k+1).
     """
     m = as_operator(t)
+    _check_root_indices(n, k)
+    return _root_split(m, n, k, is_k_quasi_paranormal(m, k, tol, seed=seed), tol)
+
+
+def _check_root_indices(n: int, k: int) -> None:
+    """ValueError unless ``root_decompose``'s n and k are positive integers."""
     if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    return _root_split(m, n, k, is_k_quasi_paranormal(m, k, tol, seed=seed), tol)
 
 
 def _root_split(

@@ -53,16 +53,16 @@ def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def _unit_disk(rng: np.random.Generator, size: int) -> np.ndarray:
-    radius = np.sqrt(rng.uniform(0.0, 1.0, size))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size)
-    return radius * np.exp(1j * angle)
-
-
 def _annulus(rng: np.random.Generator, size: int, r_lo: float, r_hi: float) -> np.ndarray:
     radius = np.sqrt(rng.uniform(r_lo**2, r_hi**2, size))
     angle = rng.uniform(0.0, 2.0 * np.pi, size)
     return radius * np.exp(1j * angle)
+
+
+def _normal(eig: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """U diag(eig) U* for a Haar unitary U drawn from ``rng``."""
+    u = _haar(eig.size, rng)
+    return (u * eig) @ u.conj().T
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -77,13 +77,12 @@ def random_normal(dim: int, seed: int, eigenvalues=None) -> np.ndarray:
     if dim < 1:
         raise InvalidSpec("dim must be at least 1")
     if eigenvalues is None:
-        eig = _unit_disk(make_rng(seed, 1, 1), dim)
+        eig = _annulus(make_rng(seed, 1, 1), dim, 0.0, 1.0)
     else:
         eig = np.asarray(eigenvalues, dtype=np.complex128)
         if eig.shape != (dim,):
             raise InvalidSpec(f"need exactly {dim} eigenvalues, got {eig.shape}")
-    u = _haar(dim, make_rng(seed, 1, 0))
-    return (u * eig) @ u.conj().T
+    return _normal(eig, make_rng(seed, 1, 0))
 
 
 def random_ginibre(dim: int, seed: int) -> np.ndarray:
@@ -121,9 +120,7 @@ def normaloid_counterexample(dim_m: int, dim_n: int, seed: int) -> np.ndarray:
     """
     if dim_m < 1 or dim_n < 2:
         raise InvalidSpec("need dim_m >= 1 and dim_n >= 2")
-    eig = _annulus(make_rng(seed, 4, 0), dim_m, 0.5, 1.0)
-    u = _haar(dim_m, make_rng(seed, 4, 1))
-    m = (u * eig) @ u.conj().T
+    m = _normal(_annulus(make_rng(seed, 4, 0), dim_m, 0.5, 1.0), make_rng(seed, 4, 1))
     nil = jordan_nilpotent(dim_n, 2, (seed * 0x9E3779B97F4A7C15 + 1) & _MASK64)
     norm_m = float(np.linalg.norm(m, 2))
     norm_n = float(np.linalg.norm(nil, 2))
@@ -163,8 +160,7 @@ def k_quasi_member(dim_normal: int, dim_nil: int, k: int, seed: int) -> np.ndarr
     blocks = []
     if dim_normal > 0:
         eig = _annulus(make_rng(seed, 6, 0), dim_normal, 0.5, 1.0)
-        u = _haar(dim_normal, make_rng(seed, 6, 1))
-        blocks.append((u * eig) @ u.conj().T)
+        blocks.append(_normal(eig, make_rng(seed, 6, 1)))
     if dim_nil > 0:
         max_index = min(k + 1, dim_nil)
         if max_index < 2:
@@ -202,9 +198,7 @@ def rr_instance(
         b = (w * b_eig) @ w.conj().T
     a = None
     if dim_a > 0:
-        eig = _annulus(make_rng(seed, 7, 3), dim_a, 0.5, 1.0)
-        u = _haar(dim_a, make_rng(seed, 7, 4))
-        a = (u * eig) @ u.conj().T
+        a = _normal(_annulus(make_rng(seed, 7, 3), dim_a, 0.5, 1.0), make_rng(seed, 7, 4))
     return rr_assemble(a, b, c)
 
 

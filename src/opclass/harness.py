@@ -22,13 +22,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 import scipy.linalg
 
 from . import generators as gen
-from .decomposition import BlockLabel, _root_split, nilpotent2_canonical
+from .decomposition import BlockLabel, _check_root_indices, _root_split, nilpotent2_canonical
 from .errors import NonCoprime, UnknownTheorem
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -462,8 +461,7 @@ def verify_k_quasi_decomposition(
     """k-quasi-paranormal T with normal T^n splits into normal plus
     nilpotent of index at most min(n, k+1); for n = 2 the nonzero nilpotent
     summand is put into its [[0, C], [0, 0]] canonical form."""
-    if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
+    _check_root_indices(n, k)
     gate = 1e-8
     total = int(dims)
     # Nil index must divide out in T^n, so build at min(k, n-1).

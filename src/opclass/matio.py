@@ -6,7 +6,8 @@ Two formats are supported:
   row-major pairs.
 * Matrix Market: ``matrix coordinate complex general`` and
   ``matrix array complex general`` (read via scipy.io, written at full
-  double precision).
+  double precision). A ``.mtx.gz`` file is read through gzip; the writer
+  writes no gzip and refuses a ``.gz`` target.
 
 Both parsers reject non-square data. Every JSON document the package
 writes, matrix files included, is one line of text from ``json_text``.
@@ -37,7 +38,7 @@ __all__ = [
     "json_text",
 ]
 
-_MM_SUFFIXES = {".mtx", ".mm", ".mtx.gz"}
+_MM_SUFFIXES = (".mtx", ".mm", ".mtx.gz")
 
 
 def json_text(doc) -> str:
@@ -83,10 +84,11 @@ def detect_format(path: str | Path, fmt: str | None = None) -> str:
         if fmt not in ("json", "matrix-market"):
             raise ParseError(f"unknown matrix format {fmt!r}")
         return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".json":
+    # The end of the name, not Path.suffix, which is ".gz" for "m.mtx.gz".
+    name = Path(path).name.lower()
+    if name.endswith(".json"):
         return "json"
-    if suffix in _MM_SUFFIXES:
+    if name.endswith(_MM_SUFFIXES):
         return "matrix-market"
     raise ParseError(
         f"cannot infer matrix format from {Path(path).name!r}; pass --format"
@@ -130,6 +132,8 @@ def save_matrix(path: str | Path, a, fmt: str | None = None) -> None:
     if not np.isfinite(m).all():
         raise ParseError("matrix entries must be finite")
     resolved = detect_format(path, fmt)
+    if resolved == "matrix-market" and Path(path).name.lower().endswith(".gz"):
+        raise ParseError(f"refusing to write uncompressed text to {Path(path).name!r}")
     if resolved == "json":
         text = json_text(matrix_to_json_dict(m))
     else:

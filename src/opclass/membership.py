@@ -320,37 +320,11 @@ class PencilSpec:
         return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _pencil(norm_t: float, terms, degree: int, label: str) -> PencilSpec:
-    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale
-    max(1, ||T||)^degree."""
-    s = max(1.0, norm_t**2)
-    return PencilSpec(
-        terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s,
-        scale=_scale(norm_t, degree), label=label,
-    )
-
-
-# The pencil builders below take a validated matrix and its norm, which
-# _dual_verdicts computes once for all pencils of a matrix; each public
-# constructor checks its input and computes the norm itself.
-
-
 def _public_pencil(name: str, t, k: int) -> PencilSpec:
     """The pencil of class ``name`` of _DUAL on T, k checked against its least k."""
     m = as_operator(t)
     _check_k(name, k)
-    return _DUAL[name][2](m, k, operator_norm(m))
-
-
-def _quasi_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
-    pk = matrix_power(m, k)
-    pk1 = m @ pk
-    pk2 = m @ pk1
-    a = pk2.conj().T @ pk2
-    b = pk1.conj().T @ pk1
-    c = pk.conj().T @ pk
-    terms = ((0.0, a), (1.0, -2.0 * b), (2.0, c))
-    return _pencil(norm_t, terms, 2 * k + 4, f"quasi-paranormal[k={k}]")
+    return _DUAL[name][2](m, k, operator_norm(m), DEFAULT_TOLERANCES)[1]
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -359,30 +333,9 @@ def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
     return _public_pencil("KQuasiParanormal", t, k)
 
 
-def _weighted_pencil(m: np.ndarray, k: int, d: np.ndarray, label: str, norm_t: float) -> PencilSpec:
-    """Pencil D - (k+1) lam^k T*T + k lam^(k+1) I. At a unit vector x its
-    least value over lam is <Dx,x> - ||Tx||^(2k+2), so D = T*^(k+1) T^(k+1)
-    decides k-paranormality and D = T*(T*T)^k T absolute-k-paranormality."""
-    gram = m.conj().T @ m
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    terms = ((0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye))
-    return _pencil(norm_t, terms, 2 * k + 2, label)
-
-
-def _k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
-    pk1 = matrix_power(m, k + 1)
-    return _weighted_pencil(m, k, pk1.conj().T @ pk1, f"k-paranormal[k={k}]", norm_t)
-
-
 def k_paranormal_pencil(t, k: int) -> PencilSpec:
     """Pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1) I."""
     return _public_pencil("KParanormal", t, k)
-
-
-def _absolute_k_paranormal_pencil(m: np.ndarray, k: int, norm_t: float) -> PencilSpec:
-    gram = m.conj().T @ m
-    d = m.conj().T @ matrix_power(gram, k) @ m
-    return _weighted_pencil(m, k, d, f"absolute-k-paranormal[k={k}]", norm_t)
 
 
 def absolute_k_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -1078,22 +1031,6 @@ class _NormProductDefect:
         return vals.reshape(x.shape[:-2] + x.shape[-1:]), grad.reshape(x.shape)
 
 
-def _quasi_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
-    pk = matrix_power(m, k)
-    pk1 = m @ pk
-    pk2 = m @ pk1
-    return ((pk2, 1), (pk, 1)), ((pk1, 2),)
-
-
-def _k_paranormal_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
-    return ((matrix_power(m, k + 1), 1),), ((m, k + 1),)
-
-
-def _absolute_k_paranormal_terms(m: np.ndarray, k: int, tol: TolerancePolicy):
-    mod_k = psd_power(m.conj().T @ m, k / 2.0, tol)
-    return ((mod_k @ m, 1),), ((m, k + 1),)
-
-
 def _warm_starts(m: np.ndarray) -> np.ndarray:
     _, _, vh = np.linalg.svd(m)
     return vh.conj().T
@@ -1147,15 +1084,64 @@ def _reconcile(
     )
 
 
+# The builders of the classes both oracles decide. Each takes a validated
+# matrix, its norm and the tolerances, checks its pencil's class scale
+# before it forms any power of T, and returns the sphere defect's (positive,
+# negative) terms and the pencil, both from the same powers of T.
+
+
+def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
+    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale ``scale``."""
+    s = max(1.0, norm_t**2)
+    return PencilSpec(terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s, scale=scale,
+                      label=label)
+
+
+def _quasi(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
+    """||T^(k+2) x|| ||T^k x|| - ||T^(k+1) x||^2, and the pencil A - 2z B + z^2 C
+    of the Grams of T^(k+2), T^(k+1) and T^k."""
+    scale = _scale(norm_t, 2 * k + 4)
+    pk = matrix_power(m, k)
+    pk1 = m @ pk
+    pk2 = m @ pk1
+    a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
+    pencil = _pencil(norm_t, scale, ((0.0, a), (1.0, -2.0 * b), (2.0, c)),
+                     f"quasi-paranormal[k={k}]")
+    return (((pk2, 1), (pk, 1)), ((pk1, 2),)), pencil
+
+
+def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
+    """Terms of the pencil D - (k+1) lam^k T*T + k lam^(k+1) I. At a unit
+    vector x its least value over lam is <Dx,x> - ||Tx||^(2k+2), so
+    D = T*^(k+1) T^(k+1) decides k-paranormality and D = T*(T*T)^k T
+    absolute-k-paranormality."""
+    eye = np.eye(gram.shape[0], dtype=np.complex128)
+    return (0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye)
+
+
+def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
+    """||T^(k+1) x|| - ||T x||^(k+1), and D = T*^(k+1) T^(k+1)."""
+    scale = _scale(norm_t, 2 * k + 2)
+    pk1 = matrix_power(m, k + 1)
+    terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
+    return (((pk1, 1),), ((m, k + 1),)), _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
+
+
+def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
+    """|| |T|^k T x || - ||T x||^(k+1), and D = T*(T*T)^k T."""
+    scale = _scale(norm_t, 2 * k + 2)
+    gram = m.conj().T @ m
+    terms = _weighted(k, m.conj().T @ matrix_power(gram, k) @ m, gram)
+    pencil = _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
+    return (((psd_power(gram, k / 2.0, tol) @ m, 1),), ((m, k + 1),)), pencil
+
+
 # The classes both oracles decide, by OperatorClass name: the least k, the
-# builder (m, k, tol) of the sphere defect's terms, the pencil builder
-# (m, k, ||T||) and the degree in k of the sphere defect's scale.
+# degree in k of the sphere defect's scale, and the builder (m, k, ||T||, tol).
 _DUAL = {
-    "KQuasiParanormal": (0, _quasi_terms, _quasi_pencil, lambda k: 2 * k + 2),
-    "KParanormal": (1, _k_paranormal_terms, _k_paranormal_pencil, lambda k: k + 1),
-    "AbsoluteKParanormal": (
-        1, _absolute_k_paranormal_terms, _absolute_k_paranormal_pencil, lambda k: k + 1
-    ),
+    "KQuasiParanormal": (0, lambda k: 2 * k + 2, _quasi),
+    "KParanormal": (1, lambda k: k + 1, _k_paranormal),
+    "AbsoluteKParanormal": (1, lambda k: k + 1, _absolute_k_paranormal),
 }
 
 
@@ -1193,10 +1179,10 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     verdicts = [_member_zero() for _ in problems]
     if not live:
         return verdicts
-    scales = [_scale(norms[key], _DUAL[name][3](k)) for _, key, name, k, _ in live]
-    defect = _NormProductDefect.of(
-        *(_DUAL[name][1](mats[key], k, tol) for _, key, name, k, _ in live))
-    pencils = [_DUAL[name][2](mats[key], k, norms[key]) for _, key, name, k, _ in live]
+    scales = [_scale(norms[key], _DUAL[name][1](k)) for _, key, name, k, _ in live]
+    terms, pencils = zip(*(_DUAL[name][2](mats[key], k, norms[key], tol)
+                           for _, key, name, k, _ in live))
+    defect = _NormProductDefect.of(*terms)
     warm = {key: _warm_starts(mats[key]) for key in norms}
     starts = {(key, seed): _starts(mats[key].shape[0], _RESTARTS, seed, warm[key])
               for key, seed in dict.fromkeys((key, seed) for _, key, _, _, seed in live)}

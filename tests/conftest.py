@@ -41,10 +41,11 @@ def dual_families(t: np.ndarray, k: int) -> list:
     return [
         (
             name,
-            membership._NormProductDefect.of(build_terms(t, k, DEFAULT_TOLERANCES)),
-            build_pencil(t, k, norm_t),
+            membership._NormProductDefect.of(terms),
+            pencil,
             membership._scale(norm_t, degree(k)),
         )
-        for name, (least_k, build_terms, build_pencil, degree) in membership._DUAL.items()
+        for name, (least_k, degree, build) in membership._DUAL.items()
         if k >= least_k
+        for terms, pencil in [build(t, k, norm_t, DEFAULT_TOLERANCES)]
     ]

@@ -225,6 +225,14 @@ def test_generate_matrix_market_format(capsys, tmp_path):
     assert "MatrixMarket" in out.read_text().splitlines()[0]
 
 
+def test_generate_gzip_matrix_market_writes_nothing(capsys, tmp_path):
+    code, doc = _run(capsys, ["generate", "unitary", "--dim", "3", "--seed", "2",
+                              "-o", str(tmp_path / "m.mtx.gz")])
+    assert code == 1
+    assert doc["error"]["type"] == "ParseError"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind, flags, params", [
     ("unitary", ["--dim", "3"], {"dim": 3}),
     ("normal", ["--dim", "3"], {"dim": 3}),

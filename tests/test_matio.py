@@ -1,3 +1,5 @@
+import gzip
+import io
 import json
 import struct
 
@@ -159,3 +161,23 @@ def test_format_override(tmp_path):
     save_matrix(path, a, "json")
     b = load_matrix(path, "json")
     np.testing.assert_array_equal(a, b)
+
+
+def test_matrix_market_gzip_is_read(tmp_path):
+    # Path.suffix of "a.mtx.gz" is ".gz"; the format comes from the name's end.
+    assert detect_format("a.mtx.gz") == detect_format("A.MTX.GZ") == "matrix-market"
+    a = ginibre(3, np.random.default_rng(4))
+    buf = io.BytesIO()
+    scipy.io.mmwrite(buf, a, field="complex", precision=17)
+    path = tmp_path / "a.mtx.gz"
+    path.write_bytes(gzip.compress(buf.getvalue()))
+    np.testing.assert_array_equal(load_matrix(path), a)
+
+
+@pytest.mark.parametrize("name, fmt", [("x.mtx.gz", None), ("x.gz", "matrix-market")])
+def test_save_refuses_gzip_matrix_market(tmp_path, name, fmt):
+    # The writer writes plain text, which the loader would then read as a
+    # broken gzip file; it refuses the target before writing anything.
+    with pytest.raises(ParseError, match="uncompressed"):
+        save_matrix(tmp_path / name, np.eye(2), fmt)
+    assert list(tmp_path.iterdir()) == []

@@ -671,7 +671,7 @@ def test_sphere_check_requires_restart():
 
 
 def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
-    fn = _NormProductDefect.of(_DUAL["KQuasiParanormal"][1](j2, 0, TOL))
+    fn = _NormProductDefect.of(_DUAL["KQuasiParanormal"][2](j2, 0, operator_norm(j2), TOL)[0])
     with pytest.raises(ValueError, match="dim must be at least 1"):
         sphere_check(fn, 0, 4)
     for ws in (
@@ -1067,6 +1067,37 @@ def test_classify_all_output_is_pinned():
     assert digest == "fb794a80c4b9bd30365eae5244acf5cfd32bea5807700019204c35ae02af9ef6"
 
 
+def test_builders_are_pinned():
+    # Every sphere term (matrix and exponent) and every pencil (coefficients,
+    # exponents, domain, scale and label) of every dual class, for k from its
+    # least k to 3, bit for bit. The digest was taken when each class still
+    # had one builder for its sphere terms and another for its pencil.
+    h = hashlib.sha256()
+
+    def add(mat):
+        a = np.ascontiguousarray(mat)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+    mats = [s * random_ginibre(d, seed=d) for s in (1e-3, 1.0, 1e3) for d in range(1, 9)]
+    mats.append(np.eye(5, k=1, dtype=complex))
+    for least_k, _, build in _DUAL.values():
+        for k in range(least_k, 4):
+            for t in mats:
+                terms, pencil = build(t, k, operator_norm(t), TOL)
+                for side in terms:
+                    h.update(repr(len(side)).encode())
+                    for mat, expo in side:
+                        add(mat)
+                        h.update(repr(float(expo)).encode())
+                for expo, mat in pencil.terms:
+                    h.update(repr(float(expo)).encode())
+                    add(mat)
+                h.update(repr((pencil.lambda_lo, pencil.lambda_max, pencil.scale,
+                               pencil.label)).encode())
+    assert h.hexdigest() == "039178c7348987afea762ab06886a4274152853f8cb18ef8d86e0952e069e143"
+
+
 def _family_matrix(i: int) -> np.ndarray:
     """Matrix i of the seven member families of the benchmark's
     classify-members pool; family and dim (3-8) cycle, so 42 consecutive
@@ -1191,15 +1222,27 @@ def test_overflowing_residual_is_value_error(predicate, t):
 
 def test_overflowing_scale_is_value_error():
     # A class scale max(1, ||T||)^degree beyond the largest double used to
-    # raise OverflowError from the float power.
-    huge = 1e40 * random_ginibre(3, 1)
-    with pytest.raises(ValueError, match="overflows"):
-        classify_all(huge)
-    with pytest.raises(ValueError, match="overflows"):
-        is_k_quasi_paranormal(huge, 3)
-    t = 2.0 * random_unitary(3, seed=1)
-    with pytest.raises(ValueError, match="overflows"):
-        classify_all(t, k_list=[600])
+    # raise OverflowError from the float power. Each builder checks its
+    # pencil's scale before it forms a power of T, so no product overflows
+    # first: no warning, no OverflowError and no non-finite pencil.
+    t = random_ginibre(3, 1)
+    cases = [
+        lambda: classify_all(1e40 * t),
+        lambda: is_k_quasi_paranormal(1e40 * t, 3),
+        lambda: classify_all(2.0 * random_unitary(3, seed=1), k_list=[600]),
+        lambda: quasi_paranormal_pencil(1e160 * t, 0),
+        lambda: k_paranormal_pencil(1e160 * t, 1),
+        lambda: absolute_k_paranormal_pencil(1e160 * t, 1),
+        lambda: is_k_quasi_paranormal(1e35 * t, 3),
+        lambda: quasi_paranormal_pencil(1e35 * t, 3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in cases:
+            with pytest.raises(ValueError, match="overflows"):
+                case()
+        with pytest.raises(ValueError, match=r"class scale .*\^4 overflows"):
+            is_absolute_k_paranormal(1e77 * t, 1)
 
 
 def test_classify_all_rejects_non_integral_and_negative_k(j2):
