@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -289,9 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` keeps no state
+    between calls, and building the tree of generator subparsers is most
+    of the cost of a short in-process ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (OpclassError, OSError, ValueError) as exc:
         # Bad input (a command line that does not parse, an unreadable file,

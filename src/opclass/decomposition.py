@@ -6,7 +6,10 @@ DecompositionError for a basis that is not unitary or a reassembly,
 normality or nilpotency residual beyond tolerance.
 
 * normal_pure_split: the maximal reducing subspace on which the operator is
-  normal, giving the unique normal-part / pure-part splitting.
+  normal, giving the unique normal-part / pure-part splitting. The pure
+  part is the smallest reducing subspace that contains the range of the
+  self-commutator, closed under T and T* by forward products
+  (``_reducing_closure``).
 * root_decompose: for a k-quasi-paranormal operator whose n-th power is
   normal, the splitting into a normal summand and a nilpotent summand of
   index at most min(n, k+1).
@@ -47,9 +50,7 @@ from .linalg import (
     matrix_hash,
     matrix_power,
     operator_norm,
-    preimage_in,
     psd_power,
-    subspace_intersect,
 )
 from .membership import MembershipVerdict, Status, is_k_quasi_paranormal, is_normal
 from .matio import matrix_to_json_dict
@@ -191,30 +192,67 @@ def _assemble(
     )
 
 
+def _reducing_closure(
+    m: np.ndarray, basis: np.ndarray, block: np.ndarray, cut: float
+) -> np.ndarray:
+    """Orthonormal basis of the smallest subspace that contains the
+    orthonormal columns of ``basis`` and ``block`` and reduces T = m.
+
+    Each round applies T and T* to the newest block, orthogonalizes the
+    images twice against the basis and adds their left singular vectors
+    with singular value above ``cut``, at most n minus the basis dimension
+    of them; the closure ends when a round adds nothing.
+    """
+    n = m.shape[0]
+    basis = np.concatenate([basis, block], axis=1)
+    while block.shape[1] and basis.shape[1] < n:
+        images = np.concatenate([m @ block, m.conj().T @ block], axis=1)
+        for _ in range(2):
+            images -= basis @ (basis.conj().T @ images)
+        u, s, _ = np.linalg.svd(images, full_matrices=False)
+        block = u[:, s > cut][:, : n - basis.shape[1]]
+        basis = np.concatenate([basis, block], axis=1)
+    return basis
+
+
 def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposition:
     """Split T into its normal part and its pure part.
 
-    Starting from the kernel of the self-commutator T*T - TT*, the candidate
-    subspace is intersected with its own preimages under T and T* until the
-    dimension stabilizes; the fixed point is the maximal reducing subspace
-    on which T is normal. Either part may be absent.
+    The self-commutator C = T*T - TT* vanishes on the normal part M, so
+    range C lies in M-perp; and the smallest subspace R that contains
+    range C and reduces T is M-perp, since R-perp reduces T and lies in
+    ker C. R is the pure part and R-perp the normal part; either may be
+    absent. R is built by ``_reducing_closure``, from forward products
+    alone, with the cut tol_rank * max(1, ||T||) on its singular values.
+
+    The cut on |eig C| is ``_zero_cluster_cut``'s gap window with floor
+    max(1, ||T||)^2; a window with no usable gap is a DecompositionError.
+    An eigenvector of C lies within about eps * ||C|| / |eigenvalue| of
+    range C, so the closure starts only from those whose |eigenvalue|
+    exceeds sqrt(tol_rank) times the window's reference. R reduces C too,
+    so when C has eigenvalues between the cut and that bound, the
+    eigenvectors of C compressed to R-perp above the cut complete range C,
+    and the closure runs once more from them.
     """
     m = as_operator(t)
     n = m.shape[0]
     scale = max(1.0, operator_norm(m))
     comm = m.conj().T @ m - m @ m.conj().T
-    v = kernel(comm, tol, rank_floor=scale**2)
-    for _ in range(n + 1):
-        if v.dim == 0:
-            break
-        refined = subspace_intersect(v, preimage_in(m, v, tol), tol)
-        refined = subspace_intersect(refined, preimage_in(m.conj().T, v, tol), tol)
-        if refined.dim == v.dim:
-            v = refined
-            break
-        v = refined
-
-    return _assemble(m, [(v, BlockLabel.NORMAL), (v.complement(), BlockLabel.PURE)], scale, tol)
+    eig = hermitian_eigen(comm, tol)
+    size = np.abs(eig.eigenvalues)
+    cut = _zero_cluster_cut(np.sort(size)[::-1], tol, scale**2)
+    resolved = max(cut, np.sqrt(tol.tol_rank) * max(float(size.max()), scale**2))
+    step = tol.tol_rank * scale
+    basis = _reducing_closure(m, np.zeros((n, 0), dtype=np.complex128),
+                              eig.eigenvectors[:, size > resolved], step)
+    pure = Subspace(n, basis)
+    normal = pure.complement()
+    if normal.dim and np.any((size > cut) & (size <= resolved)):
+        rest = hermitian_eigen(compress(comm, normal), tol)
+        block = normal.basis @ rest.eigenvectors[:, np.abs(rest.eigenvalues) > cut]
+        pure = Subspace(n, _reducing_closure(m, basis, block, step))
+        normal = pure.complement()
+    return _assemble(m, [(normal, BlockLabel.NORMAL), (pure, BlockLabel.PURE)], scale, tol)
 
 
 def _zero_cluster_cut(s: np.ndarray, tol: TolerancePolicy, floor: float) -> float:

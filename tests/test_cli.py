@@ -392,6 +392,32 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: opclass classify")
 
 
+def test_successive_calls_behave_as_on_a_fresh_parser(capsys, j2_file):
+    # main builds its parser once per process; a usage error, a decompose
+    # and --help in a row each give what they give on a new parser.
+    calls = [["decompose", "normal-pure", j2_file, "--n", "two"],
+             ["decompose", "normal-pure", j2_file],
+             ["decompose", "--help"]]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._parser()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli._parser() is parser
+    assert [code for code, _ in fresh] == [cli.EXIT_ERROR, cli.EXIT_OK, 0]
+    assert json.loads(fresh[0][1].out)["error"]["type"] == "UsageError"
+    assert fresh[2][1].out.startswith("usage: opclass decompose")
+
+
 def _one_line(text: str) -> dict:
     assert text.endswith("\n") and text.count("\n") == 1
     return json.loads(text)

@@ -87,6 +87,86 @@ def test_split_dimensions_are_unitary_invariant(j2):
     assert a.labels == b.labels
 
 
+def _weighted_shift(d: int, lam0: complex, weights_sq: np.ndarray) -> np.ndarray:
+    """lam0 I plus the shift with superdiagonal sqrt(weights_sq): pure. Its
+    self-commutator is diag(-w_1^2, w_1^2 - w_2^2, ..., w_(d-1)^2)."""
+    return lam0 * np.eye(d) + np.diag(np.sqrt(weights_sq), 1)
+
+
+def _jordan(d: int, lam0: complex = 0.3 + 0.2j) -> np.ndarray:
+    """lam0 I + J_d, whose self-commutator diag(-1, 0, ..., 0, 1) has rank 2,
+    so the closure reaches the whole chain only after d/2 rounds."""
+    return _weighted_shift(d, lam0, np.ones(d - 1))
+
+
+def _conjugated_split(normal_dim: int, pure: np.ndarray, seed: int) -> tuple:
+    """Block dims of the split of U blockdiag(N, P) U*, with N normal with
+    its spectrum in the unit disk and U Haar."""
+    from opclass.generators import random_normal, random_unitary
+
+    t = scipy.linalg.block_diag(random_normal(normal_dim, seed), pure)
+    u = random_unitary(t.shape[0], seed + 1)
+    return normal_pure_split(u @ t @ u.conj().T).block_dims
+
+
+def test_split_recovers_the_documented_seed():
+    # A Ginibre pure part whose self-commutator has an eigenvalue of 1.3e-5:
+    # the preimage-intersection loop returned one PurePart of 32.
+    from opclass.generators import random_ginibre, random_normal, random_unitary
+
+    s = 10350510308194972864
+    u = random_unitary(32, s ^ 0x5A5A)
+    t = scipy.linalg.block_diag(random_normal(17, s), random_ginibre(15, s))
+    d = normal_pure_split(u @ t @ u.conj().T)
+    assert d.labels == (BlockLabel.NORMAL, BlockLabel.PURE)
+    assert d.block_dims == (17, 15)
+
+
+@pytest.mark.parametrize("normal_dim, d", [(5, 3), (6, 6), (9, 7), (14, 10), (20, 12),
+                                           (17, 23), (30, 18), (25, 31), (40, 24)])
+def test_split_of_shifted_jordan_part(normal_dim, d):
+    assert _conjugated_split(normal_dim, _jordan(d), normal_dim + d) == (normal_dim, d)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
+def test_split_with_the_commutator_gap_shrinking_to_1e_6(gap):
+    # Weights w_i^2 = 1 + i gap: the pure part's self-commutator has the
+    # eigenvalue -gap ten times besides -(1 + gap) and 1 + 11 gap.
+    pure = _weighted_shift(12, 0.3 + 0.2j, 1.0 + gap * np.arange(1, 12))
+    assert _conjugated_split(20, pure, 3) == (20, 12)
+
+
+def test_split_restarts_from_the_commutator_on_the_normal_candidate():
+    # [[0.7, b], [0, 0.2]] with b = 1e-5 is decoupled from the Jordan part,
+    # and its self-commutator eigenvalues, about +-b/2, lie below the
+    # closure's starting bound: only the restart from C compressed to the
+    # complement of the first closure finds it.
+    small = np.array([[0.7, 1e-5], [0.0, 0.2]], dtype=complex)
+    pure = scipy.linalg.block_diag(_jordan(10), small)
+    assert _conjugated_split(20, pure, 5) == (20, 12)
+
+
+@pytest.mark.parametrize("normal_dim, d", [(5, 3), (20, 12), (40, 24)])
+def test_split_controls_plain_jordan_and_ginibre(normal_dim, d):
+    from opclass.generators import random_ginibre
+
+    assert _conjugated_split(normal_dim, _jordan(d, 0.0), d) == (normal_dim, d)
+    assert _conjugated_split(normal_dim, random_ginibre(d, d), d) == (normal_dim, d)
+
+
+def test_split_dimensions_are_unitary_invariant_at_dim_64():
+    assert {_conjugated_split(40, _jordan(24), seed) for seed in range(4)} == {(40, 24)}
+
+
+def test_split_commutator_spectrum_filling_the_cut_window_is_error():
+    # ||T|| = 1, so the window is [1e-11, 1e-9]; |eig C| = 2e-11, 6e-11,
+    # 2e-10 and 6e-10 leave no gap of 10 in it.
+    j2 = np.array([[0, 1], [0, 0]], dtype=complex)
+    t = scipy.linalg.block_diag([[1.0]], *(np.sqrt(c) * j2 for c in (2e-11, 6e-11, 2e-10, 6e-10)))
+    with pytest.raises(DecompositionError, match="no usable gap"):
+        normal_pure_split(t)
+
+
 # ---------------------------------------------------------------------------
 # root_decompose
 # ---------------------------------------------------------------------------
@@ -277,7 +357,18 @@ def test_rr_check_examples(j2, j3):
 # ---------------------------------------------------------------------------
 
 
-def _pinned_decompositions() -> list:
+def _pinned_splits() -> list:
+    from opclass.generators import k_quasi_member, random_ginibre, random_normal, random_unitary
+
+    u = random_unitary(5, 3)
+    return [
+        normal_pure_split(random_normal(4, 1)),  # normal part only
+        normal_pure_split(u @ k_quasi_member(3, 2, 1, 4) @ u.conj().T),
+        normal_pure_split(random_ginibre(3, 2)),  # pure part only
+    ]
+
+
+def _pinned_root_and_nilpotent() -> list:
     from opclass.generators import (
         jordan_nilpotent,
         k_quasi_member,
@@ -291,9 +382,6 @@ def _pinned_decompositions() -> list:
     rank2 = np.zeros((5, 5), dtype=complex)
     rank2[:2, 2:4] = random_ginibre(2, 5)
     return [
-        normal_pure_split(random_normal(4, 1)),  # normal part only
-        normal_pure_split(mixed),
-        normal_pure_split(random_ginibre(3, 2)),  # pure part only
         root_decompose(mixed, 2, 1, seed=1),
         root_decompose(random_normal(4, 6) + 3.0 * np.eye(4), 2, 1),  # no nilpotent block
         root_decompose(jordan_nilpotent(3, 2, 7), 2, 1),  # nilpotent block only
@@ -303,10 +391,25 @@ def _pinned_decompositions() -> list:
     ]
 
 
-def test_decompositions_are_pinned():
+def _digest(decompositions: list) -> str:
     # Q, the blocks, the labels and every residual value and key, bit for
     # bit: a change to how a decomposition is assembled that moves any
     # float shows.
-    docs = [json.dumps(d.to_json_dict(), sort_keys=True) for d in _pinned_decompositions()]
-    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
-    assert digest == "ab266e7d05ff7a137d43d9cb6126b80ed90637ea581b1870b3cf733642dd8c5a"
+    docs = [json.dumps(d.to_json_dict(), sort_keys=True) for d in decompositions]
+    return hashlib.sha256("\n".join(docs).encode()).hexdigest()
+
+
+def test_decompositions_are_pinned():
+    assert _digest(_pinned_root_and_nilpotent()) == (
+        "d6fac3f5cd26a386aaffe3edcd48929013d8ff03e85945c891fb0b5898c194e2"
+    )
+
+
+def test_normal_pure_splits_are_pinned():
+    splits = _pinned_splits()
+    assert [(d.block_dims, d.labels) for d in splits] == [
+        ((4,), (BlockLabel.NORMAL,)),
+        ((3, 2), (BlockLabel.NORMAL, BlockLabel.PURE)),
+        ((3,), (BlockLabel.PURE,)),
+    ]
+    assert _digest(splits) == "1e09d8c8d3e71c4350556a907d8312a0379b9bb04dae33aa9d0daa9667f737b6"
