@@ -22,7 +22,6 @@ from opclass.membership import (
     _brent,
     _central_gradient,
     _dual_verdicts,
-    _STRIDE,
     _pencil_verdicts,
     _reconcile,
     _sweep,
@@ -218,6 +217,30 @@ def test_pencil_spec_rejects_non_finite_coefficients(bad):
     m = np.array([[bad, 0], [0, 1]], dtype=complex)
     with pytest.raises(InvalidPencil, match="not finite"):
         PencilSpec(terms=((0, m), (1, np.eye(2))), lambda_lo=1e-3, lambda_max=4.0, scale=1.0)
+
+
+_SKEW = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("terms, message", [
+    (((0, _SKEW), (-1, np.eye(2))), "exponent 0 is not Hermitian"),
+    (((0, np.eye(2)), (-1, _NAN)), "exponents must be finite and nonnegative"),
+    (((0, np.eye(2)), (np.nan, np.eye(2))), "exponents must be finite and nonnegative"),
+    (((0, np.eye(2)), (2, _NAN + _SKEW), (1, _SKEW)), "exponent 2 is not finite"),
+    (((0, np.eye(2)), (1, _SKEW), (2, _NAN)), "exponent 1 is not Hermitian"),
+    (((-1, np.ones((2, 3))), (0, np.ones((2, 3)))), "exponents must be finite and nonnegative"),
+    (((0, np.ones((2, 3))), (-1, np.ones((2, 3)))), "coefficients must be square"),
+    (((0, np.ones(3)),), "coefficients must be square"),
+], ids=["hermitian-before-later-exponent", "exponent-before-finite", "nan-exponent",
+        "finite-before-hermitian", "first-failing-term", "exponent-before-square",
+        "square", "one-dimensional"])
+def test_pencil_spec_raises_the_first_failing_terms_first_check(terms, message):
+    # Every check runs over all terms at once; the error is the one a check
+    # of one term after another, in the order exponent, shape, finiteness,
+    # Hermitian, raises first.
+    with pytest.raises(InvalidPencil, match=message):
+        PencilSpec(terms=terms, lambda_lo=1e-3, lambda_max=4.0, scale=1.0)
 
 
 @pytest.mark.parametrize("kw", [{"n_grid": 0}, {"n_grid": -3}, {"max_refine": -1}])
@@ -451,8 +474,8 @@ def _full_sweep(pencil, n_grid):
 def test_pruned_sweep_skips_only_cells_above_the_grid_minimum():
     # Every point the sweep skips lies strictly above the full grid's
     # minimum, every point it eigensolves has the full sweep's value, and
-    # its local minima are exactly the full grid's local minima that lie in
-    # the cells it eigensolved, ends included.
+    # its local minima are exactly the full grid's local minima that it
+    # eigensolved together with both their neighbours.
     pencils = [pencil for own in _certificate_pencils() for pencil in own]
     assert len(pencils) >= 300
     skipped = 0
@@ -461,21 +484,80 @@ def test_pruned_sweep_skips_only_cells_above_the_grid_minimum():
             full, full_local = _full_sweep(pencil, n_grid)
             lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
             [mins], [evaluated], [local] = _sweep(_PencilStack([pencil]), lams[None])
-            local = np.flatnonzero(local)
             where = (pencil.label, n_grid)
             assert (full[~evaluated] > full.min()).all(), where
             assert np.array_equal(mins[evaluated], full[evaluated]), where
             assert np.isposinf(mins[~evaluated]).all(), where
-            coarse = np.unique(np.r_[0:n_grid:_STRIDE, n_grid - 1])
-            in_open = np.zeros(n_grid, dtype=bool)
-            for lo, hi in zip(coarse[:-1], coarse[1:]):
-                if evaluated[lo : hi + 1].all():
-                    in_open[lo : hi + 1] = True
-            assert set(local) <= set(full_local), where
-            assert set(full_local[in_open[full_local]]) <= set(local), where
+            seen = evaluated & np.r_[True, evaluated[:-1]] & np.r_[evaluated[1:], True]
+            assert set(np.flatnonzero(local)) == set(full_local[seen[full_local]]), where
+            # The grid minimum is always among them.
+            assert seen[full_local].any(), where
             skipped += int((~evaluated).sum())
     # The certificate has to skip something to be tested at all.
     assert skipped > 100 * len(pencils)
+
+
+def _random_public_pencils(count: int) -> list:
+    """Public pencils of dims 2-5 with 2-4 terms, exponents drawn from
+    {0, 0.5, 1, 2, 3, 4} and indefinite Hermitian coefficients at scales
+    1e-3 to 1e3, on domains (lo, 1e5 lo]."""
+    rng = np.random.default_rng(2020)
+    pencils = []
+    for _ in range(count):
+        dim, n_terms = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        exps = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 4.0], size=n_terms, replace=False)
+        terms = []
+        for expo in sorted(exps):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            terms.append((float(expo), 10.0 ** rng.uniform(-3, 3) * (g + g.conj().T) / 2.0))
+        lo = 10.0 ** rng.uniform(-4, 0)
+        pencils.append(PencilSpec(terms=tuple(terms), lambda_lo=lo, lambda_max=1e5 * lo,
+                                  scale=1.0, label="random"))
+    return pencils
+
+
+def test_skipped_steps_lie_above_the_grid_minimum_between_grid_points():
+    # The cell bound holds on the continuum, not only at the grid points:
+    # lam_min(P) at lambdas strictly inside every step the sweep skipped
+    # (one of its ends not eigensolved) lies above the full grid's minimum.
+    pencils = [pencil for own in _certificate_pencils() for pencil in own]
+    pencils += _random_public_pencils(120)
+    fractions = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+    sampled = 0
+    for pencil in pencils:
+        for n_grid in (257, 65):
+            full, _ = _full_sweep(pencil, n_grid)
+            lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
+            [_], [evaluated], [_] = _sweep(_PencilStack([pencil]), lams[None])
+            step = np.flatnonzero(~(evaluated[:-1] & evaluated[1:]))
+            if not step.size:
+                continue
+            inside = (lams[step, None] ** (1.0 - fractions) * lams[step + 1, None] ** fractions)
+            values = np.linalg.eigvalsh(pencil.evaluate(inside.ravel()))[:, 0]
+            assert (values > full.min()).all(), (pencil.label, n_grid)
+            sampled += values.size
+    assert sampled > 100 * len(pencils)
+
+
+def test_sweep_bounds_concave_terms():
+    # P(lam) = diag(lam - 2 sqrt(lam), 4.005 - 0.1 lam + 5e-4 lam^2) has its
+    # least value -1 at lam = 1 and -0.995 at lam = 100. Over a cell around
+    # lam = 1, sqrt(lam) lies above its chord, so the concave term's gap
+    # must lower the bound; a bound that gives it none skips the cell and
+    # the sweep ends at lam = 100.
+    pencil = PencilSpec(
+        terms=((0.0, np.diag([0.0, 4.005]).astype(complex)),
+               (0.5, np.diag([-2.0, 0.0]).astype(complex)),
+               (1.0, np.diag([1.0, -0.1]).astype(complex)),
+               (2.0, np.diag([0.0, 5e-4]).astype(complex))),
+        lambda_lo=1e-3, lambda_max=100.0, scale=1.0,
+    )
+    full, _ = _full_sweep(pencil, 257)
+    lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, 257)
+    [mins], _, _ = _sweep(_PencilStack([pencil]), lams[None])
+    assert full.min() == pytest.approx(-0.99992, abs=1e-5)
+    assert mins.min() == full.min()
+    assert pencil_check(pencil).defect == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_pruned_sweep_minimum_equals_full_sweep():

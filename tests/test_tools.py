@@ -40,7 +40,11 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
         mb.pencil_check(mb.k_paranormal_pencil(t, 2))
-        assert {key: value for key, value in counter.take().items() if value <= 0} == {}
+        counted = counter.take()
+        assert {key: value for key, value in counted.items() if value <= 0} == {}
+        # The sweeps' builds are among the builds: a coarse pass each, and
+        # its bisection rounds.
+        assert 0 < counted["sweep_builds"] < counted["builds"]
         # A suite's engine calls go through the harness binding: one stack
         # per round and dimension, at most one per problem.
         hs.run_suite(hs.SuiteConfig(suites=("ando",), trials=8, max_dim=3, seed=1))

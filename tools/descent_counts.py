@@ -26,9 +26,12 @@ through, and counts:
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
   are those built inside ``_sweep``: its first build is the coarse pass of
-  all its pencils, any later one the open cells. Its grid size is counted
-  too, summed over its pencils, which is what sweeps that eigensolve every
-  grid point evaluate. The other builds inside ``_pencil_verdicts`` are
+  all its pencils, any later one the open cells of a bisection round. The
+  builds inside ``_sweep`` are counted too: the coarse pass plus one per
+  round that eigensolves anything, and one more per further
+  ``membership._CHUNK`` points of a round. Its grid size is counted too,
+  summed over its pencils, which is what sweeps that eigensolve every grid
+  point evaluate. The other builds inside ``_pencil_verdicts`` are
   refinement rounds while a Brent search runs, and the one witness build
   of the call, one lambda per pencil, once none does;
 * the refinement searches, and the lockstep rounds of refinement: per
@@ -75,8 +78,9 @@ class Counter:
     """Counts the engine calls, the fused sphere steps, the pencil builds
     and the refinement searches."""
 
-    FIELDS = ("engine_calls", "problems", "calls", "columns", "builds", "coarse_lams",
-              "open_lams", "grid_lams", "refine_lams", "witness_lams", "searches", "rounds")
+    FIELDS = ("engine_calls", "problems", "calls", "columns", "builds", "sweep_builds",
+              "coarse_lams", "open_lams", "grid_lams", "refine_lams", "witness_lams",
+              "searches", "rounds")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -120,6 +124,8 @@ class Counter:
                 kind = "witness_lams"
             if kind is not None:
                 counts[kind] += lams.size
+                if kind in ("coarse_lams", "open_lams"):
+                    counts["sweep_builds"] += 1
                 if kind == "coarse_lams":
                     self._kind = "open_lams"
             return matrices(stack, owner, lams)
@@ -172,7 +178,8 @@ def pencil_line(counts: dict) -> str:
     sweep = counts["coarse_lams"] + counts["open_lams"]
     return (f"{counts['builds']} builds, {sweep} sweep lambdas "
             f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
-            f"of {counts['grid_lams']} on the grids, {counts['refine_lams']} refinement lambdas "
+            f"of {counts['grid_lams']} on the grids in {counts['sweep_builds']} sweep builds, "
+            f"{counts['refine_lams']} refinement lambdas "
             f"in {counts['searches']} searches over {counts['rounds']} lockstep rounds, "
             f"{counts['witness_lams']} witness lambdas")
 
