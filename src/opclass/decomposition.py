@@ -194,25 +194,33 @@ def _assemble(
 
 def _reducing_closure(
     m: np.ndarray, basis: np.ndarray, block: np.ndarray, cut: float
-) -> np.ndarray:
-    """Orthonormal basis of the smallest subspace that contains the
-    orthonormal columns of ``basis`` and ``block`` and reduces T = m.
+) -> Subspace:
+    """The smallest subspace that contains the orthonormal columns of
+    ``basis`` and ``block`` and reduces T = m.
 
     Each round applies T and T* to the newest block, orthogonalizes the
     images twice against the basis and adds their left singular vectors
     with singular value above ``cut``, at most n minus the basis dimension
-    of them; the closure ends when a round adds nothing.
+    of them; the closure ends when a round adds nothing. Rounding along
+    the basis grows with each round, so a basis whose columns are no longer
+    orthonormal is a DecompositionError that names the rounds taken.
     """
     n = m.shape[0]
-    basis = np.concatenate([basis, block], axis=1)
+    basis, rounds = np.concatenate([basis, block], axis=1), 0
     while block.shape[1] and basis.shape[1] < n:
+        rounds += 1
         images = np.concatenate([m @ block, m.conj().T @ block], axis=1)
         for _ in range(2):
             images -= basis @ (basis.conj().T @ images)
         u, s, _ = np.linalg.svd(images, full_matrices=False)
         block = u[:, s > cut][:, : n - basis.shape[1]]
         basis = np.concatenate([basis, block], axis=1)
-    return basis
+    try:
+        return Subspace(n, basis)
+    except ValueError as exc:
+        raise DecompositionError(
+            f"reducing closure lost orthogonality after {rounds} rounds: {exc}"
+        ) from None
 
 
 def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposition:
@@ -243,14 +251,13 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
     cut = _zero_cluster_cut(np.sort(size)[::-1], tol, scale**2)
     resolved = max(cut, np.sqrt(tol.tol_rank) * max(float(size.max()), scale**2))
     step = tol.tol_rank * scale
-    basis = _reducing_closure(m, np.zeros((n, 0), dtype=np.complex128),
-                              eig.eigenvectors[:, size > resolved], step)
-    pure = Subspace(n, basis)
+    pure = _reducing_closure(m, np.zeros((n, 0), dtype=np.complex128),
+                             eig.eigenvectors[:, size > resolved], step)
     normal = pure.complement()
     if normal.dim and np.any((size > cut) & (size <= resolved)):
         rest = hermitian_eigen(compress(comm, normal), tol)
         block = normal.basis @ rest.eigenvectors[:, np.abs(rest.eigenvalues) > cut]
-        pure = Subspace(n, _reducing_closure(m, basis, block, step))
+        pure = _reducing_closure(m, pure.basis, block, step)
         normal = pure.complement()
     return _assemble(m, [(normal, BlockLabel.NORMAL), (pure, BlockLabel.PURE)], scale, tol)
 

@@ -31,7 +31,10 @@ relatives) are decided by two independent routes:
 For the quadratic pencil A - 2*z*B + z^2*C with A, B, C PSD, positivity for
 every z > 0 is equivalent to the per-vector inequality
 <Bx,x>^2 <= <Ax,x><Cx,x>, which is exactly the defining norm inequality, so
-the two oracles decide the same set and any decisive disagreement is
+the two oracles decide the same set. The pencil runs first: one unit vector
+that breaks the defining inequality proves NonMember, so a pencil NonMember
+whose eigenvector does so is the verdict, and only the other problems
+descend on the sphere. Where both oracles ran, a decisive disagreement is
 surfaced as OracleDisagreement rather than resolved silently.
 
 Decision semantics: with d the defect normalized by the class scale and
@@ -1079,6 +1082,20 @@ def _warm_starts(m: np.ndarray) -> np.ndarray:
     return vh.conj().T
 
 
+def _certified(claim: MembershipVerdict, defect_fn, threshold: float):
+    """The (exact defect, oracle, witness) of a NonMember claim whose unit
+    witness gives the defining defect ``defect_fn`` a value of at most
+    -``threshold``, the sphere's tol_decision * scale; None for any other
+    claim. One such vector proves NonMember, whichever oracle found it."""
+    if claim.status is not Status.NON_MEMBER:
+        return None
+    vec = claim.witness.vector / np.linalg.norm(claim.witness.vector)
+    exact = float(defect_fn(vec))
+    if not exact <= -threshold:
+        return None
+    return exact, claim.oracle, Witness(vector=vec, pencil_lambda=claim.witness.pencil_lambda)
+
+
 def _reconcile(
     sphere: MembershipVerdict, pencil: MembershipVerdict, defect_fn, label: str
 ) -> MembershipVerdict:
@@ -1086,10 +1103,12 @@ def _reconcile(
 
     The reported defect is always the exact defining-inequality value, and
     every NonMember verdict carries a witness that has been re-evaluated
-    through that inequality. Decisively opposite oracles raise
-    OracleDisagreement instead of picking a side: a definite verdict is
-    decisive when its defect exceeds ten times its own threshold. The
-    combined verdict takes the sphere's threshold and seed.
+    through that inequality (``_certified``). Decisively opposite oracles
+    raise OracleDisagreement instead of picking a side: a definite verdict
+    is decisive when its defect exceeds ten times its own threshold. The
+    combined verdict takes the sphere's threshold and seed. The engine
+    reconciles only the problems whose pencil NonMember it could not
+    certify alone, or whose pencil said Member or Inconclusive.
     """
     if (
         sphere.is_definite
@@ -1102,14 +1121,8 @@ def _reconcile(
             f"{label}: sphere says {sphere.status.value} (defect {sphere.defect:.3e}) "
             f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
         )
-    certified = []
-    for claim in (sphere, pencil):
-        if claim.status is Status.NON_MEMBER:
-            vec = claim.witness.vector / np.linalg.norm(claim.witness.vector)
-            exact = float(defect_fn(vec))
-            if exact <= -sphere.threshold:
-                witness = Witness(vector=vec, pencil_lambda=claim.witness.pencil_lambda)
-                certified.append((exact, claim.oracle, witness))
+    certified = [c for c in (_certified(claim, defect_fn, sphere.threshold)
+                             for claim in (sphere, pencil)) if c is not None]
     if certified:
         # The deepest certified witness; min keeps the sphere's on a tie.
         status = Status.NON_MEMBER
@@ -1200,13 +1213,20 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
 
-    Each distinct T (by identity) is validated once and gets one norm and
-    one block of SVD warm starts, and each T and seed one block of seeded
-    starts; its pencils are built on its norm. The zero operator is a Member
-    of every class. One descent runs over the columns of all other
-    problems, one block each, and their pencils are swept and refined as one
-    stack (see ``_pencil_verdicts``). Each problem gets the verdict it gets
-    alone, bit for bit, so the predicates are the one-problem case.
+    Each distinct T (by identity) is validated once and gets one norm; its
+    pencils are built on that norm. The zero operator is a Member of every
+    class. The pencils of all other problems are swept and refined first,
+    as one stack (see ``_pencil_verdicts``). A pencil NonMember whose unit
+    eigenvector breaks the defining inequality by at least the sphere's
+    threshold tol_decision * scale is NonMember at once (``_certified``):
+    its defect is the defining value at that vector, not the sphere's
+    minimum, and it takes oracle "pencil", the sphere's threshold and the
+    seed. Only the other problems descend: each distinct T among them gets
+    one block of SVD warm starts, each T and seed one block of seeded
+    starts, and one descent runs over the columns of them all, one block
+    each, before each is reconciled (``_reconcile``). Each problem gets the
+    verdict it gets alone, bit for bit, so the predicates are the
+    one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1225,19 +1245,33 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     scales = [_scale(norms[key], _DUAL[name][1](k)) for _, key, name, k, _ in live]
     terms, pencils = zip(*(_DUAL[name][2](mats[key], k, norms[key], tol)
                            for _, key, name, k, _ in live))
-    defect = _NormProductDefect.of(*terms)
-    warm = {key: _warm_starts(mats[key]) for key in norms}
+    claims = _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
+    exact = [_NormProductDefect.of(problem) for problem in terms]  # one problem each
+    rest = []  # the indices into live of the problems that descend
+    for i, ((p, _, _, _, seed), scale) in enumerate(zip(live, scales)):
+        threshold = tol.tol_decision * scale
+        certified = _certified(claims[i], exact[i], threshold)
+        if certified is None:
+            rest.append(i)
+            continue
+        val, oracle, witness = certified
+        verdicts[p] = MembershipVerdict(status=Status.NON_MEMBER, defect=val, oracle=oracle,
+                                        witness=witness, threshold=threshold, seed=seed)
+    if not rest:
+        return verdicts
+    pairs = [(live[i][1], live[i][4]) for i in rest]  # (T, seed) of each, T by identity
+    warm = {key: _warm_starts(mats[key]) for key in dict.fromkeys(key for key, _ in pairs)}
     starts = {(key, seed): _starts(mats[key].shape[0], _RESTARTS, seed, warm[key])
-              for key, seed in dict.fromkeys((key, seed) for _, key, _, _, seed in live)}
-    x = np.array([starts[key, seed] for _, key, _, _, seed in live])
-    bands = tol.tol_decision * np.array(scales)
+              for key, seed in dict.fromkeys(pairs)}
+    x = np.array([starts[pair] for pair in pairs])
+    bands = tol.tol_decision * np.array([scales[i] for i in rest])
+    defect = _NormProductDefect.of(*(terms[i] for i in rest))
     spheres = _descend(defect.value_and_gradient, x, bands,
                        lambda rows: defect.take(rows).value_and_gradient)
-    for i, ((p, _, _, _, seed), (val, vec), scale, pencil, verdict) in enumerate(zip(
-        live, spheres, scales, pencils, _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
-    )):
-        verdicts[p] = _reconcile(_sphere_verdict(val, vec, scale, tol, seed), verdict,
-                                 defect.take([i]), pencil.label)
+    for i, (val, vec) in zip(rest, spheres):
+        p, seed = live[i][0], live[i][4]
+        verdicts[p] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seed), claims[i],
+                                 exact[i], pencils[i].label)
     return verdicts
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_split_controls_plain_jordan_and_ginibre(normal_dim, d):
 
 def test_split_dimensions_are_unitary_invariant_at_dim_64():
     assert {_conjugated_split(40, _jordan(24), seed) for seed in range(4)} == {(40, 24)}
+
+
+def test_closure_that_loses_orthogonality_is_decomposition_error():
+    # A normal part with its spectrum in the disk of radius 3 beside a
+    # 24-long Jordan chain: rounding along the normal part grows about
+    # x||N|| a round over the chain's d/2 rounds, and at these seeds the
+    # closure's basis stops being orthonormal. That is a DecompositionError
+    # naming the closure and its rounds, not the bare ValueError of Subspace.
+    from opclass.generators import random_normal, random_unitary
+
+    raised = []
+    for seed in (1, 6, 14, 18):
+        t = scipy.linalg.block_diag(3.0 * random_normal(24, seed), _jordan(24))
+        u = random_unitary(48, seed + 1)
+        try:
+            normal_pure_split(u @ t @ u.conj().T)
+        except DecompositionError as exc:
+            raised.append(str(exc))
+    assert raised
+    for message in raised:
+        assert re.match(r"reducing closure lost orthogonality after \d+ rounds", message)
 
 
 def test_split_commutator_spectrum_filling_the_cut_window_is_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opclass.decomposition import root_decompose
 from opclass.errors import InvalidPencil, OracleDisagreement
@@ -21,6 +23,7 @@ from opclass.membership import (
     _PencilStack,
     _brent,
     _central_gradient,
+    _descend,
     _dual_verdicts,
     _pencil_verdicts,
     _reconcile,
@@ -1050,6 +1053,101 @@ _PREDICATES = {
 }
 
 
+def _patch_pencil_claims(monkeypatch, change):
+    """Pass every pencil verdict of the engine through ``change``."""
+    real = _pencil_verdicts
+
+    def patched(pencils, *args):
+        return [change(v) for v in real(pencils, *args)]
+
+    monkeypatch.setattr("opclass.membership._pencil_verdicts", patched)
+
+
+def _count_descents(monkeypatch) -> list:
+    """The number of problems of every engine descent, as they run."""
+    descended = []
+
+    def counting(value_and_gradient, x, *args):
+        descended.append(len(x))
+        return _descend(value_and_gradient, x, *args)
+
+    monkeypatch.setattr("opclass.membership._descend", counting)
+    return descended
+
+
+def test_pencil_certified_nonmembers_skip_the_descent(monkeypatch):
+    # A pencil NonMember whose unit eigenvector breaks the defining
+    # inequality beyond the sphere's threshold is the verdict: no descent
+    # runs, its defect is the defining value at that vector, and it takes
+    # the sphere's threshold and the seed.
+    t = random_ginibre(5, seed=11)
+    expected = {}
+    for k in (1, 2):
+        for name, fn, pencil, scale in dual_families(t, k):
+            claim = pencil_check(pencil)
+            x = claim.witness.vector / np.linalg.norm(claim.witness.vector)
+            assert claim.status is Status.NON_MEMBER and fn(x) <= -TOL.tol_decision * scale
+            expected[name, k] = MembershipVerdict(
+                status=Status.NON_MEMBER, defect=fn(x), oracle="pencil",
+                witness=Witness(vector=x, pencil_lambda=claim.witness.pencil_lambda),
+                threshold=TOL.tol_decision * scale, seed=3,
+            )
+
+    def refuse(*args):
+        raise AssertionError("the sphere descent ran")
+
+    monkeypatch.setattr("opclass.membership._descend", refuse)
+    for (name, k), v in expected.items():
+        assert _PREDICATES[name](t, k, seed=3).to_json_dict() == v.to_json_dict(), (name, k)
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "normal"])
+def test_pencil_nonmember_whose_witness_fails_still_descends(monkeypatch, kind):
+    # Every defining defect is 0 at an eigenvector of T. A pencil NonMember
+    # with that witness fails re-validation, so the problem descends and
+    # is reconciled as _reconcile rules: NonMember by the sphere's witness
+    # for a Ginibre matrix, Inconclusive beside the sphere's Member for a
+    # normal one.
+    t = random_ginibre(4, seed=12) if kind == "ginibre" else random_normal(4, seed=12)
+    eigvec = np.linalg.eig(t)[1][:, 0]
+
+    def bogus(v):
+        return dataclasses.replace(
+            v, status=Status.NON_MEMBER, defect=min(v.defect, -2.0 * v.threshold),
+            witness=Witness(vector=eigvec, pencil_lambda=v.witness.pencil_lambda),
+        )
+
+    # Each oracle alone, as the engine runs it, before the engine is patched.
+    cases = [
+        (name, bogus(pencil_check(pencil)), fn, pencil.label,
+         sphere_check(fn, 4, 8, seed=3, warm_starts=_warm_starts(t), scale=scale,
+                      value_and_gradient=fn.value_and_gradient))
+        for name, fn, pencil, scale in dual_families(t, 1)
+    ]
+    descended = _count_descents(monkeypatch)
+    _patch_pencil_claims(monkeypatch, bogus)
+    for name, claim, fn, label, sphere in cases:
+        v = _PREDICATES[name](t, 1, seed=3)
+        assert v.to_json_dict() == _reconcile(sphere, claim, fn, label).to_json_dict(), name
+        assert v.oracle == "sphere"
+        assert v.status is (Status.NON_MEMBER if kind == "ginibre" else Status.INCONCLUSIVE)
+    assert descended == [1] * len(cases)
+
+
+def test_decisive_pencil_member_against_a_sphere_nonmember_raises(monkeypatch):
+    # A pencil Member does not certify anything, so the problem descends;
+    # the sphere finds a decisive NonMember, and the engine raises rather
+    # than pick a side.
+    t = random_ginibre(4, seed=13)
+    _patch_pencil_claims(monkeypatch, lambda v: dataclasses.replace(
+        v, status=Status.MEMBER, defect=1.0))
+    for name, predicate in _PREDICATES.items():
+        with pytest.raises(OracleDisagreement, match="sphere says NonMember"):
+            predicate(t, 1, seed=3)
+    with pytest.raises(OracleDisagreement):
+        classify_all(t, seed=3)
+
+
 @pytest.mark.parametrize("dim", [9, 12, 16])
 @pytest.mark.parametrize("kind", ["normal", "jordan2"])
 def test_dual_statuses_beyond_dim_8(kind, dim):
@@ -1068,6 +1166,27 @@ def test_dual_statuses_beyond_dim_8(kind, dim):
                 member = kind == "normal" or (name == "KQuasiParanormal" and k >= 1)
                 v = _PREDICATES[name](mat, k, seed=dim)
                 assert v.status is (Status.MEMBER if member else Status.NON_MEMBER), (name, k)
+
+
+def test_k_quasi_paranormality_of_a_jordan_block_beside_a_normal_part(monkeypatch):
+    # J_m + N, N normal: T^(k+1) kills J_m exactly when m <= k + 1, so T is
+    # then k-quasi-paranormal, and not for m > k + 1, the sharp case of the
+    # nil-index bound min{n, k+1}. Plain and Haar-conjugated, at norms 1
+    # and 1e3. The NonMembers are the pencil's alone and the Members
+    # descend, so both paths of the engine run.
+    descended = _count_descents(monkeypatch)
+    calls = 0
+    for m in range(2, 10):
+        t = scipy.linalg.block_diag(np.eye(m, k=1), random_normal(3, seed=m))
+        u = random_unitary(m + 3, seed=100 + m)
+        for mat in (t, u @ t @ u.conj().T):
+            for norm in (1.0, 1e3):
+                for k in range(5):
+                    v = is_k_quasi_paranormal(norm / operator_norm(mat) * mat, k, seed=k)
+                    member = m <= k + 1
+                    assert v.status is (Status.MEMBER if member else Status.NON_MEMBER), (m, k)
+                    calls += 1
+    assert 0 < sum(descended) < calls
 
 
 # ---------------------------------------------------------------------------
@@ -1146,7 +1265,7 @@ def test_classify_all_output_is_pinned():
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "fb794a80c4b9bd30365eae5244acf5cfd32bea5807700019204c35ae02af9ef6"
+    assert digest == "482168195ba556098f21d959f1211de3eb3fec15b666fa755d127bd268a7de73"
 
 
 def test_builders_are_pinned():
@@ -1201,11 +1320,24 @@ def _family_matrix(i: int) -> np.ndarray:
     return root_of_scalar_instance(dim, 2 + i % 3, 1.5 + 0.5j, seed)
 
 
+def _near_band(i: int) -> np.ndarray:
+    """Matrix i of two families whose dual problems descend, at dims 3-8: a
+    Ginibre matrix scaled by 1e-3 (even i), whose defects lie inside the
+    decision band, and a normal matrix plus a 1e-6 Ginibre perturbation
+    (odd i), near the boundary of every class. The pencil certifies none
+    of their NonMembers alone, and their descents stop at different steps."""
+    dim = 3 + (i // 2) % 6
+    if i % 2 == 0:
+        return 1e-3 * random_ginibre(dim, seed=200 + i)
+    return random_normal(dim, seed=200 + i) + 1e-6 * random_ginibre(dim, seed=300 + i)
+
+
 def test_classify_all_equals_one_problem_predicates(monkeypatch):
     # classify_all decides all dual classes of a matrix in one stacked
-    # descent and one pool of refinements; each verdict must be the one its
-    # predicate gives alone, bit for bit. Problems that stop at different
-    # steps leave the stack early, so the compaction must have run.
+    # pencil sweep and one stacked descent of the problems the pencil
+    # leaves open; each verdict must be the one its predicate gives alone,
+    # bit for bit. Problems that stop at different steps leave the stack
+    # early, so the compaction must have run.
     compactions = []
     take = _NormProductDefect.take
 
@@ -1215,10 +1347,12 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
         return take(self, rows)
 
     monkeypatch.setattr(_NormProductDefect, "take", counting_take)
-    # Seed 79's Ginibre matrix keeps descending after its stack has shrunk:
-    # a compaction that leaves the arrays in Fortran order moves its bits.
+    # The pencil certifies the NonMembers of Ginibre matrices alone, so only
+    # the member families and the near-band matrices descend; the Ginibre
+    # matrices' descents are checked with the pencil made Inconclusive.
     mats = {i: random_ginibre(3 + i % 6, seed=60 + i) for i in (*range(6), 79)}
     mats.update({100 + i: _family_matrix(i) for i in range(42)})
+    mats.update({200 + i: _near_band(i) for i in range(24)})
     for seed, t in mats.items():
         for cls, v in classify_all(t, seed=seed).items():
             if cls.name == "Paranormal":
@@ -1231,12 +1365,45 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
     assert len(compactions) >= len(mats)
 
 
+def test_descents_of_pencil_inconclusive_stacks_equal_one_problem_predicates(monkeypatch):
+    # With every pencil verdict made Inconclusive, every problem of a
+    # Ginibre matrix descends, as all did before the pencil ran first. Its
+    # NonMember descents stop at different steps, so the stack is
+    # compacted while long descents go on, which the engine's own inputs
+    # rarely do now. Each verdict must still be its predicate's alone, bit
+    # for bit.
+    compactions = []
+    take = _NormProductDefect.take
+
+    def counting_take(self, rows):
+        if len(rows) > 1:
+            compactions.append(len(rows))
+        return take(self, rows)
+
+    monkeypatch.setattr(_NormProductDefect, "take", counting_take)
+    _patch_pencil_claims(monkeypatch, lambda v: dataclasses.replace(v, status=Status.INCONCLUSIVE))
+    mats = {i: random_ginibre(3 + i % 6, seed=60 + i) for i in (*range(6), 79)}
+    for seed, t in mats.items():
+        for cls, v in classify_all(t, seed=seed).items():
+            if cls.name == "Paranormal":
+                alone = is_k_quasi_paranormal(t, 0, seed=seed)
+            elif cls.name in _PREDICATES:
+                alone = _PREDICATES[cls.name](t, cls.k, seed=seed)
+            else:
+                continue
+            assert v.oracle == "sphere", (seed, str(cls))
+            assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
+    assert len(compactions) >= len(mats)
+
+
 def test_stacks_of_many_matrices_equal_one_problem_predicates(monkeypatch):
     # The engine decides problems of different matrices of one dimension in
-    # one stack: a NonMember-side Ginibre matrix, a member family matrix
-    # that descends to convergence, a zero matrix, one matrix under two
-    # seeds, and the classes mixed. Each verdict must be its predicate's
-    # alone, bit for bit, and the stack must have been compacted.
+    # one stack: a Ginibre matrix whose NonMembers the pencil certifies
+    # alone, a member family matrix that descends to convergence, two
+    # near-band matrices whose problems descend for different numbers of
+    # steps, a zero matrix, one matrix under two seeds, and the classes
+    # mixed. Each verdict must be its predicate's alone, bit for bit, and
+    # the stack must have been compacted.
     compactions = []
     take = _NormProductDefect.take
 
@@ -1248,15 +1415,17 @@ def test_stacks_of_many_matrices_equal_one_problem_predicates(monkeypatch):
     monkeypatch.setattr(_NormProductDefect, "take", counting_take)
     for dim in range(3, 9):
         g, member = random_ginibre(dim, seed=60 + dim), _family_matrix(dim - 3)
+        tiny, near = _near_band(2 * dim - 6), _near_band(2 * dim - 5)
         zero = np.zeros((dim, dim), dtype=complex)
         problems = [
             (g, "KQuasiParanormal", 0, 1), (member, "KParanormal", 1, 2),
             (zero, "KParanormal", 2, 3), (g, "AbsoluteKParanormal", 1, 1),
             (member, "KQuasiParanormal", 0, 2), (g, "KParanormal", 2, 5),
             (member, "AbsoluteKParanormal", 2, 2), (zero, "KQuasiParanormal", 0, 4),
+            (tiny, "KQuasiParanormal", 1, 6), (near, "KParanormal", 1, 7),
+            (tiny, "AbsoluteKParanormal", 3, 6), (near, "KQuasiParanormal", 0, 7),
         ]
         if dim == 4:
-            # The matrix that keeps descending after its stack has shrunk.
             g79 = random_ginibre(4, seed=139)
             problems += [(g79, name, 1, 79) for name in _PREDICATES]
         for (t, name, k, seed), v in zip(problems, _dual_verdicts(problems, TOL)):

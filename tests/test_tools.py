@@ -5,7 +5,7 @@ from pathlib import Path
 
 from opclass import harness as hs
 from opclass import membership as mb
-from opclass.generators import random_ginibre
+from opclass.generators import random_ginibre, random_normal
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "descent_counts.py"
 
@@ -33,15 +33,21 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
                 os.environ[var] = value
     def wrapped():
         return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                mb._sweep, mb._brent, mb._pencil_verdicts, mb._dual_verdicts, hs._dual_verdicts)
+                mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend, mb._dual_verdicts,
+                hs._dual_verdicts)
 
     originals = wrapped()
+    # The pencil certifies the Ginibre matrix's NonMembers alone; the normal
+    # matrix's Members descend.
     t = random_ginibre(4, 1)
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
+        mb.classify_all(random_normal(4, 1), seed=1)
         mb.pencil_check(mb.k_paranormal_pencil(t, 2))
         counted = counter.take()
         assert {key: value for key, value in counted.items() if value <= 0} == {}
+        # No matrix is zero, so each problem is either certified or descends.
+        assert counted["certified"] + counted["descended"] == counted["problems"]
         # The sweeps' builds are among the builds: a coarse pass each, and
         # its bisection rounds.
         assert 0 < counted["sweep_builds"] < counted["builds"]

@@ -14,13 +14,19 @@ the matrices of a batch of (pencil, lambda) points with
 ``_PencilStack.matrices``, and a round asks every running Brent search
 (``membership._brent``) for one lambda. This script wraps those methods,
 ``membership._sweep``, ``membership._brent`` and
-``membership._pencil_verdicts``, from outside, and the dual engine
+``membership._pencil_verdicts`` and ``membership._descend``, from
+outside, and the dual engine
 ``membership._dual_verdicts`` with the binding ``harness._drive`` calls it
 through, and counts:
 
 * the engine calls and the problems they decide: a ``classify_all``
   matrix is one call, and a verify-all suite makes one per round and
   dimension of its trials;
+* the problems the pencil certifies alone, whose NonMember eigenvector
+  breaks the defining inequality, counted as the verdicts labelled
+  "pencil" (a problem that descends can only have the sphere's witness
+  certified), and the problems that descend, the problems of every
+  ``membership._descend`` call;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
@@ -78,9 +84,9 @@ class Counter:
     """Counts the engine calls, the fused sphere steps, the pencil builds
     and the refinement searches."""
 
-    FIELDS = ("engine_calls", "problems", "calls", "columns", "builds", "sweep_builds",
-              "coarse_lams", "open_lams", "grid_lams", "refine_lams", "witness_lams",
-              "searches", "rounds")
+    FIELDS = ("engine_calls", "problems", "certified", "descended", "calls", "columns",
+              "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
+              "refine_lams", "witness_lams", "searches", "rounds")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -90,8 +96,8 @@ class Counter:
         # for, and the searches still running.
         self._rounds = self._live = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                       mb._sweep, mb._brent, mb._pencil_verdicts, mb._dual_verdicts,
-                       hs._dual_verdicts)
+                       mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
+                       mb._dual_verdicts, hs._dual_verdicts)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -104,13 +110,21 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, matrices, sweep, brent, verdicts, engine, _ = self._saved
+        fused, matrices, sweep, brent, verdicts, descend, engine, _ = self._saved
         counts = self.counts
 
         def counted_engine(problems, tol):
             counts["engine_calls"] += 1
             counts["problems"] += len(problems)
-            return engine(problems, tol)
+            out = engine(problems, tol)
+            # A problem that descends has no certified pencil witness, so only
+            # the verdicts certified before the descent name the pencil.
+            counts["certified"] += sum(v.oracle == "pencil" for v in out)
+            return out
+
+        def counted_descend(value_and_gradient, x, *args):
+            counts["descended"] += len(x)
+            return descend(value_and_gradient, x, *args)
 
         def counted_fused(defect, x):
             counts["calls"] += 1
@@ -160,12 +174,13 @@ class Counter:
         mb._sweep = self._inside(counted_sweep, "coarse_lams")
         mb._brent = counted_brent
         mb._pencil_verdicts = self._inside(counted_verdicts, "refine_lams")
+        mb._descend = counted_descend
         mb._dual_verdicts = hs._dual_verdicts = counted_engine
         return self
 
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-         mb._sweep, mb._brent, mb._pencil_verdicts, mb._dual_verdicts,
+         mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend, mb._dual_verdicts,
          hs._dual_verdicts) = self._saved
 
     def take(self) -> dict:
@@ -184,17 +199,22 @@ def pencil_line(counts: dict) -> str:
             f"{counts['witness_lams']} witness lambdas")
 
 
+def problems_line(counts: dict) -> str:
+    return (f"{counts['problems']} dual problems, {counts['certified']} certified by the "
+            f"pencil, {counts['descended']} descended")
+
+
 def summary(per_item: list[dict]) -> str:
     calls = [c["calls"] for c in per_item]
     total = {key: sum(c[key] for c in per_item) for key in Counter.FIELDS}
-    return (f"{len(per_item)} items, {total['calls']} calls "
+    return (f"{len(per_item)} items, {problems_line(total)}; {total['calls']} calls "
             f"(median {statistics.median(calls):g}, max {max(calls)} per item), "
             f"{total['columns']} columns; pencil: {pencil_line(total)}")
 
 
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    total = dict.fromkeys(("calls", "engine_calls", "problems"), 0)
+    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "descended"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
             pool = workload(wl.DEFAULT_SEED, seconds, ROOT)
@@ -211,11 +231,11 @@ def main() -> int:
             counts = counter.take()
             for key in total:
                 total[key] += counts[key]
-            print(f"verify-all {cfg.suites[0]}: {counts['engine_calls']} engine calls "
-                  f"deciding {counts['problems']} problems, {counts['calls']} calls, "
+            print(f"verify-all {cfg.suites[0]}: {counts['engine_calls']} engine calls, "
+                  f"{problems_line(counts)}; {counts['calls']} calls, "
                   f"{counts['columns']} columns; pencil: {pencil_line(counts)}")
-    print(f"verify-all total: {total['engine_calls']} engine calls deciding "
-          f"{total['problems']} problems, {total['calls']} calls")
+    print(f"verify-all total: {total['engine_calls']} engine calls, {problems_line(total)}; "
+          f"{total['calls']} calls")
     return 0
 
 
