@@ -34,7 +34,8 @@ every z > 0 is equivalent to the per-vector inequality
 the two oracles decide the same set. The pencil runs first: one unit vector
 that breaks the defining inequality proves NonMember, so a pencil NonMember
 whose eigenvector does so is the verdict, and only the other problems
-descend on the sphere. Where both oracles ran, a decisive disagreement is
+descend on the sphere; every value of one call reads one stack of its
+defining defects. Where both oracles ran, a decisive disagreement is
 surfaced as OracleDisagreement rather than resolved silently.
 
 Decision semantics: with d the defect normalized by the class scale and
@@ -244,7 +245,9 @@ def _psd_verdict(
 ) -> MembershipVerdict:
     from .linalg import hermitian_eigen
 
-    eig = hermitian_eigen(diff, tol)
+    # diff is Hermitian by construction but rounded at about ||T||^2 eps; its
+    # Hermitian part passes hermitian_eigen's check, which returns it unchanged.
+    eig = hermitian_eigen((diff + diff.conj().T) / 2.0, tol)
     lam_min = float(eig.eigenvalues[0])
     threshold = tol.tol_psd * scale
     status = Status.MEMBER if lam_min >= -threshold else Status.NON_MEMBER
@@ -1015,9 +1018,10 @@ class _NormProductDefect:
 
     The matrices are stacked once into (problems, rows, dim), so a batch of
     values costs one product and ``value_and_gradient`` adds one with the
-    stacked adjoint. A problem with fewer terms on a side than another is
-    padded with zero matrices of exponent 0: their factor is exactly 1 and
-    their gradient coefficient 0, so padding changes no bit. The Euclidean
+    stacked adjoint, and ``take`` selects problems without a new build. A
+    problem with fewer terms on a side than another is padded with zero
+    matrices of exponent 0: their factor is exactly 1 and their gradient
+    coefficient 0, so padding changes no bit. The Euclidean
     gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0 gets
     coefficient 0, the symmetric value central differences give at that
     kink.
@@ -1056,12 +1060,14 @@ class _NormProductDefect:
         return y, sq, np.multiply.reduceat(powers, self._bounds, axis=-2)
 
     def __call__(self, x):
-        """Values of a one-problem defect at a unit vector, or at the columns
-        of a (dim, n) batch, shape (n,)."""
+        """Values at the columns of a (problems, dim, n) stack, shape
+        (problems, n); a one-problem defect also takes a (dim, n) batch, for
+        values (n,), or a unit vector, for a float."""
         cols = np.asarray(x, dtype=np.complex128)
-        single = cols.ndim == 1
-        [(pos, neg)] = self._eval(cols[:, None] if single else cols)[2]
-        return float(pos[0] - neg[0]) if single else pos - neg
+        if cols.ndim == 1:
+            return float(self(cols[:, None])[0])
+        sides = self._eval(cols)[2]
+        return (sides[:, 0, :] - sides[:, 1, :]).reshape(cols.shape[:-2] + cols.shape[-1:])
 
     def value_and_gradient(self, x: np.ndarray):
         """Values and Euclidean gradients (d/dRe + i d/dIm) of every column
@@ -1082,33 +1088,25 @@ def _warm_starts(m: np.ndarray) -> np.ndarray:
     return vh.conj().T
 
 
-def _certified(claim: MembershipVerdict, defect_fn, threshold: float):
-    """The (exact defect, oracle, witness) of a NonMember claim whose unit
-    witness gives the defining defect ``defect_fn`` a value of at most
-    -``threshold``, the sphere's tol_decision * scale; None for any other
-    claim. One such vector proves NonMember, whichever oracle found it."""
-    if claim.status is not Status.NON_MEMBER:
-        return None
-    vec = claim.witness.vector / np.linalg.norm(claim.witness.vector)
-    exact = float(defect_fn(vec))
-    if not exact <= -threshold:
-        return None
-    return exact, claim.oracle, Witness(vector=vec, pencil_lambda=claim.witness.pencil_lambda)
+def _proves(claim: MembershipVerdict, exact: float, threshold: float) -> bool:
+    """Whether ``exact``, the defining defect at a NonMember ``claim``'s unit
+    witness, is at most -``threshold``, the sphere's tol_decision * scale:
+    one such vector proves NonMember, whichever oracle found it."""
+    return claim.status is Status.NON_MEMBER and exact <= -threshold
 
 
 def _reconcile(
-    sphere: MembershipVerdict, pencil: MembershipVerdict, defect_fn, label: str
+    sphere: MembershipVerdict, pencil: MembershipVerdict, exact: float, label: str
 ) -> MembershipVerdict:
-    """Combine the two oracle verdicts into a single class verdict.
-
-    The reported defect is always the exact defining-inequality value, and
-    every NonMember verdict carries a witness that has been re-evaluated
-    through that inequality (``_certified``). Decisively opposite oracles
-    raise OracleDisagreement instead of picking a side: a definite verdict
-    is decisive when its defect exceeds ten times its own threshold. The
-    combined verdict takes the sphere's threshold and seed. The engine
-    reconciles only the problems whose pencil NonMember it could not
-    certify alone, or whose pencil said Member or Inconclusive.
+    """Combine the two oracle verdicts of a problem that descended into a
+    single class verdict; ``exact`` is the defining defect at the sphere's
+    unit witness. Decisively opposite oracles raise OracleDisagreement: a
+    definite verdict is decisive when its defect exceeds ten times its own
+    threshold. A sphere NonMember that ``exact`` proves (``_proves``) is
+    NonMember, with that defect and unit witness. A pencil NonMember here
+    has failed the same rule before the descent, and a claim that is not
+    proved leaves the verdict Inconclusive, even beside a Member. The
+    verdict takes the sphere's threshold and seed.
     """
     if (
         sphere.is_definite
@@ -1121,21 +1119,16 @@ def _reconcile(
             f"{label}: sphere says {sphere.status.value} (defect {sphere.defect:.3e}) "
             f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
         )
-    certified = [c for c in (_certified(claim, defect_fn, sphere.threshold)
-                             for claim in (sphere, pencil)) if c is not None]
-    if certified:
-        # The deepest certified witness; min keeps the sphere's on a tie.
-        status = Status.NON_MEMBER
-        defect, oracle, witness = min(certified, key=lambda c: c[0])
+    if _proves(sphere, exact, sphere.threshold):
+        status, defect = Status.NON_MEMBER, exact
+        witness = Witness(vector=sphere.witness.vector / np.linalg.norm(sphere.witness.vector))
     else:
-        # A NonMember claim whose witness failed re-validation leaves the
-        # verdict Inconclusive, even when the other oracle says Member.
         claims = {sphere.status, pencil.status}
         member = Status.MEMBER in claims and Status.NON_MEMBER not in claims
         status = Status.MEMBER if member else Status.INCONCLUSIVE
-        defect, oracle, witness = sphere.defect, "sphere", sphere.witness
+        defect, witness = sphere.defect, sphere.witness
     return MembershipVerdict(
-        status=status, defect=defect, oracle=oracle, witness=witness,
+        status=status, defect=defect, oracle="sphere", witness=witness,
         threshold=sphere.threshold, seed=sphere.seed,
     )
 
@@ -1216,17 +1209,18 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     Each distinct T (by identity) is validated once and gets one norm; its
     pencils are built on that norm. The zero operator is a Member of every
     class. The pencils of all other problems are swept and refined first,
-    as one stack (see ``_pencil_verdicts``). A pencil NonMember whose unit
-    eigenvector breaks the defining inequality by at least the sphere's
-    threshold tol_decision * scale is NonMember at once (``_certified``):
-    its defect is the defining value at that vector, not the sphere's
-    minimum, and it takes oracle "pencil", the sphere's threshold and the
-    seed. Only the other problems descend: each distinct T among them gets
+    as one stack (see ``_pencil_verdicts``), and their defining defects
+    are stacked once (``_NormProductDefect``). One call on that stack gives
+    the value at every pencil's unit eigenvector; a pencil NonMember whose
+    value is at most -tol_decision * scale, minus the sphere's threshold, is
+    NonMember at once (``_proves``), with that value as defect, oracle
+    "pencil", the sphere's threshold and the seed. Only the other problems
+    descend, on their rows of the stack: each distinct T among them gets
     one block of SVD warm starts, each T and seed one block of seeded
     starts, and one descent runs over the columns of them all, one block
-    each, before each is reconciled (``_reconcile``). Each problem gets the
-    verdict it gets alone, bit for bit, so the predicates are the
-    one-problem case.
+    each. One more call on those rows gives the value at every sphere's
+    unit witness for ``_reconcile``. Each problem gets the verdict it gets
+    alone, bit for bit, so the predicates are the one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1246,16 +1240,18 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     terms, pencils = zip(*(_DUAL[name][2](mats[key], k, norms[key], tol)
                            for _, key, name, k, _ in live))
     claims = _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
-    exact = [_NormProductDefect.of(problem) for problem in terms]  # one problem each
+    defect = _NormProductDefect.of(*terms)
+    units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
+    values = defect(units[..., None])[:, 0].tolist()
     rest = []  # the indices into live of the problems that descend
-    for i, ((p, _, _, _, seed), scale) in enumerate(zip(live, scales)):
+    for i, ((p, _, _, _, seed), scale, claim, exact) in enumerate(
+            zip(live, scales, claims, values)):
         threshold = tol.tol_decision * scale
-        certified = _certified(claims[i], exact[i], threshold)
-        if certified is None:
+        if not _proves(claim, exact, threshold):
             rest.append(i)
             continue
-        val, oracle, witness = certified
-        verdicts[p] = MembershipVerdict(status=Status.NON_MEMBER, defect=val, oracle=oracle,
+        witness = Witness(vector=units[i], pencil_lambda=claim.witness.pencil_lambda)
+        verdicts[p] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact, oracle="pencil",
                                         witness=witness, threshold=threshold, seed=seed)
     if not rest:
         return verdicts
@@ -1265,13 +1261,14 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
     bands = tol.tol_decision * np.array([scales[i] for i in rest])
-    defect = _NormProductDefect.of(*(terms[i] for i in rest))
+    defect = defect.take(rest)
     spheres = _descend(defect.value_and_gradient, x, bands,
                        lambda rows: defect.take(rows).value_and_gradient)
-    for i, (val, vec) in zip(rest, spheres):
+    units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
+    for i, (val, vec), exact in zip(rest, spheres, defect(units[..., None])[:, 0].tolist()):
         p, seed = live[i][0], live[i][4]
         verdicts[p] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seed), claims[i],
-                                 exact[i], pencils[i].label)
+                                 exact, pencils[i].label)
     return verdicts
 
 
