@@ -62,6 +62,7 @@ from .linalg import (
     TolerancePolicy,
     as_operator,
     finite_frobenius_norm,
+    hermitian_eigen,
     matrix_power,
     operator_norm,
     psd_power,
@@ -240,20 +241,14 @@ def _equality_verdict(residual: float, scale: float, tol: TolerancePolicy) -> Me
     )
 
 
-def _psd_verdict(
-    diff: np.ndarray, scale: float, tol: TolerancePolicy
-) -> MembershipVerdict:
-    from .linalg import hermitian_eigen
-
+def _psd_verdict(diff: np.ndarray, scale: float, tol: TolerancePolicy) -> MembershipVerdict:
     # diff is Hermitian by construction but rounded at about ||T||^2 eps; its
     # Hermitian part passes hermitian_eigen's check, which returns it unchanged.
     eig = hermitian_eigen((diff + diff.conj().T) / 2.0, tol)
     lam_min = float(eig.eigenvalues[0])
     threshold = tol.tol_psd * scale
     status = Status.MEMBER if lam_min >= -threshold else Status.NON_MEMBER
-    witness = None
-    if status is Status.NON_MEMBER:
-        witness = Witness(vector=eig.eigenvectors[:, 0])
+    witness = Witness(vector=eig.eigenvectors[:, 0]) if status is Status.NON_MEMBER else None
     return MembershipVerdict(
         status=status, defect=lam_min, oracle="algebraic", witness=witness,
         threshold=threshold,
@@ -948,8 +943,7 @@ def is_hyponormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVer
     """T*T - TT* positive semidefinite."""
     m = as_operator(t)
     scale = _scale(operator_norm(m), 2)
-    diff = m.conj().T @ m - m @ m.conj().T
-    return _psd_verdict(diff, scale, tol)
+    return _psd_verdict(m.conj().T @ m - m @ m.conj().T, scale, tol)
 
 
 def is_p_hyponormal(
@@ -967,14 +961,21 @@ def is_p_hyponormal(
 
 
 def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
-    """((T*)^2 T^2)^(1/2) - T*T positive semidefinite."""
+    """((T*)^2 T^2)^(1/2) - T*T positive semidefinite. The root loses T^2's
+    singular values below about ||T||^2 sqrt(eps), so a clash with |T^2|
+    from the SVD of T^2, which keeps them, demotes the verdict to Inconclusive."""
     m = as_operator(t)
     if _zero_operator(m):
         return _member_zero()
     scale = _scale(operator_norm(m), 2)
     m2 = m @ m
-    diff = psd_power(m2.conj().T @ m2, 0.5, tol) - m.conj().T @ m
-    return _psd_verdict(diff, scale, tol)
+    gram = m.conj().T @ m
+    verdict = _psd_verdict(psd_power(m2.conj().T @ m2, 0.5, tol) - gram, scale, tol)
+    _, sv, vh = np.linalg.svd(m2)
+    if _psd_verdict((vh.conj().T * sv) @ vh - gram, scale, tol).status is verdict.status:
+        return verdict
+    return MembershipVerdict(status=Status.INCONCLUSIVE, defect=verdict.defect,
+                             oracle="algebraic", threshold=verdict.threshold)
 
 
 def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
@@ -1095,18 +1096,17 @@ def _proves(claim: MembershipVerdict, exact: float, threshold: float) -> bool:
     return claim.status is Status.NON_MEMBER and exact <= -threshold
 
 
-def _reconcile(
-    sphere: MembershipVerdict, pencil: MembershipVerdict, exact: float, label: str
-) -> MembershipVerdict:
+def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.ndarray,
+               exact: float, label: str) -> MembershipVerdict:
     """Combine the two oracle verdicts of a problem that descended into a
-    single class verdict; ``exact`` is the defining defect at the sphere's
-    unit witness. Decisively opposite oracles raise OracleDisagreement: a
-    definite verdict is decisive when its defect exceeds ten times its own
-    threshold. A sphere NonMember that ``exact`` proves (``_proves``) is
-    NonMember, with that defect and unit witness. A pencil NonMember here
-    has failed the same rule before the descent, and a claim that is not
-    proved leaves the verdict Inconclusive, even beside a Member. The
-    verdict takes the sphere's threshold and seed.
+    single class verdict; ``exact`` is the defining defect at ``unit``, the
+    sphere's witness normalized. Decisively opposite oracles raise
+    OracleDisagreement: a definite verdict is decisive when its defect
+    exceeds ten times its own threshold. A sphere NonMember that ``exact``
+    proves (``_proves``) is NonMember, with that defect and witness. A
+    pencil NonMember here has failed the same rule before the descent, and
+    a claim that is not proved leaves the verdict Inconclusive, even beside
+    a Member. The verdict takes the sphere's threshold and seed.
     """
     if (
         sphere.is_definite
@@ -1120,8 +1120,7 @@ def _reconcile(
             f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
         )
     if _proves(sphere, exact, sphere.threshold):
-        status, defect = Status.NON_MEMBER, exact
-        witness = Witness(vector=sphere.witness.vector / np.linalg.norm(sphere.witness.vector))
+        status, defect, witness = Status.NON_MEMBER, exact, Witness(vector=unit)
     else:
         claims = {sphere.status, pencil.status}
         member = Status.MEMBER in claims and Status.NON_MEMBER not in claims
@@ -1212,7 +1211,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     as one stack (see ``_pencil_verdicts``), and their defining defects
     are stacked once (``_NormProductDefect``). One call on that stack gives
     the value at every pencil's unit eigenvector; a pencil NonMember whose
-    value is at most -tol_decision * scale, minus the sphere's threshold, is
+    value is at most -tol_decision * scale (minus the sphere's threshold) is
     NonMember at once (``_proves``), with that value as defect, oracle
     "pencil", the sphere's threshold and the seed. Only the other problems
     descend, on their rows of the stack: each distinct T among them gets
@@ -1265,10 +1264,11 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     spheres = _descend(defect.value_and_gradient, x, bands,
                        lambda rows: defect.take(rows).value_and_gradient)
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
-    for i, (val, vec), exact in zip(rest, spheres, defect(units[..., None])[:, 0].tolist()):
+    values = defect(units[..., None])[:, 0].tolist()
+    for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
         p, seed = live[i][0], live[i][4]
         verdicts[p] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seed), claims[i],
-                                 exact, pencils[i].label)
+                                 unit, exact, pencils[i].label)
     return verdicts
 
 

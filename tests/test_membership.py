@@ -173,6 +173,26 @@ def test_psd_checks_of_a_large_scalar_beside_a_jordan_block(dim, seed):
     assert chain_violations(classify_all(t)) == []
 
 
+_J2 = [[0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("dim, seed, head, tail, wrong", [
+    *((dim, seed, 3e4, _J2, Status.MEMBER) for dim, seed in ((5, 1), (6, 0), (7, 0), (7, 2))),
+    *((dim, seed, 1.0, [[eps]], Status.NON_MEMBER)
+      for dim, seed, eps in ((3, 0, 1e-4), (4, 1, 3e-5), (5, 2, 3e-4), (6, 3, 1e-3))),
+])
+def test_class_a_claims_nothing_its_root_cannot_resolve(dim, seed, head, tail, wrong):
+    # T = U (head I + tail) U*, the sum direct. The root of (T*)^2 T^2
+    # rounds T^2's singular values below about ||T||^2 sqrt(eps) either way.
+    # Beside J2 (not class A, exact defect -1, threshold 1e-10 ||T||^2 about
+    # 0.09) its defect reads -0.0 at (7, 2); a normal T with an eigenvalue
+    # eps, which is class A, reads -1e-8 to -3e-10 against a threshold of
+    # 1e-10. The SVD cross-check must keep both from a definite verdict.
+    u = random_unitary(dim, seed)
+    t = u @ scipy.linalg.block_diag(head * np.eye(dim - len(tail)), tail) @ u.conj().T
+    assert is_class_a(t).status is not wrong
+
+
 def test_is_normaloid_examples(j2):
     v = is_normaloid(j2)
     assert v.status is Status.NON_MEMBER
@@ -982,7 +1002,7 @@ def test_reconcile_raises_on_decisive_disagreement():
         threshold=1e-8,
     )
     with pytest.raises(OracleDisagreement):
-        _reconcile(member, nonmember, 1.0, label="synthetic")
+        _reconcile(member, nonmember, np.array([1.0 + 0j]), 1.0, label="synthetic")
 
 
 def test_reconcile_judges_each_oracle_in_its_own_band():
@@ -1004,11 +1024,11 @@ def test_reconcile_judges_each_oracle_in_its_own_band():
 
     # The pencil's NonMember reaches _reconcile only when its witness failed
     # re-validation, so the verdict is Inconclusive.
-    v = _reconcile(sphere, pencil(5.0), 1.0, label="synthetic")
+    v = _reconcile(sphere, pencil(5.0), sphere.witness.vector, 1.0, label="synthetic")
     assert (v.status, v.oracle, v.defect) == (Status.INCONCLUSIVE, "sphere", 1.0)
     assert v.threshold == 1e-8 and v.seed == 5
     with pytest.raises(OracleDisagreement):
-        _reconcile(sphere, pencil(20.0), 1.0, label="synthetic")
+        _reconcile(sphere, pencil(20.0), sphere.witness.vector, 1.0, label="synthetic")
 
 
 _M, _NM, _I = Status.MEMBER, Status.NON_MEMBER, Status.INCONCLUSIVE
@@ -1053,7 +1073,7 @@ def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, de
         witness=Witness(vector=e1, pencil_lambda=0.5), threshold=1e-8,
     )
     assert not _proves(pencil, p_exact, sphere.threshold)
-    v = _reconcile(sphere, pencil, s_exact, label="synthetic")
+    v = _reconcile(sphere, pencil, e0, s_exact, label="synthetic")
     assert (v.status, v.oracle, v.defect) == (status, oracle, defect)
     assert v.seed == 3 and v.threshold == TOL.tol_decision
     assert v.witness.pencil_lambda is None and np.array_equal(v.witness.vector, e0)
@@ -1086,6 +1106,24 @@ def _count_descents(monkeypatch) -> list:
 
     monkeypatch.setattr("opclass.membership._descend", counting)
     return descended
+
+
+def _count_compactions(monkeypatch) -> list:
+    """The number of problems kept by every compaction of an engine descent
+    to several problems, as they run; the descent's take callback alone is
+    counted, not the engine's own restriction to the descending problems."""
+    kept = []
+
+    def counting(value_and_gradient, x, band, take):
+        def counting_take(rows):
+            if len(rows) > 1:  # only a compaction keeps several problems
+                kept.append(len(rows))
+            return take(rows)
+
+        return _descend(value_and_gradient, x, band, counting_take)
+
+    monkeypatch.setattr("opclass.membership._descend", counting)
+    return kept
 
 
 def test_pencil_certified_nonmembers_skip_the_descent(monkeypatch):
@@ -1141,8 +1179,9 @@ def test_pencil_nonmember_whose_witness_fails_still_descends(monkeypatch, kind):
     _patch_pencil_claims(monkeypatch, bogus)
     for name, claim, fn, label, sphere in cases:
         v = _PREDICATES[name](t, 1, seed=3)
-        exact = fn(sphere.witness.vector / np.linalg.norm(sphere.witness.vector))
-        assert v.to_json_dict() == _reconcile(sphere, claim, exact, label).to_json_dict(), name
+        unit = sphere.witness.vector / np.linalg.norm(sphere.witness.vector)
+        alone = _reconcile(sphere, claim, unit, fn(unit), label)
+        assert v.to_json_dict() == alone.to_json_dict(), name
         assert v.oracle == "sphere"
         assert v.status is (Status.NON_MEMBER if kind == "ginibre" else Status.INCONCLUSIVE)
     assert descended == [1] * len(cases)
@@ -1352,15 +1391,7 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
     # leaves open; each verdict must be the one its predicate gives alone,
     # bit for bit. Problems that stop at different steps leave the stack
     # early, so the compaction must have run.
-    compactions = []
-    take = _NormProductDefect.take
-
-    def counting_take(self, rows):
-        if len(rows) > 1:  # only a compaction keeps several problems
-            compactions.append(len(rows))
-        return take(self, rows)
-
-    monkeypatch.setattr(_NormProductDefect, "take", counting_take)
+    compactions = _count_compactions(monkeypatch)
     # The pencil certifies the NonMembers of Ginibre matrices alone, so only
     # the member families and the near-band matrices descend; the Ginibre
     # matrices' descents are checked with the pencil made Inconclusive.
@@ -1386,15 +1417,7 @@ def test_descents_of_pencil_inconclusive_stacks_equal_one_problem_predicates(mon
     # compacted while long descents go on, which the engine's own inputs
     # rarely do now. Each verdict must still be its predicate's alone, bit
     # for bit.
-    compactions = []
-    take = _NormProductDefect.take
-
-    def counting_take(self, rows):
-        if len(rows) > 1:
-            compactions.append(len(rows))
-        return take(self, rows)
-
-    monkeypatch.setattr(_NormProductDefect, "take", counting_take)
+    compactions = _count_compactions(monkeypatch)
     _patch_pencil_claims(monkeypatch, lambda v: dataclasses.replace(v, status=Status.INCONCLUSIVE))
     mats = {i: random_ginibre(3 + i % 6, seed=60 + i) for i in (*range(6), 79)}
     for seed, t in mats.items():
@@ -1418,15 +1441,7 @@ def test_stacks_of_many_matrices_equal_one_problem_predicates(monkeypatch):
     # steps, a zero matrix, one matrix under two seeds, and the classes
     # mixed. Each verdict must be its predicate's alone, bit for bit, and
     # the stack must have been compacted.
-    compactions = []
-    take = _NormProductDefect.take
-
-    def counting_take(self, rows):
-        if len(rows) > 1:
-            compactions.append(len(rows))
-        return take(self, rows)
-
-    monkeypatch.setattr(_NormProductDefect, "take", counting_take)
+    compactions = _count_compactions(monkeypatch)
     for dim in range(3, 9):
         g, member = random_ginibre(dim, seed=60 + dim), _family_matrix(dim - 3)
         tiny, near = _near_band(2 * dim - 6), _near_band(2 * dim - 5)
