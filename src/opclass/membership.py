@@ -949,33 +949,30 @@ def is_hyponormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVer
 def is_p_hyponormal(
     t, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES
 ) -> MembershipVerdict:
-    """(T*T)^p - (TT*)^p positive semidefinite, 0 < p <= 1."""
+    """(T*T)^p - (TT*)^p positive semidefinite, 0 < p <= 1, from one SVD
+    T = U S V*: V S^(2p) V* - U S^(2p) U*. Roots of the Grams T*T and TT*
+    would lose the singular values below about ||T|| sqrt(eps)."""
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     m = as_operator(t)
     if _zero_operator(m):
         return _member_zero()
-    scale = _scale(operator_norm(m), 2 * p)
-    diff = psd_power(m.conj().T @ m, p, tol) - psd_power(m @ m.conj().T, p, tol)
-    return _psd_verdict(diff, scale, tol)
+    u, sv, vh = np.linalg.svd(m)
+    scale = _scale(float(sv[0]), 2 * p)
+    sp = sv ** (2 * p)
+    return _psd_verdict((vh.conj().T * sp) @ vh - (u * sp) @ u.conj().T, scale, tol)
 
 
 def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
-    """((T*)^2 T^2)^(1/2) - T*T positive semidefinite. The root loses T^2's
-    singular values below about ||T||^2 sqrt(eps), so a clash with |T^2|
-    from the SVD of T^2, which keeps them, demotes the verdict to Inconclusive."""
+    """|T^2| - T*T positive semidefinite, |T^2| = ((T*)^2 T^2)^(1/2) = V S V*
+    from one SVD T^2 = U S V*. A root of the Gram (T*)^2 T^2 would lose the
+    singular values of T^2 below about ||T||^2 sqrt(eps)."""
     m = as_operator(t)
     if _zero_operator(m):
         return _member_zero()
     scale = _scale(operator_norm(m), 2)
-    m2 = m @ m
-    gram = m.conj().T @ m
-    verdict = _psd_verdict(psd_power(m2.conj().T @ m2, 0.5, tol) - gram, scale, tol)
-    _, sv, vh = np.linalg.svd(m2)
-    if _psd_verdict((vh.conj().T * sv) @ vh - gram, scale, tol).status is verdict.status:
-        return verdict
-    return MembershipVerdict(status=Status.INCONCLUSIVE, defect=verdict.defect,
-                             oracle="algebraic", threshold=verdict.threshold)
+    _, sv, vh = np.linalg.svd(m @ m)
+    return _psd_verdict((vh.conj().T * sv) @ vh - m.conj().T @ m, scale, tol)
 
 
 def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
@@ -1134,8 +1131,9 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
 
 # The builders of the classes both oracles decide. Each takes a validated
 # matrix, its norm and the tolerances, checks its pencil's class scale
-# before it forms any power of T, and returns the sphere defect's (positive,
-# negative) terms and the pencil, both from the same powers of T.
+# before it forms any power of T, and returns a callable that forms the
+# sphere defect's (positive, negative) terms, and the pencil, both from the
+# same powers of T; a public pencil constructor never calls the callable.
 
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
@@ -1155,7 +1153,7 @@ def _quasi(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
     pencil = _pencil(norm_t, scale, ((0.0, a), (1.0, -2.0 * b), (2.0, c)),
                      f"quasi-paranormal[k={k}]")
-    return (((pk2, 1), (pk, 1)), ((pk1, 2),)), pencil
+    return (lambda: (((pk2, 1), (pk, 1)), ((pk1, 2),))), pencil
 
 
 def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
@@ -1172,7 +1170,8 @@ def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     scale = _scale(norm_t, 2 * k + 2)
     pk1 = matrix_power(m, k + 1)
     terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
-    return (((pk1, 1),), ((m, k + 1),)), _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
+    pencil = _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
+    return (lambda: (((pk1, 1),), ((m, k + 1),))), pencil
 
 
 def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
@@ -1181,7 +1180,7 @@ def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: ToleranceP
     gram = m.conj().T @ m
     terms = _weighted(k, m.conj().T @ matrix_power(gram, k) @ m, gram)
     pencil = _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
-    return (((psd_power(gram, k / 2.0, tol) @ m, 1),), ((m, k + 1),)), pencil
+    return (lambda: (((psd_power(gram, k / 2.0, tol) @ m, 1),), ((m, k + 1),))), pencil
 
 
 # The classes both oracles decide, by OperatorClass name: the least k, the
@@ -1239,7 +1238,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     terms, pencils = zip(*(_DUAL[name][2](mats[key], k, norms[key], tol)
                            for _, key, name, k, _ in live))
     claims = _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
-    defect = _NormProductDefect.of(*terms)
+    defect = _NormProductDefect.of(*(problem() for problem in terms))
     units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
     values = defect(units[..., None])[:, 0].tolist()
     rest = []  # the indices into live of the problems that descend

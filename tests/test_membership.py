@@ -51,6 +51,7 @@ from opclass.membership import (
 from opclass.generators import (
     jordan_nilpotent,
     k_quasi_member,
+    make_rng,
     normaloid_counterexample,
     random_ginibre,
     random_normal,
@@ -182,15 +183,62 @@ _J2 = [[0, 1], [0, 0]]
       for dim, seed, eps in ((3, 0, 1e-4), (4, 1, 3e-5), (5, 2, 3e-4), (6, 3, 1e-3))),
 ])
 def test_class_a_claims_nothing_its_root_cannot_resolve(dim, seed, head, tail, wrong):
-    # T = U (head I + tail) U*, the sum direct. The root of (T*)^2 T^2
-    # rounds T^2's singular values below about ||T||^2 sqrt(eps) either way.
-    # Beside J2 (not class A, exact defect -1, threshold 1e-10 ||T||^2 about
-    # 0.09) its defect reads -0.0 at (7, 2); a normal T with an eigenvalue
-    # eps, which is class A, reads -1e-8 to -3e-10 against a threshold of
-    # 1e-10. The SVD cross-check must keep both from a definite verdict.
+    # T = U (head I + tail) U*, the sum direct; ``wrong`` is the verdict a
+    # root of the Gram (T*)^2 T^2 can give. That root rounds T^2's singular
+    # values below about ||T||^2 sqrt(eps) either way: beside J2 (not class
+    # A, exact defect -1, threshold 1e-10 ||T||^2 about 0.09) it read -0.0 at
+    # (7, 2), and a normal T with an eigenvalue eps, which is class A, read
+    # -1e-8 to -3e-10 against a threshold of 1e-10. |T^2| from the SVD of
+    # T^2 rounds at about ||T||^2 eps, so each gets the other definite verdict.
     u = random_unitary(dim, seed)
     t = u @ scipy.linalg.block_diag(head * np.eye(dim - len(tail)), tail) @ u.conj().T
-    assert is_class_a(t).status is not wrong
+    v = is_class_a(t)
+    if wrong is Status.MEMBER:
+        assert v.status is Status.NON_MEMBER
+        assert v.defect == pytest.approx(-1.0, abs=1e-6)
+    else:
+        assert v.status is Status.MEMBER
+
+
+@pytest.mark.parametrize("dim, seed, eps", [(3, 0, 1e-8), (6, 3, 1e-6), (6, 3, 1e-8)])
+def test_p_hyponormality_of_a_normal_matrix_with_a_tiny_eigenvalue(dim, seed, eps):
+    # T = U diag(1, ..., 1, eps) U* is normal, hence p-hyponormal. The
+    # eigenvalue eps^2 of the Grams T*T and TT* lies below their eigensolvers'
+    # rounding of about 2e-16, so their roots miss eps by about 1e-8: they
+    # read defects of -4e-10 to -2.4e-8 against a threshold of 1e-10, a
+    # NonMember below the hyponormal Member in the chain. The SVD keeps eps.
+    u = random_unitary(dim, seed)
+    t = (u * np.r_[np.ones(dim - 1), eps]) @ u.conj().T
+    assert is_p_hyponormal(t, 0.5).status is Status.MEMBER
+    assert chain_violations(classify_all(t)) == []
+
+
+def _normal_with_tiny_moduli(dim: int, seed: int, norm: float) -> np.ndarray:
+    """Haar-conjugated normal matrix of norm ``norm`` whose eigenvalue moduli
+    are log-uniform in [1e-12, 1] times the norm, with one modulus 1 and,
+    for every third seed, one exact 0."""
+    rng = make_rng(seed, 7)
+    moduli = 10.0 ** rng.uniform(-12.0, 0.0, dim)
+    moduli[0] = 1.0
+    if seed % 3 == 0:
+        moduli[1] = 0.0
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, dim))
+    return random_normal(dim, seed, norm * moduli * phases)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8, 16, 32])
+def test_normal_matrices_with_tiny_eigenvalues_are_in_every_psd_class(dim):
+    # A normal operator is hyponormal, p-hyponormal for every p and class A,
+    # however small its eigenvalues. Roots of Grams lose singular values
+    # below about ||T|| sqrt(eps) and said NonMember or Inconclusive on most
+    # of these; the checks must read them at the rounding of one SVD.
+    for seed in range(12):
+        for norm in (1.0, 1e3):
+            t = _normal_with_tiny_moduli(dim, seed, norm)
+            verdicts = {"hyponormal": is_hyponormal(t), "class A": is_class_a(t),
+                        **{f"p={p:g}": is_p_hyponormal(t, p) for p in (0.25, 0.5, 1.0)}}
+            for name, v in verdicts.items():
+                assert v.status is Status.MEMBER, (name, seed, norm, v.defect, v.threshold)
 
 
 def test_is_normaloid_examples(j2):
@@ -791,7 +839,7 @@ def test_sphere_check_requires_restart():
 
 
 def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
-    fn = _NormProductDefect.of(_DUAL["KQuasiParanormal"][2](j2, 0, operator_norm(j2), TOL)[0])
+    fn = _NormProductDefect.of(_DUAL["KQuasiParanormal"][2](j2, 0, operator_norm(j2), TOL)[0]())
     with pytest.raises(ValueError, match="dim must be at least 1"):
         sphere_check(fn, 0, 4)
     for ws in (
@@ -825,7 +873,7 @@ def test_stacked_values_equal_each_problem_alone():
     rng = np.random.default_rng(31)
     for dim in (*range(3, 9), 16, 24, 32):
         mats = (ginibre(dim, rng), random_normal_matrix(dim, rng), 1e3 * ginibre(dim, rng))
-        terms = [build(t, k, operator_norm(t), TOL)[0] for t in mats
+        terms = [build(t, k, operator_norm(t), TOL)[0]() for t in mats
                  for k in range(4) for least, _, build in _DUAL.values() if k >= least]
         x = rng.standard_normal((len(terms), dim)) + 1j * rng.standard_normal((len(terms), dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -1318,7 +1366,7 @@ def test_classify_all_output_is_pinned():
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "482168195ba556098f21d959f1211de3eb3fec15b666fa755d127bd268a7de73"
+    assert digest == "147513c1c0661ac278fd91bac2fd7cedfb569d9c29bc759dc912d7e36713a7f5"
 
 
 def test_builders_are_pinned():
@@ -1339,7 +1387,7 @@ def test_builders_are_pinned():
         for k in range(least_k, 4):
             for t in mats:
                 terms, pencil = build(t, k, operator_norm(t), TOL)
-                for side in terms:
+                for side in terms():
                     h.update(repr(len(side)).encode())
                     for mat, expo in side:
                         add(mat)
@@ -1515,6 +1563,30 @@ def test_verdicts_build_no_pencil_through_evaluate(monkeypatch):
     for name, predicate in _PREDICATES.items():
         assert isinstance(predicate(t, 1, seed=1), MembershipVerdict), name
     assert pencil_check(pencil).witness.pencil_lambda is not None
+
+
+def test_public_pencils_form_no_sphere_terms(monkeypatch):
+    # The builders hand back their sphere terms as a callable, so a public
+    # constructor builds the pencil alone: the absolute-k class's |T|^k,
+    # which only the sphere reads, comes from psd_power when called.
+    t = random_ginibre(5, seed=3)
+    ctors = (quasi_paranormal_pencil, k_paranormal_pencil, absolute_k_paranormal_pencil)
+    want = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psd_power called")
+
+    monkeypatch.setattr("opclass.membership.psd_power", refuse)
+    got = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
+    for a, b in zip(got, want):
+        assert (a.lambda_lo, a.lambda_max, a.scale, a.label) == (
+            b.lambda_lo, b.lambda_max, b.scale, b.label)
+        assert [e for e, _ in a.terms] == [e for e, _ in b.terms]
+        for (_, x), (_, y) in zip(a.terms, b.terms):
+            np.testing.assert_array_equal(x, y, err_msg=a.label)
+    # The engine still forms the sphere's terms, through the patched name.
+    with pytest.raises(AssertionError, match="psd_power called"):
+        is_absolute_k_paranormal(t, 1)
 
 
 @pytest.mark.parametrize("predicate, t", [

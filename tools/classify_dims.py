@@ -1,4 +1,6 @@
-"""Seconds per matrix of ``classify_all`` at dims 16, 24 and 32.
+"""Seconds per matrix of ``classify_all`` at dims 16, 24 and 32, and
+milliseconds per call of the seven algebraic predicates at dims 16, 32 and
+64.
 
 Usage (from the root of a checkout):
 
@@ -9,8 +11,13 @@ matrices (nearly every verdict NonMember), a random normal matrix (every
 verdict Member, so the sphere runs to convergence) and an index-3 Jordan
 nilpotent. BLAS is pinned to one thread. Each of three repeats runs the
 four matrices once; the script prints the median and the least seconds
-per matrix over the repeats. Run it alternately in two checkouts to compare
-them on a shared host.
+per matrix over the repeats. The algebraic predicates are the seven the
+structure benchmark workload runs on every matrix (is_normal,
+is_quasinormal, quasinormal_embry up to k = 3, is_hyponormal,
+is_p_hyponormal at p = 0.5, is_class_a and is_normaloid); each is timed
+the same way on the same four kinds of matrix, and the script prints its
+median and least milliseconds per call over the repeats. Run it
+alternately in two checkouts to compare them on a shared host.
 """
 
 from __future__ import annotations
@@ -28,22 +35,48 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from opclass import generators as gen  # noqa: E402
-from opclass.membership import classify_all  # noqa: E402
+from opclass import membership as mb  # noqa: E402
 
 REPEATS = 3
+ALGEBRAIC = {
+    "is_normal": mb.is_normal,
+    "is_quasinormal": mb.is_quasinormal,
+    "quasinormal_embry": lambda t: mb.quasinormal_embry(t, 3),
+    "is_hyponormal": mb.is_hyponormal,
+    "is_p_hyponormal": lambda t: mb.is_p_hyponormal(t, 0.5),
+    "is_class_a": mb.is_class_a,
+    "is_normaloid": mb.is_normaloid,
+}
+
+
+def matrices(dim: int) -> list:
+    return [gen.random_ginibre(dim, seed=1), gen.random_ginibre(dim, seed=2),
+            gen.random_normal(dim, seed=3), gen.jordan_nilpotent(dim, 3, seed=4)]
+
+
+def seconds_per_call(call, mats: list) -> list:
+    """Seconds per matrix of call(t, i) over the matrices, once per repeat."""
+    out = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for i, t in enumerate(mats):
+            call(t, i)
+        out.append((time.perf_counter() - t0) / len(mats))
+    return out
+
 
 def main() -> int:
     for dim in (16, 24, 32):
-        mats = [gen.random_ginibre(dim, seed=1), gen.random_ginibre(dim, seed=2),
-                gen.random_normal(dim, seed=3), gen.jordan_nilpotent(dim, 3, seed=4)]
-        per_matrix = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            for i, t in enumerate(mats):
-                classify_all(t, seed=i)
-            per_matrix.append((time.perf_counter() - t0) / len(mats))
+        per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
         print(f"dim {dim}: median {statistics.median(per_matrix):.3f} s/matrix, "
               f"least {min(per_matrix):.3f} s/matrix over {REPEATS} repeats")
+    for dim in (16, 32, 64):
+        mats, cells = matrices(dim), []
+        for name, predicate in ALGEBRAIC.items():
+            per_call = seconds_per_call(lambda t, i: predicate(t), mats)
+            cells.append(f"{name} {1e3 * statistics.median(per_call):.3f}"
+                         f"/{1e3 * min(per_call):.3f}")
+        print(f"dim {dim} algebraic ms/call, median/least: " + ", ".join(cells))
     return 0
 
 
