@@ -11,7 +11,9 @@ relatives) are decided by two independent routes:
   pass, then bisects only the grid cells that a chord bound cannot place
   above the least value found so far: the least eigenvalue of an affine
   Hermitian family is concave, and Weyl's inequality covers each term's
-  distance from its chord. The sweep is refined around its deepest local
+  distance from its chord. Each pencil's common kernel, where all its
+  terms vanish and no cell could close, is deflated before the sweep, and
+  such a pencil reports at most 0. The sweep is refined around its deepest local
   grid minima by Brent's parabolic and golden-section search, which
   stops in decision units: once its parabola predicts a gain of at most a
   thousandth of the decision band tol_decision * scale. The pencils of
@@ -470,6 +472,11 @@ def pencil_check(
     return verdict
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """The Hermitian parts (M + M*) / 2 of a stack of square matrices."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
 class _PencilStack:
     """The terms of some pencils of one dimension and one number of terms,
     stacked once: coefficients (pencils, terms, n, n) and exponents
@@ -477,18 +484,87 @@ class _PencilStack:
 
     def __init__(self, pencils):
         self.coefs = np.array([[m for _, m in p.terms] for p in pencils])
-        exps = [[float(expo) for expo, _ in p.terms] for p in pencils]
-        self.exps = np.array(exps)
-        # The terms whose exponent is 0 in every pencil, and the first
-        # pencil's exponents.
-        self._constant = [not any(col) for col in zip(*exps)]
-        self._first = exps[0]
+        self.exps = np.array([[float(expo) for expo, _ in p.terms] for p in pencils])
+
+    def take(self, rows) -> "_PencilStack":
+        """The stack of the pencils at ``rows`` alone."""
+        out = object.__new__(_PencilStack)
+        out.coefs, out.exps = self.coefs[rows], self.exps[rows]
+        out.spectra = self.spectra[rows]
+        return out
+
+    @functools.cached_property
+    def _constant(self):
+        """Whether each term's exponent is 0 in every pencil."""
+        return (self.exps == 0.0).all(0).tolist()
 
     @functools.cached_property
     def _columns(self):
         """The distinct exponents, and each term's index among them."""
         uniq = sorted(set(self.exps.ravel().tolist()))
         return uniq, np.searchsorted(uniq, self.exps)
+
+    @functools.cached_property
+    def spectra(self) -> np.ndarray:
+        """The eigenvalues of the Hermitian part of every term, (pencils,
+        terms, n), ascending."""
+        return np.linalg.eigvalsh(_hermitian(self.coefs))
+
+    def deflate(self, pencils, tol: TolerancePolicy):
+        """Deflate the common kernel of each pencil of the stack in place,
+        ``pencils`` giving their domains and scales, so that the stack keeps
+        one dimension n; returns each pencil's rank r and, for every pencil
+        deflated, the unitary W = [Q K] its terms are now written in.
+
+        The kernel is spanned by the right singular vectors of the stacked
+        Hermitian parts lambda_max^e_j H_j (terms * n, n) whose singular
+        values are at most tol_rank * max(sigma_max, scale): the weights
+        are each term's largest factor over the domain, and ``scale``, the
+        pencil's natural magnitude, anchors the cut for terms that are
+        rounding noise, as in ``linalg.kernel``. The terms of a pencil with
+        0 < r < n become Q* M_j Q on the first r rows and columns and 0
+        elsewhere, except that its exponent-0 term gets c I on the K block,
+        c = sum_j lambda_max^e_j ||H_j||; c is at least lam_min(Q* P Q) on
+        the whole domain, so lam_min of the deflated pencil is that of
+        Q* P Q. A pencil with no exponent-0 term keeps its terms. A pencil
+        with r = 0 has only vanishing terms and is not rotated.
+
+        A kernel vector x has ||lambda_max^e_j H_j x|| at most the cut for
+        every j, and c bounds sigma_max, so only a pencil whose top-exponent
+        term has an eigenvalue of modulus at most the cut over its weight
+        can have one: the others take no SVD.
+        """
+        count, _, n = self.spectra.shape
+        weights = np.array([p.lambda_max for p in pencils])[:, None] ** self.exps
+        scale = np.array([p.scale for p in pencils])
+        norms = np.abs(self.spectra[..., [0, -1]]).max(-1)
+        c = (weights * norms).sum(1)
+        cut = tol.tol_rank * np.maximum(c, scale)
+        top = (np.arange(count), self.exps.argmax(1))
+        # An overflowing c leaves its pencil as it is.
+        gated = np.flatnonzero((np.abs(self.spectra[top]).min(-1) * weights[top] <= cut)
+                               & np.isfinite(c))
+        ranks, bases = np.full(count, n), {}
+        if not gated.size:
+            return ranks, bases
+        stacked = weights[gated, :, None, None] * _hermitian(self.coefs[gated])
+        _, sv, vh = np.linalg.svd(stacked.reshape(gated.size, -1, n), full_matrices=False)
+        ranks[gated] = (sv > tol.tol_rank * np.maximum(sv[:, :1], scale[gated, None])).sum(1)
+        for p, w in zip(gated.tolist(), vh.conj().swapaxes(-1, -2)):
+            r, zero = ranks[p], np.flatnonzero(self.exps[p] == 0.0)
+            if r in (0, n):
+                continue
+            if not zero.size:
+                ranks[p] = n
+                continue
+            deflated = np.zeros_like(self.coefs[p])
+            deflated[:, :r, :r] = w[:, :r].conj().T @ self.coefs[p] @ w[:, :r]
+            deflated[zero[0], r:, r:] = c[p] * np.eye(n - r)
+            self.coefs[p], bases[p] = deflated, w
+        if bases:
+            rows = list(bases)
+            self.spectra[rows] = np.linalg.eigvalsh(_hermitian(self.coefs[rows]))
+        return ranks, bases
 
     def matrices(self, owner, lams: np.ndarray) -> np.ndarray:
         """P(lams[i]) of pencil owner[i] for every i, shape (len(lams), n, n),
@@ -500,7 +576,7 @@ class _PencilStack:
         if len(self.coefs) == 1:
             # One pencil needs no gather: its coefficients broadcast over lams.
             powers = [None if constant else lams**expo
-                      for constant, expo in zip(self._constant, self._first)]
+                      for constant, expo in zip(self._constant, self.exps[0].tolist())]
             coefs = self.coefs[0]
         else:
             uniq, column = self._columns
@@ -531,8 +607,9 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     below the least value eigensolved so far on the pencil.
 
     The first pass eigensolves every _STRIDE-th point and the last point of
-    every pencil, and the Hermitian parts H_j of their terms, in one stack;
-    the cells between neighbouring first-pass points start open. Each round
+    every pencil in one stack, and the cells between neighbouring
+    first-pass points start open; the bounds read the spectra of the
+    Hermitian parts H_j of their terms (``_PencilStack.spectra``). Each round
     bounds f = lam_min(P) on every open cell [a, b] from below. With
     chord_j the line through (a, a^e_j) and (b, b^e_j), the family
     Q(lam) = sum_j chord_j(lam) H_j is affine in lam and equals P at a and
@@ -546,11 +623,8 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
         f(lam) >= min(f(a), f(b)) - sum_j G_j c_j,
 
     with c_j = lam_max(H_j)+ where e_j > 1, (-lam_min(H_j))+ where
-    0 < e_j < 1, and 0 where e_j is 0 or 1. Weyl's inequality from each
-    end, with D_j = b^e_j - a^e_j, gives two first-order bounds,
-    f(a) - sum_j D_j (-lam_min(H_j))+ and f(b) - sum_j D_j lam_max(H_j)+,
-    which close more cells of pencils that touch 0; a cell's bound is the
-    greatest of the three, less the rounding margin.
+    0 < e_j < 1, and 0 where e_j is 0 or 1; a cell's bound is this, less
+    the rounding margin.
 
     A cell whose bound lies above the pencil's least value so far holds no
     grid point at or below it, and no lambda a refinement could improve
@@ -568,45 +642,39 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     """
     count, n = lams.shape
     coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
-    coefs, exps = stack.coefs, stack.exps
-    herm = (coefs + coefs.conj().transpose(0, 1, 3, 2)) / 2.0
+    exps, spectra = stack.exps, stack.spectra
     first = stack.matrices(np.arange(count * coarse.size) // coarse.size,
                            lams.take(coarse, 1).ravel())
-    eig = np.linalg.eigvalsh(np.concatenate([first, herm.reshape((-1,) + herm.shape[2:])]))
     # Column i + 1 is point i; the points beyond the grid count as
     # eigensolved, with value +inf.
     padded, known = np.full((count, n + 2), np.inf), np.ones((count, n + 2), dtype=bool)
     mins, evaluated = padded[:, 1:-1], known[:, 1:-1]
     evaluated[:] = False
-    mins[:, coarse] = eig[: first.shape[0], 0].reshape(count, -1)
+    mins[:, coarse] = np.linalg.eigvalsh(first)[:, 0].reshape(count, -1)
     evaluated[:, coarse] = True
-    spectra = eig[first.shape[0] :].reshape(count, -1, eig.shape[-1])
     down, up = np.maximum(-spectra[..., 0], 0.0), np.maximum(spectra[..., -1], 0.0)
-    # Rows of (pencils, 6, terms): the chord's exponent, with 2 in place of 0
+    # Rows of (pencils, 4, terms): the chord's exponent, with 2 in place of 0
     # and 1, whose c_j is 0 and at which 1 / (e_j - 1) is not finite; c_j;
-    # e_j; the rounding margin per unit of b^e_j; and the Weyl weights.
+    # e_j; and the rounding margin per unit of b^e_j.
     flat = (exps == 0.0) | (exps == 1.0)
     table = np.stack([np.where(flat, 2.0, exps),
                       np.where(flat, 0.0, np.where(exps > 1.0, up, down)), exps,
-                      np.maximum(down, up) * (_MARGIN * coefs.shape[-1] * _EPS), down, up], 1)
+                      np.maximum(down, up) * (_MARGIN * spectra.shape[-1] * _EPS)], 1)
     # The open cells: their pencil and their left and right grid points.
     owner = np.repeat(np.arange(count), coarse.size - 1)
     lo, hi = np.tile(coarse[:-1], count), np.tile(coarse[1:], count)
     while owner.size:
         todo = (hi - lo > 1) | ~(known[owner, lo] & known[owner, hi + 2])
         owner, lo, hi = owner[todo], lo[todo], hi[todo]
-        c, weight, e, margin, down, up = table[owner].transpose(1, 0, 2)
+        c, weight, e, margin = table[owner].transpose(1, 0, 2)
         a, b = lams[owner, lo][:, None], lams[owner, hi][:, None]
         fa, fb = mins[owner, lo], mins[owner, hi]
         pa, pb = a**c, b**c
         slope = (pb - pa) / (b - a)
         at = np.minimum(np.maximum((slope / c) ** (1.0 / (c - 1.0)), a), b)
         gap = np.abs(pa + slope * (at - a) - at**c)
-        edge = b**e
-        rise = edge - a**e
-        bound = np.maximum(np.minimum(fa, fb) - (gap * weight).sum(1),
-                           np.maximum(fa - (rise * down).sum(1), fb - (rise * up).sum(1)))
-        bound -= (edge * margin).sum(1)
+        bound = np.minimum(fa, fb) - (gap * weight).sum(1)
+        bound -= (b**e * margin).sum(1)
         # A NaN bound leaves its cell open.
         keep = ~(bound > mins.min(axis=1)[owner])
         owner, lo, hi = owner[keep], lo[keep], hi[keep]
@@ -629,21 +697,61 @@ def _pencil_verdicts(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy
     """The verdicts of some pencils of one dimension and one number of
     terms, on the least (lambda, lambda_min(P(lambda))) found on each.
 
-    The pencils' terms are stacked once (``_PencilStack``) and swept
-    together, each on its own grid, in bisection rounds that share one
-    eigensolve (see ``_sweep``); pencils with one domain share its
-    ``geomspace``. The grid minimum and every refined minimum are those of
-    the full sweep, except that local minima in dropped cells, whose chord
-    bound lies above the grid minimum on the whole cell, take none of the
-    ``max_refine`` slots.
+    The pencils' terms are stacked once (``_PencilStack``), and each
+    pencil's common kernel is deflated in place (``_PencilStack.deflate``):
+    its terms vanish there, so lambda_min(P) would be 0 at every lambda and
+    no cell of the sweep could close. A pencil with a kernel reports
+    min(0, v), v the least value of its compression Q* P Q to the kernel's
+    complement, with a kernel vector as witness when v > 0 and Q times the
+    compression's eigenvector otherwise. A pencil whose terms all vanish
+    (rank 0) is 0 on its whole domain: it is not swept, and reports 0 at
+    lambda_lo with the first standard basis vector as witness.
+
+    The other pencils are swept and refined on the stack (see
+    ``_pencil_minima``). Every verdict is the one the pencil gets alone.
+    """
+    stack = _PencilStack(pencils)
+    ranks, bases = stack.deflate(pencils, tol)
+    unit = np.eye(stack.coefs.shape[-1], dtype=np.complex128)[0]
+    found = {p: (pencils[p].lambda_lo, 0.0, unit) for p in np.flatnonzero(ranks == 0).tolist()}
+    swept = np.flatnonzero(ranks).tolist()
+    if swept:
+        if found:
+            stack = stack.take(swept)
+        found.update(zip(swept, _pencil_minima(stack, [pencils[p] for p in swept], n_grid,
+                                               max_refine, tol)))
+    verdicts = []
+    for p, pencil in enumerate(pencils):
+        lam, val, vec = found[p]
+        if p in bases:
+            w, r = bases[p], ranks[p]
+            val, vec = (0.0, w[:, r]) if val > 0.0 else (val, w[:, :r] @ vec[:r])
+        status, threshold = _decide(val, pencil.scale, tol)
+        verdicts.append(MembershipVerdict(
+            status=status, defect=val, oracle="pencil",
+            witness=Witness(vector=vec, pencil_lambda=lam), threshold=threshold,
+        ))
+    return verdicts
+
+
+def _pencil_minima(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
+                   tol: TolerancePolicy) -> list:
+    """The least (lambda, lambda_min(P(lambda)), unit eigenvector) found on
+    each pencil of ``stack``, ``pencils`` giving their domains and scales.
+
+    The pencils are swept together, each on its own grid, in bisection
+    rounds that share one eigensolve (see ``_sweep``); pencils with one
+    domain share its ``geomspace``. The grid minimum and every refined
+    minimum are those of the full sweep, except that local minima in
+    dropped cells, whose chord bound lies above the grid minimum on the
+    whole cell, take none of the ``max_refine`` slots.
     The Brent searches of all pencils then share one stacked build and
     eigensolve per round, one lambda per search; each stops in decision
     units of its pencil's scale (see ``_brent``), and each pencil merges
-    only its own. The witness eigenvectors come from one more build on the
-    same stack, at every pencil's least lambda, and one stacked eigh. Every
-    verdict is the one the pencil gets alone.
+    only its own. The eigenvectors come from one more build on the
+    same stack, at every pencil's least lambda, and one stacked eigh.
     """
-    stack, grids = _PencilStack(pencils), {}
+    grids = {}
     for pencil in pencils:
         domain = (pencil.lambda_lo, pencil.lambda_max)
         if domain not in grids:
@@ -681,14 +789,7 @@ def _pencil_verdicts(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy
             bests[p] = (lam, val)
     best_lams = np.array([lam for lam, _ in bests])
     _, vecs = np.linalg.eigh(stack.matrices(np.arange(len(pencils)), best_lams))
-    verdicts = []
-    for pencil, (lam, val), v in zip(pencils, bests, vecs):
-        status, threshold = _decide(val, pencil.scale, tol)
-        verdicts.append(MembershipVerdict(
-            status=status, defect=val, oracle="pencil",
-            witness=Witness(vector=v[:, 0], pencil_lambda=lam), threshold=threshold,
-        ))
-    return verdicts
+    return [(lam, val, v[:, 0]) for (lam, val), v in zip(bests, vecs)]
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +833,8 @@ def sphere_check(
     anything else on the start columns. ``scale`` must be finite and positive.
 
     Projected gradient descent runs from ``restarts`` seeded random starts
-    (stream ``seed + index``) plus every standard basis vector and any
+    (start i draws from ``make_rng(seed, i)``, spawn lane i of the
+    SeedSequence of ``seed``) plus every standard basis vector and any
     supplied warm starts (finite nonzero columns of a (dim, n) array).
     Restarts are reduced by minimum, so the result does not depend on
     evaluation order.

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,16 +395,35 @@ def _brent_reference(f, a, b, width, gain):
     return x, fx
 
 
+def _deflated(pencil):
+    """(rank, pencil) of the pencil with its common kernel deflated as the
+    engine deflates it (``_PencilStack.deflate``), or (rank, None) where
+    the engine keeps its terms."""
+    stack = _PencilStack([pencil])
+    ranks, bases = stack.deflate([pencil], TOL)
+    if not bases:
+        return int(ranks[0]), None
+    terms = tuple(zip(stack.exps[0].tolist(), stack.coefs[0]))
+    return int(ranks[0]), dataclasses.replace(pencil, terms=terms)
+
+
 def _sequential_pencil_minimum(pencil, n_grid, max_refine):
     """((least value, its lambda), number of searches) as pencil_check
     found them with one Brent search after another, one lambda per
     eigensolve, each stopped at width 1e-6 * lambda_max or at a predicted
-    gain of 1e-3 * tol_decision * scale."""
+    gain of 1e-3 * tol_decision * scale. It sweeps the matrices the engine
+    sweeps: a pencil with a common kernel is deflated and reports at most
+    0, and one whose terms all vanish is 0 at lambda_lo, unswept."""
+    rank, deflated = _deflated(pencil)
+    if not rank:
+        return (0.0, pencil.lambda_lo), 0
+    swept = deflated or pencil
+
     def f(lam):
-        return float(np.linalg.eigvalsh(pencil.evaluate(np.array([lam])))[0, 0])
+        return float(np.linalg.eigvalsh(swept.evaluate(np.array([lam])))[0, 0])
 
     lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
-    mins = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0]
+    mins = np.linalg.eigvalsh(swept.evaluate(lams))[:, 0]
     padded = np.concatenate([[np.inf], mins, [np.inf]])
     local = np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
     order = local[np.argsort(mins[local])][:max_refine]
@@ -420,6 +441,8 @@ def _sequential_pencil_minimum(pencil, n_grid, max_refine):
         lam, val = _brent_reference(f, float(lo), float(hi), width, gain)
         if val < best_val:
             best_lam, best_val = lam, val
+    if deflated is not None and best_val > 0.0:
+        best_val = 0.0
     return (best_val, best_lam), searches
 
 
@@ -695,6 +718,104 @@ def test_stacked_build_equals_evaluate_bit_for_bit():
     for pencil in pool:
         alone = _PencilStack([pencil]).matrices(np.zeros(lams.size, dtype=np.intp), lams)
         assert alone.tobytes() == pencil.evaluate(lams).tobytes(), pencil.label
+
+
+def _spy_sweeps(monkeypatch) -> list:
+    """The evaluated mask of every engine sweep, as they run."""
+    masks = []
+
+    def spying(stack, lams):
+        out = _sweep(stack, lams)
+        masks.append(out[1])
+        return out
+
+    monkeypatch.setattr("opclass.membership._sweep", spying)
+    return masks
+
+
+@pytest.mark.parametrize("t, k", [
+    (k_quasi_member(3, 3, 2, seed=2), 2),
+    (scipy.linalg.block_diag(np.eye(2, k=1), random_normal(3, seed=3)), 2),
+], ids=["k-quasi-member", "jordan-beside-normal"])
+def test_kernel_pencils_close_their_cells(monkeypatch, t, k):
+    # Every coefficient of the k-quasi pencil is a Gram of a power T^j,
+    # j >= k, so all vanish on ker T^k and lam_min(P) is 0 at every lambda:
+    # no cell bound rises above the least value, and without the deflation
+    # the sweep eigensolves all 257 grid points. Deflated, it eigensolves at
+    # most a quarter of them. These two pencils' compressions to the
+    # kernel's complement stay above 0 on the grid and in the refinement,
+    # so each reports exactly 0 with a unit witness in ker T^k.
+    masks = _spy_sweeps(monkeypatch)
+    v = pencil_check(quasi_paranormal_pencil(t, k))
+    [[evaluated]] = masks
+    assert evaluated.size == 257 and evaluated.sum() <= 257 // 4
+    assert v.status is Status.MEMBER and v.defect == 0.0
+    x = v.witness.vector
+    assert np.linalg.norm(x) == pytest.approx(1.0)
+    assert np.linalg.norm(np.linalg.matrix_power(t, k) @ x) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, index, k", [(4, 2, 2), (5, 2, 3), (6, 3, 3), (8, 3, 4)])
+def test_vanishing_k_quasi_pencils_are_members_without_a_sweep(monkeypatch, dim, index, k):
+    # T^k = 0 up to rounding for a nilpotent of index at most k, so every
+    # coefficient of the k-quasi pencil is rounding noise: the pencil has
+    # rank 0 and is a Member with defect exactly 0, decided with no sweep.
+    t = jordan_nilpotent(dim, index, seed=dim)
+    masks = _spy_sweeps(monkeypatch)
+    pencil = quasi_paranormal_pencil(t, k)
+    v = pencil_check(pencil)
+    assert masks == []
+    assert v.status is Status.MEMBER and v.defect == 0.0
+    assert v.witness.pencil_lambda == pencil.lambda_lo
+    assert is_k_quasi_paranormal(t, k).status is Status.MEMBER
+
+
+def _benchmark_pools(seed: int) -> list:
+    """The matrices of the benchmark's classify-members and classify-random
+    pools (``perfbench/workloads.py``) at ``seed``."""
+    root = Path(__file__).resolve().parents[1]
+    path = sys.path[:]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path[:] = path
+    mats = []
+    for workload in (workloads.ClassifyMembers, workloads.ClassifyRandom):
+        pool = workload(seed, 20, root)
+        pool.make_pool()
+        mats += [item["matrix"] for item in pool.pool]
+    return mats
+
+
+def test_deflation_keeps_each_kernel_pencils_grid_minimum():
+    # On every pencil with a common kernel that classify_all builds for the
+    # two benchmark pools at seed 2026, min(0, the deflated pencil's grid
+    # minimum) is the full pencil's grid minimum, to within 1e-13 of the
+    # largest coefficient entry (8.1e-15 measured). A pencil whose terms all
+    # vanish reports 0, and its full grid minimum lies within the kernel
+    # cut tol_rank * scale of 0.
+    problems = [("KQuasiParanormal", k) for k in range(4)]
+    problems += [(name, k) for name in ("KParanormal", "AbsoluteKParanormal") for k in (1, 2, 3)]
+    kernels = vanishing = 0
+    for t in _benchmark_pools(2026):
+        norm_t = operator_norm(t)
+        for name, k in problems:
+            pencil = _DUAL[name][2](t, k, norm_t, TOL)[1]
+            rank, deflated = _deflated(pencil)
+            if rank == pencil.dim:
+                continue
+            kernels += 1
+            lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, 257)
+            full = np.linalg.eigvalsh(pencil.evaluate(lams))[:, 0].min()
+            if not rank:
+                vanishing += 1
+                assert abs(full) <= TOL.tol_rank * pencil.scale, pencil.label
+                continue
+            least = min(0.0, np.linalg.eigvalsh(deflated.evaluate(lams))[:, 0].min())
+            entry = max(np.abs(m).max() for _, m in pencil.terms)
+            assert abs(least - full) <= 1e-13 * entry, (pencil.label, rank)
+    assert kernels == 54 and vanishing == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1366,7 +1487,7 @@ def test_classify_all_output_is_pinned():
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "147513c1c0661ac278fd91bac2fd7cedfb569d9c29bc759dc912d7e36713a7f5"
+    assert digest == "557691fc206ac1fe2411ff8ca3220da541b0e95d3310688b8aeeeb15e2a70e0f"
 
 
 def test_builders_are_pinned():

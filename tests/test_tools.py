@@ -5,7 +5,7 @@ from pathlib import Path
 
 from opclass import harness as hs
 from opclass import membership as mb
-from opclass.generators import random_ginibre, random_normal
+from opclass.generators import jordan_nilpotent, random_ginibre, random_normal
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "descent_counts.py"
 
@@ -34,16 +34,18 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
     def wrapped():
         return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                 mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend, mb._dual_verdicts,
-                hs._dual_verdicts)
+                hs._dual_verdicts, mb._PencilStack.deflate)
 
     originals = wrapped()
     # The pencil certifies the Ginibre matrix's NonMembers alone; the normal
-    # matrix's Members descend.
+    # matrix's Members descend. An index-2 nilpotent's k-quasi pencils have
+    # a common kernel, ker T, at k = 1, and only vanishing terms at k >= 2.
     t = random_ginibre(4, 1)
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
         mb.classify_all(random_normal(4, 1), seed=1)
         mb.pencil_check(mb.k_paranormal_pencil(t, 2))
+        mb.classify_all(jordan_nilpotent(4, 2, 1), seed=1)
         counted = counter.take()
         assert {key: value for key, value in counted.items() if value <= 0} == {}
         # No matrix is zero, so each problem is either certified or descends.
@@ -51,6 +53,8 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         # The sweeps' builds are among the builds: a coarse pass each, and
         # its bisection rounds.
         assert 0 < counted["sweep_builds"] < counted["builds"]
+        # Each pencil with a kernel adds at least one dimension.
+        assert counted["unswept"] < counted["deflated"] <= counted["kernel_dims"]
         # A suite's engine calls go through the harness binding: one stack
         # per round and dimension, at most one per problem.
         hs.run_suite(hs.SuiteConfig(suites=("ando",), trials=8, max_dim=3, seed=1))

@@ -13,7 +13,7 @@ every refinement round and the build of the witness eigenvectors makes
 the matrices of a batch of (pencil, lambda) points with
 ``_PencilStack.matrices``, and a round asks every running Brent search
 (``membership._brent``) for one lambda. This script wraps those methods,
-``membership._sweep``, ``membership._brent`` and
+``_PencilStack.deflate``, ``membership._sweep``, ``membership._brent``,
 ``membership._pencil_verdicts`` and ``membership._descend``, from
 outside, and the dual engine
 ``membership._dual_verdicts`` with the binding ``harness._drive`` calls it
@@ -42,7 +42,11 @@ through, and counts:
   of the call, one lambda per pencil, once none does;
 * the refinement searches, and the lockstep rounds of refinement: per
   ``_pencil_verdicts`` call, the most lambdas any one of its searches
-  asked for.
+  asked for;
+* the pencils with a common kernel, which ``_PencilStack.deflate``
+  deflates before the sweep, the sum of their kernel dimensions, and how
+  many of them have only vanishing terms (rank 0) and are decided with no
+  sweep.
 
 The counts are printed
 
@@ -86,7 +90,8 @@ class Counter:
 
     FIELDS = ("engine_calls", "problems", "certified", "descended", "calls", "columns",
               "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
-              "refine_lams", "witness_lams", "searches", "rounds")
+              "refine_lams", "witness_lams", "searches", "rounds", "deflated", "kernel_dims",
+              "unswept")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -97,7 +102,7 @@ class Counter:
         self._rounds = self._live = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                        mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
-                       mb._dual_verdicts, hs._dual_verdicts)
+                       mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -110,7 +115,7 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, matrices, sweep, brent, verdicts, descend, engine, _ = self._saved
+        fused, matrices, sweep, brent, verdicts, descend, engine, _, deflate = self._saved
         counts = self.counts
 
         def counted_engine(problems, tol):
@@ -144,6 +149,14 @@ class Counter:
                     self._kind = "open_lams"
             return matrices(stack, owner, lams)
 
+        def counted_deflate(stack, *args):
+            ranks, bases = deflate(stack, *args)
+            kernel = ranks[ranks < stack.coefs.shape[-1]]
+            counts["deflated"] += kernel.size
+            counts["kernel_dims"] += int((stack.coefs.shape[-1] - kernel).sum())
+            counts["unswept"] += int((kernel == 0).sum())
+            return ranks, bases
+
         def counted_sweep(stack, lams):
             counts["grid_lams"] += lams.size
             return sweep(stack, lams)
@@ -171,6 +184,7 @@ class Counter:
 
         mb._NormProductDefect.value_and_gradient = counted_fused
         mb._PencilStack.matrices = counted_matrices
+        mb._PencilStack.deflate = counted_deflate
         mb._sweep = self._inside(counted_sweep, "coarse_lams")
         mb._brent = counted_brent
         mb._pencil_verdicts = self._inside(counted_verdicts, "refine_lams")
@@ -181,7 +195,7 @@ class Counter:
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
          mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend, mb._dual_verdicts,
-         hs._dual_verdicts) = self._saved
+         hs._dual_verdicts, mb._PencilStack.deflate) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -196,7 +210,9 @@ def pencil_line(counts: dict) -> str:
             f"of {counts['grid_lams']} on the grids in {counts['sweep_builds']} sweep builds, "
             f"{counts['refine_lams']} refinement lambdas "
             f"in {counts['searches']} searches over {counts['rounds']} lockstep rounds, "
-            f"{counts['witness_lams']} witness lambdas")
+            f"{counts['witness_lams']} witness lambdas, "
+            f"{counts['deflated']} pencils with a common kernel (dimensions summing to "
+            f"{counts['kernel_dims']}), {counts['unswept']} of them of rank 0 and not swept")
 
 
 def problems_line(counts: dict) -> str:
