@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidIndex, InvalidSpec
 
@@ -65,6 +64,16 @@ def _normal(eig: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (u * eig) @ u.conj().T
 
 
+def _direct_sum(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal complex matrix of the square ``blocks``."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.complex128)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     if dim < 1:
         raise InvalidSpec("dim must be at least 1")
@@ -106,8 +115,10 @@ def jordan_nilpotent(dim: int, index: int, seed: int) -> np.ndarray:
         s = int(rng.integers(1, min(index, rest) + 1))
         sizes.append(s)
         rest -= s
-    blocks = [np.eye(s, k=1, dtype=np.complex128) for s in sizes]
-    n0 = scipy.linalg.block_diag(*blocks).astype(np.complex128)
+    # One superdiagonal of ones, cut at the end of every block.
+    n0 = np.eye(dim, k=1, dtype=np.complex128)
+    ends = np.cumsum(sizes)[:-1]
+    n0[ends - 1, ends] = 0.0
     u = _haar(dim, make_rng(seed, 3, 1))
     return u @ n0 @ u.conj().T
 
@@ -125,7 +136,7 @@ def normaloid_counterexample(dim_m: int, dim_n: int, seed: int) -> np.ndarray:
     norm_m = float(np.linalg.norm(m, 2))
     norm_n = float(np.linalg.norm(nil, 2))
     nil = nil * (norm_m / 2.0 / norm_n)
-    return scipy.linalg.block_diag(m, nil).astype(np.complex128)
+    return _direct_sum(m, nil)
 
 
 def root_of_scalar_instance(dim: int, n: int, lam: complex, seed: int) -> np.ndarray:
@@ -171,7 +182,7 @@ def k_quasi_member(dim_normal: int, dim_nil: int, k: int, seed: int) -> np.ndarr
             blocks.append(
                 jordan_nilpotent(dim_nil, index, (seed * 0x9E3779B97F4A7C15 + 2) & _MASK64)
             )
-    return scipy.linalg.block_diag(*blocks).astype(np.complex128)
+    return _direct_sum(*blocks)
 
 
 def rr_instance(

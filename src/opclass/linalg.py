@@ -30,6 +30,7 @@ __all__ = [
     "hermitian_eigen",
     "psd_defect",
     "psd_power",
+    "psd_power_from_eigen",
     "matrix_power",
     "kernel",
     "subspace_intersect",
@@ -177,9 +178,17 @@ def psd_power(a, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     Eigenvalues within ``-tol_psd`` of zero are clamped to zero so the result
     stays PSD under roundoff; anything more negative raises NotPSD.
     """
+    return psd_power_from_eigen(hermitian_eigen(a, tol), p, tol)
+
+
+def psd_power_from_eigen(
+    eig: HermitianEigen, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES
+) -> np.ndarray:
+    """``psd_power`` of the matrix whose eigendecomposition is ``eig``, so
+    that several powers of one matrix share one eigensolve; the same
+    clamping and NotPSD check run for each power."""
     if p <= 0:
         raise ValueError("power must be positive")
-    eig = hermitian_eigen(a, tol)
     w = eig.eigenvalues
     top = float(np.max(np.abs(w))) if w.size else 0.0
     if w[0] < -tol.tol_psd * max(1.0, top):

@@ -40,6 +40,13 @@ descend on the sphere; every value of one call reads one stack of its
 defining defects. Where both oracles ran, a decisive disagreement is
 surfaced as OracleDisagreement rather than resolved silently.
 
+One call of ``classify_all`` or of the dual engine derives what its
+verdicts share once per distinct T: ||T||, which the class scales, the
+pencils and the algebraic predicates' private cores all read (the public
+predicates take it themselves); one eigendecomposition of T*T, from which
+every absolute-k sphere root |T|^k is taken; and one check of the terms of
+all its pencils, as one stack, by the checks of PencilSpec.
+
 Decision semantics: with d the defect normalized by the class scale and
 t = tol_decision, a verdict is Member when d >= -t/10, NonMember when
 d <= -t (witness re-validated through the defining inequality), and
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Integral
 
@@ -67,7 +74,7 @@ from .linalg import (
     hermitian_eigen,
     matrix_power,
     operator_norm,
-    psd_power,
+    psd_power_from_eigen,
     spectral_radius,
 )
 from .matio import complex_pairs
@@ -297,30 +304,8 @@ class PencilSpec:
         dims = {m.shape for _, m in self.terms}
         if len(dims) != 1:
             raise InvalidPencil(f"pencil terms have mixed shapes {dims}")
-        # Each check runs once over all terms; the first failing term raises
-        # its first failing check.
-        exps = [float(expo) for expo, _ in self.terms]
-        coefs = np.array([m for _, m in self.terms], dtype=np.complex128)
-        checks = [[not 0.0 <= expo < math.inf for expo in exps],
-                  [coefs.ndim != 3 or coefs.shape[1] != coefs.shape[2]] * len(exps)]
-        if not checks[1][0]:
-            # Squared Frobenius norms over the real and imaginary parts. The
-            # Hermitian check is False for a NaN residual, so finiteness goes
-            # first.
-            parts = coefs.view(float)
-            with np.errstate(invalid="ignore"):
-                skew = (coefs - coefs.conj().swapaxes(1, 2)).view(float)
-            resid, size = (np.einsum("tij,tij->t", x, x) for x in (skew, parts))
-            checks.append(~np.isfinite(parts).all(axis=(1, 2)))
-            checks.append(resid > DEFAULT_TOLERANCES.tol_eq**2 * np.maximum(1.0, size))
-        for (expo, _), failed in zip(self.terms, zip(*checks)):
-            if any(failed):
-                raise InvalidPencil((
-                    "pencil exponents must be finite and nonnegative",
-                    "pencil coefficients must be square",
-                    f"pencil coefficient with exponent {expo} is not finite",
-                    f"pencil coefficient with exponent {expo} is not Hermitian",
-                )[failed.index(True)])
+        exps = np.array([[float(expo) for expo, _ in self.terms]])
+        _check_terms([self.terms], exps, np.array([[m for _, m in self.terms]]))
 
     @property
     def dim(self) -> int:
@@ -336,11 +321,45 @@ class PencilSpec:
         return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
+def _check_terms(terms, exps: np.ndarray, coefs: np.ndarray) -> None:
+    """The term checks of PencilSpec, on the terms of one or more pencils:
+    ``terms`` holds each pencil's (exponent, matrix) pairs, ``exps`` their
+    exponents as floats, (pencils, terms), and ``coefs`` their matrices
+    stacked, (pencils, terms, n, n) when they are square. Each check runs
+    once over all terms; the first failing term, pencil by pencil, raises
+    InvalidPencil with its first failing check."""
+    coefs = np.asarray(coefs, dtype=np.complex128)
+    checks = [~((exps >= 0.0) & (exps < math.inf)),
+              np.full(exps.shape, coefs.ndim != 4 or coefs.shape[2] != coefs.shape[3])]
+    if not checks[1].any():
+        # Squared Frobenius norms over the real and imaginary parts. The
+        # Hermitian check is False for a NaN residual, so finiteness goes
+        # first.
+        parts = coefs.view(float)
+        with np.errstate(invalid="ignore"):
+            skew = (coefs - coefs.conj().swapaxes(-1, -2)).view(float)
+        resid, size = (np.einsum("ptij,ptij->pt", x, x) for x in (skew, parts))
+        checks.append(~np.isfinite(parts).all(axis=(-2, -1)))
+        checks.append(resid > DEFAULT_TOLERANCES.tol_eq**2 * np.maximum(1.0, size))
+    failed = np.stack(checks, -1)
+    if not failed.any():
+        return
+    p, j = np.argwhere(failed.any(-1))[0]
+    expo = terms[p][j][0]
+    raise InvalidPencil((
+        "pencil exponents must be finite and nonnegative",
+        "pencil coefficients must be square",
+        f"pencil coefficient with exponent {expo} is not finite",
+        f"pencil coefficient with exponent {expo} is not Hermitian",
+    )[int(failed[p, j].argmax())])
+
+
 def _public_pencil(name: str, t, k: int) -> PencilSpec:
     """The pencil of class ``name`` of _DUAL on T, k checked against its least k."""
     m = as_operator(t)
     _check_k(name, k)
-    return _DUAL[name][2](m, k, operator_norm(m), DEFAULT_TOLERANCES)[1]
+    # replace builds the pencil anew, through the checks the builder skips.
+    return replace(_DUAL[name][2](m, k, operator_norm(m), DEFAULT_TOLERANCES)[1])
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -507,7 +526,8 @@ class _PencilStack:
     @functools.cached_property
     def spectra(self) -> np.ndarray:
         """The eigenvalues of the Hermitian part of every term, (pencils,
-        terms, n), ascending."""
+        terms, n), ascending; those of a deflated pencil's terms are its
+        compression's, taken before the padding (see ``deflate``)."""
         return np.linalg.eigvalsh(_hermitian(self.coefs))
 
     def deflate(self, pencils, tol: TolerancePolicy):
@@ -527,7 +547,11 @@ class _PencilStack:
         c = sum_j lambda_max^e_j ||H_j||; c is at least lam_min(Q* P Q) on
         the whole domain, so lam_min of the deflated pencil is that of
         Q* P Q. A pencil with no exponent-0 term keeps its terms. A pencil
-        with r = 0 has only vanishing terms and is not rotated.
+        with r = 0 has only vanishing terms and is not rotated. The spectra
+        of a deflated pencil are those of its terms before the padding, so
+        the sweep's rounding margin is that of the compression and does not
+        grow with c: the eigensolve of the exactly block-diagonal padded
+        matrix finds the compression's least value to within that margin.
 
         A kernel vector x has ||lambda_max^e_j H_j x|| at most the cut for
         every j, and c bounds sigma_max, so only a pencil whose top-exponent
@@ -544,7 +568,7 @@ class _PencilStack:
         # An overflowing c leaves its pencil as it is.
         gated = np.flatnonzero((np.abs(self.spectra[top]).min(-1) * weights[top] <= cut)
                                & np.isfinite(c))
-        ranks, bases = np.full(count, n), {}
+        ranks, bases, pads = np.full(count, n), {}, []
         if not gated.size:
             return ranks, bases
         stacked = weights[gated, :, None, None] * _hermitian(self.coefs[gated])
@@ -559,11 +583,13 @@ class _PencilStack:
                 continue
             deflated = np.zeros_like(self.coefs[p])
             deflated[:, :r, :r] = w[:, :r].conj().T @ self.coefs[p] @ w[:, :r]
-            deflated[zero[0], r:, r:] = c[p] * np.eye(n - r)
             self.coefs[p], bases[p] = deflated, w
+            pads.append((p, zero[0], r))
         if bases:
             rows = list(bases)
             self.spectra[rows] = np.linalg.eigvalsh(_hermitian(self.coefs[rows]))
+        for p, j, r in pads:
+            self.coefs[p, j, r:, r:] = c[p] * np.eye(n - r)
         return ranks, bases
 
     def matrices(self, owner, lams: np.ndarray) -> np.ndarray:
@@ -711,6 +737,7 @@ def _pencil_verdicts(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy
     ``_pencil_minima``). Every verdict is the one the pencil gets alone.
     """
     stack = _PencilStack(pencils)
+    _check_terms([p.terms for p in pencils], stack.exps, stack.coefs)
     ranks, bases = stack.deflate(pencils, tol)
     unit = np.eye(stack.coefs.shape[-1], dtype=np.complex128)[0]
     found = {p: (pencils[p].lambda_lo, 0.0, unit) for p in np.flatnonzero(ranks == 0).tolist()}
@@ -1001,8 +1028,12 @@ def _descend(value_and_gradient, x: np.ndarray, band, take) -> list:
 def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T = TT* within tol_eq relative to max(1, ||T||^2)."""
     m = as_operator(t)
+    return _normal(m, operator_norm(m), tol)
+
+
+def _normal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
     # The scale goes first: it rejects a T whose products would overflow.
-    scale = _scale(operator_norm(m), 2)
+    scale = _scale(norm_t, 2)
     comm = m.conj().T @ m - m @ m.conj().T
     return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
 
@@ -1010,7 +1041,11 @@ def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict
 def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T commutes with T*T."""
     m = as_operator(t)
-    scale = _scale(operator_norm(m), 3)
+    return _quasinormal(m, operator_norm(m), tol)
+
+
+def _quasinormal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
+    scale = _scale(norm_t, 3)
     resid = m @ m.conj().T @ m - m.conj().T @ m @ m
     return _equality_verdict(finite_frobenius_norm(resid), scale, tol)
 
@@ -1044,7 +1079,11 @@ def quasinormal_embry(
 def is_hyponormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T - TT* positive semidefinite."""
     m = as_operator(t)
-    scale = _scale(operator_norm(m), 2)
+    return _hyponormal(m, operator_norm(m), tol)
+
+
+def _hyponormal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
+    scale = _scale(norm_t, 2)
     return _psd_verdict(m.conj().T @ m - m @ m.conj().T, scale, tol)
 
 
@@ -1054,9 +1093,13 @@ def is_p_hyponormal(
     """(T*T)^p - (TT*)^p positive semidefinite, 0 < p <= 1, from one SVD
     T = U S V*: V S^(2p) V* - U S^(2p) U*. Roots of the Grams T*T and TT*
     would lose the singular values below about ||T|| sqrt(eps)."""
+    return _p_hyponormal(as_operator(t), p, tol)
+
+
+def _p_hyponormal(m: np.ndarray, p: float, tol: TolerancePolicy) -> MembershipVerdict:
+    # The scale reads the SVD's own largest singular value, not ||T||.
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    m = as_operator(t)
     if _zero_operator(m):
         return _member_zero()
     u, sv, vh = np.linalg.svd(m)
@@ -1070,9 +1113,13 @@ def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdic
     from one SVD T^2 = U S V*. A root of the Gram (T*)^2 T^2 would lose the
     singular values of T^2 below about ||T||^2 sqrt(eps)."""
     m = as_operator(t)
+    return _class_a(m, operator_norm(m), tol)
+
+
+def _class_a(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
     if _zero_operator(m):
         return _member_zero()
-    scale = _scale(operator_norm(m), 2)
+    scale = _scale(norm_t, 2)
     _, sv, vh = np.linalg.svd(m @ m)
     return _psd_verdict((vh.conj().T * sv) @ vh - m.conj().T @ m, scale, tol)
 
@@ -1084,9 +1131,12 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
     n = 2..6; a clash between the two demotes the verdict to Inconclusive.
     """
     m = as_operator(t)
+    return _normaloid(m, operator_norm(m), tol)
+
+
+def _normaloid(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
     if _zero_operator(m):
         return _member_zero()
-    norm_t = operator_norm(m)
     defect = spectral_radius(m) - norm_t
     scale = max(1.0, norm_t)
     threshold = tol.tol_decision * scale
@@ -1094,7 +1144,7 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
 
     powers_ok = True
     for n in range(2, 7):
-        lhs = operator_norm(matrix_power(m, n))
+        lhs = operator_norm(np.linalg.matrix_power(m, n))
         rhs = norm_t**n
         if abs(lhs - rhs) > tol.tol_decision * max(1.0, rhs):
             powers_ok = False
@@ -1236,26 +1286,34 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
 # before it forms any power of T, and returns a callable that forms the
 # sphere defect's (positive, negative) terms, and the pencil, both from the
 # same powers of T; a public pencil constructor never calls the callable.
+# The callable takes an optional ``gram_eigen``, which returns the
+# eigendecomposition of T*T: the engine shares one per distinct T among the
+# absolute-k classes, whose |T|^k are its powers, and the other classes
+# need none.
 
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
-    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale ``scale``."""
+    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale ``scale``,
+    its terms unchecked: the engine checks those of its whole stack at once
+    (``_pencil_verdicts``), and a public constructor checks its pencil."""
     s = max(1.0, norm_t**2)
-    return PencilSpec(terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s, scale=scale,
-                      label=label)
+    pencil = object.__new__(PencilSpec)
+    pencil.__dict__.update(terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s, scale=scale,
+                           label=label)
+    return pencil
 
 
 def _quasi(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     """||T^(k+2) x|| ||T^k x|| - ||T^(k+1) x||^2, and the pencil A - 2z B + z^2 C
     of the Grams of T^(k+2), T^(k+1) and T^k."""
     scale = _scale(norm_t, 2 * k + 4)
-    pk = matrix_power(m, k)
+    pk = np.linalg.matrix_power(m, k)
     pk1 = m @ pk
     pk2 = m @ pk1
     a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
     pencil = _pencil(norm_t, scale, ((0.0, a), (1.0, -2.0 * b), (2.0, c)),
                      f"quasi-paranormal[k={k}]")
-    return (lambda: (((pk2, 1), (pk, 1)), ((pk1, 2),))), pencil
+    return (lambda gram_eigen=None: (((pk2, 1), (pk, 1)), ((pk1, 2),))), pencil
 
 
 def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
@@ -1270,19 +1328,24 @@ def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
 def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     """||T^(k+1) x|| - ||T x||^(k+1), and D = T*^(k+1) T^(k+1)."""
     scale = _scale(norm_t, 2 * k + 2)
-    pk1 = matrix_power(m, k + 1)
+    pk1 = np.linalg.matrix_power(m, k + 1)
     terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
     pencil = _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
-    return (lambda: (((pk1, 1),), ((m, k + 1),))), pencil
+    return (lambda gram_eigen=None: (((pk1, 1),), ((m, k + 1),))), pencil
 
 
 def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     """|| |T|^k T x || - ||T x||^(k+1), and D = T*(T*T)^k T."""
     scale = _scale(norm_t, 2 * k + 2)
     gram = m.conj().T @ m
-    terms = _weighted(k, m.conj().T @ matrix_power(gram, k) @ m, gram)
+    terms = _weighted(k, m.conj().T @ np.linalg.matrix_power(gram, k) @ m, gram)
     pencil = _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
-    return (lambda: (((psd_power(gram, k / 2.0, tol) @ m, 1),), ((m, k + 1),))), pencil
+
+    def sphere(gram_eigen=None):
+        eig = hermitian_eigen(gram, tol) if gram_eigen is None else gram_eigen()
+        return ((psd_power_from_eigen(eig, k / 2.0, tol) @ m, 1),), ((m, k + 1),)
+
+    return sphere, pencil
 
 
 # The classes both oracles decide, by OperatorClass name: the least k, the
@@ -1302,15 +1365,18 @@ def _check_k(name: str, k: int) -> None:
         raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
 
 
-def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
+def _dual_verdicts(problems, tol: TolerancePolicy, norms=None) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
 
-    Each distinct T (by identity) is validated once and gets one norm; its
-    pencils are built on that norm. The zero operator is a Member of every
+    Each distinct T (by identity) is validated once and gets one norm, read
+    from ``norms`` (id(T) -> ||T||) where the caller has it; its pencils
+    are built on that norm, and its absolute-k sphere roots |T|^k on one
+    eigendecomposition of T*T. The zero operator is a Member of every
     class. The pencils of all other problems are swept and refined first,
-    as one stack (see ``_pencil_verdicts``), and their defining defects
-    are stacked once (``_NormProductDefect``). One call on that stack gives
+    as one stack (see ``_pencil_verdicts``, which checks all their terms
+    at once), and their defining defects are stacked once
+    (``_NormProductDefect``). One call on that stack gives
     the value at every pencil's unit eigenvector; a pencil NonMember whose
     value is at most -tol_decision * scale (minus the sphere's threshold) is
     NonMember at once (``_proves``), with that value as defect, oracle
@@ -1330,7 +1396,9 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise ValueError(f"a stack of dual problems needs one dimension, got "
                          f"{sorted({m.shape[0] for m in mats.values()})}")
-    norms = {key: operator_norm(m) for key, m in mats.items() if not _zero_operator(m)}
+    known = norms or {}
+    norms = {key: known[key] if key in known else operator_norm(m)
+             for key, m in mats.items() if not _zero_operator(m)}
     live = [(p, id(t), name, k, seed)
             for p, (t, name, k, seed) in enumerate(problems) if id(t) in norms]
     verdicts = [_member_zero() for _ in problems]
@@ -1340,7 +1408,10 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     terms, pencils = zip(*(_DUAL[name][2](mats[key], k, norms[key], tol)
                            for _, key, name, k, _ in live))
     claims = _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
-    defect = _NormProductDefect.of(*(problem() for problem in terms))
+    gram_eigens = {key: functools.cache(lambda m=mats[key]: hermitian_eigen(m.conj().T @ m, tol))
+                   for key in norms}
+    defect = _NormProductDefect.of(*(problem(gram_eigens[key])
+                                     for problem, (_, key, _, _, _) in zip(terms, live)))
     units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
     values = defect(units[..., None])[:, 0].tolist()
     rest = []  # the indices into live of the problems that descend
@@ -1433,21 +1504,24 @@ def classify_all(
         raise ValueError(f"every k must be nonnegative, got {list(k_list)}")
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
+    # One norm serves every predicate and the dual engine.
+    norm_t = operator_norm(m)
     out: dict[OperatorClass, MembershipVerdict] = {}
-    out[OperatorClass("Normal")] = is_normal(m, tol)
-    out[OperatorClass("Quasinormal")] = is_quasinormal(m, tol)
-    out[OperatorClass("Hyponormal")] = is_hyponormal(m, tol)
+    out[OperatorClass("Normal")] = _normal(m, norm_t, tol)
+    out[OperatorClass("Quasinormal")] = _quasinormal(m, norm_t, tol)
+    out[OperatorClass("Hyponormal")] = _hyponormal(m, norm_t, tol)
     for p in ps:
-        out[OperatorClass("PHyponormal", p=p)] = is_p_hyponormal(m, p, tol)
-    out[OperatorClass("ClassA")] = is_class_a(m, tol)
+        out[OperatorClass("PHyponormal", p=p)] = _p_hyponormal(m, p, tol)
+    out[OperatorClass("ClassA")] = _class_a(m, norm_t, tol)
     # Paranormality is k-quasi-paranormality at k = 0; all dual classes of
     # the matrix are decided together.
     problems = [("KQuasiParanormal", 0)] + [
         (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
     ]
     keys = [OperatorClass("Paranormal")] + [OperatorClass(name, k=k) for name, k in problems[1:]]
-    out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol)))
-    out[OperatorClass("Normaloid")] = is_normaloid(m, tol)
+    out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol,
+                                        {id(m): norm_t})))
+    out[OperatorClass("Normaloid")] = _normaloid(m, norm_t, tol)
     return out
 
 

@@ -214,3 +214,66 @@ def test_build_covers_all_kinds():
     for spec in specs:
         m = build(spec)
         assert m.shape[0] == m.shape[1] >= 1
+
+
+def _block_diag_reference(kind: str, *args) -> np.ndarray:
+    """The generator ``kind`` as it was built with scipy.linalg.block_diag
+    and a cast to complex, for the byte-for-byte comparison below."""
+    import scipy.linalg
+
+    from opclass import generators as g
+
+    def block_diag(*blocks):
+        return scipy.linalg.block_diag(*blocks).astype(np.complex128)
+
+    def jordan(dim, index, seed):
+        rng = g.make_rng(seed, 3)
+        sizes, rest = [index], dim - index
+        while rest > 0:
+            s = int(rng.integers(1, min(index, rest) + 1))
+            sizes.append(s)
+            rest -= s
+        n0 = block_diag(*[np.eye(s, k=1, dtype=np.complex128) for s in sizes])
+        u = g._haar(dim, g.make_rng(seed, 3, 1))
+        return u @ n0 @ u.conj().T
+
+    if kind == "jordan":
+        return jordan(*args)
+    if kind == "counterexample":
+        dim_m, dim_n, seed = args
+        m = g._normal(g._annulus(g.make_rng(seed, 4, 0), dim_m, 0.5, 1.0), g.make_rng(seed, 4, 1))
+        nil = jordan(dim_n, 2, (seed * 0x9E3779B97F4A7C15 + 1) & g._MASK64)
+        nil = nil * (float(np.linalg.norm(m, 2)) / 2.0 / float(np.linalg.norm(nil, 2)))
+        return block_diag(m, nil)
+    dim_normal, dim_nil, k, seed = args
+    blocks = []
+    if dim_normal > 0:
+        eig = g._annulus(g.make_rng(seed, 6, 0), dim_normal, 0.5, 1.0)
+        blocks.append(g._normal(eig, g.make_rng(seed, 6, 1)))
+    if dim_nil > 0:
+        max_index = min(k + 1, dim_nil)
+        if max_index < 2:
+            blocks.append(np.zeros((dim_nil, dim_nil), dtype=np.complex128))
+        else:
+            index = int(g.make_rng(seed, 6, 2).integers(2, max_index + 1))
+            blocks.append(jordan(dim_nil, index, (seed * 0x9E3779B97F4A7C15 + 2) & g._MASK64))
+    return block_diag(*blocks)
+
+
+def test_direct_sums_equal_block_diag_byte_for_byte():
+    # The generators build their block-diagonal parts by slice assignment;
+    # every output must be the block_diag construction's, byte for byte, at
+    # dims 2-12, every index and block split, and several seeds.
+    cases = []
+    for dim in range(2, 13):
+        for seed in (0, 1, 7):
+            cases += [("jordan", dim, index, seed) for index in range(2, dim + 1)]
+            cases += [("counterexample", dim_m, dim - dim_m, seed) for dim_m in range(1, dim - 1)]
+            cases += [("k-quasi", dim_normal, dim - dim_normal, k, seed)
+                      for dim_normal in range(dim + 1) for k in range(4)]
+    makers = {"jordan": jordan_nilpotent, "counterexample": normaloid_counterexample,
+              "k-quasi": k_quasi_member}
+    for kind, *args in cases:
+        got, want = makers[kind](*args), _block_diag_reference(kind, *args)
+        assert got.dtype == want.dtype and got.shape == want.shape, (kind, args)
+        assert got.tobytes() == want.tobytes(), (kind, args)

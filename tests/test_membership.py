@@ -27,6 +27,7 @@ from opclass.membership import (
     _central_gradient,
     _descend,
     _dual_verdicts,
+    _pencil,
     _pencil_verdicts,
     _proves,
     _reconcile,
@@ -818,6 +819,73 @@ def test_deflation_keeps_each_kernel_pencils_grid_minimum():
     assert kernels == 54 and vanishing == 3
 
 
+def _spy_deflations(monkeypatch) -> list:
+    """(padded terms, exponents, rank, domain) of every pencil the engine
+    deflates to 0 < r < n, as ``_PencilStack.deflate`` leaves it."""
+    found, deflate = [], _PencilStack.deflate
+
+    def spying(stack, pencils, tol):
+        ranks, bases = deflate(stack, pencils, tol)
+        for p in bases:
+            found.append((stack.coefs[p].copy(), stack.exps[p].tolist(), int(ranks[p]),
+                          (pencils[p].lambda_lo, pencils[p].lambda_max)))
+        return ranks, bases
+
+    monkeypatch.setattr(_PencilStack, "deflate", spying)
+    return found
+
+
+def test_padded_eigensolve_finds_each_compressions_least_value(monkeypatch):
+    # The sweep's rounding margin reads the spectra of a deflated pencil's
+    # compression, not the c I padding of its K block. That is sound if the
+    # eigensolve of the padded matrix finds the compression's least value to
+    # within n eps sum_j lam^e_j ||H_j||, H_j the compression's terms: here
+    # at every grid point of every deflated pencil of the two classify pools
+    # and verify-all at seed 2026.
+    from opclass import harness
+
+    found = _spy_deflations(monkeypatch)
+    for i, t in enumerate(_benchmark_pools(2026)):
+        classify_all(t, seed=i)
+    pools = len(found)
+    harness.run_suite(harness.SuiteConfig(suites=harness.THEOREM_IDS, trials=50, max_dim=8,
+                                          seed=2026))
+    eps = np.finfo(float).eps
+    for coefs, exps, r, domain in found:
+        n = coefs.shape[-1]
+        lams = np.geomspace(*domain, 257)
+        padded = PencilSpec(terms=tuple(zip(exps, coefs)), lambda_lo=domain[0],
+                            lambda_max=domain[1], scale=1.0).evaluate(lams)
+        least = np.linalg.eigvalsh(padded)[:, 0]
+        compression = np.linalg.eigvalsh(padded[:, :r, :r])[:, 0]
+        norms = [np.abs(np.linalg.eigvalsh((m + m.conj().T)[:r, :r] / 2.0)).max() for m in coefs]
+        margin = n * eps * sum(lams**e * norm for e, norm in zip(exps, norms))
+        assert (np.abs(least - compression) <= margin).all(), (r, n, exps)
+    # 51 of the pools' 54 kernel pencils (3 have rank 0) and verify-all's 71.
+    assert (pools, len(found) - pools) == (51, 71)
+
+
+def test_deflated_spectra_leave_out_the_padding(monkeypatch):
+    # J4 + a normal block with an eigenvalue of modulus 0.114, at k = 3: the
+    # compression's values lie far below the padding c, and a margin that
+    # read the padded spectrum kept every cell open, all 257 grid points.
+    t = scipy.linalg.block_diag(np.eye(4, k=1), random_normal(3, seed=4)).astype(complex)
+    pencil = quasi_paranormal_pencil(t, 3)
+    stack = _PencilStack([pencil])
+    ranks, bases = stack.deflate([pencil], TOL)
+    assert list(bases) == [0] and 0 < ranks[0] < 7
+    r, [constant] = ranks[0], np.flatnonzero(stack.exps[0] == 0.0)
+    unpadded = stack.coefs[0, constant].copy()
+    unpadded[r:, r:] = 0.0
+    np.testing.assert_array_equal(stack.spectra[0, constant],
+                                  np.linalg.eigvalsh((unpadded + unpadded.conj().T) / 2.0))
+    masks = _spy_sweeps(monkeypatch)
+    v = pencil_check(pencil)
+    [[evaluated]] = masks
+    assert evaluated.sum() < 257
+    assert v.status is Status.MEMBER and v.defect == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Sphere oracle
 # ---------------------------------------------------------------------------
@@ -1554,11 +1622,20 @@ def _near_band(i: int) -> np.ndarray:
     return random_normal(dim, seed=200 + i) + 1e-6 * random_ginibre(dim, seed=300 + i)
 
 
+# The algebraic classes of classify_all and their public predicates.
+_ALGEBRAIC = {
+    "Normal": is_normal, "Quasinormal": is_quasinormal, "Hyponormal": is_hyponormal,
+    "PHyponormal": is_p_hyponormal, "ClassA": is_class_a,
+    "Normaloid": is_normaloid,
+}
+
+
 def test_classify_all_equals_one_problem_predicates(monkeypatch):
     # classify_all decides all dual classes of a matrix in one stacked
     # pencil sweep and one stacked descent of the problems the pencil
-    # leaves open; each verdict must be the one its predicate gives alone,
-    # bit for bit. Problems that stop at different steps leave the stack
+    # leaves open, and its algebraic classes on the one norm it takes;
+    # each verdict must be the one its public predicate gives alone, bit
+    # for bit. Problems that stop at different steps leave the stack
     # early, so the compaction must have run.
     compactions = _count_compactions(monkeypatch)
     # The pencil certifies the NonMembers of Ginibre matrices alone, so only
@@ -1574,7 +1651,7 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
             elif cls.name in _PREDICATES:
                 alone = _PREDICATES[cls.name](t, cls.k, seed=seed)
             else:
-                continue
+                alone = _ALGEBRAIC[cls.name](t, *cls.params.values())
             assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
     assert len(compactions) >= len(mats)
 
@@ -1646,9 +1723,9 @@ def test_one_defect_build_per_engine_call(monkeypatch):
         builds.append(len(problems))
         return of(cls, *problems)
 
-    def counting_engine(problems, tol):
+    def counting_engine(problems, *args):
         before = len(builds)
-        verdicts = engine(problems, tol)
+        verdicts = engine(problems, *args)
         per_call.append(len(builds) - before)
         return verdicts
 
@@ -1686,10 +1763,56 @@ def test_verdicts_build_no_pencil_through_evaluate(monkeypatch):
     assert pencil_check(pencil).witness.pencil_lambda is not None
 
 
+def _nan_entry(m):
+    out = m.copy()
+    out[0, 1] = np.nan
+    return out
+
+
+def _skew_entry(m):
+    out = m.copy()
+    out[0, 1] += 1.0
+    return out
+
+
+@pytest.mark.parametrize("term, breaks", [
+    (0, lambda expo, m: (expo, _nan_entry(m))),
+    (1, lambda expo, m: (expo, _skew_entry(m))),
+    (2, lambda expo, m: (-1.0, m)),
+], ids=["non-finite", "non-Hermitian", "negative-exponent"])
+def test_engine_checks_its_stacks_terms_as_pencilspec_does(monkeypatch, term, breaks):
+    # The builders hand the engine unchecked pencils, and _pencil_verdicts
+    # checks the terms of its whole stack at once with PencilSpec's own
+    # checks. A builder whose pencil breaks one of them must make every
+    # stack that holds it raise the message PencilSpec gives for that term.
+    t = random_ginibre(4, seed=5)
+    least_k, degree, build = _DUAL["KParanormal"]
+    wants = []
+
+    def broken(m, k, norm_t, tol):
+        sphere, pencil = build(m, k, norm_t, tol)
+        terms = list(pencil.terms)
+        terms[term] = breaks(*terms[term])
+        with pytest.raises(InvalidPencil) as want:
+            PencilSpec(terms=tuple(terms), lambda_lo=pencil.lambda_lo,
+                       lambda_max=pencil.lambda_max, scale=pencil.scale, label=pencil.label)
+        wants.append(str(want.value))
+        return sphere, _pencil(norm_t, pencil.scale, tuple(terms), pencil.label)
+
+    monkeypatch.setitem(_DUAL, "KParanormal", (least_k, degree, broken))
+    # classify_all's stack breaks at k = 1, 2 and 3, and raises for k = 1.
+    for decide in (lambda: is_k_paranormal(t, 2), lambda: classify_all(t),
+                   lambda: k_paranormal_pencil(t, 3)):
+        wants.clear()
+        with pytest.raises(InvalidPencil) as got:
+            decide()
+        assert str(got.value) == wants[0]
+
+
 def test_public_pencils_form_no_sphere_terms(monkeypatch):
     # The builders hand back their sphere terms as a callable, so a public
     # constructor builds the pencil alone: the absolute-k class's |T|^k,
-    # which only the sphere reads, comes from psd_power when called.
+    # which only the sphere reads, comes from psd_power_from_eigen when called.
     t = random_ginibre(5, seed=3)
     ctors = (quasi_paranormal_pencil, k_paranormal_pencil, absolute_k_paranormal_pencil)
     want = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
@@ -1697,7 +1820,7 @@ def test_public_pencils_form_no_sphere_terms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("psd_power called")
 
-    monkeypatch.setattr("opclass.membership.psd_power", refuse)
+    monkeypatch.setattr("opclass.membership.psd_power_from_eigen", refuse)
     got = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
     for a, b in zip(got, want):
         assert (a.lambda_lo, a.lambda_max, a.scale, a.label) == (

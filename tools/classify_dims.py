@@ -1,6 +1,6 @@
-"""Seconds per matrix of ``classify_all`` at dims 16, 24 and 32, and
-milliseconds per call of the seven algebraic predicates at dims 16, 32 and
-64.
+"""Milliseconds per matrix of ``classify_all`` at dims 3-8, seconds per
+matrix at dims 16, 24 and 32, and milliseconds per call of the seven
+algebraic predicates at dims 16, 32 and 64.
 
 Usage (from the root of a checkout):
 
@@ -10,8 +10,11 @@ Each dim times four matrices at the default k and p lists: two Ginibre
 matrices (nearly every verdict NonMember), a random normal matrix (every
 verdict Member, so the sphere runs to convergence) and an index-3 Jordan
 nilpotent. BLAS is pinned to one thread. Each of three repeats runs the
-four matrices once; the script prints the median and the least seconds
-per matrix over the repeats. The algebraic predicates are the seven the
+four matrices once; the script prints the median and the least time per
+matrix over the repeats. Dims 3-8 are the regime of the benchmark's
+classify workloads, where a call takes milliseconds and the work it
+shares across its verdicts (one norm, one stacked pencil check, one
+eigendecomposition of T*T) shows most. The algebraic predicates are the seven the
 structure benchmark workload runs on every matrix (is_normal,
 is_quasinormal, quasinormal_embry up to k = 3, is_hyponormal,
 is_p_hyponormal at p = 0.5, is_class_a and is_normaloid); each is timed
@@ -66,6 +69,10 @@ def seconds_per_call(call, mats: list) -> list:
 
 
 def main() -> int:
+    for dim in range(3, 9):
+        per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
+        print(f"dim {dim}: median {1e3 * statistics.median(per_matrix):.2f} ms/matrix, "
+              f"least {1e3 * min(per_matrix):.2f} ms/matrix over {REPEATS} repeats")
     for dim in (16, 24, 32):
         per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
         print(f"dim {dim}: median {statistics.median(per_matrix):.3f} s/matrix, "

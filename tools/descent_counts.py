@@ -118,10 +118,10 @@ class Counter:
         fused, matrices, sweep, brent, verdicts, descend, engine, _, deflate = self._saved
         counts = self.counts
 
-        def counted_engine(problems, tol):
+        def counted_engine(problems, *args):
             counts["engine_calls"] += 1
             counts["problems"] += len(problems)
-            out = engine(problems, tol)
+            out = engine(problems, *args)
             # A problem that descends has no certified pencil witness, so only
             # the verdicts certified before the descent name the pencil.
             counts["certified"] += sum(v.oracle == "pencil" for v in out)
