@@ -27,7 +27,6 @@ from enum import Enum
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DecompositionError,
@@ -42,6 +41,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Subspace,
     TolerancePolicy,
+    _direct_sum,
     as_operator,
     compress,
     frobenius_norm,
@@ -50,7 +50,6 @@ from .linalg import (
     matrix_hash,
     matrix_power,
     operator_norm,
-    psd_power,
 )
 from .membership import MembershipVerdict, Status, is_k_quasi_paranormal, is_normal
 from .matio import matrix_to_json_dict
@@ -121,7 +120,7 @@ class Decomposition:
 
     def reassemble(self) -> np.ndarray:
         q = self.change_of_basis
-        return q @ scipy.linalg.block_diag(*self.blocks) @ q.conj().T
+        return q @ _direct_sum(*self.blocks) @ q.conj().T
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -157,7 +156,7 @@ def _assemble(
     parts = [(sub, lab) for sub, lab in parts if sub.dim > 0]
     q = np.concatenate([sub.basis for sub, _ in parts], axis=1)
     blocks = {lab: compress(t, sub) for sub, lab in parts}
-    reassembly = frobenius_norm(q @ scipy.linalg.block_diag(*blocks.values()) @ q.conj().T - t)
+    reassembly = frobenius_norm(q @ _direct_sum(*blocks.values()) @ q.conj().T - t)
     residuals = {"reassembly": reassembly, **(extra_residuals or {})}
     nil, nrm = blocks.get(BlockLabel.NILPOTENT), blocks.get(BlockLabel.NORMAL)
     if nil_index is not None:
@@ -380,19 +379,22 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     if r == 0:
         raise ZeroOperator("numerically zero input")
     x = m @ coker.basis
-    c = psd_power(x.conj().T @ x, 0.5, tol)
-    # Polar factor W = X C^{-1}; C is invertible because X has full column
-    # rank (rank T columns with nonzero singular values).
-    w = x @ np.linalg.inv(c)
-    u = np.linalg.svd(np.concatenate([w, coker.basis], axis=1), full_matrices=True)[0]
-    q = np.concatenate([w, coker.basis, u[:, 2 * r :]], axis=1)
+    # The polar factors of X = U S V* (thin SVD): C = |X| = V S V* and the
+    # isometry W = U V*, so X = W C. A root of the Gram X*X would lose the
+    # singular values of X below about ||T|| sqrt(eps), and W = X C^-1
+    # would magnify that loss by 1 / sigma_min(X).
+    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    c = (vh.conj().T * sv) @ vh
+    w = u @ vh
+    full = np.linalg.svd(np.concatenate([w, coker.basis], axis=1), full_matrices=True)[0]
+    q = np.concatenate([w, coker.basis, full[:, 2 * r :]], axis=1)
     canonical = np.zeros((dim, dim), dtype=np.complex128)
     canonical[:r, r : 2 * r] = c
     basis_resid = frobenius_norm(q.conj().T @ m @ q - canonical)
     residuals = {
         "basis": basis_resid,
         "unitarity": _unitarity_residual(q),
-        "c_min_singular": float(np.linalg.svd(c, compute_uv=False)[-1]),
+        "c_min_singular": float(sv[-1]),
     }
     if residuals["unitarity"] > tol.tol_recon * max(1.0, np.sqrt(dim)):
         raise DecompositionError(
@@ -467,7 +469,7 @@ def rr_assemble(
     form = _validate_rr_blocks(a, b, c, tol)
     r = form.b.shape[0]
     corner = np.block([[form.b, form.c], [np.zeros((r, r)), -form.b]])
-    t = scipy.linalg.block_diag(form.a, corner).astype(np.complex128)
+    t = _direct_sum(form.a, corner)
     check = rr_check(t, tol)
     if check.status is not Status.MEMBER:
         raise InvalidRRForm(

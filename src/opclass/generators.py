@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidIndex, InvalidSpec
+from .linalg import _direct_sum
 
 __all__ = [
     "GenSpec",
@@ -62,16 +63,6 @@ def _normal(eig: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """U diag(eig) U* for a Haar unitary U drawn from ``rng``."""
     u = _haar(eig.size, rng)
     return (u * eig) @ u.conj().T
-
-
-def _direct_sum(*blocks: np.ndarray) -> np.ndarray:
-    """The block-diagonal complex matrix of the square ``blocks``."""
-    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        out[at : at + len(b), at : at + len(b)] = b
-        at += len(b)
-    return out
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import generators as gen
 from .decomposition import BlockLabel, _check_root_indices, _root_split, nilpotent2_canonical
@@ -32,6 +31,7 @@ from .errors import NonCoprime, UnknownTheorem
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    _direct_sum,
     as_operator,
     frobenius_norm,
     kernel,
@@ -194,8 +194,11 @@ def _drive(theorem_id: str, trials: int, dim: int, seed: int, tol: TolerancePoli
 
 
 # The most problems one engine call decides. It bounds the call's memory:
-# the first pencil pass of 32 problems at dim 64 builds about 36 MB of
-# matrices. No round of "verify all" at its default budget comes near it.
+# the pencil terms of 32 problems at dim 64, three each, take 6.3 MB as one
+# stack, and the engine holds a few such stacks (Hermitian parts, the sphere
+# defect's matrices), while every pencil eigensolve takes at most
+# membership._CHUNK matrices at once. No round of "verify all" at its
+# default budget comes near it.
 _STACK = 32
 
 
@@ -620,7 +623,7 @@ def verify_fuglede_putnam(
             for j, s in enumerate(sizes):
                 g = gen.make_rng(ts, 3, j)
                 blocks.append(g.standard_normal((s, s)) + 1j * g.standard_normal((s, s)))
-            t = u @ scipy.linalg.block_diag(*blocks) @ u.conj().T
+            t = u @ _direct_sum(*blocks) @ u.conj().T
             ref = f"commutant(dim={d}, clusters={len(sizes)}, seed={ts})"
         scale = max(1.0, operator_norm(t) * operator_norm(n_mat))
         forward = frobenius_norm(t @ n_mat - n_mat @ t)
@@ -661,7 +664,7 @@ def verify_normaloid_criterion(
             index = int(rng.integers(2, min(k + 1, d_nil) + 1))
             nil = gen.jordan_nilpotent(d_nil, index, ts ^ 0xABCD)
             nil *= operator_norm(m_blk) / 2.0 / operator_norm(nil)
-            t = scipy.linalg.block_diag(m_blk, nil).astype(np.complex128)
+            t = _direct_sum(m_blk, nil)
             ref = f"normal+nil(dim={d}, seed={ts})"
         elif pick == 1:
             t = gen.jordan_nilpotent(d, min(k + 1, d), ts)

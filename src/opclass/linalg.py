@@ -30,7 +30,6 @@ __all__ = [
     "hermitian_eigen",
     "psd_defect",
     "psd_power",
-    "psd_power_from_eigen",
     "matrix_power",
     "kernel",
     "subspace_intersect",
@@ -118,6 +117,17 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
+def _direct_sum(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal complex matrix of the square ``blocks``, any of
+    them 0 x 0."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.complex128)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus (general, non-Hermitian eigenproblem)."""
     m = as_operator(a)
@@ -178,17 +188,9 @@ def psd_power(a, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     Eigenvalues within ``-tol_psd`` of zero are clamped to zero so the result
     stays PSD under roundoff; anything more negative raises NotPSD.
     """
-    return psd_power_from_eigen(hermitian_eigen(a, tol), p, tol)
-
-
-def psd_power_from_eigen(
-    eig: HermitianEigen, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """``psd_power`` of the matrix whose eigendecomposition is ``eig``, so
-    that several powers of one matrix share one eigensolve; the same
-    clamping and NotPSD check run for each power."""
     if p <= 0:
         raise ValueError("power must be positive")
+    eig = hermitian_eigen(a, tol)
     w = eig.eigenvalues
     top = float(np.max(np.abs(w))) if w.size else 0.0
     if w[0] < -tol.tol_psd * max(1.0, top):

@@ -43,9 +43,12 @@ surfaced as OracleDisagreement rather than resolved silently.
 One call of ``classify_all`` or of the dual engine derives what its
 verdicts share once per distinct T: ||T||, which the class scales, the
 pencils and the algebraic predicates' private cores all read (the public
-predicates take it themselves); one eigendecomposition of T*T, from which
-every absolute-k sphere root |T|^k is taken; and one check of the terms of
-all its pencils, as one stack, by the checks of PencilSpec.
+predicates take it themselves); one SVD T = U S V*, from which every
+absolute-k sphere root |T|^k = V S^k V* and the sphere's warm starts V
+are read, as are p-hyponormality's roots in ``classify_all``; and one
+check of the terms of all its pencils, as one stack, by the checks of
+PencilSpec. A root of the Gram T*T would lose the singular values of T
+below about ||T|| sqrt(eps).
 
 Decision semantics: with d the defect normalized by the class scale and
 t = tol_decision, a verdict is Member when d >= -t/10, NonMember when
@@ -74,7 +77,6 @@ from .linalg import (
     hermitian_eigen,
     matrix_power,
     operator_norm,
-    psd_power_from_eigen,
     spectral_radius,
 )
 from .matio import complex_pairs
@@ -487,7 +489,7 @@ def pencil_check(
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
     if n_grid < 1 or max_refine < 0:
         raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
-    [verdict] = _pencil_verdicts([pencil], n_grid, max_refine, tol)
+    [verdict] = _pencil_verdicts(_PencilStack([pencil]), [pencil], n_grid, max_refine, tol)
     return verdict
 
 
@@ -633,11 +635,11 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     below the least value eigensolved so far on the pencil.
 
     The first pass eigensolves every _STRIDE-th point and the last point of
-    every pencil in one stack, and the cells between neighbouring
-    first-pass points start open; the bounds read the spectra of the
-    Hermitian parts H_j of their terms (``_PencilStack.spectra``). Each round
-    bounds f = lam_min(P) on every open cell [a, b] from below. With
-    chord_j the line through (a, a^e_j) and (b, b^e_j), the family
+    every pencil, _CHUNK matrices at a time, and the cells between
+    neighbouring first-pass points start open; the bounds read the spectra
+    of the Hermitian parts H_j of their terms (``_PencilStack.spectra``).
+    Each round bounds f = lam_min(P) on every open cell [a, b] from below.
+    With chord_j the line through (a, a^e_j) and (b, b^e_j), the family
     Q(lam) = sum_j chord_j(lam) H_j is affine in lam and equals P at a and
     at b; lam_min of an affine Hermitian family is concave (Bhatia, *Matrix
     Analysis*, 1997, ch. III), so lam_min(Q) >= min(f(a), f(b)) on the
@@ -669,14 +671,13 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     count, n = lams.shape
     coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
     exps, spectra = stack.exps, stack.spectra
-    first = stack.matrices(np.arange(count * coarse.size) // coarse.size,
-                           lams.take(coarse, 1).ravel())
     # Column i + 1 is point i; the points beyond the grid count as
     # eigensolved, with value +inf.
     padded, known = np.full((count, n + 2), np.inf), np.ones((count, n + 2), dtype=bool)
     mins, evaluated = padded[:, 1:-1], known[:, 1:-1]
     evaluated[:] = False
-    mins[:, coarse] = np.linalg.eigvalsh(first)[:, 0].reshape(count, -1)
+    mins[:, coarse] = stack.least(np.arange(count * coarse.size) // coarse.size,
+                                  lams.take(coarse, 1).ravel()).reshape(count, -1)
     evaluated[:, coarse] = True
     down, up = np.maximum(-spectra[..., 0], 0.0), np.maximum(spectra[..., -1], 0.0)
     # Rows of (pencils, 4, terms): the chord's exponent, with 2 in place of 0
@@ -719,12 +720,16 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     return mins, evaluated, local
 
 
-def _pencil_verdicts(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy) -> list:
+def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
+                     tol: TolerancePolicy) -> list:
     """The verdicts of some pencils of one dimension and one number of
     terms, on the least (lambda, lambda_min(P(lambda))) found on each.
 
-    The pencils' terms are stacked once (``_PencilStack``), and each
-    pencil's common kernel is deflated in place (``_PencilStack.deflate``):
+    ``stack`` holds the pencils' terms, stacked once (``_PencilStack``) and
+    checked already: a PencilSpec checks its terms when it is built, and
+    the dual engine checks those of its unchecked pencils as one stack.
+    Each pencil's common kernel is deflated in place
+    (``_PencilStack.deflate``):
     its terms vanish there, so lambda_min(P) would be 0 at every lambda and
     no cell of the sweep could close. A pencil with a kernel reports
     min(0, v), v the least value of its compression Q* P Q to the kernel's
@@ -736,8 +741,6 @@ def _pencil_verdicts(pencils, n_grid: int, max_refine: int, tol: TolerancePolicy
     The other pencils are swept and refined on the stack (see
     ``_pencil_minima``). Every verdict is the one the pencil gets alone.
     """
-    stack = _PencilStack(pencils)
-    _check_terms([p.terms for p in pencils], stack.exps, stack.coefs)
     ranks, bases = stack.deflate(pencils, tol)
     unit = np.eye(stack.coefs.shape[-1], dtype=np.complex128)[0]
     found = {p: (pencils[p].lambda_lo, 0.0, unit) for p in np.flatnonzero(ranks == 0).tolist()}
@@ -1093,16 +1096,18 @@ def is_p_hyponormal(
     """(T*T)^p - (TT*)^p positive semidefinite, 0 < p <= 1, from one SVD
     T = U S V*: V S^(2p) V* - U S^(2p) U*. Roots of the Grams T*T and TT*
     would lose the singular values below about ||T|| sqrt(eps)."""
-    return _p_hyponormal(as_operator(t), p, tol)
+    m = as_operator(t)
+    return _p_hyponormal(m, np.linalg.svd(m), p, tol)
 
 
-def _p_hyponormal(m: np.ndarray, p: float, tol: TolerancePolicy) -> MembershipVerdict:
+def _p_hyponormal(m: np.ndarray, svd, p: float, tol: TolerancePolicy) -> MembershipVerdict:
+    """``is_p_hyponormal`` of a validated T, given its SVD (numpy's U, S, V*)."""
     # The scale reads the SVD's own largest singular value, not ||T||.
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     if _zero_operator(m):
         return _member_zero()
-    u, sv, vh = np.linalg.svd(m)
+    u, sv, vh = svd
     scale = _scale(float(sv[0]), 2 * p)
     sp = sv ** (2 * p)
     return _psd_verdict((vh.conj().T * sp) @ vh - (u * sp) @ u.conj().T, scale, tol)
@@ -1233,11 +1238,6 @@ class _NormProductDefect:
         return vals.reshape(x.shape[:-2] + x.shape[-1:]), grad.reshape(x.shape)
 
 
-def _warm_starts(m: np.ndarray) -> np.ndarray:
-    _, _, vh = np.linalg.svd(m)
-    return vh.conj().T
-
-
 def _proves(claim: MembershipVerdict, exact: float, threshold: float) -> bool:
     """Whether ``exact``, the defining defect at a NonMember ``claim``'s unit
     witness, is at most -``threshold``, the sphere's tol_decision * scale:
@@ -1286,10 +1286,9 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
 # before it forms any power of T, and returns a callable that forms the
 # sphere defect's (positive, negative) terms, and the pencil, both from the
 # same powers of T; a public pencil constructor never calls the callable.
-# The callable takes an optional ``gram_eigen``, which returns the
-# eigendecomposition of T*T: the engine shares one per distinct T among the
-# absolute-k classes, whose |T|^k are its powers, and the other classes
-# need none.
+# The callable takes T's SVD (numpy's U, S, V*), which the engine takes
+# once per distinct T: the absolute-k classes read |T|^k = V S^k V* from
+# it, and the other classes need none.
 
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
@@ -1313,7 +1312,7 @@ def _quasi(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
     pencil = _pencil(norm_t, scale, ((0.0, a), (1.0, -2.0 * b), (2.0, c)),
                      f"quasi-paranormal[k={k}]")
-    return (lambda gram_eigen=None: (((pk2, 1), (pk, 1)), ((pk1, 2),))), pencil
+    return (lambda svd: (((pk2, 1), (pk, 1)), ((pk1, 2),))), pencil
 
 
 def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
@@ -1331,7 +1330,7 @@ def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     pk1 = np.linalg.matrix_power(m, k + 1)
     terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
     pencil = _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
-    return (lambda gram_eigen=None: (((pk1, 1),), ((m, k + 1),))), pencil
+    return (lambda svd: (((pk1, 1),), ((m, k + 1),))), pencil
 
 
 def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
@@ -1341,9 +1340,9 @@ def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: ToleranceP
     terms = _weighted(k, m.conj().T @ np.linalg.matrix_power(gram, k) @ m, gram)
     pencil = _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
 
-    def sphere(gram_eigen=None):
-        eig = hermitian_eigen(gram, tol) if gram_eigen is None else gram_eigen()
-        return ((psd_power_from_eigen(eig, k / 2.0, tol) @ m, 1),), ((m, k + 1),)
+    def sphere(svd):
+        _, sv, vh = svd
+        return (((vh.conj().T * sv**k) @ vh @ m, 1),), ((m, k + 1),)
 
     return sphere, pencil
 
@@ -1365,24 +1364,25 @@ def _check_k(name: str, k: int) -> None:
         raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
 
 
-def _dual_verdicts(problems, tol: TolerancePolicy, norms=None) -> list:
+def _dual_verdicts(problems, tol: TolerancePolicy, facts=None) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
 
-    Each distinct T (by identity) is validated once and gets one norm, read
-    from ``norms`` (id(T) -> ||T||) where the caller has it; its pencils
-    are built on that norm, and its absolute-k sphere roots |T|^k on one
-    eigendecomposition of T*T. The zero operator is a Member of every
-    class. The pencils of all other problems are swept and refined first,
-    as one stack (see ``_pencil_verdicts``, which checks all their terms
-    at once), and their defining defects are stacked once
-    (``_NormProductDefect``). One call on that stack gives
+    Each distinct T (by identity) is validated once and gets one norm and
+    one SVD, read from ``facts`` (id(T) -> (||T||, numpy's SVD of T)) where
+    the caller has them; its pencils are built on that norm, and its
+    absolute-k sphere roots |T|^k = V S^k V* and its warm starts V are read
+    from that SVD. The zero operator is a Member of every class. The
+    pencils of all other problems are stacked once, their terms checked
+    at once by the checks of PencilSpec (``_check_terms``), and swept and
+    refined first (see ``_pencil_verdicts``), and their defining defects
+    are stacked once (``_NormProductDefect``). One call on that stack gives
     the value at every pencil's unit eigenvector; a pencil NonMember whose
     value is at most -tol_decision * scale (minus the sphere's threshold) is
     NonMember at once (``_proves``), with that value as defect, oracle
     "pencil", the sphere's threshold and the seed. Only the other problems
     descend, on their rows of the stack: each distinct T among them gets
-    one block of SVD warm starts, each T and seed one block of seeded
+    one block of warm starts, each T and seed one block of seeded
     starts, and one descent runs over the columns of them all, one block
     each. One more call on those rows gives the value at every sphere's
     unit witness for ``_reconcile``. Each problem gets the verdict it gets
@@ -1396,21 +1396,21 @@ def _dual_verdicts(problems, tol: TolerancePolicy, norms=None) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise ValueError(f"a stack of dual problems needs one dimension, got "
                          f"{sorted({m.shape[0] for m in mats.values()})}")
-    known = norms or {}
-    norms = {key: known[key] if key in known else operator_norm(m)
+    known = facts or {}
+    facts = {key: known[key] if key in known else (operator_norm(m), np.linalg.svd(m))
              for key, m in mats.items() if not _zero_operator(m)}
     live = [(p, id(t), name, k, seed)
-            for p, (t, name, k, seed) in enumerate(problems) if id(t) in norms]
+            for p, (t, name, k, seed) in enumerate(problems) if id(t) in facts]
     verdicts = [_member_zero() for _ in problems]
     if not live:
         return verdicts
-    scales = [_scale(norms[key], _DUAL[name][1](k)) for _, key, name, k, _ in live]
-    terms, pencils = zip(*(_DUAL[name][2](mats[key], k, norms[key], tol)
+    scales = [_scale(facts[key][0], _DUAL[name][1](k)) for _, key, name, k, _ in live]
+    terms, pencils = zip(*(_DUAL[name][2](mats[key], k, facts[key][0], tol)
                            for _, key, name, k, _ in live))
-    claims = _pencil_verdicts(pencils, _N_GRID, _MAX_REFINE, tol)
-    gram_eigens = {key: functools.cache(lambda m=mats[key]: hermitian_eigen(m.conj().T @ m, tol))
-                   for key in norms}
-    defect = _NormProductDefect.of(*(problem(gram_eigens[key])
+    stack = _PencilStack(pencils)
+    _check_terms([p.terms for p in pencils], stack.exps, stack.coefs)
+    claims = _pencil_verdicts(stack, pencils, _N_GRID, _MAX_REFINE, tol)
+    defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))
     units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
     values = defect(units[..., None])[:, 0].tolist()
@@ -1427,8 +1427,8 @@ def _dual_verdicts(problems, tol: TolerancePolicy, norms=None) -> list:
     if not rest:
         return verdicts
     pairs = [(live[i][1], live[i][4]) for i in rest]  # (T, seed) of each, T by identity
-    warm = {key: _warm_starts(mats[key]) for key in dict.fromkeys(key for key, _ in pairs)}
-    starts = {(key, seed): _starts(mats[key].shape[0], _RESTARTS, seed, warm[key])
+    starts = {(key, seed): _starts(mats[key].shape[0], _RESTARTS, seed,
+                                   facts[key][1][2].conj().T)
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
     bands = tol.tol_decision * np.array([scales[i] for i in rest])
@@ -1504,14 +1504,15 @@ def classify_all(
         raise ValueError(f"every k must be nonnegative, got {list(k_list)}")
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
-    # One norm serves every predicate and the dual engine.
-    norm_t = operator_norm(m)
+    # One norm serves every predicate and the dual engine, and one SVD
+    # p-hyponormality and the engine.
+    norm_t, svd = operator_norm(m), np.linalg.svd(m)
     out: dict[OperatorClass, MembershipVerdict] = {}
     out[OperatorClass("Normal")] = _normal(m, norm_t, tol)
     out[OperatorClass("Quasinormal")] = _quasinormal(m, norm_t, tol)
     out[OperatorClass("Hyponormal")] = _hyponormal(m, norm_t, tol)
     for p in ps:
-        out[OperatorClass("PHyponormal", p=p)] = _p_hyponormal(m, p, tol)
+        out[OperatorClass("PHyponormal", p=p)] = _p_hyponormal(m, svd, p, tol)
     out[OperatorClass("ClassA")] = _class_a(m, norm_t, tol)
     # Paranormality is k-quasi-paranormality at k = 0; all dual classes of
     # the matrix are decided together.
@@ -1520,7 +1521,7 @@ def classify_all(
     ]
     keys = [OperatorClass("Paranormal")] + [OperatorClass(name, k=k) for name, k in problems[1:]]
     out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol,
-                                        {id(m): norm_t})))
+                                        {id(m): (norm_t, svd)})))
     out[OperatorClass("Normaloid")] = _normaloid(m, norm_t, tol)
     return out
 

@@ -41,7 +41,7 @@ def dual_families(t: np.ndarray, k: int) -> list:
     return [
         (
             name,
-            membership._NormProductDefect.of(terms()),
+            membership._NormProductDefect.of(terms(np.linalg.svd(t))),
             pencil,
             membership._scale(norm_t, degree(k)),
         )

@@ -37,7 +37,6 @@ from opclass.harness import (
 from opclass.linalg import frobenius_norm, matrix_power
 from opclass.membership import (
     Status,
-    _warm_starts,
     chain_violations,
     classify_all,
     is_k_quasi_paranormal,
@@ -107,7 +106,7 @@ def test_criterion_3_oracle_equivalence():
                         ("analytic", defect_fn.value_and_gradient), ("central", None)
                     ):
                         sv = sphere_check(
-                            defect_fn, 5, 8, seed=i, warm_starts=_warm_starts(t),
+                            defect_fn, 5, 8, seed=i, warm_starts=np.linalg.svd(t)[2].conj().T,
                             scale=scale, value_and_gradient=provider,
                         )
                         if pv.is_definite and sv.is_definite:

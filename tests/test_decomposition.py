@@ -304,6 +304,29 @@ def test_nilpotent2_block_matrix_recovers_singular_values():
     np.testing.assert_allclose(q.conj().T @ q, np.eye(6), atol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [4, 5, 7])
+@pytest.mark.parametrize("rho", [1e-4, 1e-5, 1e-6])
+def test_nilpotent2_keeps_small_singular_values(dim, rho):
+    # T = U B U*, B = [[0, C], [0, 0]] padded by zeros, C = diag(geomspace(1, rho, r)).
+    # Through the root of the Gram X*X and W = X C^-1, the adapted basis
+    # lost unitarity already at rho = 1e-4; the polar factors of one SVD
+    # of X keep it, and C's singular values.
+    from opclass.generators import random_unitary
+
+    for r in range(2, dim // 2 + 1):
+        want = np.geomspace(1.0, rho, r)
+        core = np.zeros((dim, dim), dtype=complex)
+        core[:r, r : 2 * r] = np.diag(want)
+        for seed in range(3):
+            u = random_unitary(dim, seed)
+            d = nilpotent2_canonical(u @ core @ u.conj().T)
+            assert d.residuals["basis"] <= TOL.tol_eq * 10, (r, seed)
+            assert d.residuals["unitarity"] <= TOL.tol_recon * np.sqrt(dim), (r, seed)
+            np.testing.assert_allclose(np.linalg.svd(d.rr_form.c, compute_uv=False), want,
+                                       rtol=1e-8, err_msg=f"r {r}, seed {seed}")
+            assert d.residuals["c_min_singular"] == pytest.approx(rho, rel=1e-8)
+
+
 def test_nilpotent2_zero_padding():
     # rank 1 inside dim 3: canonical block is 2x2 plus a zero summand.
     t = np.zeros((3, 3), dtype=complex)
@@ -422,8 +445,13 @@ def _digest(decompositions: list) -> str:
 
 
 def test_decompositions_are_pinned():
-    assert _digest(_pinned_root_and_nilpotent()) == (
-        "d6fac3f5cd26a386aaffe3edcd48929013d8ff03e85945c891fb0b5898c194e2"
+    decompositions = _pinned_root_and_nilpotent()
+    # The root_decompose entries, then the nilpotent2_canonical ones.
+    assert _digest(decompositions[:3]) == (
+        "ad0ae6fa282341dc1209fb69b74e8960edd70be49fb066834e579a4486963377"
+    )
+    assert _digest(decompositions[3:]) == (
+        "1d3e02d92b7a06e99ccdd9bec5f30a0318cb089b74423aa48e2c8340c0e43b7c"
     )
 
 

@@ -239,6 +239,17 @@ def _block_diag_reference(kind: str, *args) -> np.ndarray:
 
     if kind == "jordan":
         return jordan(*args)
+    if kind == "rr":
+        dim_a, dim_bc, seed = args
+        w = g._haar(dim_bc, g.make_rng(seed, 7, 0))
+        c = (w * g.make_rng(seed, 7, 1).uniform(0.5, 1.0, dim_bc)) @ w.conj().T
+        c = (c + c.conj().T) / 2.0
+        b = (w * g._annulus(g.make_rng(seed, 7, 2), dim_bc, 0.5, 1.0)) @ w.conj().T
+        a = np.zeros((0, 0), dtype=np.complex128)
+        if dim_a > 0:
+            a = g._normal(g._annulus(g.make_rng(seed, 7, 3), dim_a, 0.5, 1.0),
+                          g.make_rng(seed, 7, 4))
+        return block_diag(a, np.block([[b, c], [np.zeros((dim_bc, dim_bc)), -b]]))
     if kind == "counterexample":
         dim_m, dim_n, seed = args
         m = g._normal(g._annulus(g.make_rng(seed, 4, 0), dim_m, 0.5, 1.0), g.make_rng(seed, 4, 1))
@@ -260,10 +271,42 @@ def _block_diag_reference(kind: str, *args) -> np.ndarray:
     return block_diag(*blocks)
 
 
+def _harness_blocks() -> list:
+    """Lists of blocks as linalg._direct_sum gets them beyond the generators:
+    0 x 0 blocks, as rr_assemble's absent A, the harness's fuglede-putnam
+    commutant blocks and its normaloid-criterion normal plus nilpotent
+    summands."""
+    from opclass import generators as g
+
+    groups = [[np.zeros((0, 0), dtype=complex), random_ginibre(3, 1)],
+              [random_ginibre(2, 2), np.zeros((0, 0), dtype=complex), random_normal(1, 3)]]
+    for dim in range(3, 13):
+        for ts in (0, 1, 7):
+            rng = g.make_rng(ts, 5)
+            sizes, rest = [], dim
+            while rest > 0:
+                sizes.append(int(rng.integers(1, rest + 1)))
+                rest -= sizes[-1]
+            gauss = [g.make_rng(ts, 3, j) for j in range(len(sizes))]
+            groups.append([r.standard_normal((s, s)) + 1j * r.standard_normal((s, s))
+                           for r, s in zip(gauss, sizes)])
+            d_nil = int(rng.integers(2, dim))
+            normal = random_normal(dim - d_nil, ts)
+            nil = jordan_nilpotent(d_nil, int(rng.integers(2, d_nil + 1)), ts ^ 0xABCD)
+            groups.append([normal, nil * (operator_norm(normal) / 2.0 / operator_norm(nil))])
+    return groups
+
+
 def test_direct_sums_equal_block_diag_byte_for_byte():
-    # The generators build their block-diagonal parts by slice assignment;
-    # every output must be the block_diag construction's, byte for byte, at
-    # dims 2-12, every index and block split, and several seeds.
+    # The generators, rr_instance through rr_assemble, the decompositions
+    # and the harness build their block-diagonal parts by slice assignment
+    # (linalg._direct_sum); every output must be the block_diag
+    # construction's, byte for byte, at dims 2-12, every index and block
+    # split, and several seeds, with 0 x 0 blocks too.
+    import scipy.linalg
+
+    from opclass.linalg import _direct_sum
+
     cases = []
     for dim in range(2, 13):
         for seed in (0, 1, 7):
@@ -271,9 +314,15 @@ def test_direct_sums_equal_block_diag_byte_for_byte():
             cases += [("counterexample", dim_m, dim - dim_m, seed) for dim_m in range(1, dim - 1)]
             cases += [("k-quasi", dim_normal, dim - dim_normal, k, seed)
                       for dim_normal in range(dim + 1) for k in range(4)]
+            cases += [("rr", dim - 2 * dim_bc, dim_bc, seed) for dim_bc in range(1, dim // 2 + 1)]
     makers = {"jordan": jordan_nilpotent, "counterexample": normaloid_counterexample,
-              "k-quasi": k_quasi_member}
+              "k-quasi": k_quasi_member, "rr": rr_instance}
     for kind, *args in cases:
         got, want = makers[kind](*args), _block_diag_reference(kind, *args)
         assert got.dtype == want.dtype and got.shape == want.shape, (kind, args)
         assert got.tobytes() == want.tobytes(), (kind, args)
+    for blocks in _harness_blocks():
+        got = _direct_sum(*blocks)
+        want = scipy.linalg.block_diag(*blocks).astype(np.complex128)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), [b.shape for b in blocks]

@@ -25,6 +25,7 @@ from opclass.membership import (
     _PencilStack,
     _brent,
     _central_gradient,
+    _check_terms,
     _descend,
     _dual_verdicts,
     _pencil,
@@ -32,7 +33,6 @@ from opclass.membership import (
     _proves,
     _reconcile,
     _sweep,
-    _warm_starts,
     absolute_k_paranormal_pencil,
     chain_violations,
     classify_all,
@@ -479,7 +479,7 @@ def test_lockstep_refinement_equals_sequential_search():
     assert sum(len(pool) > 1 for pool in pools) >= 4
     for pool in pools:
         for n_grid, max_refine in ((257, 8), (65, 2)):
-            got = _pencil_verdicts(pool, n_grid, max_refine, TOL)
+            got = _pencil_verdicts(_PencilStack(pool), pool, n_grid, max_refine, TOL)
             for pencil, v in zip(pool, got):
                 want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
                 assert (v.defect, v.witness.pencil_lambda) == want, (
@@ -676,7 +676,7 @@ def test_pruned_sweep_minimum_equals_full_sweep():
     # more than max_refine local minima the slots go to others, which can
     # only find an equal or a deeper minimum.
     for own in _certificate_pencils():
-        for pencil, v in zip(own, _pencil_verdicts(own, 257, 8, TOL)):
+        for pencil, v in zip(own, _pencil_verdicts(_PencilStack(own), own, 257, 8, TOL)):
             val, lam = v.defect, v.witness.pencil_lambda
             want, _ = _sequential_pencil_minimum(pencil, 257, 8)
             if (val, lam) != want:
@@ -696,9 +696,10 @@ def test_stacked_minima_equal_each_pencil_alone():
     for t in mats:
         pool = _classify_pencils(t)
         for n_grid in (257, 65, 2):
-            alone = [_pencil_verdicts([pencil], n_grid, 8, TOL)[0].to_json_dict()
-                     for pencil in pool]
-            stacked = [v.to_json_dict() for v in _pencil_verdicts(pool, n_grid, 8, TOL)]
+            alone = [_pencil_verdicts(_PencilStack([pencil]), [pencil], n_grid, 8, TOL)[0]
+                     .to_json_dict() for pencil in pool]
+            stacked = [v.to_json_dict()
+                       for v in _pencil_verdicts(_PencilStack(pool), pool, n_grid, 8, TOL)]
             assert stacked == alone, (t.shape, n_grid)
 
 
@@ -1028,7 +1029,8 @@ def test_sphere_check_requires_restart():
 
 
 def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
-    fn = _NormProductDefect.of(_DUAL["KQuasiParanormal"][2](j2, 0, operator_norm(j2), TOL)[0]())
+    terms = _DUAL["KQuasiParanormal"][2](j2, 0, operator_norm(j2), TOL)[0]
+    fn = _NormProductDefect.of(terms(np.linalg.svd(j2)))
     with pytest.raises(ValueError, match="dim must be at least 1"):
         sphere_check(fn, 0, 4)
     for ws in (
@@ -1062,7 +1064,7 @@ def test_stacked_values_equal_each_problem_alone():
     rng = np.random.default_rng(31)
     for dim in (*range(3, 9), 16, 24, 32):
         mats = (ginibre(dim, rng), random_normal_matrix(dim, rng), 1e3 * ginibre(dim, rng))
-        terms = [build(t, k, operator_norm(t), TOL)[0]() for t in mats
+        terms = [build(t, k, operator_norm(t), TOL)[0](np.linalg.svd(t)) for t in mats
                  for k in range(4) for least, _, build in _DUAL.values() if k >= least]
         x = rng.standard_normal((len(terms), dim)) + 1j * rng.standard_normal((len(terms), dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -1179,6 +1181,20 @@ def test_absolute_k_paranormal_examples(j2):
         is_absolute_k_paranormal(j2, 0)
 
 
+def test_absolute_k_defect_of_a_jordan_nilpotent_is_exact():
+    # A nilpotent T of norm 1 with T x in ker T for some unit x has the least
+    # absolute-1 defect || |T| T x || - ||T x||^2 = -1. A root of the Gram
+    # T*T reads its zero eigenvalues, rounded to about eps, as singular
+    # values near sqrt(eps), and so missed -1 by up to 2.7e-8, 2.7 decision
+    # thresholds; |T| = V S V* from the SVD of T keeps them at about eps.
+    for n in range(2, 9):
+        for index in range(2, n + 1):
+            for seed in range(3):
+                v = is_absolute_k_paranormal(jordan_nilpotent(n, index, seed), 1)
+                assert v.status is Status.NON_MEMBER, (n, index, seed)
+                assert v.defect == pytest.approx(-1.0, abs=1e-12), (n, index, seed)
+
+
 def test_absolute_k1_agrees_with_paranormal():
     rng = np.random.default_rng(15)
     for i in range(100):
@@ -1219,7 +1235,7 @@ def test_oracle_agreement_small():
         for k in (0, 1, 2):
             for name, fn, pencil, scale in dual_families(t, k):
                 pv = pencil_check(pencil)
-                kw = dict(seed=i, warm_starts=_warm_starts(t), scale=scale)
+                kw = dict(seed=i, warm_starts=np.linalg.svd(t)[2].conj().T, scale=scale)
                 sv = sphere_check(fn, 4, 8, value_and_gradient=fn.value_and_gradient, **kw)
                 fv = sphere_check(fn, 4, 8, **kw)
                 assert sv.status is fv.status, (i, k, name)
@@ -1408,7 +1424,7 @@ def test_pencil_nonmember_whose_witness_fails_still_descends(monkeypatch, kind):
     # Each oracle alone, as the engine runs it, before the engine is patched.
     cases = [
         (name, bogus(pencil_check(pencil)), fn, pencil.label,
-         sphere_check(fn, 4, 8, seed=3, warm_starts=_warm_starts(t), scale=scale,
+         sphere_check(fn, 4, 8, seed=3, warm_starts=np.linalg.svd(t)[2].conj().T, scale=scale,
                       value_and_gradient=fn.value_and_gradient))
         for name, fn, pencil, scale in dual_families(t, 1)
     ]
@@ -1555,14 +1571,16 @@ def test_classify_all_output_is_pinned():
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "557691fc206ac1fe2411ff8ca3220da541b0e95d3310688b8aeeeb15e2a70e0f"
+    assert digest == "00a7bcc52b1ee10c743cd71b65f1c8f2ad3ef1347698462a773a139eff3f593d"
 
 
 def test_builders_are_pinned():
     # Every sphere term (matrix and exponent) and every pencil (coefficients,
     # exponents, domain, scale and label) of every dual class, for k from its
-    # least k to 3, bit for bit. The digest was taken when each class still
-    # had one builder for its sphere terms and another for its pencil.
+    # least k to 3, bit for bit. The digest was last taken when the
+    # absolute-k sphere roots |T|^k came to be read from T's SVD; the other
+    # terms and every pencil have kept their bits since each class had one
+    # builder for its sphere terms and another for its pencil.
     h = hashlib.sha256()
 
     def add(mat):
@@ -1576,7 +1594,7 @@ def test_builders_are_pinned():
         for k in range(least_k, 4):
             for t in mats:
                 terms, pencil = build(t, k, operator_norm(t), TOL)
-                for side in terms():
+                for side in terms(np.linalg.svd(t)):
                     h.update(repr(len(side)).encode())
                     for mat, expo in side:
                         add(mat)
@@ -1586,7 +1604,7 @@ def test_builders_are_pinned():
                     add(mat)
                 h.update(repr((pencil.lambda_lo, pencil.lambda_max, pencil.scale,
                                pencil.label)).encode())
-    assert h.hexdigest() == "039178c7348987afea762ab06886a4274152853f8cb18ef8d86e0952e069e143"
+    assert h.hexdigest() == "d51c548853f3333ccb0458bb564676c47e945f2df737b3eba472dd93eac76d0d"
 
 
 def _family_matrix(i: int) -> np.ndarray:
@@ -1809,18 +1827,46 @@ def test_engine_checks_its_stacks_terms_as_pencilspec_does(monkeypatch, term, br
         assert str(got.value) == wants[0]
 
 
+def test_pencil_terms_are_checked_once_per_call(monkeypatch):
+    # A public pencil checks its terms when it is built, and pencil_check
+    # does not check them again; the dual engine checks the terms of its
+    # unchecked pencils once, as one stack, per call.
+    calls = []
+    real = _check_terms
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr("opclass.membership._check_terms", counting)
+    t = random_ginibre(6, seed=2)
+    pencil = k_paranormal_pencil(t, 2)
+    assert len(calls) == 1
+    pencil_check(pencil)
+    assert len(calls) == 1
+    is_k_paranormal(t, 2)
+    assert len(calls) == 2
+    classify_all(t)
+    assert len(calls) == 3
+
+
 def test_public_pencils_form_no_sphere_terms(monkeypatch):
     # The builders hand back their sphere terms as a callable, so a public
     # constructor builds the pencil alone: the absolute-k class's |T|^k,
-    # which only the sphere reads, comes from psd_power_from_eigen when called.
+    # which only the sphere reads, is formed from T's SVD when the callable
+    # is called.
     t = random_ginibre(5, seed=3)
     ctors = (quasi_paranormal_pencil, k_paranormal_pencil, absolute_k_paranormal_pencil)
     want = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
+    least_k, degree, build = _DUAL["AbsoluteKParanormal"]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("psd_power called")
+    def refuse(svd):
+        raise AssertionError("sphere terms formed")
 
-    monkeypatch.setattr("opclass.membership.psd_power_from_eigen", refuse)
+    def refusing(m, k, norm_t, tol):
+        return refuse, build(m, k, norm_t, tol)[1]
+
+    monkeypatch.setitem(_DUAL, "AbsoluteKParanormal", (least_k, degree, refusing))
     got = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
     for a, b in zip(got, want):
         assert (a.lambda_lo, a.lambda_max, a.scale, a.label) == (
@@ -1828,8 +1874,8 @@ def test_public_pencils_form_no_sphere_terms(monkeypatch):
         assert [e for e, _ in a.terms] == [e for e, _ in b.terms]
         for (_, x), (_, y) in zip(a.terms, b.terms):
             np.testing.assert_array_equal(x, y, err_msg=a.label)
-    # The engine still forms the sphere's terms, through the patched name.
-    with pytest.raises(AssertionError, match="psd_power called"):
+    # The engine still forms the sphere's terms, through the patched builder.
+    with pytest.raises(AssertionError, match="sphere terms formed"):
         is_absolute_k_paranormal(t, 1)
 
 

@@ -1,6 +1,6 @@
 """Milliseconds per matrix of ``classify_all`` at dims 3-8, seconds per
 matrix at dims 16, 24 and 32, and milliseconds per call of the seven
-algebraic predicates at dims 16, 32 and 64.
+algebraic predicates and of ``nilpotent2_canonical`` at dims 16, 32 and 64.
 
 Usage (from the root of a checkout):
 
@@ -13,14 +13,17 @@ nilpotent. BLAS is pinned to one thread. Each of three repeats runs the
 four matrices once; the script prints the median and the least time per
 matrix over the repeats. Dims 3-8 are the regime of the benchmark's
 classify workloads, where a call takes milliseconds and the work it
-shares across its verdicts (one norm, one stacked pencil check, one
-eigendecomposition of T*T) shows most. The algebraic predicates are the seven the
+shares across its verdicts (one norm, one stacked pencil check, one SVD
+of T) shows most. The algebraic predicates are the seven the
 structure benchmark workload runs on every matrix (is_normal,
 is_quasinormal, quasinormal_embry up to k = 3, is_hyponormal,
 is_p_hyponormal at p = 0.5, is_class_a and is_normaloid); each is timed
 the same way on the same four kinds of matrix, and the script prints its
-median and least milliseconds per call over the repeats. Run it
-alternately in two checkouts to compare them on a shared host.
+median and least milliseconds per call over the repeats.
+``nilpotent2_canonical`` is timed the same way on four index-2 Jordan
+nilpotents per dim, the matrices of the structure workload's nilpotent2
+kind. Run it alternately in two checkouts to compare them on a shared
+host.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from opclass import decomposition as dec  # noqa: E402
 from opclass import generators as gen  # noqa: E402
 from opclass import membership as mb  # noqa: E402
 
@@ -84,6 +88,11 @@ def main() -> int:
             cells.append(f"{name} {1e3 * statistics.median(per_call):.3f}"
                          f"/{1e3 * min(per_call):.3f}")
         print(f"dim {dim} algebraic ms/call, median/least: " + ", ".join(cells))
+    for dim in (16, 32, 64):
+        mats = [gen.jordan_nilpotent(dim, 2, seed=s) for s in range(1, 5)]
+        per_call = seconds_per_call(lambda t, i: dec.nilpotent2_canonical(t), mats)
+        print(f"dim {dim}: nilpotent2_canonical median {1e3 * statistics.median(per_call):.3f} "
+              f"ms/call, least {1e3 * min(per_call):.3f} ms/call over {REPEATS} repeats")
     return 0
 
 

@@ -31,11 +31,12 @@ through, and counts:
   call);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
-  are those built inside ``_sweep``: its first build is the coarse pass of
-  all its pencils, any later one the open cells of a bisection round. The
-  builds inside ``_sweep`` are counted too: the coarse pass plus one per
-  round that eigensolves anything, and one more per further
-  ``membership._CHUNK`` points of a round. Its grid size is counted too,
+  are those built inside ``_sweep``: the first ones are the coarse pass
+  of all its pencils (every ``membership._STRIDE``-th grid point and the
+  last of each), the later ones the open cells of its bisection rounds.
+  The builds inside ``_sweep`` are counted too: one per
+  ``membership._CHUNK`` points of the coarse pass and of every round that
+  eigensolves anything. Its grid size is counted too,
   summed over its pencils, which is what sweeps that eigensolve every grid
   point evaluate. The other builds inside ``_pencil_verdicts`` are
   refinement rounds while a Brent search runs, and the one witness build
@@ -95,8 +96,9 @@ class Counter:
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
-        # Where the next build inside _pencil_verdicts counts.
-        self._kind = None
+        # Where the next build inside _pencil_verdicts counts, and the coarse
+        # lambdas of the running sweep not built yet.
+        self._kind, self._coarse = None, 0
         # The most lambdas one search of the running _pencil_verdicts asked
         # for, and the searches still running.
         self._rounds = self._live = 0
@@ -146,7 +148,9 @@ class Counter:
                 if kind in ("coarse_lams", "open_lams"):
                     counts["sweep_builds"] += 1
                 if kind == "coarse_lams":
-                    self._kind = "open_lams"
+                    self._coarse -= lams.size
+                    if self._coarse <= 0:
+                        self._kind = "open_lams"
             return matrices(stack, owner, lams)
 
         def counted_deflate(stack, *args):
@@ -159,6 +163,8 @@ class Counter:
 
         def counted_sweep(stack, lams):
             counts["grid_lams"] += lams.size
+            count, n = lams.shape
+            self._coarse = count * len(range(0, n + mb._STRIDE - 1, mb._STRIDE))
             return sweep(stack, lams)
 
         def counted_brent(*args):
