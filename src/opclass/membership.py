@@ -19,7 +19,9 @@ relatives) are decided by two independent routes:
   thousandth of the decision band tol_decision * scale. The pencils of
   one call, of one matrix or of many, are stacked once and swept and
   refined together, and the witness eigenvectors are built from the same
-  stack, each pencil with the values it gets alone,
+  stack, each pencil with the values it gets alone; in the dual engine a
+  pencil leaves the stack after the sweep's first pass once its
+  eigenvector there proves NonMember (see below),
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -34,11 +36,17 @@ For the quadratic pencil A - 2*z*B + z^2*C with A, B, C PSD, positivity for
 every z > 0 is equivalent to the per-vector inequality
 <Bx,x>^2 <= <Ax,x><Cx,x>, which is exactly the defining norm inequality, so
 the two oracles decide the same set. The pencil runs first: one unit vector
-that breaks the defining inequality proves NonMember, so a pencil NonMember
-whose eigenvector does so is the verdict, and only the other problems
-descend on the sphere; every value of one call reads one stack of its
-defining defects. Where both oracles ran, a decisive disagreement is
-surfaced as OracleDisagreement rather than resolved silently.
+that breaks the defining inequality proves NonMember, however deep the
+pencil's minimum lies. So the dual engine checks the eigenvector at each
+pencil's least first-pass point, and a pencil whose vector proves
+NonMember is the verdict there, with the defining value at that vector as
+defect: it is neither bisected nor refined. The other pencils are swept
+and refined, a pencil NonMember whose refined eigenvector proves it is the
+verdict, and only the problems left descend on the sphere; every value of
+one call reads one stack of its defining defects. The public
+``pencil_check`` has no defining defect, so it sweeps and refines every
+pencil. Where both oracles ran, a decisive disagreement is surfaced as
+OracleDisagreement rather than resolved silently.
 
 One call of ``classify_all`` or of the dual engine derives what its
 verdicts share once per distinct T: ||T||, which the class scales, the
@@ -389,8 +397,13 @@ _N_GRID, _MAX_REFINE, _MAX_ITER, _RESTARTS = 257, 8, 300, 8
 # cell's right end b, which covers the rounding of the eigensolves and chord
 # gaps it is built from many times over. A margin 256 times smaller
 # eigensolves 1.6% fewer points of the classify-members pool and none fewer
-# of classify-random. Strides 16, 32 and 64 eigensolve 16,076, 12,839 and
-# 11,787 points of classify-random; 32 sweeps both classify pools fastest.
+# of classify-random. The stride also sets the resolution of the dual
+# engine's proof, which reads the eigenvector at the least first-pass point
+# (see _pencil_verdicts). At seed 2026, strides 16, 32 and 64 eigensolve
+# 9,180, 4,860 and 3,205 sweep points of classify-random and 12,945, 10,295
+# and 9,431 of classify-members; 16 and 32 prove all 540 and 193 pencil
+# NonMembers at the first pass, 64 proves 511 and 176, and 32 runs both
+# pools fastest.
 _STRIDE, _MARGIN, _EPS = 32, 65536.0, float(np.finfo(float).eps)
 # The pencil engine eigensolves at most _CHUNK matrices in one call, so that
 # the open cells of ten pencils need no more memory than those of one.
@@ -629,15 +642,30 @@ class _PencilStack:
                                for s in range(0, lams.size, _CHUNK)])
 
 
-def _sweep(stack: _PencilStack, lams: np.ndarray):
+def _coarse(n: int) -> np.ndarray:
+    """The first-pass points of an n-point grid: every _STRIDE-th and the last."""
+    return np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
+
+
+def _first_pass(stack: _PencilStack, lams: np.ndarray) -> np.ndarray:
+    """lam_min(P) of every pencil of ``stack`` at the first-pass points of
+    its grid, row p of ``lams`` (pencils, n): shape (pencils, points),
+    eigensolved _CHUNK matrices at a time."""
+    count, coarse = len(lams), _coarse(lams.shape[1])
+    return stack.least(np.arange(count * coarse.size) // coarse.size,
+                       lams.take(coarse, 1).ravel()).reshape(count, -1)
+
+
+def _sweep(stack: _PencilStack, lams: np.ndarray, first: np.ndarray):
     """lam -> lam_min(P(lam)) of every pencil of ``stack`` on its grid, row
     p of ``lams`` (pencils, n), eigensolved only where it may lie at or
     below the least value eigensolved so far on the pencil.
 
-    The first pass eigensolves every _STRIDE-th point and the last point of
-    every pencil, _CHUNK matrices at a time, and the cells between
-    neighbouring first-pass points start open; the bounds read the spectra
-    of the Hermitian parts H_j of their terms (``_PencilStack.spectra``).
+    ``first`` holds the values of the first pass (``_first_pass``) at every
+    _STRIDE-th point and the last point of every pencil; those points count
+    as eigensolved, and the cells between neighbouring first-pass points
+    start open; the bounds read the spectra of the Hermitian parts H_j of
+    their terms (``_PencilStack.spectra``).
     Each round bounds f = lam_min(P) on every open cell [a, b] from below.
     With chord_j the line through (a, a^e_j) and (b, b^e_j), the family
     Q(lam) = sum_j chord_j(lam) H_j is affine in lam and equals P at a and
@@ -669,15 +697,14 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
     eigensolved too. Each pencil's rows are those it gets alone.
     """
     count, n = lams.shape
-    coarse = np.minimum(np.arange(0, n + _STRIDE - 1, _STRIDE), n - 1)
+    coarse = _coarse(n)
     exps, spectra = stack.exps, stack.spectra
     # Column i + 1 is point i; the points beyond the grid count as
     # eigensolved, with value +inf.
     padded, known = np.full((count, n + 2), np.inf), np.ones((count, n + 2), dtype=bool)
     mins, evaluated = padded[:, 1:-1], known[:, 1:-1]
     evaluated[:] = False
-    mins[:, coarse] = stack.least(np.arange(count * coarse.size) // coarse.size,
-                                  lams.take(coarse, 1).ravel()).reshape(count, -1)
+    mins[:, coarse] = first
     evaluated[:, coarse] = True
     down, up = np.maximum(-spectra[..., 0], 0.0), np.maximum(spectra[..., -1], 0.0)
     # Rows of (pencils, 4, terms): the chord's exponent, with 2 in place of 0
@@ -721,7 +748,7 @@ def _sweep(stack: _PencilStack, lams: np.ndarray):
 
 
 def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
-                     tol: TolerancePolicy) -> list:
+                     tol: TolerancePolicy, proof=None) -> list:
     """The verdicts of some pencils of one dimension and one number of
     terms, on the least (lambda, lambda_min(P(lambda))) found on each.
 
@@ -738,56 +765,89 @@ def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
     (rank 0) is 0 on its whole domain: it is not swept, and reports 0 at
     lambda_lo with the first standard basis vector as witness.
 
-    The other pencils are swept and refined on the stack (see
-    ``_pencil_minima``). Every verdict is the one the pencil gets alone.
+    The other pencils share one first pass (``_first_pass``). Given a
+    ``proof``, every pencil whose least first-pass value reads NonMember
+    gets its eigenvector there, from one stacked build and eigh, and
+    ``proof(rows, claims)`` tells, for those pencils' indices and their
+    NonMember verdicts at that point, which claims prove NonMember: one
+    vector that breaks the defining inequality does, however deep the
+    pencil's minimum lies. A proved pencil keeps that verdict and leaves
+    the stack. The others, and every pencil without a proof, are swept on
+    from their first pass and refined (see ``_pencil_minima``), so their
+    verdicts do not depend on the proof. Every verdict is the one the
+    pencil gets alone.
     """
     ranks, bases = stack.deflate(pencils, tol)
-    unit = np.eye(stack.coefs.shape[-1], dtype=np.complex128)[0]
-    found = {p: (pencils[p].lambda_lo, 0.0, unit) for p in np.flatnonzero(ranks == 0).tolist()}
-    swept = np.flatnonzero(ranks).tolist()
-    if swept:
-        if found:
-            stack = stack.take(swept)
-        found.update(zip(swept, _pencil_minima(stack, [pencils[p] for p in swept], n_grid,
-                                               max_refine, tol)))
-    verdicts = []
-    for p, pencil in enumerate(pencils):
-        lam, val, vec = found[p]
+
+    def verdict(p, lam, val, vec):
         if p in bases:
             w, r = bases[p], ranks[p]
             val, vec = (0.0, w[:, r]) if val > 0.0 else (val, w[:, :r] @ vec[:r])
-        status, threshold = _decide(val, pencil.scale, tol)
-        verdicts.append(MembershipVerdict(
+        status, threshold = _decide(val, pencils[p].scale, tol)
+        return MembershipVerdict(
             status=status, defect=val, oracle="pencil",
             witness=Witness(vector=vec, pencil_lambda=lam), threshold=threshold,
-        ))
-    return verdicts
+        )
+
+    unit = np.eye(stack.coefs.shape[-1], dtype=np.complex128)[0]
+    verdicts = {p: verdict(p, pencils[p].lambda_lo, 0.0, unit)
+                for p in np.flatnonzero(ranks == 0).tolist()}
+    swept = np.flatnonzero(ranks).tolist()
+    if not swept:
+        return [verdicts[p] for p in range(len(pencils))]
+    if verdicts:
+        stack = stack.take(swept)
+    grids = {}
+    for p in swept:
+        domain = (pencils[p].lambda_lo, pencils[p].lambda_max)
+        if domain not in grids:
+            grids[domain] = np.geomspace(*domain, n_grid)
+    lams = np.array([grids[pencils[p].lambda_lo, pencils[p].lambda_max] for p in swept])
+    first = _first_pass(stack, lams)
+    rest = list(range(len(swept)))  # the rows of the stack that are swept on
+    if proof is not None:
+        best = first.argmin(1)
+        at = lams[rest, _coarse(n_grid)[best]].tolist()
+        least = first[rest, best].tolist()
+        rows = [i for i in rest
+                if _decide(least[i], pencils[swept[i]].scale, tol)[0] is Status.NON_MEMBER]
+        if rows:
+            _, vecs = np.linalg.eigh(stack.matrices(rows, np.array([at[i] for i in rows])))
+            claims = [verdict(swept[i], at[i], least[i], v[:, 0]) for i, v in zip(rows, vecs)]
+            for i, claim, proved in zip(rows, claims, proof([swept[i] for i in rows], claims)):
+                if proved:
+                    verdicts[swept[i]] = claim
+            rest = [i for i in rest if swept[i] not in verdicts]
+            if len(rest) < len(swept):
+                stack, lams, first = stack.take(rest), lams[rest], first[rest]
+    if rest:
+        minima = _pencil_minima(stack, [pencils[swept[i]] for i in rest], lams, first,
+                                max_refine, tol)
+        for i, (lam, val, vec) in zip(rest, minima):
+            verdicts[swept[i]] = verdict(swept[i], lam, val, vec)
+    return [verdicts[p] for p in range(len(pencils))]
 
 
-def _pencil_minima(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
-                   tol: TolerancePolicy) -> list:
+def _pencil_minima(stack: _PencilStack, pencils, lams: np.ndarray, first: np.ndarray,
+                   max_refine: int, tol: TolerancePolicy) -> list:
     """The least (lambda, lambda_min(P(lambda)), unit eigenvector) found on
-    each pencil of ``stack``, ``pencils`` giving their domains and scales.
+    each pencil of ``stack``, ``pencils`` giving their domains and scales,
+    on its grid, row p of ``lams``, from its first-pass values, row p of
+    ``first`` (``_first_pass``).
 
     The pencils are swept together, each on its own grid, in bisection
-    rounds that share one eigensolve (see ``_sweep``); pencils with one
-    domain share its ``geomspace``. The grid minimum and every refined
-    minimum are those of the full sweep, except that local minima in
-    dropped cells, whose chord bound lies above the grid minimum on the
-    whole cell, take none of the ``max_refine`` slots.
+    rounds that share one eigensolve (see ``_sweep``). The grid minimum
+    and every refined minimum are those of the full sweep, except that
+    local minima in dropped cells, whose chord bound lies above the grid
+    minimum on the whole cell, take none of the ``max_refine`` slots.
     The Brent searches of all pencils then share one stacked build and
     eigensolve per round, one lambda per search; each stops in decision
     units of its pencil's scale (see ``_brent``), and each pencil merges
     only its own. The eigenvectors come from one more build on the
     same stack, at every pencil's least lambda, and one stacked eigh.
     """
-    grids = {}
-    for pencil in pencils:
-        domain = (pencil.lambda_lo, pencil.lambda_max)
-        if domain not in grids:
-            grids[domain] = np.geomspace(*domain, n_grid)
-    lams = np.array([grids[pencil.lambda_lo, pencil.lambda_max] for pencil in pencils])
-    mins, _, local = _sweep(stack, lams)
+    n_grid = lams.shape[1]
+    mins, _, local = _sweep(stack, lams, first)
     bests, searches = [], []  # searches: (pencil index, Brent coroutine)
     for p, (pencil, grid, values) in enumerate(zip(pencils, lams, mins)):
         best = int(np.argmin(values))
@@ -1374,13 +1434,18 @@ def _dual_verdicts(problems, tol: TolerancePolicy, facts=None) -> list:
     absolute-k sphere roots |T|^k = V S^k V* and its warm starts V are read
     from that SVD. The zero operator is a Member of every class. The
     pencils of all other problems are stacked once, their terms checked
-    at once by the checks of PencilSpec (``_check_terms``), and swept and
-    refined first (see ``_pencil_verdicts``), and their defining defects
-    are stacked once (``_NormProductDefect``). One call on that stack gives
-    the value at every pencil's unit eigenvector; a pencil NonMember whose
-    value is at most -tol_decision * scale (minus the sphere's threshold) is
-    NonMember at once (``_proves``), with that value as defect, oracle
-    "pencil", the sphere's threshold and the seed. Only the other problems
+    at once by the checks of PencilSpec (``_check_terms``), and their
+    defining defects are stacked once (``_NormProductDefect``). The pencils
+    run first (see ``_pencil_verdicts``). After their shared first pass,
+    one call on the rows of the defect stack gives the value at the unit
+    eigenvector of every pencil whose least first-pass value reads
+    NonMember; a value at most -tol_decision * scale (minus the sphere's
+    threshold) proves NonMember (``_proves``), and that problem is decided
+    at once, with that value as defect, oracle "pencil", the sphere's
+    threshold and the seed, and leaves the sweep. The other pencils are
+    swept and refined, and one more call gives the value at the unit
+    eigenvector of each that is still a NonMember, decided by the same
+    rule; no witness is evaluated twice. Only the problems left
     descend, on their rows of the stack: each distinct T among them gets
     one block of warm starts, each T and seed one block of seeded
     starts, and one descent runs over the columns of them all, one block
@@ -1409,21 +1474,32 @@ def _dual_verdicts(problems, tol: TolerancePolicy, facts=None) -> list:
                            for _, key, name, k, _ in live))
     stack = _PencilStack(pencils)
     _check_terms([p.terms for p in pencils], stack.exps, stack.coefs)
-    claims = _pencil_verdicts(stack, pencils, _N_GRID, _MAX_REFINE, tol)
     defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))
-    units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
-    values = defect(units[..., None])[:, 0].tolist()
-    rest = []  # the indices into live of the problems that descend
-    for i, ((p, _, _, _, seed), scale, claim, exact) in enumerate(
-            zip(live, scales, claims, values)):
-        threshold = tol.tol_decision * scale
-        if not _proves(claim, exact, threshold):
-            rest.append(i)
-            continue
-        witness = Witness(vector=units[i], pencil_lambda=claim.witness.pencil_lambda)
-        verdicts[p] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact, oracle="pencil",
-                                        witness=witness, threshold=threshold, seed=seed)
+    proved = set()  # the indices into live of the problems the pencil decides
+
+    def proof(rows, claims):
+        """Decide the NonMember ``claims`` of live[rows] that their unit
+        witnesses prove (``_proves``); returns which did."""
+        units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
+        values = defect.take(rows)(units[..., None])[:, 0].tolist()
+        for i, claim, unit, exact in zip(rows, claims, units, values):
+            threshold = tol.tol_decision * scales[i]
+            if _proves(claim, exact, threshold):
+                p, seed = live[i][0], live[i][4]
+                witness = Witness(vector=unit, pencil_lambda=claim.witness.pencil_lambda)
+                verdicts[p] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact,
+                                                oracle="pencil", witness=witness,
+                                                threshold=threshold, seed=seed)
+                proved.add(i)
+        return [i in proved for i in rows]
+
+    claims = _pencil_verdicts(stack, pencils, _N_GRID, _MAX_REFINE, tol, proof)
+    rows = [i for i, claim in enumerate(claims)
+            if i not in proved and claim.status is Status.NON_MEMBER]
+    if rows:
+        proof(rows, [claims[i] for i in rows])
+    rest = [i for i in range(len(live)) if i not in proved]  # the problems that descend
     if not rest:
         return verdicts
     pairs = [(live[i][1], live[i][4]) for i in rest]  # (T, seed) of each, T by identity
@@ -1432,11 +1508,11 @@ def _dual_verdicts(problems, tol: TolerancePolicy, facts=None) -> list:
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
     bands = tol.tol_decision * np.array([scales[i] for i in rest])
-    defect = defect.take(rest)
-    spheres = _descend(defect.value_and_gradient, x, bands,
-                       lambda rows: defect.take(rows).value_and_gradient)
+    descending = defect.take(rest)
+    spheres = _descend(descending.value_and_gradient, x, bands,
+                       lambda rows: descending.take(rows).value_and_gradient)
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
-    values = defect(units[..., None])[:, 0].tolist()
+    values = descending(units[..., None])[:, 0].tolist()
     for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
         p, seed = live[i][0], live[i][4]
         verdicts[p] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seed), claims[i],

@@ -28,7 +28,9 @@ from opclass.membership import (
     _check_terms,
     _descend,
     _dual_verdicts,
+    _first_pass,
     _pencil,
+    _pencil_minima,
     _pencil_verdicts,
     _proves,
     _reconcile,
@@ -581,6 +583,14 @@ def _full_sweep(pencil, n_grid):
     return mins, np.nonzero((mins <= padded[:-2]) & (mins <= padded[2:]))[0]
 
 
+def _pruned_sweep(pencil, lams):
+    """(values, evaluated, local minima) of the engine's sweep of one pencil
+    on the grid ``lams``, its first pass included."""
+    stack, grid = _PencilStack([pencil]), lams[None]
+    [mins], [evaluated], [local] = _sweep(stack, grid, _first_pass(stack, grid))
+    return mins, evaluated, local
+
+
 def test_pruned_sweep_skips_only_cells_above_the_grid_minimum():
     # Every point the sweep skips lies strictly above the full grid's
     # minimum, every point it eigensolves has the full sweep's value, and
@@ -593,7 +603,7 @@ def test_pruned_sweep_skips_only_cells_above_the_grid_minimum():
         for n_grid in (257, 65, 2):
             full, full_local = _full_sweep(pencil, n_grid)
             lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
-            [mins], [evaluated], [local] = _sweep(_PencilStack([pencil]), lams[None])
+            mins, evaluated, local = _pruned_sweep(pencil, lams)
             where = (pencil.label, n_grid)
             assert (full[~evaluated] > full.min()).all(), where
             assert np.array_equal(mins[evaluated], full[evaluated]), where
@@ -638,7 +648,7 @@ def test_skipped_steps_lie_above_the_grid_minimum_between_grid_points():
         for n_grid in (257, 65):
             full, _ = _full_sweep(pencil, n_grid)
             lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
-            [_], [evaluated], [_] = _sweep(_PencilStack([pencil]), lams[None])
+            _, evaluated, _ = _pruned_sweep(pencil, lams)
             step = np.flatnonzero(~(evaluated[:-1] & evaluated[1:]))
             if not step.size:
                 continue
@@ -664,7 +674,7 @@ def test_sweep_bounds_concave_terms():
     )
     full, _ = _full_sweep(pencil, 257)
     lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, 257)
-    [mins], _, _ = _sweep(_PencilStack([pencil]), lams[None])
+    mins, _, _ = _pruned_sweep(pencil, lams)
     assert full.min() == pytest.approx(-0.99992, abs=1e-5)
     assert mins.min() == full.min()
     assert pencil_check(pencil).defect == pytest.approx(-1.0, abs=1e-9)
@@ -723,11 +733,13 @@ def test_stacked_build_equals_evaluate_bit_for_bit():
 
 
 def _spy_sweeps(monkeypatch) -> list:
-    """The evaluated mask of every engine sweep, as they run."""
+    """The evaluated mask of every engine sweep, as they run; the points of
+    the first pass, which the engine eigensolves before the sweep, count as
+    eigensolved."""
     masks = []
 
-    def spying(stack, lams):
-        out = _sweep(stack, lams)
+    def spying(stack, lams, first):
+        out = _sweep(stack, lams, first)
         masks.append(out[1])
         return out
 
@@ -772,9 +784,10 @@ def test_vanishing_k_quasi_pencils_are_members_without_a_sweep(monkeypatch, dim,
     assert is_k_quasi_paranormal(t, k).status is Status.MEMBER
 
 
-def _benchmark_pools(seed: int) -> list:
+def _benchmark_pools(seed: int, names=("ClassifyMembers", "ClassifyRandom")) -> list:
     """The matrices of the benchmark's classify-members and classify-random
-    pools (``perfbench/workloads.py``) at ``seed``."""
+    pools (``perfbench/workloads.py``) at ``seed``, or of the pools of the
+    workload classes ``names``."""
     root = Path(__file__).resolve().parents[1]
     path = sys.path[:]
     sys.path.insert(0, str(root / "perfbench"))
@@ -783,8 +796,8 @@ def _benchmark_pools(seed: int) -> list:
     finally:
         sys.path[:] = path
     mats = []
-    for workload in (workloads.ClassifyMembers, workloads.ClassifyRandom):
-        pool = workload(seed, 20, root)
+    for name in names:
+        pool = getattr(workloads, name)(seed, 20, root)
         pool.make_pool()
         mats += [item["matrix"] for item in pool.pool]
     return mats
@@ -1340,11 +1353,15 @@ _PREDICATES = {
 
 
 def _patch_pencil_claims(monkeypatch, change):
-    """Pass every pencil verdict of the engine through ``change``."""
+    """Pass every pencil verdict of the engine through ``change``: those its
+    first-pass proof is asked about, and those it returns."""
     real = _pencil_verdicts
 
-    def patched(pencils, *args):
-        return [change(v) for v in real(pencils, *args)]
+    def patched(stack, pencils, n_grid, max_refine, tol, proof):
+        def changed(rows, claims):
+            return proof(rows, [change(v) for v in claims])
+
+        return [change(v) for v in real(stack, pencils, n_grid, max_refine, tol, changed)]
 
     monkeypatch.setattr("opclass.membership._pencil_verdicts", patched)
 
@@ -1379,21 +1396,31 @@ def _count_compactions(monkeypatch) -> list:
     return kept
 
 
+def _first_pass_witness(pencil, n_grid=257):
+    """(lambda, unit eigenvector) at the least of the first-pass points of a
+    pencil without a kernel: every 32nd grid point and the last."""
+    lams = np.geomspace(pencil.lambda_lo, pencil.lambda_max, n_grid)
+    coarse = np.minimum(np.arange(0, n_grid + 31, 32), n_grid - 1)
+    lam = lams[coarse][np.argmin(np.linalg.eigvalsh(pencil.evaluate(lams[coarse]))[:, 0])]
+    vec = np.linalg.eigh(pencil.evaluate(np.array([lam])))[1][0][:, 0]
+    return float(lam), vec / np.linalg.norm(vec)
+
+
 def test_pencil_certified_nonmembers_skip_the_descent(monkeypatch):
-    # A pencil NonMember whose unit eigenvector breaks the defining
-    # inequality beyond the sphere's threshold is the verdict: no descent
-    # runs, its defect is the defining value at that vector, and it takes
-    # the sphere's threshold and the seed.
+    # A pencil NonMember whose unit eigenvector at its least first-pass
+    # point breaks the defining inequality beyond the sphere's threshold is
+    # the verdict: no descent runs, its defect is the defining value at that
+    # vector, and it takes the sphere's threshold and the seed.
     t = random_ginibre(5, seed=11)
     expected = {}
     for k in (1, 2):
         for name, fn, pencil, scale in dual_families(t, k):
-            claim = pencil_check(pencil)
-            x = claim.witness.vector / np.linalg.norm(claim.witness.vector)
-            assert claim.status is Status.NON_MEMBER and fn(x) <= -TOL.tol_decision * scale
+            assert pencil_check(pencil).status is Status.NON_MEMBER
+            lam, x = _first_pass_witness(pencil)
+            assert fn(x) <= -TOL.tol_decision * scale
             expected[name, k] = MembershipVerdict(
                 status=Status.NON_MEMBER, defect=fn(x), oracle="pencil",
-                witness=Witness(vector=x, pencil_lambda=claim.witness.pencil_lambda),
+                witness=Witness(vector=x, pencil_lambda=lam),
                 threshold=TOL.tol_decision * scale, seed=3,
             )
 
@@ -1403,6 +1430,92 @@ def test_pencil_certified_nonmembers_skip_the_descent(monkeypatch):
     monkeypatch.setattr("opclass.membership._descend", refuse)
     for (name, k), v in expected.items():
         assert _PREDICATES[name](t, k, seed=3).to_json_dict() == v.to_json_dict(), (name, k)
+
+
+def test_a_failed_first_pass_proof_takes_the_full_sweep(monkeypatch):
+    # With the engine's defect reading 0 at the first-pass eigenvectors, no
+    # pencil is proved there: each is swept and refined, Brent searches
+    # included, and is certified at its refined eigenvector, bit for bit the
+    # verdict the engine gave before the first-pass proof, which
+    # pencil_check's full sweep reproduces.
+    t = random_ginibre(5, seed=11)
+    expected, moved = {}, 0
+    for k in (1, 2):
+        for name, fn, pencil, scale in dual_families(t, k):
+            claim = pencil_check(pencil)
+            x = claim.witness.vector / np.linalg.norm(claim.witness.vector)
+            expected[name, k] = MembershipVerdict(
+                status=Status.NON_MEMBER, defect=fn(x), oracle="pencil",
+                witness=Witness(vector=x, pencil_lambda=claim.witness.pencil_lambda),
+                threshold=TOL.tol_decision * scale, seed=3,
+            )
+            moved += _first_pass_witness(pencil)[0] != claim.witness.pencil_lambda
+    # The refinement moves every witness off the first pass.
+    assert moved == len(expected)
+    real, calls, searches = _NormProductDefect.__call__, [], []
+
+    def first_reads_zero(defect, x):
+        calls.append(x.shape)
+        values = real(defect, x)
+        return np.zeros_like(values) if len(calls) == 1 else values
+
+    def counting(*args):
+        searches.append(args)
+        return _brent(*args)
+
+    monkeypatch.setattr(_NormProductDefect, "__call__", first_reads_zero)
+    monkeypatch.setattr("opclass.membership._brent", counting)
+    for (name, k), v in expected.items():
+        calls.clear()
+        searches.clear()
+        assert _PREDICATES[name](t, k, seed=3).to_json_dict() == v.to_json_dict(), (name, k)
+        # The proof at the first pass and the check after the refinement.
+        assert len(calls) == 2 and searches, (name, k)
+
+
+def test_proved_pencils_leave_the_sweep(monkeypatch):
+    # A pencil whose eigenvector at its least first-pass point proves
+    # NonMember is decided there: it reaches neither _sweep's rounds nor a
+    # Brent search. Every pencil-certified NonMember of both benchmark
+    # pools at seed 2026 is proved so; on classify-random every dual
+    # problem is one, so no sweep round runs and no search starts.
+    proved, swept, searches = [], [], []
+
+    def verdicts(stack, pencils, n_grid, max_refine, tol, proof=None):
+        def spying(rows, claims):
+            out = proof(rows, claims)
+            proved.extend(pencils[r].label for r, ok in zip(rows, out) if ok)
+            return out
+
+        return _pencil_verdicts(stack, pencils, n_grid, max_refine, tol, proof and spying)
+
+    def minima(stack, pencils, *args):
+        swept.extend(p.label for p in pencils)
+        return _pencil_minima(stack, pencils, *args)
+
+    def counting(*args):
+        searches.append(args)
+        return _brent(*args)
+
+    monkeypatch.setattr("opclass.membership._pencil_verdicts", verdicts)
+    monkeypatch.setattr("opclass.membership._pencil_minima", minima)
+    monkeypatch.setattr("opclass.membership._brent", counting)
+    for name, certified in (("ClassifyRandom", 540), ("ClassifyMembers", 193)):
+        searches.clear()
+        total = sweeps = 0
+        for i, t in enumerate(_benchmark_pools(2026, (name,))):
+            proved.clear()
+            swept.clear()
+            pencil = [v for v in classify_all(t, seed=i).values() if v.oracle == "pencil"]
+            # The pencil labels of one matrix are distinct.
+            assert len(proved) == len(pencil) and not set(proved) & set(swept), (name, i)
+            total += len(pencil)
+            sweeps += len(swept)
+        assert total == certified, name
+        if name == "ClassifyRandom":
+            assert sweeps == 0 and searches == []
+        else:
+            assert sweeps > 0 and searches
 
 
 @pytest.mark.parametrize("kind", ["ginibre", "normal"])
@@ -1472,6 +1585,53 @@ def test_dual_statuses_beyond_dim_8(kind, dim):
                 member = kind == "normal" or (name == "KQuasiParanormal" and k >= 1)
                 v = _PREDICATES[name](mat, k, seed=dim)
                 assert v.status is (Status.MEMBER if member else Status.NON_MEMBER), (name, k)
+
+
+def test_first_pass_proof_keeps_every_status_beyond_dim_8(monkeypatch):
+    # 20 Haar-conjugated matrices at dims 9-14, Ginibre and J_m + N with N
+    # normal and m = 2-4: every dual status is the one the engine gives
+    # when no pencil is proved at its first pass, so that every pencil is
+    # swept and refined before its eigenvector is checked. Both ways take
+    # about 0.5 s on a 2-vCPU host.
+    mats = []
+    for i in range(20):
+        dim, u = 9 + i % 6, random_unitary(9 + i % 6, seed=500 + i)
+        if i % 2:
+            m = 2 + i // 2 % 3
+            t = scipy.linalg.block_diag(np.eye(m, k=1), random_normal(dim - m, seed=500 + i))
+        else:
+            t = random_ginibre(dim, seed=500 + i)
+        mats.append(u @ t @ u.conj().T)
+    problems = [("KQuasiParanormal", k) for k in range(4)]
+    problems += [(name, k) for name in ("KParanormal", "AbsoluteKParanormal") for k in (1, 2, 3)]
+
+    def statuses():
+        return [[v.status for v in _dual_verdicts([(t, name, k, i) for name, k in problems], TOL)]
+                for i, t in enumerate(mats)]
+
+    proved = statuses()
+    monkeypatch.setattr("opclass.membership._pencil_verdicts",
+                        lambda stack, pencils, n_grid, max_refine, tol, proof:
+                        _pencil_verdicts(stack, pencils, n_grid, max_refine, tol))
+    assert statuses() == proved
+    # Both statuses occur: the J_m + N matrices are k-quasi-paranormal for
+    # k >= m - 1.
+    assert {s for row in proved for s in row} == {Status.MEMBER, Status.NON_MEMBER}
+
+
+def test_pencil_check_is_pinned():
+    # The public one-pencil path has no defining defect to prove with, so
+    # it sweeps and refines every pencil fully: every verdict field of
+    # pencil_check over the dual families of Ginibre, normal, k-quasi and
+    # nilpotent matrices at k = 1-3, bit for bit as before the engine's
+    # first-pass proof.
+    mats = [random_ginibre(4, seed=5), 1e3 * random_ginibre(6, seed=6), random_normal(5, seed=7),
+            k_quasi_member(3, 3, 2, seed=8), jordan_nilpotent(5, 3, seed=9)]
+    doc = [pencil_check(pencil).to_json_dict() for t in mats for k in (1, 2, 3)
+           for _, _, pencil, _ in dual_families(t, k)]
+    assert {v["status"] for v in doc} == {"Member", "NonMember"}
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == "269e10c96c6eb086d5d2695002566d9bfeedee3415a84941d77f8d90c6bc744a"
 
 
 def test_k_quasi_paranormality_of_a_jordan_block_beside_a_normal_part(monkeypatch):
@@ -1566,12 +1726,14 @@ def test_classify_all_statuses_are_pinned():
 def test_classify_all_output_is_pinned():
     # Every status, defect, oracle, witness, threshold and seed, bit for bit:
     # a change to the oracles' arithmetic order that moves any float shows.
+    # Last taken when certified pencil NonMembers came to report the
+    # defining value at the eigenvector of their least first-pass point.
     doc = [
         {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=i).items()}
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "00a7bcc52b1ee10c743cd71b65f1c8f2ad3ef1347698462a773a139eff3f593d"
+    assert digest == "e6f97a257209d8de7a5016b9b637729da4bcaa4c7689e3e1b402fdfbe5b59806"
 
 
 def test_builders_are_pinned():

@@ -33,8 +33,8 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
                 os.environ[var] = value
     def wrapped():
         return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend, mb._dual_verdicts,
-                hs._dual_verdicts, mb._PencilStack.deflate)
+                mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
+                mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate)
 
     originals = wrapped()
     # The pencil certifies the Ginibre matrix's NonMembers alone; the normal
@@ -48,10 +48,12 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         mb.classify_all(jordan_nilpotent(4, 2, 1), seed=1)
         counted = counter.take()
         assert {key: value for key, value in counted.items() if value <= 0} == {}
-        # No matrix is zero, so each problem is either certified or descends.
+        # No matrix is zero, so each problem is either certified or descends;
+        # the Ginibre matrix's pencils are all proved at their first pass.
         assert counted["certified"] + counted["descended"] == counted["problems"]
-        # The sweeps' builds are among the builds: a coarse pass each, and
-        # its bisection rounds.
+        assert 10 <= counted["proved"] <= counted["certified"]
+        # The sweeps' builds are among the builds: a first pass each, and
+        # the bisection rounds of the pencils not proved by it.
         assert 0 < counted["sweep_builds"] < counted["builds"]
         # Each pencil with a kernel adds at least one dimension.
         assert counted["unswept"] < counted["deflated"] <= counted["kernel_dims"]

@@ -8,14 +8,15 @@ Usage (from the root of a checkout):
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
 it still holds. ``membership._pencil_verdicts`` stacks the terms of all
-its pencils once (``membership._PencilStack``); every pencil sweep pass,
-every refinement round and the build of the witness eigenvectors makes
-the matrices of a batch of (pencil, lambda) points with
-``_PencilStack.matrices``, and a round asks every running Brent search
-(``membership._brent``) for one lambda. This script wraps those methods,
-``_PencilStack.deflate``, ``membership._sweep``, ``membership._brent``,
-``membership._pencil_verdicts`` and ``membership._descend``, from
-outside, and the dual engine
+its pencils once (``membership._PencilStack``); its first pass
+(``membership._first_pass``), every sweep round, every refinement round
+and every build of witness eigenvectors makes the matrices of a batch of
+(pencil, lambda) points with ``_PencilStack.matrices``, and a round asks
+every running Brent search (``membership._brent``) for one lambda. This
+script wraps those methods, ``_PencilStack.deflate``,
+``membership._first_pass``, ``membership._sweep``, ``membership._brent``,
+``membership._pencil_verdicts`` (and the engine's first-pass proof it is
+handed) and ``membership._descend``, from outside, and the dual engine
 ``membership._dual_verdicts`` with the binding ``harness._drive`` calls it
 through, and counts:
 
@@ -25,22 +26,25 @@ through, and counts:
 * the problems the pencil certifies alone, whose NonMember eigenvector
   breaks the defining inequality, counted as the verdicts labelled
   "pencil" (a problem that descends can only have the sphere's witness
-  certified), and the problems that descend, the problems of every
-  ``membership._descend`` call;
+  certified), how many of those the engine's proof certified at the
+  pencil's first pass, so that they left the sweep, and the problems that
+  descend, the problems of every ``membership._descend`` call;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
-  are those built inside ``_sweep``: the first ones are the coarse pass
-  of all its pencils (every ``membership._STRIDE``-th grid point and the
-  last of each), the later ones the open cells of its bisection rounds.
-  The builds inside ``_sweep`` are counted too: one per
-  ``membership._CHUNK`` points of the coarse pass and of every round that
-  eigensolves anything. Its grid size is counted too,
-  summed over its pencils, which is what sweeps that eigensolve every grid
-  point evaluate. The other builds inside ``_pencil_verdicts`` are
-  refinement rounds while a Brent search runs, and the one witness build
-  of the call, one lambda per pencil, once none does;
+  are the coarse ones, built inside ``_first_pass`` (every
+  ``membership._STRIDE``-th grid point and the last of each pencil), and
+  the open-cell ones, built inside ``_sweep``'s bisection rounds, which
+  only the pencils the proof left take. The builds of both are counted
+  too: one per ``membership._CHUNK`` points of the first pass and of
+  every round that eigensolves anything. The grid size of every first
+  pass is counted too, summed over its pencils, which is what sweeps that
+  eigensolve every grid point evaluate. The other builds inside
+  ``_pencil_verdicts`` are refinement rounds while a Brent search runs,
+  and the witness builds while none does: the proof's, one lambda per
+  pencil whose least first-pass value reads NonMember, and the one of
+  the pencils swept on, one lambda each;
 * the refinement searches, and the lockstep rounds of refinement: per
   ``_pencil_verdicts`` call, the most lambdas any one of its searches
   asked for;
@@ -89,21 +93,20 @@ class Counter:
     """Counts the engine calls, the fused sphere steps, the pencil builds
     and the refinement searches."""
 
-    FIELDS = ("engine_calls", "problems", "certified", "descended", "calls", "columns",
+    FIELDS = ("engine_calls", "problems", "certified", "proved", "descended", "calls", "columns",
               "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
               "refine_lams", "witness_lams", "searches", "rounds", "deflated", "kernel_dims",
               "unswept")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
-        # Where the next build inside _pencil_verdicts counts, and the coarse
-        # lambdas of the running sweep not built yet.
-        self._kind, self._coarse = None, 0
+        # Where the next build inside _pencil_verdicts counts.
+        self._kind = None
         # The most lambdas one search of the running _pencil_verdicts asked
         # for, and the searches still running.
         self._rounds = self._live = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-                       mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
+                       mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
                        mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate)
 
     def _inside(self, fn, kind):
@@ -117,7 +120,8 @@ class Counter:
         return counted
 
     def __enter__(self):
-        fused, matrices, sweep, brent, verdicts, descend, engine, _, deflate = self._saved
+        (fused, matrices, first_pass, sweep, brent, verdicts, descend, engine, _,
+         deflate) = self._saved
         counts = self.counts
 
         def counted_engine(problems, *args):
@@ -147,10 +151,6 @@ class Counter:
                 counts[kind] += lams.size
                 if kind in ("coarse_lams", "open_lams"):
                     counts["sweep_builds"] += 1
-                if kind == "coarse_lams":
-                    self._coarse -= lams.size
-                    if self._coarse <= 0:
-                        self._kind = "open_lams"
             return matrices(stack, owner, lams)
 
         def counted_deflate(stack, *args):
@@ -161,11 +161,9 @@ class Counter:
             counts["unswept"] += int((kernel == 0).sum())
             return ranks, bases
 
-        def counted_sweep(stack, lams):
+        def counted_first_pass(stack, lams):
             counts["grid_lams"] += lams.size
-            count, n = lams.shape
-            self._coarse = count * len(range(0, n + mb._STRIDE - 1, mb._STRIDE))
-            return sweep(stack, lams)
+            return first_pass(stack, lams)
 
         def counted_brent(*args):
             counts["searches"] += 1
@@ -181,17 +179,26 @@ class Counter:
                 asked += 1
                 value = yield lam
 
-        def counted_verdicts(*args):
+        def counted_verdicts(stack, pencils, n_grid, max_refine, tol, proof=None):
+            # Only the proof asked after the first pass is counted: the engine
+            # asks the same rule again after the sweep, not through here.
+            def counted_proof(rows, claims):
+                proved = proof(rows, claims)
+                counts["proved"] += sum(proved)
+                return proved
+
             self._rounds = self._live = 0
             try:
-                return verdicts(*args)
+                return verdicts(stack, pencils, n_grid, max_refine, tol,
+                                proof and counted_proof)
             finally:
                 counts["rounds"] += self._rounds
 
         mb._NormProductDefect.value_and_gradient = counted_fused
         mb._PencilStack.matrices = counted_matrices
         mb._PencilStack.deflate = counted_deflate
-        mb._sweep = self._inside(counted_sweep, "coarse_lams")
+        mb._first_pass = self._inside(counted_first_pass, "coarse_lams")
+        mb._sweep = self._inside(sweep, "open_lams")
         mb._brent = counted_brent
         mb._pencil_verdicts = self._inside(counted_verdicts, "refine_lams")
         mb._descend = counted_descend
@@ -200,8 +207,8 @@ class Counter:
 
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
-         mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend, mb._dual_verdicts,
-         hs._dual_verdicts, mb._PencilStack.deflate) = self._saved
+         mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
+         mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -223,7 +230,7 @@ def pencil_line(counts: dict) -> str:
 
 def problems_line(counts: dict) -> str:
     return (f"{counts['problems']} dual problems, {counts['certified']} certified by the "
-            f"pencil, {counts['descended']} descended")
+            f"pencil ({counts['proved']} at its first pass), {counts['descended']} descended")
 
 
 def summary(per_item: list[dict]) -> str:
@@ -236,7 +243,8 @@ def summary(per_item: list[dict]) -> str:
 
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "descended"), 0)
+    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "proved",
+                           "descended"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
             pool = workload(wl.DEFAULT_SEED, seconds, ROOT)
