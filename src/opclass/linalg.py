@@ -110,11 +110,27 @@ def finite_frobenius_norm(a) -> float:
     return size
 
 
+# The last matrix operator_norm measured: (shape, bytes of its validated
+# complex128 form, its norm). Callers that place one matrix run several
+# predicates on it, each scaled by its norm, and take one SVD between them.
+# The tuple is read once and replaced whole, so a thread that races another
+# can miss, but never reads one matrix's key with another's norm.
+_last_norm: tuple = (None, b"", 0.0)
+
+
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value. A call on a matrix with the same shape and
+    bytes as the last one measured returns the value computed for them."""
+    global _last_norm
     m = as_operator(a)
+    data = m.tobytes()
+    shape, last_data, last_value = _last_norm
+    if m.shape == shape and data == last_data:
+        return last_value
     # np.linalg.norm(m, 2) takes the same maximum, through a slower wrapper.
-    return float(np.linalg.svd(m, compute_uv=False).max())
+    value = float(np.linalg.svd(m, compute_uv=False).max())
+    _last_norm = (m.shape, data, value)
+    return value
 
 
 def _direct_sum(*blocks: np.ndarray) -> np.ndarray:

@@ -1207,11 +1207,14 @@ def _normaloid(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> Membership
     threshold = tol.tol_decision * scale
     primary = Status.MEMBER if defect >= -threshold else Status.NON_MEMBER
 
+    # |‖T^n‖ - ‖T‖^n| > tol * max(1, ‖T‖^n), divided through by ‖T‖^n so
+    # that no power of T overflows: |‖(T/‖T‖)^n‖ - 1| * min(1, ‖T‖)^n > tol.
+    # The factor min(1, ‖T‖)^n underflows to 0 where ‖T‖^-n would overflow.
+    unit = m / norm_t
     powers_ok = True
     for n in range(2, 7):
-        lhs = operator_norm(np.linalg.matrix_power(m, n))
-        rhs = norm_t**n
-        if abs(lhs - rhs) > tol.tol_decision * max(1.0, rhs):
+        lhs = operator_norm(np.linalg.matrix_power(unit, n))
+        if abs(lhs - 1.0) * min(1.0, norm_t) ** n > tol.tol_decision:
             powers_ok = False
             break
     cross = Status.MEMBER if powers_ok else Status.NON_MEMBER

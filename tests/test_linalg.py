@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +59,88 @@ def test_operator_norm_is_numpys_two_norm_bit_for_bit():
         mats += [g, low_rank, 1e-150 * g, 1e150 * g, g.real]
     for m in mats:
         want = float(np.linalg.norm(np.asarray(m, dtype=np.complex128), 2))
+        # The second read is the remembered value of the first.
         assert operator_norm(m).hex() == want.hex(), m.shape
+        assert operator_norm(m).hex() == want.hex(), m.shape
+
+
+def _count_svds(monkeypatch) -> list:
+    """Patch np.linalg.svd to append to the returned list on every call."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_operator_norm_remembers_the_last_matrix(monkeypatch):
+    rng = np.random.default_rng(2071)
+    g = ginibre(6, rng)
+    calls = _count_svds(monkeypatch)
+    for m in (g, g.real):
+        operator_norm(np.eye(2))  # some other matrix is the last one measured
+        calls.clear()
+        want = operator_norm(m)
+        copies = [m, m.copy(), np.asfortranarray(m), np.array(m, dtype=np.complex128),
+                  np.asfortranarray(m.astype(np.complex128))]
+        for copy in copies:
+            assert operator_norm(copy).hex() == want.hex()
+        assert len(calls) == 1
+
+
+def test_operator_norm_measures_afresh_any_other_bytes(monkeypatch):
+    rng = np.random.default_rng(2072)
+    m = ginibre(5, rng)
+    m[2, 3] = 0.0
+    negative_zero = m.copy()
+    negative_zero[2, 3] = -0.0
+    operator_norm(m)
+    calls = _count_svds(monkeypatch)
+    # The same values but another bit pattern: measured again.
+    assert operator_norm(negative_zero) == operator_norm(m)
+    assert len(calls) == 2
+    # An edit in place of the last matrix measured.
+    m[0, 0] += 1.0
+    assert operator_norm(m).hex() == float(np.linalg.norm(m, 2)).hex()
+    assert len(calls) == 3
+    # Another shape.
+    bigger = np.zeros((6, 6), dtype=np.complex128)
+    bigger[:5, :5] = m
+    bigger[5, 5] = 10.0
+    assert operator_norm(bigger) == 10.0
+    assert len(calls) == 4
+
+
+def test_operator_norm_threads_read_their_own_matrix():
+    # Threads that alternate between two matrices of one shape, so the
+    # remembered matrix changes under them all the time: each call must
+    # return the norm of the matrix it was given.
+    rng = np.random.default_rng(2073)
+    mats = [ginibre(4, rng), 3.0 * ginibre(4, rng)]
+    want = [float(np.linalg.norm(m, 2)) for m in mats]
+    wrong = []
+
+    def work(phase: int) -> None:
+        for i in range(300):
+            j = (i + phase) % 2
+            if operator_norm(mats[j]) != want[j]:
+                wrong.append((phase, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(phase % 2,)) for phase in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_spectral_radius_examples(j2):

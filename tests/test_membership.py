@@ -256,6 +256,61 @@ def test_is_normaloid_examples(j2):
     assert is_normaloid(normaloid_counterexample(2, 2, 5)).status is Status.MEMBER
 
 
+def test_is_normaloid_decides_large_matrices_without_overflow():
+    # The power-norm cross-check forms the powers of T/||T||: the powers of
+    # T itself overflow a double from about ||T|| = 1e52 on, while the
+    # class scale max(1, ||T||) is still far from it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e52, 1e200, 1e300):
+            assert is_normaloid(c * random_normal(3, 1)).status is Status.MEMBER, c
+            assert is_normaloid(c * jordan_nilpotent(4, 3, 1)).status is Status.NON_MEMBER, c
+
+
+def _structure_matrices() -> list:
+    """Ten matrices at the structure workload's dims 16-64: a Haar-conjugated
+    normal block beside a pure part of 2 x 2 upper-triangular blocks, an
+    index-2 Jordan nilpotent, and an rr instance, at dims 16, 32 and 64
+    each, and one more normal + pure matrix at dim 24. The normal blocks
+    at dims 32 and 64 have spectral radius 3 against a pure part of norm
+    below 2, so those two matrices are normaloid."""
+    mats = []
+    for dim in (16, 32, 64, 24):
+        rng = make_rng(dim, 5)
+        n = dim // 4
+        diag = np.sqrt(rng.uniform(0, 1, (2, n))) * np.exp(2j * np.pi * rng.uniform(0, 1, (2, n)))
+        sup = rng.uniform(0.5, 1.0, n)
+        pure = [np.array([[a, b], [0, c]]) for a, b, c in zip(diag[0], sup, diag[1])]
+        u = random_unitary(dim, seed=dim)
+        normal = random_normal(dim // 2, seed=dim, eigenvalues=None if dim < 32 else
+                               3 * np.exp(2j * np.pi * rng.uniform(0, 1, dim // 2)))
+        mats.append(u @ scipy.linalg.block_diag(normal, *pure) @ u.conj().T)
+        if dim != 24:
+            mats += [jordan_nilpotent(dim, 2, seed=dim), rr_instance(dim - dim // 2, dim // 4, dim)]
+    return mats
+
+
+_STRUCTURE_PREDICATES = (
+    is_normal, is_quasinormal, lambda t: quasinormal_embry(t, 3), is_hyponormal,
+    lambda t: is_p_hyponormal(t, 0.5), is_class_a, is_normaloid,
+)
+
+
+def test_algebraic_predicates_are_pinned_at_dims_16_to_64():
+    # Every verdict field of the seven predicates of the structure
+    # workload, bit for bit, whatever the order of the calls: matrix by
+    # matrix, so that operator_norm meets each matrix again, and predicate
+    # by predicate, so that the matrix changes on every call.
+    mats = _structure_matrices()
+    in_order = [[p(t).to_json_dict() for p in _STRUCTURE_PREDICATES] for t in mats]
+    by_predicate = [[p(t).to_json_dict() for t in mats] for p in _STRUCTURE_PREDICATES]
+    interleaved = [list(row) for row in zip(*by_predicate)]
+    assert {v["status"] for row in in_order for v in row} == {"Member", "NonMember"}
+    for doc in (in_order, interleaved):
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == "b82fc711970b6d5bc492e8f4d8b3af15c24211e060fe6c306d776b22578134cb"
+
+
 # ---------------------------------------------------------------------------
 # Pencil oracle
 # ---------------------------------------------------------------------------

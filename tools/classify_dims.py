@@ -1,6 +1,7 @@
 """Milliseconds per matrix of ``classify_all`` at dims 3-8, seconds per
 matrix at dims 16, 24 and 32, and milliseconds per call of the seven
-algebraic predicates and of ``nilpotent2_canonical`` at dims 16, 32 and 64.
+algebraic predicates and of ``nilpotent2_canonical`` and per matrix of the
+seven predicates in a row at dims 16, 32 and 64.
 
 Usage (from the root of a checkout):
 
@@ -19,7 +20,13 @@ structure benchmark workload runs on every matrix (is_normal,
 is_quasinormal, quasinormal_embry up to k = 3, is_hyponormal,
 is_p_hyponormal at p = 0.5, is_class_a and is_normaloid); each is timed
 the same way on the same four kinds of matrix, and the script prints its
-median and least milliseconds per call over the repeats.
+median and least milliseconds per call over the repeats. Those rows run
+one predicate over all four matrices before the next, so every call
+measures a matrix other than the last one; ``operator_norm`` keeps only
+the last matrix it measured, so each call takes its own SVD. A further
+row per dim runs all seven on one matrix before the next, in the
+structure workload's order, as a caller that places one matrix on the
+chain does, and prints milliseconds per matrix.
 ``nilpotent2_canonical`` is timed the same way on four index-2 Jordan
 nilpotents per dim, the matrices of the structure workload's nilpotent2
 kind. Run it alternately in two checkouts to compare them on a shared
@@ -88,6 +95,10 @@ def main() -> int:
             cells.append(f"{name} {1e3 * statistics.median(per_call):.3f}"
                          f"/{1e3 * min(per_call):.3f}")
         print(f"dim {dim} algebraic ms/call, median/least: " + ", ".join(cells))
+        per_matrix = seconds_per_call(lambda t, i: [p(t) for p in ALGEBRAIC.values()], mats)
+        print(f"dim {dim} algebraic in structure order: median "
+              f"{1e3 * statistics.median(per_matrix):.3f} ms/matrix, "
+              f"least {1e3 * min(per_matrix):.3f} ms/matrix over {REPEATS} repeats")
     for dim in (16, 32, 64):
         mats = [gen.jordan_nilpotent(dim, 2, seed=s) for s in range(1, 5)]
         per_call = seconds_per_call(lambda t, i: dec.nilpotent2_canonical(t), mats)
