@@ -26,6 +26,7 @@ __all__ = [
     "frobenius_norm",
     "finite_frobenius_norm",
     "operator_norm",
+    "operator_svd",
     "spectral_radius",
     "hermitian_eigen",
     "psd_defect",
@@ -110,27 +111,48 @@ def finite_frobenius_norm(a) -> float:
     return size
 
 
-# The last matrix operator_norm measured: (shape, bytes of its validated
-# complex128 form, its norm). Callers that place one matrix run several
-# predicates on it, each scaled by its norm, and take one SVD between them.
-# The tuple is read once and replaced whole, so a thread that races another
-# can miss, but never reads one matrix's key with another's norm.
-_last_norm: tuple = (None, b"", 0.0)
+# The last matrix seen: (shape, bytes of its validated complex128 form,
+# {name: fact}). Callers that place one matrix run several predicates on
+# it and take one SVD of each kind between them. The tuple is read once
+# and replaced whole, so a thread that races another can miss, but never
+# reads one matrix's key with another's facts.
+_last: tuple = (None, b"", {})
+
+
+def _fact(a, name: str, derive):
+    """``derive`` of the validated matrix ``a``, remembered under ``name``
+    while ``a`` has the shape and bytes of the last matrix seen."""
+    global _last
+    m = as_operator(a)
+    data = m.tobytes()
+    shape, last_data, facts = _last
+    same = m.shape == shape and data == last_data
+    if same and name in facts:
+        return facts[name]
+    value = derive(m)
+    _last = (m.shape, data, {**facts, name: value} if same else {name: value})
+    return value
 
 
 def operator_norm(a) -> float:
     """Largest singular value. A call on a matrix with the same shape and
-    bytes as the last one measured returns the value computed for them."""
-    global _last_norm
-    m = as_operator(a)
-    data = m.tobytes()
-    shape, last_data, last_value = _last_norm
-    if m.shape == shape and data == last_data:
-        return last_value
+    bytes as the last one seen returns the value computed for them."""
     # np.linalg.norm(m, 2) takes the same maximum, through a slower wrapper.
-    value = float(np.linalg.svd(m, compute_uv=False).max())
-    _last_norm = (m.shape, data, value)
-    return value
+    return _fact(a, "norm", lambda m: float(np.linalg.svd(m, compute_uv=False).max()))
+
+
+def operator_svd(a):
+    """numpy's full SVD (U, S, V*), its factors read-only. A call on a matrix
+    with the same shape and bytes as the last one seen returns the factors
+    computed for them."""
+
+    def read_only(m: np.ndarray):
+        factors = np.linalg.svd(m)
+        for f in factors:
+            f.setflags(write=False)
+        return factors
+
+    return _fact(a, "svd", read_only)
 
 
 def _direct_sum(*blocks: np.ndarray) -> np.ndarray:

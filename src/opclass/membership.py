@@ -48,15 +48,13 @@ one call reads one stack of its defining defects. The public
 pencil. Where both oracles ran, a decisive disagreement is surfaced as
 OracleDisagreement rather than resolved silently.
 
-One call of ``classify_all`` or of the dual engine derives what its
-verdicts share once per distinct T: ||T||, which the class scales, the
-pencils and the algebraic predicates' private cores all read (the public
-predicates take it themselves); one SVD T = U S V*, from which every
-absolute-k sphere root |T|^k = V S^k V* and the sphere's warm starts V
-are read, as are p-hyponormality's roots in ``classify_all``; and one
-check of the terms of all its pencils, as one stack, by the checks of
-PencilSpec. A root of the Gram T*T would lose the singular values of T
-below about ||T|| sqrt(eps).
+The predicates read ||T||, and the SVD T = U S V* where they need it,
+from ``linalg`` (``operator_norm``, ``operator_svd``), which remembers
+both for the last matrix seen, so the predicates of one ``classify_all``
+call take one SVD of T of each kind. p-hyponormality's roots, the
+absolute-k sphere roots |T|^k = V S^k V* and the sphere's warm starts V
+are read from that SVD: a root of the Gram T*T would lose the singular
+values of T below about ||T|| sqrt(eps).
 
 Decision semantics: with d the defect normalized by the class scale and
 t = tol_decision, a verdict is Member when d >= -t/10, NonMember when
@@ -85,6 +83,7 @@ from .linalg import (
     hermitian_eigen,
     matrix_power,
     operator_norm,
+    operator_svd,
     spectral_radius,
 )
 from .matio import complex_pairs
@@ -1091,12 +1090,8 @@ def _descend(value_and_gradient, x: np.ndarray, band, take) -> list:
 def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T = TT* within tol_eq relative to max(1, ||T||^2)."""
     m = as_operator(t)
-    return _normal(m, operator_norm(m), tol)
-
-
-def _normal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
     # The scale goes first: it rejects a T whose products would overflow.
-    scale = _scale(norm_t, 2)
+    scale = _scale(operator_norm(m), 2)
     comm = m.conj().T @ m - m @ m.conj().T
     return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
 
@@ -1104,11 +1099,7 @@ def _normal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVer
 def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T commutes with T*T."""
     m = as_operator(t)
-    return _quasinormal(m, operator_norm(m), tol)
-
-
-def _quasinormal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
-    scale = _scale(norm_t, 3)
+    scale = _scale(operator_norm(m), 3)
     resid = m @ m.conj().T @ m - m.conj().T @ m @ m
     return _equality_verdict(finite_frobenius_norm(resid), scale, tol)
 
@@ -1142,11 +1133,7 @@ def quasinormal_embry(
 def is_hyponormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T - TT* positive semidefinite."""
     m = as_operator(t)
-    return _hyponormal(m, operator_norm(m), tol)
-
-
-def _hyponormal(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
-    scale = _scale(norm_t, 2)
+    scale = _scale(operator_norm(m), 2)
     return _psd_verdict(m.conj().T @ m - m @ m.conj().T, scale, tol)
 
 
@@ -1157,17 +1144,12 @@ def is_p_hyponormal(
     T = U S V*: V S^(2p) V* - U S^(2p) U*. Roots of the Grams T*T and TT*
     would lose the singular values below about ||T|| sqrt(eps)."""
     m = as_operator(t)
-    return _p_hyponormal(m, np.linalg.svd(m), p, tol)
-
-
-def _p_hyponormal(m: np.ndarray, svd, p: float, tol: TolerancePolicy) -> MembershipVerdict:
-    """``is_p_hyponormal`` of a validated T, given its SVD (numpy's U, S, V*)."""
-    # The scale reads the SVD's own largest singular value, not ||T||.
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     if _zero_operator(m):
         return _member_zero()
-    u, sv, vh = svd
+    u, sv, vh = operator_svd(m)
+    # The scale reads the SVD's own largest singular value, not ||T||.
     scale = _scale(float(sv[0]), 2 * p)
     sp = sv ** (2 * p)
     return _psd_verdict((vh.conj().T * sp) @ vh - (u * sp) @ u.conj().T, scale, tol)
@@ -1178,13 +1160,9 @@ def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdic
     from one SVD T^2 = U S V*. A root of the Gram (T*)^2 T^2 would lose the
     singular values of T^2 below about ||T||^2 sqrt(eps)."""
     m = as_operator(t)
-    return _class_a(m, operator_norm(m), tol)
-
-
-def _class_a(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
     if _zero_operator(m):
         return _member_zero()
-    scale = _scale(norm_t, 2)
+    scale = _scale(operator_norm(m), 2)
     _, sv, vh = np.linalg.svd(m @ m)
     return _psd_verdict((vh.conj().T * sv) @ vh - m.conj().T @ m, scale, tol)
 
@@ -1196,12 +1174,9 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
     n = 2..6; a clash between the two demotes the verdict to Inconclusive.
     """
     m = as_operator(t)
-    return _normaloid(m, operator_norm(m), tol)
-
-
-def _normaloid(m: np.ndarray, norm_t: float, tol: TolerancePolicy) -> MembershipVerdict:
     if _zero_operator(m):
         return _member_zero()
+    norm_t = operator_norm(m)
     defect = spectral_radius(m) - norm_t
     scale = max(1.0, norm_t)
     threshold = tol.tol_decision * scale
@@ -1349,7 +1324,7 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
 # before it forms any power of T, and returns a callable that forms the
 # sphere defect's (positive, negative) terms, and the pencil, both from the
 # same powers of T; a public pencil constructor never calls the callable.
-# The callable takes T's SVD (numpy's U, S, V*), which the engine takes
+# The callable takes T's SVD (numpy's U, S, V*), which the engine reads
 # once per distinct T: the absolute-k classes read |T|^k = V S^k V* from
 # it, and the other classes need none.
 
@@ -1427,15 +1402,15 @@ def _check_k(name: str, k: int) -> None:
         raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
 
 
-def _dual_verdicts(problems, tol: TolerancePolicy, facts=None) -> list:
+def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
 
-    Each distinct T (by identity) is validated once and gets one norm and
-    one SVD, read from ``facts`` (id(T) -> (||T||, numpy's SVD of T)) where
-    the caller has them; its pencils are built on that norm, and its
-    absolute-k sphere roots |T|^k = V S^k V* and its warm starts V are read
-    from that SVD. The zero operator is a Member of every class. The
+    Each distinct T (by identity) is validated once and reads its norm and
+    its SVD from ``linalg`` (``operator_norm``, ``operator_svd``); its
+    pencils are built on that norm, and its absolute-k sphere roots
+    |T|^k = V S^k V* and its warm starts V are read from that SVD. The
+    zero operator is a Member of every class. The
     pencils of all other problems are stacked once, their terms checked
     at once by the checks of PencilSpec (``_check_terms``), and their
     defining defects are stacked once (``_NormProductDefect``). The pencils
@@ -1464,8 +1439,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy, facts=None) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise ValueError(f"a stack of dual problems needs one dimension, got "
                          f"{sorted({m.shape[0] for m in mats.values()})}")
-    known = facts or {}
-    facts = {key: known[key] if key in known else (operator_norm(m), np.linalg.svd(m))
+    facts = {key: (operator_norm(m), operator_svd(m))
              for key, m in mats.items() if not _zero_operator(m)}
     live = [(p, id(t), name, k, seed)
             for p, (t, name, k, seed) in enumerate(problems) if id(t) in facts]
@@ -1574,7 +1548,9 @@ def classify_all(
     *,
     seed: int = 0,
 ) -> dict[OperatorClass, MembershipVerdict]:
-    """Run every class predicate; keys follow the inclusion-chain order."""
+    """Run every class predicate; keys follow the inclusion-chain order.
+    ``is_normaloid`` runs last: its norms of the powers of T/||T|| replace
+    T in ``linalg``'s memo, which the others read."""
     m = as_operator(t)
     k_list = tuple(k_list)
     if not all(float(k).is_integer() for k in k_list):
@@ -1583,25 +1559,21 @@ def classify_all(
         raise ValueError(f"every k must be nonnegative, got {list(k_list)}")
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
-    # One norm serves every predicate and the dual engine, and one SVD
-    # p-hyponormality and the engine.
-    norm_t, svd = operator_norm(m), np.linalg.svd(m)
     out: dict[OperatorClass, MembershipVerdict] = {}
-    out[OperatorClass("Normal")] = _normal(m, norm_t, tol)
-    out[OperatorClass("Quasinormal")] = _quasinormal(m, norm_t, tol)
-    out[OperatorClass("Hyponormal")] = _hyponormal(m, norm_t, tol)
+    out[OperatorClass("Normal")] = is_normal(m, tol)
+    out[OperatorClass("Quasinormal")] = is_quasinormal(m, tol)
+    out[OperatorClass("Hyponormal")] = is_hyponormal(m, tol)
     for p in ps:
-        out[OperatorClass("PHyponormal", p=p)] = _p_hyponormal(m, svd, p, tol)
-    out[OperatorClass("ClassA")] = _class_a(m, norm_t, tol)
+        out[OperatorClass("PHyponormal", p=p)] = is_p_hyponormal(m, p, tol)
+    out[OperatorClass("ClassA")] = is_class_a(m, tol)
     # Paranormality is k-quasi-paranormality at k = 0; all dual classes of
     # the matrix are decided together.
     problems = [("KQuasiParanormal", 0)] + [
         (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
     ]
     keys = [OperatorClass("Paranormal")] + [OperatorClass(name, k=k) for name, k in problems[1:]]
-    out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol,
-                                        {id(m): (norm_t, svd)})))
-    out[OperatorClass("Normaloid")] = _normaloid(m, norm_t, tol)
+    out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol)))
+    out[OperatorClass("Normaloid")] = is_normaloid(m, tol)
     return out
 
 
@@ -1609,7 +1581,7 @@ def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[s
     """Inclusion-chain consistency over definite verdicts.
 
     Checks the main chain normal -> quasinormal -> hyponormal ->
-    p-hyponormal -> class A -> paranormal -> normaloid, the two k-indexed
+    p-hyponormal (p descending) -> class A -> paranormal -> normaloid, the two k-indexed
     chains paranormal -> {k-paranormal, absolute-k-paranormal} -> normaloid,
     and monotonicity of k-quasi-paranormality in k. Inconclusive verdicts
     never participate.
@@ -1627,7 +1599,8 @@ def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[s
     problems: list[str] = []
     para, normaloid = OperatorClass("Paranormal"), OperatorClass("Normaloid")
     chain = [OperatorClass(name) for name in ("Normal", "Quasinormal", "Hyponormal")]
-    chain += sorted(c for c in verdicts if c.name == "PHyponormal")
+    # p-hyponormal implies q-hyponormal for q <= p (Loewner-Heinz).
+    chain += sorted((c for c in verdicts if c.name == "PHyponormal"), reverse=True)
     chain += [OperatorClass("ClassA"), para]
     present = [c for c in chain if c in verdicts]
     for a, b in zip(present, present[1:]):

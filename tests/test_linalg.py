@@ -17,6 +17,7 @@ from opclass.linalg import (
     kernel,
     matrix_power,
     operator_norm,
+    operator_svd,
     preimage_in,
     psd_defect,
     psd_power,
@@ -50,26 +51,43 @@ def test_operator_norm_examples(j2):
     assert operator_norm(np.diag([2.0, -3.0])) == pytest.approx(3.0)
 
 
+# The facts linalg remembers for the last matrix seen, each beside numpy's
+# own computation of it from the validated matrix.
+_FACTS = (
+    (operator_norm, lambda m: float(np.linalg.norm(m, 2))),
+    (operator_svd, np.linalg.svd),
+)
+
+
+def _bits(value) -> bytes:
+    """The bytes of a norm, or of the factors of an SVD."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return b"".join(np.asarray(f).tobytes() for f in parts)
+
+
 def test_operator_norm_is_numpys_two_norm_bit_for_bit():
+    # operator_svd is numpy's SVD bit for bit too.
     rng = np.random.default_rng(2070)
     mats = [np.zeros((1, 1)), np.zeros((5, 5)), np.array([[3.0 - 4.0j]]), np.ones((4, 4))]
     for dim in range(1, 13):
         g = ginibre(dim, rng)
         low_rank = g[:, :1] @ g[:1, :] + g[:, 1:2] @ g[1:2, :] if dim > 1 else 0 * g
         mats += [g, low_rank, 1e-150 * g, 1e150 * g, g.real]
-    for m in mats:
-        want = float(np.linalg.norm(np.asarray(m, dtype=np.complex128), 2))
-        # The second read is the remembered value of the first.
-        assert operator_norm(m).hex() == want.hex(), m.shape
-        assert operator_norm(m).hex() == want.hex(), m.shape
+    for fact, numpys in _FACTS:
+        for m in mats:
+            want = _bits(numpys(np.asarray(m, dtype=np.complex128)))
+            # The second read is the remembered value of the first.
+            assert _bits(fact(m)) == want, (fact.__name__, m.shape)
+            assert _bits(fact(m)) == want, (fact.__name__, m.shape)
 
 
 def _count_svds(monkeypatch) -> list:
-    """Patch np.linalg.svd to append to the returned list on every call."""
+    """Patch np.linalg.svd to append its compute_uv to the returned list on
+    every call."""
     calls, svd = [], np.linalg.svd
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("compute_uv", True))
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
@@ -77,70 +95,100 @@ def _count_svds(monkeypatch) -> list:
 
 
 def test_operator_norm_remembers_the_last_matrix(monkeypatch):
+    # And operator_svd its factors.
     rng = np.random.default_rng(2071)
     g = ginibre(6, rng)
     calls = _count_svds(monkeypatch)
-    for m in (g, g.real):
-        operator_norm(np.eye(2))  # some other matrix is the last one measured
-        calls.clear()
-        want = operator_norm(m)
-        copies = [m, m.copy(), np.asfortranarray(m), np.array(m, dtype=np.complex128),
-                  np.asfortranarray(m.astype(np.complex128))]
-        for copy in copies:
-            assert operator_norm(copy).hex() == want.hex()
-        assert len(calls) == 1
+    for fact, _ in _FACTS:
+        for m in (g, g.real):
+            fact(np.eye(2))  # some other matrix is the last one seen
+            calls.clear()
+            want = _bits(fact(m))
+            copies = [m, m.copy(), np.asfortranarray(m), np.array(m, dtype=np.complex128),
+                      np.asfortranarray(m.astype(np.complex128))]
+            for copy in copies:
+                assert _bits(fact(copy)) == want, fact.__name__
+            assert len(calls) == 1, fact.__name__
 
 
 def test_operator_norm_measures_afresh_any_other_bytes(monkeypatch):
+    # And operator_svd.
     rng = np.random.default_rng(2072)
-    m = ginibre(5, rng)
-    m[2, 3] = 0.0
-    negative_zero = m.copy()
-    negative_zero[2, 3] = -0.0
-    operator_norm(m)
-    calls = _count_svds(monkeypatch)
-    # The same values but another bit pattern: measured again.
-    assert operator_norm(negative_zero) == operator_norm(m)
-    assert len(calls) == 2
-    # An edit in place of the last matrix measured.
-    m[0, 0] += 1.0
-    assert operator_norm(m).hex() == float(np.linalg.norm(m, 2)).hex()
-    assert len(calls) == 3
-    # Another shape.
-    bigger = np.zeros((6, 6), dtype=np.complex128)
-    bigger[:5, :5] = m
-    bigger[5, 5] = 10.0
-    assert operator_norm(bigger) == 10.0
-    assert len(calls) == 4
+    for fact, numpys in _FACTS:
+        m = ginibre(5, rng)
+        m[2, 3] = 0.0
+        negative_zero = m.copy()
+        negative_zero[2, 3] = -0.0
+        fact(m)
+        calls = _count_svds(monkeypatch)
+        # The same values but another bit pattern: measured again.
+        assert _bits(fact(negative_zero)) == _bits(numpys(negative_zero)), fact.__name__
+        assert _bits(fact(m)) == _bits(numpys(m)), fact.__name__
+        assert len(calls) == 2, fact.__name__
+        # An edit in place of the last matrix seen.
+        m[0, 0] += 1.0
+        assert _bits(fact(m)) == _bits(numpys(m)), fact.__name__
+        assert len(calls) == 3, fact.__name__
+        # Another shape.
+        bigger = np.zeros((6, 6), dtype=np.complex128)
+        bigger[:5, :5] = m
+        bigger[5, 5] = 10.0
+        assert _bits(fact(bigger)) == _bits(numpys(bigger)), fact.__name__
+        assert len(calls) == 4, fact.__name__
+        monkeypatch.undo()
 
 
 def test_operator_norm_threads_read_their_own_matrix():
     # Threads that alternate between two matrices of one shape, so the
     # remembered matrix changes under them all the time: each call must
-    # return the norm of the matrix it was given.
+    # return the norm, or the SVD, of the matrix it was given.
     rng = np.random.default_rng(2073)
     mats = [ginibre(4, rng), 3.0 * ginibre(4, rng)]
-    want = [float(np.linalg.norm(m, 2)) for m in mats]
-    wrong = []
+    for fact, numpys in _FACTS:
+        want = [_bits(numpys(m)) for m in mats]
+        wrong = []
 
-    def work(phase: int) -> None:
-        for i in range(300):
-            j = (i + phase) % 2
-            if operator_norm(mats[j]) != want[j]:
-                wrong.append((phase, i))
+        def work(phase: int) -> None:
+            for i in range(300):
+                j = (i + phase) % 2
+                if _bits(fact(mats[j])) != want[j]:
+                    wrong.append((phase, i))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(phase % 2,)) for phase in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(phase % 2,)) for phase in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [], fact.__name__
+
+
+def test_operator_norm_and_svd_share_one_memo_entry(monkeypatch):
+    # The norm, then the SVD, then the norm again of one matrix: one SVD of
+    # each kind, as classify_all takes of its matrix.
+    a = ginibre(5, np.random.default_rng(2074))
+    operator_norm(np.eye(2))
+    calls = _count_svds(monkeypatch)
+    norm = operator_norm(a)
+    operator_svd(a)
+    assert operator_norm(a.copy()) == norm
+    assert calls == [False, True]
+
+
+def test_operator_svd_factors_are_read_only():
+    # The factors are shared with every later caller on an equal matrix.
+    a = ginibre(4, np.random.default_rng(2075))
+    for factor in operator_svd(a):
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
+    u, s, vh = np.linalg.svd(a)
+    for got, want in zip(operator_svd(a.copy()), (u, s, vh)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_spectral_radius_examples(j2):

@@ -1868,10 +1868,9 @@ _ALGEBRAIC = {
 def test_classify_all_equals_one_problem_predicates(monkeypatch):
     # classify_all decides all dual classes of a matrix in one stacked
     # pencil sweep and one stacked descent of the problems the pencil
-    # leaves open, and its algebraic classes on the one norm it takes;
-    # each verdict must be the one its public predicate gives alone, bit
-    # for bit. Problems that stop at different steps leave the stack
-    # early, so the compaction must have run.
+    # leaves open; each verdict must be the one its public predicate gives
+    # alone, bit for bit. Problems that stop at different steps leave the
+    # stack early, so the compaction must have run.
     compactions = _count_compactions(monkeypatch)
     # The pencil certifies the NonMembers of Ginibre matrices alone, so only
     # the member families and the near-band matrices descend; the Ginibre
@@ -1889,6 +1888,29 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
                 alone = _ALGEBRAIC[cls.name](t, *cls.params.values())
             assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
     assert len(compactions) >= len(mats)
+
+
+def test_classify_all_takes_one_svd_of_t_of_each_kind(monkeypatch):
+    # The predicates of classify_all read ||T||, and the SVD of T where they
+    # need it, from linalg's memo of the last matrix seen, so a predicate
+    # that measured another matrix before a later one reads T would cost a
+    # second SVD.
+    # The Ginibre matrix is decided by its pencils, the normal matrix
+    # descends from warm starts read from the SVD.
+    svd = np.linalg.svd
+    for t in (random_ginibre(5, seed=3), random_normal(5, seed=3)):
+        data, calls = t.tobytes(), []
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == t.shape and np.asarray(a, dtype=np.complex128).tobytes() == data:
+                calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        operator_norm(np.eye(2))  # T is not the last matrix seen
+        classify_all(t, p_list=(0.25, 0.5, 1.0), seed=3)
+        assert sorted(calls) == [False, True]
+        monkeypatch.undo()
 
 
 def test_descents_of_pencil_inconclusive_stacks_equal_one_problem_predicates(monkeypatch):
@@ -2181,6 +2203,20 @@ def test_chain_violation_detection():
         OperatorClass("Normaloid"): MembershipVerdict(Status.NON_MEMBER, -1.0, "algebraic"),
     }
     assert len(chain_violations(res)) == 1
+
+
+def test_chain_violations_order_p_hyponormal_by_descending_p():
+    # By Loewner-Heinz, p-hyponormal implies q-hyponormal for q <= p only.
+    def verdicts(high: Status, low: Status) -> dict:
+        return {
+            OperatorClass("PHyponormal", p=0.25): MembershipVerdict(low, -1.0, "algebraic"),
+            OperatorClass("PHyponormal", p=0.5): MembershipVerdict(high, -1.0, "algebraic"),
+        }
+
+    assert chain_violations(verdicts(Status.MEMBER, Status.NON_MEMBER)) == [
+        "PHyponormal(p=0.5) is Member but PHyponormal(p=0.25) is NonMember"
+    ]
+    assert chain_violations(verdicts(Status.NON_MEMBER, Status.MEMBER)) == []
 
 
 def test_chains_on_random_and_constructed():

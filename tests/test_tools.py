@@ -7,11 +7,11 @@ from opclass import harness as hs
 from opclass import membership as mb
 from opclass.generators import jordan_nilpotent, random_ginibre, random_normal
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "descent_counts.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _load_descent_counts():
-    spec = importlib.util.spec_from_file_location("descent_counts", SCRIPT)
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -23,7 +23,7 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env, path = {var: os.environ.get(var) for var in blas}, sys.path[:]
     try:
-        counts = _load_descent_counts()
+        counts = _load_tool("descent_counts")
     finally:
         sys.path[:] = path
         for var, value in env.items():
@@ -63,3 +63,30 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         suite = counter.take()
     assert 0 < suite["engine_calls"] < suite["problems"] and suite["calls"] > 0
     assert wrapped() == originals
+
+
+def test_bench_pairs_summarizes_pairs_of_runs():
+    # What BENCH_<n>.json reports, on synthetic results; no benchmark runs.
+    pairs = _load_tool("bench_pairs")
+    assert pairs.parse_seeds("601-604") == [601, 602, 603, 604]
+    assert pairs.parse_seeds("7-7") == [7]
+    assert pairs.quartiles([5.0]) == {"median": 5.0, "q1": 5.0, "q3": 5.0}
+    assert pairs.quartiles([4.0, 1.0, 5.0, 3.0, 2.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+
+    def result(rate: float, rss: float) -> dict:
+        return {"metrics": {"rate": {"value": rate}, "rss": {"value": rss}}}
+
+    metrics = [{"name": "rate", "unit": "1/s", "better": "higher"},
+               {"name": "rss", "unit": "MB", "better": "lower"}]
+    # (parent, change): the change wins the first pair on both metrics, the
+    # second is a tie on both, and each metric has one more win and one loss.
+    runs = [(result(10, 50), result(12, 49)), (result(10, 50), result(10, 50)),
+            (result(11, 52), result(13, 53)), (result(12, 50), result(9, 48))]
+    out = pairs.summarize(runs, metrics)
+    rate, rss = out["rate"], out["rss"]
+    assert (rate["wins"], rss["wins"]) == (2, 2)
+    assert (rate["repeats"], rate["unit"], rate["better"]) == (4, "1/s", "higher")
+    assert rate["parent"]["runs"] == [10, 10, 11, 12] and rate["change"]["runs"] == [12, 10, 13, 9]
+    assert rate["ratio_of_medians"] == 11.0 / 10.5
+    assert rss["ratio_of_medians"] == 49.5 / 50.0
+    assert rss["change"]["median"] == 49.5 and rss["parent"]["q3"] == 50.5
