@@ -121,13 +121,18 @@ _last: tuple = (None, b"", {})
 
 def _fact(a, name: str, derive):
     """``derive`` of the validated matrix ``a``, remembered under ``name``
-    while ``a`` has the shape and bytes of the last matrix seen."""
+    while ``a`` has the shape and bytes of the last matrix seen. Only a
+    matrix other than the last one seen is validated: that one passed
+    ``as_operator``, and a matrix of its shape and bytes is the same
+    matrix."""
     global _last
-    m = as_operator(a)
+    m = np.asarray(a, dtype=np.complex128)
     data = m.tobytes()
     shape, last_data, facts = _last
     same = m.shape == shape and data == last_data
-    if same and name in facts:
+    if not same:
+        m = as_operator(m)
+    elif name in facts:
         return facts[name]
     value = derive(m)
     _last = (m.shape, data, {**facts, name: value} if same else {name: value})

@@ -19,9 +19,9 @@ relatives) are decided by two independent routes:
   thousandth of the decision band tol_decision * scale. The pencils of
   one call, of one matrix or of many, are stacked once and swept and
   refined together, and the witness eigenvectors are built from the same
-  stack, each pencil with the values it gets alone; in the dual engine a
-  pencil leaves the stack after the sweep's first pass once its
-  eigenvector there proves NonMember (see below),
+  stack, each pencil with the values it gets alone; the dual engine
+  sweeps only the pencils of the problems that T's right singular
+  vectors leave (see below),
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -35,15 +35,19 @@ relatives) are decided by two independent routes:
 For the quadratic pencil A - 2*z*B + z^2*C with A, B, C PSD, positivity for
 every z > 0 is equivalent to the per-vector inequality
 <Bx,x>^2 <= <Ax,x><Cx,x>, which is exactly the defining norm inequality, so
-the two oracles decide the same set. The pencil runs first: one unit vector
-that breaks the defining inequality proves NonMember, however deep the
-pencil's minimum lies. So the dual engine checks the eigenvector at each
-pencil's least first-pass point, and a pencil whose vector proves
-NonMember is the verdict there, with the defining value at that vector as
-defect: it is neither bisected nor refined. The other pencils are swept
-and refined, a pencil NonMember whose refined eigenvector proves it is the
-verdict, and only the problems left descend on the sphere; every value of
-one call reads one stack of its defining defects. The public
+the two oracles decide the same set. One unit vector that breaks the
+defining inequality proves NonMember, however deep the minimum lies, so
+the dual engine first values the defining defect at T's right singular
+vectors, which are among the sphere's deterministic starts and turn with
+T (so U T U* gets the verdict of T where T's singular values are
+distinct), with no eigensolve: a problem that
+one of them proves NonMember is the verdict there, with that value as
+defect and that column as witness, and its pencil is never swept. Such a
+verdict rests on that one value: no pencil cross-checks it. The pencils
+of the other problems are swept and refined, a pencil NonMember whose
+refined eigenvector proves it is the verdict, and only the problems left
+descend on the sphere; every value of one call reads one stack of its
+defining defects. The public
 ``pencil_check`` has no defining defect, so it sweeps and refines every
 pencil. Where both oracles ran, a decisive disagreement is surfaced as
 OracleDisagreement rather than resolved silently.
@@ -396,13 +400,7 @@ _N_GRID, _MAX_REFINE, _MAX_ITER, _RESTARTS = 257, 8, 300, 8
 # cell's right end b, which covers the rounding of the eigensolves and chord
 # gaps it is built from many times over. A margin 256 times smaller
 # eigensolves 1.6% fewer points of the classify-members pool and none fewer
-# of classify-random. The stride also sets the resolution of the dual
-# engine's proof, which reads the eigenvector at the least first-pass point
-# (see _pencil_verdicts). At seed 2026, strides 16, 32 and 64 eigensolve
-# 9,180, 4,860 and 3,205 sweep points of classify-random and 12,945, 10,295
-# and 9,431 of classify-members; 16 and 32 prove all 540 and 193 pencil
-# NonMembers at the first pass, 64 proves 511 and 176, and 32 runs both
-# pools fastest.
+# of classify-random.
 _STRIDE, _MARGIN, _EPS = 32, 65536.0, float(np.finfo(float).eps)
 # The pencil engine eigensolves at most _CHUNK matrices in one call, so that
 # the open cells of ten pencils need no more memory than those of one.
@@ -520,10 +518,12 @@ class _PencilStack:
         self.exps = np.array([[float(expo) for expo, _ in p.terms] for p in pencils])
 
     def take(self, rows) -> "_PencilStack":
-        """The stack of the pencils at ``rows`` alone."""
+        """The stack of the pencils at ``rows`` alone, and their spectra
+        once these are computed."""
         out = object.__new__(_PencilStack)
         out.coefs, out.exps = self.coefs[rows], self.exps[rows]
-        out.spectra = self.spectra[rows]
+        if "spectra" in self.__dict__:
+            out.spectra = self.spectra[rows]
         return out
 
     @functools.cached_property
@@ -655,16 +655,15 @@ def _first_pass(stack: _PencilStack, lams: np.ndarray) -> np.ndarray:
                        lams.take(coarse, 1).ravel()).reshape(count, -1)
 
 
-def _sweep(stack: _PencilStack, lams: np.ndarray, first: np.ndarray):
+def _sweep(stack: _PencilStack, lams: np.ndarray):
     """lam -> lam_min(P(lam)) of every pencil of ``stack`` on its grid, row
     p of ``lams`` (pencils, n), eigensolved only where it may lie at or
     below the least value eigensolved so far on the pencil.
 
-    ``first`` holds the values of the first pass (``_first_pass``) at every
-    _STRIDE-th point and the last point of every pencil; those points count
-    as eigensolved, and the cells between neighbouring first-pass points
-    start open; the bounds read the spectra of the Hermitian parts H_j of
-    their terms (``_PencilStack.spectra``).
+    The first pass (``_first_pass``) eigensolves every _STRIDE-th point and
+    the last point of every pencil, and the cells between neighbouring
+    first-pass points start open; the bounds read the spectra of the
+    Hermitian parts H_j of their terms (``_PencilStack.spectra``).
     Each round bounds f = lam_min(P) on every open cell [a, b] from below.
     With chord_j the line through (a, a^e_j) and (b, b^e_j), the family
     Q(lam) = sum_j chord_j(lam) H_j is affine in lam and equals P at a and
@@ -703,7 +702,7 @@ def _sweep(stack: _PencilStack, lams: np.ndarray, first: np.ndarray):
     padded, known = np.full((count, n + 2), np.inf), np.ones((count, n + 2), dtype=bool)
     mins, evaluated = padded[:, 1:-1], known[:, 1:-1]
     evaluated[:] = False
-    mins[:, coarse] = first
+    mins[:, coarse] = _first_pass(stack, lams)
     evaluated[:, coarse] = True
     down, up = np.maximum(-spectra[..., 0], 0.0), np.maximum(spectra[..., -1], 0.0)
     # Rows of (pencils, 4, terms): the chord's exponent, with 2 in place of 0
@@ -747,13 +746,13 @@ def _sweep(stack: _PencilStack, lams: np.ndarray, first: np.ndarray):
 
 
 def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
-                     tol: TolerancePolicy, proof=None) -> list:
+                     tol: TolerancePolicy) -> list:
     """The verdicts of some pencils of one dimension and one number of
     terms, on the least (lambda, lambda_min(P(lambda))) found on each.
 
     ``stack`` holds the pencils' terms, stacked once (``_PencilStack``) and
     checked already: a PencilSpec checks its terms when it is built, and
-    the dual engine checks those of its unchecked pencils as one stack.
+    the dual engine checks those of all its unchecked pencils at once.
     Each pencil's common kernel is deflated in place
     (``_PencilStack.deflate``):
     its terms vanish there, so lambda_min(P) would be 0 at every lambda and
@@ -762,19 +761,9 @@ def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
     complement, with a kernel vector as witness when v > 0 and Q times the
     compression's eigenvector otherwise. A pencil whose terms all vanish
     (rank 0) is 0 on its whole domain: it is not swept, and reports 0 at
-    lambda_lo with the first standard basis vector as witness.
-
-    The other pencils share one first pass (``_first_pass``). Given a
-    ``proof``, every pencil whose least first-pass value reads NonMember
-    gets its eigenvector there, from one stacked build and eigh, and
-    ``proof(rows, claims)`` tells, for those pencils' indices and their
-    NonMember verdicts at that point, which claims prove NonMember: one
-    vector that breaks the defining inequality does, however deep the
-    pencil's minimum lies. A proved pencil keeps that verdict and leaves
-    the stack. The others, and every pencil without a proof, are swept on
-    from their first pass and refined (see ``_pencil_minima``), so their
-    verdicts do not depend on the proof. Every verdict is the one the
-    pencil gets alone.
+    lambda_lo with the first standard basis vector as witness. The other
+    pencils are swept and refined together (see ``_pencil_minima``). Every
+    verdict is the one the pencil gets alone.
     """
     ranks, bases = stack.deflate(pencils, tol)
 
@@ -802,37 +791,17 @@ def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
         if domain not in grids:
             grids[domain] = np.geomspace(*domain, n_grid)
     lams = np.array([grids[pencils[p].lambda_lo, pencils[p].lambda_max] for p in swept])
-    first = _first_pass(stack, lams)
-    rest = list(range(len(swept)))  # the rows of the stack that are swept on
-    if proof is not None:
-        best = first.argmin(1)
-        at = lams[rest, _coarse(n_grid)[best]].tolist()
-        least = first[rest, best].tolist()
-        rows = [i for i in rest
-                if _decide(least[i], pencils[swept[i]].scale, tol)[0] is Status.NON_MEMBER]
-        if rows:
-            _, vecs = np.linalg.eigh(stack.matrices(rows, np.array([at[i] for i in rows])))
-            claims = [verdict(swept[i], at[i], least[i], v[:, 0]) for i, v in zip(rows, vecs)]
-            for i, claim, proved in zip(rows, claims, proof([swept[i] for i in rows], claims)):
-                if proved:
-                    verdicts[swept[i]] = claim
-            rest = [i for i in rest if swept[i] not in verdicts]
-            if len(rest) < len(swept):
-                stack, lams, first = stack.take(rest), lams[rest], first[rest]
-    if rest:
-        minima = _pencil_minima(stack, [pencils[swept[i]] for i in rest], lams, first,
-                                max_refine, tol)
-        for i, (lam, val, vec) in zip(rest, minima):
-            verdicts[swept[i]] = verdict(swept[i], lam, val, vec)
+    minima = _pencil_minima(stack, [pencils[p] for p in swept], lams, max_refine, tol)
+    for p, (lam, val, vec) in zip(swept, minima):
+        verdicts[p] = verdict(p, lam, val, vec)
     return [verdicts[p] for p in range(len(pencils))]
 
 
-def _pencil_minima(stack: _PencilStack, pencils, lams: np.ndarray, first: np.ndarray,
-                   max_refine: int, tol: TolerancePolicy) -> list:
+def _pencil_minima(stack: _PencilStack, pencils, lams: np.ndarray, max_refine: int,
+                   tol: TolerancePolicy) -> list:
     """The least (lambda, lambda_min(P(lambda)), unit eigenvector) found on
     each pencil of ``stack``, ``pencils`` giving their domains and scales,
-    on its grid, row p of ``lams``, from its first-pass values, row p of
-    ``first`` (``_first_pass``).
+    on its grid, row p of ``lams``.
 
     The pencils are swept together, each on its own grid, in bisection
     rounds that share one eigensolve (see ``_sweep``). The grid minimum
@@ -846,7 +815,7 @@ def _pencil_minima(stack: _PencilStack, pencils, lams: np.ndarray, first: np.nda
     same stack, at every pencil's least lambda, and one stacked eigh.
     """
     n_grid = lams.shape[1]
-    mins, _, local = _sweep(stack, lams, first)
+    mins, _, local = _sweep(stack, lams)
     bests, searches = [], []  # searches: (pencil index, Brent coroutine)
     for p, (pencil, grid, values) in enumerate(zip(pencils, lams, mins)):
         best = int(np.argmin(values))
@@ -943,7 +912,9 @@ def sphere_check(
     """
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    x = _starts(dim, restarts, seed, warm_starts)
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    x = _starts(_fixed_starts(dim, warm_starts), restarts, seed)
     shape = getattr(defect(x), "shape", None)
     if shape != (x.shape[1],):
         raise ValueError(f"defect must map a (dim, n) batch to an array of shape (n,), got {shape}")
@@ -967,11 +938,9 @@ def _sphere_verdict(val: float, vec: np.ndarray, scale: float, tol: TolerancePol
     )
 
 
-def _starts(dim: int, restarts: int, seed: int, warm_starts) -> np.ndarray:
-    """The sphere's start columns, shape (dim, n): the standard basis, the
-    normalized warm starts, then ``restarts`` seeded random unit vectors."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+def _fixed_starts(dim: int, warm_starts) -> np.ndarray:
+    """The sphere's deterministic start columns, shape (dim, n): the
+    standard basis, then the normalized warm starts."""
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     starts = [np.eye(dim, dtype=np.complex128)]
@@ -982,13 +951,19 @@ def _starts(dim: int, restarts: int, seed: int, warm_starts) -> np.ndarray:
         if not np.all(np.isfinite(norms) & (norms > 0)):
             raise ValueError(f"warm_starts must be a ({dim}, n) array of finite nonzero columns")
         starts.append(ws / norms)
+    return np.concatenate(starts, axis=1)
+
+
+def _starts(fixed: np.ndarray, restarts: int, seed: int) -> np.ndarray:
+    """The sphere's start columns, shape (dim, n): the deterministic ones
+    (``_fixed_starts``), then ``restarts`` seeded random unit vectors."""
+    dim = len(fixed)
     rand = np.empty((dim, restarts), dtype=np.complex128)
     for i in range(restarts):
         g = make_rng(seed, i)
         z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
         rand[:, i] = z / np.linalg.norm(z)
-    starts.append(rand)
-    return np.concatenate(starts, axis=1)
+    return np.concatenate([fixed, rand], axis=1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1331,8 +1306,8 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
     """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale ``scale``,
-    its terms unchecked: the engine checks those of its whole stack at once
-    (``_pencil_verdicts``), and a public constructor checks its pencil."""
+    its terms unchecked: the engine checks those of all its pencils at once
+    (``_check_terms``), and a public constructor checks its pencil."""
     s = max(1.0, norm_t**2)
     pencil = object.__new__(PencilSpec)
     pencil.__dict__.update(terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s, scale=scale,
@@ -1402,6 +1377,24 @@ def _check_k(name: str, k: int) -> None:
         raise ValueError("k must be nonnegative" if least == 0 else "k must be a positive integer")
 
 
+def _start_verdicts(defect: _NormProductDefect, x: np.ndarray, scales, seeds,
+                    tol: TolerancePolicy) -> dict:
+    """The NonMember verdicts that some of the sphere's start columns prove,
+    by row of ``defect``: x holds each problem's columns, (problems, dim,
+    n), valued in one stacked call. A problem's least value, ties to
+    the lowest column and a NaN value never chosen, proves NonMember when
+    it is at most -tol_decision * scale, the rule of ``_proves``; it is the
+    verdict's defect, its column the witness, and the verdict takes the
+    sphere's threshold and the problem's seed."""
+    values = defect(x)
+    rows = np.arange(len(x))
+    cols = np.where(np.isnan(values), np.inf, values).argmin(-1)
+    least = values[rows, cols]
+    proved = np.flatnonzero(least <= -tol.tol_decision * np.asarray(scales))
+    return {i: _sphere_verdict(float(least[i]), x[i, :, cols[i]].copy(), scales[i], tol, seeds[i])
+            for i in proved.tolist()}
+
+
 def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
@@ -1409,26 +1402,28 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     Each distinct T (by identity) is validated once and reads its norm and
     its SVD from ``linalg`` (``operator_norm``, ``operator_svd``); its
     pencils are built on that norm, and its absolute-k sphere roots
-    |T|^k = V S^k V* and its warm starts V are read from that SVD. The
-    zero operator is a Member of every class. The
-    pencils of all other problems are stacked once, their terms checked
-    at once by the checks of PencilSpec (``_check_terms``), and their
-    defining defects are stacked once (``_NormProductDefect``). The pencils
-    run first (see ``_pencil_verdicts``). After their shared first pass,
-    one call on the rows of the defect stack gives the value at the unit
-    eigenvector of every pencil whose least first-pass value reads
-    NonMember; a value at most -tol_decision * scale (minus the sphere's
+    |T|^k = V S^k V* and its deterministic sphere starts, the standard
+    basis and V (``_fixed_starts``), are read from that SVD. The zero
+    operator is a Member of every class. The terms of the pencils of all
+    other problems are stacked once (``_PencilStack``) and checked at once
+    by the checks of PencilSpec (``_check_terms``), and their defining
+    defects are stacked once (``_NormProductDefect``).
+
+    One call on the defect stack values every problem at the columns of V,
+    which turn with T, and a problem that one of them proves NonMember is
+    decided there (``_start_verdicts``): its pencil is not swept and it
+    does not descend. The pencils of the problems left, taken from the
+    stack, are swept and refined (``_pencil_verdicts``), and one
+    more call gives the value at the unit eigenvector of each that is a
+    NonMember; a value at most -tol_decision * scale (the sphere's
     threshold) proves NonMember (``_proves``), and that problem is decided
-    at once, with that value as defect, oracle "pencil", the sphere's
-    threshold and the seed, and leaves the sweep. The other pencils are
-    swept and refined, and one more call gives the value at the unit
-    eigenvector of each that is still a NonMember, decided by the same
-    rule; no witness is evaluated twice. Only the problems left
-    descend, on their rows of the stack: each distinct T among them gets
-    one block of warm starts, each T and seed one block of seeded
-    starts, and one descent runs over the columns of them all, one block
-    each. One more call on those rows gives the value at every sphere's
-    unit witness for ``_reconcile``. Each problem gets the verdict it gets
+    with that value as defect, oracle "pencil", the sphere's threshold and
+    the seed. Only the problems left descend, on their rows of the stack:
+    each distinct T among them gets one block of deterministic starts, each
+    T and seed one block of seeded starts, and one descent runs over the
+    columns of them all, one block each. One more call on those rows gives
+    the value at every sphere's unit witness for ``_reconcile``. No
+    witness is evaluated twice. Each problem gets the verdict it gets
     alone, bit for bit, so the predicates are the one-problem case.
     """
     mats = {}
@@ -1453,35 +1448,37 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     _check_terms([p.terms for p in pencils], stack.exps, stack.coefs)
     defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))
-    proved = set()  # the indices into live of the problems the pencil decides
-
-    def proof(rows, claims):
-        """Decide the NonMember ``claims`` of live[rows] that their unit
-        witnesses prove (``_proves``); returns which did."""
-        units = np.array([c.witness.vector / np.linalg.norm(c.witness.vector) for c in claims])
-        values = defect.take(rows)(units[..., None])[:, 0].tolist()
-        for i, claim, unit, exact in zip(rows, claims, units, values):
-            threshold = tol.tol_decision * scales[i]
-            if _proves(claim, exact, threshold):
-                p, seed = live[i][0], live[i][4]
-                witness = Witness(vector=unit, pencil_lambda=claim.witness.pencil_lambda)
-                verdicts[p] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact,
-                                                oracle="pencil", witness=witness,
-                                                threshold=threshold, seed=seed)
-                proved.add(i)
-        return [i in proved for i in rows]
-
-    claims = _pencil_verdicts(stack, pencils, _N_GRID, _MAX_REFINE, tol, proof)
-    rows = [i for i, claim in enumerate(claims)
-            if i not in proved and claim.status is Status.NON_MEMBER]
-    if rows:
-        proof(rows, [claims[i] for i in rows])
-    rest = [i for i in range(len(live)) if i not in proved]  # the problems that descend
+    fixed = {key: _fixed_starts(len(mats[key]), svd[2].conj().T)
+             for key, (_, svd) in facts.items()}
+    seeds = [seed for *_, seed in live]
+    # The start proof reads the columns of V, after the standard basis.
+    decided = _start_verdicts(defect, np.array([fixed[key][:, len(fixed[key]):]
+                                                for _, key, *_ in live]), scales, seeds, tol)
+    rest = [i for i in range(len(live)) if i not in decided]  # the problems the starts leave
+    if rest:
+        swept = [pencils[i] for i in rest]
+        if len(rest) < len(live):
+            stack = stack.take(rest)
+        claims = dict(zip(rest, _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)))
+        rows = [i for i in rest if claims[i].status is Status.NON_MEMBER]
+        if rows:
+            units = np.array([claims[i].witness.vector / np.linalg.norm(claims[i].witness.vector)
+                              for i in rows])
+            values = defect.take(rows)(units[..., None])[:, 0].tolist()
+            for i, unit, exact in zip(rows, units, values):
+                threshold = tol.tol_decision * scales[i]
+                if _proves(claims[i], exact, threshold):
+                    witness = Witness(vector=unit, pencil_lambda=claims[i].witness.pencil_lambda)
+                    decided[i] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact,
+                                                   oracle="pencil", witness=witness,
+                                                   threshold=threshold, seed=seeds[i])
+        rest = [i for i in rest if i not in decided]  # the problems that descend
+    for i, verdict in decided.items():
+        verdicts[live[i][0]] = verdict
     if not rest:
         return verdicts
-    pairs = [(live[i][1], live[i][4]) for i in rest]  # (T, seed) of each, T by identity
-    starts = {(key, seed): _starts(mats[key].shape[0], _RESTARTS, seed,
-                                   facts[key][1][2].conj().T)
+    pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
+    starts = {(key, seed): _starts(fixed[key], _RESTARTS, seed)
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
     bands = tol.tol_decision * np.array([scales[i] for i in rest])
@@ -1491,9 +1488,8 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
     values = descending(units[..., None])[:, 0].tolist()
     for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
-        p, seed = live[i][0], live[i][4]
-        verdicts[p] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seed), claims[i],
-                                 unit, exact, pencils[i].label)
+        verdicts[live[i][0]] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seeds[i]),
+                                          claims[i], unit, exact, pencils[i].label)
     return verdicts
 
 

@@ -180,6 +180,30 @@ def test_operator_norm_and_svd_share_one_memo_entry(monkeypatch):
     assert calls == [False, True]
 
 
+def test_a_memo_hit_is_not_validated_again(monkeypatch):
+    # A matrix with the shape and bytes of the last one seen is that matrix,
+    # which passed as_operator: a hit runs no np.isfinite. Input that
+    # as_operator rejects is still rejected right after a valid matrix of
+    # its shape was remembered.
+    a = ginibre(3, np.random.default_rng(2076))
+    nan = a.copy()
+    nan[1, 2] = np.nan
+    isfinite = np.isfinite
+    for fact, _ in _FACTS:
+        fact(a)
+        calls = []
+        monkeypatch.setattr(np, "isfinite", lambda *args: calls.append(1) or isfinite(*args))
+        fact(a.copy())
+        assert calls == [], fact.__name__
+        monkeypatch.undo()
+        for bad, error, message in ((nan, ValueError, "finite"),
+                                    (a[:, :2], DimensionMismatch, "square"),
+                                    (np.zeros((0, 0)), DimensionMismatch, "at least 1")):
+            fact(a)
+            with pytest.raises(error, match=message):
+                fact(bad)
+
+
 def test_operator_svd_factors_are_read_only():
     # The factors are shared with every later caller on an equal matrix.
     a = ginibre(4, np.random.default_rng(2075))

@@ -34,12 +34,14 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
     def wrapped():
         return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                 mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
-                mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate)
+                mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
+                mb._start_verdicts)
 
     originals = wrapped()
-    # The pencil certifies the Ginibre matrix's NonMembers alone; the normal
-    # matrix's Members descend. An index-2 nilpotent's k-quasi pencils have
-    # a common kernel, ker T, at k = 1, and only vanishing terms at k >= 2.
+    # T's right singular vectors certify the NonMembers of the Ginibre
+    # matrix and of the nilpotent; the Members of the normal matrix and of
+    # the nilpotent descend. An index-2 nilpotent's k-quasi pencils have a
+    # common kernel, ker T, at k = 1, and only vanishing terms at k >= 2.
     t = random_ginibre(4, 1)
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
@@ -49,11 +51,11 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         counted = counter.take()
         assert {key: value for key, value in counted.items() if value <= 0} == {}
         # No matrix is zero, so each problem is either certified or descends;
-        # the Ginibre matrix's pencils are all proved at their first pass.
+        # every certified problem is certified at V.
         assert counted["certified"] + counted["descended"] == counted["problems"]
-        assert 10 <= counted["proved"] <= counted["certified"]
+        assert counted["at_starts"] == counted["certified"] >= 10
         # The sweeps' builds are among the builds: a first pass each, and
-        # the bisection rounds of the pencils not proved by it.
+        # the bisection rounds.
         assert 0 < counted["sweep_builds"] < counted["builds"]
         # Each pencil with a kernel adds at least one dimension.
         assert counted["unswept"] < counted["deflated"] <= counted["kernel_dims"]

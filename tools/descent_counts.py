@@ -7,44 +7,46 @@ Usage (from the root of a checkout):
 
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
-it still holds. ``membership._pencil_verdicts`` stacks the terms of all
-its pencils once (``membership._PencilStack``); its first pass
+it still holds. The dual engine first decides the problems that one of
+T's right singular vectors, the sphere's warm starts, proves NonMember
+(``membership._start_verdicts``). ``membership._pencil_verdicts`` takes
+the stacked terms of the pencils of the problems left
+(``membership._PencilStack``); the first pass of its sweep
 (``membership._first_pass``), every sweep round, every refinement round
 and every build of witness eigenvectors makes the matrices of a batch of
 (pencil, lambda) points with ``_PencilStack.matrices``, and a round asks
 every running Brent search (``membership._brent``) for one lambda. This
 script wraps those methods, ``_PencilStack.deflate``,
-``membership._first_pass``, ``membership._sweep``, ``membership._brent``,
-``membership._pencil_verdicts`` (and the engine's first-pass proof it is
-handed) and ``membership._descend``, from outside, and the dual engine
-``membership._dual_verdicts`` with the binding ``harness._drive`` calls it
-through, and counts:
+``membership._start_verdicts``, ``membership._first_pass``,
+``membership._sweep``, ``membership._brent``,
+``membership._pencil_verdicts`` and ``membership._descend``, from
+outside, and the dual engine ``membership._dual_verdicts`` with the
+binding ``harness._drive`` calls it through, and counts:
 
 * the engine calls and the problems they decide: a ``classify_all``
   matrix is one call, and a verify-all suite makes one per round and
   dimension of its trials;
-* the problems the pencil certifies alone, whose NonMember eigenvector
-  breaks the defining inequality, counted as the verdicts labelled
-  "pencil" (a problem that descends can only have the sphere's witness
-  certified), how many of those the engine's proof certified at the
-  pencil's first pass, so that they left the sweep, and the problems that
-  descend, the problems of every ``membership._descend`` call;
+* the problems certified before the descent: those T's right singular
+  vectors decide, whose pencils are not swept, and those whose pencil
+  NonMember eigenvector breaks the defining inequality, the verdicts
+  labelled "pencil" (a problem that descends can only have the sphere's
+  witness certified); how many of them V decided; and the
+  problems that descend, the problems of every ``membership._descend``
+  call;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
   are the coarse ones, built inside ``_first_pass`` (every
   ``membership._STRIDE``-th grid point and the last of each pencil), and
-  the open-cell ones, built inside ``_sweep``'s bisection rounds, which
-  only the pencils the proof left take. The builds of both are counted
-  too: one per ``membership._CHUNK`` points of the first pass and of
-  every round that eigensolves anything. The grid size of every first
-  pass is counted too, summed over its pencils, which is what sweeps that
-  eigensolve every grid point evaluate. The other builds inside
-  ``_pencil_verdicts`` are refinement rounds while a Brent search runs,
-  and the witness builds while none does: the proof's, one lambda per
-  pencil whose least first-pass value reads NonMember, and the one of
-  the pencils swept on, one lambda each;
+  the open-cell ones, built inside ``_sweep``'s bisection rounds. The
+  builds of both are counted too: one per ``membership._CHUNK`` points of
+  the first pass and of every round that eigensolves anything. The grid
+  size of every first pass is counted too, summed over its pencils, which
+  is what sweeps that eigensolve every grid point evaluate. The other
+  builds inside ``_pencil_verdicts`` are refinement rounds while a Brent
+  search runs, and the witness build while none does, one lambda per
+  pencil;
 * the refinement searches, and the lockstep rounds of refinement: per
   ``_pencil_verdicts`` call, the most lambdas any one of its searches
   asked for;
@@ -93,8 +95,8 @@ class Counter:
     """Counts the engine calls, the fused sphere steps, the pencil builds
     and the refinement searches."""
 
-    FIELDS = ("engine_calls", "problems", "certified", "proved", "descended", "calls", "columns",
-              "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
+    FIELDS = ("engine_calls", "problems", "certified", "at_starts", "descended", "calls",
+              "columns", "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
               "refine_lams", "witness_lams", "searches", "rounds", "deflated", "kernel_dims",
               "unswept")
 
@@ -107,7 +109,8 @@ class Counter:
         self._rounds = self._live = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                        mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
-                       mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate)
+                       mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
+                       mb._start_verdicts)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -121,7 +124,7 @@ class Counter:
 
     def __enter__(self):
         (fused, matrices, first_pass, sweep, brent, verdicts, descend, engine, _,
-         deflate) = self._saved
+         deflate, starts) = self._saved
         counts = self.counts
 
         def counted_engine(problems, *args):
@@ -131,6 +134,12 @@ class Counter:
             # A problem that descends has no certified pencil witness, so only
             # the verdicts certified before the descent name the pencil.
             counts["certified"] += sum(v.oracle == "pencil" for v in out)
+            return out
+
+        def counted_starts(*args):
+            out = starts(*args)
+            counts["at_starts"] += len(out)
+            counts["certified"] += len(out)
             return out
 
         def counted_descend(value_and_gradient, x, *args):
@@ -179,24 +188,17 @@ class Counter:
                 asked += 1
                 value = yield lam
 
-        def counted_verdicts(stack, pencils, n_grid, max_refine, tol, proof=None):
-            # Only the proof asked after the first pass is counted: the engine
-            # asks the same rule again after the sweep, not through here.
-            def counted_proof(rows, claims):
-                proved = proof(rows, claims)
-                counts["proved"] += sum(proved)
-                return proved
-
+        def counted_verdicts(*args):
             self._rounds = self._live = 0
             try:
-                return verdicts(stack, pencils, n_grid, max_refine, tol,
-                                proof and counted_proof)
+                return verdicts(*args)
             finally:
                 counts["rounds"] += self._rounds
 
         mb._NormProductDefect.value_and_gradient = counted_fused
         mb._PencilStack.matrices = counted_matrices
         mb._PencilStack.deflate = counted_deflate
+        mb._start_verdicts = counted_starts
         mb._first_pass = self._inside(counted_first_pass, "coarse_lams")
         mb._sweep = self._inside(sweep, "open_lams")
         mb._brent = counted_brent
@@ -208,7 +210,8 @@ class Counter:
     def __exit__(self, *exc):
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
          mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
-         mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate) = self._saved
+         mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
+         mb._start_verdicts) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -229,8 +232,9 @@ def pencil_line(counts: dict) -> str:
 
 
 def problems_line(counts: dict) -> str:
-    return (f"{counts['problems']} dual problems, {counts['certified']} certified by the "
-            f"pencil ({counts['proved']} at its first pass), {counts['descended']} descended")
+    return (f"{counts['problems']} dual problems, {counts['certified']} certified before the "
+            f"descent ({counts['at_starts']} at T's right singular vectors), "
+            f"{counts['descended']} descended")
 
 
 def summary(per_item: list[dict]) -> str:
@@ -243,7 +247,7 @@ def summary(per_item: list[dict]) -> str:
 
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "proved",
+    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "at_starts",
                            "descended"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
