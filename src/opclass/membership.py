@@ -20,8 +20,8 @@ relatives) are decided by two independent routes:
   one call, of one matrix or of many, are stacked once and swept and
   refined together, and the witness eigenvectors are built from the same
   stack, each pencil with the values it gets alone; the dual engine
-  sweeps only the pencils of the problems that T's right singular
-  vectors leave (see below),
+  forms, checks and sweeps only the pencils of the problems that T's
+  right singular vectors leave (see below),
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -40,11 +40,12 @@ defining inequality proves NonMember, however deep the minimum lies, so
 the dual engine first values the defining defect at T's right singular
 vectors, which are among the sphere's deterministic starts and turn with
 T (so U T U* gets the verdict of T where T's singular values are
-distinct), with no eigensolve: a problem that
-one of them proves NonMember is the verdict there, with that value as
-defect and that column as witness, and its pencil is never swept. Such a
-verdict rests on that one value: no pencil cross-checks it. The pencils
-of the other problems are swept and refined, a pencil NonMember whose
+distinct), with no eigensolve: a problem that one of them proves
+NonMember, with a value below 0 and at most minus the decision
+threshold, is the verdict there, with that value as defect and that
+column as witness, and its pencil is never formed. Such a verdict rests
+on that one value: no pencil cross-checks it. The pencils of the other
+problems are formed, checked, swept and refined, a pencil NonMember whose
 refined eigenvector proves it is the verdict, and only the problems left
 descend on the sphere; every value of one call reads one stack of its
 defining defects. The public
@@ -372,7 +373,7 @@ def _public_pencil(name: str, t, k: int) -> PencilSpec:
     m = as_operator(t)
     _check_k(name, k)
     # replace builds the pencil anew, through the checks the builder skips.
-    return replace(_DUAL[name][2](m, k, operator_norm(m), DEFAULT_TOLERANCES)[1])
+    return replace(_DUAL[name][2](m, k, operator_norm(m), DEFAULT_TOLERANCES)[1]())
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -518,12 +519,10 @@ class _PencilStack:
         self.exps = np.array([[float(expo) for expo, _ in p.terms] for p in pencils])
 
     def take(self, rows) -> "_PencilStack":
-        """The stack of the pencils at ``rows`` alone, and their spectra
-        once these are computed."""
+        """The stack of the pencils at ``rows`` alone, with their spectra."""
         out = object.__new__(_PencilStack)
         out.coefs, out.exps = self.coefs[rows], self.exps[rows]
-        if "spectra" in self.__dict__:
-            out.spectra = self.spectra[rows]
+        out.spectra = self.spectra[rows]
         return out
 
     @functools.cached_property
@@ -752,7 +751,8 @@ def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
 
     ``stack`` holds the pencils' terms, stacked once (``_PencilStack``) and
     checked already: a PencilSpec checks its terms when it is built, and
-    the dual engine checks those of all its unchecked pencils at once.
+    the dual engine checks those of the unchecked pencils it sweeps, the
+    pencils of the problems that T's right singular vectors leave, at once.
     Each pencil's common kernel is deflated in place
     (``_PencilStack.deflate``):
     its terms vanish there, so lambda_min(P) would be 0 at every lambda and
@@ -1184,9 +1184,11 @@ class _NormProductDefect:
     problems, built by ``of`` from each problem's (pos, neg) lists of
     (matrix, exponent).
 
-    The matrices are stacked once into (problems, rows, dim), so a batch of
-    values costs one product and ``value_and_gradient`` adds one with the
-    stacked adjoint, and ``take`` selects problems without a new build. A
+    ``of`` stacks the padded term matrices of all problems in one array,
+    (problems, terms, rows, dim), read as (problems, terms * rows, dim), so
+    a batch of values costs one product and ``value_and_gradient`` adds one
+    with the stacked adjoint, and ``take`` selects problems without a new
+    build. A
     problem with fewer terms on a side than another is padded with zero
     matrices of exponent 0: their factor is exactly 1 and their gradient
     coefficient 0, so padding changes no bit. The Euclidean
@@ -1211,7 +1213,8 @@ class _NormProductDefect:
             (*pos, *[zero] * (n_pos - len(pos)), *neg, *[zero] * (n_neg - len(neg)))
             for pos, neg in problems
         ]
-        stack = np.array([np.vstack([m for m, _ in terms]) for terms in rows])
+        mats = np.array([[m for m, _ in terms] for terms in rows])
+        stack = mats.reshape(len(rows), -1, mats.shape[-1])
         exps = np.array([[e for _, e in terms] for terms in rows], dtype=float)[:, :, None]
         return cls(stack, exps, n_pos)
 
@@ -1253,9 +1256,10 @@ class _NormProductDefect:
 
 def _proves(claim: MembershipVerdict, exact: float, threshold: float) -> bool:
     """Whether ``exact``, the defining defect at a NonMember ``claim``'s unit
-    witness, is at most -``threshold``, the sphere's tol_decision * scale:
-    one such vector proves NonMember, whichever oracle found it."""
-    return claim.status is Status.NON_MEMBER and exact <= -threshold
+    witness, is below 0 and at most -``threshold``, the sphere's
+    tol_decision * scale: one such vector proves NonMember, whichever oracle
+    found it. A value of 0 proves nothing, even at tol_decision = 0."""
+    return claim.status is Status.NON_MEMBER and exact < 0.0 and exact <= -threshold
 
 
 def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.ndarray,
@@ -1296,18 +1300,20 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
 
 # The builders of the classes both oracles decide. Each takes a validated
 # matrix, its norm and the tolerances, checks its pencil's class scale
-# before it forms any power of T, and returns a callable that forms the
-# sphere defect's (positive, negative) terms, and the pencil, both from the
-# same powers of T; a public pencil constructor never calls the callable.
-# The callable takes T's SVD (numpy's U, S, V*), which the engine reads
-# once per distinct T: the absolute-k classes read |T|^k = V S^k V* from
-# it, and the other classes need none.
+# before it forms any power of T, and returns two callables, which form the
+# sphere defect's (positive, negative) terms and the pencil from the same
+# powers of T. The first takes T's SVD (numpy's U, S, V*), which the engine
+# reads once per distinct T: the absolute-k classes read |T|^k = V S^k V*
+# from it, and the other classes need none. The second takes no argument
+# and forms the pencil's Gram coefficients: the engine calls it only for
+# the problems that T's right singular vectors leave, and a public pencil
+# constructor calls it and never the first.
 
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
     """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale ``scale``,
-    its terms unchecked: the engine checks those of all its pencils at once
-    (``_check_terms``), and a public constructor checks its pencil."""
+    its terms unchecked: the engine checks those of the pencils it sweeps at
+    once (``_check_terms``), and a public constructor checks its pencil."""
     s = max(1.0, norm_t**2)
     pencil = object.__new__(PencilSpec)
     pencil.__dict__.update(terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s, scale=scale,
@@ -1322,9 +1328,12 @@ def _quasi(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     pk = np.linalg.matrix_power(m, k)
     pk1 = m @ pk
     pk2 = m @ pk1
-    a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
-    pencil = _pencil(norm_t, scale, ((0.0, a), (1.0, -2.0 * b), (2.0, c)),
-                     f"quasi-paranormal[k={k}]")
+
+    def pencil():
+        a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
+        return _pencil(norm_t, scale, ((0.0, a), (1.0, -2.0 * b), (2.0, c)),
+                       f"quasi-paranormal[k={k}]")
+
     return (lambda svd: (((pk2, 1), (pk, 1)), ((pk1, 2),))), pencil
 
 
@@ -1341,17 +1350,22 @@ def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     """||T^(k+1) x|| - ||T x||^(k+1), and D = T*^(k+1) T^(k+1)."""
     scale = _scale(norm_t, 2 * k + 2)
     pk1 = np.linalg.matrix_power(m, k + 1)
-    terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
-    pencil = _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
+
+    def pencil():
+        terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
+        return _pencil(norm_t, scale, terms, f"k-paranormal[k={k}]")
+
     return (lambda svd: (((pk1, 1),), ((m, k + 1),))), pencil
 
 
 def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     """|| |T|^k T x || - ||T x||^(k+1), and D = T*(T*T)^k T."""
     scale = _scale(norm_t, 2 * k + 2)
-    gram = m.conj().T @ m
-    terms = _weighted(k, m.conj().T @ np.linalg.matrix_power(gram, k) @ m, gram)
-    pencil = _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
+
+    def pencil():
+        gram = m.conj().T @ m
+        terms = _weighted(k, m.conj().T @ np.linalg.matrix_power(gram, k) @ m, gram)
+        return _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
 
     def sphere(svd):
         _, sv, vh = svd
@@ -1383,14 +1397,14 @@ def _start_verdicts(defect: _NormProductDefect, x: np.ndarray, scales, seeds,
     by row of ``defect``: x holds each problem's columns, (problems, dim,
     n), valued in one stacked call. A problem's least value, ties to
     the lowest column and a NaN value never chosen, proves NonMember when
-    it is at most -tol_decision * scale, the rule of ``_proves``; it is the
-    verdict's defect, its column the witness, and the verdict takes the
-    sphere's threshold and the problem's seed."""
+    it is below 0 and at most -tol_decision * scale, the rule of
+    ``_proves``; it is the verdict's defect, its column the witness, and the
+    verdict takes the sphere's threshold and the problem's seed."""
     values = defect(x)
     rows = np.arange(len(x))
     cols = np.where(np.isnan(values), np.inf, values).argmin(-1)
     least = values[rows, cols]
-    proved = np.flatnonzero(least <= -tol.tol_decision * np.asarray(scales))
+    proved = np.flatnonzero((least < 0.0) & (least <= -tol.tol_decision * np.asarray(scales)))
     return {i: _sphere_verdict(float(least[i]), x[i, :, cols[i]].copy(), scales[i], tol, seeds[i])
             for i in proved.tolist()}
 
@@ -1402,27 +1416,27 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     Each distinct T (by identity) is validated once and reads its norm and
     its SVD from ``linalg`` (``operator_norm``, ``operator_svd``); its
     pencils are built on that norm, and its absolute-k sphere roots
-    |T|^k = V S^k V* and its deterministic sphere starts, the standard
-    basis and V (``_fixed_starts``), are read from that SVD. The zero
-    operator is a Member of every class. The terms of the pencils of all
-    other problems are stacked once (``_PencilStack``) and checked at once
-    by the checks of PencilSpec (``_check_terms``), and their defining
-    defects are stacked once (``_NormProductDefect``).
+    |T|^k = V S^k V* and the columns of V are read from that SVD. The zero
+    operator is a Member of every class. The defining defects of all other
+    problems are stacked once (``_NormProductDefect``).
 
     One call on the defect stack values every problem at the columns of V,
-    which turn with T, and a problem that one of them proves NonMember is
-    decided there (``_start_verdicts``): its pencil is not swept and it
-    does not descend. The pencils of the problems left, taken from the
-    stack, are swept and refined (``_pencil_verdicts``), and one
-    more call gives the value at the unit eigenvector of each that is a
-    NonMember; a value at most -tol_decision * scale (the sphere's
-    threshold) proves NonMember (``_proves``), and that problem is decided
-    with that value as defect, oracle "pencil", the sphere's threshold and
-    the seed. Only the problems left descend, on their rows of the stack:
-    each distinct T among them gets one block of deterministic starts, each
-    T and seed one block of seeded starts, and one descent runs over the
-    columns of them all, one block each. One more call on those rows gives
-    the value at every sphere's unit witness for ``_reconcile``. No
+    normalized, which turn with T, and a problem that one of them proves
+    NonMember is decided there (``_start_verdicts``): its pencil is never
+    formed and it does not descend. Only the problems left form their
+    pencils (the builders' pencil callables); their terms are stacked once
+    (``_PencilStack``), checked at once by the checks of PencilSpec
+    (``_check_terms``), and swept and refined (``_pencil_verdicts``), and
+    one more call gives the value at the unit eigenvector of each that is
+    a NonMember; a value below 0 and at most -tol_decision * scale (the
+    sphere's threshold) proves NonMember (``_proves``), and that problem is
+    decided with that value as defect, oracle "pencil", the sphere's
+    threshold and the seed. Only the problems left descend, on their rows
+    of the stack: each distinct T among them gets one block of
+    deterministic starts, the standard basis and V (``_fixed_starts``),
+    each T and seed one block of seeded starts, and one descent runs over
+    the columns of them all, one block each. One more call on those rows
+    gives the value at every sphere's unit witness for ``_reconcile``. No
     witness is evaluated twice. Each problem gets the verdict it gets
     alone, bit for bit, so the predicates are the one-problem case.
     """
@@ -1444,21 +1458,21 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     scales = [_scale(facts[key][0], _DUAL[name][1](k)) for _, key, name, k, _ in live]
     terms, pencils = zip(*(_DUAL[name][2](mats[key], k, facts[key][0], tol)
                            for _, key, name, k, _ in live))
-    stack = _PencilStack(pencils)
-    _check_terms([p.terms for p in pencils], stack.exps, stack.coefs)
     defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))
-    fixed = {key: _fixed_starts(len(mats[key]), svd[2].conj().T)
-             for key, (_, svd) in facts.items()}
+    # The start proof reads the columns of V, normalized as _fixed_starts
+    # normalizes its warm starts.
+    vs = {key: svd[2].conj().T for key, (_, svd) in facts.items()}
+    cols = {key: v / np.linalg.norm(v, axis=0, keepdims=True) for key, v in vs.items()}
     seeds = [seed for *_, seed in live]
-    # The start proof reads the columns of V, after the standard basis.
-    decided = _start_verdicts(defect, np.array([fixed[key][:, len(fixed[key]):]
-                                                for _, key, *_ in live]), scales, seeds, tol)
+    decided = _start_verdicts(defect, np.array([cols[key] for _, key, *_ in live]), scales,
+                              seeds, tol)
     rest = [i for i in range(len(live)) if i not in decided]  # the problems the starts leave
     if rest:
-        swept = [pencils[i] for i in rest]
-        if len(rest) < len(live):
-            stack = stack.take(rest)
+        swept = [pencils[i]() for i in rest]
+        labels = {i: pencil.label for i, pencil in zip(rest, swept)}
+        stack = _PencilStack(swept)
+        _check_terms([p.terms for p in swept], stack.exps, stack.coefs)
         claims = dict(zip(rest, _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)))
         rows = [i for i in rest if claims[i].status is Status.NON_MEMBER]
         if rows:
@@ -1478,6 +1492,9 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     if not rest:
         return verdicts
     pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
+    # Only the matrices with a problem that descends get the whole block [I, V].
+    fixed = {key: _fixed_starts(len(vs[key]), vs[key])
+             for key in dict.fromkeys(key for key, _ in pairs)}
     starts = {(key, seed): _starts(fixed[key], _RESTARTS, seed)
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
@@ -1489,7 +1506,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     values = descending(units[..., None])[:, 0].tolist()
     for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
         verdicts[live[i][0]] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seeds[i]),
-                                          claims[i], unit, exact, pencils[i].label)
+                                          claims[i], unit, exact, labels[i])
     return verdicts
 
 

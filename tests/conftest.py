@@ -42,7 +42,7 @@ def dual_families(t: np.ndarray, k: int) -> list:
         (
             name,
             membership._NormProductDefect.of(terms(np.linalg.svd(t))),
-            pencil,
+            pencil(),
             membership._scale(norm_t, degree(k)),
         )
         for name, (least_k, degree, build) in membership._DUAL.items()

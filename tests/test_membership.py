@@ -13,7 +13,7 @@ import scipy.linalg
 from opclass.decomposition import root_decompose
 from opclass.errors import InvalidPencil, OracleDisagreement
 from opclass.linalg import DEFAULT_TOLERANCES as TOL
-from opclass.linalg import operator_norm
+from opclass.linalg import _direct_sum, operator_norm
 from opclass.membership import (
     MembershipVerdict,
     OperatorClass,
@@ -868,7 +868,7 @@ def test_deflation_keeps_each_kernel_pencils_grid_minimum():
     for t in _benchmark_pools(2026):
         norm_t = operator_norm(t)
         for name, k in problems:
-            pencil = _DUAL[name][2](t, k, norm_t, TOL)[1]
+            pencil = _DUAL[name][2](t, k, norm_t, TOL)[1]()
             rank, deflated = _deflated(pencil)
             if rank == pencil.dim:
                 continue
@@ -1589,6 +1589,56 @@ def test_proved_pencils_leave_the_sweep(monkeypatch):
         assert (at_starts, by_pencil) == expected, name
 
 
+def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
+    # A builder's pencil is a callable, and the engine calls it only for the
+    # problems T's right singular vectors leave: 3 of classify-random's 540
+    # at seed 2026, and on classify-members each matrix's problems less
+    # those V decides. The zero operator and a matrix whose problems V all
+    # decides form no pencil.
+    decided = _spy_start_verdicts(monkeypatch)
+    formed = []
+
+    def counting(*args):
+        formed.append(args)
+        return _pencil(*args)
+
+    monkeypatch.setattr("opclass.membership._pencil", counting)
+    for name, expected in (("ClassifyRandom", 3), ("ClassifyMembers", 227)):
+        total = 0
+        for i, t in enumerate(_benchmark_pools(2026, (name,))):
+            decided.clear()
+            formed.clear()
+            classify_all(t, seed=i)
+            assert len(formed) == 10 - len(decided), (name, i)
+            total += len(formed)
+        assert total == expected, name
+    for t in (np.zeros((4, 4), dtype=complex), random_ginibre(5, seed=11)):
+        formed.clear()
+        classify_all(t, seed=1)
+        assert formed == []
+
+
+def test_a_zero_value_proves_no_nonmember_at_tol_decision_zero():
+    # A kernel vector of T values every dual defect at exactly 0, which at
+    # tol_decision = 0 is at most -threshold. It proves nothing: a proof
+    # needs a value below 0 as well. The k-quasi problems that such a
+    # column used to decide as Member with defect 0, with no sweep and no
+    # descent, are decided by the pencil, as at the default tolerance; no
+    # NonMember of the default tolerance reads otherwise at tol 0.
+    tol0 = dataclasses.replace(TOL, tol_decision=0.0)
+    t = _direct_sum(random_ginibre(3, 19), np.zeros((1, 1)))
+    cls = OperatorClass("KQuasiParanormal", k=1)
+    v, default = classify_all(t, tol=tol0)[cls], classify_all(t)[cls]
+    assert (v.status, v.oracle) == (Status.NON_MEMBER, "pencil")
+    assert v.defect == default.defect == pytest.approx(-0.6548, abs=1e-4)
+    for seed in range(60):
+        t = _direct_sum(random_ginibre(3, seed), np.zeros((1, 1)))
+        strict = classify_all(t, tol=tol0)
+        for c, v in classify_all(t).items():
+            if v.status is Status.NON_MEMBER:
+                assert strict[c].status is Status.NON_MEMBER, (seed, str(c))
+
+
 def _beyond_dim_8() -> list:
     """20 Haar-conjugated matrices at dims 9-14: Ginibre, and J_m + N with
     N normal and m = 2-4."""
@@ -1870,6 +1920,7 @@ def test_builders_are_pinned():
         for k in range(least_k, 4):
             for t in mats:
                 terms, pencil = build(t, k, operator_norm(t), TOL)
+                pencil = pencil()
                 for side in terms(np.linalg.svd(t)):
                     h.update(repr(len(side)).encode())
                     for mat, expo in side:
@@ -2097,23 +2148,30 @@ def _skew_entry(m):
     (2, lambda expo, m: (-1.0, m)),
 ], ids=["non-finite", "non-Hermitian", "negative-exponent"])
 def test_engine_checks_its_stacks_terms_as_pencilspec_does(monkeypatch, term, breaks):
-    # The builders hand the engine unchecked pencils, and _pencil_verdicts
-    # checks the terms of its whole stack at once with PencilSpec's own
+    # The builders hand the engine unchecked pencils, and the engine checks
+    # the terms of the pencils it sweeps at once with PencilSpec's own
     # checks. A builder whose pencil breaks one of them must make every
-    # stack that holds it raise the message PencilSpec gives for that term.
-    t = random_ginibre(4, seed=5)
+    # stack that sweeps it raise the message PencilSpec gives for that term.
+    # Every dual problem of a normal matrix is a Member, so T's right
+    # singular vectors decide none of them and every pencil is swept.
+    t = random_normal(4, seed=5)
     least_k, degree, build = _DUAL["KParanormal"]
     wants = []
 
     def broken(m, k, norm_t, tol):
         sphere, pencil = build(m, k, norm_t, tol)
-        terms = list(pencil.terms)
-        terms[term] = breaks(*terms[term])
-        with pytest.raises(InvalidPencil) as want:
-            PencilSpec(terms=tuple(terms), lambda_lo=pencil.lambda_lo,
-                       lambda_max=pencil.lambda_max, scale=pencil.scale, label=pencil.label)
-        wants.append(str(want.value))
-        return sphere, _pencil(norm_t, pencil.scale, tuple(terms), pencil.label)
+
+        def formed():
+            built = pencil()
+            terms = list(built.terms)
+            terms[term] = breaks(*terms[term])
+            with pytest.raises(InvalidPencil) as want:
+                PencilSpec(terms=tuple(terms), lambda_lo=built.lambda_lo,
+                           lambda_max=built.lambda_max, scale=built.scale, label=built.label)
+            wants.append(str(want.value))
+            return _pencil(norm_t, built.scale, tuple(terms), built.label)
+
+        return sphere, formed
 
     monkeypatch.setitem(_DUAL, "KParanormal", (least_k, degree, broken))
     # classify_all's stack breaks at k = 1, 2 and 3, and raises for k = 1.
@@ -2127,8 +2185,9 @@ def test_engine_checks_its_stacks_terms_as_pencilspec_does(monkeypatch, term, br
 
 def test_pencil_terms_are_checked_once_per_call(monkeypatch):
     # A public pencil checks its terms when it is built, and pencil_check
-    # does not check them again; the dual engine checks the terms of its
-    # unchecked pencils once, as one stack, per call.
+    # does not check them again; the dual engine checks the terms of the
+    # unchecked pencils it sweeps once, as one stack, per call, and checks
+    # none when T's right singular vectors decide every problem.
     calls = []
     real = _check_terms
 
@@ -2137,14 +2196,17 @@ def test_pencil_terms_are_checked_once_per_call(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr("opclass.membership._check_terms", counting)
-    t = random_ginibre(6, seed=2)
+    t, members = random_ginibre(6, seed=2), random_normal(6, seed=2)
     pencil = k_paranormal_pencil(t, 2)
     assert len(calls) == 1
     pencil_check(pencil)
     assert len(calls) == 1
     is_k_paranormal(t, 2)
-    assert len(calls) == 2
     classify_all(t)
+    assert len(calls) == 1
+    is_k_paranormal(members, 2)
+    assert len(calls) == 2
+    classify_all(members)
     assert len(calls) == 3
 
 

@@ -35,7 +35,7 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                 mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
                 mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
-                mb._start_verdicts)
+                mb._start_verdicts, mb._pencil)
 
     originals = wrapped()
     # T's right singular vectors certify the NonMembers of the Ginibre
@@ -54,6 +54,9 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         # every certified problem is certified at V.
         assert counted["certified"] + counted["descended"] == counted["problems"]
         assert counted["at_starts"] == counted["certified"] >= 10
+        # The engine forms the pencil of every problem V leaves, and the
+        # public constructor one more.
+        assert counted["formed"] == counted["problems"] - counted["at_starts"] + 1
         # The sweeps' builds are among the builds: a first pass each, and
         # the bisection rounds.
         assert 0 < counted["sweep_builds"] < counted["builds"]

@@ -9,15 +9,17 @@ Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
 it still holds. The dual engine first decides the problems that one of
 T's right singular vectors, the sphere's warm starts, proves NonMember
-(``membership._start_verdicts``). ``membership._pencil_verdicts`` takes
-the stacked terms of the pencils of the problems left
+(``membership._start_verdicts``), and forms the pencils of the problems
+left alone, each through ``membership._pencil``.
+``membership._pencil_verdicts`` takes the stacked terms of those pencils
 (``membership._PencilStack``); the first pass of its sweep
 (``membership._first_pass``), every sweep round, every refinement round
 and every build of witness eigenvectors makes the matrices of a batch of
 (pencil, lambda) points with ``_PencilStack.matrices``, and a round asks
 every running Brent search (``membership._brent``) for one lambda. This
 script wraps those methods, ``_PencilStack.deflate``,
-``membership._start_verdicts``, ``membership._first_pass``,
+``membership._start_verdicts``, ``membership._pencil``,
+``membership._first_pass``,
 ``membership._sweep``, ``membership._brent``,
 ``membership._pencil_verdicts`` and ``membership._descend``, from
 outside, and the dual engine ``membership._dual_verdicts`` with the
@@ -35,6 +37,8 @@ binding ``harness._drive`` calls it through, and counts:
   call;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
+* the pencils formed (``_pencil`` calls: by the engine, one per problem
+  V leaves, and by the public pencil constructors);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
   are the coarse ones, built inside ``_first_pass`` (every
@@ -96,9 +100,9 @@ class Counter:
     and the refinement searches."""
 
     FIELDS = ("engine_calls", "problems", "certified", "at_starts", "descended", "calls",
-              "columns", "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
-              "refine_lams", "witness_lams", "searches", "rounds", "deflated", "kernel_dims",
-              "unswept")
+              "columns", "formed", "builds", "sweep_builds", "coarse_lams", "open_lams",
+              "grid_lams", "refine_lams", "witness_lams", "searches", "rounds", "deflated",
+              "kernel_dims", "unswept")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -110,7 +114,7 @@ class Counter:
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                        mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
                        mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
-                       mb._start_verdicts)
+                       mb._start_verdicts, mb._pencil)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -124,7 +128,7 @@ class Counter:
 
     def __enter__(self):
         (fused, matrices, first_pass, sweep, brent, verdicts, descend, engine, _,
-         deflate, starts) = self._saved
+         deflate, starts, pencil) = self._saved
         counts = self.counts
 
         def counted_engine(problems, *args):
@@ -141,6 +145,10 @@ class Counter:
             counts["at_starts"] += len(out)
             counts["certified"] += len(out)
             return out
+
+        def counted_pencil(*args):
+            counts["formed"] += 1
+            return pencil(*args)
 
         def counted_descend(value_and_gradient, x, *args):
             counts["descended"] += len(x)
@@ -199,6 +207,7 @@ class Counter:
         mb._PencilStack.matrices = counted_matrices
         mb._PencilStack.deflate = counted_deflate
         mb._start_verdicts = counted_starts
+        mb._pencil = counted_pencil
         mb._first_pass = self._inside(counted_first_pass, "coarse_lams")
         mb._sweep = self._inside(sweep, "open_lams")
         mb._brent = counted_brent
@@ -211,7 +220,7 @@ class Counter:
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
          mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
          mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
-         mb._start_verdicts) = self._saved
+         mb._start_verdicts, mb._pencil) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -221,7 +230,8 @@ class Counter:
 
 def pencil_line(counts: dict) -> str:
     sweep = counts["coarse_lams"] + counts["open_lams"]
-    return (f"{counts['builds']} builds, {sweep} sweep lambdas "
+    return (f"{counts['formed']} pencils formed, {counts['builds']} builds, "
+            f"{sweep} sweep lambdas "
             f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
             f"of {counts['grid_lams']} on the grids in {counts['sweep_builds']} sweep builds, "
             f"{counts['refine_lams']} refinement lambdas "
@@ -248,7 +258,7 @@ def summary(per_item: list[dict]) -> str:
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "at_starts",
-                           "descended"), 0)
+                           "descended", "formed"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
             pool = workload(wl.DEFAULT_SEED, seconds, ROOT)
@@ -269,7 +279,7 @@ def main() -> int:
                   f"{problems_line(counts)}; {counts['calls']} calls, "
                   f"{counts['columns']} columns; pencil: {pencil_line(counts)}")
     print(f"verify-all total: {total['engine_calls']} engine calls, {problems_line(total)}; "
-          f"{total['calls']} calls")
+          f"{total['calls']} calls, {total['formed']} pencils formed")
     return 0
 
 
