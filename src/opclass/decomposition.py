@@ -44,6 +44,7 @@ from .linalg import (
     _direct_sum,
     as_operator,
     compress,
+    finite_frobenius_norm,
     frobenius_norm,
     hermitian_eigen,
     kernel,
@@ -51,7 +52,7 @@ from .linalg import (
     matrix_power,
     operator_norm,
 )
-from .membership import MembershipVerdict, Status, is_k_quasi_paranormal, is_normal
+from .membership import MembershipVerdict, Status, _scale, is_k_quasi_paranormal, is_normal
 from .matio import matrix_to_json_dict
 
 __all__ = [
@@ -243,12 +244,15 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
     """
     m = as_operator(t)
     n = m.shape[0]
-    scale = max(1.0, operator_norm(m))
+    norm_t = operator_norm(m)
+    scale = max(1.0, norm_t)
+    # The scale of T*T goes first: it rejects a T whose products would overflow.
+    square = _scale(norm_t, 2)
     comm = m.conj().T @ m - m @ m.conj().T
     eig = hermitian_eigen(comm, tol)
     size = np.abs(eig.eigenvalues)
-    cut = _zero_cluster_cut(np.sort(size)[::-1], tol, scale**2)
-    resolved = max(cut, np.sqrt(tol.tol_rank) * max(float(size.max()), scale**2))
+    cut = _zero_cluster_cut(np.sort(size)[::-1], tol, square)
+    resolved = max(cut, np.sqrt(tol.tol_rank) * max(float(size.max()), square))
     step = tol.tol_rank * scale
     pure = _reducing_closure(m, np.zeros((n, 0), dtype=np.complex128),
                              eig.eigenvectors[:, size > resolved], step)
@@ -366,11 +370,16 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     """
     m = as_operator(t)
     dim = m.shape[0]
-    scale = max(1.0, operator_norm(m))
+    norm_t = operator_norm(m)
+    scale = max(1.0, norm_t)
     if not m.any():
         raise ZeroOperator("input is the zero matrix")
-    sq_resid = frobenius_norm(m @ m)
-    if sq_resid > tol.tol_eq * scale**2:
+    # The scale of T^2 goes first: it rejects a T whose square would
+    # overflow. A residual whose sum of squares overflows is a ValueError,
+    # not a verdict on T.
+    square = _scale(norm_t, 2)
+    sq_resid = finite_frobenius_norm(m @ m)
+    if sq_resid > tol.tol_eq * square:
         raise NotNilpotentIndex2(f"T^2 residual {sq_resid:.3e} beyond tolerance")
 
     ker = kernel(m, tol, rank_floor=scale)
@@ -482,4 +491,8 @@ def rr_check(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """Whether T is a square root of a normal operator: decided by testing
     normality of T^2 directly."""
     m = as_operator(t)
+    # The scale of T^2 goes first: it rejects a T whose square would
+    # overflow. ||T||_F bounds ||T||, and so every entry of T^2, for one
+    # pass over T where ||T|| would take an SVD.
+    _scale(finite_frobenius_norm(m), 2)
     return is_normal(m @ m, tol)

@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, EmptySubspace, NotHermitian, NotPSD
 
@@ -293,6 +292,10 @@ class Subspace:
         except np.linalg.LinAlgError:
             # gesdd can fail to converge even on an orthonormal basis;
             # LAPACK's QR-iteration SVD, gesvd, converges on the same input.
+            # scipy is imported here, where it is used: importing it costs
+            # more than the rest of the package.
+            import scipy.linalg
+
             u, _, _ = scipy.linalg.svd(self.basis, full_matrices=True, lapack_driver="gesvd")
         return Subspace(n, u[:, r:])
 

@@ -22,8 +22,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .errors import ParseError
 
@@ -97,6 +95,12 @@ def detect_format(path: str | Path, fmt: str | None = None) -> str:
 
 def load_matrix(path: str | Path, fmt: str | None = None) -> np.ndarray:
     resolved = detect_format(path, fmt)
+    if resolved != "json":
+        # Only Matrix Market reads need scipy, which costs more to import than
+        # the rest of the package; outside the try, a missing scipy is not a
+        # ParseError.
+        import scipy.io
+        import scipy.sparse
     try:
         if resolved == "json":
             with open(path, "r", encoding="utf-8") as fh:
@@ -120,6 +124,8 @@ def load_matrix(path: str | Path, fmt: str | None = None) -> np.ndarray:
 
 
 def _mm_text(a: np.ndarray) -> str:
+    import scipy.io
+
     buf = io.BytesIO()
     scipy.io.mmwrite(buf, a, field="complex", precision=17)
     return buf.getvalue().decode("ascii")

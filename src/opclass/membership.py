@@ -20,8 +20,8 @@ relatives) are decided by two independent routes:
   one call, of one matrix or of many, are stacked once and swept and
   refined together, and the witness eigenvectors are built from the same
   stack, each pencil with the values it gets alone; the dual engine
-  forms, checks and sweeps only the pencils of the problems that T's
-  right singular vectors leave (see below),
+  forms, checks and sweeps only the pencils of the problems that the
+  right singular vectors of T and of T^2 leave (see below),
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -38,17 +38,20 @@ every z > 0 is equivalent to the per-vector inequality
 the two oracles decide the same set. One unit vector that breaks the
 defining inequality proves NonMember, however deep the minimum lies, so
 the dual engine first values the defining defect at T's right singular
-vectors, which are among the sphere's deterministic starts and turn with
-T (so U T U* gets the verdict of T where T's singular values are
+vectors V, which are among the sphere's deterministic starts and turn
+with T (so U T U* gets the verdict of T where T's singular values are
 distinct), with no eigensolve: a problem that one of them proves
 NonMember, with a value below 0 and at most minus the decision
 threshold, is the verdict there, with that value as defect and that
-column as witness, and its pencil is never formed. Such a verdict rests
+column as witness, and its pencil is never formed. The problems V
+leaves are valued the same way at the right singular vectors V2 of T^2,
+which turn with T too, before any pencil is formed. Such a verdict rests
 on that one value: no pencil cross-checks it. The pencils of the other
 problems are formed, checked, swept and refined, a pencil NonMember whose
 refined eigenvector proves it is the verdict, and only the problems left
 descend on the sphere; every value of one call reads one stack of its
-defining defects. The public
+defining defects, and the builders of one T read one chain of its powers,
+each formed once. The public
 ``pencil_check`` has no defining defect, so it sweeps and refines every
 pencil. Where both oracles ran, a decisive disagreement is surfaced as
 OracleDisagreement rather than resolved silently.
@@ -373,7 +376,7 @@ def _public_pencil(name: str, t, k: int) -> PencilSpec:
     m = as_operator(t)
     _check_k(name, k)
     # replace builds the pencil anew, through the checks the builder skips.
-    return replace(_DUAL[name][2](m, k, operator_norm(m), DEFAULT_TOLERANCES)[1]())
+    return replace(_DUAL[name][2](_Powers(m), k, operator_norm(m), DEFAULT_TOLERANCES)[1]())
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -1187,14 +1190,14 @@ class _NormProductDefect:
     ``of`` stacks the padded term matrices of all problems in one array,
     (problems, terms, rows, dim), read as (problems, terms * rows, dim), so
     a batch of values costs one product and ``value_and_gradient`` adds one
-    with the stacked adjoint, and ``take`` selects problems without a new
-    build. A
-    problem with fewer terms on a side than another is padded with zero
-    matrices of exponent 0: their factor is exactly 1 and their gradient
-    coefficient 0, so padding changes no bit. The Euclidean
-    gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0 gets
-    coefficient 0, the symmetric value central differences give at that
-    kink.
+    with the stacked adjoint, which is formed on the first gradient, so a
+    defect that is only valued never forms it; ``take`` selects problems
+    without a new build. A problem with fewer terms on a side than another
+    is padded with zero matrices of exponent 0: their factor is exactly 1
+    and their gradient coefficient 0, so padding changes no bit. The
+    Euclidean gradient of ||M x|| is M*M x / ||M x||; a term with M x = 0
+    gets coefficient 0, the symmetric value central differences give at
+    that kink.
     """
 
     def __init__(self, stack: np.ndarray, exps: np.ndarray, n_pos: int):
@@ -1203,7 +1206,10 @@ class _NormProductDefect:
         self._side = (np.arange(exps.shape[1]) >= n_pos).astype(np.intp)  # each term's side
         self._stack, self._exps = stack, exps
         self._signed = np.where(self._side[:, None] == 0, exps, -exps)
-        self._adjoint = stack.conj().transpose(0, 2, 1)
+
+    @functools.cached_property
+    def _adjoint(self) -> np.ndarray:
+        return self._stack.conj().transpose(0, 2, 1)
 
     @classmethod
     def of(cls, *problems) -> "_NormProductDefect":
@@ -1298,16 +1304,35 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
     )
 
 
-# The builders of the classes both oracles decide. Each takes a validated
-# matrix, its norm and the tolerances, checks its pencil's class scale
-# before it forms any power of T, and returns two callables, which form the
-# sphere defect's (positive, negative) terms and the pencil from the same
-# powers of T. The first takes T's SVD (numpy's U, S, V*), which the engine
-# reads once per distinct T: the absolute-k classes read |T|^k = V S^k V*
-# from it, and the other classes need none. The second takes no argument
-# and forms the pencil's Gram coefficients: the engine calls it only for
-# the problems that T's right singular vectors leave, and a public pencil
-# constructor calls it and never the first.
+# The builders of the classes both oracles decide. Each takes the chain of
+# powers of one validated matrix (``_Powers``), its norm and the tolerances,
+# checks its pencil's class scale before it reads any power of T, and
+# returns two callables, which form the sphere defect's (positive, negative)
+# terms and the pencil from the same powers of T. The first takes T's SVD
+# (numpy's U, S, V*), which the engine reads once per distinct T: the
+# absolute-k classes read |T|^k = V S^k V* from it, and the other classes
+# need none. The second takes no argument and forms the pencil's Gram
+# coefficients: the engine calls it only for the problems that the right
+# singular vectors of T and of T^2 leave, and a public pencil constructor
+# calls it and never the first. T^3 and T^4 are T T^2 and T T^3 on the
+# chain, where numpy's matrix_power forms T^2 T and T^2 T^2, so a builder
+# rounds as matrix_power did up to T^2 and may differ from it beyond.
+
+
+class _Powers:
+    """The powers T^0 = I, T^1 = T, T^2, ... of one validated matrix, read
+    as ``powers[j]``: each is formed once, as T @ T^(j-1), when it is first
+    read, so a chain shared by every problem of one T forms each power once
+    and none beyond the highest a problem reads."""
+
+    def __init__(self, m: np.ndarray):
+        self._chain = [np.eye(len(m), dtype=np.complex128), m]
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        chain = self._chain
+        while len(chain) <= j:
+            chain.append(chain[1] @ chain[-1])
+        return chain[j]
 
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
@@ -1321,13 +1346,11 @@ def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
     return pencil
 
 
-def _quasi(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
+def _quasi(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
     """||T^(k+2) x|| ||T^k x|| - ||T^(k+1) x||^2, and the pencil A - 2z B + z^2 C
     of the Grams of T^(k+2), T^(k+1) and T^k."""
     scale = _scale(norm_t, 2 * k + 4)
-    pk = np.linalg.matrix_power(m, k)
-    pk1 = m @ pk
-    pk2 = m @ pk1
+    pk, pk1, pk2 = powers[k], powers[k + 1], powers[k + 2]
 
     def pencil():
         a, b, c = (p.conj().T @ p for p in (pk2, pk1, pk))
@@ -1346,10 +1369,10 @@ def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
     return (0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye)
 
 
-def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
+def _k_paranormal(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
     """||T^(k+1) x|| - ||T x||^(k+1), and D = T*^(k+1) T^(k+1)."""
     scale = _scale(norm_t, 2 * k + 2)
-    pk1 = np.linalg.matrix_power(m, k + 1)
+    m, pk1 = powers[1], powers[k + 1]
 
     def pencil():
         terms = _weighted(k, pk1.conj().T @ pk1, m.conj().T @ m)
@@ -1358,9 +1381,10 @@ def _k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
     return (lambda svd: (((pk1, 1),), ((m, k + 1),))), pencil
 
 
-def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: TolerancePolicy):
+def _absolute_k_paranormal(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
     """|| |T|^k T x || - ||T x||^(k+1), and D = T*(T*T)^k T."""
     scale = _scale(norm_t, 2 * k + 2)
+    m = powers[1]
 
     def pencil():
         gram = m.conj().T @ m
@@ -1375,7 +1399,8 @@ def _absolute_k_paranormal(m: np.ndarray, k: int, norm_t: float, tol: ToleranceP
 
 
 # The classes both oracles decide, by OperatorClass name: the least k, the
-# degree in k of the sphere defect's scale, and the builder (m, k, ||T||, tol).
+# degree in k of the sphere defect's scale, and the builder (powers of T, k,
+# ||T||, tol).
 _DUAL = {
     "KQuasiParanormal": (0, lambda k: 2 * k + 2, _quasi),
     "KParanormal": (1, lambda k: k + 1, _k_paranormal),
@@ -1395,11 +1420,14 @@ def _start_verdicts(defect: _NormProductDefect, x: np.ndarray, scales, seeds,
                     tol: TolerancePolicy) -> dict:
     """The NonMember verdicts that some of the sphere's start columns prove,
     by row of ``defect``: x holds each problem's columns, (problems, dim,
-    n), valued in one stacked call. A problem's least value, ties to
-    the lowest column and a NaN value never chosen, proves NonMember when
-    it is below 0 and at most -tol_decision * scale, the rule of
-    ``_proves``; it is the verdict's defect, its column the witness, and the
-    verdict takes the sphere's threshold and the problem's seed."""
+    n), valued in one stacked call. The engine calls it for two stages: at
+    the columns of V, T's right singular vectors, and then, on the rows V
+    leaves, at the columns of V2, those of T^2. A problem's least value,
+    ties to the lowest column and a NaN value never chosen, proves
+    NonMember when it is below 0 and at most -tol_decision * scale, the
+    rule of ``_proves``; it is the verdict's defect, its column the
+    witness, and the verdict takes the sphere's threshold and the
+    problem's seed."""
     values = defect(x)
     rows = np.arange(len(x))
     cols = np.where(np.isnan(values), np.inf, values).argmin(-1)
@@ -1415,30 +1443,37 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
 
     Each distinct T (by identity) is validated once and reads its norm and
     its SVD from ``linalg`` (``operator_norm``, ``operator_svd``); its
-    pencils are built on that norm, and its absolute-k sphere roots
-    |T|^k = V S^k V* and the columns of V are read from that SVD. The zero
-    operator is a Member of every class. The defining defects of all other
-    problems are stacked once (``_NormProductDefect``).
+    builders share one chain of its powers (``_Powers``), which forms T^j
+    once, as far as a problem reads; its pencils are built on that norm,
+    and its absolute-k sphere roots |T|^k = V S^k V* and the columns of V
+    are read from that SVD. The zero operator is a Member of every class.
+    The defining defects of all other problems are stacked once
+    (``_NormProductDefect``).
 
     One call on the defect stack values every problem at the columns of V,
     normalized, which turn with T, and a problem that one of them proves
-    NonMember is decided there (``_start_verdicts``): its pencil is never
-    formed and it does not descend. Only the problems left form their
-    pencils (the builders' pencil callables); their terms are stacked once
-    (``_PencilStack``), checked at once by the checks of PencilSpec
-    (``_check_terms``), and swept and refined (``_pencil_verdicts``), and
-    one more call gives the value at the unit eigenvector of each that is
-    a NonMember; a value below 0 and at most -tol_decision * scale (the
-    sphere's threshold) proves NonMember (``_proves``), and that problem is
-    decided with that value as defect, oracle "pencil", the sphere's
-    threshold and the seed. Only the problems left descend, on their rows
-    of the stack: each distinct T among them gets one block of
-    deterministic starts, the standard basis and V (``_fixed_starts``),
-    each T and seed one block of seeded starts, and one descent runs over
-    the columns of them all, one block each. One more call on those rows
-    gives the value at every sphere's unit witness for ``_reconcile``. No
-    witness is evaluated twice. Each problem gets the verdict it gets
-    alone, bit for bit, so the predicates are the one-problem case.
+    NonMember is decided there (``_start_verdicts``). The rows V leaves
+    are taken from the stack once, and one more call values them at the
+    right singular vectors V2 of T^2, normalized alike, which turn with T
+    too; V2 is taken only for the matrices with such a row, and a problem
+    that one of its columns proves NonMember is decided there. A problem
+    decided at V or V2 never forms its pencil and does not descend. Only
+    the problems left form their pencils (the builders' pencil callables);
+    their terms are stacked once (``_PencilStack``), checked at once by
+    the checks of PencilSpec (``_check_terms``), and swept and refined
+    (``_pencil_verdicts``), and one more call gives the value at the unit
+    eigenvector of each that is a NonMember; a value below 0 and at most
+    -tol_decision * scale (the sphere's threshold) proves NonMember
+    (``_proves``), and that problem is decided with that value as defect,
+    oracle "pencil", the sphere's threshold and the seed. Only the problems
+    left descend, on their rows of the stack: each distinct T among them
+    gets one block of deterministic starts, the standard basis and V
+    (``_fixed_starts``), each T and seed one block of seeded starts, and
+    one descent runs over the columns of them all, one block each. One
+    more call on those rows gives the value at every sphere's unit witness
+    for ``_reconcile``. No witness is evaluated twice. Each problem gets
+    the verdict it gets alone, bit for bit, so the predicates are the
+    one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1448,66 +1483,91 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise ValueError(f"a stack of dual problems needs one dimension, got "
                          f"{sorted({m.shape[0] for m in mats.values()})}")
+    dim = len(next(iter(mats.values())))
     facts = {key: (operator_norm(m), operator_svd(m))
              for key, m in mats.items() if not _zero_operator(m)}
     live = [(p, id(t), name, k, seed)
             for p, (t, name, k, seed) in enumerate(problems) if id(t) in facts]
-    verdicts = [_member_zero() for _ in problems]
+    verdicts = [None if id(t) in facts else _member_zero() for t, *_ in problems]
     if not live:
         return verdicts
     scales = [_scale(facts[key][0], _DUAL[name][1](k)) for _, key, name, k, _ in live]
-    terms, pencils = zip(*(_DUAL[name][2](mats[key], k, facts[key][0], tol)
+    powers = {key: _Powers(mats[key]) for key in facts}
+    terms, pencils = zip(*(_DUAL[name][2](powers[key], k, facts[key][0], tol)
                            for _, key, name, k, _ in live))
     defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))
-    # The start proof reads the columns of V, normalized as _fixed_starts
-    # normalizes its warm starts.
     vs = {key: svd[2].conj().T for key, (_, svd) in facts.items()}
-    cols = {key: v / np.linalg.norm(v, axis=0, keepdims=True) for key, v in vs.items()}
+    cols = {key: _unit_columns(v) for key, v in vs.items()}
     seeds = [seed for *_, seed in live]
-    decided = _start_verdicts(defect, np.array([cols[key] for _, key, *_ in live]), scales,
-                              seeds, tol)
-    rest = [i for i in range(len(live)) if i not in decided]  # the problems the starts leave
-    if rest:
-        swept = [pencils[i]() for i in rest]
-        labels = {i: pencil.label for i, pencil in zip(rest, swept)}
-        stack = _PencilStack(swept)
-        _check_terms([p.terms for p in swept], stack.exps, stack.coefs)
-        claims = dict(zip(rest, _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)))
-        rows = [i for i in rest if claims[i].status is Status.NON_MEMBER]
-        if rows:
-            units = np.array([claims[i].witness.vector / np.linalg.norm(claims[i].witness.vector)
-                              for i in rows])
-            values = defect.take(rows)(units[..., None])[:, 0].tolist()
-            for i, unit, exact in zip(rows, units, values):
-                threshold = tol.tol_decision * scales[i]
-                if _proves(claims[i], exact, threshold):
-                    witness = Witness(vector=unit, pencil_lambda=claims[i].witness.pencil_lambda)
-                    decided[i] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact,
-                                                   oracle="pencil", witness=witness,
-                                                   threshold=threshold, seed=seeds[i])
-        rest = [i for i in rest if i not in decided]  # the problems that descend
-    for i, verdict in decided.items():
+    at_v = _start_verdicts(defect, np.array([cols[key] for _, key, *_ in live]), scales, seeds,
+                           tol)
+    for i, verdict in at_v.items():
         verdicts[live[i][0]] = verdict
+    rest = [i for i in range(len(live)) if i not in at_v]  # the problems V leaves
     if not rest:
         return verdicts
-    pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
+    # Their rows of the stack, taken once: the V2 stage, the pencil proof
+    # and the descent all read them. Positions j below index rest.
+    left = defect.take(rest)
+    v2 = {key: _unit_columns(np.linalg.svd(powers[key][2])[2].conj().T)
+          for key in dict.fromkeys(live[i][1] for i in rest)}
+    at_v2 = _start_verdicts(left, np.array([v2[live[i][1]] for i in rest]),
+                            [scales[i] for i in rest], [seeds[i] for i in rest], tol)
+    for j, verdict in at_v2.items():
+        verdicts[live[rest[j]][0]] = verdict
+    rows = [j for j in range(len(rest)) if j not in at_v2]  # the rows that form pencils
+    if not rows:
+        return verdicts
+    swept = [pencils[rest[j]]() for j in rows]
+    labels = {j: pencil.label for j, pencil in zip(rows, swept)}
+    stack = _PencilStack(swept)
+    _check_terms([p.terms for p in swept], stack.exps, stack.coefs)
+    claims = dict(zip(rows, _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)))
+    named = [j for j in rows if claims[j].status is Status.NON_MEMBER]
+    if named:
+        # One call on every row of left; a row with no claim reads the zero
+        # vector, and its value is not read.
+        units = np.zeros((len(rest), dim, 1), dtype=np.complex128)
+        for j in named:
+            units[j, :, 0] = claims[j].witness.vector / np.linalg.norm(claims[j].witness.vector)
+        values = left(units)[:, 0].tolist()
+        for j in named:
+            i, exact = rest[j], values[j]
+            threshold = tol.tol_decision * scales[i]
+            if _proves(claims[j], exact, threshold):
+                witness = Witness(vector=units[j, :, 0],
+                                  pencil_lambda=claims[j].witness.pencil_lambda)
+                verdicts[live[i][0]] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact,
+                                                         oracle="pencil", witness=witness,
+                                                         threshold=threshold, seed=seeds[i])
+                rows.remove(j)
+    if not rows:  # no row descends
+        return verdicts
+    pairs = [(live[rest[j]][1], seeds[rest[j]]) for j in rows]  # (T, seed) of each, T by identity
     # Only the matrices with a problem that descends get the whole block [I, V].
     fixed = {key: _fixed_starts(len(vs[key]), vs[key])
              for key in dict.fromkeys(key for key, _ in pairs)}
     starts = {(key, seed): _starts(fixed[key], _RESTARTS, seed)
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
-    bands = tol.tol_decision * np.array([scales[i] for i in rest])
-    descending = defect.take(rest)
+    bands = tol.tol_decision * np.array([scales[rest[j]] for j in rows])
+    descending = left if len(rows) == len(rest) else left.take(rows)
     spheres = _descend(descending.value_and_gradient, x, bands,
-                       lambda rows: descending.take(rows).value_and_gradient)
+                       lambda kept: descending.take(kept).value_and_gradient)
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
     values = descending(units[..., None])[:, 0].tolist()
-    for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
+    for j, (val, vec), unit, exact in zip(rows, spheres, units, values):
+        i = rest[j]
         verdicts[live[i][0]] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seeds[i]),
-                                          claims[i], unit, exact, labels[i])
+                                          claims[j], unit, exact, labels[j])
     return verdicts
+
+
+def _unit_columns(v: np.ndarray) -> np.ndarray:
+    """The columns of v over their norms, as ``_fixed_starts`` normalizes
+    its warm starts."""
+    return v / np.linalg.norm(v, axis=0, keepdims=True)
 
 
 def is_k_quasi_paranormal(
@@ -1572,22 +1632,30 @@ def classify_all(
         raise ValueError(f"every k must be nonnegative, got {list(k_list)}")
     ks = tuple(k for k in map(int, k_list) if k >= 1)
     ps = tuple(float(p) for p in p_list)
-    out: dict[OperatorClass, MembershipVerdict] = {}
-    out[OperatorClass("Normal")] = is_normal(m, tol)
-    out[OperatorClass("Quasinormal")] = is_quasinormal(m, tol)
-    out[OperatorClass("Hyponormal")] = is_hyponormal(m, tol)
-    for p in ps:
-        out[OperatorClass("PHyponormal", p=p)] = is_p_hyponormal(m, p, tol)
-    out[OperatorClass("ClassA")] = is_class_a(m, tol)
-    # Paranormality is k-quasi-paranormality at k = 0; all dual classes of
-    # the matrix are decided together.
-    problems = [("KQuasiParanormal", 0)] + [
+    head = [is_normal(m, tol), is_quasinormal(m, tol), is_hyponormal(m, tol)]
+    head += [is_p_hyponormal(m, p, tol) for p in ps]
+    head.append(is_class_a(m, tol))
+    keys, problems = _classify_plan(ks, ps)
+    dual = _dual_verdicts([(m, name, k, seed) for name, k in problems], tol)
+    return dict(zip(keys, [*head, *dual, is_normaloid(m, tol)]))
+
+
+@functools.lru_cache(maxsize=16)
+def _classify_plan(ks: tuple, ps: tuple) -> tuple:
+    """``classify_all``'s keys, in its order, and its dual problems
+    (name, k), for the k >= 1 of ``ks`` and the p of ``ps``: the same on
+    every call, so they are built, and their OperatorClass labels
+    validated, once per (ks, ps). Paranormality is k-quasi-paranormality
+    at k = 0; all dual classes of the matrix are decided together."""
+    problems = (("KQuasiParanormal", 0),) + tuple(
         (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
-    ]
-    keys = [OperatorClass("Paranormal")] + [OperatorClass(name, k=k) for name, k in problems[1:]]
-    out.update(zip(keys, _dual_verdicts([(m, name, k, seed) for name, k in problems], tol)))
-    out[OperatorClass("Normaloid")] = is_normaloid(m, tol)
-    return out
+    )
+    keys = [OperatorClass(name) for name in ("Normal", "Quasinormal", "Hyponormal")]
+    keys += [OperatorClass("PHyponormal", p=p) for p in ps]
+    keys += [OperatorClass("ClassA"), OperatorClass("Paranormal")]
+    keys += [OperatorClass(name, k=k) for name, k in problems[1:]]
+    keys.append(OperatorClass("Normaloid"))
+    return tuple(keys), problems
 
 
 def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[str]:
@@ -1597,39 +1665,34 @@ def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[s
     p-hyponormal (p descending) -> class A -> paranormal -> normaloid, the two k-indexed
     chains paranormal -> {k-paranormal, absolute-k-paranormal} -> normaloid,
     and monotonicity of k-quasi-paranormality in k. Inconclusive verdicts
-    never participate.
+    never participate. The implications to check depend on the classes
+    alone (``_implications``); every status is read from one list.
     """
+    keys = tuple(verdicts)
+    status = [v.status for v in verdicts.values()]
+    return [f"{keys[a]} is Member but {keys[b]} is NonMember" for a, b in _implications(keys)
+            if status[a] is Status.MEMBER and status[b] is Status.NON_MEMBER]
 
-    def status(cls: OperatorClass) -> Status | None:
-        v = verdicts.get(cls)
-        return v.status if v is not None else None
 
-    def implies(a: OperatorClass, b: OperatorClass, out: list[str]) -> None:
-        sa, sb = status(a), status(b)
-        if sa is Status.MEMBER and sb is Status.NON_MEMBER:
-            out.append(f"{a} is Member but {b} is NonMember")
-
-    problems: list[str] = []
+@functools.lru_cache(maxsize=16)
+def _implications(keys: tuple) -> tuple:
+    """The implications ``chain_violations`` checks among the classes
+    ``keys``, in its order, as (a, b) positions in ``keys``, class a
+    implying class b; an implication with a class not in ``keys`` is left
+    out. The same classes give the same pairs on every call, so they are
+    derived once per tuple of keys."""
+    at = {cls: i for i, cls in enumerate(keys)}
     para, normaloid = OperatorClass("Paranormal"), OperatorClass("Normaloid")
     chain = [OperatorClass(name) for name in ("Normal", "Quasinormal", "Hyponormal")]
     # p-hyponormal implies q-hyponormal for q <= p (Loewner-Heinz).
-    chain += sorted((c for c in verdicts if c.name == "PHyponormal"), reverse=True)
+    chain += sorted((c for c in keys if c.name == "PHyponormal"), reverse=True)
     chain += [OperatorClass("ClassA"), para]
-    present = [c for c in chain if c in verdicts]
-    for a, b in zip(present, present[1:]):
-        implies(a, b, problems)
-    if para in verdicts and normaloid in verdicts:
-        implies(para, normaloid, problems)
-
+    present = [c for c in chain if c in at]
+    pairs = [*zip(present, present[1:]), (para, normaloid)]
     for name in ("KParanormal", "AbsoluteKParanormal"):
-        for cls in sorted(c for c in verdicts if c.name == name):
-            implies(para, cls, problems)
-            implies(cls, normaloid, problems)
-
-    quasi = sorted(c for c in verdicts if c.name == "KQuasiParanormal")
-    for cls in quasi:
-        implies(para, cls, problems)
-    for i, a in enumerate(quasi):
-        for b in quasi[i + 1 :]:
-            implies(a, b, problems)
-    return problems
+        for cls in sorted(c for c in keys if c.name == name):
+            pairs += [(para, cls), (cls, normaloid)]
+    quasi = sorted(c for c in keys if c.name == "KQuasiParanormal")
+    pairs += [(para, cls) for cls in quasi]
+    pairs += [(a, b) for i, a in enumerate(quasi) for b in quasi[i + 1 :]]
+    return tuple((at[a], at[b]) for a, b in pairs if a in at and b in at)

@@ -33,11 +33,11 @@ def random_normal_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 def dual_families(t: np.ndarray, k: int) -> list:
     """(class name, sphere defect, pencil, sphere scale) for every class of
     the membership registry that takes this k, built as its predicate builds
-    them."""
+    them, on one chain of the powers of T."""
     import opclass.membership as membership
     from opclass.linalg import DEFAULT_TOLERANCES, operator_norm
 
-    norm_t = operator_norm(t)
+    norm_t, powers = operator_norm(t), membership._Powers(t)
     return [
         (
             name,
@@ -47,5 +47,5 @@ def dual_families(t: np.ndarray, k: int) -> list:
         )
         for name, (least_k, degree, build) in membership._DUAL.items()
         if k >= least_k
-        for terms, pencil in [build(t, k, norm_t, DEFAULT_TOLERANCES)]
+        for terms, pencil in [build(powers, k, norm_t, DEFAULT_TOLERANCES)]
     ]

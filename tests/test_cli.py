@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import opclass.cli as cli
-from opclass.generators import GENERATORS, GenSpec, build, random_ginibre
+from opclass.generators import GENERATORS, GenSpec, build, jordan_nilpotent, random_ginibre
 from opclass.matio import load_matrix, save_matrix
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -101,6 +101,17 @@ def test_classify_overflowing_scale_is_error_document(capsys, tmp_path):
     path = tmp_path / "huge.json"
     save_matrix(path, 1e40 * random_ginibre(3, 1))
     code, doc = _run(capsys, ["classify", str(path)])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "overflows" in doc["error"]["message"]
+
+
+def test_decompose_at_overflow_scale_is_error_document(capsys, tmp_path):
+    # 1e155 J, J an index-2 nilpotent: T^2 would overflow, so nilpotent2
+    # mode refuses the scale before it forms T^2, with no traceback.
+    path = tmp_path / "huge.json"
+    save_matrix(path, 1e155 * jordan_nilpotent(4, 2, 1))
+    code, doc = _run(capsys, ["decompose", "nilpotent2", str(path)])
     assert code == 1
     assert doc["error"]["type"] == "ValueError"
     assert "overflows" in doc["error"]["message"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 
 from opclass.decomposition import (
     BlockLabel,
+    Decomposition,
     _assemble,
     nilpotent2_canonical,
     normal_pure_split,
@@ -15,6 +17,7 @@ from opclass.decomposition import (
     rr_assemble,
     rr_check,
 )
+from opclass.generators import jordan_nilpotent, random_normal
 from opclass.errors import (
     DecompositionError,
     HypothesisViolated,
@@ -442,6 +445,33 @@ def _digest(decompositions: list) -> str:
     # float shows.
     docs = [json.dumps(d.to_json_dict(), sort_keys=True) for d in decompositions]
     return hashlib.sha256("\n".join(docs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e155])
+@pytest.mark.parametrize("decompose, t", [
+    (nilpotent2_canonical, jordan_nilpotent(4, 2, 1)),
+    (normal_pure_split, random_normal(4, 1)),
+    (lambda t: root_decompose(t, 2, 1), jordan_nilpotent(4, 2, 1)),
+    (rr_check, random_normal(4, 1)),
+])
+def test_decompositions_at_overflow_scale(decompose, t, scale):
+    # Each decomposition checks its scale before it forms T*T or T^2: a
+    # scaled input gets the decomposition (or verdict) it gets at scale 1,
+    # or a ValueError that names the overflow; never a numpy warning, a bare
+    # OverflowError, or a NotNilpotentIndex2 for an index-2 nilpotent whose
+    # residual overflowed.
+    want = decompose(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = decompose(scale * t)
+        except ValueError as exc:
+            assert "overflows" in str(exc)
+            return
+    if isinstance(want, Decomposition):
+        assert (got.block_dims, got.labels) == (want.block_dims, want.labels)
+    else:
+        assert got.status is want.status
 
 
 def test_decompositions_are_pinned():

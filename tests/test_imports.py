@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every
-module-level private name is used somewhere in the package.
+"""Every module of the package uses every name it imports, every
+module-level private name is used somewhere in the package, and importing
+the package loads no scipy module.
 
 No linter ships with the toolchain, so these checks use the stdlib ``ast``
 module alone. ``__init__.py`` is exempt from the import check: its imports
@@ -7,6 +8,9 @@ are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,16 @@ def test_unreferenced_private_names_finds_dead_definitions():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_importing_the_package_loads_no_scipy_module():
+    # scipy costs more to import than the package itself, and only a Matrix
+    # Market file and the gesvd fallback of Subspace.complement use it, so
+    # they import it where they use it. A fresh interpreter tells.
+    code = ("import sys, opclass; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

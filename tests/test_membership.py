@@ -23,6 +23,7 @@ from opclass.membership import (
     _DUAL,
     _NormProductDefect,
     _PencilStack,
+    _Powers,
     _brent,
     _central_gradient,
     _check_terms,
@@ -868,7 +869,7 @@ def test_deflation_keeps_each_kernel_pencils_grid_minimum():
     for t in _benchmark_pools(2026):
         norm_t = operator_norm(t)
         for name, k in problems:
-            pencil = _DUAL[name][2](t, k, norm_t, TOL)[1]()
+            pencil = _DUAL[name][2](_Powers(t), k, norm_t, TOL)[1]()
             rank, deflated = _deflated(pencil)
             if rank == pencil.dim:
                 continue
@@ -1096,7 +1097,7 @@ def test_sphere_check_requires_restart():
 
 
 def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
-    terms = _DUAL["KQuasiParanormal"][2](j2, 0, operator_norm(j2), TOL)[0]
+    terms = _DUAL["KQuasiParanormal"][2](_Powers(j2), 0, operator_norm(j2), TOL)[0]
     fn = _NormProductDefect.of(terms(np.linalg.svd(j2)))
     with pytest.raises(ValueError, match="dim must be at least 1"):
         sphere_check(fn, 0, 4)
@@ -1131,7 +1132,7 @@ def test_stacked_values_equal_each_problem_alone():
     rng = np.random.default_rng(31)
     for dim in (*range(3, 9), 16, 24, 32):
         mats = (ginibre(dim, rng), random_normal_matrix(dim, rng), 1e3 * ginibre(dim, rng))
-        terms = [build(t, k, operator_norm(t), TOL)[0](np.linalg.svd(t)) for t in mats
+        terms = [build(_Powers(t), k, operator_norm(t), TOL)[0](np.linalg.svd(t)) for t in mats
                  for k in range(4) for least, _, build in _DUAL.values() if k >= least]
         x = rng.standard_normal((len(terms), dim)) + 1j * rng.standard_normal((len(terms), dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -1264,7 +1265,7 @@ def test_absolute_k_defect_of_a_jordan_nilpotent_is_exact(monkeypatch):
             for n in range(2, 9) for index in range(2, n + 1) for seed in range(3)]
     for t, index in mats:
         y = np.linalg.svd(np.linalg.matrix_power(t, index - 1))[0][:, 0]
-        fn = _NormProductDefect.of(build(t, 1, operator_norm(t), TOL)[0](np.linalg.svd(t)))
+        fn = _NormProductDefect.of(build(_Powers(t), 1, operator_norm(t), TOL)[0](np.linalg.svd(t)))
         assert fn(t.conj().T @ y) == pytest.approx(-1.0, abs=1e-12), len(t)
         v = is_absolute_k_paranormal(t, 1)
         assert v.status is Status.NON_MEMBER, len(t)
@@ -1504,11 +1505,12 @@ def test_pencil_certified_nonmembers_skip_the_descent(monkeypatch):
 
 
 def test_a_failed_start_proof_takes_the_full_sweep(monkeypatch):
-    # With the engine's defect reading 0 at the right singular vectors, which
-    # decide every problem of this matrix otherwise (see above), no problem
-    # is decided there: each pencil is swept and refined, Brent searches
-    # included, and is certified at its refined eigenvector, bit for bit
-    # the verdict pencil_check's full sweep reproduces.
+    # With the engine's defect reading 0 at the right singular vectors of T,
+    # which decide every problem of this matrix otherwise (see above), and
+    # then at those of T^2, no problem is decided at either: each pencil is
+    # swept and refined, Brent searches included, and is certified at its
+    # refined eigenvector, bit for bit the verdict pencil_check's full
+    # sweep reproduces.
     t = random_ginibre(5, seed=11)
     expected = {}
     for k in (1, 2):
@@ -1525,7 +1527,7 @@ def test_a_failed_start_proof_takes_the_full_sweep(monkeypatch):
     def first_reads_zero(defect, x):
         calls.append(x.shape)
         values = real(defect, x)
-        return np.zeros_like(values) if len(calls) == 1 else values
+        return np.zeros_like(values) if len(calls) <= 2 else values
 
     def counting(*args):
         searches.append(args)
@@ -1537,9 +1539,9 @@ def test_a_failed_start_proof_takes_the_full_sweep(monkeypatch):
         calls.clear()
         searches.clear()
         assert _PREDICATES[name](t, k, seed=3).to_json_dict() == v.to_json_dict(), (name, k)
-        # The start proof, on dim columns, and the check after the
-        # refinement, on one.
-        assert calls == [(1, 5, 5), (1, 5, 1)] and searches, (name, k)
+        # The two start stages, at V and at V2, on dim columns each, and
+        # the check after the refinement, on one.
+        assert calls == [(1, 5, 5), (1, 5, 5), (1, 5, 1)] and searches, (name, k)
 
 
 def _spy_start_verdicts(monkeypatch) -> list:
@@ -1561,11 +1563,11 @@ def _is_dual(cls: OperatorClass) -> bool:
 
 def test_proved_pencils_leave_the_sweep(monkeypatch):
     # Every dual NonMember of both benchmark pools at seed 2026 is decided
-    # before the descent: 537 of classify-random's 540 and all 193 of
-    # classify-members' at T's right singular vectors, whose pencils are
-    # never swept, and the other 3 at their pencil's refined eigenvector
+    # before the descent: all 540 of classify-random's and all 193 of
+    # classify-members' at the right singular vectors of T or of T^2, whose
+    # pencils are never swept, and none at a pencil's refined eigenvector
     # (oracle "pencil"). The engine sweeps exactly the pencils of the
-    # Members and of those 3.
+    # Members.
     decided = _spy_start_verdicts(monkeypatch)
     swept = []
 
@@ -1574,7 +1576,7 @@ def test_proved_pencils_leave_the_sweep(monkeypatch):
         return _pencil_verdicts(stack, pencils, *args)
 
     monkeypatch.setattr("opclass.membership._pencil_verdicts", spying)
-    for name, expected in (("ClassifyRandom", (537, 3)), ("ClassifyMembers", (193, 0))):
+    for name, expected in (("ClassifyRandom", (540, 0)), ("ClassifyMembers", (193, 0))):
         at_starts = by_pencil = 0
         for i, t in enumerate(_benchmark_pools(2026, (name,))):
             decided.clear()
@@ -1591,10 +1593,11 @@ def test_proved_pencils_leave_the_sweep(monkeypatch):
 
 def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
     # A builder's pencil is a callable, and the engine calls it only for the
-    # problems T's right singular vectors leave: 3 of classify-random's 540
-    # at seed 2026, and on classify-members each matrix's problems less
-    # those V decides. The zero operator and a matrix whose problems V all
-    # decides form no pencil.
+    # problems that the right singular vectors of T and then of T^2 leave:
+    # none of classify-random's 540 at seed 2026, and on classify-members
+    # each matrix's problems less those the two start stages decide. The
+    # zero operator and a matrix whose problems V all decides form no
+    # pencil.
     decided = _spy_start_verdicts(monkeypatch)
     formed = []
 
@@ -1603,7 +1606,7 @@ def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
         return _pencil(*args)
 
     monkeypatch.setattr("opclass.membership._pencil", counting)
-    for name, expected in (("ClassifyRandom", 3), ("ClassifyMembers", 227)):
+    for name, expected in (("ClassifyRandom", 0), ("ClassifyMembers", 227)):
         total = 0
         for i, t in enumerate(_benchmark_pools(2026, (name,))):
             decided.clear()
@@ -1616,6 +1619,86 @@ def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
         formed.clear()
         classify_all(t, seed=1)
         assert formed == []
+
+
+def test_t_squared_singular_vectors_decide_what_v_leaves(monkeypatch):
+    # On classify-random at seed 2026, T's right singular vectors leave
+    # three problems, KQuasiParanormal(k=3) of matrices 31 and 44 and
+    # KQuasiParanormal(k=2) of matrix 48. The right singular vectors of
+    # T^2, which turn with T too, decide each before any pencil is formed:
+    # oracle "sphere", a unit column of V2 as witness with no lambda, and
+    # the defining defect, recomputed from T alone, at most minus the
+    # threshold. No pencil of the pool is formed.
+    stages = []
+    real = _start_verdicts
+
+    def spying(defect, x, *args):
+        out = real(defect, x, *args)
+        stages.append(out)
+        return out
+
+    formed = []
+
+    def counting(*args):
+        formed.append(args)
+        return _pencil(*args)
+
+    monkeypatch.setattr("opclass.membership._start_verdicts", spying)
+    monkeypatch.setattr("opclass.membership._pencil", counting)
+    at_v2 = {}
+    for i, t in enumerate(_benchmark_pools(2026, ("ClassifyRandom",))):
+        stages.clear()
+        out = classify_all(t, seed=i)
+        second = {id(v) for stage in stages[1:] for v in stage.values()}
+        at_v2.update({(i, str(cls)): (t, cls, v) for cls, v in out.items() if id(v) in second})
+    assert sorted(at_v2) == [(31, "KQuasiParanormal(k=3)"), (44, "KQuasiParanormal(k=3)"),
+                             (48, "KQuasiParanormal(k=2)")]
+    assert formed == []
+    for t, cls, v in at_v2.values():
+        [(fn, scale)] = [(fn, scale) for name, fn, _, scale in dual_families(t, cls.k)
+                         if name == cls.name]
+        x, threshold = v.witness.vector, TOL.tol_decision * scale
+        assert (v.status, v.oracle, v.threshold) == (Status.NON_MEMBER, "sphere", threshold)
+        assert v.witness.pencil_lambda is None
+        v2 = _right_singular_vectors(t @ t)
+        assert any(np.array_equal(x, col) for col in v2.T), str(cls)
+        assert v.defect <= -threshold and fn(x) <= -threshold, str(cls)
+        assert fn(x) == pytest.approx(v.defect, rel=1e-12), str(cls)
+
+
+def test_one_classify_all_call_forms_each_power_of_t_once(monkeypatch):
+    # The builders of one matrix read one chain of its powers, each formed
+    # as T^j = T T^(j-1) when first read: a classify_all call at the default
+    # k = 1-3 forms T^2, T^3, T^4 and T^5 (the k-quasi class at k = 3 reads
+    # T^5) once each, and calls numpy's matrix_power on T never, whether
+    # the start columns decide its problems (a Ginibre matrix) or its
+    # pencils are formed too (a normal one).
+    formed, powered = [], []
+
+    class Counting(_Powers):
+        def __getitem__(self, j):
+            before = len(self._chain)
+            power = super().__getitem__(j)
+            for n in range(before, len(self._chain)):
+                formed.append(n)
+                np.testing.assert_array_equal(self._chain[n], self._chain[1] @ self._chain[n - 1])
+            return power
+
+    real = np.linalg.matrix_power
+
+    def spying(a, n):
+        powered.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr("opclass.membership._Powers", Counting)
+    for t in (random_ginibre(5, seed=11), random_normal(5, seed=2)):
+        formed.clear()
+        powered.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "matrix_power",
+                          lambda a, n: spying(a, n) if np.array_equal(a, t) else real(a, n))
+            classify_all(t, seed=1)
+        assert formed == [2, 3, 4, 5] and powered == []
 
 
 def test_a_zero_value_proves_no_nonmember_at_tol_decision_zero():
@@ -1655,10 +1738,11 @@ def _beyond_dim_8() -> list:
 
 
 def test_start_certified_nonmembers_revalidate_from_t_alone(monkeypatch):
-    # Every verdict that T's right singular vectors decide carries its own
-    # certificate: a unit witness with no lambda at which the defining
-    # defect, recomputed from T alone, is at most minus the threshold
-    # recomputed from ||T||. The engine sweeps no pencil of these problems,
+    # Every verdict that the right singular vectors of T or of T^2 decide
+    # carries its own certificate: a unit witness with no lambda at which
+    # the defining defect, recomputed from T alone, is at most minus the
+    # threshold recomputed from ||T||. The engine sweeps no pencil of these
+    # problems,
     # so the pencils are cross-checked here: swept and refined as the
     # engine would, each reads NonMember too. On both benchmark pools at
     # seed 2026 and on the 20 matrices at dims 9-14, about 2 s on a 2-vCPU
@@ -1688,8 +1772,8 @@ def test_start_certified_nonmembers_revalidate_from_t_alone(monkeypatch):
         if pencils:
             claims = _pencil_verdicts(_PencilStack(pencils), pencils, 257, 8, TOL)
             assert all(c.status is Status.NON_MEMBER for c in claims), i
-    # 537 and 193 on the pools, 179 on the 20 matrices.
-    assert checked == 909
+    # 540 and 193 on the pools, 179 on the 20 matrices.
+    assert checked == 912
 
 
 @pytest.mark.parametrize("kind", ["ginibre", "normal"])
@@ -1787,14 +1871,17 @@ def test_pencil_check_is_pinned():
     # it sweeps and refines every pencil fully: every verdict field of
     # pencil_check over the dual families of Ginibre, normal, k-quasi and
     # nilpotent matrices at k = 1-3, bit for bit as before the engine's
-    # first-pass proof.
+    # first-pass proof. Last taken when the builders came to read one chain
+    # of powers of T: the k-paranormal pencils at k = 2, 3 and the
+    # k-quasi-paranormal pencils at k = 3 moved by rounding, since T^3 and
+    # T^4 are T T^2 and T T^3 where they were T^2 T and T^2 T^2.
     mats = [random_ginibre(4, seed=5), 1e3 * random_ginibre(6, seed=6), random_normal(5, seed=7),
             k_quasi_member(3, 3, 2, seed=8), jordan_nilpotent(5, 3, seed=9)]
     doc = [pencil_check(pencil).to_json_dict() for t in mats for k in (1, 2, 3)
            for _, _, pencil, _ in dual_families(t, k)]
     assert {v["status"] for v in doc} == {"Member", "NonMember"}
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "269e10c96c6eb086d5d2695002566d9bfeedee3415a84941d77f8d90c6bc744a"
+    assert digest == "e69236c09e1592d61803f054cb3c014980fe3773af1c28ed31738357a86b3ad9"
 
 
 def test_k_quasi_paranormality_of_a_jordan_block_beside_a_normal_part(monkeypatch):
@@ -1889,24 +1976,26 @@ def test_classify_all_statuses_are_pinned():
 def test_classify_all_output_is_pinned():
     # Every status, defect, oracle, witness, threshold and seed, bit for bit:
     # a change to the oracles' arithmetic order that moves any float shows.
-    # Last taken when the dual NonMembers came to be decided at T's right
-    # singular vectors: 92 dual NonMember rows moved their witness and
-    # oracle, 87 of them their defect too, and no other field moved.
+    # Last taken when the builders came to read one chain of powers of T
+    # (T^j = T T^(j-1)): 19 rows of KParanormal(k=2, 3) and
+    # KQuasiParanormal(k=3) moved by rounding, 15 their defect and 10 their
+    # witness, and no other row or field moved.
     doc = [
         {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=i).items()}
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "c264f9680f4f9c3f06721d4e6536e42d00afedb45b835460dd53183a06c04252"
+    assert digest == "43682b7f64c2db5086c29dca222497ce2f6512b4ce6ba8869362390418d2732a"
 
 
 def test_builders_are_pinned():
     # Every sphere term (matrix and exponent) and every pencil (coefficients,
     # exponents, domain, scale and label) of every dual class, for k from its
-    # least k to 3, bit for bit. The digest was last taken when the
-    # absolute-k sphere roots |T|^k came to be read from T's SVD; the other
-    # terms and every pencil have kept their bits since each class had one
-    # builder for its sphere terms and another for its pencil.
+    # least k to 3, bit for bit. The digest was last taken when the builders
+    # came to read one chain of powers of T, T^j = T T^(j-1): the terms and
+    # pencils of KParanormal at k = 2, 3 and KQuasiParanormal at k = 3 moved
+    # by rounding, where numpy's matrix_power formed T^3 = T^2 T and
+    # T^4 = T^2 T^2, and every other term and pencil kept its bits.
     h = hashlib.sha256()
 
     def add(mat):
@@ -1919,7 +2008,7 @@ def test_builders_are_pinned():
     for least_k, _, build in _DUAL.values():
         for k in range(least_k, 4):
             for t in mats:
-                terms, pencil = build(t, k, operator_norm(t), TOL)
+                terms, pencil = build(_Powers(t), k, operator_norm(t), TOL)
                 pencil = pencil()
                 for side in terms(np.linalg.svd(t)):
                     h.update(repr(len(side)).encode())
@@ -1931,7 +2020,7 @@ def test_builders_are_pinned():
                     add(mat)
                 h.update(repr((pencil.lambda_lo, pencil.lambda_max, pencil.scale,
                                pencil.label)).encode())
-    assert h.hexdigest() == "d51c548853f3333ccb0458bb564676c47e945f2df737b3eba472dd93eac76d0d"
+    assert h.hexdigest() == "27f9421efcd075d0c6e1a7d4f6779d8a3902c208d07ad79bfbacc53ca1744d43"
 
 
 def _family_matrix(i: int) -> np.ndarray:
@@ -2158,8 +2247,8 @@ def test_engine_checks_its_stacks_terms_as_pencilspec_does(monkeypatch, term, br
     least_k, degree, build = _DUAL["KParanormal"]
     wants = []
 
-    def broken(m, k, norm_t, tol):
-        sphere, pencil = build(m, k, norm_t, tol)
+    def broken(powers, k, norm_t, tol):
+        sphere, pencil = build(powers, k, norm_t, tol)
 
         def formed():
             built = pencil()
@@ -2223,8 +2312,8 @@ def test_public_pencils_form_no_sphere_terms(monkeypatch):
     def refuse(svd):
         raise AssertionError("sphere terms formed")
 
-    def refusing(m, k, norm_t, tol):
-        return refuse, build(m, k, norm_t, tol)[1]
+    def refusing(powers, k, norm_t, tol):
+        return refuse, build(powers, k, norm_t, tol)[1]
 
     monkeypatch.setitem(_DUAL, "AbsoluteKParanormal", (least_k, degree, refusing))
     got = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
@@ -2369,6 +2458,19 @@ def test_unitary_invariance_of_verdicts():
             assert a.status is b.status
             scale = max(1.0, operator_norm(t)) ** 6
             assert abs(a.defect - b.defect) <= 10 * TOL.tol_eq * scale
+    # The ten dual problems of classify_all at dims 3-8: the start columns
+    # V and V2 turn with T, so U T U* gets the verdict of T, its defect to
+    # within rounding of the class scale.
+    for dim in range(3, 9):
+        t = ginibre(dim, rng)
+        u = haar(dim, rng)
+        a, b = classify_all(t, seed=9), classify_all(u @ t @ u.conj().T, seed=9)
+        dual = [cls for cls in a if _is_dual(cls)]
+        assert len(dual) == 10
+        for cls in dual:
+            assert a[cls].status is b[cls].status, (dim, str(cls))
+            scale = a[cls].threshold / TOL.tol_decision
+            assert abs(a[cls].defect - b[cls].defect) <= 10 * TOL.tol_eq * scale, (dim, str(cls))
 
 
 def test_scaling_invariance_of_status():

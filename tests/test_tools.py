@@ -39,24 +39,28 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
 
     originals = wrapped()
     # T's right singular vectors certify the NonMembers of the Ginibre
-    # matrix and of the nilpotent; the Members of the normal matrix and of
-    # the nilpotent descend. An index-2 nilpotent's k-quasi pencils have a
+    # matrices and of the nilpotent, but one of the 3 x 3 Ginibre matrix,
+    # which T^2's certify; the Members of the normal matrix and of the
+    # nilpotent descend. An index-2 nilpotent's k-quasi pencils have a
     # common kernel, ker T, at k = 1, and only vanishing terms at k >= 2.
     t = random_ginibre(4, 1)
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
+        mb.classify_all(random_ginibre(3, 23), seed=1)
         mb.classify_all(random_normal(4, 1), seed=1)
         mb.pencil_check(mb.k_paranormal_pencil(t, 2))
         mb.classify_all(jordan_nilpotent(4, 2, 1), seed=1)
         counted = counter.take()
         assert {key: value for key, value in counted.items() if value <= 0} == {}
         # No matrix is zero, so each problem is either certified or descends;
-        # every certified problem is certified at V.
+        # every certified problem is certified at V or at V2.
         assert counted["certified"] + counted["descended"] == counted["problems"]
-        assert counted["at_starts"] == counted["certified"] >= 10
-        # The engine forms the pencil of every problem V leaves, and the
-        # public constructor one more.
-        assert counted["formed"] == counted["problems"] - counted["at_starts"] + 1
+        assert counted["at_v"] + counted["at_v2"] == counted["certified"] >= 20
+        assert counted["at_v2"] == 1
+        # The engine forms the pencil of every problem V and V2 leave, and
+        # the public constructor one more.
+        certified = counted["at_v"] + counted["at_v2"]
+        assert counted["formed"] == counted["problems"] - certified + 1
         # The sweeps' builds are among the builds: a first pass each, and
         # the bisection rounds.
         assert 0 < counted["sweep_builds"] < counted["builds"]

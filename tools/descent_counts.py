@@ -8,9 +8,11 @@ Usage (from the root of a checkout):
 Every step of the sphere descent makes one fused call of
 ``membership._NormProductDefect.value_and_gradient`` for all the problems
 it still holds. The dual engine first decides the problems that one of
-T's right singular vectors, the sphere's warm starts, proves NonMember
-(``membership._start_verdicts``), and forms the pencils of the problems
-left alone, each through ``membership._pencil``.
+T's right singular vectors V, the sphere's warm starts, proves NonMember
+(``membership._start_verdicts``), then those of the rest that one of the
+right singular vectors V2 of T^2 proves (a second ``_start_verdicts``
+call), and forms the pencils of the problems left alone, each through
+``membership._pencil``.
 ``membership._pencil_verdicts`` takes the stacked terms of those pencils
 (``membership._PencilStack``); the first pass of its sweep
 (``membership._first_pass``), every sweep round, every refinement round
@@ -28,17 +30,18 @@ binding ``harness._drive`` calls it through, and counts:
 * the engine calls and the problems they decide: a ``classify_all``
   matrix is one call, and a verify-all suite makes one per round and
   dimension of its trials;
-* the problems certified before the descent: those T's right singular
-  vectors decide, whose pencils are not swept, and those whose pencil
-  NonMember eigenvector breaks the defining inequality, the verdicts
-  labelled "pencil" (a problem that descends can only have the sphere's
-  witness certified); how many of them V decided; and the
-  problems that descend, the problems of every ``membership._descend``
+* the problems certified before the descent: those the start columns
+  decide, whose pencils are not formed, and those whose pencil NonMember
+  eigenvector breaks the defining inequality, the verdicts labelled
+  "pencil" (a problem that descends can only have the sphere's witness
+  certified); how many of them each start stage decided, at V (the first
+  ``_start_verdicts`` call of an engine call) and at V2 (the second); and
+  the problems that descend, the problems of every ``membership._descend``
   call;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencils formed (``_pencil`` calls: by the engine, one per problem
-  V leaves, and by the public pencil constructors);
+  V and V2 leave, and by the public pencil constructors);
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
   are the coarse ones, built inside ``_first_pass`` (every
@@ -99,7 +102,7 @@ class Counter:
     """Counts the engine calls, the fused sphere steps, the pencil builds
     and the refinement searches."""
 
-    FIELDS = ("engine_calls", "problems", "certified", "at_starts", "descended", "calls",
+    FIELDS = ("engine_calls", "problems", "certified", "at_v", "at_v2", "descended", "calls",
               "columns", "formed", "builds", "sweep_builds", "coarse_lams", "open_lams",
               "grid_lams", "refine_lams", "witness_lams", "searches", "rounds", "deflated",
               "kernel_dims", "unswept")
@@ -111,6 +114,8 @@ class Counter:
         # The most lambdas one search of the running _pencil_verdicts asked
         # for, and the searches still running.
         self._rounds = self._live = 0
+        # The start stages the running engine call has taken.
+        self._stages = 0
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                        mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
                        mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
@@ -134,6 +139,7 @@ class Counter:
         def counted_engine(problems, *args):
             counts["engine_calls"] += 1
             counts["problems"] += len(problems)
+            self._stages = 0
             out = engine(problems, *args)
             # A problem that descends has no certified pencil witness, so only
             # the verdicts certified before the descent name the pencil.
@@ -142,8 +148,9 @@ class Counter:
 
         def counted_starts(*args):
             out = starts(*args)
-            counts["at_starts"] += len(out)
+            counts["at_v2" if self._stages else "at_v"] += len(out)
             counts["certified"] += len(out)
+            self._stages += 1
             return out
 
         def counted_pencil(*args):
@@ -243,8 +250,8 @@ def pencil_line(counts: dict) -> str:
 
 def problems_line(counts: dict) -> str:
     return (f"{counts['problems']} dual problems, {counts['certified']} certified before the "
-            f"descent ({counts['at_starts']} at T's right singular vectors), "
-            f"{counts['descended']} descended")
+            f"descent ({counts['at_v']} at T's right singular vectors V, {counts['at_v2']} at "
+            f"T^2's V2), {counts['descended']} descended")
 
 
 def summary(per_item: list[dict]) -> str:
@@ -257,7 +264,7 @@ def summary(per_item: list[dict]) -> str:
 
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "at_starts",
+    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "at_v", "at_v2",
                            "descended", "formed"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
