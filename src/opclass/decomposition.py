@@ -52,7 +52,14 @@ from .linalg import (
     matrix_power,
     operator_norm,
 )
-from .membership import MembershipVerdict, Status, _scale, is_k_quasi_paranormal, is_normal
+from .membership import (
+    MembershipVerdict,
+    Status,
+    _equality_verdict,
+    _scale,
+    is_k_quasi_paranormal,
+    is_normal,
+)
 from .matio import matrix_to_json_dict
 
 __all__ = [
@@ -489,10 +496,13 @@ def rr_assemble(
 
 def rr_check(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """Whether T is a square root of a normal operator: decided by testing
-    normality of T^2 directly."""
+    normality of T^2 directly, its residual judged on T's scale
+    max(1, ||T||)^4. T^2 is derived from T, so its rounding is about
+    ||T||^2 eps whatever ||T^2|| is; judged on its own scale, the square
+    of an index-2 nilpotent, 0 up to that rounding, would read not normal."""
     m = as_operator(t)
-    # The scale of T^2 goes first: it rejects a T whose square would
-    # overflow. ||T||_F bounds ||T||, and so every entry of T^2, for one
-    # pass over T where ||T|| would take an SVD.
-    _scale(finite_frobenius_norm(m), 2)
-    return is_normal(m @ m, tol)
+    # The scale goes first: it rejects a T whose products would overflow.
+    scale = _scale(operator_norm(m), 4)
+    square = m @ m
+    comm = square.conj().T @ square - square @ square.conj().T
+    return _equality_verdict(finite_frobenius_norm(comm), scale, tol)

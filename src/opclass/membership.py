@@ -46,12 +46,12 @@ threshold, is the verdict there, with that value as defect and that
 column as witness, and its pencil is never formed. The problems V
 leaves are valued the same way at the right singular vectors V2 of T^2,
 which turn with T too, before any pencil is formed. Such a verdict rests
-on that one value: no pencil cross-checks it. The pencils of the other
-problems are formed, checked, swept and refined, a pencil NonMember whose
-refined eigenvector proves it is the verdict, and only the problems left
-descend on the sphere; every value of one call reads one stack of its
-defining defects, and the builders of one T read one chain of its powers,
-each formed once. The public
+on that one value: no pencil cross-checks it. Every other problem forms
+its pencil, which is checked, swept and refined for a claim, and descends
+on the sphere, so an engine NonMember is always proved at a unit vector
+the sphere found: a start column or a descent's witness. Every value of
+one call reads one stack of its defining defects, and the builders of one
+T read one chain of its powers, each formed once. The public
 ``pencil_check`` has no defining defect, so it sweeps and refines every
 pencil. Where both oracles ran, a decisive disagreement is surfaced as
 OracleDisagreement rather than resolved silently.
@@ -755,7 +755,8 @@ def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
     ``stack`` holds the pencils' terms, stacked once (``_PencilStack``) and
     checked already: a PencilSpec checks its terms when it is built, and
     the dual engine checks those of the unchecked pencils it sweeps, the
-    pencils of the problems that T's right singular vectors leave, at once.
+    pencils of the problems that the right singular vectors of T and of
+    T^2 leave, at once.
     Each pencil's common kernel is deflated in place
     (``_PencilStack.deflate``):
     its terms vanish there, so lambda_min(P) would be 0 at every lambda and
@@ -1260,25 +1261,19 @@ class _NormProductDefect:
         return vals.reshape(x.shape[:-2] + x.shape[-1:]), grad.reshape(x.shape)
 
 
-def _proves(claim: MembershipVerdict, exact: float, threshold: float) -> bool:
-    """Whether ``exact``, the defining defect at a NonMember ``claim``'s unit
-    witness, is below 0 and at most -``threshold``, the sphere's
-    tol_decision * scale: one such vector proves NonMember, whichever oracle
-    found it. A value of 0 proves nothing, even at tol_decision = 0."""
-    return claim.status is Status.NON_MEMBER and exact < 0.0 and exact <= -threshold
-
-
 def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.ndarray,
                exact: float, label: str) -> MembershipVerdict:
     """Combine the two oracle verdicts of a problem that descended into a
     single class verdict; ``exact`` is the defining defect at ``unit``, the
     sphere's witness normalized. Decisively opposite oracles raise
     OracleDisagreement: a definite verdict is decisive when its defect
-    exceeds ten times its own threshold. A sphere NonMember that ``exact``
-    proves (``_proves``) is NonMember, with that defect and witness. A
-    pencil NonMember here has failed the same rule before the descent, and
-    a claim that is not proved leaves the verdict Inconclusive, even beside
-    a Member. The verdict takes the sphere's threshold and seed.
+    exceeds ten times its own threshold. A sphere NonMember is NonMember,
+    with ``exact`` as defect and ``unit`` as witness, when ``exact`` proves
+    it: below 0 and at most -threshold, the sphere's tol_decision * scale,
+    so a value of 0 proves nothing, even at tol_decision = 0. The pencil's
+    verdict is only a claim: a NonMember claim that is not proved, either
+    oracle's, leaves the verdict Inconclusive, even beside a Member. The
+    verdict takes the sphere's threshold and seed.
     """
     if (
         sphere.is_definite
@@ -1291,7 +1286,7 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
             f"{label}: sphere says {sphere.status.value} (defect {sphere.defect:.3e}) "
             f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
         )
-    if _proves(sphere, exact, sphere.threshold):
+    if sphere.status is Status.NON_MEMBER and exact < 0.0 and exact <= -sphere.threshold:
         status, defect, witness = Status.NON_MEMBER, exact, Witness(vector=unit)
     else:
         claims = {sphere.status, pencil.status}
@@ -1424,10 +1419,10 @@ def _start_verdicts(defect: _NormProductDefect, x: np.ndarray, scales, seeds,
     the columns of V, T's right singular vectors, and then, on the rows V
     leaves, at the columns of V2, those of T^2. A problem's least value,
     ties to the lowest column and a NaN value never chosen, proves
-    NonMember when it is below 0 and at most -tol_decision * scale, the
-    rule of ``_proves``; it is the verdict's defect, its column the
-    witness, and the verdict takes the sphere's threshold and the
-    problem's seed."""
+    NonMember when it is below 0 and at most -tol_decision * scale, so a
+    value of 0 proves nothing, even at tol_decision = 0; it is the
+    verdict's defect, its column the witness, and the verdict takes the
+    sphere's threshold and the problem's seed."""
     values = defect(x)
     rows = np.arange(len(x))
     cols = np.where(np.isnan(values), np.inf, values).argmin(-1)
@@ -1450,30 +1445,26 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     The defining defects of all other problems are stacked once
     (``_NormProductDefect``).
 
-    One call on the defect stack values every problem at the columns of V,
-    normalized, which turn with T, and a problem that one of them proves
-    NonMember is decided there (``_start_verdicts``). The rows V leaves
-    are taken from the stack once, and one more call values them at the
-    right singular vectors V2 of T^2, normalized alike, which turn with T
-    too; V2 is taken only for the matrices with such a row, and a problem
-    that one of its columns proves NonMember is decided there. A problem
-    decided at V or V2 never forms its pencil and does not descend. Only
-    the problems left form their pencils (the builders' pencil callables);
-    their terms are stacked once (``_PencilStack``), checked at once by
-    the checks of PencilSpec (``_check_terms``), and swept and refined
-    (``_pencil_verdicts``), and one more call gives the value at the unit
-    eigenvector of each that is a NonMember; a value below 0 and at most
-    -tol_decision * scale (the sphere's threshold) proves NonMember
-    (``_proves``), and that problem is decided with that value as defect,
-    oracle "pencil", the sphere's threshold and the seed. Only the problems
-    left descend, on their rows of the stack: each distinct T among them
-    gets one block of deterministic starts, the standard basis and V
-    (``_fixed_starts``), each T and seed one block of seeded starts, and
-    one descent runs over the columns of them all, one block each. One
-    more call on those rows gives the value at every sphere's unit witness
-    for ``_reconcile``. No witness is evaluated twice. Each problem gets
-    the verdict it gets alone, bit for bit, so the predicates are the
-    one-problem case.
+    One path: two start stages, the pencils of the rows they leave, the
+    descent of those rows and ``_reconcile``. Each start stage is one call
+    on the open rows of the defect stack (``_start_verdicts``), at the
+    columns of one source, normalized, that turns with T: V, and then the
+    right singular vectors V2 of T^2, taken only for the matrices with an
+    open row. A problem that one column proves NonMember is decided there,
+    never forms its pencil and does not descend; the open rows are taken
+    from the stack again only when a stage proved something. Every problem
+    left forms its pencil (the builders' pencil callables); their terms are
+    stacked once (``_PencilStack``), checked at once by the checks of
+    PencilSpec (``_check_terms``), and swept and refined
+    (``_pencil_verdicts``), which gives each only a claim for
+    ``_reconcile``. Every problem left then descends, on its row of the
+    stack: each distinct T among them gets one block of deterministic
+    starts, the standard basis and V (``_fixed_starts``), each T and seed
+    one block of seeded starts, and one descent runs over the columns of
+    them all, one block each. One more call on those rows gives the value
+    at every sphere's unit witness for ``_reconcile``. No witness is
+    evaluated twice. Each problem gets the verdict it gets alone, bit for
+    bit, so the predicates are the one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1483,7 +1474,6 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise ValueError(f"a stack of dual problems needs one dimension, got "
                          f"{sorted({m.shape[0] for m in mats.values()})}")
-    dim = len(next(iter(mats.values())))
     facts = {key: (operator_norm(m), operator_svd(m))
              for key, m in mats.items() if not _zero_operator(m)}
     live = [(p, id(t), name, k, seed)
@@ -1498,69 +1488,43 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))
     vs = {key: svd[2].conj().T for key, (_, svd) in facts.items()}
-    cols = {key: _unit_columns(v) for key, v in vs.items()}
     seeds = [seed for *_, seed in live]
-    at_v = _start_verdicts(defect, np.array([cols[key] for _, key, *_ in live]), scales, seeds,
-                           tol)
-    for i, verdict in at_v.items():
-        verdicts[live[i][0]] = verdict
-    rest = [i for i in range(len(live)) if i not in at_v]  # the problems V leaves
-    if not rest:
-        return verdicts
-    # Their rows of the stack, taken once: the V2 stage, the pencil proof
-    # and the descent all read them. Positions j below index rest.
-    left = defect.take(rest)
-    v2 = {key: _unit_columns(np.linalg.svd(powers[key][2])[2].conj().T)
-          for key in dict.fromkeys(live[i][1] for i in rest)}
-    at_v2 = _start_verdicts(left, np.array([v2[live[i][1]] for i in rest]),
-                            [scales[i] for i in rest], [seeds[i] for i in rest], tol)
-    for j, verdict in at_v2.items():
-        verdicts[live[rest[j]][0]] = verdict
-    rows = [j for j in range(len(rest)) if j not in at_v2]  # the rows that form pencils
-    if not rows:
-        return verdicts
-    swept = [pencils[rest[j]]() for j in rows]
-    labels = {j: pencil.label for j, pencil in zip(rows, swept)}
+    # The problems still open, as indices into live, and their rows of the
+    # defect stack, taken again only when a stage proved something: each
+    # start stage values them at one source of columns, V and then V2, and
+    # the pencils and the descent read the rows the two leave.
+    rest, left = list(range(len(live))), defect
+    for source in (vs.__getitem__, lambda key: np.linalg.svd(powers[key][2])[2].conj().T):
+        cols = {key: _unit_columns(source(key)) for key in dict.fromkeys(live[i][1] for i in rest)}
+        proved = _start_verdicts(left, np.array([cols[live[i][1]] for i in rest]),
+                                 [scales[i] for i in rest], [seeds[i] for i in rest], tol)
+        if proved:
+            for j, verdict in proved.items():
+                verdicts[live[rest[j]][0]] = verdict
+            kept = [j for j in range(len(rest)) if j not in proved]
+            if not kept:
+                return verdicts
+            rest, left = [rest[j] for j in kept], left.take(kept)
+    swept = [pencils[i]() for i in rest]
     stack = _PencilStack(swept)
     _check_terms([p.terms for p in swept], stack.exps, stack.coefs)
-    claims = dict(zip(rows, _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)))
-    named = [j for j in rows if claims[j].status is Status.NON_MEMBER]
-    if named:
-        # One call on every row of left; a row with no claim reads the zero
-        # vector, and its value is not read.
-        units = np.zeros((len(rest), dim, 1), dtype=np.complex128)
-        for j in named:
-            units[j, :, 0] = claims[j].witness.vector / np.linalg.norm(claims[j].witness.vector)
-        values = left(units)[:, 0].tolist()
-        for j in named:
-            i, exact = rest[j], values[j]
-            threshold = tol.tol_decision * scales[i]
-            if _proves(claims[j], exact, threshold):
-                witness = Witness(vector=units[j, :, 0],
-                                  pencil_lambda=claims[j].witness.pencil_lambda)
-                verdicts[live[i][0]] = MembershipVerdict(status=Status.NON_MEMBER, defect=exact,
-                                                         oracle="pencil", witness=witness,
-                                                         threshold=threshold, seed=seeds[i])
-                rows.remove(j)
-    if not rows:  # no row descends
-        return verdicts
-    pairs = [(live[rest[j]][1], seeds[rest[j]]) for j in rows]  # (T, seed) of each, T by identity
+    claims = _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)
+    pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
     # Only the matrices with a problem that descends get the whole block [I, V].
     fixed = {key: _fixed_starts(len(vs[key]), vs[key])
              for key in dict.fromkeys(key for key, _ in pairs)}
     starts = {(key, seed): _starts(fixed[key], _RESTARTS, seed)
               for key, seed in dict.fromkeys(pairs)}
     x = np.array([starts[pair] for pair in pairs])
-    bands = tol.tol_decision * np.array([scales[rest[j]] for j in rows])
-    descending = left if len(rows) == len(rest) else left.take(rows)
-    spheres = _descend(descending.value_and_gradient, x, bands,
-                       lambda kept: descending.take(kept).value_and_gradient)
+    bands = tol.tol_decision * np.array([scales[i] for i in rest])
+    spheres = _descend(left.value_and_gradient, x, bands,
+                       lambda kept: left.take(kept).value_and_gradient)
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
-    values = descending(units[..., None])[:, 0].tolist()
-    for j, (val, vec), unit, exact in zip(rows, spheres, units, values):
-        i = rest[j]
+    values = left(units[..., None])[:, 0].tolist()
+    for i, (val, vec), unit, exact, claim, pencil in zip(rest, spheres, units, values,
+                                                          claims, swept):
         verdicts[live[i][0]] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seeds[i]),
-                                          claims[j], unit, exact, labels[j])
+                                          claim, unit, exact, pencil.label)
     return verdicts
 
 

@@ -400,6 +400,25 @@ def test_rr_check_examples(j2, j3):
     assert rr_check(j3).status is Status.NON_MEMBER
 
 
+def test_rr_check_judges_the_square_on_the_scale_of_t():
+    # T^2 is derived from T, so its rounding is about ||T||^2 eps whatever
+    # ||T^2|| is. The square of an index-2 nilpotent is 0 up to that
+    # rounding and is normal at every scale; judged on the scale of T^2 it
+    # read not normal from ||T|| = 1e6. A square that is not normal stays
+    # NonMember, and an assembled root stays Member, at every scale tried.
+    from opclass.generators import rr_instance
+
+    nilpotent, root, j3 = jordan_nilpotent(4, 2, 1), rr_instance(3, 2, 5), np.eye(3, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(31):
+            c = 10.0**e
+            assert rr_check(c * nilpotent).status is Status.MEMBER, c
+            assert rr_check(c * root).status is Status.MEMBER, c
+        for c in (1.0, 1e3, 1e20):
+            assert rr_check(c * j3).status is Status.NON_MEMBER, c
+
+
 # ---------------------------------------------------------------------------
 # bit-for-bit output
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from opclass.membership import (
     _dual_verdicts,
     _pencil,
     _pencil_verdicts,
-    _proves,
     _reconcile,
     _start_verdicts,
     _sweep,
@@ -1258,23 +1257,34 @@ def test_absolute_k_defect_of_a_jordan_nilpotent_is_exact(monkeypatch):
     # Such an x is T* y, y a unit vector of range T^(index-1), which lies in
     # ker T and in range T, so that T x = y. The engine's defect reads -1
     # there, and the verdict is NonMember no deeper than -1: at a column of
-    # V when the start proof decides it, and at the pencil's refined
-    # eigenvector, at -1, with the start proof off.
+    # V when the start proof decides it, and at the sphere's witness with
+    # the start proof off. Then the pencil's refined eigenvector, valued by
+    # the engine's own defect, reads -1 to 1e-12; the descent, which stops
+    # in decision units, comes within 1e-5 of it (9.6e-6 at worst, n = 8,
+    # index 6, seed 2).
     build = _DUAL["AbsoluteKParanormal"][2]
     mats = [(jordan_nilpotent(n, index, seed), index)
             for n in range(2, 9) for index in range(2, n + 1) for seed in range(3)]
-    for t, index in mats:
+    fns = [_NormProductDefect.of(build(_Powers(t), 1, operator_norm(t), TOL)[0](np.linalg.svd(t)))
+           for t, _ in mats]
+    for (t, index), fn in zip(mats, fns):
         y = np.linalg.svd(np.linalg.matrix_power(t, index - 1))[0][:, 0]
-        fn = _NormProductDefect.of(build(_Powers(t), 1, operator_norm(t), TOL)[0](np.linalg.svd(t)))
         assert fn(t.conj().T @ y) == pytest.approx(-1.0, abs=1e-12), len(t)
         v = is_absolute_k_paranormal(t, 1)
         assert v.status is Status.NON_MEMBER, len(t)
         assert -1.0 - 1e-12 <= v.defect <= -v.threshold, len(t)
     _no_start_proof(monkeypatch)
-    for t, _ in mats:
+    claims = _spy_pencil_claims(monkeypatch)
+    for (t, _), fn in zip(mats, fns):
+        claims.clear()
         v = is_absolute_k_paranormal(t, 1)
-        assert v.status is Status.NON_MEMBER and v.oracle == "pencil", len(t)
-        assert v.defect == pytest.approx(-1.0, abs=1e-12), len(t)
+        assert v.status is Status.NON_MEMBER and v.oracle == "sphere", len(t)
+        assert v.witness.pencil_lambda is None, len(t)
+        assert -1.0 - 1e-12 <= v.defect <= -1.0 + 1e-5, len(t)
+        [claim] = claims
+        x = claim.witness.vector / np.linalg.norm(claim.witness.vector)
+        assert claim.status is Status.NON_MEMBER, len(t)
+        assert fn(x) == pytest.approx(-1.0, abs=1e-12), len(t)
 
 
 def test_absolute_k1_agrees_with_paranormal():
@@ -1357,8 +1367,8 @@ def test_reconcile_judges_each_oracle_in_its_own_band():
             threshold=1e-4,
         )
 
-    # The pencil's NonMember reaches _reconcile only when its witness failed
-    # re-validation, so the verdict is Inconclusive.
+    # The pencil's NonMember is a claim only, and the sphere proves nothing,
+    # so the verdict is Inconclusive.
     v = _reconcile(sphere, pencil(5.0), sphere.witness.vector, 1.0, label="synthetic")
     assert (v.status, v.oracle, v.defect) == (Status.INCONCLUSIVE, "sphere", 1.0)
     assert v.threshold == 1e-8 and v.seed == 5
@@ -1395,9 +1405,9 @@ _PENCIL_DEFECT = {_M: 1e-11, _NM: -2e-8, _I: 0.0}
     ],
 )
 def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, defect):
-    # s_exact and p_exact are the defining values at the sphere's and the
-    # pencil's unit witnesses. A pencil NonMember that p_exact proves is
-    # decided before the descent and never reconciled.
+    # s_exact is the defining value at the sphere's unit witness, and p_exact
+    # the one at the pencil's, which no verdict reads: a pencil NonMember is
+    # a claim, never a proof, whatever its witness gives.
     e0, e1 = np.eye(2, dtype=np.complex128)
     sphere = MembershipVerdict(
         status=s_stat, defect=_SPHERE_DEFECT[s_stat], oracle="sphere",
@@ -1407,7 +1417,6 @@ def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, de
         status=p_stat, defect=_PENCIL_DEFECT[p_stat], oracle="pencil",
         witness=Witness(vector=e1, pencil_lambda=0.5), threshold=1e-8,
     )
-    assert not _proves(pencil, p_exact, sphere.threshold)
     v = _reconcile(sphere, pencil, e0, s_exact, label="synthetic")
     assert (v.status, v.oracle, v.defect) == (status, oracle, defect)
     assert v.seed == 3 and v.threshold == TOL.tol_decision
@@ -1422,9 +1431,22 @@ _PREDICATES = {
 
 
 def _no_start_proof(monkeypatch):
-    """Switch the engine's start proof off, so that every problem reaches
-    the pencil."""
+    """Switch the engine's start proof off, at V and at V2, so that every
+    problem forms its pencil and descends."""
     monkeypatch.setattr("opclass.membership._start_verdicts", lambda *args: {})
+
+
+def _spy_pencil_claims(monkeypatch) -> list:
+    """The claims of every engine pencil sweep, as they run."""
+    real, claims = _pencil_verdicts, []
+
+    def spying(*args):
+        out = real(*args)
+        claims.extend(out)
+        return out
+
+    monkeypatch.setattr("opclass.membership._pencil_verdicts", spying)
+    return claims
 
 
 def _patch_pencil_claims(monkeypatch, change):
@@ -1508,19 +1530,25 @@ def test_a_failed_start_proof_takes_the_full_sweep(monkeypatch):
     # With the engine's defect reading 0 at the right singular vectors of T,
     # which decide every problem of this matrix otherwise (see above), and
     # then at those of T^2, no problem is decided at either: each pencil is
-    # swept and refined, Brent searches included, and is certified at its
-    # refined eigenvector, bit for bit the verdict pencil_check's full
-    # sweep reproduces.
+    # swept and refined, Brent searches included, and its claim is bit for
+    # bit the NonMember pencil_check's full sweep gives. Each problem then
+    # descends, and the sphere proves it: the verdict is bit for bit
+    # sphere_check's descent from the same starts, certified at its unit
+    # witness as _reconcile does.
     t = random_ginibre(5, seed=11)
-    expected = {}
+    warm = np.linalg.svd(t)[2].conj().T
+    expected, pencil_claims = {}, {}
     for k in (1, 2):
         for name, fn, pencil, scale in dual_families(t, k):
             claim = pencil_check(pencil)
-            x = claim.witness.vector / np.linalg.norm(claim.witness.vector)
+            assert claim.status is Status.NON_MEMBER, (name, k)
+            pencil_claims[name, k] = claim.to_json_dict()
+            sphere = sphere_check(fn, 5, seed=3, warm_starts=warm, scale=scale,
+                                  value_and_gradient=fn.value_and_gradient)
+            x = sphere.witness.vector / np.linalg.norm(sphere.witness.vector)
             expected[name, k] = MembershipVerdict(
-                status=Status.NON_MEMBER, defect=fn(x), oracle="pencil",
-                witness=Witness(vector=x, pencil_lambda=claim.witness.pencil_lambda),
-                threshold=TOL.tol_decision * scale, seed=3,
+                status=Status.NON_MEMBER, defect=fn(x), oracle="sphere",
+                witness=Witness(vector=x), threshold=TOL.tol_decision * scale, seed=3,
             )
     real, calls, searches = _NormProductDefect.__call__, [], []
 
@@ -1535,12 +1563,15 @@ def test_a_failed_start_proof_takes_the_full_sweep(monkeypatch):
 
     monkeypatch.setattr(_NormProductDefect, "__call__", first_reads_zero)
     monkeypatch.setattr("opclass.membership._brent", counting)
+    claims = _spy_pencil_claims(monkeypatch)
     for (name, k), v in expected.items():
         calls.clear()
         searches.clear()
+        claims.clear()
         assert _PREDICATES[name](t, k, seed=3).to_json_dict() == v.to_json_dict(), (name, k)
+        assert [c.to_json_dict() for c in claims] == [pencil_claims[name, k]], (name, k)
         # The two start stages, at V and at V2, on dim columns each, and
-        # the check after the refinement, on one.
+        # the value at the descent's unit witness, on one.
         assert calls == [(1, 5, 5), (1, 5, 5), (1, 5, 1)] and searches, (name, k)
 
 
@@ -1706,20 +1737,69 @@ def test_a_zero_value_proves_no_nonmember_at_tol_decision_zero():
     # tol_decision = 0 is at most -threshold. It proves nothing: a proof
     # needs a value below 0 as well. The k-quasi problems that such a
     # column used to decide as Member with defect 0, with no sweep and no
-    # descent, are decided by the pencil, as at the default tolerance; no
-    # NonMember of the default tolerance reads otherwise at tol 0.
+    # descent, descend and are proved by the sphere, as at the default
+    # tolerance; no NonMember of the default tolerance reads otherwise at
+    # tol 0.
     tol0 = dataclasses.replace(TOL, tol_decision=0.0)
     t = _direct_sum(random_ginibre(3, 19), np.zeros((1, 1)))
     cls = OperatorClass("KQuasiParanormal", k=1)
     v, default = classify_all(t, tol=tol0)[cls], classify_all(t)[cls]
-    assert (v.status, v.oracle) == (Status.NON_MEMBER, "pencil")
-    assert v.defect == default.defect == pytest.approx(-0.6548, abs=1e-4)
+    assert (v.status, v.oracle) == (Status.NON_MEMBER, "sphere")
+    assert v.defect == default.defect == pytest.approx(-0.6593, abs=1e-4)
     for seed in range(60):
         t = _direct_sum(random_ginibre(3, seed), np.zeros((1, 1)))
         strict = classify_all(t, tol=tol0)
         for c, v in classify_all(t).items():
             if v.status is Status.NON_MEMBER:
                 assert strict[c].status is Status.NON_MEMBER, (seed, str(c))
+
+
+def test_every_engine_nonmember_is_proved_at_a_sphere_column():
+    # An engine NonMember rests on one unit vector the sphere found, a start
+    # column or a descent's witness, never on a pencil's eigenvector: oracle
+    # "sphere", a unit witness with no lambda, and the defining defect,
+    # recomputed from T alone, at most minus the threshold. On these 8
+    # inputs a pencil's refined eigenvector used to prove 12 problems before
+    # the descent, at the defects below; each now reads that defect or a
+    # deeper one, up to a millionth of the decision band.
+    inputs = [(random_ginibre(3, 19), 899), (random_ginibre(3, 52), 734),
+              (random_ginibre(4, 45), 66)]
+    inputs += [(random_normal(d, s) + 1e-3 * random_ginibre(d, s + 7), seed)
+               for d, s, seed in [(3, 2, 25), (3, 16, 133), (3, 17, 930), (4, 2, 925),
+                                  (6, 13, 825)]]
+    pencil_defects = {
+        (0, "KQuasiParanormal(k=1)"): -0.6548468280659607,
+        (1, "KQuasiParanormal(k=2)"): -1.3535818501831187,
+        (1, "KQuasiParanormal(k=3)"): -2.173986103543342,
+        (2, "KQuasiParanormal(k=3)"): -39.46671023919373,
+        (3, "KQuasiParanormal(k=2)"): -2.6823999393910114e-07,
+        (3, "KQuasiParanormal(k=3)"): -1.4847857734978653e-07,
+        (4, "KQuasiParanormal(k=1)"): -3.2600010688166314e-07,
+        (4, "KQuasiParanormal(k=3)"): -2.6237903182589617e-08,
+        (5, "KQuasiParanormal(k=2)"): -6.1659018046889e-07,
+        (5, "KQuasiParanormal(k=3)"): -2.483300120467713e-07,
+        (6, "KQuasiParanormal(k=2)"): -1.0624510815848698e-06,
+        (7, "KQuasiParanormal(k=3)"): -7.351628564244983e-06,
+    }
+    for i, (t, seed) in enumerate(inputs):
+        families = {(name, k): (fn, scale) for k in range(4)
+                    for name, fn, _, scale in dual_families(t, k)}
+        for cls, v in classify_all(t, seed=seed).items():
+            if not _is_dual(cls) or v.status is not Status.NON_MEMBER:
+                continue
+            fn, scale = families["KQuasiParanormal", 0] if cls.name == "Paranormal" \
+                else families[cls.name, cls.k]
+            x, threshold = v.witness.vector, TOL.tol_decision * scale
+            assert (v.oracle, v.threshold) == ("sphere", threshold), (i, str(cls))
+            assert v.witness.pencil_lambda is None, (i, str(cls))
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14), (i, str(cls))
+            assert fn(x) <= -threshold, (i, str(cls))
+            exact = pytest.approx(v.defect, rel=1e-12, abs=1e-6 * threshold)
+            assert fn(x) == exact, (i, str(cls))
+            head = pencil_defects.pop((i, str(cls)), None)
+            if head is not None:
+                assert v.defect <= head + 1e-6 * threshold, (i, str(cls))
+    assert pencil_defects == {}
 
 
 def _beyond_dim_8() -> list:

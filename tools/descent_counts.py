@@ -30,14 +30,12 @@ binding ``harness._drive`` calls it through, and counts:
 * the engine calls and the problems they decide: a ``classify_all``
   matrix is one call, and a verify-all suite makes one per round and
   dimension of its trials;
-* the problems certified before the descent: those the start columns
-  decide, whose pencils are not formed, and those whose pencil NonMember
-  eigenvector breaks the defining inequality, the verdicts labelled
-  "pencil" (a problem that descends can only have the sphere's witness
-  certified); how many of them each start stage decided, at V (the first
-  ``_start_verdicts`` call of an engine call) and at V2 (the second); and
-  the problems that descend, the problems of every ``membership._descend``
-  call;
+* the problems certified before the descent, those the start columns
+  decide, whose pencils are not formed: how many each start stage
+  decided, at V (the first ``_start_verdicts`` call of an engine call)
+  and at V2 (the second); and the problems that descend, every other
+  problem but the zero operator's, the problems of every
+  ``membership._descend`` call;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencils formed (``_pencil`` calls: by the engine, one per problem
@@ -140,11 +138,7 @@ class Counter:
             counts["engine_calls"] += 1
             counts["problems"] += len(problems)
             self._stages = 0
-            out = engine(problems, *args)
-            # A problem that descends has no certified pencil witness, so only
-            # the verdicts certified before the descent name the pencil.
-            counts["certified"] += sum(v.oracle == "pencil" for v in out)
-            return out
+            return engine(problems, *args)
 
         def counted_starts(*args):
             out = starts(*args)
