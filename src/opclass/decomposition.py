@@ -55,7 +55,7 @@ from .linalg import (
 from .membership import (
     MembershipVerdict,
     Status,
-    _equality_verdict,
+    _normality_verdict,
     _scale,
     is_k_quasi_paranormal,
     is_normal,
@@ -503,6 +503,4 @@ def rr_check(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     m = as_operator(t)
     # The scale goes first: it rejects a T whose products would overflow.
     scale = _scale(operator_norm(m), 4)
-    square = m @ m
-    comm = square.conj().T @ square - square @ square.conj().T
-    return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
+    return _normality_verdict(m @ m, scale, tol)

@@ -48,8 +48,9 @@ leaves are valued the same way at the right singular vectors V2 of T^2,
 which turn with T too, before any pencil is formed. Such a verdict rests
 on that one value: no pencil cross-checks it. Every other problem forms
 its pencil, which is checked, swept and refined for a claim, and descends
-on the sphere, so an engine NonMember is always proved at a unit vector
-the sphere found: a start column or a descent's witness. Every value of
+on the sphere, from the eigenvector of a NonMember claim too, so an
+engine NonMember is always proved at a unit vector the sphere found: a
+start column or a descent's witness. Every value of
 one call reads one stack of its defining defects, and the builders of one
 T read one chain of its powers, each formed once. The public
 ``pencil_check`` has no defining defect, so it sweeps and refines every
@@ -265,6 +266,14 @@ def _equality_verdict(residual: float, scale: float, tol: TolerancePolicy) -> Me
     return MembershipVerdict(
         status=status, defect=-residual, oracle="algebraic", threshold=threshold
     )
+
+
+def _normality_verdict(m: np.ndarray, scale: float, tol: TolerancePolicy) -> MembershipVerdict:
+    """m*m = mm* within tol_eq * scale, on the Frobenius norm of the
+    commutator: the caller picks the scale, that of the operator the
+    hypothesis is about, which for a derived m is its source's."""
+    comm = m.conj().T @ m - m @ m.conj().T
+    return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
 
 
 def _psd_verdict(diff: np.ndarray, scale: float, tol: TolerancePolicy) -> MembershipVerdict:
@@ -1071,8 +1080,7 @@ def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict
     m = as_operator(t)
     # The scale goes first: it rejects a T whose products would overflow.
     scale = _scale(operator_norm(m), 2)
-    comm = m.conj().T @ m - m @ m.conj().T
-    return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
+    return _normality_verdict(m, scale, tol)
 
 
 def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
@@ -1461,7 +1469,10 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     stack: each distinct T among them gets one block of deterministic
     starts, the standard basis and V (``_fixed_starts``), each T and seed
     one block of seeded starts, and one descent runs over the columns of
-    them all, one block each. One more call on those rows gives the value
+    them all, one block each. A problem whose pencil claims NonMember
+    starts also from the claim's unit eigenvector, one more warm start in
+    place of its last seeded start, so the descent begins at least as low
+    as the pencil's minimum. One more call on those rows gives the value
     at every sphere's unit witness for ``_reconcile``. No witness is
     evaluated twice. Each problem gets the verdict it gets alone, bit for
     bit, so the predicates are the one-problem case.
@@ -1515,7 +1526,11 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
              for key in dict.fromkeys(key for key, _ in pairs)}
     starts = {(key, seed): _starts(fixed[key], _RESTARTS, seed)
               for key, seed in dict.fromkeys(pairs)}
-    x = np.array([starts[pair] for pair in pairs])
+    # A pencil NonMember claim's eigenvector is one more warm start of its
+    # problem, in place of the last seeded start.
+    x = np.array([starts[key, seed] if claim.status is not Status.NON_MEMBER else _starts(
+        _fixed_starts(len(vs[key]), np.column_stack([vs[key], claim.witness.vector])),
+        _RESTARTS - 1, seed) for (key, seed), claim in zip(pairs, claims)])
     bands = tol.tol_decision * np.array([scales[i] for i in rest])
     spheres = _descend(left.value_and_gradient, x, bands,
                        lambda kept: left.take(kept).value_and_gradient)
