@@ -31,6 +31,7 @@ from .membership import (
     DEFAULT_K_LIST,
     DEFAULT_P_LIST,
     Status,
+    _power_verdict,
     chain_violations,
     classify_all,
     is_k_quasi_paranormal,
@@ -162,7 +163,7 @@ def _certify(kind: str, matrix, params: dict, seed: int, tol: TolerancePolicy) -
     if kind == "counterexample":
         cert["normaloid"] = is_normaloid(matrix, tol)
         cert["normal"] = is_normal(matrix, tol)
-        cert["normal_square"] = is_normal(matrix @ matrix, tol)
+        cert["normal_square"] = _power_verdict(matrix, 2, "normal", tol)
         cert["paranormal"] = is_k_quasi_paranormal(matrix, 0, tol, seed=seed)
         cert["k_quasi_paranormal[k=1]"] = is_k_quasi_paranormal(matrix, 1, tol, seed=seed)
     if kind == "scalar-root":

@@ -44,7 +44,6 @@ from .linalg import (
     _direct_sum,
     as_operator,
     compress,
-    finite_frobenius_norm,
     frobenius_norm,
     hermitian_eigen,
     kernel,
@@ -55,7 +54,7 @@ from .linalg import (
 from .membership import (
     MembershipVerdict,
     Status,
-    _normality_verdict,
+    _power_verdict,
     _scale,
     is_k_quasi_paranormal,
     is_normal,
@@ -339,8 +338,7 @@ def _root_split(
             f"input is not {k}-quasi-paranormal: {member.status.value} "
             f"(defect {member.defect:.3e})"
         )
-    power = matrix_power(m, n)
-    normal_power = is_normal(power, tol)
+    normal_power = _power_verdict(m, n, "normal", tol)
     if normal_power.status is not Status.MEMBER:
         raise HypothesisViolated(
             f"T^{n} is not normal: residual {-normal_power.defect:.3e}"
@@ -349,7 +347,7 @@ def _root_split(
     dim = m.shape[0]
     norm_t = operator_norm(m)
     scale = max(1.0, norm_t)
-    _, s, vh = np.linalg.svd(power)
+    _, s, vh = np.linalg.svd(matrix_power(m, n))
     if s[0] == 0.0:
         zero = Subspace.full(dim)
     else:
@@ -381,13 +379,11 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     scale = max(1.0, norm_t)
     if not m.any():
         raise ZeroOperator("input is the zero matrix")
-    # The scale of T^2 goes first: it rejects a T whose square would
-    # overflow. A residual whose sum of squares overflows is a ValueError,
-    # not a verdict on T.
-    square = _scale(norm_t, 2)
-    sq_resid = finite_frobenius_norm(m @ m)
-    if sq_resid > tol.tol_eq * square:
-        raise NotNilpotentIndex2(f"T^2 residual {sq_resid:.3e} beyond tolerance")
+    # A residual whose sum of squares overflows is a ValueError, not a
+    # verdict on T.
+    square_zero = _power_verdict(m, 2, "zero", tol)
+    if square_zero.status is not Status.MEMBER:
+        raise NotNilpotentIndex2(f"T^2 residual {-square_zero.defect:.3e} beyond tolerance")
 
     ker = kernel(m, tol, rank_floor=scale)
     coker = ker.complement()
@@ -497,10 +493,5 @@ def rr_assemble(
 def rr_check(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """Whether T is a square root of a normal operator: decided by testing
     normality of T^2 directly, its residual judged on T's scale
-    max(1, ||T||)^4. T^2 is derived from T, so its rounding is about
-    ||T||^2 eps whatever ||T^2|| is; judged on its own scale, the square
-    of an index-2 nilpotent, 0 up to that rounding, would read not normal."""
-    m = as_operator(t)
-    # The scale goes first: it rejects a T whose products would overflow.
-    scale = _scale(operator_norm(m), 4)
-    return _normality_verdict(m @ m, scale, tol)
+    max(1, ||T||)^4 (``membership._power_verdict``)."""
+    return _power_verdict(as_operator(t), 2, "normal", tol)

@@ -41,6 +41,7 @@ from .linalg import (
 from .membership import (
     Status,
     _dual_verdicts,
+    _power_verdict,
     is_hyponormal,
     is_normal,
     is_normaloid,
@@ -254,10 +255,6 @@ def _random(kind: str, d: int, ts: int) -> tuple[np.ndarray, str]:
     return getattr(gen, f"random_{kind}")(d, ts), f"{kind}(dim={d}, seed={ts})"
 
 
-def _power_is_normal(t: np.ndarray, n: int, tol: TolerancePolicy) -> bool:
-    return is_normal(matrix_power(t, n), tol).status is Status.MEMBER
-
-
 def verify_stampfli(
     trials: int,
     dim: int,
@@ -283,7 +280,7 @@ def verify_stampfli(
         return _normal_given(
             t, ref, tol,
             ("hyponormal", lambda: is_hyponormal(t, tol).is_member),
-            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+            ("power-normal", lambda: _power_verdict(t, n, "normal", tol).is_member),
         )
     return _drive("stampfli", trials, dim, seed, tol, inject_failure, body)
 
@@ -327,7 +324,7 @@ def verify_quasinormal_root(
         ker_adj = kernel(t.conj().T, tol, rank_floor=scale)
         inclusion = ker_t.contains(ker_adj, tol.tol_recon * 10)
         quasi = is_quasinormal(t, tol).status is Status.MEMBER
-        power_normal = quasi and _power_is_normal(t, n, tol)
+        power_normal = quasi and _power_verdict(t, n, "normal", tol).is_member
         # Quasinormal T is normal if T^n is normal (the root theorem) or if
         # ker(T*) lies in ker(T) (the lemma); the skip names what failed.
         return _normal_given(
@@ -365,7 +362,7 @@ def verify_ando(
             para = yield (t, "KQuasiParanormal", 0, ts)
             ok = (
                 para.status is Status.NON_MEMBER
-                and _power_is_normal(t, even_n, tol)
+                and _power_verdict(t, even_n, "normal", tol).is_member
                 and is_normal(t, tol).status is Status.NON_MEMBER
                 and is_normaloid(t, tol).status is Status.MEMBER
             )
@@ -379,7 +376,7 @@ def verify_ando(
         return (yield from _normal_given(
             t, ref, tol,
             ("paranormal", lambda: (t, "KQuasiParanormal", 0, ts)),
-            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+            ("power-normal", lambda: _power_verdict(t, n, "normal", tol).is_member),
         ))
     return _drive("ando", trials, dim, seed, tol, inject_failure, body, notes=notes)
 
@@ -446,7 +443,7 @@ def verify_k_paranormal_root(
         return (yield from _normal_given(
             t, ref, tol,
             ("k-paranormal", lambda: (t, "KParanormal", k, ts)),
-            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+            ("power-normal", lambda: _power_verdict(t, n, "normal", tol).is_member),
         ))
     return _drive("k-paranormal-root", trials, dim, seed, tol, inject_failure, body)
 
@@ -541,7 +538,7 @@ def verify_coprime(
             t, ref, tol,
             ("invertible", lambda: svals[-1] > tol.tol_rank * max(1.0, float(svals[0]))),
             ("power-k-paranormal", lambda: (matrix_power(t, m), "KParanormal", 1, ts)),
-            ("power-normal", lambda: _power_is_normal(t, n, tol)),
+            ("power-normal", lambda: _power_verdict(t, n, "normal", tol).is_member),
         )
     return _drive("coprime", trials, dim, seed, tol, inject_failure, body)
 
@@ -724,7 +721,7 @@ def search_q2(
         para = yield (t, "KQuasiParanormal", 0, ts)
         if para.status is not Status.MEMBER:
             return "paranormal"
-        if is_quasinormal(matrix_power(t, 2), tol).status is not Status.MEMBER:
+        if not _power_verdict(t, 2, "quasinormal", tol).is_member:
             return "power-quasinormal"
         if is_quasinormal(t, tol).status is Status.NON_MEMBER:
             candidates[trial] = ref

@@ -49,8 +49,14 @@ class TolerancePolicy:
     tol_recon     reconstruction slack for factorizations and bases
     tol_decision  class-membership decision band (membership module)
 
-    Every bound is applied relative to max(1, norm of the relevant matrix),
-    so all decisions are invariant under positive scaling of the input.
+    Every bound is applied relative to max(1, norm of the relevant
+    matrix)^degree, degree being that of the residual or defect in the
+    matrix. Decisions are therefore invariant under positive scaling only
+    for matrices of norm at least 1: below it the band stays at its value
+    for norm 1. So 1e-6 times a 3x3 index-2 Jordan nilpotent reads normal,
+    and a unit-norm 4x4 Ginibre matrix that ``classify_all`` reads
+    NonMember in all sixteen classes reads NonMember in two of them at
+    norm 1e-5 (ROADMAP item 12).
     """
 
     tol_psd: float = 1e-10

@@ -235,7 +235,8 @@ class OperatorClass:
 # ---------------------------------------------------------------------------
 #
 # Every defining inequality is homogeneous in T; normalizing defects by
-# max(1, ||T||)^degree makes the decision bands scale invariant.
+# max(1, ||T||)^degree makes the decision bands scale invariant for
+# ||T|| >= 1 (see linalg.TolerancePolicy).
 
 
 def _scale(norm_t: float, degree: float) -> float:
@@ -268,12 +269,26 @@ def _equality_verdict(residual: float, scale: float, tol: TolerancePolicy) -> Me
     )
 
 
-def _normality_verdict(m: np.ndarray, scale: float, tol: TolerancePolicy) -> MembershipVerdict:
-    """m*m = mm* within tol_eq * scale, on the Frobenius norm of the
-    commutator: the caller picks the scale, that of the operator the
-    hypothesis is about, which for a derived m is its source's."""
-    comm = m.conj().T @ m - m @ m.conj().T
-    return _equality_verdict(finite_frobenius_norm(comm), scale, tol)
+# The equality relations of an operator P, each as (the degree of its
+# residual in P, the residual, which is 0 exactly when P satisfies it).
+_RELATIONS = {
+    "normal": (2, lambda p: p.conj().T @ p - p @ p.conj().T),
+    "quasinormal": (3, lambda p: p @ p.conj().T @ p - p.conj().T @ p @ p),
+    "zero": (1, lambda p: p),
+}
+
+
+def _power_verdict(m: np.ndarray, n: int, relation: str, tol: TolerancePolicy) -> MembershipVerdict:
+    """Whether T^n satisfies ``relation`` of _RELATIONS, for a validated T:
+    the Frobenius norm of its residual within tol_eq * max(1, ||T||)^(n *
+    degree), on T's scale. T^n is derived from T, so its rounding is about
+    ||T||^n eps whatever ||T^n|| is; judged on its own scale, the square of
+    an index-2 nilpotent, 0 up to that rounding, would read not normal.
+    The scale goes first: it rejects a T whose products would overflow."""
+    degree, residual = _RELATIONS[relation]
+    scale = _scale(operator_norm(m), n * degree)
+    power = matrix_power(m, n) if n > 1 else m
+    return _equality_verdict(finite_frobenius_norm(residual(power)), scale, tol)
 
 
 def _psd_verdict(diff: np.ndarray, scale: float, tol: TolerancePolicy) -> MembershipVerdict:
@@ -385,7 +400,7 @@ def _public_pencil(name: str, t, k: int) -> PencilSpec:
     m = as_operator(t)
     _check_k(name, k)
     # replace builds the pencil anew, through the checks the builder skips.
-    return replace(_DUAL[name][2](_Powers(m), k, operator_norm(m), DEFAULT_TOLERANCES)[1]())
+    return replace(_DUAL[name][2](_Powers(m), k, operator_norm(m))[1]())
 
 
 def quasi_paranormal_pencil(t, k: int) -> PencilSpec:
@@ -624,16 +639,10 @@ class _PencilStack:
         an array or a list of pencil indices."""
         # Powers of a scalar exponent, as evaluate takes them: numpy squares
         # at 2.0, where its power of an exponent array rounds differently.
-        if len(self.coefs) == 1:
-            # One pencil needs no gather: its coefficients broadcast over lams.
-            powers = [None if constant else lams**expo
-                      for constant, expo in zip(self._constant, self.exps[0].tolist())]
-            coefs = self.coefs[0]
-        else:
-            uniq, column = self._columns
-            table, at = np.array([lams**expo for expo in uniq]), np.arange(lams.size)
-            powers = [table[c, at] for c in column[owner].T]
-            coefs = self.coefs[owner].swapaxes(0, 1)
+        uniq, column = self._columns
+        table, at = np.array([lams**expo for expo in uniq]), np.arange(lams.size)
+        powers = [table[c, at] for c in column[owner].T]
+        coefs = self.coefs[owner].swapaxes(0, 1)
         out = np.zeros((lams.size,) + self.coefs.shape[2:], dtype=np.complex128)
         for constant, power, m in zip(self._constant, powers, coefs):
             # lam^0 is 1, and 1 * m differs from m only in signs of zero,
@@ -1077,18 +1086,12 @@ def _descend(value_and_gradient, x: np.ndarray, band, take) -> list:
 
 def is_normal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
     """T*T = TT* within tol_eq relative to max(1, ||T||^2)."""
-    m = as_operator(t)
-    # The scale goes first: it rejects a T whose products would overflow.
-    scale = _scale(operator_norm(m), 2)
-    return _normality_verdict(m, scale, tol)
+    return _power_verdict(as_operator(t), 1, "normal", tol)
 
 
 def is_quasinormal(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdict:
-    """T commutes with T*T."""
-    m = as_operator(t)
-    scale = _scale(operator_norm(m), 3)
-    resid = m @ m.conj().T @ m - m.conj().T @ m @ m
-    return _equality_verdict(finite_frobenius_norm(resid), scale, tol)
+    """T commutes with T*T, within tol_eq relative to max(1, ||T||^3)."""
+    return _power_verdict(as_operator(t), 1, "quasinormal", tol)
 
 
 def quasinormal_embry(
@@ -1349,7 +1352,7 @@ def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
     return pencil
 
 
-def _quasi(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
+def _quasi(powers: _Powers, k: int, norm_t: float):
     """||T^(k+2) x|| ||T^k x|| - ||T^(k+1) x||^2, and the pencil A - 2z B + z^2 C
     of the Grams of T^(k+2), T^(k+1) and T^k."""
     scale = _scale(norm_t, 2 * k + 4)
@@ -1372,7 +1375,7 @@ def _weighted(k: int, d: np.ndarray, gram: np.ndarray):
     return (0.0, d), (float(k), -(k + 1.0) * gram), (float(k + 1), float(k) * eye)
 
 
-def _k_paranormal(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
+def _k_paranormal(powers: _Powers, k: int, norm_t: float):
     """||T^(k+1) x|| - ||T x||^(k+1), and D = T*^(k+1) T^(k+1)."""
     scale = _scale(norm_t, 2 * k + 2)
     m, pk1 = powers[1], powers[k + 1]
@@ -1384,7 +1387,7 @@ def _k_paranormal(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
     return (lambda svd: (((pk1, 1),), ((m, k + 1),))), pencil
 
 
-def _absolute_k_paranormal(powers: _Powers, k: int, norm_t: float, tol: TolerancePolicy):
+def _absolute_k_paranormal(powers: _Powers, k: int, norm_t: float):
     """|| |T|^k T x || - ||T x||^(k+1), and D = T*(T*T)^k T."""
     scale = _scale(norm_t, 2 * k + 2)
     m = powers[1]
@@ -1403,7 +1406,7 @@ def _absolute_k_paranormal(powers: _Powers, k: int, norm_t: float, tol: Toleranc
 
 # The classes both oracles decide, by OperatorClass name: the least k, the
 # degree in k of the sphere defect's scale, and the builder (powers of T, k,
-# ||T||, tol).
+# ||T||).
 _DUAL = {
     "KQuasiParanormal": (0, lambda k: 2 * k + 2, _quasi),
     "KParanormal": (1, lambda k: k + 1, _k_paranormal),
@@ -1494,7 +1497,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
         return verdicts
     scales = [_scale(facts[key][0], _DUAL[name][1](k)) for _, key, name, k, _ in live]
     powers = {key: _Powers(mats[key]) for key in facts}
-    terms, pencils = zip(*(_DUAL[name][2](powers[key], k, facts[key][0], tol)
+    terms, pencils = zip(*(_DUAL[name][2](powers[key], k, facts[key][0])
                            for _, key, name, k, _ in live))
     defect = _NormProductDefect.of(*(problem(facts[key][1])
                                      for problem, (_, key, _, _, _) in zip(terms, live)))

@@ -35,7 +35,7 @@ def dual_families(t: np.ndarray, k: int) -> list:
     the membership registry that takes this k, built as its predicate builds
     them, on one chain of the powers of T."""
     import opclass.membership as membership
-    from opclass.linalg import DEFAULT_TOLERANCES, operator_norm
+    from opclass.linalg import operator_norm
 
     norm_t, powers = operator_norm(t), membership._Powers(t)
     return [
@@ -47,5 +47,5 @@ def dual_families(t: np.ndarray, k: int) -> list:
         )
         for name, (least_k, degree, build) in membership._DUAL.items()
         if k >= least_k
-        for terms, pencil in [build(powers, k, norm_t, DEFAULT_TOLERANCES)]
+        for terms, pencil in [build(powers, k, norm_t)]
     ]

@@ -419,6 +419,42 @@ def test_rr_check_judges_the_square_on_the_scale_of_t():
             assert rr_check(c * j3).status is Status.NON_MEMBER, c
 
 
+def test_power_hypotheses_are_judged_on_the_scale_of_t():
+    # "T^n is normal" (root_decompose and the harness), "T^2 is
+    # quasinormal" (search-q2) and "T^2 = 0" (nilpotent2_canonical) are
+    # relations of a power derived from T, judged on T's scale. The square
+    # of an index-2 nilpotent is 0 up to rounding of about ||T||^2 eps;
+    # judged on its own scale it read not normal from ||T|| = 1e6, and not
+    # quasinormal from 1e7. Every check agrees with rr_check on it, a
+    # scaled k-quasi member keeps its blocks, and a square that is not
+    # normal stays a violated hypothesis at every scale tried.
+    from opclass.generators import k_quasi_member, random_unitary
+    from opclass.membership import _power_verdict
+
+    nilpotent, j3, u = jordan_nilpotent(4, 2, 1), np.eye(3, k=1), random_unitary(5, 3)
+    members = [k_quasi_member(3, 2, 1, 4), u @ k_quasi_member(3, 2, 1, 5) @ u.conj().T]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(31):
+            c = 10.0**e
+            t = c * nilpotent
+            split = root_decompose(t, 2, 1)
+            assert (split.block_dims, split.labels) == ((4,), (BlockLabel.NILPOTENT,)), c
+            assert nilpotent2_canonical(t).block_dims == (2, 2), c
+            assert rr_check(t).status is Status.MEMBER, c
+            for relation in ("normal", "quasinormal", "zero"):
+                assert _power_verdict(t, 2, relation, TOL).status is Status.MEMBER, (c, relation)
+            for m in members:
+                assert root_decompose(c * m, 2, 1).block_dims == (3, 2), c
+        for c in (1.0, 1e3, 1e20):
+            with pytest.raises(HypothesisViolated, match=r"T\^2 is not normal"):
+                root_decompose(c * j3, 2, 2)
+            with pytest.raises(NotNilpotentIndex2):
+                nilpotent2_canonical(c * j3)
+            for relation in ("normal", "quasinormal", "zero"):
+                assert _power_verdict(c * j3, 2, relation, TOL).status is Status.NON_MEMBER
+
+
 # ---------------------------------------------------------------------------
 # bit-for-bit output
 # ---------------------------------------------------------------------------

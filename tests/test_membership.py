@@ -868,7 +868,7 @@ def test_deflation_keeps_each_kernel_pencils_grid_minimum():
     for t in _benchmark_pools(2026):
         norm_t = operator_norm(t)
         for name, k in problems:
-            pencil = _DUAL[name][2](_Powers(t), k, norm_t, TOL)[1]()
+            pencil = _DUAL[name][2](_Powers(t), k, norm_t)[1]()
             rank, deflated = _deflated(pencil)
             if rank == pencil.dim:
                 continue
@@ -1096,7 +1096,7 @@ def test_sphere_check_requires_restart():
 
 
 def test_sphere_check_rejects_bad_dim_and_warm_starts(j2):
-    terms = _DUAL["KQuasiParanormal"][2](_Powers(j2), 0, operator_norm(j2), TOL)[0]
+    terms = _DUAL["KQuasiParanormal"][2](_Powers(j2), 0, operator_norm(j2))[0]
     fn = _NormProductDefect.of(terms(np.linalg.svd(j2)))
     with pytest.raises(ValueError, match="dim must be at least 1"):
         sphere_check(fn, 0, 4)
@@ -1131,7 +1131,7 @@ def test_stacked_values_equal_each_problem_alone():
     rng = np.random.default_rng(31)
     for dim in (*range(3, 9), 16, 24, 32):
         mats = (ginibre(dim, rng), random_normal_matrix(dim, rng), 1e3 * ginibre(dim, rng))
-        terms = [build(_Powers(t), k, operator_norm(t), TOL)[0](np.linalg.svd(t)) for t in mats
+        terms = [build(_Powers(t), k, operator_norm(t))[0](np.linalg.svd(t)) for t in mats
                  for k in range(4) for least, _, build in _DUAL.values() if k >= least]
         x = rng.standard_normal((len(terms), dim)) + 1j * rng.standard_normal((len(terms), dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -1265,7 +1265,7 @@ def test_absolute_k_defect_of_a_jordan_nilpotent_is_exact(monkeypatch):
             for n in range(2, 9) for index in range(2, n + 1) for seed in range(3)]
     for t, index in mats:
         y = np.linalg.svd(np.linalg.matrix_power(t, index - 1))[0][:, 0]
-        fn = _NormProductDefect.of(build(_Powers(t), 1, operator_norm(t), TOL)[0](np.linalg.svd(t)))
+        fn = _NormProductDefect.of(build(_Powers(t), 1, operator_norm(t))[0](np.linalg.svd(t)))
         assert fn(t.conj().T @ y) == pytest.approx(-1.0, abs=1e-12), len(t)
         v = is_absolute_k_paranormal(t, 1)
         assert v.status is Status.NON_MEMBER, len(t)
@@ -2087,7 +2087,7 @@ def test_builders_are_pinned():
     for least_k, _, build in _DUAL.values():
         for k in range(least_k, 4):
             for t in mats:
-                terms, pencil = build(_Powers(t), k, operator_norm(t), TOL)
+                terms, pencil = build(_Powers(t), k, operator_norm(t))
                 pencil = pencil()
                 for side in terms(np.linalg.svd(t)):
                     h.update(repr(len(side)).encode())
@@ -2326,8 +2326,8 @@ def test_engine_checks_its_stacks_terms_as_pencilspec_does(monkeypatch, term, br
     least_k, degree, build = _DUAL["KParanormal"]
     wants = []
 
-    def broken(powers, k, norm_t, tol):
-        sphere, pencil = build(powers, k, norm_t, tol)
+    def broken(powers, k, norm_t):
+        sphere, pencil = build(powers, k, norm_t)
 
         def formed():
             built = pencil()
@@ -2391,8 +2391,8 @@ def test_public_pencils_form_no_sphere_terms(monkeypatch):
     def refuse(svd):
         raise AssertionError("sphere terms formed")
 
-    def refusing(powers, k, norm_t, tol):
-        return refuse, build(powers, k, norm_t, tol)[1]
+    def refusing(powers, k, norm_t):
+        return refuse, build(powers, k, norm_t)[1]
 
     monkeypatch.setitem(_DUAL, "AbsoluteKParanormal", (least_k, degree, refusing))
     got = [ctor(t, k) for ctor in ctors for k in (1, 2, 3)]
