@@ -42,6 +42,7 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _direct_sum,
+    _scale,
     as_operator,
     compress,
     frobenius_norm,
@@ -55,7 +56,6 @@ from .membership import (
     MembershipVerdict,
     Status,
     _power_verdict,
-    _scale,
     is_k_quasi_paranormal,
     is_normal,
 )
@@ -174,7 +174,7 @@ def _assemble(
         nrm.conj().T @ nrm - nrm @ nrm.conj().T
     )
     unit = _unitarity_residual(q)
-    if unit > tol.tol_recon * max(1.0, np.sqrt(q.shape[0])):
+    if unit > tol.tol_recon * np.sqrt(q.shape[0]):
         raise DecompositionError(f"change of basis not unitary: residual {unit:.3e}")
     if reassembly > tol.tol_eq * scale * 10:
         raise DecompositionError(
@@ -251,9 +251,9 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
     m = as_operator(t)
     n = m.shape[0]
     norm_t = operator_norm(m)
-    scale = max(1.0, norm_t)
     # The scale of T*T goes first: it rejects a T whose products would overflow.
     square = _scale(norm_t, 2)
+    scale = _scale(norm_t, 1)
     comm = m.conj().T @ m - m @ m.conj().T
     eig = hermitian_eigen(comm, tol)
     size = np.abs(eig.eigenvalues)
@@ -346,7 +346,7 @@ def _root_split(
 
     dim = m.shape[0]
     norm_t = operator_norm(m)
-    scale = max(1.0, norm_t)
+    scale = _scale(norm_t, 1)
     _, s, vh = np.linalg.svd(matrix_power(m, n))
     if s[0] == 0.0:
         zero = Subspace.full(dim)
@@ -356,7 +356,7 @@ def _root_split(
 
     proj = zero.projector()
     comm = frobenius_norm(proj @ m - m @ proj)
-    if comm > tol.tol_eq * scale * max(1.0, dim):
+    if comm > tol.tol_eq * scale * dim:
         raise NonCommutingProjection(
             f"zero-eigenspace projection does not commute with T: {comm:.3e}"
         )
@@ -375,8 +375,6 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     """
     m = as_operator(t)
     dim = m.shape[0]
-    norm_t = operator_norm(m)
-    scale = max(1.0, norm_t)
     if not m.any():
         raise ZeroOperator("input is the zero matrix")
     # A residual whose sum of squares overflows is a ValueError, not a
@@ -385,6 +383,7 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     if square_zero.status is not Status.MEMBER:
         raise NotNilpotentIndex2(f"T^2 residual {-square_zero.defect:.3e} beyond tolerance")
 
+    scale = _scale(operator_norm(m), 1)
     ker = kernel(m, tol, rank_floor=scale)
     coker = ker.complement()
     r = coker.dim
@@ -408,7 +407,7 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
         "unitarity": _unitarity_residual(q),
         "c_min_singular": float(sv[-1]),
     }
-    if residuals["unitarity"] > tol.tol_recon * max(1.0, np.sqrt(dim)):
+    if residuals["unitarity"] > tol.tol_recon * np.sqrt(dim):
         raise DecompositionError(
             f"adapted basis not unitary: residual {residuals['unitarity']:.3e}"
         )
@@ -456,13 +455,12 @@ def _validate_rr_blocks(a, b, c, tol: TolerancePolicy) -> RRForm:
         else:
             # For Hermitian C the singular values are the eigenvalue moduli.
             svals = np.abs(w)
-            if w[0] < -tol.tol_psd * max(1.0, float(svals.max())):
+            if w[0] < -tol.tol_psd * _scale(float(svals.max()), 1):
                 problems.append("C is not positive semidefinite")
             if svals.min() <= tol.tol_rank * float(svals.max()):
                 problems.append("C is not injective")
         comm = frobenius_norm(b_mat @ c_mat - c_mat @ b_mat)
-        comm_scale = max(1.0, operator_norm(b_mat) * operator_norm(c_mat))
-        if comm > tol.tol_eq * comm_scale:
+        if comm > tol.tol_eq * _scale(operator_norm(b_mat) * operator_norm(c_mat), 1):
             problems.append("B and C do not commute")
     if problems:
         raise InvalidRRForm("; ".join(problems))

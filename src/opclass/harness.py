@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
     _direct_sum,
+    _scale,
     as_operator,
     frobenius_norm,
     kernel,
@@ -319,7 +320,7 @@ def verify_quasinormal_root(
             t = gen.jordan_nilpotent(d, 2, ts)
             ref = f"jordan(dim={d}, index=2, seed={ts})"
 
-        scale = max(1.0, operator_norm(t))
+        scale = _scale(operator_norm(t), 1)
         ker_t = kernel(t, tol, rank_floor=scale)
         ker_adj = kernel(t.conj().T, tol, rank_floor=scale)
         inclusion = ker_t.contains(ker_adj, tol.tol_recon * 10)
@@ -419,9 +420,9 @@ def verify_k_paranormal_root(
             ident = frobenius_norm(
                 t.conj().T - abs(lam) ** (2.0 / n) / lam * matrix_power(t, n - 1)
             )
-            ok = normal.status is Status.MEMBER and ident <= tol.tol_eq * max(
-                1.0, operator_norm(t) ** max(1, n - 1)
-            ) * 100
+            ok = normal.status is Status.MEMBER and (
+                ident <= tol.tol_eq * _scale(operator_norm(t), max(1, n - 1)) * 100
+            )
             return ok, ref, {"normality": -normal.defect, "adjoint_identity": ident}
         if pick == 2:
             t = np.zeros((d, d), dtype=np.complex128)
@@ -536,7 +537,7 @@ def verify_coprime(
         svals = np.linalg.svd(t, compute_uv=False)
         return _normal_given(
             t, ref, tol,
-            ("invertible", lambda: svals[-1] > tol.tol_rank * max(1.0, float(svals[0]))),
+            ("invertible", lambda: svals[-1] > tol.tol_rank * _scale(float(svals[0]), 1)),
             ("power-k-paranormal", lambda: (matrix_power(t, m), "KParanormal", 1, ts)),
             ("power-normal", lambda: _power_verdict(t, n, "normal", tol).is_member),
         )
@@ -622,7 +623,7 @@ def verify_fuglede_putnam(
                 blocks.append(g.standard_normal((s, s)) + 1j * g.standard_normal((s, s)))
             t = u @ _direct_sum(*blocks) @ u.conj().T
             ref = f"commutant(dim={d}, clusters={len(sizes)}, seed={ts})"
-        scale = max(1.0, operator_norm(t) * operator_norm(n_mat))
+        scale = _scale(operator_norm(t) * operator_norm(n_mat), 1)
         forward = frobenius_norm(t @ n_mat - n_mat @ t)
         if forward > tol.tol_eq * scale:
             return "commutes-with-N"
@@ -677,10 +678,10 @@ def verify_normaloid_criterion(
         lhs = operator_norm(matrix_power(t, k))
         for n_probe in range(k, k + 5):
             base, lhs = lhs, operator_norm(matrix_power(t, n_probe + 1))
-            if base <= tol.tol_decision * max(1.0, norm_t) ** n_probe:
+            if base <= tol.tol_decision * _scale(norm_t, n_probe):
                 continue
             rhs = base * norm_t
-            if abs(lhs - rhs) <= tol.tol_decision * max(1.0, rhs):
+            if abs(lhs - rhs) <= tol.tol_decision * _scale(rhs, 1):
                 identity_at = n_probe
                 break
         if identity_at is None:

@@ -9,6 +9,7 @@ are toleranced relative to the scale of the operands, never absolutely.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,10 @@ class TolerancePolicy:
 
     Every bound is applied relative to max(1, norm of the relevant
     matrix)^degree, degree being that of the residual or defect in the
-    matrix. Decisions are therefore invariant under positive scaling only
-    for matrices of norm at least 1: below it the band stays at its value
-    for norm 1. So 1e-6 times a 3x3 index-2 Jordan nilpotent reads normal,
+    matrix; ``_scale`` computes that factor, and every such band of the
+    package reads it. Decisions are therefore invariant under positive
+    scaling only for matrices of norm at least 1: below it the band stays
+    at its value for norm 1. So 1e-6 times a 3x3 index-2 Jordan nilpotent reads normal,
     and a unit-norm 4x4 Ginibre matrix that ``classify_all`` reads
     NonMember in all sixteen classes reads NonMember in two of them at
     norm 1e-5 (ROADMAP item 12).
@@ -82,6 +84,19 @@ class TolerancePolicy:
 
 
 DEFAULT_TOLERANCES = TolerancePolicy()
+
+
+def _scale(norm_t: float, degree: float) -> float:
+    """max(1, norm_t)^degree, the factor of every band; ValueError when it
+    overflows a double or ``norm_t`` is not finite."""
+    try:
+        scale = max(1.0, norm_t) ** degree
+    except OverflowError:
+        scale = np.inf
+    # max(1, nan) is 1, so a NaN norm needs its own test.
+    if scale == np.inf or not math.isfinite(norm_t):
+        raise ValueError(f"class scale max(1, ||T||)^{degree:g} overflows at ||T|| = {norm_t:.6g}")
+    return scale
 
 
 def as_operator(a) -> np.ndarray:
@@ -203,7 +218,7 @@ def _require_hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     # Against an infinite norm every residual would pass.
     size = finite_frobenius_norm(m)
     resid = frobenius_norm(m - m.conj().T)
-    if resid > tol.tol_eq * max(1.0, size):
+    if resid > tol.tol_eq * _scale(size, 1):
         raise NotHermitian(f"Hermitian residual {resid:.3e} beyond tolerance")
     return (m + m.conj().T) / 2.0
 
@@ -241,7 +256,7 @@ def psd_power(a, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     eig = hermitian_eigen(a, tol)
     w = eig.eigenvalues
     top = float(np.max(np.abs(w))) if w.size else 0.0
-    if w[0] < -tol.tol_psd * max(1.0, top):
+    if w[0] < -tol.tol_psd * _scale(top, 1):
         raise NotPSD(f"least eigenvalue {w[0]:.3e} beyond PSD tolerance")
     wp = np.clip(w, 0.0, None) ** p
     v = eig.eigenvectors
@@ -274,9 +289,8 @@ class Subspace:
             raise DimensionMismatch("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
             gram = b.conj().T @ b
-            if frobenius_norm(gram - np.eye(b.shape[1])) > DEFAULT_TOLERANCES.tol_recon * max(
-                1.0, frobenius_norm(gram)
-            ):
+            resid = frobenius_norm(gram - np.eye(b.shape[1]))
+            if resid > DEFAULT_TOLERANCES.tol_recon * _scale(frobenius_norm(gram), 1):
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -376,7 +390,7 @@ def preimage_in(a, v: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Su
     if m.shape[0] != v.ambient_dim:
         raise DimensionMismatch("matrix and subspace dimensions differ")
     resid = (np.eye(v.ambient_dim, dtype=np.complex128) - v.projector()) @ m
-    floor = max(1.0, float(np.linalg.norm(m, 2)))
+    floor = _scale(float(np.linalg.norm(m, 2)), 1)
     return Subspace(v.ambient_dim, _kernel_basis(resid, tol, rank_floor=floor))
 
 

@@ -87,6 +87,7 @@ from .generators import make_rng
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    _scale,
     as_operator,
     finite_frobenius_norm,
     hermitian_eigen,
@@ -235,19 +236,8 @@ class OperatorClass:
 # ---------------------------------------------------------------------------
 #
 # Every defining inequality is homogeneous in T; normalizing defects by
-# max(1, ||T||)^degree makes the decision bands scale invariant for
-# ||T|| >= 1 (see linalg.TolerancePolicy).
-
-
-def _scale(norm_t: float, degree: float) -> float:
-    try:
-        scale = max(1.0, norm_t) ** degree
-    except OverflowError:
-        scale = np.inf
-    # max(1, nan) is 1, so a NaN norm needs its own test.
-    if scale == np.inf or not math.isfinite(norm_t):
-        raise ValueError(f"class scale max(1, ||T||)^{degree:g} overflows at ||T|| = {norm_t:.6g}")
-    return scale
+# linalg._scale, max(1, ||T||)^degree, makes the decision bands scale
+# invariant for ||T|| >= 1 (see linalg.TolerancePolicy).
 
 
 def _decide(defect: float, scale: float, tol: TolerancePolicy) -> tuple[Status, float]:
@@ -1168,17 +1158,18 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
         return _member_zero()
     norm_t = operator_norm(m)
     defect = spectral_radius(m) - norm_t
-    scale = max(1.0, norm_t)
-    threshold = tol.tol_decision * scale
+    threshold = tol.tol_decision * _scale(norm_t, 1)
     primary = Status.MEMBER if defect >= -threshold else Status.NON_MEMBER
 
     # |‖T^n‖ - ‖T‖^n| > tol * max(1, ‖T‖^n), divided through by ‖T‖^n so
     # that no power of T overflows: |‖(T/‖T‖)^n‖ - 1| * min(1, ‖T‖)^n > tol.
     # The factor min(1, ‖T‖)^n underflows to 0 where ‖T‖^-n would overflow.
+    # The power norms are not read through operator_norm, whose memo of T
+    # they would replace.
     unit = m / norm_t
     powers_ok = True
     for n in range(2, 7):
-        lhs = operator_norm(np.linalg.matrix_power(unit, n))
+        lhs = float(np.linalg.svd(np.linalg.matrix_power(unit, n), compute_uv=False).max())
         if abs(lhs - 1.0) * min(1.0, norm_t) ** n > tol.tol_decision:
             powers_ok = False
             break
@@ -1342,10 +1333,10 @@ class _Powers:
 
 
 def _pencil(norm_t: float, scale: float, terms, label: str) -> PencilSpec:
-    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||^2), with scale ``scale``,
+    """PencilSpec on (1e-6 s, 4 s], s = max(1, ||T||)^2, with scale ``scale``,
     its terms unchecked: the engine checks those of the pencils it sweeps at
     once (``_check_terms``), and a public constructor checks its pencil."""
-    s = max(1.0, norm_t**2)
+    s = _scale(norm_t, 2)
     pencil = object.__new__(PencilSpec)
     pencil.__dict__.update(terms=terms, lambda_lo=1e-6 * s, lambda_max=4.0 * s, scale=scale,
                            label=label)
@@ -1603,9 +1594,7 @@ def classify_all(
     *,
     seed: int = 0,
 ) -> dict[OperatorClass, MembershipVerdict]:
-    """Run every class predicate; keys follow the inclusion-chain order.
-    ``is_normaloid`` runs last: its norms of the powers of T/||T|| replace
-    T in ``linalg``'s memo, which the others read."""
+    """Run every class predicate; keys follow the inclusion-chain order."""
     m = as_operator(t)
     k_list = tuple(k_list)
     if not all(float(k).is_integer() for k in k_list):

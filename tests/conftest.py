@@ -35,7 +35,7 @@ def dual_families(t: np.ndarray, k: int) -> list:
     the membership registry that takes this k, built as its predicate builds
     them, on one chain of the powers of T."""
     import opclass.membership as membership
-    from opclass.linalg import operator_norm
+    from opclass.linalg import _scale, operator_norm
 
     norm_t, powers = operator_norm(t), membership._Powers(t)
     return [
@@ -43,7 +43,7 @@ def dual_families(t: np.ndarray, k: int) -> list:
             name,
             membership._NormProductDefect.of(terms(np.linalg.svd(t))),
             pencil(),
-            membership._scale(norm_t, degree(k)),
+            _scale(norm_t, degree(k)),
         )
         for name, (least_k, degree, build) in membership._DUAL.items()
         if k >= least_k

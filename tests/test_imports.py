@@ -1,5 +1,6 @@
 """Every module of the package uses every name it imports, every
-module-level private name is used somewhere in the package, and importing
+module-level private name is used somewhere in the package, the band
+scale max(1, x)^degree is spelled only in ``linalg._scale``, and importing
 the package loads no scipy module.
 
 No linter ships with the toolchain, so these checks use the stdlib ``ast``
@@ -130,6 +131,39 @@ def test_unreferenced_private_names_finds_dead_definitions():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def spelled_scales(source: str, owner: str | None = None) -> list[str]:
+    """``"line N"`` for every call of the builtin ``max`` whose first
+    argument is the float literal 1.0, the band scale of
+    ``linalg._scale`` spelled out, outside the function ``owner``."""
+    tree = ast.parse(source)
+    exempt = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == owner
+              for n in ast.walk(f)}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in exempt
+            and isinstance(node.func, ast.Name) and node.func.id == "max" and node.args
+            and isinstance(node.args[0], ast.Constant) and type(node.args[0].value) is float
+            and node.args[0].value == 1.0]
+
+
+def test_spelled_scales_finds_float_clamps_outside_the_owner():
+    source = (
+        "def _scale(x, d):\n"
+        "    return max(1.0, x) ** d\n"
+        "def f(x, n):\n"
+        "    return max(1.0, x) * max(1, n - 1) * max(x, 1.0)\n"
+    )
+    assert spelled_scales(source, "_scale") == ["line 4"]
+    assert spelled_scales(source) == ["line 2", "line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_band_scale_is_spelled_only_in_linalg(path):
+    # Every band tol * max(1, x)^degree reads linalg._scale, so moving the
+    # rule (to ||x||^degree, say) is an edit of that one function.
+    owner = "_scale" if path.name == "linalg.py" else None
+    assert spelled_scales(path.read_text(), owner) == []
 
 
 def test_importing_the_package_loads_no_scipy_module():

@@ -253,6 +253,17 @@ def test_hermitian_eigen_rejects_overflowing_norm(j2):
         hermitian_eigen(1e160 * j2)
 
 
+def test_bands_reject_an_overflowing_or_nan_scale():
+    # Every band reads linalg._scale. Against tol * max(1, nan) = tol, or
+    # tol * inf, these checks used to pass: a NaN basis column read
+    # orthonormal, and the preimage of an overflowing matrix was the whole
+    # space.
+    with pytest.raises(ValueError, match="overflows"):
+        Subspace(2, np.array([[np.nan], [0.0]]))
+    with pytest.raises(ValueError, match="overflows"):
+        preimage_in(1e308 * np.ones((2, 2)), Subspace.zero(2))
+
+
 def test_psd_defect_examples():
     assert psd_defect(np.diag([0.0, 2.0])) == pytest.approx(0.0, abs=1e-14)
     assert psd_defect(np.diag([1.0, -1.0])) == pytest.approx(-1.0)

@@ -10,8 +10,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opclass.decomposition import root_decompose
-from opclass.errors import InvalidPencil, OracleDisagreement
+from opclass.decomposition import (
+    nilpotent2_canonical,
+    normal_pure_split,
+    root_decompose,
+    rr_check,
+)
+from opclass.errors import InvalidPencil, OpclassError, OracleDisagreement
 from opclass.linalg import DEFAULT_TOLERANCES as TOL
 from opclass.linalg import _direct_sum, operator_norm
 from opclass.membership import (
@@ -2188,6 +2193,10 @@ def test_classify_all_takes_one_svd_of_t_of_each_kind(monkeypatch):
         operator_norm(np.eye(2))  # T is not the last matrix seen
         classify_all(t, p_list=(0.25, 0.5, 1.0), seed=3)
         assert sorted(calls) == [False, True]
+        # is_normaloid, last, leaves T in the memo: its power norms do not
+        # pass through operator_norm.
+        is_normal(t)
+        assert sorted(calls) == [False, True]
         monkeypatch.undo()
 
 
@@ -2436,6 +2445,9 @@ def test_overflowing_scale_is_value_error():
         lambda: absolute_k_paranormal_pencil(1e160 * t, 1),
         lambda: is_k_quasi_paranormal(1e35 * t, 3),
         lambda: quasi_paranormal_pencil(1e35 * t, 3),
+        # ||T|| overflows: is_normaloid used to read the normal (Hermitian)
+        # 1e308 * ones NonMember.
+        lambda: is_normaloid(1e308 * np.ones((2, 2))),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -2552,6 +2564,18 @@ def test_unitary_invariance_of_verdicts():
             assert abs(a[cls].defect - b[cls].defect) <= 10 * TOL.tol_eq * scale, (dim, str(cls))
 
 
+def _decompositions(t) -> list:
+    """Block dims of each decomposition of T, or the name of what it
+    raised, then rr_check's status."""
+    out = []
+    for split in (normal_pure_split, lambda m: root_decompose(m, 2, 1), nilpotent2_canonical):
+        try:
+            out.append(split(t).block_dims)
+        except OpclassError as exc:
+            out.append(type(exc).__name__)
+    return [*out, rr_check(t).status]
+
+
 def test_scaling_invariance_of_status():
     rng = np.random.default_rng(21)
     t = ginibre(4, rng)
@@ -2563,6 +2587,35 @@ def test_scaling_invariance_of_status():
                 mat, 1, seed=3
             ).status
             assert is_normaloid(c * mat).status is is_normaloid(mat).status
+    # Every band is relative to max(1, ||T||)^degree, so for ||T|| >= 1 no
+    # output moves under T -> 2^j T, which is exact. Each input is lifted
+    # to norm at least 1 by a power of 2. At j = 100 the statuses still
+    # hold, but the sphere descent's products overflow and warn.
+    u = random_unitary(7, 5)
+    eye_j2 = u @ _direct_sum(np.eye(5), np.array([[0, 1], [0, 0]])) @ u.conj().T
+    members = {"kquasi": k_quasi_member(3, 2, 1, 25), "counterexample":
+               normaloid_counterexample(2, 2, 26), "rr": rr_instance(1, 2, 27), "eye_j2": eye_j2}
+    classify_inputs = {**members, "ginibre4": random_ginibre(4, 21),
+                       "ginibre5": random_ginibre(5, 22), "normal": random_normal(4, 23),
+                       "jordan": jordan_nilpotent(5, 3, 24)}
+    decomposition_inputs = {**members, "jordan2": jordan_nilpotent(4, 2, 28)}
+
+    def lift(mat):
+        return mat * 2.0 ** max(0, -math.floor(math.log2(operator_norm(mat))))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, mat in classify_inputs.items():
+            mat = lift(mat)
+            want = [v.status for v in classify_all(mat, seed=1).values()]
+            for j in (1, 5, 10, 20, 40, 60):
+                got = [v.status for v in classify_all(2.0**j * mat, seed=1).values()]
+                assert got == want, (name, j)
+        for name, mat in decomposition_inputs.items():
+            mat = lift(mat)
+            want = _decompositions(mat)
+            for j in (1, 5, 10, 20, 40, 60):
+                assert _decompositions(2.0**j * mat) == want, (name, j)
 
 
 def test_operator_class_params_and_str():
