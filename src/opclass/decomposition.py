@@ -6,10 +6,10 @@ DecompositionError for a basis that is not unitary or a reassembly,
 normality or nilpotency residual beyond tolerance.
 
 * normal_pure_split: the maximal reducing subspace on which the operator is
-  normal, giving the unique normal-part / pure-part splitting. The pure
-  part is the smallest reducing subspace that contains the range of the
-  self-commutator, closed under T and T* by forward products
-  (``_reducing_closure``).
+  normal, giving the unique normal-part / pure-part splitting. The normal
+  part is the span of the reducing eigenvectors of T, read from one
+  Hermitian eigendecomposition of Re T + mu Im T; the pure part is its
+  complement.
 * root_decompose: for a k-quasi-paranormal operator whose n-th power is
   normal, the splitting into a normal summand and a nilpotent summand of
   index at most min(n, k+1).
@@ -45,6 +45,7 @@ from .linalg import (
     _scale,
     as_operator,
     compress,
+    finite_frobenius_norm,
     frobenius_norm,
     hermitian_eigen,
     kernel,
@@ -163,16 +164,19 @@ def _assemble(
     parts = [(sub, lab) for sub, lab in parts if sub.dim > 0]
     q = np.concatenate([sub.basis for sub, _ in parts], axis=1)
     blocks = {lab: compress(t, sub) for sub, lab in parts}
-    reassembly = frobenius_norm(q @ _direct_sum(*blocks.values()) @ q.conj().T - t)
-    residuals = {"reassembly": reassembly, **(extra_residuals or {})}
     nil, nrm = blocks.get(BlockLabel.NILPOTENT), blocks.get(BlockLabel.NORMAL)
-    if nil_index is not None:
-        residuals["nilpotency"] = 0.0 if nil is None else frobenius_norm(
-            matrix_power(nil, nil_index)
+    # A product that overflows is an inf or a NaN, which finite_frobenius_norm
+    # turns into its ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reassembly = finite_frobenius_norm(q @ _direct_sum(*blocks.values()) @ q.conj().T - t)
+        residuals = {"reassembly": reassembly, **(extra_residuals or {})}
+        if nil_index is not None:
+            residuals["nilpotency"] = 0.0 if nil is None else finite_frobenius_norm(
+                matrix_power(nil, nil_index)
+            )
+        residuals["normality"] = 0.0 if nrm is None else finite_frobenius_norm(
+            nrm.conj().T @ nrm - nrm @ nrm.conj().T
         )
-    residuals["normality"] = 0.0 if nrm is None else frobenius_norm(
-        nrm.conj().T @ nrm - nrm @ nrm.conj().T
-    )
     unit = _unitarity_residual(q)
     if unit > tol.tol_recon * np.sqrt(q.shape[0]):
         raise DecompositionError(f"change of basis not unitary: residual {unit:.3e}")
@@ -198,77 +202,57 @@ def _assemble(
     )
 
 
-def _reducing_closure(
-    m: np.ndarray, basis: np.ndarray, block: np.ndarray, cut: float
-) -> Subspace:
-    """The smallest subspace that contains the orthonormal columns of
-    ``basis`` and ``block`` and reduces T = m.
-
-    Each round applies T and T* to the newest block, orthogonalizes the
-    images twice against the basis and adds their left singular vectors
-    with singular value above ``cut``, at most n minus the basis dimension
-    of them; the closure ends when a round adds nothing. Rounding along
-    the basis grows with each round, so a basis whose columns are no longer
-    orthonormal is a DecompositionError that names the rounds taken.
-    """
-    n = m.shape[0]
-    basis, rounds = np.concatenate([basis, block], axis=1), 0
-    while block.shape[1] and basis.shape[1] < n:
-        rounds += 1
-        images = np.concatenate([m @ block, m.conj().T @ block], axis=1)
-        for _ in range(2):
-            images -= basis @ (basis.conj().T @ images)
-        u, s, _ = np.linalg.svd(images, full_matrices=False)
-        block = u[:, s > cut][:, : n - basis.shape[1]]
-        basis = np.concatenate([basis, block], axis=1)
-    try:
-        return Subspace(n, basis)
-    except ValueError as exc:
-        raise DecompositionError(
-            f"reducing closure lost orthogonality after {rounds} rounds: {exc}"
-        ) from None
+# The weight of Im T in the Hermitian H = Re T + mu Im T of normal_pure_split:
+# irrational, so that distinct eigenvalues of T seldom meet in one
+# eigenvalue of H.
+_MU = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposition:
     """Split T into its normal part and its pure part.
 
-    The self-commutator C = T*T - TT* vanishes on the normal part M, so
-    range C lies in M-perp; and the smallest subspace R that contains
-    range C and reduces T is M-perp, since R-perp reduces T and lies in
-    ker C. R is the pure part and R-perp the normal part; either may be
-    absent. R is built by ``_reducing_closure``, from forward products
-    alone, with the cut tol_rank * max(1, ||T||) on its singular values.
-
-    The cut on |eig C| is ``_zero_cluster_cut``'s gap window with floor
-    max(1, ||T||)^2; a window with no usable gap is a DecompositionError.
-    An eigenvector of C lies within about eps * ||C|| / |eigenvalue| of
-    range C, so the closure starts only from those whose |eigenvalue|
-    exceeds sqrt(tol_rank) times the window's reference. R reduces C too,
-    so when C has eigenvalues between the cut and that bound, the
-    eigenvectors of C compressed to R-perp above the cut complete range C,
-    and the closure runs once more from them.
+    The normal part is the span of the reducing eigenvectors of T, the
+    unit x with Tx = lam x and T*x = conj(lam) x; the pure part is its
+    complement, and either may be absent. Such an x is a joint eigenvector
+    of Re T and Im T, so an eigenvector of the Hermitian H = Re T + mu Im T,
+    and one ``eigh`` of H gives them all. With s = max(1, ||T||), the
+    eigenvalues of H fall into clusters of neighbours closer than
+    sqrt(tol_rank) s. A lone eigenvector x is kept when
+    max(||Tx - lam x||, ||T*x - conj(lam) x||) <= tol_rank s, with
+    lam = x*Tx; for a cluster with orthonormal eigenvectors Q, each
+    eigenvalue lam of Q*TQ keeps the right singular vectors of
+    [(T - lam)Q; (T* - conj(lam))Q] with singular value at most tol_rank s.
+    Eigenvalues of Q*TQ that agree keep the same vectors again, so the
+    normal part is spanned by the left singular vectors of all that is kept
+    with singular value above 1/2.
     """
     m = as_operator(t)
     n = m.shape[0]
-    norm_t = operator_norm(m)
-    # The scale of T*T goes first: it rejects a T whose products would overflow.
-    square = _scale(norm_t, 2)
-    scale = _scale(norm_t, 1)
-    comm = m.conj().T @ m - m @ m.conj().T
-    eig = hermitian_eigen(comm, tol)
-    size = np.abs(eig.eigenvalues)
-    cut = _zero_cluster_cut(np.sort(size)[::-1], tol, square)
-    resolved = max(cut, np.sqrt(tol.tol_rank) * max(float(size.max()), square))
-    step = tol.tol_rank * scale
-    pure = _reducing_closure(m, np.zeros((n, 0), dtype=np.complex128),
-                             eig.eigenvectors[:, size > resolved], step)
-    normal = pure.complement()
-    if normal.dim and np.any((size > cut) & (size <= resolved)):
-        rest = hermitian_eigen(compress(comm, normal), tol)
-        block = normal.basis @ rest.eigenvectors[:, np.abs(rest.eigenvalues) > cut]
-        pure = _reducing_closure(m, pure.basis, block, step)
-        normal = pure.complement()
-    return _assemble(m, [(normal, BlockLabel.NORMAL), (pure, BlockLabel.PURE)], scale, tol)
+    scale = _scale(operator_norm(m), 1)
+    cut = tol.tol_rank * scale
+    mh = m.conj().T
+    w, v = np.linalg.eigh((m + mh) / 2 + _MU * (m - mh) / 2j)
+    mv, mhv = m @ v, mh @ v
+    lam = np.einsum("ij,ij->j", v.conj(), mv)
+    # Residuals relative to s, whose squares cannot overflow.
+    lone = np.maximum(np.linalg.norm((mv - v * lam) / scale, axis=0),
+                      np.linalg.norm((mhv - v * lam.conj()) / scale, axis=0)) <= tol.tol_rank
+    kept = []
+    gaps = np.flatnonzero(np.diff(w) >= np.sqrt(tol.tol_rank) * scale)
+    for cols in np.split(np.arange(n), gaps + 1):
+        q = v[:, cols]
+        if len(cols) == 1:
+            kept.append(q[:, lone[cols]])
+            continue
+        for z in np.linalg.eigvals(q.conj().T @ mv[:, cols]):
+            _, sv, vh = np.linalg.svd(np.concatenate([mv[:, cols] - z * q,
+                                                      mhv[:, cols] - np.conj(z) * q]),
+                                      full_matrices=False)
+            kept.append(q @ vh[sv <= cut].conj().T)
+    u, sv, _ = np.linalg.svd(np.concatenate(kept, axis=1), full_matrices=False)
+    normal = Subspace(n, u[:, sv > 0.5])
+    return _assemble(m, [(normal, BlockLabel.NORMAL), (normal.complement(), BlockLabel.PURE)],
+                     scale, tol)
 
 
 def _zero_cluster_cut(s: np.ndarray, tol: TolerancePolicy, floor: float) -> float:

@@ -288,9 +288,13 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise DimensionMismatch("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
-            gram = b.conj().T @ b
-            resid = frobenius_norm(gram - np.eye(b.shape[1]))
-            if resid > DEFAULT_TOLERANCES.tol_recon * _scale(frobenius_norm(gram), 1):
+            # An overflowing or NaN basis gives an inf or NaN Gram, which
+            # _scale rejects with its ValueError.
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = b.conj().T @ b
+                resid = frobenius_norm(gram - np.eye(b.shape[1]))
+                size = frobenius_norm(gram)
+            if resid > DEFAULT_TOLERANCES.tol_recon * _scale(size, 1):
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 

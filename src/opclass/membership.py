@@ -336,7 +336,7 @@ class PencilSpec:
         if len(dims) != 1:
             raise InvalidPencil(f"pencil terms have mixed shapes {dims}")
         exps = np.array([[float(expo) for expo, _ in self.terms]])
-        _check_terms([self.terms], exps, np.array([[m for _, m in self.terms]]))
+        _check_terms([self.terms], exps, np.array([[m for _, m in self.terms]]), [self.scale])
 
     @property
     def dim(self) -> int:
@@ -352,13 +352,17 @@ class PencilSpec:
         return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _check_terms(terms, exps: np.ndarray, coefs: np.ndarray) -> None:
+def _check_terms(terms, exps: np.ndarray, coefs: np.ndarray, scales) -> None:
     """The term checks of PencilSpec, on the terms of one or more pencils:
     ``terms`` holds each pencil's (exponent, matrix) pairs, ``exps`` their
-    exponents as floats, (pencils, terms), and ``coefs`` their matrices
-    stacked, (pencils, terms, n, n) when they are square. Each check runs
-    once over all terms; the first failing term, pencil by pencil, raises
-    InvalidPencil with its first failing check."""
+    exponents as floats, (pencils, terms), ``coefs`` their matrices
+    stacked, (pencils, terms, n, n) when they are square, and ``scales``
+    each pencil's ``scale``. Each check runs once over all terms; the first
+    failing term, pencil by pencil, raises InvalidPencil with its first
+    failing check. A term H_j is Hermitian when its skew residual is at
+    most tol_eq * max(1, ||H_j||_F, scale): a term formed from powers of T
+    cancels to far below the size of its factors, and its rounding is
+    about eps times the pencil's scale, not its own size."""
     coefs = np.asarray(coefs, dtype=np.complex128)
     checks = [~((exps >= 0.0) & (exps < math.inf)),
               np.full(exps.shape, coefs.ndim != 4 or coefs.shape[2] != coefs.shape[3])]
@@ -370,8 +374,9 @@ def _check_terms(terms, exps: np.ndarray, coefs: np.ndarray) -> None:
         with np.errstate(invalid="ignore"):
             skew = (coefs - coefs.conj().swapaxes(-1, -2)).view(float)
         resid, size = (np.einsum("ptij,ptij->pt", x, x) for x in (skew, parts))
+        bound = np.maximum(np.sqrt(np.maximum(1.0, size)), np.asarray(scales, float)[:, None])
         checks.append(~np.isfinite(parts).all(axis=(-2, -1)))
-        checks.append(resid > DEFAULT_TOLERANCES.tol_eq**2 * np.maximum(1.0, size))
+        checks.append(np.sqrt(resid) > DEFAULT_TOLERANCES.tol_eq * bound)
     failed = np.stack(checks, -1)
     if not failed.any():
         return
@@ -1512,7 +1517,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
             rest, left = [rest[j] for j in kept], left.take(kept)
     swept = [pencils[i]() for i in rest]
     stack = _PencilStack(swept)
-    _check_terms([p.terms for p in swept], stack.exps, stack.coefs)
+    _check_terms([p.terms for p in swept], stack.exps, stack.coefs, [p.scale for p in swept])
     claims = _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)
     pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
     # Only the matrices with a problem that descends get the whole block [I, V].

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -257,9 +258,13 @@ def test_bands_reject_an_overflowing_or_nan_scale():
     # Every band reads linalg._scale. Against tol * max(1, nan) = tol, or
     # tol * inf, these checks used to pass: a NaN basis column read
     # orthonormal, and the preimage of an overflowing matrix was the whole
-    # space.
-    with pytest.raises(ValueError, match="overflows"):
-        Subspace(2, np.array([[np.nan], [0.0]]))
+    # space. A basis whose Gram overflows, or is NaN from an infinite
+    # entry, raises the same ValueError with no numpy warning first.
+    for column in (np.nan, 1e200, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                Subspace(2, np.array([[column], [0.0]]))
     with pytest.raises(ValueError, match="overflows"):
         preimage_in(1e308 * np.ones((2, 2)), Subspace.zero(2))
 

@@ -393,6 +393,22 @@ def test_pencil_spec_raises_the_first_failing_terms_first_check(terms, message):
         PencilSpec(terms=terms, lambda_lo=1e-3, lambda_max=4.0, scale=1.0)
 
 
+def test_pencil_terms_are_judged_hermitian_on_the_pencils_scale():
+    # D = T*(T*T)^k T of U(N + c J2)U* cancels to about 1 while its factors
+    # are about c^(2k+2): its skew rounding is far beyond tol_eq times its
+    # own size, but not beyond tol_eq times the pencil's scale. Judged on
+    # the term's own size, 48 of these 60 pencils were not Hermitian.
+    j2 = np.array([[0, 1], [0, 0]], dtype=complex)
+    for d in range(3, 8):
+        for seed in (4, 5):
+            u = random_unitary(d, seed)
+            for c in (59.2, 16.6):
+                t = u @ _direct_sum(random_normal(d - 2, seed), c * j2) @ u.conj().T
+                for k in (1, 2, 3):
+                    pencil = absolute_k_paranormal_pencil(t, k)
+                    assert pencil.dim == d, (d, seed, c, k)
+
+
 @pytest.mark.parametrize("kw", [{"n_grid": 0}, {"n_grid": -3}, {"max_refine": -1}])
 def test_pencil_check_rejects_bad_sizes(j2, kw):
     with pytest.raises(ValueError, match="need n_grid >= 1 and max_refine >= 0"):
