@@ -221,10 +221,11 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
     max(||Tx - lam x||, ||T*x - conj(lam) x||) <= tol_rank s, with
     lam = x*Tx; for a cluster with orthonormal eigenvectors Q, each
     eigenvalue lam of Q*TQ keeps the right singular vectors of
-    [(T - lam)Q; (T* - conj(lam))Q] with singular value at most tol_rank s.
-    Eigenvalues of Q*TQ that agree keep the same vectors again, so the
-    normal part is spanned by the left singular vectors of all that is kept
-    with singular value above 1/2.
+    [(T - lam)Q; (T* - conj(lam))Q] with singular value at most tol_rank s,
+    until one lam keeps every column of Q, as for a scalar normal part,
+    which leaves nothing to keep. Eigenvalues of Q*TQ that agree keep the
+    same vectors again, so the normal part is spanned by the left singular
+    vectors of all that is kept with singular value above 1/2.
     """
     m = as_operator(t)
     n = m.shape[0]
@@ -248,7 +249,10 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
             _, sv, vh = np.linalg.svd(np.concatenate([mv[:, cols] - z * q,
                                                       mhv[:, cols] - np.conj(z) * q]),
                                       full_matrices=False)
-            kept.append(q @ vh[sv <= cut].conj().T)
+            reducing = sv <= cut
+            kept.append(q @ vh[reducing].conj().T)
+            if reducing.all():
+                break
     u, sv, _ = np.linalg.svd(np.concatenate(kept, axis=1), full_matrices=False)
     normal = Subspace(n, u[:, sv > 0.5])
     return _assemble(m, [(normal, BlockLabel.NORMAL), (normal.complement(), BlockLabel.PURE)],

@@ -288,12 +288,15 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise DimensionMismatch("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
-            # An overflowing or NaN basis gives an inf or NaN Gram, which
-            # _scale rejects with its ValueError.
+            # An overflowing or NaN basis gives an inf or NaN Gram, which is
+            # the basis's fault, not an overflowing class scale.
             with np.errstate(over="ignore", invalid="ignore"):
                 gram = b.conj().T @ b
                 resid = frobenius_norm(gram - np.eye(b.shape[1]))
                 size = frobenius_norm(gram)
+            if not np.isfinite(size):
+                raise ValueError(f"basis Gram has non-finite size {size}; "
+                                 "basis columns are not orthonormal")
             if resid > DEFAULT_TOLERANCES.tol_recon * _scale(size, 1):
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)

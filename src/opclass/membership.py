@@ -509,20 +509,19 @@ def pencil_check(
     pencil: PencilSpec,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     *,
-    n_grid: int = _N_GRID,
     max_refine: int = _MAX_REFINE,
 ) -> MembershipVerdict:
     """Global least-eigenvalue certificate for P(lam) >= 0 on the pencil
     domain: the least lambda_min(P(lam)) found on a logarithmic grid of
-    ``n_grid`` points, refined around up to ``max_refine`` of its local
+    ``_N_GRID`` points, refined around up to ``max_refine`` of its local
     minima, deepest first. The witness is the minimizing lambda and
     eigenvector.
     """
     if not isinstance(pencil, PencilSpec):
         raise InvalidPencil(f"expected PencilSpec, got {type(pencil).__name__}")
-    if n_grid < 1 or max_refine < 0:
-        raise ValueError(f"need n_grid >= 1 and max_refine >= 0, got {n_grid} and {max_refine}")
-    [verdict] = _pencil_verdicts(_PencilStack([pencil]), [pencil], n_grid, max_refine, tol)
+    if max_refine < 0:
+        raise ValueError(f"need max_refine >= 0, got {max_refine}")
+    [verdict] = _pencil_verdicts(_PencilStack([pencil]), [pencil], _N_GRID, max_refine, tol)
     return verdict
 
 
@@ -1599,7 +1598,9 @@ def classify_all(
     *,
     seed: int = 0,
 ) -> dict[OperatorClass, MembershipVerdict]:
-    """Run every class predicate; keys follow the inclusion-chain order."""
+    """Run every class predicate; keys follow the inclusion-chain order.
+    KParanormal and AbsoluteKParanormal at k = 1 are paranormality itself
+    and report the one Paranormal verdict (``_classify_plan``)."""
     m = as_operator(t)
     k_list = tuple(k_list)
     if not all(float(k).is_integer() for k in k_list):
@@ -1611,27 +1612,35 @@ def classify_all(
     head = [is_normal(m, tol), is_quasinormal(m, tol), is_hyponormal(m, tol)]
     head += [is_p_hyponormal(m, p, tol) for p in ps]
     head.append(is_class_a(m, tol))
-    keys, problems = _classify_plan(ks, ps)
+    keys, problems, reads = _classify_plan(ks, ps)
     dual = _dual_verdicts([(m, name, k, seed) for name, k in problems], tol)
-    return dict(zip(keys, [*head, *dual, is_normaloid(m, tol)]))
+    return dict(zip(keys, [*head, *(dual[i] for i in reads), is_normaloid(m, tol)]))
 
 
 @functools.lru_cache(maxsize=16)
 def _classify_plan(ks: tuple, ps: tuple) -> tuple:
-    """``classify_all``'s keys, in its order, and its dual problems
-    (name, k), for the k >= 1 of ``ks`` and the p of ``ps``: the same on
-    every call, so they are built, and their OperatorClass labels
-    validated, once per (ks, ps). Paranormality is k-quasi-paranormality
-    at k = 0; all dual classes of the matrix are decided together."""
-    problems = (("KQuasiParanormal", 0),) + tuple(
+    """``classify_all``'s keys, in its order, its distinct dual problems
+    (name, k), and for each dual key the index of the problem it reads,
+    for the k >= 1 of ``ks`` and the p of ``ps``: the same on every call,
+    so they are built, and their OperatorClass labels validated, once per
+    (ks, ps). Paranormality is k-quasi-paranormality at k = 0, and
+    KParanormal and AbsoluteKParanormal at k = 1 read that one problem,
+    whose pencil (0, T*^2 T^2), (1, -2 T*T), (2, I) is theirs term for
+    term; all dual problems of the matrix are decided together."""
+    duals = (("KQuasiParanormal", 0),) + tuple(
         (name, k) for name in ("KParanormal", "AbsoluteKParanormal", "KQuasiParanormal") for k in ks
     )
+    # KParanormal and AbsoluteKParanormal at k = 1 are paranormality:
+    # ||Tx||^2 <= ||T^2 x|| for unit x, and || |T| y || = ||T y||.
+    read = [duals[0] if k == 1 and name != "KQuasiParanormal" else (name, k) for name, k in duals]
+    problems = tuple(dict.fromkeys(read))
+    reads = tuple(map(problems.index, read))
     keys = [OperatorClass(name) for name in ("Normal", "Quasinormal", "Hyponormal")]
     keys += [OperatorClass("PHyponormal", p=p) for p in ps]
     keys += [OperatorClass("ClassA"), OperatorClass("Paranormal")]
-    keys += [OperatorClass(name, k=k) for name, k in problems[1:]]
+    keys += [OperatorClass(name, k=k) for name, k in duals[1:]]
     keys.append(OperatorClass("Normaloid"))
-    return tuple(keys), problems
+    return tuple(keys), problems, reads
 
 
 def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[str]:
@@ -1642,7 +1651,10 @@ def chain_violations(verdicts: dict[OperatorClass, MembershipVerdict]) -> list[s
     chains paranormal -> {k-paranormal, absolute-k-paranormal} -> normaloid,
     and monotonicity of k-quasi-paranormality in k. Inconclusive verdicts
     never participate. The implications to check depend on the classes
-    alone (``_implications``); every status is read from one list.
+    alone (``_implications``); every status is read from one list. In
+    ``classify_all``'s output KParanormal and AbsoluteKParanormal at k = 1
+    are the Paranormal verdict, so the implications among those three
+    hold by construction there.
     """
     keys = tuple(verdicts)
     status = [v.status for v in verdicts.values()]

@@ -237,6 +237,24 @@ def test_split_of_a_repeated_normal_eigenvalue_equal_to_a_pure_one():
     assert (d.block_dims, d.labels) == ((3, 2), (BlockLabel.NORMAL, BlockLabel.PURE))
 
 
+@pytest.mark.parametrize("c", [1.0, 0.0, 3.0])
+def test_split_of_a_scalar_matrix_takes_one_cluster_svd(monkeypatch, c):
+    # A scalar normal part is one cluster of all n eigenvectors of H, and
+    # the first eigenvalue of Q*TQ already keeps every column of Q, so the
+    # 2n x n cluster stack is factored once, not once per eigenvalue.
+    n, shapes = 16, []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    d = normal_pure_split(c * np.eye(n))
+    assert (d.block_dims, d.labels) == ((n,), (BlockLabel.NORMAL,))
+    assert shapes.count((2 * n, n)) == 1
+
+
 # ---------------------------------------------------------------------------
 # root_decompose
 # ---------------------------------------------------------------------------

@@ -259,11 +259,12 @@ def test_bands_reject_an_overflowing_or_nan_scale():
     # tol * inf, these checks used to pass: a NaN basis column read
     # orthonormal, and the preimage of an overflowing matrix was the whole
     # space. A basis whose Gram overflows, or is NaN from an infinite
-    # entry, raises the same ValueError with no numpy warning first.
+    # entry, raises a ValueError that names the basis, with no numpy
+    # warning first.
     for column in (np.nan, 1e200, np.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
+            with pytest.raises(ValueError, match="basis Gram has non-finite size"):
                 Subspace(2, np.array([[column], [0.0]]))
     with pytest.raises(ValueError, match="overflows"):
         preimage_in(1e308 * np.ones((2, 2)), Subspace.zero(2))

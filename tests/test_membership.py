@@ -409,10 +409,9 @@ def test_pencil_terms_are_judged_hermitian_on_the_pencils_scale():
                     assert pencil.dim == d, (d, seed, c, k)
 
 
-@pytest.mark.parametrize("kw", [{"n_grid": 0}, {"n_grid": -3}, {"max_refine": -1}])
-def test_pencil_check_rejects_bad_sizes(j2, kw):
-    with pytest.raises(ValueError, match="need n_grid >= 1 and max_refine >= 0"):
-        pencil_check(quasi_paranormal_pencil(j2, 0), **kw)
+def test_pencil_check_rejects_bad_sizes(j2):
+    with pytest.raises(ValueError, match="need max_refine >= 0"):
+        pencil_check(quasi_paranormal_pencil(j2, 0), max_refine=-1)
 
 
 def _brent_reference(f, a, b, width, gain):
@@ -544,11 +543,16 @@ def test_lockstep_refinement_equals_sequential_search():
         "quasi-paranormal", "k-paranormal", "absolute-k-paranormal"
     }
     for pencil in pencils:
-        for n_grid, max_refine in ((257, 8), (257, 1), (65, 8), (2, 8)):
-            v = pencil_check(pencil, n_grid=n_grid, max_refine=max_refine)
+        for max_refine in (8, 1):
+            v = pencil_check(pencil, max_refine=max_refine)
             got = (v.defect, v.witness.pencil_lambda)
-            want, _ = _sequential_pencil_minimum(pencil, n_grid, max_refine)
-            assert got == want, (pencil.label, n_grid, max_refine)
+            want, _ = _sequential_pencil_minimum(pencil, 257, max_refine)
+            assert got == want, (pencil.label, max_refine)
+        for n_grid in (65, 2):
+            [v] = _pencil_verdicts(_PencilStack([pencil]), [pencil], n_grid, 8, TOL)
+            got = (v.defect, v.witness.pencil_lambda)
+            want, _ = _sequential_pencil_minimum(pencil, n_grid, 8)
+            assert got == want, (pencil.label, n_grid)
     # Pools of several pencils of one dimension share each round's
     # eigensolve, as classify_all's do; each pencil still gets its own result.
     pools = [[p for p in pencils if p.dim == dim] for dim in range(3, 7)]
@@ -1613,11 +1617,12 @@ def _is_dual(cls: OperatorClass) -> bool:
 
 def test_proved_pencils_leave_the_sweep(monkeypatch):
     # Every dual NonMember of both benchmark pools at seed 2026 is decided
-    # before the descent: all 540 of classify-random's and all 193 of
+    # before the descent: all 432 of classify-random's and all 147 of
     # classify-members' at the right singular vectors of T or of T^2, whose
     # pencils are never swept, and none at a pencil's refined eigenvector
     # (oracle "pencil"). The engine sweeps exactly the pencils of the
-    # Members.
+    # Members. KParanormal(k=1) and AbsoluteKParanormal(k=1) report the
+    # Paranormal verdict, so each distinct verdict is counted once.
     decided = _spy_start_verdicts(monkeypatch)
     swept = []
 
@@ -1626,12 +1631,13 @@ def test_proved_pencils_leave_the_sweep(monkeypatch):
         return _pencil_verdicts(stack, pencils, *args)
 
     monkeypatch.setattr("opclass.membership._pencil_verdicts", spying)
-    for name, expected in (("ClassifyRandom", (540, 0)), ("ClassifyMembers", (193, 0))):
+    for name, expected in (("ClassifyRandom", (432, 0)), ("ClassifyMembers", (147, 0))):
         at_starts = by_pencil = 0
         for i, t in enumerate(_benchmark_pools(2026, (name,))):
             decided.clear()
             swept.clear()
-            dual = [v for cls, v in classify_all(t, seed=i).items() if _is_dual(cls)]
+            dual = list({id(v): v for cls, v in classify_all(t, seed=i).items()
+                         if _is_dual(cls)}.values())
             nonmembers = [v for v in dual if v.status is Status.NON_MEMBER]
             pencil = [v for v in nonmembers if v.oracle == "pencil"]
             assert {id(v) for v in nonmembers} == {id(v) for v in decided + pencil}, (name, i)
@@ -1644,8 +1650,8 @@ def test_proved_pencils_leave_the_sweep(monkeypatch):
 def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
     # A builder's pencil is a callable, and the engine calls it only for the
     # problems that the right singular vectors of T and then of T^2 leave:
-    # none of classify-random's 540 at seed 2026, and on classify-members
-    # each matrix's problems less those the two start stages decide. The
+    # none of classify-random's 432 at seed 2026, and on classify-members
+    # each matrix's eight problems less those the two start stages decide. The
     # zero operator and a matrix whose problems V all decides form no
     # pencil.
     decided = _spy_start_verdicts(monkeypatch)
@@ -1656,13 +1662,13 @@ def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
         return _pencil(*args)
 
     monkeypatch.setattr("opclass.membership._pencil", counting)
-    for name, expected in (("ClassifyRandom", 0), ("ClassifyMembers", 227)):
+    for name, expected in (("ClassifyRandom", 0), ("ClassifyMembers", 189)):
         total = 0
         for i, t in enumerate(_benchmark_pools(2026, (name,))):
             decided.clear()
             formed.clear()
             classify_all(t, seed=i)
-            assert len(formed) == 10 - len(decided), (name, i)
+            assert len(formed) == 8 - len(decided), (name, i)
             total += len(formed)
         assert total == expected, name
     for t in (np.zeros((4, 4), dtype=complex), random_ginibre(5, seed=11)):
@@ -1844,9 +1850,11 @@ def test_start_certified_nonmembers_revalidate_from_t_alone(monkeypatch):
     # threshold recomputed from ||T||. The engine sweeps no pencil of these
     # problems,
     # so the pencils are cross-checked here: swept and refined as the
-    # engine would, each reads NonMember too. On both benchmark pools at
-    # seed 2026 and on the 20 matrices at dims 9-14, about 2 s on a 2-vCPU
-    # host.
+    # engine would, each reads NonMember too. KParanormal(k=1) and
+    # AbsoluteKParanormal(k=1) report the Paranormal verdict, whose witness
+    # must also prove their own defining defects; its pencil, theirs term
+    # for term, is swept once. On both benchmark pools at seed 2026 and on
+    # the 20 matrices at dims 9-14, about 2 s on a 2-vCPU host.
     decided = _spy_start_verdicts(monkeypatch)
     checked = 0
     for i, t in enumerate(_benchmark_pools(2026) + _beyond_dim_8()):
@@ -1855,7 +1863,7 @@ def test_start_certified_nonmembers_revalidate_from_t_alone(monkeypatch):
         certified = {id(v) for v in decided}
         families = {(name, k): (fn, pencil, scale) for k in range(4)
                     for name, fn, pencil, scale in dual_families(t, k)}
-        pencils = []
+        pencils = {}
         for cls, v in out.items():
             if id(v) not in certified:
                 continue
@@ -1866,14 +1874,15 @@ def test_start_certified_nonmembers_revalidate_from_t_alone(monkeypatch):
             assert v.witness.pencil_lambda is None and "lambda" not in v.to_json_dict()["witness"]
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14), (i, str(cls))
             assert fn(x) <= -threshold, (i, str(cls))
-            pencils.append(pencil)
-            checked += 1
+            pencils.setdefault(id(v), pencil)
         assert len(pencils) == len(certified), i
         if pencils:
+            pencils = list(pencils.values())
             claims = _pencil_verdicts(_PencilStack(pencils), pencils, 257, 8, TOL)
             assert all(c.status is Status.NON_MEMBER for c in claims), i
-    # 540 and 193 on the pools, 179 on the 20 matrices.
-    assert checked == 912
+        checked += len(pencils)
+    # 432 and 147 on the pools, 139 on the 20 matrices.
+    assert checked == 718
 
 
 @pytest.mark.parametrize("kind", ["ginibre", "normal"])
@@ -2076,16 +2085,16 @@ def test_classify_all_statuses_are_pinned():
 def test_classify_all_output_is_pinned():
     # Every status, defect, oracle, witness, threshold and seed, bit for bit:
     # a change to the oracles' arithmetic order that moves any float shows.
-    # Last taken when the builders came to read one chain of powers of T
-    # (T^j = T T^(j-1)): 19 rows of KParanormal(k=2, 3) and
-    # KQuasiParanormal(k=3) moved by rounding, 15 their defect and 10 their
+    # Last taken when KParanormal(k=1) and AbsoluteKParanormal(k=1) came to
+    # report the Paranormal verdict: 4 KParanormal(k=1) rows and 13
+    # AbsoluteKParanormal(k=1) rows moved, 16 their defect and 6 their
     # witness, and no other row or field moved.
     doc = [
         {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=i).items()}
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "43682b7f64c2db5086c29dca222497ce2f6512b4ce6ba8869362390418d2732a"
+    assert digest == "5fcc59a6f81d57a6753fb10e6cd333877a31e42d2911e0dc73eb4dff6d084334"
 
 
 def test_builders_are_pinned():
@@ -2164,12 +2173,26 @@ _ALGEBRAIC = {
 }
 
 
+def _dual_alone(t, cls: OperatorClass, seed: int):
+    """The verdict that the public predicate of classify_all's dual key
+    ``cls`` gives alone, or None for a key that is not dual. Paranormal,
+    KParanormal(k=1) and AbsoluteKParanormal(k=1) are one problem,
+    k-quasi-paranormality at k = 0."""
+    if cls.name == "Paranormal" or (cls.name in ("KParanormal", "AbsoluteKParanormal")
+                                    and cls.k == 1):
+        return is_k_quasi_paranormal(t, 0, seed=seed)
+    if cls.name in _PREDICATES:
+        return _PREDICATES[cls.name](t, cls.k, seed=seed)
+    return None
+
+
 def test_classify_all_equals_one_problem_predicates(monkeypatch):
     # classify_all decides all dual classes of a matrix in one stacked
     # pencil sweep and one stacked descent of the problems the pencil
     # leaves open; each verdict must be the one its public predicate gives
-    # alone, bit for bit. Problems that stop at different steps leave the
-    # stack early, so the compaction must have run.
+    # alone, bit for bit, and the three keys of paranormality the one
+    # is_k_quasi_paranormal(t, 0) gives. Problems that stop at different
+    # steps leave the stack early, so the compaction must have run.
     compactions = _count_compactions(monkeypatch)
     # The pencil certifies the NonMembers of Ginibre matrices alone, so only
     # the member families and the near-band matrices descend; the Ginibre
@@ -2179,14 +2202,44 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
     mats.update({200 + i: _near_band(i) for i in range(24)})
     for seed, t in mats.items():
         for cls, v in classify_all(t, seed=seed).items():
-            if cls.name == "Paranormal":
-                alone = is_k_quasi_paranormal(t, 0, seed=seed)
-            elif cls.name in _PREDICATES:
-                alone = _PREDICATES[cls.name](t, cls.k, seed=seed)
-            else:
+            alone = _dual_alone(t, cls, seed)
+            if alone is None:
                 alone = _ALGEBRAIC[cls.name](t, *cls.params.values())
             assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
     assert len(compactions) >= len(mats)
+
+
+def test_classify_all_decides_paranormality_once(monkeypatch):
+    # KParanormal and AbsoluteKParanormal at k = 1 are paranormality, so
+    # classify_all hands the engine one problem for the three keys: 8
+    # problems per matrix at the default k list, 7 at (2, 3) and 2 at (1,).
+    # The three keys report one verdict, the one is_k_quasi_paranormal(t, 0)
+    # gives alone, bit for bit, on Ginibre, member-family and near-band
+    # matrices, both Members and NonMembers.
+    calls = []
+
+    def spying(problems, tol):
+        calls.append([(name, k) for _, name, k, _ in problems])
+        return _dual_verdicts(problems, tol)
+
+    monkeypatch.setattr("opclass.membership._dual_verdicts", spying)
+    para = OperatorClass("Paranormal")
+    mats = [random_ginibre(3 + i, seed=70 + i) for i in range(2)]
+    mats += [_family_matrix(i) for i in range(7)] + [_near_band(i) for i in range(2)]
+    statuses = set()
+    for seed, t in enumerate(mats):
+        for k_list, count in (((1, 2, 3), 8), ((2, 3), 7), ((1,), 2)):
+            calls.clear()
+            out = classify_all(t, k_list=k_list, seed=seed)
+            [problems] = calls
+            assert len(problems) == len(set(problems)) == count, (seed, k_list)
+            ones = [out[cls] for cls in out if cls.k == 1 and cls.name != "KQuasiParanormal"]
+            assert len(ones) == 2 * (1 in k_list)
+            assert all(v is out[para] for v in ones), (seed, k_list)
+        alone = is_k_quasi_paranormal(t, 0, seed=seed)
+        assert out[para].to_json_dict() == alone.to_json_dict(), seed
+        statuses.add(alone.status)
+    assert statuses == {Status.MEMBER, Status.NON_MEMBER}
 
 
 def test_classify_all_takes_one_svd_of_t_of_each_kind(monkeypatch):
@@ -2222,17 +2275,15 @@ def test_descents_of_pencil_inconclusive_stacks_equal_one_problem_predicates(mon
     # NonMember descents stop at different steps, so the stack is
     # compacted while long descents go on, which the engine's own inputs
     # rarely do now. Each verdict must still be its predicate's alone, bit
-    # for bit.
+    # for bit, and the three keys of paranormality that of
+    # is_k_quasi_paranormal(t, 0).
     compactions = _count_compactions(monkeypatch)
     _patch_pencil_claims(monkeypatch, lambda v: dataclasses.replace(v, status=Status.INCONCLUSIVE))
     mats = {i: random_ginibre(3 + i % 6, seed=60 + i) for i in (*range(6), 79)}
     for seed, t in mats.items():
         for cls, v in classify_all(t, seed=seed).items():
-            if cls.name == "Paranormal":
-                alone = is_k_quasi_paranormal(t, 0, seed=seed)
-            elif cls.name in _PREDICATES:
-                alone = _PREDICATES[cls.name](t, cls.k, seed=seed)
-            else:
+            alone = _dual_alone(t, cls, seed)
+            if alone is None:
                 continue
             assert v.oracle == "sphere", (seed, str(cls))
             assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
