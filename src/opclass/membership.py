@@ -20,8 +20,9 @@ relatives) are decided by two independent routes:
   one call, of one matrix or of many, are stacked once and swept and
   refined together, and the witness eigenvectors are built from the same
   stack, each pencil with the values it gets alone; the dual engine
-  forms, checks and sweeps only the pencils of the problems that the
-  right singular vectors of T and of T^2 leave (see below),
+  forms and checks only the pencils of the problems that the right
+  singular vectors of T and of T^2 leave, and sweeps only those that no
+  Loewner certificate settles (see below),
 * a sphere oracle that minimizes the exact defining defect over the unit
   sphere by projected gradient descent. Every defect is a difference of
   products of column norms ||M x||, so its gradient is analytic: one
@@ -47,7 +48,15 @@ column as witness, and its pencil is never formed. The problems V
 leaves are valued the same way at the right singular vectors V2 of T^2,
 which turn with T too, before any pencil is formed. Such a verdict rests
 on that one value: no pencil cross-checks it. Every other problem forms
-its pencil, which is checked, swept and refined for a claim, and descends
+its pencil, which is checked and given a claim. The claim is Member when
+the pencil's Loewner certificate holds: the least eigenvalue of one
+Hermitian matrix built from the pencil's terms and T's SVD, D -
+V S^(2k+2) V* for the weighted pencils D - (k+1) z^k T*T + k z^(k+1) I
+and a 2n x 2n block matrix for the quasi pencils A - 2 z B + z^2 C,
+bounds lam_min(P) below on the whole domain, with no grid
+(``_certificate_claims``); the certificates of one call share one
+eigvalsh per size. Every pencil no certificate settles is swept and
+refined for its claim. Every problem that forms its pencil descends
 on the sphere, from the eigenvector of a NonMember claim too, so an
 engine NonMember is always proved at a unit vector the sphere found: a
 start column or a descent's witness. Every value of
@@ -540,10 +549,12 @@ class _PencilStack:
         self.exps = np.array([[float(expo) for expo, _ in p.terms] for p in pencils])
 
     def take(self, rows) -> "_PencilStack":
-        """The stack of the pencils at ``rows`` alone, with their spectra."""
+        """The stack of the pencils at ``rows`` alone, with their spectra
+        once those are taken."""
         out = object.__new__(_PencilStack)
         out.coefs, out.exps = self.coefs[rows], self.exps[rows]
-        out.spectra = self.spectra[rows]
+        if "spectra" in self.__dict__:
+            out.spectra = self.spectra[rows]
         return out
 
     @functools.cached_property
@@ -766,9 +777,9 @@ def _pencil_verdicts(stack: _PencilStack, pencils, n_grid: int, max_refine: int,
 
     ``stack`` holds the pencils' terms, stacked once (``_PencilStack``) and
     checked already: a PencilSpec checks its terms when it is built, and
-    the dual engine checks those of the unchecked pencils it sweeps, the
+    the dual engine checks those of the unchecked pencils it forms, the
     pencils of the problems that the right singular vectors of T and of
-    T^2 leave, at once.
+    T^2 leave, at once, and sweeps those that no certificate settles.
     Each pencil's common kernel is deflated in place
     (``_PencilStack.deflate``):
     its terms vanish there, so lambda_min(P) would be 0 at every lambda and
@@ -1438,6 +1449,54 @@ def _start_verdicts(defect: _NormProductDefect, x: np.ndarray, scales, seeds,
             for i in proved.tolist()}
 
 
+def _certificate_claims(pencils, names, facts, tol: TolerancePolicy) -> dict:
+    """The Member claims that a Loewner certificate settles, by index into
+    ``pencils``: the engine's pencils of the classes ``names``, each of a T
+    whose (||T||, SVD U, S, V*) is the entry of ``facts``. A certificate is
+    one Hermitian matrix built from its pencil's terms, whose least
+    eigenvalue b bounds lam_min(P(lam)) from below on the whole domain:
+
+    * the weighted pencils D - (k+1) lam^k G + k lam^(k+1) I, G = T*T: C = D
+      - V S^(2k+2) V*. G^(k+1) = V S^(2k+2) V* commutes with G, and
+      g^(k+1) - (k+1) lam^k g + k lam^(k+1) >= 0 for g, lam >= 0 by weighted
+      AM-GM, so P(lam) >= C for every lam >= 0, and b = lam_min(C). At k = 1,
+      C >= 0 is T*^2 T^2 >= (T*T)^2, the class A inequality;
+    * the quasi pencils A - 2 lam B + lam^2 C: with lam = s mu, s the
+      max(1, ||T||)^2 of the domain (1e-6 s, 4 s], x* P x = y* M_s y for
+      y = [x; mu x] and M_s = [[A, -s B], [-s B, s^2 C]], and ||y||^2 = (1 +
+      mu^2) ||x||^2 is at most 17 ||x||^2 on the domain. So b = lam_min(M_s)
+      when that is at least 0, and 17 lam_min(M_s) when it is not.
+
+    The certificates are stacked by size, n or 2n, one eigvalsh per size. A
+    pencil whose b is a Member by ``_decide`` on the pencil's scale gets a
+    Member claim with defect b and no witness; b is not clamped, so a
+    decisive bound still meets _reconcile's audit. Every other pencil, a
+    NaN b too, is left to the sweep."""
+    mats, weights = [], []
+    for pencil, name, (norm_t, (_, sv, vh)) in zip(pencils, names, facts):
+        (_, d), (e, g), (_, c) = pencil.terms
+        if name == "KQuasiParanormal":
+            s = _scale(norm_t, 2)
+            off = (0.5 * s) * g  # g is -2 B
+            mats.append(np.block([[d, off], [off, (s * s) * c]]))
+            weights.append(1.0 + (pencil.lambda_max / s) ** 2)
+        else:
+            mats.append(d - (vh.conj().T * sv ** (2 * int(e) + 2)) @ vh)
+            weights.append(1.0)
+    bounds = np.empty(len(mats))
+    for size in {len(m) for m in mats}:
+        rows = [i for i, m in enumerate(mats) if len(m) == size]
+        bounds[rows] = np.linalg.eigvalsh(_hermitian(np.array([mats[i] for i in rows])))[:, 0]
+    bounds = np.where(bounds < 0.0, np.array(weights) * bounds, bounds)
+    claims = {}
+    for i, (pencil, b) in enumerate(zip(pencils, bounds.tolist())):
+        status, threshold = _decide(b, pencil.scale, tol)
+        if status is Status.MEMBER:
+            claims[i] = MembershipVerdict(status=status, defect=b, oracle="pencil",
+                                          threshold=threshold)
+    return claims
+
+
 def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
@@ -1460,20 +1519,25 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     never forms its pencil and does not descend; the open rows are taken
     from the stack again only when a stage proved something. Every problem
     left forms its pencil (the builders' pencil callables); their terms are
-    stacked once (``_PencilStack``), checked at once by the checks of
-    PencilSpec (``_check_terms``), and swept and refined
-    (``_pencil_verdicts``), which gives each only a claim for
-    ``_reconcile``. Every problem left then descends, on its row of the
-    stack: each distinct T among them gets one block of deterministic
-    starts, the standard basis and V (``_fixed_starts``), each T and seed
-    one block of seeded starts, and one descent runs over the columns of
-    them all, one block each. A problem whose pencil claims NonMember
-    starts also from the claim's unit eigenvector, one more warm start in
-    place of its last seeded start, so the descent begins at least as low
-    as the pencil's minimum. One more call on those rows gives the value
-    at every sphere's unit witness for ``_reconcile``. No witness is
-    evaluated twice. Each problem gets the verdict it gets alone, bit for
-    bit, so the predicates are the one-problem case.
+    stacked once (``_PencilStack``) and checked at once by the checks of
+    PencilSpec (``_check_terms``). Each pencil then gets a claim for
+    ``_reconcile``, and only a claim: first from its Loewner certificate,
+    built from its terms and T's SVD, whose least eigenvalue bounds
+    lam_min(P) below on the whole domain (``_certificate_claims``, one
+    eigvalsh per certificate size), a Member claim with that bound as
+    defect when it holds; the pencils no certificate settles are taken from
+    the stack and swept and refined (``_pencil_verdicts``). Every problem
+    left then descends, on its row of the stack: each distinct T among
+    them gets one block of deterministic starts, the standard basis and V
+    (``_fixed_starts``), each T and seed one block of seeded starts, and
+    one descent runs over the columns of them all, one block each. A
+    problem whose pencil claims NonMember starts also from the claim's unit
+    eigenvector, one more warm start in place of its last seeded start, so
+    the descent begins at least as low as the pencil's minimum. One more
+    call on those rows gives the value at every sphere's unit witness for
+    ``_reconcile``. No witness is evaluated twice. Each problem gets the
+    verdict it gets alone, bit for bit, so the predicates are the
+    one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1514,10 +1578,16 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
             if not kept:
                 return verdicts
             rest, left = [rest[j] for j in kept], left.take(kept)
-    swept = [pencils[i]() for i in rest]
-    stack = _PencilStack(swept)
-    _check_terms([p.terms for p in swept], stack.exps, stack.coefs, [p.scale for p in swept])
-    claims = _pencil_verdicts(stack, swept, _N_GRID, _MAX_REFINE, tol)
+    formed = [pencils[i]() for i in rest]
+    stack = _PencilStack(formed)
+    _check_terms([p.terms for p in formed], stack.exps, stack.coefs, [p.scale for p in formed])
+    claims = _certificate_claims(formed, [live[i][2] for i in rest],
+                                 [facts[live[i][1]] for i in rest], tol)
+    swept = [j for j in range(len(formed)) if j not in claims]
+    if swept:
+        claims.update(zip(swept, _pencil_verdicts(stack.take(swept), [formed[j] for j in swept],
+                                                  _N_GRID, _MAX_REFINE, tol)))
+    claims = [claims[j] for j in range(len(formed))]
     pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
     # Only the matrices with a problem that descends get the whole block [I, V].
     fixed = {key: _fixed_starts(len(vs[key]), vs[key])
@@ -1535,7 +1605,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
     values = left(units[..., None])[:, 0].tolist()
     for i, (val, vec), unit, exact, claim, pencil in zip(rest, spheres, units, values,
-                                                          claims, swept):
+                                                          claims, formed):
         verdicts[live[i][0]] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seeds[i]),
                                           claim, unit, exact, pencil.label)
     return verdicts

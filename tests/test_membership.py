@@ -18,7 +18,7 @@ from opclass.decomposition import (
 )
 from opclass.errors import InvalidPencil, OpclassError, OracleDisagreement
 from opclass.linalg import DEFAULT_TOLERANCES as TOL
-from opclass.linalg import _direct_sum, operator_norm
+from opclass.linalg import _direct_sum, operator_norm, operator_svd
 from opclass.membership import (
     MembershipVerdict,
     OperatorClass,
@@ -31,6 +31,7 @@ from opclass.membership import (
     _Powers,
     _brent,
     _central_gradient,
+    _certificate_claims,
     _check_terms,
     _descend,
     _dual_verdicts,
@@ -926,6 +927,32 @@ def _spy_deflations(monkeypatch) -> list:
     return found
 
 
+def _spy_certificate_claims(monkeypatch) -> list:
+    """The Member claims of every engine certificate, as they run."""
+    real, certified = _certificate_claims, []
+
+    def spying(*args):
+        out = real(*args)
+        certified.extend(out.values())
+        return out
+
+    monkeypatch.setattr("opclass.membership._certificate_claims", spying)
+    return certified
+
+
+def _spy_formed_pencils(monkeypatch) -> list:
+    """The pencils every engine call forms, one list per call, as they are
+    handed to the certificates."""
+    real, formed = _certificate_claims, []
+
+    def spying(pencils, *args):
+        formed.append(list(pencils))
+        return real(pencils, *args)
+
+    monkeypatch.setattr("opclass.membership._certificate_claims", spying)
+    return formed
+
+
 def test_padded_eigensolve_finds_each_compressions_least_value(monkeypatch):
     # The sweep's rounding margin reads the spectra of a deflated pencil's
     # compression, not the c I padding of its K block. That is sound if the
@@ -933,16 +960,24 @@ def test_padded_eigensolve_finds_each_compressions_least_value(monkeypatch):
     # within n eps sum_j lam^e_j ||H_j||, H_j the compression's terms: here
     # at every grid point of every deflated pencil of the two classify pools
     # and verify-all at seed 2026. The start proof is switched off, so that
-    # the pencils of the NonMembers it decides are deflated too.
+    # the pencils of the NonMembers it decides are formed too. A certificate
+    # settles most of those pencils before any sweep, so each engine call's
+    # formed pencils are swept here, as one stack, as the engine sweeps
+    # those no certificate settles.
     from opclass import harness
 
     _no_start_proof(monkeypatch)
-    found = _spy_deflations(monkeypatch)
+    formed = _spy_formed_pencils(monkeypatch)
     for i, t in enumerate(_benchmark_pools(2026)):
         classify_all(t, seed=i)
-    pools = len(found)
+    pools = len(formed)
     harness.run_suite(harness.SuiteConfig(suites=harness.THEOREM_IDS, trials=50, max_dim=8,
                                           seed=2026))
+    found, deflated = _spy_deflations(monkeypatch), []
+    for calls in (formed[:pools], formed[pools:]):
+        for pencils in calls:
+            _pencil_verdicts(_PencilStack(pencils), pencils, 257, 8, TOL)
+        deflated.append(len(found))
     eps = np.finfo(float).eps
     for coefs, exps, r, domain in found:
         n = coefs.shape[-1]
@@ -955,7 +990,7 @@ def test_padded_eigensolve_finds_each_compressions_least_value(monkeypatch):
         margin = n * eps * sum(lams**e * norm for e, norm in zip(exps, norms))
         assert (np.abs(least - compression) <= margin).all(), (r, n, exps)
     # 51 of the pools' 54 kernel pencils (3 have rank 0) and verify-all's 71.
-    assert (pools, len(found) - pools) == (51, 71)
+    assert (deflated[0], deflated[1] - deflated[0]) == (51, 71)
 
 
 def test_deflated_spectra_leave_out_the_padding(monkeypatch):
@@ -1457,6 +1492,12 @@ def _no_start_proof(monkeypatch):
     monkeypatch.setattr("opclass.membership._start_verdicts", lambda *args: {})
 
 
+def _no_certificate(monkeypatch):
+    """Switch the engine's Loewner certificates off, so that every pencil
+    it forms is swept."""
+    monkeypatch.setattr("opclass.membership._certificate_claims", lambda *args: {})
+
+
 def _spy_pencil_claims(monkeypatch) -> list:
     """The claims of every engine pencil sweep, as they run."""
     real, claims = _pencil_verdicts, []
@@ -1472,8 +1513,10 @@ def _spy_pencil_claims(monkeypatch) -> list:
 
 def _patch_pencil_claims(monkeypatch, change):
     """Pass every pencil verdict of the engine through ``change``, with the
-    start proof switched off, so that every problem has one."""
+    start proof and the certificates switched off, so that every problem
+    has one from the sweep."""
     _no_start_proof(monkeypatch)
+    _no_certificate(monkeypatch)
     real = _pencil_verdicts
     monkeypatch.setattr("opclass.membership._pencil_verdicts",
                         lambda *args: [change(v) for v in real(*args)])
@@ -1619,32 +1662,155 @@ def test_proved_pencils_leave_the_sweep(monkeypatch):
     # Every dual NonMember of both benchmark pools at seed 2026 is decided
     # before the descent: all 432 of classify-random's and all 147 of
     # classify-members' at the right singular vectors of T or of T^2, whose
-    # pencils are never swept, and none at a pencil's refined eigenvector
-    # (oracle "pencil"). The engine sweeps exactly the pencils of the
-    # Members. KParanormal(k=1) and AbsoluteKParanormal(k=1) report the
-    # Paranormal verdict, so each distinct verdict is counted once.
-    decided = _spy_start_verdicts(monkeypatch)
+    # pencils are never formed, and none at a pencil's refined eigenvector
+    # (oracle "pencil"). The pencils of the Members are formed, and a
+    # certificate settles every one of them, so the engine sweeps none:
+    # certified problems leave the sweep too. KParanormal(k=1) and
+    # AbsoluteKParanormal(k=1) report the Paranormal verdict, so each
+    # distinct verdict is counted once.
+    decided, certified = _spy_start_verdicts(monkeypatch), _spy_certificate_claims(monkeypatch)
     swept = []
 
-    def spying(stack, pencils, *args):
+    def sweeping(stack, pencils, *args):
         swept.extend(pencils)
         return _pencil_verdicts(stack, pencils, *args)
 
-    monkeypatch.setattr("opclass.membership._pencil_verdicts", spying)
-    for name, expected in (("ClassifyRandom", (432, 0)), ("ClassifyMembers", (147, 0))):
-        at_starts = by_pencil = 0
+    monkeypatch.setattr("opclass.membership._pencil_verdicts", sweeping)
+    for name, expected in (("ClassifyRandom", (432, 0, 0)), ("ClassifyMembers", (147, 0, 189))):
+        at_starts = by_pencil = members = 0
         for i, t in enumerate(_benchmark_pools(2026, (name,))):
             decided.clear()
-            swept.clear()
             dual = list({id(v): v for cls, v in classify_all(t, seed=i).items()
                          if _is_dual(cls)}.values())
             nonmembers = [v for v in dual if v.status is Status.NON_MEMBER]
             pencil = [v for v in nonmembers if v.oracle == "pencil"]
             assert {id(v) for v in nonmembers} == {id(v) for v in decided + pencil}, (name, i)
-            assert len(swept) == len(pencil) + sum(v.status is Status.MEMBER for v in dual), (name, i)
             at_starts += len(decided)
             by_pencil += len(pencil)
-        assert (at_starts, by_pencil) == expected, name
+            members += sum(v.status is Status.MEMBER for v in dual)
+        assert (at_starts, by_pencil, len(certified)) == expected, name
+        assert members == len(certified) and swept == [], name
+        certified.clear()
+
+
+def _certificate_families(dim: int, seed: int) -> list:
+    """One matrix of each of eight families at ``dim``: Ginibre, normal, a
+    Jordan nilpotent, the normaloid counterexample, a k-quasi member, an rr
+    instance, a normal matrix plus 1e-3 Ginibre, and a Haar-conjugated
+    N + c J_2."""
+    rng = make_rng(seed, dim)
+    split, dim_bc = int(rng.integers(2, dim)), int(rng.integers(1, dim // 2 + 1))
+    u = random_unitary(dim, seed)
+    nj = _direct_sum(random_normal(dim - 2, seed), (1.0 + 20.0 * rng.random()) * np.eye(2, k=1))
+    return [random_ginibre(dim, seed), random_normal(dim, seed),
+            jordan_nilpotent(dim, int(rng.integers(2, dim + 1)), seed),
+            normaloid_counterexample(dim - split, split, seed),
+            k_quasi_member(dim - split, split, int(rng.integers(1, 4)), seed),
+            rr_instance(dim - 2 * dim_bc, dim_bc, seed),
+            random_normal(dim, seed) + 1e-3 * random_ginibre(dim, seed + 1),
+            u @ nj @ u.conj().T]
+
+
+def test_a_certified_pencil_is_never_a_grid_nonmember():
+    # The certificate's bound b lies below lam_min(P) on the whole domain,
+    # so a pencil it settles is a Member of pencil_check's grid too, whose
+    # least value is at least b, up to rounding (1e-8 thresholds measured
+    # over 8 seeds and dims 3-16): every pencil of k = 0-3 over the eight
+    # families at dims 3-16, two seeds, about 2 s on a 2-vCPU host. Both
+    # grid statuses occur, and the certificates settle pencils of both
+    # sizes, n and 2n.
+    statuses, certified = set(), set()
+    for seed in (0, 1):
+        for dim in (3, 4, 6, 9, 12, 16):
+            for t in _certificate_families(dim, seed):
+                facts = (operator_norm(t), operator_svd(t))
+                rows = [(name, pencil) for k in range(4)
+                        for name, _, pencil, _ in dual_families(t, k)]
+                pencils = [pencil for _, pencil in rows]
+                claims = _certificate_claims(pencils, [name for name, _ in rows],
+                                             [facts] * len(rows), TOL)
+                for i, (name, pencil) in enumerate(rows):
+                    grid = pencil_check(pencil)
+                    statuses.add(grid.status)
+                    if i not in claims:
+                        continue
+                    certified.add(name == "KQuasiParanormal")
+                    claim = claims[i]
+                    assert (claim.status, claim.oracle, claim.witness) == (
+                        Status.MEMBER, "pencil", None), (seed, dim, pencil.label)
+                    assert claim.threshold == grid.threshold, (seed, dim, pencil.label)
+                    assert grid.status is not Status.NON_MEMBER, (seed, dim, pencil.label)
+                    assert grid.defect >= claim.defect - 1e-3 * grid.threshold, (
+                        seed, dim, pencil.label)
+    assert statuses == {Status.MEMBER, Status.NON_MEMBER} and certified == {False, True}
+
+
+@pytest.mark.parametrize("depth, status", [(5e-11, Status.MEMBER), (5e-10, Status.INCONCLUSIVE)])
+def test_the_quasi_certificate_weighs_the_end_of_the_domain(depth, status):
+    # M = -depth v v* + w w*, v = [1, 4] / sqrt(17) and w orthogonal to it,
+    # on s = 1: the pencil A - 2 lam B + lam^2 C it encodes reads
+    # [1, 4] M [1, 4]* = -17 depth at lam = 4, its least value on the
+    # domain. The certificate's bound is 17 lam_min(M), exactly that, so a
+    # depth whose pencil minimum lies inside the decision band is not
+    # certified, though lam_min(M) = -depth alone would be a Member.
+    v, w = np.array([1.0, 4.0]) / math.sqrt(17.0), np.array([4.0, -1.0]) / math.sqrt(17.0)
+    m = -depth * np.outer(v, v) + np.outer(w, w)
+    a, b, c = (np.array([[x]], dtype=complex) for x in (m[0, 0], -m[0, 1], m[1, 1]))
+    pencil = _pencil(1.0, 1.0, ((0.0, a), (1.0, -2.0 * b), (2.0, c)), "synthetic")
+    claims = _certificate_claims([pencil], ["KQuasiParanormal"],
+                                 [(1.0, np.linalg.svd(np.eye(1)))], TOL)
+    grid = pencil_check(pencil)
+    assert (grid.witness.pencil_lambda, grid.defect) == (4.0, pytest.approx(-17.0 * depth))
+    assert grid.status is status and -depth >= -grid.threshold / 10.0
+    if status is Status.MEMBER:
+        assert claims[0].defect == pytest.approx(-17.0 * depth)
+    else:
+        assert claims == {}
+
+
+def test_a_pencil_no_certificate_settles_is_still_swept(monkeypatch):
+    # A normal matrix 1e-3 off normal: no certificate settles its
+    # k-quasi-paranormal pencil at k = 3, so the engine sweeps it, and its
+    # claim is bit for bit pencil_check's full sweep. Every verdict of
+    # classify_all is the one it gets with the certificates switched off,
+    # where the engine sweeps every pencil it forms, as it did before the
+    # certificates.
+    t = random_normal(3, 1) + 1e-3 * random_ginibre(3, 101)
+    formed, claims = _spy_formed_pencils(monkeypatch), _spy_pencil_claims(monkeypatch)
+    out = {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=4).items()}
+    [pencils] = formed
+    assert [p.label for p in pencils] == ["quasi-paranormal[k=3]"]
+    engine = [c.to_json_dict() for c in claims]
+    assert engine == [pencil_check(quasi_paranormal_pencil(t, 3)).to_json_dict()]
+    assert engine[0]["status"] == "NonMember"
+    _no_certificate(monkeypatch)
+    claims.clear()
+    assert out == {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=4).items()}
+    assert [c.to_json_dict() for c in claims] == engine
+
+
+def test_a_decisive_certificate_still_meets_the_audit(monkeypatch):
+    # The certificate's bound is the claim's defect, unclamped, so a
+    # decisive one still meets _reconcile's audit. Every D of this Ginibre
+    # matrix's k-paranormal pencils is shifted by 3 max(1, ||T||)^(2k+2) I,
+    # so its certificate's bound exceeds 10 times the pencil's threshold;
+    # with the start proof off, the sphere proves the problem NonMember by
+    # far more than 10 thresholds, and the engine raises rather than pick a
+    # side.
+    t = random_ginibre(4, seed=13)
+    real = _pencil
+
+    def shifted(norm_t, scale, terms, label):
+        (e, d), *rest = terms
+        return real(norm_t, scale, ((e, d + 3.0 * scale * np.eye(len(d))), *rest), label)
+
+    monkeypatch.setattr("opclass.membership._pencil", shifted)
+    _no_start_proof(monkeypatch)
+    certified = _spy_certificate_claims(monkeypatch)
+    with pytest.raises(OracleDisagreement, match="sphere says NonMember .* pencil says Member"):
+        is_k_paranormal(t, 2, seed=3)
+    [claim] = certified
+    assert claim.defect > 10.0 * claim.threshold
 
 
 def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
@@ -1891,7 +2057,9 @@ def test_pencil_nonmember_whose_witness_fails_still_descends(monkeypatch, kind):
     # with that witness fails re-validation, so the problem descends and
     # is reconciled as _reconcile rules: NonMember by the sphere's witness
     # for a Ginibre matrix, Inconclusive beside the sphere's Member for a
-    # normal one.
+    # normal one. A certificate would settle the normal matrix's pencils as
+    # Members before any sweep, so the certificates are switched off with
+    # the start proof (``_patch_pencil_claims``).
     t = random_ginibre(4, seed=12) if kind == "ginibre" else random_normal(4, seed=12)
     eigvec = np.linalg.eig(t)[1][:, 0]
 

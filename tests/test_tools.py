@@ -3,6 +3,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from opclass import harness as hs
 from opclass import membership as mb
 from opclass.generators import jordan_nilpotent, random_ginibre, random_normal
@@ -35,32 +37,43 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         return (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                 mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
                 mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
-                mb._start_verdicts, mb._pencil)
+                mb._start_verdicts, mb._pencil, mb._certificate_claims)
 
-    originals = wrapped()
-    # T's right singular vectors certify the NonMembers of the Ginibre
+    originals, eigvalsh = wrapped(), np.linalg.eigvalsh
+    # T's right singular vectors prove the NonMembers of the Ginibre
     # matrices and of the nilpotent, but one of the 3 x 3 Ginibre matrix,
-    # which T^2's certify; the Members of the normal matrix and of the
-    # nilpotent descend. An index-2 nilpotent's k-quasi pencils have a
-    # common kernel, ker T, at k = 1, and only vanishing terms at k >= 2.
-    t = random_ginibre(4, 1)
+    # which T^2's prove; the Members of the normal matrix and of the
+    # nilpotent descend, and a certificate settles each of their pencils.
+    # The public pencil_check sweeps its pencils: an index-2 nilpotent's
+    # k-quasi pencils have a common kernel, ker T, at k = 1, and only
+    # vanishing terms at k >= 2.
+    t, nilpotent = random_ginibre(4, 1), jordan_nilpotent(4, 2, 1)
     with counts.Counter() as counter:
         mb.classify_all(t, seed=1)
         mb.classify_all(random_ginibre(3, 23), seed=1)
         mb.classify_all(random_normal(4, 1), seed=1)
-        mb.pencil_check(mb.k_paranormal_pencil(t, 2))
-        mb.classify_all(jordan_nilpotent(4, 2, 1), seed=1)
+        mb.classify_all(nilpotent, seed=1)
+        for pencil in (mb.k_paranormal_pencil(t, 2), mb.quasi_paranormal_pencil(nilpotent, 1),
+                       mb.quasi_paranormal_pencil(nilpotent, 2)):
+            mb.pencil_check(pencil)
         counted = counter.take()
         assert {key: value for key, value in counted.items() if value <= 0} == {}
-        # No matrix is zero, so each problem is either certified or descends;
-        # every certified problem is certified at V or at V2.
-        assert counted["certified"] + counted["descended"] == counted["problems"]
-        assert counted["at_v"] + counted["at_v2"] == counted["certified"] >= 20
+        # No matrix is zero, so each problem is either proved at a start
+        # column or descends; every proved problem is proved at V or at V2.
+        assert counted["proved"] + counted["descended"] == counted["problems"]
+        assert counted["at_v"] + counted["at_v2"] == counted["proved"] >= 20
         assert counted["at_v2"] == 1
         # The engine forms the pencil of every problem V and V2 leave, and
-        # the public constructor one more.
-        certified = counted["at_v"] + counted["at_v2"]
-        assert counted["formed"] == counted["problems"] - certified + 1
+        # the public constructors three more. Every pencil formed is
+        # certified or swept: the engine's are all certified, the public
+        # ones all swept. The normal matrix's certificates take one
+        # eigensolve of each size, n and 2n, the nilpotent's one of 2n.
+        proved = counted["at_v"] + counted["at_v2"]
+        assert counted["formed"] == counted["problems"] - proved + 3
+        assert counted["certified"] + counted["swept"] == counted["formed"]
+        assert (counted["certified"], counted["swept"]) == (counted["descended"], 3)
+        assert counted["certificate_solves"] == 3
+        assert counted["certificate_matrices"] == counted["certified"]
         # The sweeps' builds are among the builds: a first pass each, and
         # the bisection rounds.
         assert 0 < counted["sweep_builds"] < counted["builds"]
@@ -71,7 +84,8 @@ def test_descent_counts_counts_and_restores_what_it_wraps():
         hs.run_suite(hs.SuiteConfig(suites=("ando",), trials=8, max_dim=3, seed=1))
         suite = counter.take()
     assert 0 < suite["engine_calls"] < suite["problems"] and suite["calls"] > 0
-    assert wrapped() == originals
+    assert suite["certified"] + suite["swept"] == suite["formed"] > 0
+    assert wrapped() == originals and np.linalg.eigvalsh is eigvalsh
 
 
 def test_bench_pairs_summarizes_pairs_of_runs():

@@ -1,5 +1,5 @@
 """Milliseconds per matrix of ``classify_all`` at dims 3-8, seconds per
-matrix at dims 16, 24 and 32, and milliseconds per call of the seven
+matrix at dims 16, 24, 32 and 64, and milliseconds per call of the seven
 algebraic predicates and of ``nilpotent2_canonical`` and per matrix of the
 seven predicates in a row at dims 16, 32 and 64.
 
@@ -15,8 +15,10 @@ four matrices once; the script prints the median and the least time per
 matrix over the repeats. Dims 3-8 are the regime of the benchmark's
 classify workloads, where a call takes milliseconds and the work it
 shares across its verdicts (one norm, one stacked pencil check, one SVD
-of T) shows most. The algebraic predicates are the seven the
-structure benchmark workload runs on every matrix (is_normal,
+of T) shows most. Dims 16-64, beyond every benchmark workload, are where
+the pencils of the Members cost most: a sweep eigensolves tens of points
+per pencil, a certificate one matrix. The algebraic predicates are the
+seven the structure benchmark workload runs on every matrix (is_normal,
 is_quasinormal, quasinormal_embry up to k = 3, is_hyponormal,
 is_p_hyponormal at p = 0.5, is_class_a and is_normaloid); each is timed
 the same way on the same four kinds of matrix, and the script prints its
@@ -84,7 +86,7 @@ def main() -> int:
         per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
         print(f"dim {dim}: median {1e3 * statistics.median(per_matrix):.2f} ms/matrix, "
               f"least {1e3 * min(per_matrix):.2f} ms/matrix over {REPEATS} repeats")
-    for dim in (16, 24, 32):
+    for dim in (16, 24, 32, 64):
         per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
         print(f"dim {dim}: median {statistics.median(per_matrix):.3f} s/matrix, "
               f"least {min(per_matrix):.3f} s/matrix over {REPEATS} repeats")

@@ -12,16 +12,18 @@ T's right singular vectors V, the sphere's warm starts, proves NonMember
 (``membership._start_verdicts``), then those of the rest that one of the
 right singular vectors V2 of T^2 proves (a second ``_start_verdicts``
 call), and forms the pencils of the problems left alone, each through
-``membership._pencil``.
-``membership._pencil_verdicts`` takes the stacked terms of those pencils
-(``membership._PencilStack``); the first pass of its sweep
+``membership._pencil``. It gives each formed pencil a Loewner
+certificate (``membership._certificate_claims``), one ``eigvalsh`` per
+certificate size, and sweeps only the pencils no certificate settles.
+``membership._pencil_verdicts`` takes the stacked terms of the pencils it
+sweeps (``membership._PencilStack``); the first pass of its sweep
 (``membership._first_pass``), every sweep round, every refinement round
 and every build of witness eigenvectors makes the matrices of a batch of
 (pencil, lambda) points with ``_PencilStack.matrices``, and a round asks
 every running Brent search (``membership._brent``) for one lambda. This
 script wraps those methods, ``_PencilStack.deflate``,
 ``membership._start_verdicts``, ``membership._pencil``,
-``membership._first_pass``,
+``membership._certificate_claims``, ``membership._first_pass``,
 ``membership._sweep``, ``membership._brent``,
 ``membership._pencil_verdicts`` and ``membership._descend``, from
 outside, and the dual engine ``membership._dual_verdicts`` with the
@@ -30,7 +32,7 @@ binding ``harness._drive`` calls it through, and counts:
 * the engine calls and the problems they decide: a ``classify_all``
   matrix is one call, and a verify-all suite makes one per round and
   dimension of its trials;
-* the problems certified before the descent, those the start columns
+* the problems proved before the descent, those the start columns
   decide, whose pencils are not formed: how many each start stage
   decided, at V (the first ``_start_verdicts`` call of an engine call)
   and at V2 (the second); and the problems that descend, every other
@@ -40,6 +42,11 @@ binding ``harness._drive`` calls it through, and counts:
   call);
 * the pencils formed (``_pencil`` calls: by the engine, one per problem
   V and V2 leave, and by the public pencil constructors);
+* the pencils a certificate settles, the certificate eigensolves
+  (``eigvalsh`` calls inside ``_certificate_claims``) and the matrices
+  they solve, and the pencils swept (``_pencil_verdicts``' pencils: the
+  engine's uncertified ones and ``pencil_check``'s). Every pencil formed
+  is certified or swept;
 * the pencil builds (``matrices`` calls), and the lambdas built in grid
   sweeps, in refinement rounds and for the witnesses. A sweep's lambdas
   are the coarse ones, built inside ``_first_pass`` (every
@@ -97,13 +104,14 @@ import workloads as wl  # noqa: E402
 
 
 class Counter:
-    """Counts the engine calls, the fused sphere steps, the pencil builds
-    and the refinement searches."""
+    """Counts the engine calls, the fused sphere steps, the certificates,
+    the pencil builds and the refinement searches."""
 
-    FIELDS = ("engine_calls", "problems", "certified", "at_v", "at_v2", "descended", "calls",
-              "columns", "formed", "builds", "sweep_builds", "coarse_lams", "open_lams",
-              "grid_lams", "refine_lams", "witness_lams", "searches", "rounds", "deflated",
-              "kernel_dims", "unswept")
+    FIELDS = ("engine_calls", "problems", "proved", "at_v", "at_v2", "descended", "calls",
+              "columns", "formed", "certified", "certificate_solves", "certificate_matrices",
+              "swept", "builds", "sweep_builds", "coarse_lams", "open_lams", "grid_lams",
+              "refine_lams", "witness_lams", "searches", "rounds", "deflated", "kernel_dims",
+              "unswept")
 
     def __init__(self):
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -117,7 +125,7 @@ class Counter:
         self._saved = (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
                        mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
                        mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
-                       mb._start_verdicts, mb._pencil)
+                       mb._start_verdicts, mb._pencil, mb._certificate_claims)
 
     def _inside(self, fn, kind):
         def counted(*args, **kwargs):
@@ -131,7 +139,7 @@ class Counter:
 
     def __enter__(self):
         (fused, matrices, first_pass, sweep, brent, verdicts, descend, engine, _,
-         deflate, starts, pencil) = self._saved
+         deflate, starts, pencil, certificates) = self._saved
         counts = self.counts
 
         def counted_engine(problems, *args):
@@ -143,13 +151,30 @@ class Counter:
         def counted_starts(*args):
             out = starts(*args)
             counts["at_v2" if self._stages else "at_v"] += len(out)
-            counts["certified"] += len(out)
+            counts["proved"] += len(out)
             self._stages += 1
             return out
 
         def counted_pencil(*args):
             counts["formed"] += 1
             return pencil(*args)
+
+        def counted_certificates(*args):
+            # numpy's eigvalsh is counted only while the certificates run.
+            eigvalsh = mb.np.linalg.eigvalsh
+
+            def counted_eigvalsh(a, *rest, **kwargs):
+                counts["certificate_solves"] += 1
+                counts["certificate_matrices"] += len(a)
+                return eigvalsh(a, *rest, **kwargs)
+
+            mb.np.linalg.eigvalsh = counted_eigvalsh
+            try:
+                out = certificates(*args)
+            finally:
+                mb.np.linalg.eigvalsh = eigvalsh
+            counts["certified"] += len(out)
+            return out
 
         def counted_descend(value_and_gradient, x, *args):
             counts["descended"] += len(x)
@@ -198,6 +223,7 @@ class Counter:
                 value = yield lam
 
         def counted_verdicts(*args):
+            counts["swept"] += len(args[1])
             self._rounds = self._live = 0
             try:
                 return verdicts(*args)
@@ -209,6 +235,7 @@ class Counter:
         mb._PencilStack.deflate = counted_deflate
         mb._start_verdicts = counted_starts
         mb._pencil = counted_pencil
+        mb._certificate_claims = counted_certificates
         mb._first_pass = self._inside(counted_first_pass, "coarse_lams")
         mb._sweep = self._inside(sweep, "open_lams")
         mb._brent = counted_brent
@@ -221,7 +248,7 @@ class Counter:
         (mb._NormProductDefect.value_and_gradient, mb._PencilStack.matrices,
          mb._first_pass, mb._sweep, mb._brent, mb._pencil_verdicts, mb._descend,
          mb._dual_verdicts, hs._dual_verdicts, mb._PencilStack.deflate,
-         mb._start_verdicts, mb._pencil) = self._saved
+         mb._start_verdicts, mb._pencil, mb._certificate_claims) = self._saved
 
     def take(self) -> dict:
         counts = dict(self.counts)
@@ -231,7 +258,10 @@ class Counter:
 
 def pencil_line(counts: dict) -> str:
     sweep = counts["coarse_lams"] + counts["open_lams"]
-    return (f"{counts['formed']} pencils formed, {counts['builds']} builds, "
+    return (f"{counts['formed']} pencils formed, {counts['certified']} certified by "
+            f"{counts['certificate_solves']} certificate eigensolves of "
+            f"{counts['certificate_matrices']} matrices, {counts['swept']} swept; "
+            f"{counts['builds']} builds, "
             f"{sweep} sweep lambdas "
             f"({counts['coarse_lams']} coarse, {counts['open_lams']} open-cell) "
             f"of {counts['grid_lams']} on the grids in {counts['sweep_builds']} sweep builds, "
@@ -243,7 +273,7 @@ def pencil_line(counts: dict) -> str:
 
 
 def problems_line(counts: dict) -> str:
-    return (f"{counts['problems']} dual problems, {counts['certified']} certified before the "
+    return (f"{counts['problems']} dual problems, {counts['proved']} proved before the "
             f"descent ({counts['at_v']} at T's right singular vectors V, {counts['at_v2']} at "
             f"T^2's V2), {counts['descended']} descended")
 
@@ -258,8 +288,8 @@ def summary(per_item: list[dict]) -> str:
 
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    total = dict.fromkeys(("calls", "engine_calls", "problems", "certified", "at_v", "at_v2",
-                           "descended", "formed"), 0)
+    total = dict.fromkeys(("calls", "engine_calls", "problems", "proved", "at_v", "at_v2",
+                           "descended", "formed", "certified", "swept"), 0)
     with Counter() as counter:
         for workload in (wl.ClassifyMembers, wl.ClassifyRandom):
             pool = workload(wl.DEFAULT_SEED, seconds, ROOT)
@@ -280,7 +310,8 @@ def main() -> int:
                   f"{problems_line(counts)}; {counts['calls']} calls, "
                   f"{counts['columns']} columns; pencil: {pencil_line(counts)}")
     print(f"verify-all total: {total['engine_calls']} engine calls, {problems_line(total)}; "
-          f"{total['calls']} calls, {total['formed']} pencils formed")
+          f"{total['calls']} calls, {total['formed']} pencils formed, "
+          f"{total['certified']} certified, {total['swept']} swept")
     return 0
 
 
