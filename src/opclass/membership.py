@@ -48,23 +48,25 @@ column as witness, and its pencil is never formed. The problems V
 leaves are valued the same way at the right singular vectors V2 of T^2,
 which turn with T too, before any pencil is formed. Such a verdict rests
 on that one value: no pencil cross-checks it. Every other problem forms
-its pencil, which is checked and given a claim. The claim is Member when
-the pencil's Loewner certificate holds: the least eigenvalue of one
-Hermitian matrix built from the pencil's terms and T's SVD, D -
-V S^(2k+2) V* for the weighted pencils D - (k+1) z^k T*T + k z^(k+1) I
-and a 2n x 2n block matrix for the quasi pencils A - 2 z B + z^2 C,
-bounds lam_min(P) below on the whole domain, with no grid
-(``_certificate_claims``); the certificates of one call share one
-eigvalsh per size. Every pencil no certificate settles is swept and
-refined for its claim. Every problem that forms its pencil descends
-on the sphere, from the eigenvector of a NonMember claim too, so an
-engine NonMember is always proved at a unit vector the sphere found: a
-start column or a descent's witness. Every value of
+its pencil, which is checked. A problem is a Member when its pencil's
+Loewner certificate holds: the least eigenvalue of one Hermitian matrix
+built from the pencil's terms and T's SVD, D - V S^(2k+2) V* for the
+weighted pencils D - (k+1) z^k T*T + k z^(k+1) I and a 2n x 2n block
+matrix for the quasi pencils A - 2 z B + z^2 C, bounds lam_min(P) below
+on the whole domain, with no grid (``_certificate_claims``); the
+certificates of one call share one eigvalsh per size. That verdict is
+final: its defect is the bound, its oracle the pencil, and the problem
+is neither swept nor descends. Every pencil no certificate settles is
+swept and refined for a claim, and its problem descends on the sphere,
+from the eigenvector of a NonMember claim too, so an engine NonMember
+is always proved at a unit vector the sphere found: a start column or a
+descent's witness. Every value of
 one call reads one stack of its defining defects, and the builders of one
 T read one chain of its powers, each formed once. The public
 ``pencil_check`` has no defining defect, so it sweeps and refines every
-pencil. Where both oracles ran, a decisive disagreement is surfaced as
-OracleDisagreement rather than resolved silently.
+pencil. Where both oracles ran, on the problems that descend, a decisive
+disagreement is surfaced as OracleDisagreement rather than resolved
+silently.
 
 The predicates read ||T||, and the SVD T = U S V* where they need it,
 from ``linalg`` (``operator_norm``, ``operator_svd``), which remembers
@@ -1282,7 +1284,9 @@ def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.nd
                exact: float, label: str) -> MembershipVerdict:
     """Combine the two oracle verdicts of a problem that descended into a
     single class verdict; ``exact`` is the defining defect at ``unit``, the
-    sphere's witness normalized. Decisively opposite oracles raise
+    sphere's witness normalized. Only the problems that no start column
+    proves and no Loewner certificate settles descend, so the pencil's
+    verdict here is always a sweep's claim. Decisively opposite oracles raise
     OracleDisagreement: a definite verdict is decisive when its defect
     exceeds ten times its own threshold. A sphere NonMember is NonMember,
     with ``exact`` as defect and ``unit`` as witness, when ``exact`` proves
@@ -1450,7 +1454,7 @@ def _start_verdicts(defect: _NormProductDefect, x: np.ndarray, scales, seeds,
 
 
 def _certificate_claims(pencils, names, facts, tol: TolerancePolicy) -> dict:
-    """The Member claims that a Loewner certificate settles, by index into
+    """The Member verdicts that a Loewner certificate settles, by index into
     ``pencils``: the engine's pencils of the classes ``names``, each of a T
     whose (||T||, SVD U, S, V*) is the entry of ``facts``. A certificate is
     one Hermitian matrix built from its pencil's terms, whose least
@@ -1469,16 +1473,21 @@ def _certificate_claims(pencils, names, facts, tol: TolerancePolicy) -> dict:
 
     The certificates are stacked by size, n or 2n, one eigvalsh per size. A
     pencil whose b is a Member by ``_decide`` on the pencil's scale gets a
-    Member claim with defect b and no witness; b is not clamped, so a
-    decisive bound still meets _reconcile's audit. Every other pencil, a
-    NaN b too, is left to the sweep."""
+    Member verdict with defect b, unclamped, oracle ``pencil``, that
+    threshold and no witness; the engine takes it as final, with the
+    problem's seed, and neither sweeps nor descends that problem. Every
+    other pencil, a NaN b too, is left to the sweep and the descent."""
     mats, weights = [], []
     for pencil, name, (norm_t, (_, sv, vh)) in zip(pencils, names, facts):
         (_, d), (e, g), (_, c) = pencil.terms
         if name == "KQuasiParanormal":
             s = _scale(norm_t, 2)
             off = (0.5 * s) * g  # g is -2 B
-            mats.append(np.block([[d, off], [off, (s * s) * c]]))
+            n = len(d)
+            block = np.empty((2 * n, 2 * n), dtype=np.complex128)
+            block[:n, :n], block[n:, n:] = d, (s * s) * c
+            block[:n, n:] = block[n:, :n] = off
+            mats.append(block)
             weights.append(1.0 + (pencil.lambda_max / s) ** 2)
         else:
             mats.append(d - (vh.conj().T * sv ** (2 * int(e) + 2)) @ vh)
@@ -1510,34 +1519,37 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     The defining defects of all other problems are stacked once
     (``_NormProductDefect``).
 
-    One path: two start stages, the pencils of the rows they leave, the
-    descent of those rows and ``_reconcile``. Each start stage is one call
-    on the open rows of the defect stack (``_start_verdicts``), at the
-    columns of one source, normalized, that turns with T: V, and then the
-    right singular vectors V2 of T^2, taken only for the matrices with an
-    open row. A problem that one column proves NonMember is decided there,
-    never forms its pencil and does not descend; the open rows are taken
-    from the stack again only when a stage proved something. Every problem
-    left forms its pencil (the builders' pencil callables); their terms are
-    stacked once (``_PencilStack``) and checked at once by the checks of
-    PencilSpec (``_check_terms``). Each pencil then gets a claim for
-    ``_reconcile``, and only a claim: first from its Loewner certificate,
-    built from its terms and T's SVD, whose least eigenvalue bounds
-    lam_min(P) below on the whole domain (``_certificate_claims``, one
-    eigvalsh per certificate size), a Member claim with that bound as
-    defect when it holds; the pencils no certificate settles are taken from
-    the stack and swept and refined (``_pencil_verdicts``). Every problem
-    left then descends, on its row of the stack: each distinct T among
-    them gets one block of deterministic starts, the standard basis and V
-    (``_fixed_starts``), each T and seed one block of seeded starts, and
-    one descent runs over the columns of them all, one block each. A
-    problem whose pencil claims NonMember starts also from the claim's unit
-    eigenvector, one more warm start in place of its last seeded start, so
-    the descent begins at least as low as the pencil's minimum. One more
-    call on those rows gives the value at every sphere's unit witness for
-    ``_reconcile``. No witness is evaluated twice. Each problem gets the
-    verdict it gets alone, bit for bit, so the predicates are the
-    one-problem case.
+    One path: two start stages, the pencils of the rows they leave and their
+    certificates, then the sweep, the descent and ``_reconcile`` of the rows
+    no certificate settles. Each start stage is one call on the open rows of
+    the defect stack (``_start_verdicts``), at the columns of one source,
+    normalized, that turns with T: V, and then the right singular vectors V2
+    of T^2, taken only for the matrices with an open row. A problem that one
+    column proves NonMember is decided there, never forms its pencil and
+    does not descend; the open rows are taken from the stack again only when
+    a stage proved something. Every problem left forms its pencil (the
+    builders' pencil callables); their terms are stacked once
+    (``_PencilStack``) and checked at once by the checks of PencilSpec
+    (``_check_terms``). Each pencil then gets its Loewner certificate, built
+    from its terms and T's SVD, whose least eigenvalue bounds lam_min(P)
+    below on the whole domain (``_certificate_claims``, one eigvalsh per
+    certificate size). A problem whose certificate holds is a Member there,
+    final, with that bound as defect, oracle ``pencil`` and its seed: it is
+    not swept, does not descend and never meets ``_reconcile``. The rows of
+    the defect stack and the pencils of the problems no certificate settles
+    are taken again only when a certificate settled something; their pencils
+    are swept and refined (``_pencil_verdicts``), each for a claim for
+    ``_reconcile``, and only a claim. Every such problem then descends, on
+    its row of the stack: each distinct T among them gets one block of
+    deterministic starts, the standard basis and V (``_fixed_starts``), each
+    T and seed one block of seeded starts, and one descent runs over the
+    columns of them all, one block each. A problem whose pencil claims
+    NonMember starts also from the claim's unit eigenvector, one more warm
+    start in place of its last seeded start, so the descent begins at least
+    as low as the pencil's minimum. One more call on those rows gives the
+    value at every sphere's unit witness for ``_reconcile``. No witness is
+    evaluated twice. Each problem gets the verdict it gets alone, bit for
+    bit, so the predicates are the one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1564,8 +1576,9 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     seeds = [seed for *_, seed in live]
     # The problems still open, as indices into live, and their rows of the
     # defect stack, taken again only when a stage proved something: each
-    # start stage values them at one source of columns, V and then V2, and
-    # the pencils and the descent read the rows the two leave.
+    # start stage values them at one source of columns, V and then V2, the
+    # certificates read the rows the two leave, and the sweep and the
+    # descent the rows no certificate settles.
     rest, left = list(range(len(live))), defect
     for source in (vs.__getitem__, lambda key: np.linalg.svd(powers[key][2])[2].conj().T):
         cols = {key: _unit_columns(source(key)) for key in dict.fromkeys(live[i][1] for i in rest)}
@@ -1581,13 +1594,17 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     formed = [pencils[i]() for i in rest]
     stack = _PencilStack(formed)
     _check_terms([p.terms for p in formed], stack.exps, stack.coefs, [p.scale for p in formed])
-    claims = _certificate_claims(formed, [live[i][2] for i in rest],
-                                 [facts[live[i][1]] for i in rest], tol)
-    swept = [j for j in range(len(formed)) if j not in claims]
-    if swept:
-        claims.update(zip(swept, _pencil_verdicts(stack.take(swept), [formed[j] for j in swept],
-                                                  _N_GRID, _MAX_REFINE, tol)))
-    claims = [claims[j] for j in range(len(formed))]
+    certified = _certificate_claims(formed, [live[i][2] for i in rest],
+                                    [facts[live[i][1]] for i in rest], tol)
+    if certified:
+        for j, verdict in certified.items():
+            verdicts[live[rest[j]][0]] = replace(verdict, seed=seeds[rest[j]])
+        kept = [j for j in range(len(rest)) if j not in certified]
+        if not kept:
+            return verdicts
+        rest, left, formed, stack = ([rest[j] for j in kept], left.take(kept),
+                                     [formed[j] for j in kept], stack.take(kept))
+    claims = _pencil_verdicts(stack, formed, _N_GRID, _MAX_REFINE, tol)
     pairs = [(live[i][1], seeds[i]) for i in rest]  # (T, seed) of each, T by identity
     # Only the matrices with a problem that descends get the whole block [I, V].
     fixed = {key: _fixed_starts(len(vs[key]), vs[key])

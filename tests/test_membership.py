@@ -1745,6 +1745,32 @@ def test_a_certified_pencil_is_never_a_grid_nonmember():
     assert statuses == {Status.MEMBER, Status.NON_MEMBER} and certified == {False, True}
 
 
+def test_a_certificate_never_moves_a_status(monkeypatch):
+    # A certified Member is final, decided in pencil units, max(1,
+    # ||T||)^(2k+2), where the sphere proof it skips would be in sphere
+    # units, max(1, ||T||)^(k+1). Over the eight families, a Haar-conjugated
+    # N + 100 J_2 and a normal matrix scaled by 1e-3, at dims 3-10, three
+    # seeds and k = 0-3, every status the engine gives is the one it gives
+    # with the certificates switched off, where every formed pencil is swept
+    # and its problem descends. Both statuses occur and the certificates
+    # settle some problems.
+    stacks = []
+    for seed in (0, 1, 2):
+        for dim in range(3, 11):
+            u = random_unitary(dim, seed + 7)
+            nj = _direct_sum(random_normal(dim - 2, seed), 100.0 * np.eye(2, k=1))
+            mats = _certificate_families(dim, seed) + [u @ nj @ u.conj().T,
+                                                       1e-3 * random_normal(dim, seed)]
+            stacks.append([(t, name, k, seed) for t in mats for k in range(4)
+                           for name, (least, _, _) in _DUAL.items() if k >= least])
+    certified = _spy_certificate_claims(monkeypatch)
+    got = [[v.status for v in _dual_verdicts(problems, TOL)] for problems in stacks]
+    assert certified
+    _no_certificate(monkeypatch)
+    assert [[v.status for v in _dual_verdicts(problems, TOL)] for problems in stacks] == got
+    assert {s for row in got for s in row} >= {Status.MEMBER, Status.NON_MEMBER}
+
+
 @pytest.mark.parametrize("depth, status", [(5e-11, Status.MEMBER), (5e-10, Status.INCONCLUSIVE)])
 def test_the_quasi_certificate_weighs_the_end_of_the_domain(depth, status):
     # M = -depth v v* + w w*, v = [1, 4] / sqrt(17) and w orthogonal to it,
@@ -1789,14 +1815,14 @@ def test_a_pencil_no_certificate_settles_is_still_swept(monkeypatch):
     assert [c.to_json_dict() for c in claims] == engine
 
 
-def test_a_decisive_certificate_still_meets_the_audit(monkeypatch):
-    # The certificate's bound is the claim's defect, unclamped, so a
-    # decisive one still meets _reconcile's audit. Every D of this Ginibre
-    # matrix's k-paranormal pencils is shifted by 3 max(1, ||T||)^(2k+2) I,
-    # so its certificate's bound exceeds 10 times the pencil's threshold;
-    # with the start proof off, the sphere proves the problem NonMember by
-    # far more than 10 thresholds, and the engine raises rather than pick a
-    # side.
+def test_a_decisive_sweep_member_on_an_uncertified_pencil_meets_the_audit(monkeypatch):
+    # A certified problem is final and never meets _reconcile, so the audit
+    # is reached by the problems no certificate settles. Every D of this
+    # Ginibre matrix's k-paranormal pencils is shifted by 3 max(1,
+    # ||T||)^(2k+2) I, so the sweep claims Member by more than 10 times the
+    # pencil's threshold; with the start proof and the certificates off, the
+    # sphere proves the problem NonMember by far more than 10 thresholds,
+    # and the engine raises rather than pick a side.
     t = random_ginibre(4, seed=13)
     real = _pencil
 
@@ -1806,11 +1832,41 @@ def test_a_decisive_certificate_still_meets_the_audit(monkeypatch):
 
     monkeypatch.setattr("opclass.membership._pencil", shifted)
     _no_start_proof(monkeypatch)
-    certified = _spy_certificate_claims(monkeypatch)
+    _no_certificate(monkeypatch)
+    claims = _spy_pencil_claims(monkeypatch)
     with pytest.raises(OracleDisagreement, match="sphere says NonMember .* pencil says Member"):
         is_k_paranormal(t, 2, seed=3)
-    [claim] = certified
-    assert claim.defect > 10.0 * claim.threshold
+    [claim] = claims
+    assert claim.status is Status.MEMBER and claim.defect > 10.0 * claim.threshold
+
+
+def test_a_certified_member_agrees_with_the_public_sphere_check(monkeypatch):
+    # A certified Member skips the descent, so the sphere no longer checks
+    # it inside the engine: the public sphere_check, from the engine's
+    # starts (the standard basis, V and eight seeded starts) and its
+    # problem's seed, finds no violation of the defining inequality on the
+    # same problem. The verdict is the certificate's: oracle pencil, no
+    # witness, the problem's seed, and a threshold of the pencil's scale,
+    # and the engine runs no descent for it.
+    descended = _count_descents(monkeypatch)
+    certified = 0
+    for seed, t in enumerate((random_normal(4, seed=1), k_quasi_member(2, 3, 1, seed=5),
+                              jordan_nilpotent(5, 2, seed=3), random_unitary(3, seed=2))):
+        warm = np.linalg.svd(t)[2].conj().T
+        for k in range(4):
+            for name, fn, pencil, scale in dual_families(t, k):
+                before = len(descended)
+                v = _PREDICATES[name](t, k, seed=seed)
+                if v.oracle != "pencil":
+                    continue
+                certified += 1
+                assert len(descended) == before, (seed, name, k)
+                assert (v.status, v.witness, v.seed) == (Status.MEMBER, None, seed), (name, k)
+                assert v.threshold == TOL.tol_decision * pencil.scale, (name, k)
+                sphere = sphere_check(fn, len(t), 8, seed=seed, warm_starts=warm, scale=scale,
+                                      value_and_gradient=fn.value_and_gradient)
+                assert sphere.status is Status.MEMBER, (seed, name, k)
+    assert certified >= 20
 
 
 def test_the_engine_forms_pencils_only_for_the_rows_v_leaves(monkeypatch):
@@ -2165,8 +2221,10 @@ def test_k_quasi_paranormality_of_a_jordan_block_beside_a_normal_part(monkeypatc
     # J_m + N, N normal: T^(k+1) kills J_m exactly when m <= k + 1, so T is
     # then k-quasi-paranormal, and not for m > k + 1, the sharp case of the
     # nil-index bound min{n, k+1}. Plain and Haar-conjugated, at norms 1
-    # and 1e3. The NonMembers are the pencil's alone and the Members
-    # descend, so both paths of the engine run.
+    # and 1e3. Every call is accounted for: its problem is proved NonMember
+    # at a start column, certified Member by its pencil's Loewner
+    # certificate, or descends.
+    decided, certified = _spy_start_verdicts(monkeypatch), _spy_certificate_claims(monkeypatch)
     descended = _count_descents(monkeypatch)
     calls = 0
     for m in range(2, 10):
@@ -2179,7 +2237,8 @@ def test_k_quasi_paranormality_of_a_jordan_block_beside_a_normal_part(monkeypatc
                     member = m <= k + 1
                     assert v.status is (Status.MEMBER if member else Status.NON_MEMBER), (m, k)
                     calls += 1
-    assert 0 < sum(descended) < calls
+    assert len(decided) + len(certified) + sum(descended) == calls
+    assert decided and certified
 
 
 # ---------------------------------------------------------------------------
@@ -2253,16 +2312,19 @@ def test_classify_all_statuses_are_pinned():
 def test_classify_all_output_is_pinned():
     # Every status, defect, oracle, witness, threshold and seed, bit for bit:
     # a change to the oracles' arithmetic order that moves any float shows.
-    # Last taken when KParanormal(k=1) and AbsoluteKParanormal(k=1) came to
-    # report the Paranormal verdict: 4 KParanormal(k=1) rows and 13
-    # AbsoluteKParanormal(k=1) rows moved, 16 their defect and 6 their
-    # witness, and no other row or field moved.
+    # Last taken when a Loewner-certified Member became final, with no
+    # descent: the 38 certified Members of the normal, unitary, Jordan,
+    # normaloid-counterexample, k-quasi-member and root-of-scalar matrices
+    # moved their defect (the certificate's bound), oracle (pencil) and
+    # witness (none), and the 20 of the unitary and root-of-scalar
+    # matrices, whose norm exceeds 1, their threshold (the pencil's scale);
+    # no status, seed or other row moved.
     doc = [
         {str(cls): v.to_json_dict() for cls, v in classify_all(t, seed=i).items()}
         for i, t in enumerate(_pinned_pool())
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert digest == "5fcc59a6f81d57a6753fb10e6cd333877a31e42d2911e0dc73eb4dff6d084334"
+    assert digest == "2a0db4c96f63f78cae3dae403aa30ecf03137853fd6a7266ce6eaf9f93b5bd54"
 
 
 def test_builders_are_pinned():
@@ -2360,20 +2422,30 @@ def test_classify_all_equals_one_problem_predicates(monkeypatch):
     # leaves open; each verdict must be the one its public predicate gives
     # alone, bit for bit, and the three keys of paranormality the one
     # is_k_quasi_paranormal(t, 0) gives. Problems that stop at different
-    # steps leave the stack early, so the compaction must have run.
-    compactions = _count_compactions(monkeypatch)
-    # The pencil certifies the NonMembers of Ginibre matrices alone, so only
-    # the member families and the near-band matrices descend; the Ginibre
-    # matrices' descents are checked with the pencil made Inconclusive.
+    # steps leave the stack early, so the compaction must have run. A
+    # certified Member does not descend, so the compaction is counted on a
+    # second pass with the certificates switched off, where the Members
+    # descend too, and each verdict is still its predicate's alone.
+    # The start columns prove the NonMembers of Ginibre matrices alone and
+    # the certificates settle the member families' Members, so only the
+    # near-band matrices descend on the first pass; the Ginibre matrices'
+    # descents are checked with the pencil made Inconclusive.
     mats = {i: random_ginibre(3 + i % 6, seed=60 + i) for i in (*range(6), 79)}
     mats.update({100 + i: _family_matrix(i) for i in range(42)})
     mats.update({200 + i: _near_band(i) for i in range(24)})
-    for seed, t in mats.items():
-        for cls, v in classify_all(t, seed=seed).items():
-            alone = _dual_alone(t, cls, seed)
-            if alone is None:
-                alone = _ALGEBRAIC[cls.name](t, *cls.params.values())
-            assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
+
+    def check():
+        for seed, t in mats.items():
+            for cls, v in classify_all(t, seed=seed).items():
+                alone = _dual_alone(t, cls, seed)
+                if alone is None:
+                    alone = _ALGEBRAIC[cls.name](t, *cls.params.values())
+                assert v.to_json_dict() == alone.to_json_dict(), (seed, str(cls))
+
+    check()
+    _no_certificate(monkeypatch)
+    compactions = _count_compactions(monkeypatch)
+    check()
     assert len(compactions) >= len(mats)
 
 
@@ -2415,8 +2487,8 @@ def test_classify_all_takes_one_svd_of_t_of_each_kind(monkeypatch):
     # need it, from linalg's memo of the last matrix seen, so a predicate
     # that measured another matrix before a later one reads T would cost a
     # second SVD.
-    # The Ginibre matrix is decided by its pencils, the normal matrix
-    # descends from warm starts read from the SVD.
+    # The Ginibre matrix is decided at its start columns, read from the
+    # SVD, and the normal matrix by its certificates, built from it.
     svd = np.linalg.svd
     for t in (random_ginibre(5, seed=3), random_normal(5, seed=3)):
         data, calls = t.tobytes(), []
@@ -2460,39 +2532,47 @@ def test_descents_of_pencil_inconclusive_stacks_equal_one_problem_predicates(mon
 
 def test_stacks_of_many_matrices_equal_one_problem_predicates(monkeypatch):
     # The engine decides problems of different matrices of one dimension in
-    # one stack: a Ginibre matrix whose NonMembers the pencil certifies
-    # alone, a member family matrix that descends to convergence, two
-    # near-band matrices whose problems descend for different numbers of
+    # one stack: a Ginibre matrix whose NonMembers the start columns prove
+    # alone, a member family matrix whose Members the certificates settle,
+    # two near-band matrices whose problems descend for different numbers of
     # steps, a zero matrix, one matrix under two seeds, and the classes
     # mixed. Each verdict must be its predicate's alone, bit for bit, and
-    # the stack must have been compacted.
+    # the stack must have been compacted. A certified Member does not
+    # descend, so the compaction is counted on a second pass with the
+    # certificates switched off, where the Members descend too.
+    def check():
+        for dim in range(3, 9):
+            g, member = random_ginibre(dim, seed=60 + dim), _family_matrix(dim - 3)
+            tiny, near = _near_band(2 * dim - 6), _near_band(2 * dim - 5)
+            zero = np.zeros((dim, dim), dtype=complex)
+            problems = [
+                (g, "KQuasiParanormal", 0, 1), (member, "KParanormal", 1, 2),
+                (zero, "KParanormal", 2, 3), (g, "AbsoluteKParanormal", 1, 1),
+                (member, "KQuasiParanormal", 0, 2), (g, "KParanormal", 2, 5),
+                (member, "AbsoluteKParanormal", 2, 2), (zero, "KQuasiParanormal", 0, 4),
+                (tiny, "KQuasiParanormal", 1, 6), (near, "KParanormal", 1, 7),
+                (tiny, "AbsoluteKParanormal", 3, 6), (near, "KQuasiParanormal", 0, 7),
+            ]
+            if dim == 4:
+                g79 = random_ginibre(4, seed=139)
+                problems += [(g79, name, 1, 79) for name in _PREDICATES]
+            for (t, name, k, seed), v in zip(problems, _dual_verdicts(problems, TOL)):
+                alone = _PREDICATES[name](t, k, seed=seed)
+                assert v.to_json_dict() == alone.to_json_dict(), (dim, name, k, seed)
+
+    check()
+    _no_certificate(monkeypatch)
     compactions = _count_compactions(monkeypatch)
-    for dim in range(3, 9):
-        g, member = random_ginibre(dim, seed=60 + dim), _family_matrix(dim - 3)
-        tiny, near = _near_band(2 * dim - 6), _near_band(2 * dim - 5)
-        zero = np.zeros((dim, dim), dtype=complex)
-        problems = [
-            (g, "KQuasiParanormal", 0, 1), (member, "KParanormal", 1, 2),
-            (zero, "KParanormal", 2, 3), (g, "AbsoluteKParanormal", 1, 1),
-            (member, "KQuasiParanormal", 0, 2), (g, "KParanormal", 2, 5),
-            (member, "AbsoluteKParanormal", 2, 2), (zero, "KQuasiParanormal", 0, 4),
-            (tiny, "KQuasiParanormal", 1, 6), (near, "KParanormal", 1, 7),
-            (tiny, "AbsoluteKParanormal", 3, 6), (near, "KQuasiParanormal", 0, 7),
-        ]
-        if dim == 4:
-            g79 = random_ginibre(4, seed=139)
-            problems += [(g79, name, 1, 79) for name in _PREDICATES]
-        for (t, name, k, seed), v in zip(problems, _dual_verdicts(problems, TOL)):
-            alone = _PREDICATES[name](t, k, seed=seed)
-            assert v.to_json_dict() == alone.to_json_dict(), (dim, name, k, seed)
+    check()
     assert len(compactions) >= 6
 
 
 def test_one_defect_build_per_engine_call(monkeypatch):
     # Every _dual_verdicts call builds one stacked defect for all its
     # problems: the pencil witnesses' values, the descent and the sphere
-    # witnesses' values all read it. The normal and near-band matrices'
-    # problems descend; the Ginibre matrix's are certified by the pencil.
+    # witnesses' values all read it. The near-band matrix's problems
+    # descend, the normal matrix's are certified and the Ginibre matrix's
+    # proved at its start columns.
     from opclass import harness
 
     builds, per_call = [], []

@@ -9,7 +9,8 @@ Usage (from the root of a checkout):
 
 Each dim times four matrices at the default k and p lists: two Ginibre
 matrices (nearly every verdict NonMember), a random normal matrix (every
-verdict Member, so the sphere runs to convergence) and an index-3 Jordan
+verdict Member, each dual one settled by its pencil's certificate with no
+descent) and an index-3 Jordan
 nilpotent. BLAS is pinned to one thread. Each of three repeats runs the
 four matrices once; the script prints the median and the least time per
 matrix over the repeats. Dims 3-8 are the regime of the benchmark's

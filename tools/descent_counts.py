@@ -14,7 +14,9 @@ right singular vectors V2 of T^2 proves (a second ``_start_verdicts``
 call), and forms the pencils of the problems left alone, each through
 ``membership._pencil``. It gives each formed pencil a Loewner
 certificate (``membership._certificate_claims``), one ``eigvalsh`` per
-certificate size, and sweeps only the pencils no certificate settles.
+certificate size: a problem whose certificate holds is a Member there,
+with no sweep and no descent. Only the problems no certificate settles
+are swept and descend.
 ``membership._pencil_verdicts`` takes the stacked terms of the pencils it
 sweeps (``membership._PencilStack``); the first pass of its sweep
 (``membership._first_pass``), every sweep round, every refinement round
@@ -35,14 +37,17 @@ binding ``harness._drive`` calls it through, and counts:
 * the problems proved before the descent, those the start columns
   decide, whose pencils are not formed: how many each start stage
   decided, at V (the first ``_start_verdicts`` call of an engine call)
-  and at V2 (the second); and the problems that descend, every other
-  problem but the zero operator's, the problems of every
-  ``membership._descend`` call;
+  and at V2 (the second); the problems a certificate decides, which
+  neither are swept nor descend; and the problems that descend, every
+  other problem but the zero operator's, the problems of every
+  ``membership._descend`` call. Start-proved, certified and descended
+  problems add up to the problems of nonzero matrices;
 * the fused calls and the columns they evaluate (problems x columns per
   call);
 * the pencils formed (``_pencil`` calls: by the engine, one per problem
   V and V2 leave, and by the public pencil constructors);
-* the pencils a certificate settles, the certificate eigensolves
+* the pencils a certificate settles, one per certified problem, the
+  certificate eigensolves
   (``eigvalsh`` calls inside ``_certificate_claims``) and the matrices
   they solve, and the pencils swept (``_pencil_verdicts``' pencils: the
   engine's uncertified ones and ``pencil_check``'s). Every pencil formed
@@ -273,9 +278,10 @@ def pencil_line(counts: dict) -> str:
 
 
 def problems_line(counts: dict) -> str:
-    return (f"{counts['problems']} dual problems, {counts['proved']} proved before the "
-            f"descent ({counts['at_v']} at T's right singular vectors V, {counts['at_v2']} at "
-            f"T^2's V2), {counts['descended']} descended")
+    return (f"{counts['problems']} dual problems, {counts['proved']} proved at start columns "
+            f"({counts['at_v']} at T's right singular vectors V, {counts['at_v2']} at "
+            f"T^2's V2), {counts['certified']} certified with no descent, "
+            f"{counts['descended']} descended")
 
 
 def summary(per_item: list[dict]) -> str:
@@ -310,8 +316,7 @@ def main() -> int:
                   f"{problems_line(counts)}; {counts['calls']} calls, "
                   f"{counts['columns']} columns; pencil: {pencil_line(counts)}")
     print(f"verify-all total: {total['engine_calls']} engine calls, {problems_line(total)}; "
-          f"{total['calls']} calls, {total['formed']} pencils formed, "
-          f"{total['certified']} certified, {total['swept']} swept")
+          f"{total['calls']} calls, {total['formed']} pencils formed, {total['swept']} swept")
     return 0
 
 
