@@ -23,7 +23,6 @@ from .errors import (
     NotNilpotentIndex2,
     NotPSD,
     OpclassError,
-    OracleDisagreement,
     ParseError,
     UnknownTheorem,
     UsageError,

@@ -29,13 +29,6 @@ class InvalidPencil(OpclassError):
     """A pencil specification violates its invariants."""
 
 
-class OracleDisagreement(OpclassError):
-    """The pencil and sphere oracles returned decisively opposite statuses.
-
-    This signals a bug in one of the oracles and is never silently resolved.
-    """
-
-
 class HypothesisViolated(OpclassError):
     """A decomposition precondition predicate failed on the given input."""
 

@@ -57,16 +57,17 @@ on the whole domain, with no grid (``_certificate_claims``); the
 certificates of one call share one eigvalsh per size. That verdict is
 final: its defect is the bound, its oracle the pencil, and the problem
 is neither swept nor descends. Every pencil no certificate settles is
-swept and refined for a claim, and its problem descends on the sphere,
-from the eigenvector of a NonMember claim too, so an engine NonMember
-is always proved at a unit vector the sphere found: a start column or a
-descent's witness. Every value of
-one call reads one stack of its defining defects, and the builders of one
-T read one chain of its powers, each formed once. The public
-``pencil_check`` has no defining defect, so it sweeps and refines every
-pencil. Where both oracles ran, on the problems that descend, a decisive
-disagreement is surfaced as OracleDisagreement rather than resolved
-silently.
+swept and refined, and its problem descends on the sphere, from the
+eigenvector of a NonMember claim too; the claim does nothing else. Such
+a problem gets its sphere's verdict, except that a sphere NonMember
+stands only where the defining value at its normalized witness proves
+it, and is Inconclusive otherwise. So an engine NonMember is always
+proved at a unit vector the sphere found, a start column or a descent's
+witness, and the status of every definite dual verdict is the one its
+own defect and threshold give. Every value of one call reads one stack of
+its defining defects, and the builders of one T read one chain of its
+powers, each formed once. The public ``pencil_check`` has no defining
+defect, so it sweeps and refines every pencil.
 
 The predicates read ||T||, and the SVD T = U S V* where they need it,
 from ``linalg`` (``operator_norm``, ``operator_svd``), which remembers
@@ -93,7 +94,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidPencil, OracleDisagreement
+from .errors import InvalidPencil
 from .generators import make_rng
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -1280,46 +1281,6 @@ class _NormProductDefect:
         return vals.reshape(x.shape[:-2] + x.shape[-1:]), grad.reshape(x.shape)
 
 
-def _reconcile(sphere: MembershipVerdict, pencil: MembershipVerdict, unit: np.ndarray,
-               exact: float, label: str) -> MembershipVerdict:
-    """Combine the two oracle verdicts of a problem that descended into a
-    single class verdict; ``exact`` is the defining defect at ``unit``, the
-    sphere's witness normalized. Only the problems that no start column
-    proves and no Loewner certificate settles descend, so the pencil's
-    verdict here is always a sweep's claim. Decisively opposite oracles raise
-    OracleDisagreement: a definite verdict is decisive when its defect
-    exceeds ten times its own threshold. A sphere NonMember is NonMember,
-    with ``exact`` as defect and ``unit`` as witness, when ``exact`` proves
-    it: below 0 and at most -threshold, the sphere's tol_decision * scale,
-    so a value of 0 proves nothing, even at tol_decision = 0. The pencil's
-    verdict is only a claim: a NonMember claim that is not proved, either
-    oracle's, leaves the verdict Inconclusive, even beside a Member. The
-    verdict takes the sphere's threshold and seed.
-    """
-    if (
-        sphere.is_definite
-        and pencil.is_definite
-        and sphere.status is not pencil.status
-        and abs(sphere.defect) > 10.0 * sphere.threshold
-        and abs(pencil.defect) > 10.0 * pencil.threshold
-    ):
-        raise OracleDisagreement(
-            f"{label}: sphere says {sphere.status.value} (defect {sphere.defect:.3e}) "
-            f"but pencil says {pencil.status.value} (defect {pencil.defect:.3e})"
-        )
-    if sphere.status is Status.NON_MEMBER and exact < 0.0 and exact <= -sphere.threshold:
-        status, defect, witness = Status.NON_MEMBER, exact, Witness(vector=unit)
-    else:
-        claims = {sphere.status, pencil.status}
-        member = Status.MEMBER in claims and Status.NON_MEMBER not in claims
-        status = Status.MEMBER if member else Status.INCONCLUSIVE
-        defect, witness = sphere.defect, sphere.witness
-    return MembershipVerdict(
-        status=status, defect=defect, oracle="sphere", witness=witness,
-        threshold=sphere.threshold, seed=sphere.seed,
-    )
-
-
 # The builders of the classes both oracles decide. Each takes the chain of
 # powers of one validated matrix (``_Powers``), its norm and the tolerances,
 # checks its pencil's class scale before it reads any power of T, and
@@ -1520,36 +1481,39 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     (``_NormProductDefect``).
 
     One path: two start stages, the pencils of the rows they leave and their
-    certificates, then the sweep, the descent and ``_reconcile`` of the rows
-    no certificate settles. Each start stage is one call on the open rows of
-    the defect stack (``_start_verdicts``), at the columns of one source,
-    normalized, that turns with T: V, and then the right singular vectors V2
-    of T^2, taken only for the matrices with an open row. A problem that one
-    column proves NonMember is decided there, never forms its pencil and
-    does not descend; the open rows are taken from the stack again only when
-    a stage proved something. Every problem left forms its pencil (the
-    builders' pencil callables); their terms are stacked once
-    (``_PencilStack``) and checked at once by the checks of PencilSpec
-    (``_check_terms``). Each pencil then gets its Loewner certificate, built
-    from its terms and T's SVD, whose least eigenvalue bounds lam_min(P)
-    below on the whole domain (``_certificate_claims``, one eigvalsh per
-    certificate size). A problem whose certificate holds is a Member there,
-    final, with that bound as defect, oracle ``pencil`` and its seed: it is
-    not swept, does not descend and never meets ``_reconcile``. The rows of
-    the defect stack and the pencils of the problems no certificate settles
-    are taken again only when a certificate settled something; their pencils
-    are swept and refined (``_pencil_verdicts``), each for a claim for
-    ``_reconcile``, and only a claim. Every such problem then descends, on
-    its row of the stack: each distinct T among them gets one block of
-    deterministic starts, the standard basis and V (``_fixed_starts``), each
-    T and seed one block of seeded starts, and one descent runs over the
-    columns of them all, one block each. A problem whose pencil claims
-    NonMember starts also from the claim's unit eigenvector, one more warm
-    start in place of its last seeded start, so the descent begins at least
-    as low as the pencil's minimum. One more call on those rows gives the
-    value at every sphere's unit witness for ``_reconcile``. No witness is
-    evaluated twice. Each problem gets the verdict it gets alone, bit for
-    bit, so the predicates are the one-problem case.
+    certificates, then the sweep and the descent of the rows no certificate
+    settles. Each start stage is one call on the open rows of the defect
+    stack (``_start_verdicts``), at the columns of one source, normalized,
+    that turns with T: V, and then the right singular vectors V2 of T^2,
+    taken only for the matrices with an open row. A problem that one column
+    proves NonMember is decided there, never forms its pencil and does not
+    descend; the open rows are taken from the stack again only when a stage
+    proved something. Every problem left forms its pencil (the builders'
+    pencil callables); their terms are stacked once (``_PencilStack``) and
+    checked at once by the checks of PencilSpec (``_check_terms``). Each
+    pencil then gets its Loewner certificate, built from its terms and T's
+    SVD, whose least eigenvalue bounds lam_min(P) below on the whole domain
+    (``_certificate_claims``, one eigvalsh per certificate size). A problem
+    whose certificate holds is a Member there, final, with that bound as
+    defect, oracle ``pencil`` and its seed: it is neither swept nor
+    descends. The rows of the defect stack and the pencils of the problems
+    no certificate settles are taken again only when a certificate settled
+    something; their pencils are swept and refined (``_pencil_verdicts``),
+    each for a claim whose only use is the start below. Every such problem
+    then descends, on its row of the stack: each distinct T among them gets
+    one block of deterministic starts, the standard basis and V
+    (``_fixed_starts``), each T and seed one block of seeded starts, and one
+    descent runs over the columns of them all, one block each. A problem
+    whose pencil claims NonMember starts also from the claim's unit
+    eigenvector, one more warm start in place of its last seeded start, so
+    the descent begins at least as low as the pencil's minimum. One more
+    call on those rows gives the value at every sphere's unit witness, and
+    the problem gets its sphere's verdict: a sphere NonMember stands, with
+    that value as defect and the unit witness, only when the value is below
+    0 and at most -threshold, as ``_start_verdicts`` rules, and is
+    Inconclusive otherwise; a Member or Inconclusive stands as the sphere
+    gives it. No witness is evaluated twice. Each problem gets the verdict
+    it gets alone, bit for bit, so the predicates are the one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1621,10 +1585,14 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
                        lambda kept: left.take(kept).value_and_gradient)
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
     values = left(units[..., None])[:, 0].tolist()
-    for i, (val, vec), unit, exact, claim, pencil in zip(rest, spheres, units, values,
-                                                          claims, formed):
-        verdicts[live[i][0]] = _reconcile(_sphere_verdict(val, vec, scales[i], tol, seeds[i]),
-                                          claim, unit, exact, pencil.label)
+    for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
+        verdict = _sphere_verdict(val, vec, scales[i], tol, seeds[i])
+        if verdict.status is Status.NON_MEMBER:
+            if exact < 0.0 and exact <= -verdict.threshold:
+                verdict = replace(verdict, defect=exact, witness=Witness(vector=unit))
+            else:
+                verdict = replace(verdict, status=Status.INCONCLUSIVE)
+        verdicts[live[i][0]] = verdict
     return verdicts
 
 

@@ -1,7 +1,7 @@
-"""Milliseconds per matrix of ``classify_all`` at dims 3-8, seconds per
-matrix at dims 16, 24, 32 and 64, and milliseconds per call of the seven
-algebraic predicates and of ``nilpotent2_canonical`` and per matrix of the
-seven predicates in a row at dims 16, 32 and 64.
+"""Milliseconds per matrix of ``classify_all`` at dims 3-8, 16, 24, 32
+and 64, and milliseconds per call of the seven algebraic predicates and
+of ``nilpotent2_canonical`` and per matrix of the seven predicates in a
+row at dims 16, 32 and 64.
 
 Usage (from the root of a checkout):
 
@@ -83,14 +83,10 @@ def seconds_per_call(call, mats: list) -> list:
 
 
 def main() -> int:
-    for dim in range(3, 9):
+    for dim in (*range(3, 9), 16, 24, 32, 64):
         per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
         print(f"dim {dim}: median {1e3 * statistics.median(per_matrix):.2f} ms/matrix, "
               f"least {1e3 * min(per_matrix):.2f} ms/matrix over {REPEATS} repeats")
-    for dim in (16, 24, 32, 64):
-        per_matrix = seconds_per_call(lambda t, i: mb.classify_all(t, seed=i), matrices(dim))
-        print(f"dim {dim}: median {statistics.median(per_matrix):.3f} s/matrix, "
-              f"least {min(per_matrix):.3f} s/matrix over {REPEATS} repeats")
     for dim in (16, 32, 64):
         mats, cells = matrices(dim), []
         for name, predicate in ALGEBRAIC.items():
