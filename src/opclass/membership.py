@@ -1508,11 +1508,11 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     eigenvector, one more warm start in place of its last seeded start, so
     the descent begins at least as low as the pencil's minimum. One more
     call on those rows gives the value at every sphere's unit witness, and
-    the problem gets its sphere's verdict: a sphere NonMember stands, with
-    that value as defect and the unit witness, only when the value is below
-    0 and at most -threshold, as ``_start_verdicts`` rules, and is
-    Inconclusive otherwise; a Member or Inconclusive stands as the sphere
-    gives it. No witness is evaluated twice. Each problem gets the verdict
+    the problem gets its sphere's verdict (``_descended_verdict``): a sphere
+    NonMember stands, with that value as defect and the unit witness, only
+    when the value is below 0 and at most -threshold, as ``_start_verdicts``
+    rules, and is Inconclusive otherwise; a Member or Inconclusive stands as
+    the sphere gives it. No witness is evaluated twice. Each problem gets the verdict
     it gets alone, bit for bit, so the predicates are the one-problem case.
     """
     mats = {}
@@ -1586,14 +1586,25 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
     values = left(units[..., None])[:, 0].tolist()
     for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
-        verdict = _sphere_verdict(val, vec, scales[i], tol, seeds[i])
-        if verdict.status is Status.NON_MEMBER:
-            if exact < 0.0 and exact <= -verdict.threshold:
-                verdict = replace(verdict, defect=exact, witness=Witness(vector=unit))
-            else:
-                verdict = replace(verdict, status=Status.INCONCLUSIVE)
-        verdicts[live[i][0]] = verdict
+        verdicts[live[i][0]] = _descended_verdict(
+            _sphere_verdict(val, vec, scales[i], tol, seeds[i]), unit, exact)
     return verdicts
+
+
+def _descended_verdict(sphere: MembershipVerdict, unit: np.ndarray,
+                       exact: float) -> MembershipVerdict:
+    """The verdict of a problem that descended, from its sphere's verdict
+    and ``exact``, the defining defect at ``unit``, the sphere's witness
+    normalized. A sphere NonMember stands, with ``exact`` as defect and
+    ``unit`` as witness, only when ``exact`` proves it: below 0 and at most
+    -threshold, so a value of 0 proves nothing, even at tol_decision = 0.
+    Otherwise it is Inconclusive with the sphere's numbers. A Member or an
+    Inconclusive stands as the sphere gives it."""
+    if sphere.status is not Status.NON_MEMBER:
+        return sphere
+    if exact < 0.0 and exact <= -sphere.threshold:
+        return replace(sphere, defect=exact, witness=Witness(vector=unit))
+    return replace(sphere, status=Status.INCONCLUSIVE)
 
 
 def _unit_columns(v: np.ndarray) -> np.ndarray:

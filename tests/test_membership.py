@@ -35,6 +35,7 @@ from opclass.membership import (
     _check_terms,
     _decide,
     _descend,
+    _descended_verdict,
     _dual_verdicts,
     _pencil,
     _pencil_verdicts,
@@ -1388,6 +1389,50 @@ def test_oracle_agreement_small():
                 for v in (sv, fv):
                     if pv.is_definite and v.is_definite:
                         assert pv.status is v.status, (i, k, name)
+
+
+_M, _NM, _I = Status.MEMBER, Status.NON_MEMBER, Status.INCONCLUSIVE
+_SPHERE_DEFECT = {_M: 1e-11, _NM: -2e-8, _I: -5e-9}
+
+
+@pytest.mark.parametrize(
+    "s_stat, p_stat, s_exact, p_exact, status, oracle, defect",
+    [
+        # s_exact proves every sphere NonMember of these rows.
+        (_M, _M, -3e-8, -5e-8, _M, "sphere", 1e-11),
+        (_M, _I, -3e-8, -5e-8, _M, "sphere", 1e-11),
+        (_NM, _M, -3e-8, -5e-8, _NM, "sphere", -3e-8),
+        (_NM, _I, -3e-8, -5e-8, _NM, "sphere", -3e-8),
+        (_I, _M, -3e-8, -5e-8, _I, "sphere", -5e-9),
+        (_I, _I, -3e-8, -5e-8, _I, "sphere", -5e-9),
+        # A sphere NonMember that s_exact does not prove is Inconclusive,
+        # beside any claim; a Member stands beside a NonMember claim, and a
+        # proved NonMember beside any claim.
+        (_M, _NM, -3e-8, 0.0, _M, "sphere", 1e-11),
+        (_NM, _M, 0.0, -5e-8, _I, "sphere", -2e-8),
+        (_NM, _NM, 0.0, 0.0, _I, "sphere", -2e-8),
+        (_NM, _I, 0.0, -5e-8, _I, "sphere", -2e-8),
+        (_I, _NM, -3e-8, 0.0, _I, "sphere", -5e-9),
+        (_NM, _NM, -3e-8, 0.0, _NM, "sphere", -3e-8),
+    ],
+)
+def test_reconcile_branches(s_stat, p_stat, s_exact, p_exact, status, oracle, defect):
+    # The branches of _descended_verdict, which gave up _reconcile's vote
+    # for the sweep's claim, over every pair of oracle statuses. s_exact is
+    # the defining value at the sphere's unit witness. p_stat and p_exact,
+    # the sweep's claim and the value at its witness, are read by no
+    # verdict: the claim has no vote. The engine's side of that, both
+    # claims on one descended problem, is
+    # test_a_descended_problem_gets_its_spheres_verdict.
+    e0 = np.eye(2, dtype=np.complex128)[0]
+    sphere = MembershipVerdict(
+        status=s_stat, defect=_SPHERE_DEFECT[s_stat], oracle="sphere",
+        witness=Witness(vector=e0), threshold=1e-8, seed=3,
+    )
+    v = _descended_verdict(sphere, e0, s_exact)
+    assert (v.status, v.oracle, v.defect) == (status, oracle, defect)
+    assert v.seed == 3 and v.threshold == TOL.tol_decision
+    assert v.witness.pencil_lambda is None and np.array_equal(v.witness.vector, e0)
 
 
 @pytest.mark.parametrize("case", ["member", "inconclusive", "proved-nonmember",
