@@ -42,7 +42,10 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _direct_sum,
+    _eigh,
+    _eigvals,
     _scale,
+    _svd,
     as_operator,
     compress,
     finite_frobenius_norm,
@@ -232,7 +235,7 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
     scale = _scale(operator_norm(m), 1)
     cut = tol.tol_rank * scale
     mh = m.conj().T
-    w, v = np.linalg.eigh((m + mh) / 2 + _MU * (m - mh) / 2j)
+    w, v = _eigh((m + mh) / 2 + _MU * (m - mh) / 2j)
     mv, mhv = m @ v, mh @ v
     lam = np.einsum("ij,ij->j", v.conj(), mv)
     # Residuals relative to s, whose squares cannot overflow.
@@ -245,15 +248,14 @@ def normal_pure_split(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomposi
         if len(cols) == 1:
             kept.append(q[:, lone[cols]])
             continue
-        for z in np.linalg.eigvals(q.conj().T @ mv[:, cols]):
-            _, sv, vh = np.linalg.svd(np.concatenate([mv[:, cols] - z * q,
-                                                      mhv[:, cols] - np.conj(z) * q]),
-                                      full_matrices=False)
+        for z in _eigvals(q.conj().T @ mv[:, cols]):
+            _, sv, vh = _svd(np.concatenate([mv[:, cols] - z * q, mhv[:, cols] - np.conj(z) * q]),
+                             full_matrices=False)
             reducing = sv <= cut
             kept.append(q @ vh[reducing].conj().T)
             if reducing.all():
                 break
-    u, sv, _ = np.linalg.svd(np.concatenate(kept, axis=1), full_matrices=False)
+    u, sv, _ = _svd(np.concatenate(kept, axis=1), full_matrices=False)
     normal = Subspace(n, u[:, sv > 0.5])
     return _assemble(m, [(normal, BlockLabel.NORMAL), (normal.complement(), BlockLabel.PURE)],
                      scale, tol)
@@ -335,7 +337,7 @@ def _root_split(
     dim = m.shape[0]
     norm_t = operator_norm(m)
     scale = _scale(norm_t, 1)
-    _, s, vh = np.linalg.svd(matrix_power(m, n))
+    _, s, vh = _svd(matrix_power(m, n))
     if s[0] == 0.0:
         zero = Subspace.full(dim)
     else:
@@ -382,10 +384,10 @@ def nilpotent2_canonical(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Decomp
     # isometry W = U V*, so X = W C. A root of the Gram X*X would lose the
     # singular values of X below about ||T|| sqrt(eps), and W = X C^-1
     # would magnify that loss by 1 / sigma_min(X).
-    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    u, sv, vh = _svd(x, full_matrices=False)
     c = (vh.conj().T * sv) @ vh
     w = u @ vh
-    full = np.linalg.svd(np.concatenate([w, coker.basis], axis=1), full_matrices=True)[0]
+    full = _svd(np.concatenate([w, coker.basis], axis=1))[0]
     q = np.concatenate([w, coker.basis, full[:, 2 * r :]], axis=1)
     canonical = np.zeros((dim, dim), dtype=np.complex128)
     canonical[:r, r : 2 * r] = c

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidIndex, InvalidSpec
-from .linalg import _direct_sum
+from .linalg import _direct_sum, _haar_qr, _norm2
 
 __all__ = [
     "GenSpec",
@@ -47,8 +47,7 @@ def make_rng(seed: int, *lane: int) -> np.random.Generator:
 def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar unitary via QR of a complex Gaussian with phase-corrected R."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
+    q, d = _haar_qr(z)
     ph = d / np.abs(d)
     return q * ph
 
@@ -124,8 +123,8 @@ def normaloid_counterexample(dim_m: int, dim_n: int, seed: int) -> np.ndarray:
         raise InvalidSpec("need dim_m >= 1 and dim_n >= 2")
     m = _normal(_annulus(make_rng(seed, 4, 0), dim_m, 0.5, 1.0), make_rng(seed, 4, 1))
     nil = jordan_nilpotent(dim_n, 2, (seed * 0x9E3779B97F4A7C15 + 1) & _MASK64)
-    norm_m = float(np.linalg.norm(m, 2))
-    norm_n = float(np.linalg.norm(nil, 2))
+    norm_m = _norm2(m)
+    norm_n = _norm2(nil)
     nil = nil * (norm_m / 2.0 / norm_n)
     return _direct_sum(m, nil)
 

@@ -33,6 +33,7 @@ from .linalg import (
     TolerancePolicy,
     _direct_sum,
     _scale,
+    _svdvals,
     as_operator,
     frobenius_norm,
     kernel,
@@ -534,7 +535,7 @@ def verify_coprime(
             ref = f"normal-invertible(dim={d}, seed={ts})"
         else:
             t, ref = _random("ginibre", d, ts)
-        svals = np.linalg.svd(t, compute_uv=False)
+        svals = _svdvals(t)
         return _normal_given(
             t, ref, tol,
             ("invertible", lambda: svals[-1] > tol.tol_rank * _scale(float(svals[0]), 1)),

@@ -4,15 +4,30 @@ Products, adjoints, norms, Hermitian eigendecomposition, fractional powers of
 positive semidefinite matrices, and orthonormal subspace algebra. Every
 operation is a pure function of validated inputs; equality and rank decisions
 are toleranced relative to the scale of the operands, never absolutely.
+
+The package's LAPACK work goes through the private kernels below (``_svd``,
+``_svdvals``, ``_eigh``, ``_eigvalsh``, ``_eigvals``, ``_haar_qr``) and its
+powers and Frobenius norms through ``_matrix_power`` and ``_frobenius``: no
+other module calls numpy's factorizations. Each kernel calls the
+``numpy.linalg._umath_linalg`` gufunc, with the signature, that numpy's
+public function calls on a complex128 array, inside the errstate that
+function sets, and does the same arithmetic around it. So every output is
+numpy's bit for bit, a LAPACK failure raises ``np.linalg.LinAlgError`` with
+numpy's message, and a NaN that overflow leaves passes with no warning; what
+the kernels skip is numpy's per-call wrapping (array conversion, dtype
+dispatch, result namedtuples). They take complex128 matrices, or stacks of
+them, as the callers hold them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _gufuncs
 
 from .errors import DimensionMismatch, EmptySubspace, NotHermitian, NotPSD
 
@@ -116,8 +131,102 @@ def adjoint(a) -> np.ndarray:
     return as_operator(a).conj().T
 
 
+def _lapack(message: str):
+    """numpy.linalg's errstate, as a decorator: the gufunc's failure flag
+    (invalid) raises LinAlgError(message), and overflow, division and
+    underflow pass silently."""
+
+    def failed(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+_svd_errstate = _lapack("SVD did not converge")
+_eig_errstate = _lapack("Eigenvalues did not converge")
+
+
+@_svd_errstate
+def _svd(m: np.ndarray, full_matrices: bool = True):
+    """np.linalg.svd(m, full_matrices): (U, S, V*)."""
+    return (_gufuncs.svd_f if full_matrices else _gufuncs.svd_s)(m, signature="D->DdD")
+
+
+@_svd_errstate
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(m, compute_uv=False): the singular values, descending."""
+    return _gufuncs.svd(m, signature="D->d")
+
+
+def _norm2(m: np.ndarray) -> float:
+    """np.linalg.norm(m, 2): the largest singular value."""
+    return float(_svdvals(m).max(initial=0.0))
+
+
+@_eig_errstate
+def _eigh(m: np.ndarray):
+    """np.linalg.eigh(m): (eigenvalues ascending, eigenvectors), from the
+    lower triangle."""
+    return _gufuncs.eigh_lo(m, signature="D->dD")
+
+
+@_eig_errstate
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(m): eigenvalues ascending, from the lower triangle."""
+    return _gufuncs.eigvalsh_lo(m, signature="D->d")
+
+
+@_eig_errstate
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals(m), which rejects a non-finite matrix first."""
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return _gufuncs.eigvals(m, signature="D->D")
+
+
+@_lapack("Incorrect argument found while performing QR factorization")
+def _haar_qr(z: np.ndarray):
+    """Q of np.linalg.qr(z) for a square z, and the diagonal of its R."""
+    # qr_r_raw overwrites its input with R and the Householder reflectors.
+    a = z.copy()
+    tau = _gufuncs.qr_r_raw(a, signature="D->D")
+    return _gufuncs.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
+
+
+def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
+    """np.linalg.matrix_power(m, n) for n >= 0, with numpy's products: m @ m,
+    (m @ m) @ m, then squarings multiplied in from the lowest bit of n up."""
+    if n == 0:
+        out = np.empty_like(m)
+        out[...] = np.eye(m.shape[-2], dtype=m.dtype)
+        return out
+    if n == 1:
+        return m
+    if n == 2:
+        return m @ m
+    if n == 3:
+        return (m @ m) @ m
+    z = result = None
+    while n > 0:
+        z = m if z is None else z @ z
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """np.linalg.norm(m) of a complex array: the root of the dots of its real
+    and its imaginary parts."""
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)))
+
+
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """The Frobenius norm of ``a`` as a complex array."""
+    return _frobenius(np.asarray(a, dtype=np.complex128))
 
 
 def finite_frobenius_norm(a) -> float:
@@ -162,8 +271,7 @@ def _fact(a, name: str, derive):
 def operator_norm(a) -> float:
     """Largest singular value. A call on a matrix with the same shape and
     bytes as the last one seen returns the value computed for them."""
-    # np.linalg.norm(m, 2) takes the same maximum, through a slower wrapper.
-    return _fact(a, "norm", lambda m: float(np.linalg.svd(m, compute_uv=False).max()))
+    return _fact(a, "norm", _norm2)
 
 
 def operator_svd(a):
@@ -172,7 +280,7 @@ def operator_svd(a):
     computed for them."""
 
     def read_only(m: np.ndarray):
-        factors = np.linalg.svd(m)
+        factors = _svd(m)
         for f in factors:
             f.setflags(write=False)
         return factors
@@ -194,7 +302,7 @@ def _direct_sum(*blocks: np.ndarray) -> np.ndarray:
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus (general, non-Hermitian eigenproblem)."""
     m = as_operator(a)
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return float(np.max(np.abs(_eigvals(m))))
 
 
 @dataclass(frozen=True)
@@ -231,7 +339,7 @@ def hermitian_eigen(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> HermitianEi
     a double.
     """
     m = _require_hermitian(as_operator(a), tol)
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh(m)
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
@@ -267,9 +375,13 @@ def psd_power(a, p: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
 def matrix_power(a, n: int) -> np.ndarray:
     """n-th power by repeated squaring; the zeroth power is the identity."""
     m = as_operator(a)
+    try:
+        n = operator.index(n)
+    except TypeError as e:
+        raise TypeError("exponent must be an integer") from e
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    return np.linalg.matrix_power(m, n)
+    return _matrix_power(m, n)
 
 
 @dataclass(frozen=True)
@@ -315,7 +427,7 @@ class Subspace:
         if r == n:
             return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
         try:
-            u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
+            u, _, _ = _svd(self.basis)
         except np.linalg.LinAlgError:
             # gesdd can fail to converge even on an orthonormal basis;
             # LAPACK's QR-iteration SVD, gesvd, converges on the same input.
@@ -334,7 +446,7 @@ class Subspace:
         if other.dim == 0:
             return True
         resid = other.basis - self.projector() @ other.basis
-        return bool(np.linalg.norm(resid, 2) <= tol)
+        return bool(_norm2(resid) <= tol)
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -357,7 +469,7 @@ def _kernel_basis(m: np.ndarray, tol: TolerancePolicy, rank_floor: float) -> np.
         return np.zeros((0, 0), dtype=np.complex128)
     if not m.any():
         return np.eye(n, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    _, s, vh = _svd(m)
     smax = float(s[0]) if s.size else 0.0
     cutoff = tol.tol_rank * max(smax, rank_floor)
     keep = np.zeros(n, dtype=bool)
@@ -397,7 +509,7 @@ def preimage_in(a, v: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Su
     if m.shape[0] != v.ambient_dim:
         raise DimensionMismatch("matrix and subspace dimensions differ")
     resid = (np.eye(v.ambient_dim, dtype=np.complex128) - v.projector()) @ m
-    floor = _scale(float(np.linalg.norm(m, 2)), 1)
+    floor = _scale(_norm2(m), 1)
     return Subspace(v.ambient_dim, _kernel_basis(resid, tol, rank_floor=floor))
 
 

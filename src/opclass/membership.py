@@ -99,10 +99,15 @@ from .generators import make_rng
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    _eigh,
+    _eigvalsh,
+    _frobenius,
+    _matrix_power,
+    _norm2,
     _scale,
+    _svd,
     as_operator,
     finite_frobenius_norm,
-    hermitian_eigen,
     matrix_power,
     operator_norm,
     operator_svd,
@@ -294,13 +299,16 @@ def _power_verdict(m: np.ndarray, n: int, relation: str, tol: TolerancePolicy) -
 
 
 def _psd_verdict(diff: np.ndarray, scale: float, tol: TolerancePolicy) -> MembershipVerdict:
-    # diff is Hermitian by construction but rounded at about ||T||^2 eps; its
-    # Hermitian part passes hermitian_eigen's check, which returns it unchanged.
-    eig = hermitian_eigen((diff + diff.conj().T) / 2.0, tol)
-    lam_min = float(eig.eigenvalues[0])
+    # diff is Hermitian by construction but rounded at about ||T||^2 eps. Its
+    # Hermitian part h is Hermitian exactly, so (h + h*) / 2 is h, and it is
+    # eigensolved as it is; only an overflowing h is rejected.
+    h = (diff + diff.conj().T) / 2.0
+    finite_frobenius_norm(h)
+    w, v = _eigh(h)
+    lam_min = float(w[0])
     threshold = tol.tol_psd * scale
     status = Status.MEMBER if lam_min >= -threshold else Status.NON_MEMBER
-    witness = Witness(vector=eig.eigenvectors[:, 0]) if status is Status.NON_MEMBER else None
+    witness = Witness(vector=v[:, 0]) if status is Status.NON_MEMBER else None
     return MembershipVerdict(
         status=status, defect=lam_min, oracle="algebraic", witness=witness,
         threshold=threshold,
@@ -576,7 +584,7 @@ class _PencilStack:
         """The eigenvalues of the Hermitian part of every term, (pencils,
         terms, n), ascending; those of a deflated pencil's terms are its
         compression's, taken before the padding (see ``deflate``)."""
-        return np.linalg.eigvalsh(_hermitian(self.coefs))
+        return _eigvalsh(_hermitian(self.coefs))
 
     def deflate(self, pencils, tol: TolerancePolicy):
         """Deflate the common kernel of each pencil of the stack in place,
@@ -620,7 +628,7 @@ class _PencilStack:
         if not gated.size:
             return ranks, bases
         stacked = weights[gated, :, None, None] * _hermitian(self.coefs[gated])
-        _, sv, vh = np.linalg.svd(stacked.reshape(gated.size, -1, n), full_matrices=False)
+        _, sv, vh = _svd(stacked.reshape(gated.size, -1, n), full_matrices=False)
         ranks[gated] = (sv > tol.tol_rank * np.maximum(sv[:, :1], scale[gated, None])).sum(1)
         for p, w in zip(gated.tolist(), vh.conj().swapaxes(-1, -2)):
             r, zero = ranks[p], np.flatnonzero(self.exps[p] == 0.0)
@@ -635,7 +643,7 @@ class _PencilStack:
             pads.append((p, zero[0], r))
         if bases:
             rows = list(bases)
-            self.spectra[rows] = np.linalg.eigvalsh(_hermitian(self.coefs[rows]))
+            self.spectra[rows] = _eigvalsh(_hermitian(self.coefs[rows]))
         for p, j, r in pads:
             self.coefs[p, j, r:, r:] = c[p] * np.eye(n - r)
         return ranks, bases
@@ -664,7 +672,7 @@ class _PencilStack:
         """lam_min(P(lams[i])) of pencil owner[i] for every i, eigensolved
         _CHUNK matrices at a time."""
         if lams.size <= _CHUNK:
-            return np.linalg.eigvalsh(self.matrices(owner, lams))[:, 0]
+            return _eigvalsh(self.matrices(owner, lams))[:, 0]
         return np.concatenate([self.least(owner[s : s + _CHUNK], lams[s : s + _CHUNK])
                                for s in range(0, lams.size, _CHUNK)])
 
@@ -876,7 +884,7 @@ def _pencil_minima(stack: _PencilStack, pencils, lams: np.ndarray, max_refine: i
         if val < bests[p][1]:
             bests[p] = (lam, val)
     best_lams = np.array([lam for lam, _ in bests])
-    _, vecs = np.linalg.eigh(stack.matrices(np.arange(len(pencils)), best_lams))
+    _, vecs = _eigh(stack.matrices(np.arange(len(pencils)), best_lams))
     return [(lam, val, v[:, 0]) for (lam, val), v in zip(bests, vecs)]
 
 
@@ -992,7 +1000,7 @@ def _starts(fixed: np.ndarray, restarts: int, seed: int) -> np.ndarray:
     for i in range(restarts):
         g = make_rng(seed, i)
         z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-        rand[:, i] = z / np.linalg.norm(z)
+        rand[:, i] = z / _frobenius(z)
     return np.concatenate([fixed, rand], axis=1)
 
 
@@ -1161,7 +1169,7 @@ def is_class_a(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerdic
     if _zero_operator(m):
         return _member_zero()
     scale = _scale(operator_norm(m), 2)
-    _, sv, vh = np.linalg.svd(m @ m)
+    _, sv, vh = _svd(m @ m)
     return _psd_verdict((vh.conj().T * sv) @ vh - m.conj().T @ m, scale, tol)
 
 
@@ -1183,12 +1191,15 @@ def is_normaloid(t, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MembershipVerd
     # that no power of T overflows: |‖(T/‖T‖)^n‖ - 1| * min(1, ‖T‖)^n > tol.
     # The factor min(1, ‖T‖)^n underflows to 0 where ‖T‖^-n would overflow.
     # The power norms are not read through operator_norm, whose memo of T
-    # they would replace.
+    # they would replace. Each power is formed once, with numpy's
+    # matrix_power products: u^2 = u u, u^3 = u^2 u, u^4 = u^2 u^2,
+    # u^5 = u u^4 and u^6 = u^2 u^4.
     unit = m / norm_t
+    powers = {1: unit}
     powers_ok = True
-    for n in range(2, 7):
-        lhs = float(np.linalg.svd(np.linalg.matrix_power(unit, n), compute_uv=False).max())
-        if abs(lhs - 1.0) * min(1.0, norm_t) ** n > tol.tol_decision:
+    for n, (a, b) in enumerate(((1, 1), (2, 1), (2, 2), (1, 4), (2, 4)), start=2):
+        powers[n] = powers[a] @ powers[b]
+        if abs(_norm2(powers[n]) - 1.0) * min(1.0, norm_t) ** n > tol.tol_decision:
             powers_ok = False
             break
     cross = Status.MEMBER if powers_ok else Status.NON_MEMBER
@@ -1365,7 +1376,7 @@ def _absolute_k_paranormal(powers: _Powers, k: int, norm_t: float):
 
     def pencil():
         gram = m.conj().T @ m
-        terms = _weighted(k, m.conj().T @ np.linalg.matrix_power(gram, k) @ m, gram)
+        terms = _weighted(k, m.conj().T @ _matrix_power(gram, k) @ m, gram)
         return _pencil(norm_t, scale, terms, f"absolute-k-paranormal[k={k}]")
 
     def sphere(svd):
@@ -1456,7 +1467,7 @@ def _certificate_claims(pencils, names, facts, tol: TolerancePolicy) -> dict:
     bounds = np.empty(len(mats))
     for size in {len(m) for m in mats}:
         rows = [i for i, m in enumerate(mats) if len(m) == size]
-        bounds[rows] = np.linalg.eigvalsh(_hermitian(np.array([mats[i] for i in rows])))[:, 0]
+        bounds[rows] = _eigvalsh(_hermitian(np.array([mats[i] for i in rows])))[:, 0]
     bounds = np.where(bounds < 0.0, np.array(weights) * bounds, bounds)
     claims = {}
     for i, (pencil, b) in enumerate(zip(pencils, bounds.tolist())):
@@ -1544,7 +1555,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     # certificates read the rows the two leave, and the sweep and the
     # descent the rows no certificate settles.
     rest, left = list(range(len(live))), defect
-    for source in (vs.__getitem__, lambda key: np.linalg.svd(powers[key][2])[2].conj().T):
+    for source in (vs.__getitem__, lambda key: _svd(powers[key][2])[2].conj().T):
         cols = {key: _unit_columns(source(key)) for key in dict.fromkeys(live[i][1] for i in rest)}
         proved = _start_verdicts(left, np.array([cols[live[i][1]] for i in rest]),
                                  [scales[i] for i in rest], [seeds[i] for i in rest], tol)
@@ -1583,7 +1594,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     bands = tol.tol_decision * np.array([scales[i] for i in rest])
     spheres = _descend(left.value_and_gradient, x, bands,
                        lambda kept: left.take(kept).value_and_gradient)
-    units = np.array([vec / np.linalg.norm(vec) for _, vec in spheres])
+    units = np.array([vec / _frobenius(vec) for _, vec in spheres])
     values = left(units[..., None])[:, 0].tolist()
     for i, (val, vec), unit, exact in zip(rest, spheres, units, values):
         verdicts[live[i][0]] = _descended_verdict(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,24 @@ def j2() -> np.ndarray:
 @pytest.fixture
 def j3() -> np.ndarray:
     return np.diag([1.0, 1.0], 1).astype(complex)
+
+
+def spy_kernel(monkeypatch, name: str, record) -> None:
+    """Wrap the ``opclass.linalg`` kernel ``name`` (``_svd``, ``_eigvalsh``,
+    ...) in every opclass module that holds it, so that ``record(*args,
+    **kwargs)`` sees each call before the kernel runs; ``record`` may raise
+    to inject a failure."""
+    import opclass.linalg as linalg
+
+    kernel = getattr(linalg, name)
+
+    def spying(*args, **kwargs):
+        record(*args, **kwargs)
+        return kernel(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "opclass" and getattr(mod, name, None) is kernel:
+            monkeypatch.setattr(mod, name, spying)
 
 
 def haar(dim: int, rng: np.random.Generator) -> np.ndarray:

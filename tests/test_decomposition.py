@@ -29,7 +29,7 @@ from opclass.linalg import DEFAULT_TOLERANCES as TOL
 from opclass.linalg import Subspace, matrix_power, operator_norm
 from opclass.membership import Status, is_normal
 
-from conftest import ginibre, haar, random_normal_matrix
+from conftest import ginibre, haar, random_normal_matrix, spy_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +243,7 @@ def test_split_of_a_scalar_matrix_takes_one_cluster_svd(monkeypatch, c):
     # the first eigenvalue of Q*TQ already keeps every column of Q, so the
     # 2n x n cluster stack is factored once, not once per eigenvalue.
     n, shapes = 16, []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    spy_kernel(monkeypatch, "_svd", lambda a, *args, **kwargs: shapes.append(np.shape(a)))
     d = normal_pure_split(c * np.eye(n))
     assert (d.block_dims, d.labels) == ((n,), (BlockLabel.NORMAL,))
     assert shapes.count((2 * n, n)) == 1

@@ -1,7 +1,8 @@
 """Every module of the package uses every name it imports, every
 module-level private name is used somewhere in the package, the band
-scale max(1, x)^degree is spelled only in ``linalg._scale``, and importing
-the package loads no scipy module.
+scale max(1, x)^degree is spelled only in ``linalg._scale``, only
+``linalg`` calls numpy's factorizations, and importing the package loads
+no scipy module.
 
 No linter ships with the toolchain, so these checks use the stdlib ``ast``
 module alone. ``__init__.py`` is exempt from the import check: its imports
@@ -164,6 +165,48 @@ def test_band_scale_is_spelled_only_in_linalg(path):
     # rule (to ||x||^degree, say) is an edit of that one function.
     owner = "_scale" if path.name == "linalg.py" else None
     assert spelled_scales(path.read_text(), owner) == []
+
+
+# numpy's factorizations (and matrix_power), which the package calls only
+# through the kernels of linalg.
+_FACTORIZATIONS = frozenset({"svd", "eigh", "eigvalsh", "eigvals", "qr", "matrix_power"})
+
+
+def named_factorizations(source: str) -> list[str]:
+    """``"line N: F"`` for every ``np.linalg.F`` or ``numpy.linalg.F`` and
+    every ``from numpy.linalg import F``, F one of _FACTORIZATIONS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _FACTORIZATIONS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            found.append(f"line {node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name in _FACTORIZATIONS]
+    return found
+
+
+def test_named_factorizations_finds_attributes_and_imports():
+    source = (
+        "import numpy\n"
+        "from numpy.linalg import qr, LinAlgError\n"
+        "u = np.linalg.svd(a)[0] + numpy.linalg.matrix_power(a, 2)\n"
+        "n = np.linalg.norm(a, axis=0)\n"
+        "e = np.linalg.LinAlgError\n"
+    )
+    assert sorted(named_factorizations(source)) == [
+        "line 2: qr", "line 3: matrix_power", "line 3: svd"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_numpy_factorizations_are_called_only_in_linalg(path):
+    # linalg owns the package's LAPACK calls: its kernels call numpy's own
+    # gufuncs under numpy's errstate, and every other module calls them.
+    assert named_factorizations(path.read_text()) == []
 
 
 def test_importing_the_package_loads_no_scipy_module():

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import warnings
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opclass.linalg as la
 from opclass.errors import DimensionMismatch, EmptySubspace, NotHermitian, NotPSD
 from opclass.linalg import (
     DEFAULT_TOLERANCES as TOL,
     Subspace,
+    _direct_sum,
     adjoint,
     as_operator,
     compress,
@@ -26,7 +29,7 @@ from opclass.linalg import (
     subspace_intersect,
 )
 
-from conftest import ginibre, haar
+from conftest import ginibre, haar, spy_kernel
 
 
 def test_as_operator_rejects_nonsquare():
@@ -83,15 +86,12 @@ def test_operator_norm_is_numpys_two_norm_bit_for_bit():
 
 
 def _count_svds(monkeypatch) -> list:
-    """Patch np.linalg.svd to append its compute_uv to the returned list on
-    every call."""
-    calls, svd = [], np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    """Spy on linalg's SVD kernels: every call appends to the returned list
+    its compute_uv, as np.linalg.svd would take it (True for ``_svd``, False
+    for ``_svdvals``)."""
+    calls = []
+    spy_kernel(monkeypatch, "_svd", lambda *args, **kwargs: calls.append(True))
+    spy_kernel(monkeypatch, "_svdvals", lambda *args, **kwargs: calls.append(False))
     return calls
 
 
@@ -363,15 +363,20 @@ def test_subspace_intersect_dimension_mismatch():
 
 def test_subspace_complement_survives_gesdd_failure(monkeypatch):
     # numpy's gesdd SVD can fail to converge on an orthonormal basis; the
-    # complement must then come from LAPACK's gesvd.
+    # complement must then come from LAPACK's gesvd. The failure is injected
+    # at linalg's SVD kernel, which the complement calls.
     rng = np.random.default_rng(30)
     basis = np.linalg.qr(ginibre(6, rng))[0][:, :2]
 
+    raised = []
+
     def no_convergence(*args, **kwargs):
+        raised.append(1)
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    spy_kernel(monkeypatch, "_svd", no_convergence)
     comp = Subspace(6, basis).complement()
+    assert raised == [1]
     assert comp.dim == 4
     np.testing.assert_allclose(comp.basis.conj().T @ comp.basis, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(basis.conj().T @ comp.basis, 0.0, atol=1e-12)
@@ -468,3 +473,134 @@ def test_matrix_power_additivity(seed, m, n):
     rhs = matrix_power(a, m) @ matrix_power(a, n)
     growth = max(1.0, operator_norm(a)) ** (m + n)
     assert np.linalg.norm(lhs - rhs) <= TOL.tol_eq * growth * 10
+
+
+# ---------------------------------------------------------------------------
+# LAPACK kernels: numpy's own gufuncs, bit for bit
+# ---------------------------------------------------------------------------
+
+def _numpys_haar_qr(m):
+    q, r = np.linalg.qr(m)
+    return q, np.diag(r)
+
+
+# Each kernel of linalg beside the public numpy call it stands for, and
+# whether it is a LAPACK kernel (numpy's errstate) and takes only square
+# matrices.
+_KERNELS = {
+    "_svd": (la._svd, np.linalg.svd, True, False),
+    "_svd thin": (lambda m: la._svd(m, full_matrices=False),
+                  lambda m: np.linalg.svd(m, full_matrices=False), True, False),
+    "_svdvals": (la._svdvals, lambda m: np.linalg.svd(m, compute_uv=False), True, False),
+    "_eigh": (la._eigh, np.linalg.eigh, True, True),
+    "_eigvalsh": (la._eigvalsh, np.linalg.eigvalsh, True, True),
+    "_eigvals": (la._eigvals, np.linalg.eigvals, True, True),
+    "_frobenius": (la._frobenius, lambda m: float(np.linalg.norm(m)), False, False),
+}
+# Kernels of single matrices only.
+_MATRIX_KERNELS = {
+    "_norm2": (la._norm2, lambda m: float(np.linalg.norm(m, 2)), True, False),
+    "_haar_qr": (la._haar_qr, _numpys_haar_qr, True, True),
+    **{f"_matrix_power {n}": (lambda m, n=n: la._matrix_power(m, n),
+                              lambda m, n=n: np.linalg.matrix_power(m, n), False, True)
+       for n in range(8)},
+}
+
+
+def _outputs(value) -> tuple:
+    return tuple(np.asarray(f) for f in (value if isinstance(value, tuple) else (value,)))
+
+
+def _assert_kernel_is_numpys(name, kernel, numpys, m):
+    want, got = _outputs(numpys(m)), _outputs(kernel(m))
+    assert len(got) == len(want), name
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True), (name, m.shape)
+
+
+def _kernels(m: np.ndarray) -> dict:
+    square = m.shape[-1] == m.shape[-2]
+    table = {**_KERNELS, **(_MATRIX_KERNELS if m.ndim == 2 else {})}
+    return {name: (kernel, numpys, lapack) for name, (kernel, numpys, lapack, needs_square)
+            in table.items() if square or not needs_square}
+
+
+def test_kernels_are_numpys_on_random_matrices():
+    rng = np.random.default_rng(2044)
+    for dim in (*range(1, 17), 24, 32, 48, 64):
+        g = ginibre(dim, rng)
+        for m in (g, (g + g.conj().T) / 2, g.conj().T, np.asfortranarray(g)):
+            for name, (kernel, numpys, _) in _kernels(m).items():
+                _assert_kernel_is_numpys(name, kernel, numpys, m)
+
+
+def _captured_inputs(monkeypatch, run) -> dict:
+    """{kernel name: [copies of its inputs]} while ``run()`` runs."""
+    seen = {}
+    for name in ("_svd", "_svdvals", "_eigh", "_eigvalsh", "_eigvals"):
+        spy_kernel(monkeypatch, name,
+                   lambda a, *args, name=name, **kwargs: seen.setdefault(name, []).append(a.copy()))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_kernels_are_numpys_on_the_inputs_the_package_passes(monkeypatch):
+    # The rectangular stacks and bases of decomposition (2n x n cluster
+    # stacks, n x r bases) and the stacks of the dual engine: the Hermitian
+    # parts of the stacked pencil terms, the sweep's P(lambda), the witness
+    # eigenvectors and the certificates.
+    from opclass.decomposition import nilpotent2_canonical, normal_pure_split
+    from opclass.generators import jordan_nilpotent, k_quasi_member, random_normal
+    from opclass.membership import classify_all, k_paranormal_pencil, pencil_check
+
+    def run():
+        normal_pure_split(np.kron(np.eye(2), random_normal(3, 5)) + np.diag([0.0] * 5 + [1e-3]))
+        normal_pure_split(_direct_sum(random_normal(4, 6), np.array([[0.5, 1.0], [0.0, -0.5]])))
+        nilpotent2_canonical(jordan_nilpotent(6, 2, 7))
+        for t in (random_normal(4, 8), k_quasi_member(3, 2, 2, 9)):
+            classify_all(t, seed=1)
+            pencil_check(k_paranormal_pencil(t, 2))
+
+    seen = _captured_inputs(monkeypatch, run)
+    shapes = {name: {a.shape for a in inputs} for name, inputs in seen.items()}
+    assert any(len(s) == 2 and s[0] == 2 * s[1] for s in shapes["_svd"])
+    assert any(len(s) == 2 and s[0] > s[1] for s in shapes["_svd"])
+    assert any(len(s) == 4 for s in shapes["_eigvalsh"])
+    assert any(len(s) == 3 for s in shapes["_eigvalsh"])
+    assert any(len(s) == 3 for s in shapes["_eigh"])
+    for name, inputs in seen.items():
+        for m in inputs:
+            for label in (name, f"{name} thin") if name == "_svd" else (name,):
+                kernel, numpys, _ = _kernels(m)[label]
+                _assert_kernel_is_numpys(label, kernel, numpys, m)
+
+
+def test_kernels_fail_and_overflow_as_numpy_does():
+    # A NaN input raises LinAlgError, with numpy's message, where numpy's
+    # function does (the SVDs and eigvals), and gives numpy's NaNs where it
+    # does not; a matrix of 1.5e308 entries gives numpy's NaNs and
+    # infinities with no warning.
+    nan = np.eye(4, dtype=np.complex128)
+    nan[2, 1] = np.nan
+    huge = np.full((4, 4), 1.5e308, dtype=np.complex128)
+    huge[0, 1] = huge[2, 3] = -1.5e308
+    raised, nans = set(), set()
+    for name, (kernel, numpys, lapack) in _kernels(nan).items():
+        if not lapack:
+            continue
+        try:
+            numpys(nan)
+        except np.linalg.LinAlgError as error:
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(str(error))}$"):
+                kernel(nan)
+            raised.add(name)
+        else:
+            _assert_kernel_is_numpys(name, kernel, numpys, nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_kernel_is_numpys(name, kernel, numpys, huge)
+            if any(np.isnan(f).any() for f in _outputs(kernel(huge))):
+                nans.add(name)
+    assert {"_svd", "_svdvals", "_norm2", "_eigvals"} <= raised
+    assert "_haar_qr" in nans

@@ -71,7 +71,7 @@ from opclass.generators import (
     rr_instance,
 )
 
-from conftest import dual_families, ginibre, haar, random_normal_matrix
+from conftest import dual_families, ginibre, haar, random_normal_matrix, spy_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -1959,10 +1959,11 @@ def test_one_classify_all_call_forms_each_power_of_t_once(monkeypatch):
     # The builders of one matrix read one chain of its powers, each formed
     # as T^j = T T^(j-1) when first read: a classify_all call at the default
     # k = 1-3 forms T^2, T^3, T^4 and T^5 (the k-quasi class at k = 3 reads
-    # T^5) once each, and calls numpy's matrix_power on T never, whether
-    # the start columns decide its problems (a Ginibre matrix) or its
-    # pencils are formed too (a normal one).
-    formed, powered = [], []
+    # T^5) once each, and calls matrix_power on T never, whether the start
+    # columns decide its problems (a Ginibre matrix) or its pencils are
+    # formed too (a normal one). The spy sits on linalg's power kernel,
+    # which linalg.matrix_power and every direct caller reach.
+    formed, powered, reached = [], [], []
 
     class Counting(_Powers):
         def __getitem__(self, j):
@@ -1973,21 +1974,19 @@ def test_one_classify_all_call_forms_each_power_of_t_once(monkeypatch):
                 np.testing.assert_array_equal(self._chain[n], self._chain[1] @ self._chain[n - 1])
             return power
 
-    real = np.linalg.matrix_power
-
-    def spying(a, n):
-        powered.append(n)
-        return real(a, n)
-
     monkeypatch.setattr("opclass.membership._Powers", Counting)
     for t in (random_ginibre(5, seed=11), random_normal(5, seed=2)):
         formed.clear()
         powered.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "matrix_power",
-                          lambda a, n: spying(a, n) if np.array_equal(a, t) else real(a, n))
+            spy_kernel(patch, "_matrix_power",
+                       lambda a, n: powered.append((np.array_equal(a, t), n)))
             classify_all(t, seed=1)
-        assert formed == [2, 3, 4, 5] and powered == []
+        assert formed == [2, 3, 4, 5] and [n for on_t, n in powered if on_t] == []
+        reached.append(len(powered))
+    # The spy is live: the normal matrix's absolute-k pencils raise its Gram
+    # T*T to the k-th power (k = 2 and 3 at seed 2).
+    assert reached[-1] > 0
 
 
 def test_a_zero_value_proves_no_nonmember_at_tol_decision_zero():
@@ -2578,16 +2577,19 @@ def test_classify_all_takes_one_svd_of_t_of_each_kind(monkeypatch):
     # second SVD.
     # The Ginibre matrix is decided at its start columns, read from the
     # SVD, and the normal matrix by its certificates, built from it.
-    svd = np.linalg.svd
+    # The spies sit on linalg's SVD kernels, which every SVD of the package
+    # goes through.
     for t in (random_ginibre(5, seed=3), random_normal(5, seed=3)):
         data, calls = t.tobytes(), []
 
-        def counting(a, *args, **kwargs):
-            if np.shape(a) == t.shape and np.asarray(a, dtype=np.complex128).tobytes() == data:
-                calls.append(kwargs.get("compute_uv", True))
-            return svd(a, *args, **kwargs)
+        def counting(compute_uv):
+            def record(a, *args, **kwargs):
+                if np.shape(a) == t.shape and np.asarray(a, dtype=np.complex128).tobytes() == data:
+                    calls.append(compute_uv)
+            return record
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        spy_kernel(monkeypatch, "_svd", counting(True))
+        spy_kernel(monkeypatch, "_svdvals", counting(False))
         operator_norm(np.eye(2))  # T is not the last matrix seen
         classify_all(t, p_list=(0.25, 0.5, 1.0), seed=3)
         assert sorted(calls) == [False, True]
