@@ -33,14 +33,33 @@ __all__ = [
     "GENERATOR_KINDS",
 ]
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def make_rng(seed: int, *lane: int) -> np.random.Generator:
-    """Philox stream for ``seed``; ``lane`` selects an independent substream."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64, spawn_key=tuple(int(x) for x in lane)
-    )
+    """Philox stream for ``seed``; ``lane`` selects an independent substream.
+
+    The stream, and every ``spawn`` child of it, is that of
+    ``Generator(Philox(SeedSequence(entropy=seed & (2**64 - 1),
+    spawn_key=lane)))`` bit for bit. The SeedSequence is given the uint32
+    words numpy assembles from that entropy and spawn key: the seed's low
+    and high 32-bit words, zeros up to the 4-word pool, then the words of
+    each lane, least significant first (one zero word for a lane of 0). A
+    negative lane raises numpy's ValueError. Only numpy's Python-side
+    conversion of an int and a tuple to those words is skipped."""
+    seed = int(seed) & _MASK64
+    words = [seed & _MASK32, seed >> 32, 0, 0]
+    for x in lane:
+        x = int(x)
+        if x < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(x & _MASK32)
+        x >>= 32
+        while x:
+            words.append(x & _MASK32)
+            x >>= 32
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -16,7 +16,11 @@ numpy's bit for bit, a LAPACK failure raises ``np.linalg.LinAlgError`` with
 numpy's message, and a NaN that overflow leaves passes with no warning; what
 the kernels skip is numpy's per-call wrapping (array conversion, dtype
 dispatch, result namedtuples). They take complex128 matrices, or stacks of
-them, as the callers hold them.
+them, as the callers hold them. Each errstate is one numpy error state,
+built once at import; a kernel sets numpy's error-state context variable
+to it around its gufunc and resets it after, as ``np.errstate`` does on
+every call, so the caller's state is back whether the kernel returns or
+raises.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar as _errstate
+from numpy._core.umath import _make_extobj
 from numpy.linalg import _umath_linalg as _gufuncs
 
 from .errors import DimensionMismatch, EmptySubspace, NotHermitian, NotPSD
@@ -132,31 +138,41 @@ def adjoint(a) -> np.ndarray:
 
 
 def _lapack(message: str):
-    """numpy.linalg's errstate, as a decorator: the gufunc's failure flag
-    (invalid) raises LinAlgError(message), and overflow, division and
-    underflow pass silently."""
+    """numpy.linalg's error state: the gufunc's failure flag (invalid)
+    raises LinAlgError(message), and overflow, division and underflow pass
+    silently."""
 
     def failed(err, flag):
         raise np.linalg.LinAlgError(message)
 
-    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+    return _make_extobj(call=failed, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")
 
 
-_svd_errstate = _lapack("SVD did not converge")
-_eig_errstate = _lapack("Eigenvalues did not converge")
+_SVD_FAILED = _lapack("SVD did not converge")
+_EIG_FAILED = _lapack("Eigenvalues did not converge")
+_QR_FAILED = _lapack("Incorrect argument found while performing QR factorization")
+# numpy's default error state with overflow ignored, for the Frobenius norm.
+_OVER_IGNORED = _make_extobj(call=None, divide="warn", over="ignore", under="ignore",
+                             invalid="warn")
 
 
-@_svd_errstate
 def _svd(m: np.ndarray, full_matrices: bool = True):
     """np.linalg.svd(m, full_matrices): (U, S, V*)."""
-    return (_gufuncs.svd_f if full_matrices else _gufuncs.svd_s)(m, signature="D->DdD")
+    token = _errstate.set(_SVD_FAILED)
+    try:
+        return (_gufuncs.svd_f if full_matrices else _gufuncs.svd_s)(m, signature="D->DdD")
+    finally:
+        _errstate.reset(token)
 
 
-@_svd_errstate
 def _svdvals(m: np.ndarray) -> np.ndarray:
     """np.linalg.svd(m, compute_uv=False): the singular values, descending."""
-    return _gufuncs.svd(m, signature="D->d")
+    token = _errstate.set(_SVD_FAILED)
+    try:
+        return _gufuncs.svd(m, signature="D->d")
+    finally:
+        _errstate.reset(token)
 
 
 def _norm2(m: np.ndarray) -> float:
@@ -164,34 +180,46 @@ def _norm2(m: np.ndarray) -> float:
     return float(_svdvals(m).max(initial=0.0))
 
 
-@_eig_errstate
 def _eigh(m: np.ndarray):
     """np.linalg.eigh(m): (eigenvalues ascending, eigenvectors), from the
     lower triangle."""
-    return _gufuncs.eigh_lo(m, signature="D->dD")
+    token = _errstate.set(_EIG_FAILED)
+    try:
+        return _gufuncs.eigh_lo(m, signature="D->dD")
+    finally:
+        _errstate.reset(token)
 
 
-@_eig_errstate
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(m): eigenvalues ascending, from the lower triangle."""
-    return _gufuncs.eigvalsh_lo(m, signature="D->d")
+    token = _errstate.set(_EIG_FAILED)
+    try:
+        return _gufuncs.eigvalsh_lo(m, signature="D->d")
+    finally:
+        _errstate.reset(token)
 
 
-@_eig_errstate
 def _eigvals(m: np.ndarray) -> np.ndarray:
     """np.linalg.eigvals(m), which rejects a non-finite matrix first."""
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return _gufuncs.eigvals(m, signature="D->D")
+    token = _errstate.set(_EIG_FAILED)
+    try:
+        return _gufuncs.eigvals(m, signature="D->D")
+    finally:
+        _errstate.reset(token)
 
 
-@_lapack("Incorrect argument found while performing QR factorization")
 def _haar_qr(z: np.ndarray):
     """Q of np.linalg.qr(z) for a square z, and the diagonal of its R."""
     # qr_r_raw overwrites its input with R and the Householder reflectors.
     a = z.copy()
-    tau = _gufuncs.qr_r_raw(a, signature="D->D")
-    return _gufuncs.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
+    token = _errstate.set(_QR_FAILED)
+    try:
+        tau = _gufuncs.qr_r_raw(a, signature="D->D")
+        return _gufuncs.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
+    finally:
+        _errstate.reset(token)
 
 
 def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -233,8 +261,11 @@ def finite_frobenius_norm(a) -> float:
     """The Frobenius norm; ValueError, and no numpy warning, when it
     overflows a double. Its sum of squares overflows once entries reach
     about 1e154, while the norm itself may still be finite."""
-    with np.errstate(over="ignore"):
+    token = _errstate.set(_OVER_IGNORED)
+    try:
         size = frobenius_norm(a)
+    finally:
+        _errstate.reset(token)
     if not np.isfinite(size):
         raise ValueError("Frobenius norm of the matrix overflows a double")
     return size

@@ -72,7 +72,8 @@ defect, so it sweeps and refines every pencil.
 The predicates read ||T||, and the SVD T = U S V* where they need it,
 from ``linalg`` (``operator_norm``, ``operator_svd``), which remembers
 both for the last matrix seen, so the predicates of one ``classify_all``
-call take one SVD of T of each kind. p-hyponormality's roots, the
+call take one SVD of T of each kind; a dual stack of many matrices reads
+them from one stacked SVD of each kind. p-hyponormality's roots, the
 absolute-k sphere roots |T|^k = V S^k V* and the sphere's warm starts V
 are read from that SVD: a root of the Gram T*T would lose the singular
 values of T below about ||T|| sqrt(eps).
@@ -106,9 +107,9 @@ from .linalg import (
     _norm2,
     _scale,
     _svd,
+    _svdvals,
     as_operator,
     finite_frobenius_norm,
-    matrix_power,
     operator_norm,
     operator_svd,
     spectral_radius,
@@ -294,7 +295,7 @@ def _power_verdict(m: np.ndarray, n: int, relation: str, tol: TolerancePolicy) -
     The scale goes first: it rejects a T whose products would overflow."""
     degree, residual = _RELATIONS[relation]
     scale = _scale(operator_norm(m), n * degree)
-    power = matrix_power(m, n) if n > 1 else m
+    power = _matrix_power(m, n) if n > 1 else m
     return _equality_verdict(finite_frobenius_norm(residual(power)), scale, tol)
 
 
@@ -1124,8 +1125,8 @@ def quasinormal_embry(
     gram = m.conj().T @ m
     for k in range(2, kmax + 1):
         scale_k = _scale(norm_t, 2 * k)
-        pk = matrix_power(m, k)
-        resid = finite_frobenius_norm(pk.conj().T @ pk - matrix_power(gram, k))
+        pk = _matrix_power(m, k)
+        resid = finite_frobenius_norm(pk.conj().T @ pk - _matrix_power(gram, k))
         if resid > tol.tol_eq * scale_k:
             status = Status.NON_MEMBER
         if resid > worst:
@@ -1309,15 +1310,17 @@ class _NormProductDefect:
 
 class _Powers:
     """The powers T^0 = I, T^1 = T, T^2, ... of one validated matrix, read
-    as ``powers[j]``: each is formed once, as T @ T^(j-1), when it is first
-    read, so a chain shared by every problem of one T forms each power once
-    and none beyond the highest a problem reads."""
+    as ``powers[j]``: each is formed once, T^0 as the identity and T^j as T
+    @ T^(j-1), when it is first read, so a chain shared by every problem of
+    one T forms each power once and none that no problem reads."""
 
     def __init__(self, m: np.ndarray):
-        self._chain = [np.eye(len(m), dtype=np.complex128), m]
+        self._chain = [None, m]
 
     def __getitem__(self, j: int) -> np.ndarray:
         chain = self._chain
+        if j == 0 and chain[0] is None:
+            chain[0] = np.eye(len(chain[1]), dtype=np.complex128)
         while len(chain) <= j:
             chain.append(chain[1] @ chain[-1])
         return chain[j]
@@ -1482,49 +1485,52 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     """Decide every (T, class name, k, seed) of ``problems`` by both
     oracles; all T share one dimension, else ValueError.
 
-    Each distinct T (by identity) is validated once and reads its norm and
-    its SVD from ``linalg`` (``operator_norm``, ``operator_svd``); its
-    builders share one chain of its powers (``_Powers``), which forms T^j
-    once, as far as a problem reads; its pencils are built on that norm,
-    and its absolute-k sphere roots |T|^k = V S^k V* and the columns of V
-    are read from that SVD. The zero operator is a Member of every class.
-    The defining defects of all other problems are stacked once
-    (``_NormProductDefect``).
+    Each distinct T (by identity) is validated once. Its norm and its SVD
+    come from ``_norms_and_svds``: a call with one nonzero T reads them
+    from ``linalg``'s memo (``operator_norm``, ``operator_svd``), a call
+    with more reads every norm from one stacked values-only SVD and every
+    SVD from one stacked SVD. Its builders share one chain of its powers
+    (``_Powers``), which forms T^j once, as far as a problem reads; its
+    pencils are built on that norm, and its absolute-k sphere roots |T|^k =
+    V S^k V* and the columns of V are read from that SVD. The zero operator
+    is a Member of every class. The defining defects of all other problems
+    are stacked once (``_NormProductDefect``).
 
     One path: two start stages, the pencils of the rows they leave and their
     certificates, then the sweep and the descent of the rows no certificate
     settles. Each start stage is one call on the open rows of the defect
     stack (``_start_verdicts``), at the columns of one source, normalized,
     that turns with T: V, and then the right singular vectors V2 of T^2,
-    taken only for the matrices with an open row. A problem that one column
-    proves NonMember is decided there, never forms its pencil and does not
-    descend; the open rows are taken from the stack again only when a stage
-    proved something. Every problem left forms its pencil (the builders'
-    pencil callables); their terms are stacked once (``_PencilStack``) and
-    checked at once by the checks of PencilSpec (``_check_terms``). Each
-    pencil then gets its Loewner certificate, built from its terms and T's
-    SVD, whose least eigenvalue bounds lam_min(P) below on the whole domain
-    (``_certificate_claims``, one eigvalsh per certificate size). A problem
-    whose certificate holds is a Member there, final, with that bound as
-    defect, oracle ``pencil`` and its seed: it is neither swept nor
-    descends. The rows of the defect stack and the pencils of the problems
-    no certificate settles are taken again only when a certificate settled
-    something; their pencils are swept and refined (``_pencil_verdicts``),
-    each for a claim whose only use is the start below. Every such problem
-    then descends, on its row of the stack: each distinct T among them gets
-    one block of deterministic starts, the standard basis and V
-    (``_fixed_starts``), each T and seed one block of seeded starts, and one
-    descent runs over the columns of them all, one block each. A problem
-    whose pencil claims NonMember starts also from the claim's unit
-    eigenvector, one more warm start in place of its last seeded start, so
-    the descent begins at least as low as the pencil's minimum. One more
-    call on those rows gives the value at every sphere's unit witness, and
-    the problem gets its sphere's verdict (``_descended_verdict``): a sphere
-    NonMember stands, with that value as defect and the unit witness, only
-    when the value is below 0 and at most -threshold, as ``_start_verdicts``
-    rules, and is Inconclusive otherwise; a Member or Inconclusive stands as
-    the sphere gives it. No witness is evaluated twice. Each problem gets the verdict
-    it gets alone, bit for bit, so the predicates are the one-problem case.
+    taken only for the matrices with an open row, in one stacked SVD. A
+    problem that one column proves NonMember is decided there, never forms
+    its pencil and does not descend; the open rows are taken from the stack
+    again only when a stage proved something. Every problem left forms its
+    pencil (the builders' pencil callables); their terms are stacked once
+    (``_PencilStack``) and checked at once by the checks of PencilSpec
+    (``_check_terms``). Each pencil then gets its Loewner certificate, built
+    from its terms and T's SVD, whose least eigenvalue bounds lam_min(P)
+    below on the whole domain (``_certificate_claims``, one eigvalsh per
+    certificate size). A problem whose certificate holds is a Member there,
+    final, with that bound as defect, oracle ``pencil`` and its seed: it is
+    neither swept nor descends. The rows of the defect stack and the pencils
+    of the problems no certificate settles are taken again only when a
+    certificate settled something; their pencils are swept and refined
+    (``_pencil_verdicts``), each for a claim whose only use is the start
+    below. Every such problem then descends, on its row of the stack: each
+    distinct T among them gets one block of deterministic starts, the
+    standard basis and V (``_fixed_starts``), each T and seed one block of
+    seeded starts, and one descent runs over the columns of them all, one
+    block each. A problem whose pencil claims NonMember starts also from the
+    claim's unit eigenvector, one more warm start in place of its last
+    seeded start, so the descent begins at least as low as the pencil's
+    minimum. One more call on those rows gives the value at every sphere's
+    unit witness, and the problem gets its sphere's verdict
+    (``_descended_verdict``): a sphere NonMember stands, with that value as
+    defect and the unit witness, only when the value is below 0 and at most
+    -threshold, as ``_start_verdicts`` rules, and is Inconclusive otherwise;
+    a Member or Inconclusive stands as the sphere gives it. No witness is
+    evaluated twice. Each problem gets the verdict it gets alone, bit for
+    bit, so the predicates are the one-problem case.
     """
     mats = {}
     for t, name, k, _ in problems:
@@ -1534,8 +1540,7 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise ValueError(f"a stack of dual problems needs one dimension, got "
                          f"{sorted({m.shape[0] for m in mats.values()})}")
-    facts = {key: (operator_norm(m), operator_svd(m))
-             for key, m in mats.items() if not _zero_operator(m)}
+    facts = _norms_and_svds({key: m for key, m in mats.items() if not _zero_operator(m)})
     live = [(p, id(t), name, k, seed)
             for p, (t, name, k, seed) in enumerate(problems) if id(t) in facts]
     verdicts = [None if id(t) in facts else _member_zero() for t, *_ in problems]
@@ -1555,8 +1560,14 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     # certificates read the rows the two leave, and the sweep and the
     # descent the rows no certificate settles.
     rest, left = list(range(len(live))), defect
-    for source in (vs.__getitem__, lambda key: _svd(powers[key][2])[2].conj().T):
-        cols = {key: _unit_columns(source(key)) for key in dict.fromkeys(live[i][1] for i in rest)}
+
+    def v2(keys):
+        _, _, vh = _svd(np.array([powers[key][2] for key in keys]))
+        return [w.conj().T for w in vh]
+
+    for source in (lambda keys: [vs[key] for key in keys], v2):
+        keys = list(dict.fromkeys(live[i][1] for i in rest))
+        cols = dict(zip(keys, map(_unit_columns, source(keys))))
         proved = _start_verdicts(left, np.array([cols[live[i][1]] for i in rest]),
                                  [scales[i] for i in rest], [seeds[i] for i in rest], tol)
         if proved:
@@ -1602,6 +1613,23 @@ def _dual_verdicts(problems, tol: TolerancePolicy) -> list:
     return verdicts
 
 
+def _norms_and_svds(mats: dict) -> dict:
+    """(||T||, numpy's SVD U, S, V* read-only) of each validated nonzero T
+    of ``mats``, by key. One T reads both from ``linalg`` (``operator_norm``,
+    ``operator_svd``), whose memo the other predicates of a ``classify_all``
+    call share; more than one read every norm from one stacked ``_svdvals``
+    and every SVD from one stacked ``_svd``, each matrix's numbers those of
+    its own call."""
+    if len(mats) <= 1:
+        return {key: (operator_norm(m), operator_svd(m)) for key, m in mats.items()}
+    stack = np.array(list(mats.values()))
+    norms = _svdvals(stack).max(axis=-1, initial=0.0).tolist()
+    factors = _svd(stack)
+    for f in factors:
+        f.setflags(write=False)
+    return {key: (norm, svd) for key, norm, svd in zip(mats, norms, zip(*factors))}
+
+
 def _descended_verdict(sphere: MembershipVerdict, unit: np.ndarray,
                        exact: float) -> MembershipVerdict:
     """The verdict of a problem that descended, from its sphere's verdict
@@ -1620,8 +1648,9 @@ def _descended_verdict(sphere: MembershipVerdict, unit: np.ndarray,
 
 def _unit_columns(v: np.ndarray) -> np.ndarray:
     """The columns of v over their norms, as ``_fixed_starts`` normalizes
-    its warm starts."""
-    return v / np.linalg.norm(v, axis=0, keepdims=True)
+    its warm starts: numpy's ``norm(v, axis=0, keepdims=True)``, written
+    out."""
+    return v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=0, keepdims=True))
 
 
 def is_k_quasi_paranormal(

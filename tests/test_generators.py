@@ -10,6 +10,7 @@ from opclass.generators import (
     build,
     jordan_nilpotent,
     k_quasi_member,
+    make_rng,
     normaloid_counterexample,
     random_ginibre,
     random_normal,
@@ -24,6 +25,31 @@ from opclass.membership import (
     is_normal,
     is_normaloid,
 )
+
+
+_STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1,
+                 *np.random.default_rng(45).integers(0, 2**64, 4, dtype=np.uint64).tolist())
+
+
+@pytest.mark.parametrize("lane", [(), (0,), (3, 1), (2**32,), (2**40 + 5, 7)], ids=repr)
+def test_make_rng_is_numpys_seed_sequence_stream(lane):
+    # make_rng hands SeedSequence the uint32 words that numpy assembles from
+    # an int entropy and a spawn key; the stream and its spawned children
+    # are those of numpy's own construction, bit for bit.
+    for seed in _STREAM_SEEDS:
+        ours = make_rng(seed, *lane)
+        numpys = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=seed & (2**64 - 1), spawn_key=lane)))
+        for a, b in zip([ours, *ours.spawn(3)], [numpys, *numpys.spawn(3)]):
+            np.testing.assert_array_equal(a.standard_normal(6), b.standard_normal(6))
+            np.testing.assert_array_equal(a.integers(0, 2**63, 6), b.integers(0, 2**63, 6))
+
+
+def test_make_rng_rejects_a_negative_lane_as_numpy_does():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.SeedSequence(entropy=3, spawn_key=(1, -2))
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        make_rng(3, 1, -2)
 
 
 def test_unitary_properties():

@@ -1,8 +1,8 @@
 """Every module of the package uses every name it imports, every
 module-level private name is used somewhere in the package, the band
 scale max(1, x)^degree is spelled only in ``linalg._scale``, only
-``linalg`` calls numpy's factorizations, and importing the package loads
-no scipy module.
+``linalg`` calls numpy's factorizations or imports numpy's private
+modules, and importing the package loads no scipy module.
 
 No linter ships with the toolchain, so these checks use the stdlib ``ast``
 module alone. ``__init__.py`` is exempt from the import check: its imports
@@ -207,6 +207,50 @@ def test_numpy_factorizations_are_called_only_in_linalg(path):
     # linalg owns the package's LAPACK calls: its kernels call numpy's own
     # gufuncs under numpy's errstate, and every other module calls them.
     assert named_factorizations(path.read_text()) == []
+
+
+# numpy's private modules, which only linalg imports: the LAPACK gufuncs
+# and the error-state context variable its kernels set.
+_PRIVATE_NUMPY = ("numpy._core", "numpy.linalg._umath_linalg")
+
+
+def private_numpy_imports(source: str) -> list[str]:
+    """``"line N: M"`` for every import of a module M under one of
+    _PRIVATE_NUMPY, also as ``from numpy import _core`` or ``from
+    numpy.linalg import _umath_linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if any(name == p or name.startswith(p + ".") for p in _PRIVATE_NUMPY)]
+    return found
+
+
+def test_private_numpy_imports_finds_every_spelling():
+    source = (
+        "import numpy._core.umath as um\n"
+        "from numpy import _core, linalg\n"
+        "from numpy.linalg import _umath_linalg, norm\n"
+        "from numpy._core.umath import _make_extobj\n"
+        "from numpy.linalg import LinAlgError\n"
+        "from ._core import x\n"
+    )
+    assert private_numpy_imports(source) == [
+        "line 1: numpy._core.umath", "line 2: numpy._core",
+        "line 3: numpy.linalg._umath_linalg", "line 4: numpy._core.umath",
+        "line 4: numpy._core.umath._make_extobj",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_numpy_private_modules_are_imported_only_in_linalg(path):
+    assert private_numpy_imports(path.read_text()) == []
 
 
 def test_importing_the_package_loads_no_scipy_module():

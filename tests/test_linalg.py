@@ -604,3 +604,21 @@ def test_kernels_fail_and_overflow_as_numpy_does():
                 nans.add(name)
     assert {"_svd", "_svdvals", "_norm2", "_eigvals"} <= raised
     assert "_haar_qr" in nans
+    # A kernel that raises, or one that returns inside a caller's
+    # errstate(all="raise"), leaves the caller's error state as it was; and
+    # the Frobenius norm still passes its overflow to its own ValueError.
+    def handler(err, flag):
+        pass
+
+    with np.errstate(all="raise", call=handler):
+        caller = np.geterr(), np.geterrcall()
+        for name, (kernel, _, lapack) in _kernels(nan).items():
+            if name in raised:
+                with pytest.raises(np.linalg.LinAlgError):
+                    kernel(nan)
+            elif lapack:
+                kernel(huge)
+            assert (np.geterr(), np.geterrcall()) == caller, name
+        with pytest.raises(ValueError, match="overflows"):
+            la.finite_frobenius_norm(huge)
+        assert (np.geterr(), np.geterrcall()) == caller

@@ -2600,6 +2600,32 @@ def test_classify_all_takes_one_svd_of_t_of_each_kind(monkeypatch):
         monkeypatch.undo()
 
 
+def test_a_stack_of_many_matrices_takes_one_svd_of_each_kind(monkeypatch):
+    # An engine call on several matrices of one dimension reads every ||T||
+    # from one stacked values-only SVD and every SVD of T from one stacked
+    # full SVD, and the right singular vectors of the squares of the
+    # matrices the columns of V leave open from one more: no SVD of one T or
+    # one T^2 alone. The normal matrices' Members reach the second stage,
+    # where their certificates settle them, so no pencil is swept.
+    ts = [random_ginibre(5, seed=s) for s in (3, 4)] + [random_normal(5, seed=s) for s in (3, 4)]
+    problems = [(t, name, k, 1) for t in ts
+                for name, k in (("KQuasiParanormal", 1), ("KParanormal", 2),
+                                ("AbsoluteKParanormal", 1))]
+    calls = {"_svd": [], "_svdvals": []}
+    for name, seen in calls.items():
+        spy_kernel(monkeypatch, name,
+                   lambda a, *args, seen=seen, **kwargs: seen.append((np.array(a), args, kwargs)))
+    verdicts = _dual_verdicts(problems, TOL)
+    assert [v.status for v in verdicts[6:]] == [Status.MEMBER] * 6
+    [(norms, _, _)] = calls["_svdvals"]
+    (svds, *more), (squares, *_) = calls["_svd"]
+    assert len(calls["_svd"]) == 2 and more == [(), {}]
+    np.testing.assert_array_equal(norms, np.array(ts))
+    np.testing.assert_array_equal(svds, np.array(ts))
+    opened = [i for i, t in enumerate(ts) if any(np.array_equal(t @ t, sq) for sq in squares)]
+    assert len(opened) == len(squares) and {2, 3} <= set(opened)
+
+
 def test_descents_of_pencil_inconclusive_stacks_equal_one_problem_predicates(monkeypatch):
     # With every pencil verdict made Inconclusive, every problem of a
     # Ginibre matrix descends, as all did before the pencil ran first. Its

@@ -108,7 +108,7 @@ def test_bench_pairs_summarizes_pairs_of_runs():
         return {"metrics": {"rate": {"value": rate}, "rss": {"value": rss}}}
 
     metrics = [{"name": "rate", "unit": "1/s", "better": "higher"},
-               {"name": "rss", "unit": "MB", "better": "lower"}]
+               {"name": "rss", "unit": "MB", "better": "lower", "bound": 0.01}]
     # (parent, change): the change wins the first pair on both metrics, the
     # second is a tie on both, and each metric has one more win and one loss.
     runs = [(result(10, 50), result(12, 49)), (result(10, 50), result(10, 50)),
@@ -121,3 +121,26 @@ def test_bench_pairs_summarizes_pairs_of_runs():
     assert rate["ratio_of_medians"] == 11.0 / 10.5
     assert rss["ratio_of_medians"] == 49.5 / 50.0
     assert rss["change"]["median"] == 49.5 and rss["parent"]["q3"] == 50.5
+    # Two wins in four pairs: no gain under the pairs rule on either metric.
+    # rss has a bound of 1% of the parent median, 50, and its change median,
+    # 49.5, is better; rate has no bound.
+    assert rate["pairs_rule"] == {"median_gain": 0.5, "parent_spread": 1.25, "holds": False}
+    assert not rss["pairs_rule"]["holds"] and rate["no_regression"] is None
+    assert rss["no_regression"] == {"bound": 0.01, "limit": 50.5, "holds": True}
+
+    # Ten pairs: the change wins nine on rate and all ten on rss, by median
+    # gains of 2 and 0.5 against a parent spread of 0. With one more loss
+    # on rate, eight of ten, the rule fails. A change median 3% worse on
+    # rss, beyond its 1% bound, fails the no-regression check.
+    base = [9.0, 9.5, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.5, 11.0]
+    ten = [(result(r, r), result(r + 2.0 if i else r - 1.0, r - 0.5))
+           for i, r in enumerate(base)]
+    out = pairs.summarize(ten, metrics)
+    assert (out["rate"]["wins"], out["rss"]["wins"]) == (9, 10)
+    assert out["rate"]["pairs_rule"] == {"median_gain": 2.0, "parent_spread": 0.0, "holds": True}
+    assert out["rss"]["pairs_rule"] == {"median_gain": 0.5, "parent_spread": 0.0, "holds": True}
+    eight = pairs.summarize(ten[:9] + [(ten[9][0], result(8.0, 1.0))], metrics)
+    assert eight["rate"]["wins"] == 8 and not eight["rate"]["pairs_rule"]["holds"]
+    worse = pairs.summarize([(result(10, 50), result(12, 51.5))],
+                            [{"name": "rss", "unit": "MB", "better": "lower", "bound": 0.01}])
+    assert worse["rss"]["no_regression"] == {"bound": 0.01, "limit": 50.5, "holds": False}

@@ -17,8 +17,15 @@ The summary goes to ``BENCH_<N>.json`` at the root of the change checkout:
 per workload, the seeds, the run order, the failed
 counts, the environment of its first run, and for every end-to-end metric
 of ``BENCHMARK.json`` each side's runs, median and quartiles, the number
-of pairs the change wins (ties count for neither side), and the change
-median over the parent median.
+of pairs the change wins (ties count for neither side), the change
+median over the parent median, and two verdicts:
+
+* ``pairs_rule``: a gain holds when the change wins at least 9 in 10 of
+  the pairs and its median is better than the parent's by more than the
+  parent's quartile spread (q3 - q1);
+* ``no_regression``: the change median is no worse than the parent median
+  by more than the metric's ``bound``, a share of the parent median; null
+  for a metric with no bound.
 """
 
 from __future__ import annotations
@@ -63,14 +70,24 @@ def summarize(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
         parent = [p["metrics"][name]["value"] for p, _ in runs]
         change = [c["metrics"][name]["value"] for _, c in runs]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        before, after = quartiles(parent), quartiles(change)
+        sign = 1.0 if higher else -1.0
+        gap, spread = sign * (after["median"] - before["median"]), before["q3"] - before["q1"]
+        bound = metric.get("bound")
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "parent": {**quartiles(parent), "runs": parent},
-            "change": {**quartiles(change), "runs": change},
+            "parent": {**before, "runs": parent},
+            "change": {**after, "runs": change},
             "repeats": len(runs),
             "wins": wins,
-            "ratio_of_medians": statistics.median(change) / statistics.median(parent),
+            "ratio_of_medians": after["median"] / before["median"],
+            "pairs_rule": {"median_gain": gap, "parent_spread": spread,
+                           "holds": 10 * wins >= 9 * len(runs) and gap > spread},
+            "no_regression": None if bound is None else {
+                "bound": bound,
+                "limit": before["median"] * (1.0 - sign * bound),
+                "holds": gap >= -bound * before["median"]},
         }
     return out
 
